@@ -49,7 +49,7 @@ from .groundstate import (
     gse_remainder_bound,
     max_weight,
 )
-from .jacobi import JacobiMatrix, det_abs, lyapunov_check, omega_spectrum, resolvent_U
+from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import SpectrumError, localization_check, spectrum
 from .sampler import GibbsSampler, observables
 from .transfer import (
@@ -542,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", type=str, default=None,
                    help="comma list of checks that gate the exit code "
                         "(clt, drift, brownian)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker concurrency bound (replica math is vectorized "
-                        "in-process; this caps any extra BLAS threading)")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("plot", help="simple SVG charts from campaign CSVs")
@@ -566,8 +563,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) and getattr(args, "threads", 1) > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(getattr(args, "threads", 1)))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -24,7 +24,6 @@ import numpy as np
 # sampling never share a stream even under the same (seed, stream) pair.
 DOMAIN_WEIGHTS = 0
 DOMAIN_GIBBS = 1
-DOMAIN_NOISE = 2
 
 
 @dataclass(frozen=True)
@@ -439,7 +438,7 @@ def _float_list(arr: np.ndarray) -> list:
     return [None if x == -np.inf else float(x) for x in np.asarray(arr).reshape(-1)]
 
 
-def _float_array(values: Sequence, name: str) -> np.ndarray:
+def _float_array(values: Sequence) -> np.ndarray:
     return np.array([-np.inf if x is None else float(x) for x in values])
 
 
@@ -474,8 +473,8 @@ def weights_payload(
 
 def weights_from_payload(d: dict) -> tuple[CylinderGraph, WeightAssignment]:
     g = graph_from_payload(d)
-    nu = _float_array(d["nu"], "nu").reshape(g.n, g.h)
-    omega = _float_array(d["omega"], "omega")
+    nu = _float_array(d["nu"]).reshape(g.n, g.h)
+    omega = _float_array(d["omega"])
     nh = g.num_horizontal
     omega_h = omega[:nh].reshape(max(g.n - 1, 0), g.h)
     omega_v = omega[nh:].reshape(g.n, len(g.H.edges))

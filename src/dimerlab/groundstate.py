@@ -1,10 +1,12 @@
 """Zero-temperature engine: maximal Hamiltonian over matchings.
 
-The layer DP of the transfer module turns into a ground-state solver by
-replacing (logsumexp, +) with (max, +).  Backpointers through the same
-(reserved set, fiber matching) blocks reconstruct one optimal matching;
-ties are broken by the canonical enumeration order of the blocks so the
-argmax is deterministic.
+The transfer module's layer sweep turns into a ground-state solver in the
+(max, +) semiring, with each layer weighted by its best fiber matching per
+forbidden set.  The optimal matching is then read off backward: from the
+empty reserved set after the last layer, each step takes the argmax of the
+shared backward resolution over (previous reserved set, fiber matching)
+and moves to that previous set.  Ties go to the first candidate in the
+canonical enumeration order, so the argmax is deterministic.
 """
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
-from .sampler import Matching, matching_weight
-from .transfer import NEG_INF, _dp_final, batch_tables, restrict, scalar_log_z
+from .sampler import Matching, matching_weight, path_matching
+from .transfer import (
+    MAX, NEG_INF, _last, batch_tables, enumerate_matchings, resolve, restrict, scalar_log_z, sweep,
+)
 
 
 @dataclass(frozen=True)
@@ -26,67 +30,32 @@ class GroundState:
         return g.num_vertices - 2 * len(self.matching.edge_indices)
 
 
+def _max_sweep(tables: dict):
+    """The (max, +) sweep over the best fiber matching of each block."""
+    s, start = tables["scores"], tables["ht"].fiber_start
+    Wmax = np.stack([s[:, a:b].max(axis=1) for a, b in zip(start[:-1], start[1:])], axis=1)
+    return sweep(Wmax, tables["hsum"], tables["ht"], MAX)
+
+
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
     """Max Hamiltonian per replica, vectorized; no argmax reconstruction."""
-    tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True)
-    ht = tables["ht"]
-    R, n = np.asarray(nu_b).shape[0], tables["n"]
-    Wmax = np.full((R, ht.states, n), NEG_INF)
-    for F in range(ht.states):
-        Wmax[:, F, :] = tables["scores"][F].max(axis=1)
-    return _dp_final(Wmax, tables["hsum"], ht, np.maximum)
+    return _last(_max_sweep(batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True)))[:, 0]
 
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
-    """Maximize H over matchings by a (max, +) pass with backpointers."""
+    """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
     tables = batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None], keep_scores=True)
-    ht = tables["ht"]
-    n = g.n
-    scores = [s[0] for s in tables["scores"]]       # per F: (m_F, n)
-    hsum = tables["hsum"][0]                        # (states, n-1)
-
-    Wmax = np.full((ht.states, n), NEG_INF)
-    Warg = np.zeros((ht.states, n), dtype=np.int64)
-    for F in range(ht.states):
-        Wmax[F] = scores[F].max(axis=0)
-        Warg[F] = scores[F].argmax(axis=0)
-
-    # v[S] = best value of the first i+1 layers ending in reserved set S
-    v = Wmax[:, 0]
-    back = np.zeros((n, ht.states), dtype=np.int64)  # chosen previous set
-    for i in range(1, n):
-        nv = np.full(ht.states, NEG_INF)
-        nb = np.zeros(ht.states, dtype=np.int64)
-        for Sp in range(ht.states):
-            idx = ht.compat[Sp]
-            cand = v[idx] + hsum[idx, i - 1] + Wmax[idx | Sp, i]
-            a = int(np.argmax(cand))
-            nv[Sp] = cand[a]
-            nb[Sp] = idx[a]
-        v = nv
-        back[i] = nb
-
-    value = float(v[0])
-    # reconstruct reserved sets backward, then matchings forward
-    S_path = np.zeros(n, dtype=np.int64)
-    cur = 0
-    for i in range(n - 1, 0, -1):
-        S_path[i] = cur
-        cur = back[i, cur]
-    S_path[0] = cur
-
-    idxs = []
-    prev = 0
-    for i in range(n):
-        S = int(S_path[i])
-        F = prev | S
-        for e in ht.edge_tuples[F][int(Warg[F, i])]:
-            idxs.append(g.vertical_index(i + 1, e))
-        for j in range(g.h):
-            if S >> j & 1:
-                idxs.append(g.horizontal_index(i + 1, j + 1))
-        prev = S
-    gs = GroundState(value=value, matching=Matching(frozenset(idxs)))
+    ht, hsum, scores = tables["ht"], tables["hsum"][0], tables["scores"][0]
+    msgs = np.stack([v[0] for v in _max_sweep(tables)])
+    value = float(msgs[-1, 0])
+    S_path = np.zeros(g.n, dtype=np.int64)
+    rows = np.zeros(g.n, dtype=np.int64)
+    S = 0
+    for i in range(g.n - 1, -1, -1):
+        logits, prev, cand = resolve(msgs, hsum, scores, ht, i, S)
+        k = int(np.argmax(logits))
+        S_path[i], rows[i], S = S, cand[k], prev[k]
+    gs = GroundState(value=value, matching=path_matching(g, ht, S_path, rows))
     achieved = matching_weight(g, w, gs.matching)
     if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
         raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")
@@ -95,35 +64,13 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
 
 def brute_force_max(g: CylinderGraph, w: WeightAssignment) -> float:
     """Enumeration reference for the maximum, small instances only."""
-    from .transfer import BRUTE_MAX_N, CapacityError
-
-    if g.num_vertices > BRUTE_MAX_N:
-        raise CapacityError(f"brute force supports at most {BRUTE_MAX_N} vertices")
-    total = g.num_vertices
-    nu_flat = w.nu_flat()
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(total)]
-    for (u, v) in g.edge_list():
-        fu, fv = g.flat_index(u), g.flat_index(v)
-        wt = w.omega_of(u, v)
-        adj[fu].append((fv, wt))
-        adj[fv].append((fu, wt))
     best = NEG_INF
 
-    def rec(start, used, weight):
+    def leaf(count: int, weight: float):
         nonlocal best
-        vtx = start
-        while vtx < total and used >> vtx & 1:
-            vtx += 1
-        if vtx == total:
-            best = max(best, weight)
-            return
-        bit = 1 << vtx
-        rec(vtx + 1, used | bit, weight + nu_flat[vtx])
-        for u, wt in adj[vtx]:
-            if not used >> u & 1:
-                rec(vtx + 1, used | bit | 1 << u, weight + wt)
+        best = max(best, weight)
 
-    rec(0, 0, 0.0)
+    enumerate_matchings(g, w, leaf)
     return float(best)
 
 

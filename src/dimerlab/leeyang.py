@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal  # noqa: F401  (re-export convenience)
 
 from .graphs import CylinderGraph, WeightAssignment, weighted_degree
 from .transfer import NEG_INF, MonomerPolynomial

@@ -2,10 +2,13 @@
 
 A matching of the cylinder decomposes layer by layer into the set S_i of
 vertices matched forward by horizontal dimers and a fiber matching m_i
-avoiding S_{i-1} and S_i.  The forward messages of the transfer DP give the
-exact marginal weight of every partial configuration, so sampling the pairs
-(S_{i-1}, m_i) backward from the last layer produces draws from the Gibbs
-measure itself - no Markov chain, no mixing-time question.
+avoiding S_{i-1} and S_i.  The forward messages of the transfer module's
+(logaddexp, +) sweep give the exact marginal weight of every partial
+configuration, so the shared backward resolution (``transfer.resolve``)
+turns them into the exact conditional law of (S_{i-1}, m_i) given S_i.
+Sampling those pairs backward from the last layer produces draws from the
+Gibbs measure itself - no Markov chain, no mixing-time question.
+``path_matching`` decodes a drawn path, as it does the ground-state argmax.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DOMAIN_GIBBS, CylinderGraph, RngSeed, WeightAssignment, rng_generator
-from .transfer import NEG_INF, TransferEngine
+from .transfer import NEG_INF, TransferEngine, resolve
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,21 @@ def observables(
     )
 
 
+def path_matching(g: CylinderGraph, ht, S_path, rows) -> Matching:
+    """The matching of one layer path: the reserved set after each layer
+    (horizontal dimers into the next layer) and the fiber row of each layer."""
+    idxs = [g.vertical_index(i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
+    idxs += [g.horizontal_index(i + 1, j + 1)
+             for i, S in enumerate(S_path) for j in range(g.h) if S >> j & 1]
+    return Matching(frozenset(idxs))
+
+
 class GibbsSampler:
     """Backward exact sampler with precomputed per-layer conditionals.
 
-    Building the tables costs one forward DP pass; afterwards each draw is a
-    cheap categorical walk, so large draw counts are vectorized across draws
-    layer by layer.
+    Building the tables costs one forward sweep and one backward resolution
+    per (layer, reserved set); afterwards each draw is a cheap categorical
+    walk, so large draw counts are vectorized across draws layer by layer.
     """
 
     def __init__(self, g: CylinderGraph, w: WeightAssignment, x: float = 0.0):
@@ -112,57 +124,34 @@ class GibbsSampler:
         self.w = w
         self.x = x
         engine = TransferEngine(g, w, keep_scores=True)
-        ht = engine.ht
-        self.ht = ht
+        self.ht = engine.ht
         msgs = engine.forward_messages(x)
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
         hsum = engine.tables["hsum"][0]
-        scores = [s[0] + x * d for s, d in zip(engine.tables["scores"], engine.tables["dmat"])]
-        n, states = g.n, ht.states
+        scores = engine.tables["scores"][0] + x * engine.tables["dmat"]
 
-        # conditional tables: for layer i and current reserved set S, the
-        # categorical over (previous reserved set, fiber matching index)
-        self._cum = [[None] * states for _ in range(n)]
-        self._decode = [[None] * states for _ in range(n)]
-        for i in range(n):
-            for S in range(states):
-                if i == n - 1 and S != 0:
-                    continue
-                cats = []
-                logits = []
-                if i == 0:
-                    blk = scores[S][:, 0]
-                    for mi in range(blk.size):
-                        cats.append((0, mi))
-                        logits.append(blk[mi])
-                else:
-                    for Sp in ht.compat[S]:
-                        blk = scores[Sp | S][:, i]
-                        base = msgs[i - 1, Sp] + hsum[Sp, i - 1]
-                        for mi in range(blk.size):
-                            cats.append((int(Sp), mi))
-                            logits.append(base + blk[mi])
-                logits = np.asarray(logits)
+        # for layer i and current reserved set S: the cumulative categorical
+        # over the backward candidates, with their previous sets and fiber rows
+        self._tables = [[None] * self.ht.states for _ in range(g.n)]
+        for i in range(g.n):
+            for S in range(self.ht.states if i < g.n - 1 else 1):
+                logits, prev, rows = resolve(msgs, hsum, scores, self.ht, i, S)
                 top = logits.max()
                 if top == NEG_INF:
                     continue
                 p = np.exp(logits - top)
-                self._cum[i][S] = np.cumsum(p) / p.sum()
-                self._decode[i][S] = cats
-
-        # per-(F, matching) monomer counts, for height profiles
-        self._mono_count = [mm.sum(axis=1).astype(np.int64) for mm in ht.match_mono]
+                self._tables[i][S] = (np.cumsum(p) / p.sum(), prev, rows)
 
     def draw_states(self, gen: np.random.Generator, count: int):
         """Sample (S_path, m_path) for ``count`` draws, vectorized per layer.
 
         Returns integer arrays of shape (count, n): the reserved set after
-        each layer (always 0 at the last) and the fiber matching index per
-        layer (indexing matchings that avoid S_{i-1} | S_i).
+        each layer (always 0 at the last) and the fiber row of each layer,
+        which indexes ``ht.fiber_edges`` and ``ht.fiber_mono``.
         """
-        n, states = self.g.n, self.ht.states
+        n = self.g.n
         S_path = np.zeros((count, n), dtype=np.int64)
         m_path = np.zeros((count, n), dtype=np.int64)
         cur = np.zeros(count, dtype=np.int64)
@@ -171,55 +160,22 @@ class GibbsSampler:
             nxt = np.zeros(count, dtype=np.int64)
             for S in np.unique(cur):
                 sel = np.flatnonzero(cur == S)
-                cum = self._cum[i][S]
-                if cum is None:
+                if self._tables[i][S] is None:
                     raise ValueError("reached a zero-weight state during sampling")
-                picks = np.searchsorted(cum, u[sel], side="right")
-                picks = np.minimum(picks, len(cum) - 1)
-                decode = self._decode[i][S]
-                for k, d in zip(sel, picks):
-                    sp, mi = decode[d]
-                    nxt[k] = sp
-                    m_path[k, i] = mi
+                cum, prev, rows = self._tables[i][S]
+                picks = np.minimum(np.searchsorted(cum, u[sel], side="right"), len(cum) - 1)
+                nxt[sel] = prev[picks]
+                m_path[sel, i] = rows[picks]
             S_path[:, i] = cur
             cur = nxt
         return S_path, m_path
 
     def matchings_from_states(self, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
-        g, ht = self.g, self.ht
-        out = []
-        for d in range(S_path.shape[0]):
-            idxs = []
-            prev = 0
-            for i in range(g.n):
-                S = int(S_path[d, i])
-                F = prev | S
-                for e in ht.edge_tuples[F][int(m_path[d, i])]:
-                    idxs.append(g.vertical_index(i + 1, e))
-                for j in range(g.h):
-                    if S >> j & 1:
-                        idxs.append(g.horizontal_index(i + 1, j + 1))
-                prev = S
-            out.append(Matching(frozenset(idxs)))
-        return out
+        return [path_matching(self.g, self.ht, s, m) for s, m in zip(S_path, m_path)]
 
     def monomer_profiles(self, S_path: np.ndarray, m_path: np.ndarray) -> np.ndarray:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""
-        ht = self.ht
-        n = self.g.n
-        count = S_path.shape[0]
-        prof = np.zeros((count, n), dtype=np.int64)
-        prev = np.zeros(count, dtype=np.int64)
-        for i in range(n):
-            S = S_path[:, i]
-            F = prev | S
-            mono = np.zeros(count, dtype=np.int64)
-            for Fv in np.unique(F):
-                sel = F == Fv
-                mono[sel] = self._mono_count[Fv][m_path[sel, i]]
-            prof[:, i] = mono
-            prev = S
-        return prof
+        return self.ht.fiber_mono[m_path]
 
     def draw_matchings(self, gen: np.random.Generator, count: int) -> list[Matching]:
         return self.matchings_from_states(*self.draw_states(gen, count))

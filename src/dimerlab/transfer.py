@@ -9,23 +9,33 @@ vertices inside a counting mask equals j.  All coefficient arithmetic is
 done in log space so that instances with hundreds of layers stay inside
 float64 range.
 
-Two evaluation modes share one layer-by-layer dynamic program:
-
-* polynomial mode keeps the full coefficient vector (fiber size capped at
-  ``POLY_MAX_H``), enabling exact cumulants and Lee-Yang spectra;
-* scalar mode fixes the tilt x and propagates a single number per DP state
-  (fiber size capped at ``SCALAR_MAX_H``), which is what the large replica
-  campaigns use.
-
 The DP state after layer i is the set S of layer-i vertices reserved for a
 horizontal dimer into layer i+1.  A transition into layer i+1 sums over the
 new reserved set S', the horizontal dimers dictated by S, and all matchings
 of the fiber graph avoiding S and S'; leftover vertices are monomers.
+
+One forward ``sweep`` runs this recursion for every consumer and takes its
+arithmetic as a ``Semiring``:
+
+* ``LOG`` = (logaddexp, +) fixes the tilt x and carries one number per
+  state (fiber size capped at ``SCALAR_MAX_H``): scalar log Z for the
+  replica campaigns and the forward messages of the sampler;
+* ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
+* ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
+  masked monomer count) keeps the full coefficient vector (fiber size
+  capped at ``POLY_MAX_H``), enabling exact cumulants and Lee-Yang spectra.
+
+``resolve`` runs the recursion backward for one layer and reserved set,
+listing the candidate (previous reserved set, fiber matching) pairs with
+their logits; the exact sampler draws from them and the ground-state
+engine takes their argmax.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -162,9 +172,6 @@ class MonomerPolynomial:
             out.append(m4 - 3.0 * m2**2)
         return tuple(out)
 
-    def is_monic(self, tol: float = 1e-9) -> bool:
-        return self.mask_size == self.N and abs(self.log_coeffs[-1]) <= tol
-
     def to_payload(self) -> dict:
         return {
             "N": self.N,
@@ -181,14 +188,6 @@ class MonomerPolynomial:
         return f"MonomerPolynomial(N={self.N}, mask_size={self.mask_size})"
 
 
-def log_Z(p: MonomerPolynomial, x: float = 0.0) -> float:
-    return p.log_z(x)
-
-
-def cumulants_U(p: MonomerPolynomial, x: float = 0.0, order: int = 2) -> tuple[float, ...]:
-    return p.cumulants(x, order)
-
-
 # ---------------------------------------------------------------------------
 # fiber matching tables (combinatorial structure, cached per H)
 # ---------------------------------------------------------------------------
@@ -202,10 +201,12 @@ class _HTables:
         edges0 = [(a - 1, b - 1) for a, b in H.edges]
         full = self.states - 1
 
+        # the fiber matchings avoiding each forbidden set F; flattened over F,
+        # they are the rows fiber_start[F]:fiber_start[F + 1]
         self.match_edges = []   # per F: (m_F, mH) 0/1
         self.match_mono = []    # per F: (m_F, h) 0/1, monomer = not in F, not covered
-        self.edge_tuples = []   # per F: tuple of H-edge index tuples
-        self.mono_bits = []     # per F: int bitmask of monomer vertices per matching
+        self.fiber_edges = []   # per row: tuple of H-edge indices
+        fiber_start = [0]
         for F in range(self.states):
             rows = []
 
@@ -223,43 +224,49 @@ class _HTables:
             rec(0, F, [])
             me = np.zeros((len(rows), self.mH))
             mm = np.zeros((len(rows), h))
-            bits = []
             for r, (chosen, used) in enumerate(rows):
                 for e in chosen:
                     me[r, e] = 1.0
                 mono = full & ~used
-                bits.append(mono)
                 for j in range(h):
                     if mono >> j & 1:
                         mm[r, j] = 1.0
             self.match_edges.append(me)
             self.match_mono.append(mm)
-            self.edge_tuples.append(tuple(chosen for chosen, _ in rows))
-            self.mono_bits.append(np.array(bits, dtype=np.int64))
+            self.fiber_edges.extend(chosen for chosen, _ in rows)
+            fiber_start.append(fiber_start[-1] + len(rows))
+        self.fiber_start = np.array(fiber_start, dtype=np.intp)
+        self.fiber_mono = np.concatenate(self.match_mono).sum(axis=1).astype(np.int64)
 
         # disjoint (S, S') pairs grouped contiguously by S', for segmented
         # reductions in the layer transition
-        ps, psp, pf, starts = [], [], [], []
+        ps, pf, starts = [], [], []
         for Sp in range(self.states):
             starts.append(len(ps))
             for S in range(self.states):
                 if S & Sp == 0:
                     ps.append(S)
-                    psp.append(Sp)
                     pf.append(S | Sp)
         self.pair_s = np.array(ps, dtype=np.intp)
         self.pair_f = np.array(pf, dtype=np.intp)
         self.group_starts = np.array(starts, dtype=np.intp)
-        self.compat = [self.pair_s[self.group_starts[Sp]:
-                                   (self.group_starts[Sp + 1] if Sp + 1 < self.states else len(ps))]
-                       for Sp in range(self.states)]
+
+        # backward candidates of each reserved set S: every previous set S'
+        # disjoint from S (ascending, so S' = 0 leads) paired with every fiber
+        # row avoiding S | S'
+        bounds = np.append(self.group_starts, len(ps))
+        self.cand_prev, self.cand_row = [], []
+        for S in range(self.states):
+            group = slice(bounds[S], bounds[S + 1])
+            Fs = self.pair_f[group]
+            self.cand_prev.append(np.repeat(self.pair_s[group], np.diff(self.fiber_start)[Fs]))
+            self.cand_row.append(np.concatenate([np.arange(*self.fiber_start[F : F + 2]) for F in Fs]))
 
         self.sbits = np.zeros((self.states, h))
         for S in range(self.states):
             for j in range(h):
                 if S >> j & 1:
                     self.sbits[S, j] = 1.0
-        self.popcount = self.sbits.sum(axis=1).astype(np.int64)
 
 
 @lru_cache(maxsize=64)
@@ -303,8 +310,9 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
     ``B[r, F, i, d]`` aggregates (log-sum-exp) the fiber blocks of layer i
     with forbidden set F over matchings leaving exactly d masked monomers.
     ``hsum[r, S, k]`` is the total horizontal dimer weight of reserved set S
-    at cut k.  With ``keep_scores`` the per-matching block scores are kept
-    for consumers that resolve individual fiber matchings (exact sampling,
+    at cut k.  With ``keep_scores`` the block score ``scores[r, row, i]`` and
+    masked monomer count ``dmat[row, i]`` of every fiber row are kept for
+    consumers that resolve individual fiber matchings (exact sampling,
     ground-state argmax).
     """
     ht = _h_tables(g.H)
@@ -332,8 +340,8 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
         hsum = np.zeros((R, ht.states, 0))
     out = {"B": B, "hsum": hsum, "ht": ht, "n": n, "h": h}
     if keep_scores:
-        out["scores"] = all_scores
-        out["dmat"] = all_dmat
+        out["scores"] = np.concatenate(all_scores, axis=1)
+        out["dmat"] = np.concatenate(all_dmat)
     return out
 
 
@@ -343,18 +351,86 @@ def _tilted_W(tables: dict, x: float) -> np.ndarray:
     return logsumexp(tables["B"] + x * np.arange(h + 1), axis=-1)
 
 
-def _dp_final(W: np.ndarray, hsum: np.ndarray, ht: _HTables, ufunc) -> np.ndarray:
-    """Run the layer DP with a segmented reduction, returning f_n(empty)."""
-    n = W.shape[2]
+# ---------------------------------------------------------------------------
+# the layer recursion, forward and backward
+# ---------------------------------------------------------------------------
+
+class Semiring(NamedTuple):
+    """Arithmetic of a layer sweep: ``plus`` (a ufunc, applied segment-wise)
+    sums the terms of all previous reserved sets, ``times`` joins a term's
+    message, cut weight included, with the layer weight."""
+
+    plus: np.ufunc
+    times: Callable = np.add
+
+
+LOG = Semiring(np.logaddexp)
+MAX = Semiring(np.maximum)
+
+
+def _degree_semiring(M: int) -> Semiring:
+    """(logaddexp, truncated log-convolution) over the masked monomer count.
+
+    Messages and layer weights carry log coefficients over degrees on their
+    last axis; ``times`` convolves the two and keeps the degrees 0..M that a
+    coefficient vector can reach.  A layer weight that vanishes at degree d
+    for every replica skips that pair, which most pairs do for most d.
+    """
+
+    def times(v, w):
+        D, nd = v.shape[-1], w.shape[-1]
+        out = np.full(v.shape[:-1] + (min(D + nd - 1, M + 1),), NEG_INF)
+        for d in range(nd):
+            k = min(D, out.shape[-1] - d)
+            live = np.flatnonzero((w[..., d] > NEG_INF).any(axis=0))
+            out[:, live, d : d + k] = np.logaddexp(
+                out[:, live, d : d + k], v[:, live, :k] + w[:, live, d, None])
+        return out
+
+    return Semiring(np.logaddexp, times)
+
+
+def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LOG):
+    """Yield the forward message after each layer, in ``semiring``.
+
+    ``W[r, F, i]`` weighs layer i with forbidden set F and ``hsum[r, S, k]``
+    the horizontal dimers of reserved set S at cut k; either may carry
+    trailing axes that the semiring's ``times`` consumes.  Message i,
+    indexed ``[r, S]``, aggregates every configuration of layers 0..i that
+    ends in reserved set S, so message n-1 at S = 0 is the whole instance.
+    Messages are produced one at a time; callers keep what they need.
+    """
     v = W[:, :, 0]
-    for i in range(1, n):
-        t = v[:, ht.pair_s] + hsum[:, ht.pair_s, i - 1] + W[:, ht.pair_f, i]
-        v = ufunc.reduceat(t, ht.group_starts, axis=1)
-    return v[:, 0]
+    yield v
+    for i in range(1, W.shape[2]):
+        t = semiring.times(v[:, ht.pair_s] + hsum[:, ht.pair_s, i - 1], W[:, ht.pair_f, i])
+        v = semiring.plus.reduceat(t, ht.group_starts, axis=1)
+        yield v
+
+
+def _last(messages) -> np.ndarray:
+    return deque(messages, maxlen=1)[0]
+
+
+def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables, i: int, S: int):
+    """Backward step: how layer i of a path can end in reserved set S.
+
+    For one instance with forward messages ``msgs[i, S]``, horizontal sums
+    ``hsum[S, k]`` and fiber-row scores ``scores[row, i]``, returns the
+    logits of the candidates (previous reserved set S', fiber matching)
+    together with int arrays of their S' and fiber rows.  Under (logaddexp,
+    +) messages the logits are the exact conditional law of the candidate;
+    under (max, +) messages their argmax continues an optimal path.
+    """
+    prev, rows = ht.cand_prev[S], ht.cand_row[S]
+    if i == 0:   # only S' = 0 precedes the first layer
+        k = ht.fiber_start[S + 1] - ht.fiber_start[S]
+        return scores[rows[:k], 0], prev[:k], rows[:k]
+    return (msgs[i - 1] + hsum[:, i - 1])[prev] + scores[rows, i], prev, rows
 
 
 def batch_scalar_log_z(tables: dict, x: float = 0.0) -> np.ndarray:
-    return _dp_final(_tilted_W(tables, x), tables["hsum"], tables["ht"], np.logaddexp)
+    return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +462,8 @@ class TransferEngine:
 
     def forward_messages(self, x: float = 0.0) -> np.ndarray:
         """Log forward messages msgs[i, S] = log f_{i+1}(S), for sampling."""
-        W = _tilted_W(self.tables, x)[0]     # (states, n)
-        hsum = self.tables["hsum"][0]        # (states, n-1)
-        ht = self.ht
-        n = self.g.n
-        msgs = np.full((n, ht.states), NEG_INF)
-        v = W[:, 0]
-        msgs[0] = v
-        for i in range(1, n):
-            t = v[ht.pair_s] + hsum[ht.pair_s, i - 1] + W[ht.pair_f, i]
-            v = np.logaddexp.reduceat(t, ht.group_starts)
-            msgs[i] = v
-        return msgs
+        W = _tilted_W(self.tables, x)
+        return np.stack([v[0] for v in sweep(W, self.tables["hsum"], self.ht)])
 
     def polynomial(self) -> MonomerPolynomial:
         g = self.g
@@ -409,27 +475,10 @@ class TransferEngine:
             raise CapacityError(
                 f"polynomial mode supports n <= {POLY_MAX_N} layers, got n={g.n}"
             )
-        ht = self.ht
-        B = self.tables["B"][0]       # (states, n, h+1)
-        hsum = self.tables["hsum"][0]
         M = self.mask_size
-        h, n = g.h, g.n
-        dmax = min(h, M)
-        V = np.full((ht.states, M + 1), NEG_INF)
-        V[:, : dmax + 1] = B[:, 0, : dmax + 1]
-        for i in range(1, n):
-            NV = np.full((ht.states, M + 1), NEG_INF)
-            for Sp in range(ht.states):
-                idx = ht.compat[Sp]
-                base = hsum[idx, i - 1]
-                for d in range(dmax + 1):
-                    add = base + B[idx | Sp, i, d]
-                    if np.all(add == NEG_INF):
-                        continue
-                    red = np.logaddexp.reduce(V[idx] + add[:, None], axis=0)
-                    NV[Sp, d:] = np.logaddexp(NV[Sp, d:], red[: M + 1 - d])
-            V = NV
-        return MonomerPolynomial(V[0], N=g.num_vertices, mask_size=M)
+        B = self.tables["B"][..., : min(g.h, M) + 1]
+        V = _last(sweep(B, self.tables["hsum"][..., None], self.ht, _degree_semiring(M)))
+        return MonomerPolynomial(V[0, 0], N=g.num_vertices, mask_size=M)
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
@@ -446,14 +495,14 @@ def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=Non
 # brute-force oracle (independent of the DP above)
 # ---------------------------------------------------------------------------
 
-def brute_force_polynomial(
-    g: CylinderGraph, w: WeightAssignment, mask=None, removed=()
-) -> MonomerPolynomial:
-    """Enumerate every matching directly; the reference oracle for tests.
+def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None, removed=()) -> None:
+    """Call ``leaf(count, weight)`` once per matching of the cylinder.
 
-    Kept deliberately simple: vertices are processed in canonical order and
-    each one either stays a monomer or pairs with a free neighbor, which
-    visits every matching exactly once.
+    ``count`` is the number of masked monomers and ``weight`` is H(m); the
+    ``removed`` vertices take no part.  Kept deliberately simple and apart
+    from the sweep, as the reference for tests: vertices are processed in
+    canonical order and each one either stays a monomer or pairs with a
+    free neighbor, which visits every matching exactly once.
     """
     removed = [g.flat_index(v) for v in removed]
     N = g.num_vertices - len(removed)
@@ -470,24 +519,9 @@ def brute_force_polynomial(
         wt = w.omega_of(u, v)
         adj[fu].append((fv, wt))
         adj[fv].append((fu, wt))
-
-    M = int(round(sum(mask_flat[i] for i in range(total) if i not in removed)))
-    best = np.full(M + 1, NEG_INF)   # running max exponent per coefficient
-    sums = np.zeros(M + 1)           # sum of exp(H - best) per coefficient
     removed_bits = 0
     for r in removed:
         removed_bits |= 1 << r
-    done_all = (1 << total) - 1
-
-    def leaf(count: int, weight: float):
-        if weight == NEG_INF:  # disabled edge or vertex; contributes nothing
-            return
-        b = best[count]
-        if weight > b:
-            sums[count] = sums[count] * np.exp(b - weight) + 1.0 if b > NEG_INF else 1.0
-            best[count] = weight
-        else:
-            sums[count] += np.exp(weight - b)
 
     def rec(start: int, used: int, count: int, weight: float):
         v = start
@@ -503,9 +537,31 @@ def brute_force_polynomial(
                 rec(v + 1, used | bit | 1 << u, count, weight + wt)
 
     rec(0, removed_bits, 0, 0.0)
+
+
+def brute_force_polynomial(
+    g: CylinderGraph, w: WeightAssignment, mask=None, removed=()
+) -> MonomerPolynomial:
+    """Monomer polynomial by enumerating every matching; the test oracle."""
+    mask_arr = _resolve_mask(g, mask)
+    M = int(round(mask_arr.sum() - sum(mask_arr[i - 1, j - 1] for i, j in removed)))
+    best = np.full(M + 1, NEG_INF)   # running max exponent per coefficient
+    sums = np.zeros(M + 1)           # sum of exp(H - best) per coefficient
+
+    def leaf(count: int, weight: float):
+        if weight == NEG_INF:  # disabled edge or vertex; contributes nothing
+            return
+        b = best[count]
+        if weight > b:
+            sums[count] = sums[count] * np.exp(b - weight) + 1.0 if b > NEG_INF else 1.0
+            best[count] = weight
+        else:
+            sums[count] += np.exp(weight - b)
+
+    enumerate_matchings(g, w, leaf, mask_arr, removed)
     with np.errstate(divide="ignore"):
         log_coeffs = best + np.log(sums, where=sums > 0, out=np.full(M + 1, NEG_INF))
-    return MonomerPolynomial(log_coeffs, N=N, mask_size=M)
+    return MonomerPolynomial(log_coeffs, N=g.num_vertices - len(removed), mask_size=M)
 
 
 # ---------------------------------------------------------------------------

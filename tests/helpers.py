@@ -11,6 +11,7 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
+from dimerlab.transfer import kill_vertex_edges
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
 
@@ -39,3 +40,17 @@ def random_instance(rng: np.random.Generator, n_lo=2, n_hi=8, fibers=None,
     g = build_cylinder(n, H)
     seed = RngSeed(int(rng.integers(2**32)), 0)
     return g, sample_weights(g, disorder, seed)
+
+
+def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):
+    """Per fiber path(2) and cycle(3): an n-layer cylinder with weight
+    replicas, each with every edge at one or two random vertices disabled."""
+    rng = np.random.default_rng(seed)
+    for name in ("path2", "cycle3"):
+        g = build_cylinder(n, FIBERS[name])
+        ws = []
+        for r in range(replicas):
+            w = sample_weights(g, STD_NORMAL, RngSeed(seed, r))
+            flat = rng.choice(g.num_vertices, size=int(rng.integers(1, 3)), replace=False)
+            ws.append(kill_vertex_edges(w, [g.vertex_at(int(f)) for f in flat]))
+        yield g, ws

@@ -21,7 +21,7 @@ from dimerlab.groundstate import (
 from dimerlab.sampler import matching_weight
 from dimerlab.transfer import partition_polynomial
 
-from helpers import STD_NORMAL, random_instance
+from helpers import STD_NORMAL, disabled_edge_batches, random_instance
 
 
 def test_max_weight_matches_enumeration():
@@ -63,6 +63,19 @@ def test_batch_values_match_single_instances():
         singles.append(max_weight(g, w).value)
     batch = batch_max_values(g, np.stack(nus), np.stack(ohs), np.stack(ovs))
     assert np.allclose(batch, singles, atol=1e-10)
+
+
+def test_disabled_edges_max_paths_match_enumeration():
+    for g, ws in disabled_edge_batches(67):
+        expect = [brute_force_max(g, w) for w in ws]
+        batch = batch_max_values(g, np.stack([w.nu for w in ws]),
+                                 np.stack([w.omega_h for w in ws]),
+                                 np.stack([w.omega_v for w in ws]))
+        assert np.allclose(batch, expect, rtol=0.0, atol=1e-10)
+        for w, e in zip(ws, expect):
+            gs = max_weight(g, w)
+            assert gs.value == pytest.approx(e, abs=1e-10)
+            assert matching_weight(g, w, gs.matching) == pytest.approx(e, abs=1e-9)
 
 
 def test_ground_remainder_sandwich():

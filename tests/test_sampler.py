@@ -19,7 +19,7 @@ from dimerlab.sampler import (
 )
 from dimerlab.transfer import partition_polynomial, scalar_log_z
 
-from helpers import STD_NORMAL, random_instance
+from helpers import STD_NORMAL, disabled_edge_batches, random_instance
 
 
 def test_matching_rejects_shared_vertices():
@@ -62,6 +62,13 @@ def test_draws_are_valid_matchings_and_deterministic():
     for m in draws1:
         m.covered_flat(g)  # raises if overlapping
         assert np.isfinite(matching_weight(g, w, m))
+
+
+def test_draws_avoid_disabled_edges():
+    for g, ws in disabled_edge_batches(71):
+        for w in ws:
+            draws = GibbsSampler(g, w, x=0.3).draw_matchings(np.random.default_rng(5), 300)
+            assert all(np.isfinite(matching_weight(g, w, m)) for m in draws)
 
 
 def test_empirical_monomer_pmf_matches_polynomial():

@@ -17,19 +17,22 @@ from dimerlab.transfer import (
     CountingMask,
     MonomerPolynomial,
     TransferEngine,
+    batch_scalar_log_z,
+    batch_tables,
     brute_force_polynomial,
     dyadic_report,
     kill_vertex_edges,
     partition_polynomial,
     remainder_R,
     remainder_upper_bound,
+    restrict,
     restricted_polynomial,
     scalar_log_z,
     section_covariance,
     vertex_removed_polynomial,
 )
 
-from helpers import STD_NORMAL, random_instance
+from helpers import STD_NORMAL, disabled_edge_batches, random_instance
 
 
 def _assert_poly_close(p, q, tol=1e-10):
@@ -62,6 +65,19 @@ def test_transfer_handles_disabled_edges():
     g, w = random_instance(rng, n_lo=4, n_hi=4, fibers=["path2"])
     w = kill_vertex_edges(w, [(2, 1)])
     _assert_poly_close(partition_polynomial(g, w), brute_force_polynomial(g, w))
+    # batched and single scalar sweeps too, on path(2) and cycle(3)
+    for g, ws in disabled_edge_batches(61):
+        refs = [brute_force_polynomial(g, w) for w in ws]
+        tables = batch_tables(g, np.stack([w.nu for w in ws]),
+                              np.stack([w.omega_h for w in ws]),
+                              np.stack([w.omega_v for w in ws]))
+        for x in (-1.0, 0.0, 0.7):
+            expect = [p.log_z(x) for p in refs]
+            assert np.allclose(batch_scalar_log_z(tables, x), expect, rtol=0.0, atol=1e-10)
+            for w, e in zip(ws, expect):
+                assert scalar_log_z(g, w, x) == pytest.approx(e, abs=1e-10)
+        for w, p in zip(ws, refs):
+            _assert_poly_close(partition_polynomial(g, w), p)
 
 
 def test_parity_of_coefficients():
@@ -102,6 +118,10 @@ def test_forward_messages_terminal_state_is_log_z():
     msgs = eng.forward_messages(x=0.4)
     assert msgs.shape[0] == g.n
     assert msgs[-1, 0] == pytest.approx(eng.log_z(0.4), abs=1e-10)
+    # the message at the empty reserved set after layer k is log Z of layers 1..k
+    for k in range(1, g.n + 1):
+        sub_g, sub_w, _ = restrict(g, w, 1, k)
+        assert msgs[k - 1, 0] == pytest.approx(scalar_log_z(sub_g, sub_w, 0.4), abs=1e-10)
 
 
 def test_cumulants_match_pmf_moments():
