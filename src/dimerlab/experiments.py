@@ -33,20 +33,18 @@ from .graphs import (
     rng_generator,
     sample_weights,
 )
-from .groundstate import batch_max_values
+from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler
 from .transfer import (
     CapacityError,
     CountingMask,
-    batch_scalar_log_z,
+    batch_moments,
     batch_tables,
     partition_polynomial,
     restrict,
     section_covariance,
 )
-
-FD_STEP = 1e-3
 
 
 def make_fiber(text: str) -> HGraph:
@@ -285,17 +283,6 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
     return np.stack(nu_b), np.stack(oh_b), np.stack(ov_b)
 
 
-def _fd_cumulants(tables: dict, x: float = 0.0, step: float = FD_STEP):
-    """Gibbs mean and variance of the counted monomer number, by central
-    differences of the tilted log-partition value."""
-    lz0 = batch_scalar_log_z(tables, x)
-    lzp = batch_scalar_log_z(tables, x + step)
-    lzm = batch_scalar_log_z(tables, x - step)
-    mean = (lzp - lzm) / (2.0 * step)
-    var = (lzp - 2.0 * lz0 + lzm) / step**2
-    return lz0, mean, np.maximum(var, 0.0)
-
-
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     """Sweep the ladder, recording one row per (length, replica stream)."""
     H = cfg.fiber_graph()
@@ -339,24 +326,26 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
 
     if cfg.mode == "scalar":
-        tables = batch_tables(g, nu_b, oh_b, ov_b)
-        lz, mean_U, var_U = _fd_cumulants(tables)
+        if cfg.with_spectrum:
+            raise CapacityError("spectrum summaries need polynomial mode")
+        # one table serves every count and the ground state: the counts of
+        # the two sections are the all-vertex count on their layers
+        tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=cfg.with_ground)
+        counts = [np.ones(g.n)]
+        if cfg.with_sections:
+            left = np.arange(g.n) < k_cut
+            counts += [left, ~left]
+        lz, mean, var = batch_moments(tables, layers=np.array(counts))
+        var_U = var[:, 0]
         rows["log_z"] = list(lz)
-        rows["mean_U"] = list(mean_U)
+        rows["mean_U"] = list(mean[:, 0])
         rows["var_U"] = list(var_U)
         if cfg.with_sections:
-            _, _, var_L = _fd_cumulants(
-                batch_tables(g, nu_b, oh_b, ov_b, CountingMask.layer_range(1, k_cut).to_array(g))
-            )
-            _, _, var_R = _fd_cumulants(
-                batch_tables(g, nu_b, oh_b, ov_b, CountingMask.layer_range(k_cut + 1, g.n).to_array(g))
-            )
+            var_L, var_R = var[:, 1], var[:, 2]
             cov = 0.5 * (var_U - var_L - var_R)
             rows["cov_cut"] = list(cov)
             rows["var_left"] = list(var_L)
             rows["var_right"] = list(var_R)
-        if cfg.with_spectrum:
-            raise CapacityError("spectrum summaries need polynomial mode")
     else:
         lz, mu, vu = [], [], []
         opt = {k: [] for k in ("cov_cut", "var_left", "var_right", "max_lambda", "u_n", "varQ_n")}
@@ -395,7 +384,9 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
                 rows[k] = opt[k]
 
     if cfg.with_ground:
-        rows["M"] = list(batch_max_values(g, nu_b, oh_b, ov_b))
+        if cfg.mode != "scalar":
+            tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True)
+        rows["M"] = list(max_values(tables))
     else:
         rows["M"] = [float("nan")] * R
     return rows

@@ -37,9 +37,14 @@ def _max_sweep(tables: dict):
     return sweep(Wmax, tables["hsum"], tables["ht"], MAX)
 
 
+def max_values(tables: dict) -> np.ndarray:
+    """Max Hamiltonian per replica of tables built with ``keep_scores``."""
+    return _last(_max_sweep(tables))[:, 0]
+
+
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
     """Max Hamiltonian per replica, vectorized; no argmax reconstruction."""
-    return _last(_max_sweep(batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True)))[:, 0]
+    return max_values(batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True))
 
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:

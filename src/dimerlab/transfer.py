@@ -21,6 +21,13 @@ arithmetic as a ``Semiring``:
   state (fiber size capped at ``SCALAR_MAX_H``): scalar log Z for the
   replica campaigns and the forward messages of the sampler;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
+* ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
+  of C additive monomer counts (each the masked count on a set of layers):
+  ``times`` adds them, ``plus`` merges the terms of a state with their
+  softmax weights in the parallel-variance form, so ``batch_moments``
+  gives exact cumulants in one pass, with no finite differences
+  (the first- and second-order expectation semiring of Li & Eisner,
+  EMNLP 2009);
 * ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
   masked monomer count) keeps the full coefficient vector (fiber size
   capped at ``POLY_MAX_H``), enabling exact cumulants and Lee-Yang spectra.
@@ -34,11 +41,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graphs import CylinderGraph, HGraph, WeightAssignment
 
@@ -52,6 +58,14 @@ NEG_INF = -np.inf
 
 class CapacityError(ValueError):
     """An instance exceeds a documented size cap."""
+
+
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` by a max shift; all -inf slices stay -inf."""
+    top = a.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +156,7 @@ class MonomerPolynomial:
             return cls(np.log(c), N)
 
     def log_z(self, x: float = 0.0) -> float:
-        return float(logsumexp(self.log_coeffs + np.arange(self.mask_size + 1) * x))
+        return float(_logsumexp(self.log_coeffs + np.arange(self.mask_size + 1) * x))
 
     def pmf(self, x: float = 0.0) -> np.ndarray:
         """Distribution of the masked monomer count under the Gibbs measure."""
@@ -328,9 +342,9 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
         scores = _block_scores(ht, F, nu_b, ov_b)
         dmat = (ht.match_mono[F] @ mask_arr.T).astype(np.int64)  # (m_F, n)
         for d in range(h + 1):
-            sel = np.where(dmat == d, 0.0, NEG_INF)
-            with np.errstate(invalid="ignore"):
-                B[:, F, :, d] = logsumexp(scores + sel[None, :, :], axis=1)
+            hit = dmat == d
+            if hit.any():
+                B[:, F, :, d] = _logsumexp(np.where(hit, scores, NEG_INF), axis=1)
         if keep_scores:
             all_scores.append(scores)
             all_dmat.append(dmat)
@@ -347,25 +361,60 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
 
 def _tilted_W(tables: dict, x: float) -> np.ndarray:
     """Collapse the d axis at tilt x: W[r, F, i] = lse_d(B[...,d] + x d)."""
-    h = tables["h"]
-    return logsumexp(tables["B"] + x * np.arange(h + 1), axis=-1)
+    return _logsumexp(tables["B"] + x * np.arange(tables["h"] + 1))
+
+
+def _moment_W(tables: dict, x: float, layers: np.ndarray) -> np.ndarray:
+    """Layer weights of the moment semiring at tilt x, channel-major.
+
+    Rows c*R..(c+1)*R of the result hold channel c: channel 0 is the tilted
+    weight W, channels 1..C and C+1..2C the mean and variance of the layer's
+    masked monomer count d under the law proportional to exp(B[..., d] + x d),
+    on the layers that count c selects (``layers[c, i]`` = 1) and zero on
+    the others.  The array is a view of layer-major memory, so the sweep
+    reads each layer from one block.
+    """
+    B = tables["B"]
+    R, F, n, nd = B.shape
+    C = layers.shape[0]
+    d = np.arange(nd, dtype=float)[:, None, None, None]
+    a = np.ascontiguousarray(B.transpose(3, 2, 0, 1))   # [d, i, r, F]
+    a += x * d
+    W = _logsumexp(a, axis=0)
+    p = np.exp(a - np.where(W > NEG_INF, W, 0.0))
+    mean = (p * d).sum(axis=0)[:, None]
+    var = (p * (d - mean[:, 0]) ** 2).sum(axis=0)[:, None]
+    sel = layers.T[:, :, None, None]
+    out = np.empty((n, 1 + 2 * C, R, F))
+    out[:, 0] = W
+    np.multiply(mean, sel, out=out[:, 1 : C + 1])
+    np.multiply(var, sel, out=out[:, C + 1 :])
+    return np.moveaxis(out.reshape(n, -1, F), 0, 2)
 
 
 # ---------------------------------------------------------------------------
 # the layer recursion, forward and backward
 # ---------------------------------------------------------------------------
 
+def _join(v, cut, w):
+    return v + cut + w
+
+
 class Semiring(NamedTuple):
-    """Arithmetic of a layer sweep: ``plus`` (a ufunc, applied segment-wise)
-    sums the terms of all previous reserved sets, ``times`` joins a term's
-    message, cut weight included, with the layer weight."""
+    """Arithmetic of a layer sweep.
 
-    plus: np.ufunc
-    times: Callable = np.add
+    ``plus(t, group_starts)`` sums the terms ``t[:, group_starts[j]:
+    group_starts[j + 1]]`` of each new reserved set j over the previous
+    reserved sets; ``times(v, cut, w)`` joins a previous message with the
+    horizontal weight of the cut and the layer weight.
+    """
+
+    plus: Callable
+    times: Callable = _join
 
 
-LOG = Semiring(np.logaddexp)
-MAX = Semiring(np.maximum)
+LOG = Semiring(partial(np.logaddexp.reduceat, axis=1))
+MAX = Semiring(partial(np.maximum.reduceat, axis=1))
 
 
 def _degree_semiring(M: int) -> Semiring:
@@ -377,7 +426,8 @@ def _degree_semiring(M: int) -> Semiring:
     for every replica skips that pair, which most pairs do for most d.
     """
 
-    def times(v, w):
+    def times(v, cut, w):
+        v = v + cut[..., None]
         D, nd = v.shape[-1], w.shape[-1]
         out = np.full(v.shape[:-1] + (min(D + nd - 1, M + 1),), NEG_INF)
         for d in range(nd):
@@ -387,14 +437,48 @@ def _degree_semiring(M: int) -> Semiring:
                 out[:, live, d : d + k], v[:, live, :k] + w[:, live, d, None])
         return out
 
-    return Semiring(np.logaddexp, times)
+    return Semiring(partial(np.logaddexp.reduceat, axis=1), times)
+
+
+def _moment_semiring(C: int, ht: _HTables) -> Semiring:
+    """(log Z, C means, C variances), stacked channel-major on the batch axis
+    as in ``_moment_W``.
+
+    ``times`` adds the log weights, the means and the variances; the cut
+    weight, which may be -inf, enters the log channel only.  ``plus`` merges
+    the terms of a segment with softmax weights q of their log channel:
+    mean = sum q mean_t and var = sum q (var_t + (mean_t - mean)^2).  A
+    segment of -inf terms keeps log Z = -inf and zero moments.
+    """
+    seg = np.repeat(np.arange(ht.states), np.diff(ht.group_starts, append=ht.pair_s.size))
+
+    def times(v, cut, w):
+        t = v + w
+        t[: cut.shape[0]] += cut
+        return t
+
+    def plus(t, starts):
+        t = t.reshape(1 + 2 * C, -1, t.shape[-1])
+        top = np.maximum.reduceat(t[0], starts, axis=1)
+        top[top == NEG_INF] = 0.0
+        e = np.exp(t[0] - top[:, seg])
+        sums = np.add.reduceat(np.concatenate([e[None], e * t[1 : C + 1]]), starts, axis=2)
+        total = np.where(sums[0] > 0.0, sums[0], 1.0)
+        mean = sums[1:] / total
+        dev = t[1 : C + 1] - mean[..., seg]
+        var = np.add.reduceat(e * (t[C + 1 :] + dev * dev), starts, axis=2) / total
+        with np.errstate(divide="ignore"):
+            log_z = np.log(sums[0]) + top
+        return np.concatenate([log_z[None], mean, var]).reshape(-1, starts.size)
+
+    return Semiring(plus, times)
 
 
 def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LOG):
     """Yield the forward message after each layer, in ``semiring``.
 
     ``W[r, F, i]`` weighs layer i with forbidden set F and ``hsum[r, S, k]``
-    the horizontal dimers of reserved set S at cut k; either may carry
+    the horizontal dimers of reserved set S at cut k; ``W`` may carry
     trailing axes that the semiring's ``times`` consumes.  Message i,
     indexed ``[r, S]``, aggregates every configuration of layers 0..i that
     ends in reserved set S, so message n-1 at S = 0 is the whole instance.
@@ -403,8 +487,8 @@ def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LO
     v = W[:, :, 0]
     yield v
     for i in range(1, W.shape[2]):
-        t = semiring.times(v[:, ht.pair_s] + hsum[:, ht.pair_s, i - 1], W[:, ht.pair_f, i])
-        v = semiring.plus.reduceat(t, ht.group_starts, axis=1)
+        t = semiring.times(v[:, ht.pair_s], hsum[:, ht.pair_s, i - 1], W[:, ht.pair_f, i])
+        v = semiring.plus(t, ht.group_starts)
         yield v
 
 
@@ -431,6 +515,23 @@ def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables
 
 def batch_scalar_log_z(tables: dict, x: float = 0.0) -> np.ndarray:
     return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[:, 0]
+
+
+def batch_moments(tables: dict, x: float = 0.0, layers=None):
+    """log Z at tilt x and the exact Gibbs means and variances of monomer
+    counts under that tilted measure, from one sweep in the moment semiring.
+
+    The tilt weighs the masked monomer count (the mask of ``tables``).
+    Count c is the number of unpaired masked vertices on the layers where
+    ``layers[c]`` is 1; by default one count over all layers.  Returns
+    log Z of shape (R,) and the means and variances of shape (R, C).
+    """
+    layers = np.ones((1, tables["n"])) if layers is None else np.asarray(layers, dtype=float)
+    C, ht = layers.shape[0], tables["ht"]
+    W = _moment_W(tables, x, layers)
+    v = _last(sweep(W, tables["hsum"], ht, _moment_semiring(C, ht)))[:, 0]
+    v = v.reshape(1 + 2 * C, -1)
+    return v[0], v[1 : C + 1].T, v[C + 1 :].T
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +578,7 @@ class TransferEngine:
             )
         M = self.mask_size
         B = self.tables["B"][..., : min(g.h, M) + 1]
-        V = _last(sweep(B, self.tables["hsum"][..., None], self.ht, _degree_semiring(M)))
+        V = _last(sweep(B, self.tables["hsum"], self.ht, _degree_semiring(M)))
         return MonomerPolynomial(V[0, 0], N=g.num_vertices, mask_size=M)
 
 
@@ -583,13 +684,6 @@ def restrict(g: CylinderGraph, w: WeightAssignment, k: int, l: int, mask=None):
     return sub_g, sub_w, sub_mask
 
 
-def restricted_polynomial(
-    g: CylinderGraph, w: WeightAssignment, k: int, l: int, mask=None
-) -> MonomerPolynomial:
-    sub_g, sub_w, sub_mask = restrict(g, w, k, l, mask)
-    return partition_polynomial(sub_g, sub_w, sub_mask)
-
-
 def kill_vertex_edges(w: WeightAssignment, vertices) -> WeightAssignment:
     """Disable every edge incident to the given vertices (-inf sentinels).
 
@@ -689,20 +783,20 @@ class DyadicReport:
         return list(self.root.walk())
 
 
-def dyadic_report(
-    g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 0.0, fd_step: float = 1e-3
-) -> DyadicReport:
+def dyadic_report(g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 0.0) -> DyadicReport:
     """Recursive halving of the cylinder, reporting the cut and drop errors.
 
     Odd blocks first drop their terminal layer (error T), then every block
     is cut in the middle (error R); recursion proceeds ``depth`` levels or
-    until single layers.  R is also differentiated in the tilt by a central
-    finite difference.
+    until single layers.  R is also differentiated in the tilt: dR/dx is the
+    Gibbs mean of the block's monomer count minus those of its halves, all
+    exact from one moment sweep per block.
     """
 
-    def block_log_z(lo, hi, xx):
-        sub_g, sub_w, _ = restrict(g, w, lo, hi)
-        return scalar_log_z(sub_g, sub_w, xx)
+    @lru_cache(maxsize=None)
+    def block(lo, hi):
+        log_z, mean, _ = batch_moments(TransferEngine(*restrict(g, w, lo, hi)[:2]).tables, x)
+        return float(log_z[0]), float(mean[0, 0])
 
     def build(lo, hi, level) -> DyadicNode:
         node = DyadicNode(lo=lo, hi=hi)
@@ -711,20 +805,15 @@ def dyadic_report(
             return node
         eff_hi = hi
         if length % 2 == 1:
-            node.T = block_log_z(lo, hi, x) - block_log_z(lo, hi - 1, x)
+            node.T = block(lo, hi)[0] - block(lo, hi - 1)[0]
             eff_hi = hi - 1
             length -= 1
         cut = lo + length // 2 - 1
         node.cut = cut
-        rs = []
-        for xx in (x - fd_step, x, x + fd_step):
-            rs.append(
-                block_log_z(lo, eff_hi, xx)
-                - block_log_z(lo, cut, xx)
-                - block_log_z(cut + 1, eff_hi, xx)
-            )
-        node.R = rs[1]
-        node.dRdx = (rs[2] - rs[0]) / (2.0 * fd_step)
+        (lz, mean), (lz_l, mean_l), (lz_r, mean_r) = (
+            block(lo, eff_hi), block(lo, cut), block(cut + 1, eff_hi))
+        node.R = lz - lz_l - lz_r
+        node.dRdx = mean - mean_l - mean_r
         node.bound = remainder_upper_bound(g, w, cut)
         node.children = [build(lo, cut, level - 1), build(cut + 1, eff_hi, level - 1)]
         return node

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from dimerlab import transfer
 from dimerlab.graphs import (
     DisorderSpec,
     HGraph,
@@ -120,10 +123,35 @@ def test_scalar_and_polynomial_modes_agree():
     ts = run_replicas(_small_cfg(mode="scalar", **kw))
     tp = run_replicas(_small_cfg(mode="polynomial", **kw))
     assert np.allclose(ts.at(10, "log_z"), tp.at(10, "log_z"), atol=1e-10)
-    assert np.allclose(ts.at(10, "mean_U"), tp.at(10, "mean_U"), atol=1e-5)
-    assert np.allclose(ts.at(10, "var_U"), tp.at(10, "var_U"), atol=1e-4)
-    assert np.allclose(ts.at(10, "cov_cut"), tp.at(10, "cov_cut"), atol=1e-4)
+    for key in ("mean_U", "var_U", "var_left", "var_right"):
+        assert np.allclose(ts.at(10, key), tp.at(10, key), rtol=1e-10, atol=0.0)
+    assert np.all(np.abs(ts.at(10, "cov_cut") - tp.at(10, "cov_cut"))
+                  <= 1e-10 * tp.at(10, "var_U"))
     assert np.allclose(ts.at(10, "M"), tp.at(10, "M"), atol=1e-10)
+
+
+def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
+    # each scalar chunk draws its log Z, cumulants, sections and ground state
+    # from a single table; a second table build or a finite-difference sweep
+    # would show in these counts
+    calls = {"batch_tables": 0, "batch_scalar_log_z": 0}
+    for name in calls:
+        original = getattr(transfer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
+                     disorder=STD_NORMAL, mode="scalar", with_sections=True,
+                     with_ground=True)
+    table = run_replicas(cfg)
+    assert not table.errors and len(table) == 20
+    chunks = 2 * 3
+    assert calls == {"batch_tables": chunks, "batch_scalar_log_z": 0}
 
 
 def test_fibonacci_limit_estimates():

@@ -17,6 +17,7 @@ from dimerlab.transfer import (
     CountingMask,
     MonomerPolynomial,
     TransferEngine,
+    batch_moments,
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
@@ -26,7 +27,6 @@ from dimerlab.transfer import (
     remainder_R,
     remainder_upper_bound,
     restrict,
-    restricted_polynomial,
     scalar_log_z,
     section_covariance,
     vertex_removed_polynomial,
@@ -76,8 +76,24 @@ def test_transfer_handles_disabled_edges():
             assert np.allclose(batch_scalar_log_z(tables, x), expect, rtol=0.0, atol=1e-10)
             for w, e in zip(ws, expect):
                 assert scalar_log_z(g, w, x) == pytest.approx(e, abs=1e-10)
+            # the moment sweep: log Z and the cumulants of the tilted count
+            lz, mean, var = batch_moments(tables, x)
+            assert np.allclose(lz, expect, rtol=0.0, atol=1e-10)
+            for r, p in enumerate(refs):
+                assert (mean[r, 0], var[r, 0]) == pytest.approx(p.cumulants(x), rel=1e-10)
         for w, p in zip(ws, refs):
             _assert_poly_close(partition_polynomial(g, w), p)
+        # one all-vertex table also gives the two section counts; each
+        # matches the cumulants of its own enumerated polynomial
+        k = 2
+        left = np.arange(g.n) < k
+        masks = [None, CountingMask.layer_range(1, k), CountingMask.layer_range(k + 1, g.n)]
+        _, mean, var = batch_moments(tables, layers=np.array([np.ones(g.n), left, ~left]))
+        for r, w in enumerate(ws):
+            for c, mask in enumerate(masks):
+                m, v = brute_force_polynomial(g, w, mask).cumulants()
+                assert mean[r, c] == pytest.approx(m, rel=1e-10, abs=1e-12)
+                assert var[r, c] == pytest.approx(v, rel=1e-10, abs=1e-12)
 
 
 def test_parity_of_coefficients():
@@ -156,7 +172,7 @@ def test_capacity_errors():
 def test_restriction_equals_standalone_subcylinder():
     rng = np.random.default_rng(77)
     g, w = random_instance(rng, n_lo=6, n_hi=6, fibers=["path2"])
-    p = restricted_polynomial(g, w, 2, 4)
+    p = partition_polynomial(*restrict(g, w, 2, 4))
     sub = build_cylinder(3, g.H)
     sub_w = WeightAssignment(sub, w.nu[1:4], w.omega_h[1:3], w.omega_v[1:4])
     _assert_poly_close(p, partition_polynomial(sub, sub_w), tol=1e-12)
@@ -255,6 +271,20 @@ def test_dyadic_report_structure_and_bounds():
     for nd in cut_nodes:
         assert -1e-9 <= nd.R <= nd.bound + 1e-9
     assert rep.max_abs_R == pytest.approx(max(abs(nd.R) for nd in cut_nodes))
+    # dR/dx is the block's mean monomer count minus those of its halves
+    for x in (0.0, 0.4):
+        rep = dyadic_report(g, w, depth=3, x=x)
+
+        def mean(lo, hi):
+            return partition_polynomial(*restrict(g, w, lo, hi)).cumulants(x)[0]
+
+        for nd in rep.nodes():
+            if nd.cut is not None:
+                left, right = nd.children
+                expect = mean(left.lo, right.hi) - mean(left.lo, left.hi) - mean(right.lo, right.hi)
+                assert nd.dRdx == pytest.approx(expect, abs=1e-9)
+        assert rep.max_abs_dRdx == pytest.approx(
+            max(abs(nd.dRdx) for nd in rep.nodes() if nd.cut is not None))
 
 
 def test_polynomial_payload_round_trip():
