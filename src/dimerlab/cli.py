@@ -51,7 +51,7 @@ from .groundstate import (
 )
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import SpectrumError, localization_check, spectrum
-from .sampler import GibbsSampler, observables
+from .sampler import GibbsSampler
 from .transfer import (
     CapacityError,
     CountingMask,
@@ -204,16 +204,22 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}: "
+                         "the summary and the height table need at least one draw")
     g, w = _resolve_weights(args)
     sampler = GibbsSampler(g, w, x=args.x)
     from .graphs import DOMAIN_GIBBS, rng_generator
 
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
-    matchings = sampler.draw_matchings(gen, args.count)
+    S_path, m_path = sampler.draw_states(gen, args.count)
+    matchings = sampler.matchings_from_states(S_path, m_path)
     t_grid = np.linspace(0.0, 1.0, args.t_points)
+    # prefix[d, k] = unpaired count of layers 1..k in draw d, as in ``observables``
+    prefix = np.cumsum(np.pad(sampler.monomer_profiles(S_path, m_path), ((0, 0), (1, 0))), axis=1)
     print(f"drew {len(matchings)} matchings from the Gibbs law (x={args.x:g})")
-    counts = [m.num_unpaired(g) for m in matchings]
-    print(f"unpaired count: mean {np.mean(counts):.4f}, min {min(counts)}, max {max(counts)}")
+    counts = prefix[:, -1]
+    print(f"unpaired count: mean {np.mean(counts):.4f}, min {counts.min()}, max {counts.max()}")
     out = _ensure_out(args)
     if out:
         write_json(
@@ -231,12 +237,14 @@ def _cmd_sample(args) -> int:
         with open(os.path.join(out, "heights.csv"), "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["draw", "t", "theta", "theta_hat"])
-            for d, m in enumerate(matchings):
-                obs = observables(g, m, t_grid, centering=args.centering)
-                hs = obs.height
+            theta = prefix[:, np.floor(g.n * t_grid).astype(int)].astype(float)
+            theta_hat = None
+            if args.centering is not None:
+                theta_hat = (theta - g.n * t_grid * args.centering) / np.sqrt(g.n)
+            for d in range(args.count):
                 for j in range(t_grid.size):
-                    th = "" if hs.theta_hat is None else repr(float(hs.theta_hat[j]))
-                    writer.writerow([d, repr(float(hs.t[j])), int(hs.theta[j]), th])
+                    th = "" if theta_hat is None else repr(float(theta_hat[d, j]))
+                    writer.writerow([d, repr(float(t_grid[j])), int(theta[d, j]), th])
         _write_manifest(out, args, ["matchings.json", "heights.csv"])
     return 0
 
@@ -246,11 +254,13 @@ def _cmd_ground(args) -> int:
     gs = max_weight(g, w)
     print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
           f"{gs.monomer_count(g)} monomers")
-    rows = []
-    for k in range(1, g.n):
-        rows.append((k, gse_remainder(g, w, k), gse_remainder_bound(g, w, k)))
-    worst = max(r[1] for r in rows)
-    print(f"max remainder over cuts = {worst:.6f}")
+    rows = [(k, r, gse_remainder_bound(g, w, k))
+            for k, r in enumerate(gse_remainder(g, w).tolist(), start=1)]
+    worst = max((r[1] for r in rows), default=None)
+    if worst is None:
+        print("no cuts: a one-layer cylinder has no remainders")
+    else:
+        print(f"max remainder over cuts = {worst:.6f}")
     ladder = None
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]

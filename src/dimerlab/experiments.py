@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .graphs import (
     DOMAIN_GIBBS,
@@ -498,6 +497,8 @@ class StatsSummary:
 
 
 def _normality_stats(sample: np.ndarray):
+    from scipy import stats
+
     mean = float(np.mean(sample))
     var = float(np.var(sample, ddof=1))
     z = (sample - mean) / math.sqrt(var)
@@ -553,6 +554,8 @@ class QuenchedReport:
 
 def _lattice_normal_distance(pmf: np.ndarray) -> float:
     """Sup-distance between a standardized integer-lattice CDF and normal."""
+    from scipy import stats
+
     support = np.arange(pmf.size)
     mean = float(support @ pmf)
     sd = math.sqrt(float(((support - mean) ** 2) @ pmf))
@@ -721,6 +724,8 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     variance ratios against sigma^2 * dt, pairwise correlations, and
     per-increment normality.
     """
+    from scipy import stats
+
     if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
         raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
     n = max(cfg.n_ladder)

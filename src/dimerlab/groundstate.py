@@ -7,6 +7,11 @@ empty reserved set after the last layer, each step takes the argmax of the
 shared backward resolution over (previous reserved set, fiber matching)
 and moves to that previous set.  Ties go to the first candidate in the
 canonical enumeration order, so the argmax is deterministic.
+
+The (max, +) message at the empty reserved set after layer k is the
+maximum over the sub-cylinder of layers 1..k; with one sweep over the
+weights and one over their layer reversal, ``gse_remainder`` gives the
+ground-state remainder of every cut without re-solving any restriction.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ import numpy as np
 from .graphs import CylinderGraph, WeightAssignment
 from .sampler import Matching, matching_weight, path_matching
 from .transfer import (
-    MAX, NEG_INF, _last, batch_tables, enumerate_matchings, resolve, restrict, scalar_log_z, sweep,
+    MAX, NEG_INF, _last, batch_tables, cut_remainders, enumerate_matchings, resolve, scalar_log_z,
+    sweep,
 )
 
 
@@ -79,14 +85,15 @@ def brute_force_max(g: CylinderGraph, w: WeightAssignment) -> float:
     return float(best)
 
 
-def gse_remainder(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Superadditivity gap M_n - M_[1:k] - M_[k+1:n] of the ground state."""
-    if not (1 <= k < g.n):
-        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
-    full = max_weight(g, w).value
-    lg, lw, _ = restrict(g, w, 1, k)
-    rg, rw, _ = restrict(g, w, k + 1, g.n)
-    return full - max_weight(lg, lw).value - max_weight(rg, rw).value
+def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
+    """Superadditivity gaps M_n - M_[1:k] - M_[k+1:n] of the ground state,
+    for every cut k = 1..n-1 (entry k-1)."""
+
+    def prefix(v: WeightAssignment) -> np.ndarray:
+        tables = batch_tables(g, v.nu[None], v.omega_h[None], v.omega_v[None], keep_scores=True)
+        return np.array([m[0, 0] for m in _max_sweep(tables)])
+
+    return cut_remainders(prefix, w)
 
 
 def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .graphs import CylinderGraph, WeightAssignment
 from .leeyang import _squared_tilted
@@ -87,6 +86,8 @@ def det_phase_index(A: JacobiMatrix) -> int:
 
 def omega_spectrum(A: JacobiMatrix) -> np.ndarray:
     """Ascending eigenvalues of the gauge-transformed zero-diagonal part."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if A.n == 1:
         return np.zeros(1)
     off = np.exp(0.5 * A.gauge())

@@ -36,6 +36,13 @@ arithmetic as a ``Semiring``:
 listing the candidate (previous reserved set, fiber matching) pairs with
 their logits; the exact sampler draws from them and the ground-state
 engine takes their argmax.
+
+The message at the empty reserved set after layer k is the value of the
+sub-cylinder of layers 1..k, and the same sweep over the layer-reversed
+weights (``WeightAssignment.reversed``) gives the value of layers k+1..n.
+``cut_remainders`` turns these two sweeps into the remainders
+V - V[1:k] - V[k+1:n] of every cut k at once: ``remainder_R`` for log Z,
+``groundstate.gse_remainder`` for the maximal Hamiltonian.
 """
 from __future__ import annotations
 
@@ -725,14 +732,21 @@ def vertex_removed_polynomial(
     return MonomerPolynomial(lc, N=g.num_vertices - 1, mask_size=lc.size - 1)
 
 
-def remainder_R(g: CylinderGraph, w: WeightAssignment, k: int, x: float = 0.0) -> float:
-    """Superadditivity gap log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x."""
-    if not (1 <= k < g.n):
-        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
-    full = scalar_log_z(g, w, x)
-    left = scalar_log_z(*restrict(g, w, 1, k)[:2], x)
-    right = scalar_log_z(*restrict(g, w, k + 1, g.n)[:2], x)
-    return full - left - right
+def cut_remainders(prefix: Callable, w: WeightAssignment) -> np.ndarray:
+    """V - V_[1:k] - V_[k+1:n] for every cut k = 1..n-1 (entry k-1).
+
+    ``prefix(w)[i]`` is the value V of layers 1..i+1 under weights ``w``;
+    on ``w.reversed()`` it gives the values of the suffixes, so one forward
+    and one reversed sweep serve every cut.
+    """
+    pre, suf = prefix(w), prefix(w.reversed())
+    return pre[-1] - pre[:-1] - suf[-2::-1]
+
+
+def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.ndarray:
+    """Superadditivity gaps log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x,
+    for every cut k = 1..n-1 (entry k-1)."""
+    return cut_remainders(lambda v: TransferEngine(g, v).forward_messages(x)[:, 0], w)
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: small randomized instances."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from dimerlab.graphs import (
@@ -54,3 +56,31 @@ def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):
             flat = rng.choice(g.num_vertices, size=int(rng.integers(1, 3)), replace=False)
             ws.append(kill_vertex_edges(w, [g.vertex_at(int(f)) for f in flat]))
         yield g, ws
+
+
+def cut_instances(seed: int):
+    """Random instances of 1 to 9 layers, then the disabled-edge replicas of
+    path(2) and cycle(3) at n=6: inputs for checks at every cut."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        yield random_instance(rng, n_lo=1, n_hi=9)
+    for g, ws in disabled_edge_batches(seed, n=6):
+        for w in ws:
+            yield g, w
+
+
+def count_calls(monkeypatch, module, names) -> dict:
+    """Count calls to ``module``'s functions ``names`` through every dimerlab
+    module binding of each; returns the live dict of counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -257,13 +257,13 @@ def test_criterion_06_remainder_bounds():
     for disorder in laws:
         for _ in range(70):
             g, w = random_instance(rng, n_lo=3, n_hi=24, disorder=disorder)
-            k = int(rng.integers(1, g.n))
-            r = remainder_R(g, w, k)
-            assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
-            rg = gse_remainder(g, w, k)
-            assert -1e-9 <= rg <= gse_remainder_bound(g, w, k) + 1e-9
-            checks += 2
-    _report(6, f"{checks} randomized cut sweeps, all inside the bounds")
+            cuts = zip(range(1, g.n), remainder_R(g, w), gse_remainder(g, w), strict=True)
+            for k, r, rg in cuts:
+                assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
+                assert -1e-9 <= rg <= gse_remainder_bound(g, w, k) + 1e-9
+                checks += 2
+    _report(6, f"{checks} remainder checks over every cut of 210 instances, "
+               f"all inside the bounds")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from dimerlab import groundstate, transfer
 from dimerlab.cli import main
-from dimerlab.graphs import load_weights
+from dimerlab.graphs import HGraph, build_cylinder, load_weights
+from dimerlab.sampler import Matching, observables
+
+from helpers import count_calls
 
 
 def test_exact_prints_log_z_of_path4(capsys, tmp_path):
@@ -97,6 +101,21 @@ def test_sample_command_writes_heights(tmp_path, capsys):
     assert lines[0] == "draw,t,theta,theta_hat"
     matchings = json.loads((out / "matchings.json").read_text())
     assert len(matchings["draws"]) == 12
+    # the table equals the per-draw ``observables`` route, digit for digit
+    g = build_cylinder(5, HGraph.path(2))
+    expect = []
+    for d, draw in enumerate(matchings["draws"]):
+        hs = observables(g, Matching(frozenset(draw)), np.linspace(0.0, 1.0, 17), 0.5).height
+        expect += [f"{d},{t!r},{int(th)},{float(th_hat)!r}"
+                   for t, th, th_hat in zip(hs.t.tolist(), hs.theta, hs.theta_hat)]
+    assert lines[1:] == expect
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_refuses_nonpositive_count(capsys, count):
+    code = main(["sample", "--n", "4", "--h", "2", "--const", "0", "--count", count])
+    assert code == 2
+    assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
 
 
 def test_ground_command(tmp_path, capsys):
@@ -110,6 +129,31 @@ def test_ground_command(tmp_path, capsys):
     rows = (out / "remainders.csv").read_text().strip().split("\n")
     assert rows[0] == "k,remainder,bound"
     assert len(rows) == 6  # header + one row per interior cut
+
+
+def test_ground_one_layer_has_no_cuts(tmp_path, capsys):
+    out = tmp_path / "g1"
+    code = main(["ground", "--n", "1", "--h", "2", "--vertex", "normal(0,1)",
+                 "--edge", "normal(0,1)", "--seed", "4", "--out", str(out)])
+    assert code == 0
+    assert "no cuts" in capsys.readouterr().out
+    assert (out / "remainders.csv").read_text().strip() == "k,remainder,bound"
+    assert json.loads((out / "ground.json").read_text())["max_remainder"] is None
+
+
+def test_ground_builds_a_fixed_number_of_tables(monkeypatch, tmp_path, capsys):
+    # the cut table comes from one forward and one reversed sweep, so the
+    # work per ground run must not grow with the number of cuts
+    calls = count_calls(monkeypatch, transfer, ["batch_tables"])
+    mw = count_calls(monkeypatch, groundstate, ["max_weight"])
+    counts = []
+    for n in (16, 64):
+        calls["batch_tables"] = mw["max_weight"] = 0
+        assert main(["ground", "--n", str(n), "--h", "2", "--vertex", "normal(0,1)",
+                     "--edge", "normal(0,1)", "--betas", "1,4", "--out", str(tmp_path / str(n))]) == 0
+        counts.append((calls["batch_tables"], mw["max_weight"]))
+    assert counts[0] == counts[1]
+    assert counts[0][1] <= 2
 
 
 def test_jacobi_command_checks_identities(tmp_path, capsys):

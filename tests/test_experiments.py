@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,7 @@ from dimerlab.experiments import (
 )
 from dimerlab.transfer import partition_polynomial
 
-from helpers import STD_NORMAL
+from helpers import STD_NORMAL, count_calls
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -134,17 +132,7 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
     # each scalar chunk draws its log Z, cumulants, sections and ground state
     # from a single table; a second table build or a finite-difference sweep
     # would show in these counts
-    calls = {"batch_tables": 0, "batch_scalar_log_z": 0}
-    for name in calls:
-        original = getattr(transfer, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+    calls = count_calls(monkeypatch, transfer, ["batch_tables", "batch_scalar_log_z"])
     cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
                      disorder=STD_NORMAL, mode="scalar", with_sections=True,
                      with_ground=True)

@@ -19,9 +19,9 @@ from dimerlab.groundstate import (
     max_weight,
 )
 from dimerlab.sampler import matching_weight
-from dimerlab.transfer import partition_polynomial
+from dimerlab.transfer import partition_polynomial, restrict
 
-from helpers import STD_NORMAL, disabled_edge_batches, random_instance
+from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance
 
 
 def test_max_weight_matches_enumeration():
@@ -82,9 +82,19 @@ def test_ground_remainder_sandwich():
     rng = np.random.default_rng(8)
     for _ in range(12):
         g, w = random_instance(rng, n_lo=4, n_hi=10)
-        k = int(rng.integers(1, g.n))
-        r = gse_remainder(g, w, k)
-        assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
+        rs = gse_remainder(g, w)
+        assert rs.shape == (g.n - 1,)
+        for k, r in enumerate(rs, start=1):
+            assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
+
+
+def test_gse_remainder_matches_restricted_solves():
+    # the forward/reversed (max, +) sweep pair against re-solving both sides
+    for g, w in cut_instances(18):
+        full = max_weight(g, w).value
+        expect = [full - max_weight(*restrict(g, w, 1, k)[:2]).value
+                  - max_weight(*restrict(g, w, k + 1, g.n)[:2]).value for k in range(1, g.n)]
+        assert np.allclose(gse_remainder(g, w), expect, rtol=0.0, atol=1e-9)
 
 
 def test_ground_remainder_zero_when_cut_edges_unattractive():
@@ -94,8 +104,9 @@ def test_ground_remainder_zero_when_cut_edges_unattractive():
     nu = np.full((6, 1), 1.0)
     oh = np.full((5, 1), -0.5)  # gauge weight -2.5 < 0 everywhere
     w = WeightAssignment(g, nu, oh, np.zeros((6, 0)))
-    assert gse_remainder_bound(g, w, 3) == 0.0
-    assert gse_remainder(g, w, 3) == pytest.approx(0.0, abs=1e-12)
+    for k in range(1, g.n):
+        assert gse_remainder_bound(g, w, k) == 0.0
+    assert np.allclose(gse_remainder(g, w), 0.0, rtol=0.0, atol=1e-12)
 
 
 def test_zero_temperature_ladder_single_edge():

@@ -12,6 +12,7 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
+from dimerlab.groundstate import max_weight
 from dimerlab.transfer import (
     CapacityError,
     CountingMask,
@@ -32,7 +33,7 @@ from dimerlab.transfer import (
     vertex_removed_polynomial,
 )
 
-from helpers import STD_NORMAL, disabled_edge_batches, random_instance
+from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance
 
 
 def _assert_poly_close(p, q, tol=1e-10):
@@ -208,9 +209,29 @@ def test_remainder_nonnegative_and_bounded():
     rng = np.random.default_rng(13)
     for _ in range(10):
         g, w = random_instance(rng, n_lo=4, n_hi=9)
-        k = int(rng.integers(1, g.n))
-        r = remainder_R(g, w, k)
-        assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
+        rs = remainder_R(g, w)
+        assert rs.shape == (g.n - 1,)
+        for k, r in enumerate(rs, start=1):
+            assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
+
+
+def test_remainder_R_matches_restricted_solves():
+    # the forward/reversed sweep pair against re-solving both sides of each cut
+    for g, w in cut_instances(17):
+        for x in (-1.0, 0.0, 0.7):
+            full = scalar_log_z(g, w, x)
+            expect = [full - scalar_log_z(*restrict(g, w, 1, k)[:2], x)
+                      - scalar_log_z(*restrict(g, w, k + 1, g.n)[:2], x) for k in range(1, g.n)]
+            assert np.allclose(remainder_R(g, w, x), expect, rtol=0.0, atol=1e-9)
+
+
+def test_reversal_keeps_partition_function_and_ground_state():
+    for g, w in cut_instances(19):
+        v = w.reversed()
+        assert v.reversed() == w
+        assert scalar_log_z(g, v, 0.3) == pytest.approx(scalar_log_z(g, w, 0.3), abs=1e-10)
+        assert max_weight(g, v).value == pytest.approx(max_weight(g, w).value, abs=1e-10)
+        _assert_poly_close(partition_polynomial(g, v), partition_polynomial(g, w))
 
 
 def test_remainder_vanishes_on_disconnected_cut():
@@ -219,7 +240,7 @@ def test_remainder_vanishes_on_disconnected_cut():
     oh = np.array(w.omega_h, copy=True)
     oh[2, :] = -np.inf  # sever the cylinder between layers 3 and 4
     w2 = WeightAssignment(g, w.nu, oh, w.omega_v)
-    assert remainder_R(g, w2, 3) == pytest.approx(0.0, abs=1e-10)
+    assert remainder_R(g, w2)[2] == pytest.approx(0.0, abs=1e-10)
 
 
 def _enumerated_section_cov(g, w, k):
