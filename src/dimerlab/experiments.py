@@ -36,13 +36,15 @@ from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler
 from .transfer import (
+    POLY_MAX_H,
+    POLY_MAX_N,
     CapacityError,
     CountingMask,
+    TransferEngine,
     batch_moments,
     batch_tables,
     partition_polynomial,
     restrict,
-    section_covariance,
 )
 
 
@@ -315,79 +317,56 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     return ReplicaTable(columns, errors)
 
 
+def _count_layers(n: int, k: int | None = None) -> np.ndarray:
+    """Layer rows of the counted monomer channels: all n layers, then with a
+    cut k the sections of layers 1..k and k+1..n."""
+    if k is None:
+        return np.ones((1, n))
+    left = np.arange(n) < k
+    return np.array([np.ones(n), left, ~left])
+
+
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
+    """Rows of one chunk: log Z, cumulants and sections from one table and
+    one moment sweep, M from the (max, +) sweep over the same table, and
+    in polynomial mode the spectrum of one gauged polynomial per replica."""
+    if cfg.with_spectrum:
+        if cfg.mode == "scalar":
+            raise CapacityError("spectrum summaries need polynomial mode")
+        if g.h > POLY_MAX_H or g.n > POLY_MAX_N:
+            raise CapacityError(
+                f"spectrum polynomials support h <= {POLY_MAX_H} and n <= {POLY_MAX_N}"
+                f" layers, got h={g.h}, n={g.n}"
+            )
     streams = list(streams)
     R = len(streams)
-    rows: dict[str, list] = {
+    nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
+    tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=cfg.with_ground)
+    lz, mean, var = batch_moments(
+        tables, layers=_count_layers(g.n, k_cut if cfg.with_sections else None))
+    rows = {
         "n": [g.n] * R,
         "stream": streams,
+        "log_z": list(lz),
+        "mean_U": list(mean[:, 0]),
+        "var_U": list(var[:, 0]),
+        "M": list(max_values(tables)) if cfg.with_ground else [float("nan")] * R,
     }
-    nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
-
-    if cfg.mode == "scalar":
-        if cfg.with_spectrum:
-            raise CapacityError("spectrum summaries need polynomial mode")
-        # one table serves every count and the ground state: the counts of
-        # the two sections are the all-vertex count on their layers
-        tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=cfg.with_ground)
-        counts = [np.ones(g.n)]
-        if cfg.with_sections:
-            left = np.arange(g.n) < k_cut
-            counts += [left, ~left]
-        lz, mean, var = batch_moments(tables, layers=np.array(counts))
-        var_U = var[:, 0]
-        rows["log_z"] = list(lz)
-        rows["mean_U"] = list(mean[:, 0])
-        rows["var_U"] = list(var_U)
-        if cfg.with_sections:
-            var_L, var_R = var[:, 1], var[:, 2]
-            cov = 0.5 * (var_U - var_L - var_R)
-            rows["cov_cut"] = list(cov)
-            rows["var_left"] = list(var_L)
-            rows["var_right"] = list(var_R)
-    else:
-        lz, mu, vu = [], [], []
-        opt = {k: [] for k in ("cov_cut", "var_left", "var_right", "max_lambda", "u_n", "varQ_n")}
+    if cfg.with_sections:
+        rows["cov_cut"] = list(0.5 * (var[:, 0] - var[:, 1] - var[:, 2]))
+        rows["var_left"] = list(var[:, 1])
+        rows["var_right"] = list(var[:, 2])
+    if cfg.with_spectrum:
+        spec = np.full((R, 3), np.nan)
         for r in range(R):
             w = WeightAssignment(g, nu_b[r], oh_b[r], ov_b[r])
-            p = partition_polynomial(g, w)
-            lz.append(p.log_z())
-            k1, k2 = p.cumulants(0.0, 2)
-            mu.append(k1)
-            vu.append(k2)
-            if cfg.with_sections:
-                var_L = partition_polynomial(g, w, CountingMask.layer_range(1, k_cut)).cumulants(0.0, 2)[1]
-                var_R = partition_polynomial(g, w, CountingMask.layer_range(k_cut + 1, g.n)).cumulants(0.0, 2)[1]
-                opt["cov_cut"].append(0.5 * (k2 - var_L - var_R))
-                opt["var_left"].append(var_L)
-                opt["var_right"].append(var_R)
-            if cfg.with_spectrum:
-                try:
-                    sp = spectrum(partition_polynomial(g, w.gauged()))
-                    u_n, varq = density_functionals(sp, 0.0, g.n)
-                    opt["max_lambda"].append(sp.max_abs())
-                    opt["u_n"].append(u_n)
-                    opt["varQ_n"].append(varq)
-                except SpectrumError:
-                    # extraction refused (ill-conditioned coefficients); keep the row
-                    for key in ("max_lambda", "u_n", "varQ_n"):
-                        opt[key].append(float("nan"))
-        rows["log_z"] = lz
-        rows["mean_U"] = mu
-        rows["var_U"] = vu
-        for k in ("cov_cut", "var_left", "var_right"):
-            if cfg.with_sections:
-                rows[k] = opt[k]
-        for k in ("max_lambda", "u_n", "varQ_n"):
-            if cfg.with_spectrum:
-                rows[k] = opt[k]
-
-    if cfg.with_ground:
-        if cfg.mode != "scalar":
-            tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True)
-        rows["M"] = list(max_values(tables))
-    else:
-        rows["M"] = [float("nan")] * R
+            try:
+                sp = spectrum(partition_polynomial(g, w.gauged()))
+            except SpectrumError:
+                continue   # extraction refused (ill-conditioned coefficients); keep the row
+            spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
+        for key, col in zip(("max_lambda", "u_n", "varQ_n"), spec.T):
+            rows[key] = list(col)
     return rows
 
 
@@ -415,6 +394,12 @@ class LimitEstimates:
         return self.sigma2_Q + self.sigma2_A
 
 
+def _sample_var(a: np.ndarray) -> float:
+    """Unbiased sample variance, taken of the samples shifted by the first
+    one: exactly 0 when all samples are equal."""
+    return float(np.var(a - a[0], ddof=1))
+
+
 def estimate_limits(table: ReplicaTable) -> LimitEstimates:
     ns = sorted(int(v) for v in table.ns())
     if len(ns) < 1:
@@ -428,8 +413,8 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
             "f": float(np.mean(lz)) / n,
             "u": float(np.mean(mu)) / n,
             "m": float(np.mean(mm)) / n if not np.isnan(mm).all() else float("nan"),
-            "var_f": float(np.var(lz, ddof=1)) / n,
-            "var_m": float(np.var(mm, ddof=1)) / n if not np.isnan(mm).all() else float("nan"),
+            "var_f": _sample_var(lz) / n,
+            "var_m": _sample_var(mm) / n if not np.isnan(mm).all() else float("nan"),
             "replicas": int(lz.size),
         }
     top = ns[-1]
@@ -444,12 +429,12 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
         n_top=top,
         replicas=m,
         f_hat=float(np.mean(lz)) / top,
-        sigma2_F=float(np.var(lz, ddof=1)) / top,
+        sigma2_F=_sample_var(lz) / top,
         u_hat=float(np.mean(mu)) / top,
         sigma2_Q=float(np.mean(vu)) / top,
-        sigma2_A=float(np.var(mu, ddof=1)) / top,
+        sigma2_A=_sample_var(mu) / top,
         m_hat=float(np.mean(mm)) / top,
-        sigma2_M=float(np.var(mm, ddof=1)) / top,
+        sigma2_M=_sample_var(mm) / top,
         per_n=per_n,
         drift={},
         se={},
@@ -460,8 +445,8 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
         "sigma2_F": est.sigma2_F * factor,
         "sigma2_A": est.sigma2_A * factor,
         "sigma2_M": est.sigma2_M * factor,
-        "u_hat": float(np.std(mu, ddof=1)) / math.sqrt(m) / top,
-        "f_hat": float(np.std(lz, ddof=1)) / math.sqrt(m) / top,
+        "u_hat": math.sqrt(_sample_var(mu)) / math.sqrt(m) / top,
+        "f_hat": math.sqrt(_sample_var(lz)) / math.sqrt(m) / top,
     }
     if len(ns) >= 2:
         a, b = ns[-2], ns[-1]
@@ -604,12 +589,18 @@ class SectionReport:
 def joint_sections_check(
     g: CylinderGraph, w: WeightAssignment, k: int, sigma2_Q: float | None = None
 ) -> SectionReport:
-    """Exact section covariance/variance rates at a cut, vs the split law."""
-    cov = section_covariance(g, w, k)
-    var_L = partition_polynomial(g, w, CountingMask.layer_range(1, k)).cumulants(0.0, 2)[1]
-    var_R = partition_polynomial(g, w, CountingMask.layer_range(k + 1, g.n)).cumulants(0.0, 2)[1]
+    """Exact section covariance/variance rates at a cut, vs the split law.
+
+    The variances of the whole count and of both sections come from one
+    moment sweep; the covariance follows by polarization.
+    """
+    if not (1 <= k < g.n):
+        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
+    var_all, var_L, var_R = batch_moments(
+        TransferEngine(g, w).tables, layers=_count_layers(g.n, k))[2][0]
+    cov = 0.5 * (var_all - var_L - var_R)
     if sigma2_Q is None:
-        sigma2_Q = (var_L + var_R + 2.0 * cov) / g.n
+        sigma2_Q = var_all / g.n
     t = k / g.n
     return SectionReport(
         n=g.n,

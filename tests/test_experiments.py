@@ -29,7 +29,8 @@ from dimerlab.experiments import (
     run_replicas,
     write_config,
 )
-from dimerlab.transfer import partition_polynomial
+from dimerlab.groundstate import max_weight
+from dimerlab.transfer import CountingMask, partition_polynomial, section_covariance
 
 from helpers import STD_NORMAL, count_calls
 
@@ -108,53 +109,91 @@ def test_run_replicas_distinct_rows_under_disorder():
 
 def test_capacity_noted_per_rung_not_fatal():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 2000), replicas=3,
-                     disorder=STD_NORMAL, mode="polynomial")
+                     disorder=STD_NORMAL, mode="polynomial", with_spectrum=True)
     table = run_replicas(cfg)
     assert sorted(table.ns()) == [8]
     assert table.errors and table.errors[0][0] == 2000
     assert "1024" in table.errors[0][1]
+    # only the spectrum needs coefficients: without it, every column comes
+    # from the moment sweep, which has no cap on n
+    cfg.with_spectrum = False
+    table = run_replicas(cfg)
+    assert not table.errors and sorted(table.ns()) == [8, 2000]
+    assert np.all(np.isfinite(table.at(2000, "log_z")))
 
 
-def test_scalar_and_polynomial_modes_agree():
-    kw = dict(fiber="path(2)", n_ladder=(10,), replicas=6,
-              disorder=STD_NORMAL, seed=3, with_sections=True)
-    ts = run_replicas(_small_cfg(mode="scalar", **kw))
-    tp = run_replicas(_small_cfg(mode="polynomial", **kw))
-    assert np.allclose(ts.at(10, "log_z"), tp.at(10, "log_z"), atol=1e-10)
-    for key in ("mean_U", "var_U", "var_left", "var_right"):
-        assert np.allclose(ts.at(10, key), tp.at(10, key), rtol=1e-10, atol=0.0)
-    assert np.all(np.abs(ts.at(10, "cov_cut") - tp.at(10, "cov_cut"))
-                  <= 1e-10 * tp.at(10, "var_U"))
-    assert np.allclose(ts.at(10, "M"), tp.at(10, "M"), atol=1e-10)
+def _reference_row(g, w, k):
+    """One campaign row from the single-instance reference routes: the masked
+    polynomials, section_covariance and the argmax engine."""
+    p = partition_polynomial(g, w)
+    mean, var = p.cumulants(0.0, 2)
+    return {
+        "log_z": p.log_z(),
+        "mean_U": mean,
+        "var_U": var,
+        "var_left": partition_polynomial(g, w, CountingMask.layer_range(1, k)).cumulants()[1],
+        "var_right":
+            partition_polynomial(g, w, CountingMask.layer_range(k + 1, g.n)).cumulants()[1],
+        "cov_cut": section_covariance(g, w, k),
+        "M": max_weight(g, w).value,
+    }
+
+
+def test_campaign_rows_match_reference_routes():
+    n, k = 10, 5
+    g = build_cylinder(n, HGraph.path(2))
+    refs = [_reference_row(g, sample_weights(g, STD_NORMAL, RngSeed(3, stream=s)), k)
+            for s in range(6)]
+    ref = {key: np.array([r[key] for r in refs]) for key in refs[0]}
+    for mode in ("scalar", "polynomial"):
+        table = run_replicas(_small_cfg(
+            fiber="path(2)", n_ladder=(n,), replicas=6, disorder=STD_NORMAL,
+            seed=3, mode=mode, with_sections=True, with_ground=True))
+        assert list(table.at(n, "stream")) == list(range(6))
+        for key in ("log_z", "mean_U", "var_U", "var_left", "var_right"):
+            assert np.allclose(table.at(n, key), ref[key], rtol=1e-10, atol=0.0), (mode, key)
+        assert np.all(np.abs(table.at(n, "cov_cut") - ref["cov_cut"])
+                      <= 1e-10 * ref["var_U"]), mode
+        assert np.allclose(table.at(n, "M"), ref["M"], rtol=0.0, atol=1e-10), mode
 
 
 def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
-    # each scalar chunk draws its log Z, cumulants, sections and ground state
-    # from a single table; a second table build or a finite-difference sweep
-    # would show in these counts
-    calls = count_calls(monkeypatch, transfer, ["batch_tables", "batch_scalar_log_z"])
-    cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
-                     disorder=STD_NORMAL, mode="scalar", with_sections=True,
-                     with_ground=True)
-    table = run_replicas(cfg)
-    assert not table.errors and len(table) == 20
-    chunks = 2 * 3
-    assert calls == {"batch_tables": chunks, "batch_scalar_log_z": 0}
+    # each chunk draws its log Z, cumulants, sections and ground state from a
+    # single table in either mode; a second table build, a finite-difference
+    # sweep or a polynomial outside the spectrum would show in these counts
+    calls = count_calls(monkeypatch, transfer,
+                        ["batch_tables", "batch_scalar_log_z", "partition_polynomial"])
+    chunks, replicas = 2 * 3, 2 * 10
+    for mode, with_spectrum in (("scalar", False), ("polynomial", False), ("polynomial", True)):
+        for key in calls:
+            calls[key] = 0
+        cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
+                         disorder=STD_NORMAL, mode=mode, with_sections=True,
+                         with_ground=True, with_spectrum=with_spectrum)
+        table = run_replicas(cfg)
+        assert not table.errors and len(table) == replicas
+        # every spectrum polynomial builds its own single-instance table
+        polys = replicas if with_spectrum else 0
+        assert calls == {"batch_tables": chunks + polys, "batch_scalar_log_z": 0,
+                         "partition_polynomial": polys}, (mode, with_spectrum)
 
 
 def test_fibonacci_limit_estimates():
     # zero weights on a chain: Z_n is the (n+1)-st Fibonacci number, so the
-    # log-partition rate tends to log of the golden ratio with no variance
-    cfg = _small_cfg(n_ladder=(16, 32, 64), replicas=5, mode="polynomial")
-    est = estimate_limits(run_replicas(cfg))
-    assert est.sigma2_F == 0.0
-    assert est.sigma2_A == 0.0
-    assert est.f_hat == pytest.approx(np.log((1 + np.sqrt(5)) / 2), abs=8e-3)
-    # the rate converges from below like c/n, so halving n doubles the gap
-    assert est.drift["f"] < 2e-2
+    # log-partition rate tends to log of the golden ratio with no variance;
+    # the replicas are bit-identical, so their sample variances are exactly 0
     g = build_cylinder(64, HGraph.single())
     exact_u = partition_polynomial(g, WeightAssignment.constant(g)).cumulants(0.0, 1)[0]
-    assert est.u_hat == pytest.approx(exact_u / 64, abs=1e-5)
+    for mode in ("scalar", "polynomial"):
+        cfg = _small_cfg(n_ladder=(16, 32, 64), replicas=5, mode=mode)
+        est = estimate_limits(run_replicas(cfg))
+        assert est.sigma2_F == 0.0, mode
+        assert est.sigma2_A == 0.0, mode
+        assert est.per_n[64]["var_f"] == 0.0, mode
+        assert est.f_hat == pytest.approx(np.log((1 + np.sqrt(5)) / 2), abs=8e-3)
+        # the rate converges from below like c/n, so halving n doubles the gap
+        assert est.drift["f"] < 2e-2
+        assert est.u_hat == pytest.approx(exact_u / 64, abs=1e-5)
 
 
 def test_clt_checks_zero_variance_verdict():
@@ -193,6 +232,15 @@ def test_joint_sections_small_covariance_at_scale():
     w = sample_weights(g, STD_NORMAL, RngSeed(33, 0))
     rep = joint_sections_check(g, w, k=32)
     assert rep.t == pytest.approx(0.5)
+    # the one-sweep rates against the masked polynomials and polarization
+    cov = section_covariance(g, w, 32)
+    var_all = partition_polynomial(g, w).cumulants()[1]
+    var_l = partition_polynomial(g, w, CountingMask.layer_range(1, 32)).cumulants()[1]
+    var_r = partition_polynomial(g, w, CountingMask.layer_range(33, 64)).cumulants()[1]
+    assert abs(rep.cov_over_n * 64 - cov) <= 1e-10 * var_all
+    assert rep.var_left_over_n * 64 == pytest.approx(var_l, rel=1e-10, abs=0.0)
+    assert rep.var_right_over_n * 64 == pytest.approx(var_r, rel=1e-10, abs=0.0)
+    assert rep.sigma2_Q * 64 == pytest.approx(var_all, rel=1e-10, abs=0.0)
     assert rep.cov_ratio < 0.02
     assert rep.var_left_ratio == pytest.approx(1.0, abs=0.15)
     assert rep.var_right_ratio == pytest.approx(1.0, abs=0.15)
