@@ -18,7 +18,6 @@ from .transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
-    TransferEngine,
     brute_force_polynomial,
     partition_polynomial,
     scalar_log_z,
@@ -45,7 +44,6 @@ __all__ = [
     "MonomerPolynomial",
     "ReplicaTable",
     "RngSeed",
-    "TransferEngine",
     "WeightAssignment",
     "brute_force_polynomial",
     "build_cylinder",

@@ -51,7 +51,7 @@ from .groundstate import (
 )
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import SpectrumError, localization_check, spectrum
-from .sampler import GibbsSampler
+from .sampler import GibbsSampler, heights
 from .transfer import (
     CapacityError,
     CountingMask,
@@ -215,10 +215,9 @@ def _cmd_sample(args) -> int:
     S_path, m_path = sampler.draw_states(gen, args.count)
     matchings = sampler.matchings_from_states(S_path, m_path)
     t_grid = np.linspace(0.0, 1.0, args.t_points)
-    # prefix[d, k] = unpaired count of layers 1..k in draw d, as in ``observables``
-    prefix = np.cumsum(np.pad(sampler.monomer_profiles(S_path, m_path), ((0, 0), (1, 0))), axis=1)
+    profiles = sampler.monomer_profiles(S_path, m_path)
     print(f"drew {len(matchings)} matchings from the Gibbs law (x={args.x:g})")
-    counts = prefix[:, -1]
+    counts = profiles.sum(axis=1)
     print(f"unpaired count: mean {np.mean(counts):.4f}, min {counts.min()}, max {counts.max()}")
     out = _ensure_out(args)
     if out:
@@ -237,10 +236,7 @@ def _cmd_sample(args) -> int:
         with open(os.path.join(out, "heights.csv"), "w", newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(["draw", "t", "theta", "theta_hat"])
-            theta = prefix[:, np.floor(g.n * t_grid).astype(int)].astype(float)
-            theta_hat = None
-            if args.centering is not None:
-                theta_hat = (theta - g.n * t_grid * args.centering) / np.sqrt(g.n)
+            theta, theta_hat = heights(profiles, t_grid, args.centering)
             for d in range(args.count):
                 for j in range(t_grid.size):
                     th = "" if theta_hat is None else repr(float(theta_hat[d, j]))
@@ -367,7 +363,7 @@ def _cmd_experiment(args) -> int:
         )
         if not ok:
             failed.append("brownian")
-    if cfg.with_spectrum and cfg.mode == "polynomial":
+    if cfg.with_spectrum:
         fr = functional_consistency_check(cfg)
         report["functionals"] = fr
         if "functionals" in enabled and not fr.ok:
@@ -551,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override campaign seed")
     p.add_argument("--checks", type=str, default=None,
                    help="comma list of checks that gate the exit code "
-                        "(clt, drift, brownian)")
+                        "(clt, drift, brownian, functionals)")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("plot", help="simple SVG charts from campaign CSVs")

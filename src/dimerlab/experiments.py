@@ -34,17 +34,16 @@ from .graphs import (
 )
 from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
-from .sampler import GibbsSampler
+from .sampler import GibbsSampler, heights
 from .transfer import (
-    POLY_MAX_H,
-    POLY_MAX_N,
     CapacityError,
     CountingMask,
-    TransferEngine,
     batch_moments,
     batch_tables,
+    check_polynomial_caps,
+    instance_tables,
     partition_polynomial,
-    restrict,
+    prefix_polynomials,
 )
 
 
@@ -67,12 +66,6 @@ class Thresholds:
     kurt_tol: float = 0.3
     ks_const: float = 1.565          # 4-sigma envelope constant, scaled by 1/sqrt(m)
     drift_tol: float = 0.01          # relative drift of mean/n between top two n
-    var_drift_tol: float = 0.10
-    se_mult: float = 3.0             # "bounded away from zero" multiplier
-    quenched_dist: float = 0.05
-    quenched_frac: float = 0.95
-    section_cov_tol: float = 0.02    # |cov|/n relative to sigma_Q^2
-    section_var_tol: float = 0.10
     increment_var_tol: float = 0.15
     increment_corr_tol: float = 0.10
 
@@ -86,7 +79,6 @@ class ExperimentConfig:
         default_factory=lambda: DisorderSpec(Law.normal(0, 1), Law.normal(0, 1))
     )
     seed: int = 0
-    mode: str = "scalar"             # scalar | polynomial
     x_grid: tuple = (0.0,)
     t_grid: tuple = tuple(i / 16 for i in range(17))
     cut_fraction: float = 0.5
@@ -102,8 +94,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
-        if self.mode not in ("scalar", "polynomial"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not self.n_ladder:
             raise ValueError("empty n ladder")
         if any(n < 2 for n in self.n_ladder):
@@ -115,6 +105,10 @@ class ExperimentConfig:
     def fiber_graph(self) -> HGraph:
         return make_fiber(self.fiber)
 
+
+# [checks] keys that no check reads any more: accepted so that old configs run
+_RETIRED_CHECKS = {"var_drift_tol", "se_mult", "quenched_dist", "quenched_frac",
+                   "section_cov_tol", "section_var_tol"}
 
 _CONFIG_KEYS = {
     "graph": {"fiber"},
@@ -155,10 +149,12 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
             Law.parse(d.get("edge", "normal(0,1)")),
         )
     lad = cp["ladder"] if cp.has_section("ladder") else {}
+    if lad.get("mode", "scalar") not in ("scalar", "polynomial"):
+        raise ValueError(f"unknown mode {lad['mode']!r}")
     if "n" in lad:
         kw["n_ladder"] = tuple(int(v) for v in lad["n"].split(",") if v.strip())
     for key, cast in (
-        ("replicas", int), ("seed", int), ("mode", str), ("cut_fraction", float),
+        ("replicas", int), ("seed", int), ("cut_fraction", float),
         ("gibbs_samples", int), ("height_envs", int), ("chunk", int),
     ):
         if key in lad:
@@ -175,6 +171,8 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     if cp.has_section("checks"):
         fields = {f for f in vars(th)}
         for key, val in cp["checks"].items():
+            if key in _RETIRED_CHECKS:
+                continue
             if key not in fields:
                 raise ValueError(f"unknown checks option {key!r}")
             setattr(th, key, float(val))
@@ -193,7 +191,6 @@ def write_config(cfg: ExperimentConfig, path: str | None = None) -> str:
         "n": ",".join(str(n) for n in cfg.n_ladder),
         "replicas": str(cfg.replicas),
         "seed": str(cfg.seed),
-        "mode": cfg.mode,
         "cut_fraction": repr(cfg.cut_fraction),
         "with_sections": str(cfg.with_sections).lower(),
         "with_ground": str(cfg.with_ground).lower(),
@@ -329,15 +326,9 @@ def _count_layers(n: int, k: int | None = None) -> np.ndarray:
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
     """Rows of one chunk: log Z, cumulants and sections from one table and
     one moment sweep, M from the (max, +) sweep over the same table, and
-    in polynomial mode the spectrum of one gauged polynomial per replica."""
+    with spectra the zeros of one gauged polynomial per replica."""
     if cfg.with_spectrum:
-        if cfg.mode == "scalar":
-            raise CapacityError("spectrum summaries need polynomial mode")
-        if g.h > POLY_MAX_H or g.n > POLY_MAX_N:
-            raise CapacityError(
-                f"spectrum polynomials support h <= {POLY_MAX_H} and n <= {POLY_MAX_N}"
-                f" layers, got h={g.h}, n={g.n}"
-            )
+        check_polynomial_caps(g)
     streams = list(streams)
     R = len(streams)
     nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
@@ -557,18 +548,17 @@ def quenched_clt_check(g: CylinderGraph, w: WeightAssignment) -> QuenchedReport:
     an irreducible lattice term of order (sigma sqrt(n))^{-1}; the report
     is meaningful as a sequence along growing n.
     """
-    p = partition_polynomial(g, w)
-    mean, var = p.cumulants(0.0, 2)
-    dist = _lattice_normal_distance(p.pmf(0.0))
-    return QuenchedReport(n=g.n, distance=dist, mean=float(mean), var=float(var))
+    return quenched_ladder(g, w, [g.n])[0]
 
 
 def quenched_ladder(g: CylinderGraph, w: WeightAssignment, ns) -> list[QuenchedReport]:
-    """Quenched normality reports along nested prefixes of one environment."""
+    """Quenched normality reports along nested prefixes of one environment,
+    every prefix polynomial from one sweep."""
     out = []
-    for n in sorted(ns):
-        sub_g, sub_w, _ = restrict(g, w, 1, n)
-        out.append(quenched_clt_check(sub_g, sub_w))
+    for n, p in zip(sorted(ns), prefix_polynomials(g, w, sorted(ns))):
+        mean, var = p.cumulants(0.0, 2)
+        dist = _lattice_normal_distance(p.pmf(0.0))
+        out.append(QuenchedReport(n=n, distance=dist, mean=float(mean), var=float(var)))
     return out
 
 
@@ -597,7 +587,7 @@ def joint_sections_check(
     if not (1 <= k < g.n):
         raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
     var_all, var_L, var_R = batch_moments(
-        TransferEngine(g, w).tables, layers=_count_layers(g.n, k))[2][0]
+        instance_tables(g, w), layers=_count_layers(g.n, k))[2][0]
     cov = 0.5 * (var_all - var_L - var_R)
     if sigma2_Q is None:
         sigma2_Q = var_all / g.n
@@ -729,15 +719,12 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=env))
         sampler = GibbsSampler(g, w)
         gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
-        S_path, m_path = sampler.draw_states(gen, cfg.gibbs_samples)
-        prof = sampler.monomer_profiles(S_path, m_path)
-        prefix = np.concatenate([np.zeros((cfg.gibbs_samples, 1), dtype=np.int64),
-                                 np.cumsum(prof, axis=1)], axis=1)
-        theta = prefix[:, cuts]
+        theta, scaled = heights(
+            sampler.monomer_profiles(*sampler.draw_states(gen, cfg.gibbs_samples)), t, u_hat)
         if cfg.height_envs == 1:
             raw_inc = np.diff(theta, axis=1)
             env_weights = w
-        paths.append((theta.astype(float) - n * t * u_hat) / math.sqrt(n))
+        paths.append(scaled)
     theta_hat = np.concatenate(paths, axis=0)
     inc = np.diff(theta_hat, axis=1)
     dt = np.diff(t)

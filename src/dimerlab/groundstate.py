@@ -22,8 +22,8 @@ import numpy as np
 from .graphs import CylinderGraph, WeightAssignment
 from .sampler import Matching, matching_weight, path_matching
 from .transfer import (
-    MAX, NEG_INF, _last, batch_tables, cut_remainders, enumerate_matchings, resolve, scalar_log_z,
-    sweep,
+    MAX, NEG_INF, _last, batch_tables, cut_remainders, enumerate_matchings, instance_tables, messages,
+    resolve, scalar_log_z, sweep,
 )
 
 
@@ -36,16 +36,15 @@ class GroundState:
         return g.num_vertices - 2 * len(self.matching.edge_indices)
 
 
-def _max_sweep(tables: dict):
-    """The (max, +) sweep over the best fiber matching of each block."""
+def _max_W(tables: dict) -> np.ndarray:
+    """Layer weights of the (max, +) sweep: the best fiber matching of each block."""
     s, start = tables["scores"], tables["ht"].fiber_start
-    Wmax = np.stack([s[:, a:b].max(axis=1) for a, b in zip(start[:-1], start[1:])], axis=1)
-    return sweep(Wmax, tables["hsum"], tables["ht"], MAX)
+    return np.stack([s[:, a:b].max(axis=1) for a, b in zip(start[:-1], start[1:])], axis=1)
 
 
 def max_values(tables: dict) -> np.ndarray:
     """Max Hamiltonian per replica of tables built with ``keep_scores``."""
-    return _last(_max_sweep(tables))[:, 0]
+    return _last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[:, 0]
 
 
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
@@ -55,9 +54,9 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
-    tables = batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None], keep_scores=True)
+    tables = instance_tables(g, w, keep_scores=True)
     ht, hsum, scores = tables["ht"], tables["hsum"][0], tables["scores"][0]
-    msgs = np.stack([v[0] for v in _max_sweep(tables)])
+    msgs = messages(_max_W(tables), tables, MAX)
     value = float(msgs[-1, 0])
     S_path = np.zeros(g.n, dtype=np.int64)
     rows = np.zeros(g.n, dtype=np.int64)
@@ -90,8 +89,8 @@ def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
     for every cut k = 1..n-1 (entry k-1)."""
 
     def prefix(v: WeightAssignment) -> np.ndarray:
-        tables = batch_tables(g, v.nu[None], v.omega_h[None], v.omega_v[None], keep_scores=True)
-        return np.array([m[0, 0] for m in _max_sweep(tables)])
+        tables = instance_tables(g, v, keep_scores=True)
+        return messages(_max_W(tables), tables, MAX)[:, 0]
 
     return cut_remainders(prefix, w)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DOMAIN_GIBBS, CylinderGraph, RngSeed, WeightAssignment, rng_generator
-from .transfer import NEG_INF, TransferEngine, resolve
+from .transfer import NEG_INF, _tilted_W, instance_tables, messages, resolve
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,21 @@ class ObservableSet:
     height: HeightSeries
 
 
+def heights(profiles: np.ndarray, t, centering: float | None = None):
+    """Heights theta(t) = U_[1:floor(nt)] of each draw from its unpaired
+    count per layer (``profiles``, shape (draws, n)), and with a centering u
+    the scaled height (theta(t) - n t u) / sqrt(n), else None."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any() or (t > 1).any():
+        raise ValueError("t grid must lie in [0, 1]")
+    n = profiles.shape[1]
+    prefix = np.cumsum(np.pad(profiles, ((0, 0), (1, 0))), axis=1)
+    theta = prefix[:, np.floor(n * t).astype(int)].astype(float)
+    if centering is None:
+        return theta, None
+    return theta, (theta - n * t * centering) / np.sqrt(n)
+
+
 def observables(
     g: CylinderGraph,
     m: Matching,
@@ -88,17 +103,11 @@ def observables(
             1 for j in range(1, g.h + 1) if g.flat_index((i, j)) not in covered
         )
     prefix = np.concatenate([[0], np.cumsum(per_layer)])
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 9)
-    t = np.asarray(t_grid, dtype=float)
-    if (t < 0).any() or (t > 1).any():
-        raise ValueError("t grid must lie in [0, 1]")
-    theta = prefix[np.floor(g.n * t).astype(int)].astype(float)
-    theta_hat = None
-    if centering is not None:
-        theta_hat = (theta - g.n * t * centering) / np.sqrt(g.n)
+    t = np.linspace(0.0, 1.0, 9) if t_grid is None else np.asarray(t_grid, dtype=float)
+    theta, theta_hat = heights(per_layer[None], t, centering)
     return ObservableSet(
-        U=int(prefix[-1]), prefix=prefix, height=HeightSeries(t, theta, theta_hat)
+        U=int(prefix[-1]), prefix=prefix,
+        height=HeightSeries(t, theta[0], None if theta_hat is None else theta_hat[0]),
     )
 
 
@@ -123,14 +132,14 @@ class GibbsSampler:
         self.g = g
         self.w = w
         self.x = x
-        engine = TransferEngine(g, w, keep_scores=True)
-        self.ht = engine.ht
-        msgs = engine.forward_messages(x)
+        tables = instance_tables(g, w, keep_scores=True)
+        self.ht = tables["ht"]
+        msgs = messages(_tilted_W(tables, x), tables)
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
-        hsum = engine.tables["hsum"][0]
-        scores = engine.tables["scores"][0] + x * engine.tables["dmat"]
+        hsum = tables["hsum"][0]
+        scores = tables["scores"][0] + x * tables["dmat"]
 
         # for layer i and current reserved set S: the cumulative categorical
         # over the backward candidates, with their previous sets and fiber rows

@@ -18,8 +18,8 @@ One forward ``sweep`` runs this recursion for every consumer and takes its
 arithmetic as a ``Semiring``:
 
 * ``LOG`` = (logaddexp, +) fixes the tilt x and carries one number per
-  state (fiber size capped at ``SCALAR_MAX_H``): scalar log Z for the
-  replica campaigns and the forward messages of the sampler;
+  state: scalar log Z for the replica campaigns and the forward messages
+  of the sampler;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
 * ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
   of C additive monomer counts (each the masked count on a set of layers):
@@ -29,16 +29,21 @@ arithmetic as a ``Semiring``:
   (the first- and second-order expectation semiring of Li & Eisner,
   EMNLP 2009);
 * ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
-  masked monomer count) keeps the full coefficient vector (fiber size
-  capped at ``POLY_MAX_H``), enabling exact cumulants and Lee-Yang spectra.
+  masked monomer count) keeps the full coefficient vector (capped by
+  ``check_polynomial_caps``), enabling exact cumulants and Lee-Yang spectra.
+
+Every route builds its tables with ``batch_tables`` (one instance:
+``instance_tables``), which refuses fibers of more than ``SCALAR_MAX_H``
+vertices, so that cap holds for single instances, campaigns and ground states.
 
 ``resolve`` runs the recursion backward for one layer and reserved set,
 listing the candidate (previous reserved set, fiber matching) pairs with
 their logits; the exact sampler draws from them and the ground-state
 engine takes their argmax.
 
-The message at the empty reserved set after layer k is the value of the
-sub-cylinder of layers 1..k, and the same sweep over the layer-reversed
+The message at the empty reserved set after layer k (see ``messages``) is
+the value of the sub-cylinder of layers 1..k, whose polynomial
+``prefix_polynomials`` reads off, and the same sweep over the layer-reversed
 weights (``WeightAssignment.reversed``) gives the value of layers k+1..n.
 ``cut_remainders`` turns these two sweeps into the remainders
 V - V[1:k] - V[k+1:n] of every cut k at once: ``remainder_R`` for log Z,
@@ -49,6 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -336,6 +342,8 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
     consumers that resolve individual fiber matchings (exact sampling,
     ground-state argmax).
     """
+    if g.h > SCALAR_MAX_H:
+        raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={g.h}")
     ht = _h_tables(g.H)
     mask_arr = _resolve_mask(g, mask)
     nu_b = np.asarray(nu_b, dtype=float)
@@ -364,6 +372,13 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: boo
         out["scores"] = np.concatenate(all_scores, axis=1)
         out["dmat"] = np.concatenate(all_dmat)
     return out
+
+
+def instance_tables(g: CylinderGraph, w: WeightAssignment, mask=None, keep_scores: bool = False) -> dict:
+    """``batch_tables`` of one weight assignment, as a batch of one."""
+    if w.g != g:
+        raise ValueError("weight assignment belongs to a different graph")
+    return batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None], mask, keep_scores)
 
 
 def _tilted_W(tables: dict, x: float) -> np.ndarray:
@@ -503,6 +518,13 @@ def _last(messages) -> np.ndarray:
     return deque(messages, maxlen=1)[0]
 
 
+def messages(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarray:
+    """The forward messages of the first replica of ``tables`` after every
+    layer, stacked: ``[i, S]`` aggregates layers 0..i ending in reserved
+    set S, so ``[k - 1, 0]`` is the value of the prefix of layers 1..k."""
+    return np.stack([v[0] for v in sweep(W, tables["hsum"], tables["ht"], semiring)])
+
+
 def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables, i: int, S: int):
     """Backward step: how layer i of a path can end in reserved set S.
 
@@ -542,61 +564,43 @@ def batch_moments(tables: dict, x: float = 0.0, layers=None):
 
 
 # ---------------------------------------------------------------------------
-# single-instance engine
+# single instances
 # ---------------------------------------------------------------------------
 
-class TransferEngine:
-    """Transfer DP for one weight assignment, reusable across tilts."""
-
-    def __init__(self, g: CylinderGraph, w: WeightAssignment, mask=None, keep_scores: bool = False):
-        if g.h > SCALAR_MAX_H:
-            raise CapacityError(
-                f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={g.h}"
-            )
-        if w.g != g:
-            raise ValueError("weight assignment belongs to a different graph")
-        self.g = g
-        self.w = w
-        self.mask_arr = _resolve_mask(g, mask)
-        self.mask_size = int(round(self.mask_arr.sum()))
-        self.tables = batch_tables(
-            g, w.nu[None], w.omega_h[None], w.omega_v[None], self.mask_arr,
-            keep_scores=keep_scores,
+def check_polynomial_caps(g: CylinderGraph) -> None:
+    """Refuse a cylinder too large for coefficient polynomials."""
+    if g.h > POLY_MAX_H or g.n > POLY_MAX_N:
+        raise CapacityError(
+            f"polynomials support fiber size h <= {POLY_MAX_H} and n <= {POLY_MAX_N}"
+            f" layers, got h={g.h}, n={g.n}"
         )
-        self.ht: _HTables = self.tables["ht"]
 
-    def log_z(self, x: float = 0.0) -> float:
-        return float(batch_scalar_log_z(self.tables, x)[0])
 
-    def forward_messages(self, x: float = 0.0) -> np.ndarray:
-        """Log forward messages msgs[i, S] = log f_{i+1}(S), for sampling."""
-        W = _tilted_W(self.tables, x)
-        return np.stack([v[0] for v in sweep(W, self.tables["hsum"], self.ht)])
-
-    def polynomial(self) -> MonomerPolynomial:
-        g = self.g
-        if g.h > POLY_MAX_H:
-            raise CapacityError(
-                f"polynomial mode supports fiber size h <= {POLY_MAX_H}, got h={g.h}"
-            )
-        if g.n > POLY_MAX_N:
-            raise CapacityError(
-                f"polynomial mode supports n <= {POLY_MAX_N} layers, got n={g.n}"
-            )
-        M = self.mask_size
-        B = self.tables["B"][..., : min(g.h, M) + 1]
-        V = _last(sweep(B, self.tables["hsum"], self.ht, _degree_semiring(M)))
-        return MonomerPolynomial(V[0, 0], N=g.num_vertices, mask_size=M)
+def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> list[MonomerPolynomial]:
+    """Monomer polynomials of the prefixes of layers 1..k, for each k in the
+    sequence ``ks``, read from the empty-set messages of one degree-semiring
+    sweep; the last layer's is the polynomial of the whole cylinder."""
+    check_polynomial_caps(g)
+    if not all(1 <= k <= g.n for k in ks):
+        raise ValueError(f"prefix lengths {ks} not inside [1:{g.n}]")
+    mask_arr = _resolve_mask(g, mask)
+    sizes = np.cumsum(mask_arr.sum(axis=1)).round().astype(int)
+    M = int(sizes[-1])
+    tables = instance_tables(g, w, mask_arr)
+    msgs = sweep(tables["B"][..., : min(g.h, M) + 1], tables["hsum"], tables["ht"], _degree_semiring(M))
+    out = {k: MonomerPolynomial(v[0, 0, : sizes[k - 1] + 1], N=k * g.h, mask_size=sizes[k - 1])
+           for k, v in enumerate(islice(msgs, max(ks, default=0)), start=1) if k in ks}
+    return [out[k] for k in ks]
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
     """Exact monomer-count polynomial of the Gibbs partition function."""
-    return TransferEngine(g, w, mask).polynomial()
+    return prefix_polynomials(g, w, [g.n], mask)[0]
 
 
 def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=None) -> float:
     """log Z at a fixed tilt without materializing coefficients."""
-    return TransferEngine(g, w, mask).log_z(x)
+    return float(batch_scalar_log_z(instance_tables(g, w, mask), x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +750,12 @@ def cut_remainders(prefix: Callable, w: WeightAssignment) -> np.ndarray:
 def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.ndarray:
     """Superadditivity gaps log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x,
     for every cut k = 1..n-1 (entry k-1)."""
-    return cut_remainders(lambda v: TransferEngine(g, v).forward_messages(x)[:, 0], w)
+
+    def prefix(v: WeightAssignment) -> np.ndarray:
+        tables = instance_tables(g, v)
+        return messages(_tilted_W(tables, x), tables)[:, 0]
+
+    return cut_remainders(prefix, w)
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
@@ -809,7 +818,7 @@ def dyadic_report(g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 
 
     @lru_cache(maxsize=None)
     def block(lo, hi):
-        log_z, mean, _ = batch_moments(TransferEngine(*restrict(g, w, lo, hi)[:2]).tables, x)
+        log_z, mean, _ = batch_moments(instance_tables(*restrict(g, w, lo, hi)[:2]), x)
         return float(log_z[0]), float(mean[0, 0])
 
     def build(lo, hi, level) -> DyadicNode:

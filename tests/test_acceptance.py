@@ -75,7 +75,7 @@ def _report(num: int, detail: str) -> None:
 def free_energy_ladder():
     cfg = ExperimentConfig(
         fiber="path(2)", n_ladder=(64, 128, 256, 512), replicas=1000,
-        disorder=STD_NORMAL, seed=2026, mode="scalar", with_ground=True,
+        disorder=STD_NORMAL, seed=2026, with_ground=True,
     )
     return run_replicas(cfg)
 
@@ -84,7 +84,7 @@ def free_energy_ladder():
 def clt_replicas():
     cfg = ExperimentConfig(
         fiber="path(2)", n_ladder=(256,), replicas=2000,
-        disorder=STD_NORMAL, seed=777, mode="scalar", with_ground=True,
+        disorder=STD_NORMAL, seed=777, with_ground=True,
     )
     return run_replicas(cfg)
 
@@ -354,7 +354,7 @@ def test_criterion_11_annealed_variance_positive():
     bounded = DisorderSpec(Law.uniform(0.0, 0.2), Law.uniform(-1.8, -1.2))
     cfg = ExperimentConfig(
         fiber="path(2)", n_ladder=(256,), replicas=2000,
-        disorder=bounded, seed=909, mode="scalar", with_ground=False,
+        disorder=bounded, seed=909, with_ground=False,
     )
     table = run_replicas(cfg)
     est = estimate_limits(table)
@@ -375,7 +375,7 @@ def test_criterion_11_annealed_variance_positive():
 def test_criterion_12_height_increments_are_brownian():
     cfg = ExperimentConfig(
         fiber="path(2)", n_ladder=(512,), replicas=2, disorder=STD_NORMAL,
-        seed=1618, mode="scalar", gibbs_samples=1000, height_envs=1,
+        seed=1618, gibbs_samples=1000, height_envs=1,
         t_grid=tuple(np.linspace(0.0, 1.0, 9)),
     )
     # exact quenched centering and variance rate of this one environment

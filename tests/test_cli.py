@@ -156,6 +156,11 @@ def test_ground_builds_a_fixed_number_of_tables(monkeypatch, tmp_path, capsys):
     assert counts[0][1] <= 2
 
 
+def test_ground_refuses_fiber_past_transfer_cap(capsys):
+    assert main(["ground", "--n", "2", "--h", "13", "--const", "0"]) == 2
+    assert "h <= 12" in capsys.readouterr().err
+
+
 def test_jacobi_command_checks_identities(tmp_path, capsys):
     out = tmp_path / "j"
     code = main(["jacobi", "--n", "48", "--h", "1", "--vertex", "normal(0,1)",

@@ -30,7 +30,7 @@ from dimerlab.experiments import (
     write_config,
 )
 from dimerlab.groundstate import max_weight
-from dimerlab.transfer import CountingMask, partition_polynomial, section_covariance
+from dimerlab.transfer import CountingMask, partition_polynomial, restrict, section_covariance
 
 from helpers import STD_NORMAL, count_calls
 
@@ -39,7 +39,7 @@ CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
 def _small_cfg(**kw):
     base = dict(fiber="single", n_ladder=(8, 16), replicas=10,
-                disorder=CONST0, seed=1, mode="polynomial")
+                disorder=CONST0, seed=1)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -56,8 +56,6 @@ def test_make_fiber_parsing():
 def test_config_validation():
     with pytest.raises(ValueError):
         _small_cfg(replicas=1)
-    with pytest.raises(ValueError):
-        _small_cfg(mode="exactly")
     with pytest.raises(ValueError):
         _small_cfg(n_ladder=())
     with pytest.raises(ValueError):
@@ -81,10 +79,17 @@ def test_config_rejects_unknown_keys():
         parse_config("[weather]\nrain = yes\n", is_text=True)
     with pytest.raises(ValueError, match="unknown checks option"):
         parse_config("[checks]\nks_konst = 2\n", is_text=True)
+    # retired keys that older configs set are accepted and ignored; a mode
+    # other than the two it once named is still an error
+    old = parse_config("[ladder]\nmode = polynomial\n[checks]\nse_mult = 2\n"
+                       "quenched_dist = 0.1\n", is_text=True)
+    assert write_config(old) == write_config(ExperimentConfig())
+    with pytest.raises(ValueError, match="unknown mode"):
+        parse_config("[ladder]\nmode = exactly\n", is_text=True)
 
 
 def test_constant_disorder_rows_are_identical():
-    cfg = _small_cfg(fiber="single", n_ladder=(4,), replicas=2, mode="polynomial")
+    cfg = _small_cfg(fiber="single", n_ladder=(4,), replicas=2)
     table = run_replicas(cfg)
     lz = table.at(4, "log_z")
     assert lz.size == 2
@@ -92,24 +97,22 @@ def test_constant_disorder_rows_are_identical():
 
 
 def test_run_replicas_deterministic_and_chunk_independent():
-    cfg_a = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=5, mode="scalar",
-                       with_sections=True)
-    cfg_b = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=256, mode="scalar",
-                       with_sections=True)
+    cfg_a = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=5, with_sections=True)
+    cfg_b = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=256, with_sections=True)
     ta, tb = run_replicas(cfg_a), run_replicas(cfg_b)
     for key in ta.columns:
         assert np.array_equal(ta.columns[key], tb.columns[key], equal_nan=True)
 
 
 def test_run_replicas_distinct_rows_under_disorder():
-    cfg = _small_cfg(disorder=STD_NORMAL, replicas=50, mode="scalar")
+    cfg = _small_cfg(disorder=STD_NORMAL, replicas=50)
     table = run_replicas(cfg)
     assert np.unique(table.at(16, "log_z")).size == 50
 
 
 def test_capacity_noted_per_rung_not_fatal():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 2000), replicas=3,
-                     disorder=STD_NORMAL, mode="polynomial", with_spectrum=True)
+                     disorder=STD_NORMAL, with_spectrum=True)
     table = run_replicas(cfg)
     assert sorted(table.ns()) == [8]
     assert table.errors and table.errors[0][0] == 2000
@@ -120,6 +123,10 @@ def test_capacity_noted_per_rung_not_fatal():
     table = run_replicas(cfg)
     assert not table.errors and sorted(table.ns()) == [8, 2000]
     assert np.all(np.isfinite(table.at(2000, "log_z")))
+    # a fiber past the transfer cap is refused at every rung, before any sweep
+    table = run_replicas(_small_cfg(fiber="path(13)", n_ladder=(2, 3), replicas=2))
+    assert len(table) == 0 and [n for n, _ in table.errors] == [2, 3]
+    assert all("h <= 12" in msg for _, msg in table.errors)
 
 
 def _reference_row(g, w, k):
@@ -145,37 +152,35 @@ def test_campaign_rows_match_reference_routes():
     refs = [_reference_row(g, sample_weights(g, STD_NORMAL, RngSeed(3, stream=s)), k)
             for s in range(6)]
     ref = {key: np.array([r[key] for r in refs]) for key in refs[0]}
-    for mode in ("scalar", "polynomial"):
-        table = run_replicas(_small_cfg(
-            fiber="path(2)", n_ladder=(n,), replicas=6, disorder=STD_NORMAL,
-            seed=3, mode=mode, with_sections=True, with_ground=True))
-        assert list(table.at(n, "stream")) == list(range(6))
-        for key in ("log_z", "mean_U", "var_U", "var_left", "var_right"):
-            assert np.allclose(table.at(n, key), ref[key], rtol=1e-10, atol=0.0), (mode, key)
-        assert np.all(np.abs(table.at(n, "cov_cut") - ref["cov_cut"])
-                      <= 1e-10 * ref["var_U"]), mode
-        assert np.allclose(table.at(n, "M"), ref["M"], rtol=0.0, atol=1e-10), mode
+    table = run_replicas(_small_cfg(
+        fiber="path(2)", n_ladder=(n,), replicas=6, disorder=STD_NORMAL,
+        seed=3, with_sections=True, with_ground=True))
+    assert list(table.at(n, "stream")) == list(range(6))
+    for key in ("log_z", "mean_U", "var_U", "var_left", "var_right"):
+        assert np.allclose(table.at(n, key), ref[key], rtol=1e-10, atol=0.0), key
+    assert np.all(np.abs(table.at(n, "cov_cut") - ref["cov_cut"]) <= 1e-10 * ref["var_U"])
+    assert np.allclose(table.at(n, "M"), ref["M"], rtol=0.0, atol=1e-10)
 
 
 def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
     # each chunk draws its log Z, cumulants, sections and ground state from a
-    # single table in either mode; a second table build, a finite-difference
-    # sweep or a polynomial outside the spectrum would show in these counts
+    # single table; a second table build, a finite-difference sweep or a
+    # polynomial outside the spectrum would show in these counts
     calls = count_calls(monkeypatch, transfer,
                         ["batch_tables", "batch_scalar_log_z", "partition_polynomial"])
     chunks, replicas = 2 * 3, 2 * 10
-    for mode, with_spectrum in (("scalar", False), ("polynomial", False), ("polynomial", True)):
+    for with_spectrum in (False, True):
         for key in calls:
             calls[key] = 0
         cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
-                         disorder=STD_NORMAL, mode=mode, with_sections=True,
+                         disorder=STD_NORMAL, with_sections=True,
                          with_ground=True, with_spectrum=with_spectrum)
         table = run_replicas(cfg)
         assert not table.errors and len(table) == replicas
         # every spectrum polynomial builds its own single-instance table
         polys = replicas if with_spectrum else 0
         assert calls == {"batch_tables": chunks + polys, "batch_scalar_log_z": 0,
-                         "partition_polynomial": polys}, (mode, with_spectrum)
+                         "partition_polynomial": polys}, with_spectrum
 
 
 def test_fibonacci_limit_estimates():
@@ -184,27 +189,25 @@ def test_fibonacci_limit_estimates():
     # the replicas are bit-identical, so their sample variances are exactly 0
     g = build_cylinder(64, HGraph.single())
     exact_u = partition_polynomial(g, WeightAssignment.constant(g)).cumulants(0.0, 1)[0]
-    for mode in ("scalar", "polynomial"):
-        cfg = _small_cfg(n_ladder=(16, 32, 64), replicas=5, mode=mode)
-        est = estimate_limits(run_replicas(cfg))
-        assert est.sigma2_F == 0.0, mode
-        assert est.sigma2_A == 0.0, mode
-        assert est.per_n[64]["var_f"] == 0.0, mode
-        assert est.f_hat == pytest.approx(np.log((1 + np.sqrt(5)) / 2), abs=8e-3)
-        # the rate converges from below like c/n, so halving n doubles the gap
-        assert est.drift["f"] < 2e-2
-        assert est.u_hat == pytest.approx(exact_u / 64, abs=1e-5)
+    est = estimate_limits(run_replicas(_small_cfg(n_ladder=(16, 32, 64), replicas=5)))
+    assert est.sigma2_F == 0.0
+    assert est.sigma2_A == 0.0
+    assert est.per_n[64]["var_f"] == 0.0
+    assert est.f_hat == pytest.approx(np.log((1 + np.sqrt(5)) / 2), abs=8e-3)
+    # the rate converges from below like c/n, so halving n doubles the gap
+    assert est.drift["f"] < 2e-2
+    assert est.u_hat == pytest.approx(exact_u / 64, abs=1e-5)
 
 
 def test_clt_checks_zero_variance_verdict():
-    cfg = _small_cfg(replicas=40, mode="scalar")
+    cfg = _small_cfg(replicas=40)
     summary = clt_checks(run_replicas(cfg))
     assert all(e.verdict == "zero-variance" for e in summary.entries)
     assert summary.ok
 
 
 def test_clt_checks_requires_enough_replicas():
-    cfg = _small_cfg(disorder=STD_NORMAL, replicas=10, mode="scalar")
+    cfg = _small_cfg(disorder=STD_NORMAL, replicas=10)
     with pytest.raises(ValueError, match=">= 30"):
         clt_checks(run_replicas(cfg))
 
@@ -225,6 +228,17 @@ def test_quenched_ladder_distance_decreases():
     reports = quenched_ladder(g, w, (32, 64, 128))
     d = [r.distance for r in reports]
     assert d[2] < d[1] < d[0]
+    # one sweep gives every prefix; each matches its own restricted solve
+    g3 = build_cylinder(40, HGraph.cycle(3))
+    w3 = sample_weights(g3, STD_NORMAL, RngSeed(21, 1))
+    ks = (1, 7, 20, 33, 40)
+    for k, rep in zip(ks, quenched_ladder(g3, w3, ks)):
+        ref = quenched_clt_check(*restrict(g3, w3, 1, k)[:2])
+        assert rep.n == ref.n == k
+        for key in ("distance", "mean", "var"):
+            assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError):
+        quenched_ladder(g3, w3, (20, 41))
 
 
 def test_joint_sections_small_covariance_at_scale():
@@ -248,8 +262,7 @@ def test_joint_sections_small_covariance_at_scale():
 
 def test_brownian_report_shapes():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2,
-                     disorder=STD_NORMAL, mode="scalar",
-                     gibbs_samples=200, height_envs=2,
+                     disorder=STD_NORMAL, gibbs_samples=200, height_envs=2,
                      t_grid=tuple(np.linspace(0, 1, 5)))
     est = estimate_limits(run_replicas(cfg))
     rep = brownian_fdd_check(cfg, est.u_hat, est.total_sigma2())
@@ -260,8 +273,7 @@ def test_brownian_report_shapes():
 
 
 def test_linear_growth_bounded():
-    cfg = _small_cfg(disorder=STD_NORMAL, n_ladder=(8, 16, 32), replicas=25,
-                     mode="scalar")
+    cfg = _small_cfg(disorder=STD_NORMAL, n_ladder=(8, 16, 32), replicas=25)
     rep = linear_growth_check(run_replicas(cfg))
     assert rep.max_deviation < 1.0
     assert rep.u_consistency < 0.02
@@ -269,8 +281,7 @@ def test_linear_growth_bounded():
 
 def test_functional_consistency_report():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 300), replicas=4,
-                     disorder=STD_NORMAL, mode="polynomial",
-                     x_grid=(-2.0, 0.0, 2.0))
+                     disorder=STD_NORMAL, x_grid=(-2.0, 0.0, 2.0))
     rep = functional_consistency_check(cfg, environments=4)
     assert rep.n == 8  # 300 is over the extraction ceiling and is skipped
     assert rep.ok and rep.failures == 0
@@ -278,8 +289,7 @@ def test_functional_consistency_report():
 
 
 def test_replica_table_csv_round_trip(tmp_path):
-    cfg = _small_cfg(disorder=STD_NORMAL, replicas=7, mode="scalar",
-                     with_sections=True)
+    cfg = _small_cfg(disorder=STD_NORMAL, replicas=7, with_sections=True)
     table = run_replicas(cfg)
     path = tmp_path / "t.csv"
     table.to_csv(path)

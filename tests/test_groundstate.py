@@ -132,3 +132,11 @@ def test_zero_temperature_gap_bounded_by_matching_count():
     lad = ground_zero_temperature_limit(g, w, betas)
     assert np.all(lad.gaps >= -1e-9)
     assert np.all(lad.gaps <= log_count / np.asarray(betas) + 1e-9)
+
+
+def test_weights_of_another_cylinder_are_refused():
+    g, other = build_cylinder(5, HGraph.path(2)), build_cylinder(6, HGraph.path(2))
+    w = sample_weights(other, STD_NORMAL, RngSeed(8, 0))
+    for route in (max_weight, gse_remainder):
+        with pytest.raises(ValueError, match="belongs to a different graph"):
+            route(g, w)

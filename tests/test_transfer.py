@@ -17,13 +17,15 @@ from dimerlab.transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
-    TransferEngine,
+    _tilted_W,
     batch_moments,
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
     dyadic_report,
+    instance_tables,
     kill_vertex_edges,
+    messages,
     partition_polynomial,
     remainder_R,
     remainder_upper_bound,
@@ -131,10 +133,10 @@ def test_scalar_route_matches_polynomial_log_z():
 def test_forward_messages_terminal_state_is_log_z():
     rng = np.random.default_rng(21)
     g, w = random_instance(rng, n_lo=4, n_hi=6, fibers=["path2", "cycle3"])
-    eng = TransferEngine(g, w)
-    msgs = eng.forward_messages(x=0.4)
+    tables = instance_tables(g, w)
+    msgs = messages(_tilted_W(tables, 0.4), tables)
     assert msgs.shape[0] == g.n
-    assert msgs[-1, 0] == pytest.approx(eng.log_z(0.4), abs=1e-10)
+    assert msgs[-1, 0] == pytest.approx(scalar_log_z(g, w, 0.4), abs=1e-10)
     # the message at the empty reserved set after layer k is log Z of layers 1..k
     for k in range(1, g.n + 1):
         sub_g, sub_w, _ = restrict(g, w, 1, k)
