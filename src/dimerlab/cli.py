@@ -32,6 +32,7 @@ from .graphs import (
 from .experiments import (
     ExperimentConfig,
     brownian_fdd_check,
+    check_runnable,
     clt_checks,
     estimate_limits,
     functional_consistency_check,
@@ -337,11 +338,12 @@ def _cmd_experiment(args) -> int:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg = ExperimentConfig(**{**vars(cfg), "seed": args.seed})
+    enabled = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else []
+    check_runnable(cfg, enabled)
     table = run_replicas(cfg)
     est = estimate_limits(table)
     report: dict = {"estimates": est, "errors": table.errors}
     failed = []
-    enabled = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else []
     if "clt" in enabled or (not enabled and est.replicas >= 30):
         summary = clt_checks(table, thresholds=cfg.thresholds)
         report["clt"] = summary

@@ -28,9 +28,11 @@ from .graphs import (
     Law,
     RngSeed,
     WeightAssignment,
+    _check_weight_array,
     build_cylinder,
     rng_generator,
     sample_weights,
+    weight_arrays,
 )
 from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
@@ -41,6 +43,7 @@ from .transfer import (
     batch_moments,
     batch_tables,
     check_polynomial_caps,
+    cut_moments,
     instance_tables,
     partition_polynomial,
     prefix_polynomials,
@@ -272,13 +275,11 @@ def _csv_value(v, key):
 
 
 def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tuple:
-    nu_b, oh_b, ov_b = [], [], []
-    for s in streams:
-        w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=int(s)))
-        nu_b.append(w.nu)
-        oh_b.append(w.omega_h)
-        ov_b.append(w.omega_v)
-    return np.stack(nu_b), np.stack(oh_b), np.stack(ov_b)
+    """Stacked (nu, omega_h, omega_v) of the streams, drawn as
+    ``sample_weights`` draws them; NaN and +inf are refused once per batch."""
+    draws = [weight_arrays(g, cfg.disorder, RngSeed(cfg.seed, stream=int(s))) for s in streams]
+    return tuple(_check_weight_array(name, np.stack(arrs))
+                 for name, arrs in zip(("nu", "omega_h", "omega_v"), zip(*draws)))
 
 
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
@@ -314,18 +315,10 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     return ReplicaTable(columns, errors)
 
 
-def _count_layers(n: int, k: int | None = None) -> np.ndarray:
-    """Layer rows of the counted monomer channels: all n layers, then with a
-    cut k the sections of layers 1..k and k+1..n."""
-    if k is None:
-        return np.ones((1, n))
-    left = np.arange(n) < k
-    return np.array([np.ones(n), left, ~left])
-
-
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
-    """Rows of one chunk: log Z, cumulants and sections from one table and
-    one moment sweep, M from the (max, +) sweep over the same table, and
+    """Rows of one chunk from one table: log Z and the cumulants from one
+    moment sweep, or with sections from the two sweeps of ``cut_moments``
+    that meet at the cut; M from the (max, +) sweep over the same table;
     with spectra the zeros of one gauged polynomial per replica."""
     if cfg.with_spectrum:
         check_polynomial_caps(g)
@@ -333,20 +326,22 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     R = len(streams)
     nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
     tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=cfg.with_ground)
-    lz, mean, var = batch_moments(
-        tables, layers=_count_layers(g.n, k_cut if cfg.with_sections else None))
+    if cfg.with_sections:
+        lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
+    else:
+        lz, mean, var = batch_moments(tables)
     rows = {
         "n": [g.n] * R,
         "stream": streams,
         "log_z": list(lz),
-        "mean_U": list(mean[:, 0]),
-        "var_U": list(var[:, 0]),
+        "mean_U": list(mean),
+        "var_U": list(var),
         "M": list(max_values(tables)) if cfg.with_ground else [float("nan")] * R,
     }
     if cfg.with_sections:
-        rows["cov_cut"] = list(0.5 * (var[:, 0] - var[:, 1] - var[:, 2]))
-        rows["var_left"] = list(var[:, 1])
-        rows["var_right"] = list(var[:, 2])
+        rows["cov_cut"] = list(cov)
+        rows["var_left"] = list(var_l)
+        rows["var_right"] = list(var_r)
     if cfg.with_spectrum:
         spec = np.full((R, 3), np.nan)
         for r in range(R):
@@ -581,14 +576,10 @@ def joint_sections_check(
 ) -> SectionReport:
     """Exact section covariance/variance rates at a cut, vs the split law.
 
-    The variances of the whole count and of both sections come from one
-    moment sweep; the covariance follows by polarization.
+    The variances of the whole count and of both sections and their
+    covariance come from the two moment sweeps of ``cut_moments``.
     """
-    if not (1 <= k < g.n):
-        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
-    var_all, var_L, var_R = batch_moments(
-        instance_tables(g, w), layers=_count_layers(g.n, k))[2][0]
-    cov = 0.5 * (var_all - var_L - var_R)
+    var_all, var_L, var_R, cov = (float(v[0]) for v in cut_moments(instance_tables(g, w), k)[2:])
     if sigma2_Q is None:
         sigma2_Q = var_all / g.n
     t = k / g.n
@@ -619,6 +610,29 @@ class FunctionalReport:
     ok: bool
 
 
+def _zero_extraction_rung(cfg: ExperimentConfig) -> int:
+    """The largest ladder length whose zeros double precision resolves (n*h <= 32)."""
+    h = cfg.fiber_graph().h
+    candidates = [n for n in cfg.n_ladder if n * h <= 32]
+    if not candidates:
+        raise ValueError("no ladder rung is small enough for zero extraction (need n*h <= 32)")
+    return max(candidates)
+
+
+def _check_height_campaign(cfg: ExperimentConfig) -> None:
+    if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
+        raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
+
+
+def check_runnable(cfg: ExperimentConfig, checks) -> None:
+    """Raise the ValueError that the functional check (run with spectra) or
+    an enabled Brownian check would raise on ``cfg``, before any campaign work."""
+    if cfg.with_spectrum:
+        _zero_extraction_rung(cfg)
+    if "brownian" in checks:
+        _check_height_campaign(cfg)
+
+
 def functional_consistency_check(
     cfg: ExperimentConfig, environments: int = 8, tol: float = 1e-9
 ) -> FunctionalReport:
@@ -628,13 +642,7 @@ def functional_consistency_check(
     trustworthy root extraction (N <= 32); larger rungs are skipped because
     double-precision coefficients cannot resolve their small zeros.
     """
-    H = make_fiber(cfg.fiber)
-    candidates = [n for n in cfg.n_ladder if n * H.h <= 32]
-    if not candidates:
-        raise ValueError(
-            "no ladder rung is small enough for zero extraction (need n*h <= 32)"
-        )
-    g = build_cylinder(max(candidates), H)
+    g = build_cylinder(_zero_extraction_rung(cfg), cfg.fiber_graph())
     xs = np.asarray(cfg.x_grid, dtype=float)
     max_u = max_vq = 0.0
     failures = 0
@@ -707,8 +715,7 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     """
     from scipy import stats
 
-    if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
-        raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
+    _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)

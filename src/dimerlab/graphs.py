@@ -404,6 +404,15 @@ class WeightAssignment:
         )
 
 
+def weight_arrays(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> tuple:
+    """The unchecked (nu, omega_h, omega_v) draws of ``sample_weights``."""
+    gen = rng_generator(seed, DOMAIN_WEIGHTS)
+    nu = spec.vertex_law.sample(gen, (g.n, g.h))
+    omega_h = spec.edge_law.sample(gen, (max(g.n - 1, 0), g.h))
+    omega_v = spec.edge_law.sample(gen, (g.n, len(g.H.edges)))
+    return nu, omega_h, omega_v
+
+
 def sample_weights(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> WeightAssignment:
     """Draw an i.i.d. disorder environment for ``g``.
 
@@ -411,11 +420,7 @@ def sample_weights(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> Weigh
     in canonical order), so a given (seed, stream) pair always yields the
     same environment for the same graph shape and laws.
     """
-    gen = rng_generator(seed, DOMAIN_WEIGHTS)
-    nu = spec.vertex_law.sample(gen, (g.n, g.h))
-    omega_h = spec.edge_law.sample(gen, (max(g.n - 1, 0), g.h))
-    omega_v = spec.edge_law.sample(gen, (g.n, len(g.H.edges)))
-    return WeightAssignment(g, nu, omega_h, omega_v)
+    return WeightAssignment(g, *weight_arrays(g, spec, seed))
 
 
 def weighted_degree(g: CylinderGraph, w: WeightAssignment, v: tuple[int, int]) -> float:

@@ -22,12 +22,11 @@ arithmetic as a ``Semiring``:
   of the sampler;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
 * ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
-  of C additive monomer counts (each the masked count on a set of layers):
-  ``times`` adds them, ``plus`` merges the terms of a state with their
-  softmax weights in the parallel-variance form, so ``batch_moments``
-  gives exact cumulants in one pass, with no finite differences
-  (the first- and second-order expectation semiring of Li & Eisner,
-  EMNLP 2009);
+  of one count, the masked monomer count: ``times`` adds them, ``plus``
+  merges the terms of a state with their softmax weights in the
+  parallel-variance form, so ``batch_moments`` gives exact cumulants in one
+  pass, with no finite differences (the first- and second-order expectation
+  semiring of Li & Eisner, EMNLP 2009);
 * ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
   masked monomer count) keeps the full coefficient vector (capped by
   ``check_polynomial_caps``), enabling exact cumulants and Lee-Yang spectra.
@@ -48,6 +47,13 @@ weights (``WeightAssignment.reversed``) gives the value of layers k+1..n.
 ``cut_remainders`` turns these two sweeps into the remainders
 V - V[1:k] - V[k+1:n] of every cut k at once: ``remainder_R`` for log Z,
 ``groundstate.gse_remainder`` for the maximal Hamiltonian.
+
+Given the reserved set at a cut, the two sections of the cylinder are
+independent (forward-backward).  ``cut_moments`` runs the moment semiring
+forward over layers 1..k and over the layer-flipped tables of layers
+k+1..n, and mixes the two messages over the reserved set of cut k: the
+section variances and their covariance come out directly, with no
+polarization.
 """
 from __future__ import annotations
 
@@ -386,31 +392,32 @@ def _tilted_W(tables: dict, x: float) -> np.ndarray:
     return _logsumexp(tables["B"] + x * np.arange(tables["h"] + 1))
 
 
-def _moment_W(tables: dict, x: float, layers: np.ndarray) -> np.ndarray:
+def _moment_W(tables: dict, x: float) -> np.ndarray:
     """Layer weights of the moment semiring at tilt x, channel-major.
 
-    Rows c*R..(c+1)*R of the result hold channel c: channel 0 is the tilted
-    weight W, channels 1..C and C+1..2C the mean and variance of the layer's
-    masked monomer count d under the law proportional to exp(B[..., d] + x d),
-    on the layers that count c selects (``layers[c, i]`` = 1) and zero on
-    the others.  The array is a view of layer-major memory, so the sweep
-    reads each layer from one block.
+    Rows 0..R-1 of the result hold the tilted weight W, rows R..2R-1 and
+    2R..3R-1 the mean and variance of the layer's masked monomer count d
+    under the law proportional to exp(B[..., d] + x d).  The exponentials
+    of the log-sum-exp are the weights of that law, so each is taken once,
+    in place.  The array is a view of layer-major memory, so the sweep reads
+    each layer from one block.
     """
     B = tables["B"]
     R, F, n, nd = B.shape
-    C = layers.shape[0]
-    d = np.arange(nd, dtype=float)[:, None, None, None]
-    a = np.ascontiguousarray(B.transpose(3, 2, 0, 1))   # [d, i, r, F]
-    a += x * d
-    W = _logsumexp(a, axis=0)
-    p = np.exp(a - np.where(W > NEG_INF, W, 0.0))
-    mean = (p * d).sum(axis=0)[:, None]
-    var = (p * (d - mean[:, 0]) ** 2).sum(axis=0)[:, None]
-    sel = layers.T[:, :, None, None]
-    out = np.empty((n, 1 + 2 * C, R, F))
-    out[:, 0] = W
-    np.multiply(mean, sel, out=out[:, 1 : C + 1])
-    np.multiply(var, sel, out=out[:, C + 1 :])
+    e = np.ascontiguousarray(B.transpose(3, 2, 0, 1))   # [d, i, r, F]
+    e += x * np.arange(nd)[:, None, None, None]
+    top = e.max(axis=0)
+    top[top == NEG_INF] = 0.0
+    e -= top
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    out = np.empty((n, 3, R, F))
+    with np.errstate(divide="ignore"):
+        np.add(np.log(total), top, out=out[:, 0])
+    total[total == 0.0] = 1.0
+    mean = sum(d * e[d] for d in range(1, nd)) / total
+    out[:, 1] = mean
+    out[:, 2] = sum(e[d] * (d - mean) ** 2 for d in range(nd)) / total
     return np.moveaxis(out.reshape(n, -1, F), 0, 2)
 
 
@@ -462,9 +469,9 @@ def _degree_semiring(M: int) -> Semiring:
     return Semiring(partial(np.logaddexp.reduceat, axis=1), times)
 
 
-def _moment_semiring(C: int, ht: _HTables) -> Semiring:
-    """(log Z, C means, C variances), stacked channel-major on the batch axis
-    as in ``_moment_W``.
+def _moment_semiring(ht: _HTables) -> Semiring:
+    """(log Z, mean, variance) of one count, stacked channel-major on the
+    batch axis as in ``_moment_W``.
 
     ``times`` adds the log weights, the means and the variances; the cut
     weight, which may be -inf, enters the log channel only.  ``plus`` merges
@@ -480,18 +487,18 @@ def _moment_semiring(C: int, ht: _HTables) -> Semiring:
         return t
 
     def plus(t, starts):
-        t = t.reshape(1 + 2 * C, -1, t.shape[-1])
+        t = t.reshape(3, -1, t.shape[-1])
         top = np.maximum.reduceat(t[0], starts, axis=1)
         top[top == NEG_INF] = 0.0
         e = np.exp(t[0] - top[:, seg])
-        sums = np.add.reduceat(np.concatenate([e[None], e * t[1 : C + 1]]), starts, axis=2)
+        sums = np.add.reduceat(np.stack([e, e * t[1]]), starts, axis=2)
         total = np.where(sums[0] > 0.0, sums[0], 1.0)
-        mean = sums[1:] / total
-        dev = t[1 : C + 1] - mean[..., seg]
-        var = np.add.reduceat(e * (t[C + 1 :] + dev * dev), starts, axis=2) / total
+        mean = sums[1] / total
+        dev = t[1] - mean[:, seg]
+        var = np.add.reduceat(e * (t[2] + dev * dev), starts, axis=1) / total
         with np.errstate(divide="ignore"):
             log_z = np.log(sums[0]) + top
-        return np.concatenate([log_z[None], mean, var]).reshape(-1, starts.size)
+        return np.concatenate([log_z, mean, var])
 
     return Semiring(plus, times)
 
@@ -546,21 +553,51 @@ def batch_scalar_log_z(tables: dict, x: float = 0.0) -> np.ndarray:
     return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[:, 0]
 
 
-def batch_moments(tables: dict, x: float = 0.0, layers=None):
-    """log Z at tilt x and the exact Gibbs means and variances of monomer
-    counts under that tilted measure, from one sweep in the moment semiring.
+def batch_moments(tables: dict, x: float = 0.0):
+    """log Z at tilt x and the exact Gibbs mean and variance of the masked
+    monomer count under that tilted measure, from one sweep in the moment
+    semiring; three arrays of shape (R,)."""
+    ht = tables["ht"]
+    v = _last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0]
+    return tuple(v.reshape(3, -1))
 
-    The tilt weighs the masked monomer count (the mask of ``tables``).
-    Count c is the number of unpaired masked vertices on the layers where
-    ``layers[c]`` is 1; by default one count over all layers.  Returns
-    log Z of shape (R,) and the means and variances of shape (R, C).
+
+def cut_moments(tables: dict, k: int, x: float = 0.0):
+    """log Z, mean_U, var_U, var_left, var_right and cov at cut k: the
+    masked monomer count U of all layers and its sections L (layers 1..k)
+    and U - L (layers k+1..n) under the measure tilted by x; six arrays
+    with one entry per replica.
+
+    A forward moment sweep over layers 1..k and one over the layer-flipped
+    tables of layers n..k+1 (the tables of ``WeightAssignment.reversed``)
+    meet at the reserved set S of cut k.  Given S the two sections are
+    independent, so with pi[S] proportional to fw[S] exp(h_k[S]) bw[S],
+    h_k[S] the horizontal weight of S at cut k, and d = m - mean, the
+    section laws mix over S: var_L = sum pi (v_L + d_L^2), and
+    cov = sum pi d_L d_R directly, never as a difference of variances.
     """
-    layers = np.ones((1, tables["n"])) if layers is None else np.asarray(layers, dtype=float)
-    C, ht = layers.shape[0], tables["ht"]
-    W = _moment_W(tables, x, layers)
-    v = _last(sweep(W, tables["hsum"], ht, _moment_semiring(C, ht)))[:, 0]
-    v = v.reshape(1 + 2 * C, -1)
-    return v[0], v[1 : C + 1].T, v[C + 1 :].T
+    n, ht, hsum = tables["n"], tables["ht"], tables["hsum"]
+    if not 1 <= k < n:
+        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={n}")
+    W, semiring = _moment_W(tables, x), _moment_semiring(ht)
+    fw = _last(sweep(W[..., :k], hsum, ht, semiring)).reshape(3, -1, ht.states)
+    bw = _last(sweep(W[..., k:][..., ::-1], hsum[..., k:][..., ::-1], ht, semiring))
+    bw = bw.reshape(3, -1, ht.states)
+    logp = fw[0] + hsum[..., k - 1] + bw[0]
+    top = logp.max(axis=1)
+    top[top == NEG_INF] = 0.0
+    pi = np.exp(logp - top[:, None])
+    total = pi.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(total) + top
+    # normalised by its own sum, which exp(logp - log_z) is not to rounding
+    pi /= np.where(total > 0.0, total, 1.0)[:, None]
+    mean_l, mean_r = (pi * fw[1]).sum(axis=1), (pi * bw[1]).sum(axis=1)
+    d_l, d_r = fw[1] - mean_l[:, None], bw[1] - mean_r[:, None]
+    var_l = (pi * (fw[2] + d_l * d_l)).sum(axis=1)
+    var_r = (pi * (bw[2] + d_r * d_r)).sum(axis=1)
+    cov = (pi * d_l * d_r).sum(axis=1)
+    return log_z, mean_l + mean_r, var_l + var_r + 2.0 * cov, var_l, var_r, cov
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +856,7 @@ def dyadic_report(g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 
     @lru_cache(maxsize=None)
     def block(lo, hi):
         log_z, mean, _ = batch_moments(instance_tables(*restrict(g, w, lo, hi)[:2]), x)
-        return float(log_z[0]), float(mean[0, 0])
+        return float(log_z[0]), float(mean[0])
 
     def build(lo, hi, level) -> DyadicNode:
         node = DyadicNode(lo=lo, hi=hi)

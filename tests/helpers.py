@@ -84,3 +84,23 @@ def count_calls(monkeypatch, module, names) -> dict:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def sweep_steps(monkeypatch) -> list:
+    """Record the layers each ``transfer.sweep`` yields, through every
+    dimerlab module binding of it; returns the live list, one entry per sweep."""
+    from dimerlab import transfer
+
+    steps = []
+    original = transfer.sweep
+
+    def counted(*args, **kwargs):
+        steps.append(0)
+        for v in original(*args, **kwargs):
+            steps[-1] += 1
+            yield v
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
+        if getattr(mod, "sweep", None) is original:
+            monkeypatch.setattr(mod, "sweep", counted)
+    return steps

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dimerlab import groundstate, transfer
+from dimerlab import experiments, groundstate, transfer
 from dimerlab.cli import main
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
 from dimerlab.sampler import Matching, observables
@@ -78,6 +78,29 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
         "[checks]\nks_const = 0.0001\n"
     )
     assert main(["experiment", "--config", str(cfg), "--checks", "clt"]) == 1
+
+
+@pytest.mark.parametrize("extra,checks,reason", [
+    # no rung with n*h <= 32 for the functional check that spectra run
+    ("with_spectrum = true\n", "", "no ladder rung is small enough"),
+    # a Brownian check without height environments or Gibbs samples
+    ("", "brownian", "height campaign needs height_envs >= 1"),
+], ids=["spectra", "brownian"])
+def test_experiment_refuses_unrunnable_check_before_campaign(
+        monkeypatch, tmp_path, capsys, extra, checks, reason):
+    calls = count_calls(monkeypatch, experiments, ["run_replicas"])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[graph]\nfiber = path(2)\n"
+        "[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
+        "[ladder]\nn = 20, 40\nreplicas = 4\nseed = 1\n" + extra
+    )
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--checks", checks]) == 2
+    assert reason in capsys.readouterr().err
+    assert calls == {"run_replicas": 0}
+    assert not out.exists()
 
 
 def test_spectrum_command(tmp_path, capsys):

@@ -16,6 +16,7 @@ from dimerlab.graphs import (
 from dimerlab.experiments import (
     ExperimentConfig,
     ReplicaTable,
+    _draw_weight_batch,
     brownian_fdd_check,
     clt_checks,
     estimate_limits,
@@ -32,7 +33,7 @@ from dimerlab.experiments import (
 from dimerlab.groundstate import max_weight
 from dimerlab.transfer import CountingMask, partition_polynomial, restrict, section_covariance
 
-from helpers import STD_NORMAL, count_calls
+from helpers import STD_NORMAL, count_calls, sweep_steps
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -168,10 +169,12 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
     # polynomial outside the spectrum would show in these counts
     calls = count_calls(monkeypatch, transfer,
                         ["batch_tables", "batch_scalar_log_z", "partition_polynomial"])
+    steps = sweep_steps(monkeypatch)
     chunks, replicas = 2 * 3, 2 * 10
     for with_spectrum in (False, True):
         for key in calls:
             calls[key] = 0
+        steps.clear()
         cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
                          disorder=STD_NORMAL, with_sections=True,
                          with_ground=True, with_spectrum=with_spectrum)
@@ -181,6 +184,25 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
         polys = replicas if with_spectrum else 0
         assert calls == {"batch_tables": chunks + polys, "batch_scalar_log_z": 0,
                          "partition_polynomial": polys}, with_spectrum
+        # per chunk: the two moment sweeps meet at the cut (k = 3 of 6 and
+        # k = 4 of 9), so their layer steps add up to n; then the (max, +)
+        # sweep of n layers, and an n-layer sweep per spectrum polynomial
+        expect = [3, 3, 6] * 3 + [4, 5, 9] * 3 + [6] * (polys // 2) + [9] * (polys // 2)
+        assert sorted(steps) == sorted(expect), with_spectrum
+
+
+def test_weight_batch_matches_single_draws():
+    # the stacked draws are bit-identical to one sample_weights per stream
+    g = build_cylinder(7, HGraph.cycle(3))
+    cfg = _small_cfg(fiber="cycle(3)", n_ladder=(7,), disorder=STD_NORMAL, seed=12)
+    streams = [0, 3, 4, 9]
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(12, stream=s)) for s in streams]
+    for got, name in zip(_draw_weight_batch(g, cfg, streams), ("nu", "omega_h", "omega_v")):
+        assert np.array_equal(got, np.stack([getattr(w, name) for w in ws])), name
+    # and refused once for the batch if a law yields NaN
+    bad = _small_cfg(disorder=DisorderSpec(Law.normal(0.0, 1.0), Law.constant(float("nan"))))
+    with pytest.raises(ValueError, match="omega_h contains NaN"):
+        _draw_weight_batch(g, bad, streams)
 
 
 def test_fibonacci_limit_estimates():

@@ -22,6 +22,7 @@ from dimerlab.transfer import (
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
+    cut_moments,
     dyadic_report,
     instance_tables,
     kill_vertex_edges,
@@ -83,20 +84,54 @@ def test_transfer_handles_disabled_edges():
             lz, mean, var = batch_moments(tables, x)
             assert np.allclose(lz, expect, rtol=0.0, atol=1e-10)
             for r, p in enumerate(refs):
-                assert (mean[r, 0], var[r, 0]) == pytest.approx(p.cumulants(x), rel=1e-10)
+                assert (mean[r], var[r]) == pytest.approx(p.cumulants(x), rel=1e-10)
         for w, p in zip(ws, refs):
             _assert_poly_close(partition_polynomial(g, w), p)
-        # one all-vertex table also gives the two section counts; each
+        # the same all-vertex table gives both section counts at a cut; each
         # matches the cumulants of its own enumerated polynomial
         k = 2
-        left = np.arange(g.n) < k
-        masks = [None, CountingMask.layer_range(1, k), CountingMask.layer_range(k + 1, g.n)]
-        _, mean, var = batch_moments(tables, layers=np.array([np.ones(g.n), left, ~left]))
+        _, _, _, var_l, var_r, _ = cut_moments(tables, k)
         for r, w in enumerate(ws):
-            for c, mask in enumerate(masks):
-                m, v = brute_force_polynomial(g, w, mask).cumulants()
-                assert mean[r, c] == pytest.approx(m, rel=1e-10, abs=1e-12)
-                assert var[r, c] == pytest.approx(v, rel=1e-10, abs=1e-12)
+            for got, mask in ((var_l, CountingMask.layer_range(1, k)),
+                              (var_r, CountingMask.layer_range(k + 1, g.n))):
+                v = brute_force_polynomial(g, w, mask).cumulants()[1]
+                assert got[r] == pytest.approx(v, rel=1e-10, abs=1e-12)
+
+
+def _section_oracle(g, w, k, x):
+    """var_left, var_right and cov at cut k under tilt x, from the masked
+    enumerated polynomials and section_covariance; the tilt shifts every
+    vertex weight by x."""
+    wx = WeightAssignment(g, w.nu + x, w.omega_h, w.omega_v)
+    return (brute_force_polynomial(g, wx, CountingMask.layer_range(1, k)).cumulants()[1],
+            brute_force_polynomial(g, wx, CountingMask.layer_range(k + 1, g.n)).cumulants()[1],
+            section_covariance(g, wx, k))
+
+
+def test_cut_moments_match_enumeration_at_every_cut():
+    rng = np.random.default_rng(71)
+    instances = [random_instance(rng, n_lo=2, n_hi=6, max_vertices=14) for _ in range(5)]
+    instances += [(g, w) for g, ws in disabled_edge_batches(73) for w in ws]
+    for g, w in instances:
+        tables = instance_tables(g, w)
+        whole = brute_force_polynomial(g, w)
+        for x in (-1.0, 0.0, 0.7):
+            mean, var = whole.cumulants(x)
+            for k in range(1, g.n):
+                lz, *got = (float(v[0]) for v in cut_moments(tables, k, x))
+                assert lz == pytest.approx(whole.log_z(x), rel=0.0, abs=1e-10)
+                assert got[:2] == pytest.approx([mean, var], rel=1e-10, abs=1e-12)
+                var_l, var_r, cov = _section_oracle(g, w, k, x)
+                assert got[2:4] == pytest.approx([var_l, var_r], rel=1e-10, abs=1e-12)
+                assert abs(got[4] - cov) <= 1e-10 * var
+
+
+def test_cut_moments_refuses_cuts_outside_the_cylinder():
+    g, w = random_instance(np.random.default_rng(5), n_lo=4, n_hi=4, fibers=["path2"])
+    tables = instance_tables(g, w)
+    for k in (-1, 0, g.n, g.n + 1):
+        with pytest.raises(ValueError, match="cut k"):
+            cut_moments(tables, k)
 
 
 def test_parity_of_coefficients():
