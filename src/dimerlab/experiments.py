@@ -817,6 +817,8 @@ def jsonify(obj):
         return None
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, list) and all(type(v) is int for v in obj):
+        return obj
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     return obj

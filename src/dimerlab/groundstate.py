@@ -37,14 +37,15 @@ class GroundState:
 
 
 def _max_W(tables: dict) -> np.ndarray:
-    """Layer weights of the (max, +) sweep: the best fiber matching of each block."""
+    """Layer weights of the (max, +) sweep, ``W[i, F, r]``: the best fiber
+    matching of each block."""
     s, start = tables["scores"], tables["ht"].fiber_start
-    return np.stack([s[:, a:b].max(axis=1) for a, b in zip(start[:-1], start[1:])], axis=1)
+    return np.stack([s[a:b].max(axis=0) for a, b in zip(start[:-1], start[1:])], axis=1)
 
 
 def max_values(tables: dict) -> np.ndarray:
     """Max Hamiltonian per replica of tables built with ``keep_scores``."""
-    return _last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[:, 0]
+    return _last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[0]
 
 
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
@@ -55,7 +56,7 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
     tables = instance_tables(g, w, keep_scores=True)
-    ht, hsum, scores = tables["ht"], tables["hsum"][0], tables["scores"][0]
+    ht, hsum, scores = tables["ht"], tables["hsum"][..., 0], tables["scores"][..., 0]
     msgs = messages(_max_W(tables), tables, MAX)
     value = float(msgs[-1, 0])
     S_path = np.zeros(g.n, dtype=np.int64)

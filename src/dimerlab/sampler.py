@@ -8,7 +8,8 @@ configuration, so the shared backward resolution (``transfer.resolve``)
 turns them into the exact conditional law of (S_{i-1}, m_i) given S_i.
 Sampling those pairs backward from the last layer produces draws from the
 Gibbs measure itself - no Markov chain, no mixing-time question.
-``path_matching`` decodes a drawn path, as it does the ground-state argmax.
+``matchings_from_states`` decodes the drawn paths by array lookups;
+``path_matching`` decodes one path, the ground-state argmax.
 """
 from __future__ import annotations
 
@@ -138,8 +139,8 @@ class GibbsSampler:
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
-        hsum = tables["hsum"][0]
-        scores = tables["scores"][0] + x * tables["dmat"]
+        hsum = tables["hsum"][..., 0]
+        scores = tables["scores"][..., 0] + x * tables["dmat"]
 
         # for layer i and current reserved set S: the cumulative categorical
         # over the backward candidates, with their previous sets and fiber rows
@@ -180,7 +181,23 @@ class GibbsSampler:
         return S_path, m_path
 
     def matchings_from_states(self, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
-        return [path_matching(self.g, self.ht, s, m) for s, m in zip(S_path, m_path)]
+        """Decode draws by array lookups: the H-edges of each layer's fiber
+        row and the fiber vertices of each reserved set, offset to the
+        canonical edge indices of their layer (as ``path_matching`` does)."""
+        g, ht = self.g, self.ht
+        row_edges = np.full((len(ht.fiber_edges), max(map(len, ht.fiber_edges))), -1)
+        for r, es in enumerate(ht.fiber_edges):
+            row_edges[r, : len(es)] = es
+        layer = np.arange(g.n)[:, None]
+        vertical = g.num_horizontal + layer * len(g.H.edges)
+        horizontal = layer * g.h + np.arange(g.h)
+        reserved = ht.sbits > 0
+        out = []
+        for S, rows in zip(S_path, m_path):
+            e = row_edges[rows]
+            idxs = (e + vertical)[e >= 0].tolist() + horizontal[reserved[S]].tolist()
+            out.append(Matching(frozenset(idxs)))
+        return out
 
     def monomer_profiles(self, S_path: np.ndarray, m_path: np.ndarray) -> np.ndarray:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""

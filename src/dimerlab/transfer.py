@@ -34,6 +34,13 @@ arithmetic as a ``Semiring``:
 Every route builds its tables with ``batch_tables`` (one instance:
 ``instance_tables``), which refuses fibers of more than ``SCALAR_MAX_H``
 vertices, so that cap holds for single instances, campaigns and ground states.
+The tables are layer-major with the replica axis last, ``B[d, i, F, r]``,
+``hsum[k, S, r]`` and ``scores[row, i, r]``, and every consumer reads them in
+place: the tilt collapses reduce over the leading d axis, a set of
+contiguous blocks, and the sweep takes layer i as the block ``W[i]``,
+gathers its transition pairs along the state axis and sums each new
+reserved set's segment with ``reduceat`` along that axis.  A single
+instance is replica 0, ``[..., 0]``.
 
 ``resolve`` runs the recursion backward for one layer and reserved set,
 listing the candidate (previous reserved set, fiber matching) pairs with
@@ -236,8 +243,8 @@ class _HTables:
 
         # the fiber matchings avoiding each forbidden set F; flattened over F,
         # they are the rows fiber_start[F]:fiber_start[F + 1]
-        self.match_edges = []   # per F: (m_F, mH) 0/1
-        self.match_mono = []    # per F: (m_F, h) 0/1, monomer = not in F, not covered
+        match_edges = []        # per F: (m_F, mH) 0/1
+        match_mono = []         # per F: (m_F, h) 0/1, monomer = not in F, not covered
         self.fiber_edges = []   # per row: tuple of H-edge indices
         fiber_start = [0]
         for F in range(self.states):
@@ -264,12 +271,14 @@ class _HTables:
                 for j in range(h):
                     if mono >> j & 1:
                         mm[r, j] = 1.0
-            self.match_edges.append(me)
-            self.match_mono.append(mm)
+            match_edges.append(me)
+            match_mono.append(mm)
             self.fiber_edges.extend(chosen for chosen, _ in rows)
             fiber_start.append(fiber_start[-1] + len(rows))
         self.fiber_start = np.array(fiber_start, dtype=np.intp)
-        self.fiber_mono = np.concatenate(self.match_mono).sum(axis=1).astype(np.int64)
+        self.row_edges = np.concatenate(match_edges)   # (rows, mH) 0/1
+        self.row_mono = np.concatenate(match_mono)     # (rows, h) 0/1
+        self.fiber_mono = self.row_mono.sum(axis=1).astype(np.int64)
 
         # disjoint (S, S') pairs grouped contiguously by S', for segmented
         # reductions in the layer transition
@@ -311,72 +320,76 @@ def _h_tables(H: HGraph) -> _HTables:
 # per-instance weight tables (batched over replicas)
 # ---------------------------------------------------------------------------
 
-def _indicator_sum(spec: str, sel: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """einsum of a 0/1 selector with log weights, -inf sentinel aware.
+def _indicator_sum(sel: np.ndarray, arr) -> np.ndarray:
+    """sum_j sel[m, j] arr[r, i, j] for a 0/1 selector and a batch of
+    weights, laid out [m, i, r].
 
-    A plain einsum would produce 0 * -inf = NaN for disabled entries, so
-    those are zeroed out of the product and re-imposed afterwards.
+    A row of at most two terms has one rounding whatever the order, so one
+    matrix product gives those rows.  Longer rows take an einsum over the
+    contiguous last axis of ``arr``, numpy's order whatever the layout of
+    the result.  -inf entries (disabled weights) are zeroed out of the
+    sums, where 0 * -inf would be NaN, and re-imposed on every sum they
+    enter.
     """
-    if np.isneginf(arr).any():
-        clean = np.where(arr == NEG_INF, 0.0, arr)
-        out = np.einsum(spec, sel, clean)
-        dead = np.einsum(spec, sel, (arr == NEG_INF).astype(float)) > 0.5
-        out[dead] = NEG_INF
-        return out
-    return np.einsum(spec, sel, arr)
-
-
-def _block_scores(ht: _HTables, F: int, nu_b: np.ndarray, ov_b: np.ndarray) -> np.ndarray:
-    """Log weight of each fiber matching avoiding F, per replica and layer.
-
-    Includes the vertical dimer weights and the monomer weights of layer
-    vertices left unpaired; shape (R, m_F, n).
-    """
-    s = _indicator_sum("me,rne->rmn", ht.match_edges[F], ov_b)
-    s = s + _indicator_sum("mv,rnv->rmn", ht.match_mono[F], nu_b)
-    return s
+    arr = np.asarray(arr, dtype=float)
+    R, n, J = arr.shape
+    arr_t = arr.transpose(2, 1, 0).reshape(J, n * R)
+    dead = arr_t == NEG_INF
+    any_dead = dead.any()
+    if any_dead:
+        arr, arr_t = np.where(arr == NEG_INF, 0.0, arr), np.where(dead, 0.0, arr_t)
+    out = (sel @ arr_t).reshape(len(sel), n, R)
+    long = np.flatnonzero(sel.sum(axis=1) > 2)
+    if long.size:
+        part = np.empty((long.size, n, R))
+        np.einsum("mj,rij->rmi", sel[long], arr, out=part.transpose(2, 0, 1))
+        out[long] = part
+    if any_dead:
+        out[(sel @ dead).reshape(out.shape) > 0.5] = NEG_INF
+    return out
 
 
 def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: bool = False) -> dict:
-    """Layer-transition tables for a batch of weight assignments.
+    """Layer-transition tables for a batch of R weight assignments.
 
-    ``B[r, F, i, d]`` aggregates (log-sum-exp) the fiber blocks of layer i
-    with forbidden set F over matchings leaving exactly d masked monomers.
-    ``hsum[r, S, k]`` is the total horizontal dimer weight of reserved set S
-    at cut k.  With ``keep_scores`` the block score ``scores[r, row, i]`` and
-    masked monomer count ``dmat[row, i]`` of every fiber row are kept for
-    consumers that resolve individual fiber matchings (exact sampling,
-    ground-state argmax).
+    Every array is layer-major with the replica axis last and C-contiguous,
+    the layout the sweeps read in place:
+
+    * ``B[d, i, F, r]`` aggregates (log-sum-exp) the fiber blocks of layer i
+      with forbidden set F over matchings leaving exactly d masked monomers;
+      shape (h + 1, n, 2^h, R);
+    * ``hsum[k, S, r]`` is the total horizontal dimer weight of reserved set
+      S at cut k (0-based, cut k joins layers k and k + 1); shape
+      (n - 1, 2^h, R);
+    * with ``keep_scores``, ``scores[row, i, r]`` is the block score of
+      every fiber row (rows of F are ``ht.fiber_start[F]:fiber_start[F + 1]``)
+      and ``dmat[row, i]`` its masked monomer count, shapes (rows, n, R) and
+      (rows, n), for consumers that resolve individual fiber matchings
+      (exact sampling, ground-state argmax).
+
+    One instance is replica 0: ``[..., 0]``.
     """
     if g.h > SCALAR_MAX_H:
         raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={g.h}")
     ht = _h_tables(g.H)
     mask_arr = _resolve_mask(g, mask)
-    nu_b = np.asarray(nu_b, dtype=float)
-    oh_b = np.asarray(oh_b, dtype=float)
-    ov_b = np.asarray(ov_b, dtype=float)
-    R, n, h = nu_b.shape
-    B = np.full((R, ht.states, n, h + 1), NEG_INF)
-    all_scores: list[np.ndarray] = []
-    all_dmat: list[np.ndarray] = []
+    R, n, h = np.shape(nu_b)
+    # every fiber row's vertical dimers plus its monomers, per layer and replica
+    scores = _indicator_sum(ht.row_edges, ov_b)
+    scores += _indicator_sum(ht.row_mono, nu_b)
+    dmat = (ht.row_mono @ mask_arr.T).astype(np.int64)
+    B = np.full((h + 1, n, ht.states, R), NEG_INF)
     for F in range(ht.states):
-        scores = _block_scores(ht, F, nu_b, ov_b)
-        dmat = (ht.match_mono[F] @ mask_arr.T).astype(np.int64)  # (m_F, n)
+        rows = slice(*ht.fiber_start[F : F + 2])
         for d in range(h + 1):
-            hit = dmat == d
+            hit = dmat[rows] == d
             if hit.any():
-                B[:, F, :, d] = _logsumexp(np.where(hit, scores, NEG_INF), axis=1)
-        if keep_scores:
-            all_scores.append(scores)
-            all_dmat.append(dmat)
-    if n > 1:
-        hsum = _indicator_sum("sj,rkj->rsk", ht.sbits, oh_b)
-    else:
-        hsum = np.zeros((R, ht.states, 0))
+                B[d, :, F] = _logsumexp(np.where(hit[..., None], scores[rows], NEG_INF), axis=0)
+    hsum = np.ascontiguousarray(_indicator_sum(ht.sbits, oh_b).swapaxes(0, 1))
     out = {"B": B, "hsum": hsum, "ht": ht, "n": n, "h": h}
     if keep_scores:
-        out["scores"] = np.concatenate(all_scores, axis=1)
-        out["dmat"] = np.concatenate(all_dmat)
+        out["scores"] = scores
+        out["dmat"] = dmat
     return out
 
 
@@ -388,37 +401,46 @@ def instance_tables(g: CylinderGraph, w: WeightAssignment, mask=None, keep_score
 
 
 def _tilted_W(tables: dict, x: float) -> np.ndarray:
-    """Collapse the d axis at tilt x: W[r, F, i] = lse_d(B[...,d] + x d)."""
-    return _logsumexp(tables["B"] + x * np.arange(tables["h"] + 1))
+    """Collapse the d axis at tilt x: W[i, F, r] = lse_d(B[d, i, F, r] + x d)."""
+    B = tables["B"]
+    return _logsumexp(B + x * np.arange(B.shape[0])[:, None, None, None], axis=0)
 
 
 def _moment_W(tables: dict, x: float) -> np.ndarray:
-    """Layer weights of the moment semiring at tilt x, channel-major.
+    """Layer weights of the moment semiring at tilt x, ``W[i, c, F, r]``.
 
-    Rows 0..R-1 of the result hold the tilted weight W, rows R..2R-1 and
-    2R..3R-1 the mean and variance of the layer's masked monomer count d
-    under the law proportional to exp(B[..., d] + x d).  The exponentials
-    of the log-sum-exp are the weights of that law, so each is taken once,
-    in place.  The array is a view of layer-major memory, so the sweep reads
-    each layer from one block.
+    Channel c = 0 holds the tilted weight W, c = 1 and 2 the mean and
+    variance of the layer's masked monomer count d under the law
+    proportional to exp(B[d, ...] + x d).  The exponentials of the
+    log-sum-exp are the weights of that law, so each is taken once, in
+    place, on contiguous blocks of ``B``.
     """
     B = tables["B"]
-    R, F, n, nd = B.shape
-    e = np.ascontiguousarray(B.transpose(3, 2, 0, 1))   # [d, i, r, F]
-    e += x * np.arange(nd)[:, None, None, None]
-    top = e.max(axis=0)
+    nd, n, F, R = B.shape
+    out = np.empty((n, 3, F, R))
+    log_w, mean, var = out[:, 0], out[:, 1], out[:, 2]
+    e = B + x * np.arange(nd)[:, None, None, None]
+    top = e.max(axis=0, out=log_w)
     top[top == NEG_INF] = 0.0
     e -= top
     np.exp(e, out=e)
     total = e.sum(axis=0)
-    out = np.empty((n, 3, R, F))
     with np.errstate(divide="ignore"):
-        np.add(np.log(total), top, out=out[:, 0])
+        log_w += np.log(total)
     total[total == 0.0] = 1.0
-    mean = sum(d * e[d] for d in range(1, nd)) / total
-    out[:, 1] = mean
-    out[:, 2] = sum(e[d] * (d - mean) ** 2 for d in range(nd)) / total
-    return np.moveaxis(out.reshape(n, -1, F), 0, 2)
+    # the sums of d e[d] and e[d] (d - mean)^2 accumulate in the order d = 0, 1, ...
+    mean[:] = e[1]
+    for d in range(2, nd):
+        mean += d * e[d]
+    mean /= total
+    var[:] = 0.0
+    for d in range(nd):
+        dev = d - mean
+        dev *= dev
+        dev *= e[d]
+        var += dev
+    var /= total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +454,8 @@ def _join(v, cut, w):
 class Semiring(NamedTuple):
     """Arithmetic of a layer sweep.
 
-    ``plus(t, group_starts)`` sums the terms ``t[:, group_starts[j]:
-    group_starts[j + 1]]`` of each new reserved set j over the previous
+    ``plus(t, group_starts)`` sums the terms ``t[..., group_starts[j]:
+    group_starts[j + 1], :]`` of each new reserved set j over the previous
     reserved sets; ``times(v, cut, w)`` joins a previous message with the
     horizontal weight of the cut and the layer weight.
     """
@@ -442,36 +464,36 @@ class Semiring(NamedTuple):
     times: Callable = _join
 
 
-LOG = Semiring(partial(np.logaddexp.reduceat, axis=1))
-MAX = Semiring(partial(np.maximum.reduceat, axis=1))
+LOG = Semiring(partial(np.logaddexp.reduceat, axis=-2))
+MAX = Semiring(partial(np.maximum.reduceat, axis=-2))
 
 
 def _degree_semiring(M: int) -> Semiring:
     """(logaddexp, truncated log-convolution) over the masked monomer count.
 
     Messages and layer weights carry log coefficients over degrees on their
-    last axis; ``times`` convolves the two and keeps the degrees 0..M that a
-    coefficient vector can reach.  A layer weight that vanishes at degree d
-    for every replica skips that pair, which most pairs do for most d.
+    leading axis; ``times`` convolves the two and keeps the degrees 0..M
+    that a coefficient vector can reach.  A layer weight that vanishes at
+    degree d for every replica skips that pair, which most pairs do for
+    most d.
     """
 
     def times(v, cut, w):
-        v = v + cut[..., None]
-        D, nd = v.shape[-1], w.shape[-1]
-        out = np.full(v.shape[:-1] + (min(D + nd - 1, M + 1),), NEG_INF)
+        v = v + cut
+        D, nd = v.shape[0], w.shape[0]
+        out = np.full((min(D + nd - 1, M + 1),) + v.shape[1:], NEG_INF)
         for d in range(nd):
-            k = min(D, out.shape[-1] - d)
-            live = np.flatnonzero((w[..., d] > NEG_INF).any(axis=0))
-            out[:, live, d : d + k] = np.logaddexp(
-                out[:, live, d : d + k], v[:, live, :k] + w[:, live, d, None])
+            k = min(D, out.shape[0] - d)
+            live = np.flatnonzero((w[d] > NEG_INF).any(axis=-1))
+            out[d : d + k, live] = np.logaddexp(out[d : d + k, live], v[:k, live] + w[d, live])
         return out
 
-    return Semiring(partial(np.logaddexp.reduceat, axis=1), times)
+    return Semiring(partial(np.logaddexp.reduceat, axis=-2), times)
 
 
 def _moment_semiring(ht: _HTables) -> Semiring:
-    """(log Z, mean, variance) of one count, stacked channel-major on the
-    batch axis as in ``_moment_W``.
+    """(log Z, mean, variance) of one count on the leading channel axis, as
+    in ``_moment_W``.
 
     ``times`` adds the log weights, the means and the variances; the cut
     weight, which may be -inf, enters the log channel only.  ``plus`` merges
@@ -483,22 +505,23 @@ def _moment_semiring(ht: _HTables) -> Semiring:
 
     def times(v, cut, w):
         t = v + w
-        t[: cut.shape[0]] += cut
+        t[0] += cut
         return t
 
     def plus(t, starts):
-        t = t.reshape(3, -1, t.shape[-1])
-        top = np.maximum.reduceat(t[0], starts, axis=1)
+        out = np.empty((3, starts.size) + t.shape[2:])
+        log_z, mean, var = out
+        top = np.maximum.reduceat(t[0], starts, axis=0)
         top[top == NEG_INF] = 0.0
-        e = np.exp(t[0] - top[:, seg])
-        sums = np.add.reduceat(np.stack([e, e * t[1]]), starts, axis=2)
-        total = np.where(sums[0] > 0.0, sums[0], 1.0)
-        mean = sums[1] / total
-        dev = t[1] - mean[:, seg]
-        var = np.add.reduceat(e * (t[2] + dev * dev), starts, axis=1) / total
+        e = np.exp(t[0] - top[seg])
+        total = np.add.reduceat(e, starts, axis=0)
         with np.errstate(divide="ignore"):
-            log_z = np.log(sums[0]) + top
-        return np.concatenate([log_z, mean, var])
+            np.add(np.log(total), top, out=log_z)
+        total[total == 0.0] = 1.0
+        np.divide(np.add.reduceat(e * t[1], starts, axis=0), total, out=mean)
+        dev = t[1] - mean[seg]
+        np.divide(np.add.reduceat(e * (t[2] + dev * dev), starts, axis=0), total, out=var)
+        return out
 
     return Semiring(plus, times)
 
@@ -506,17 +529,18 @@ def _moment_semiring(ht: _HTables) -> Semiring:
 def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LOG):
     """Yield the forward message after each layer, in ``semiring``.
 
-    ``W[r, F, i]`` weighs layer i with forbidden set F and ``hsum[r, S, k]``
-    the horizontal dimers of reserved set S at cut k; ``W`` may carry
-    trailing axes that the semiring's ``times`` consumes.  Message i,
-    indexed ``[r, S]``, aggregates every configuration of layers 0..i that
-    ends in reserved set S, so message n-1 at S = 0 is the whole instance.
-    Messages are produced one at a time; callers keep what they need.
+    ``W[i][..., F, r]`` weighs layer i with forbidden set F and
+    ``hsum[k, S, r]`` the horizontal dimers of reserved set S at cut k;
+    ``W[i]`` may carry leading axes that the semiring's ``times`` consumes.
+    Message i, indexed ``[..., S, r]``, aggregates every configuration of
+    layers 0..i that ends in reserved set S, so message n-1 at S = 0 is the
+    whole instance.  Messages are produced one at a time; callers keep what
+    they need.
     """
-    v = W[:, :, 0]
+    v = W[0]
     yield v
-    for i in range(1, W.shape[2]):
-        t = semiring.times(v[:, ht.pair_s], hsum[:, ht.pair_s, i - 1], W[:, ht.pair_f, i])
+    for i in range(1, len(W)):
+        t = semiring.times(v[..., ht.pair_s, :], hsum[i - 1][ht.pair_s], W[i][..., ht.pair_f, :])
         v = semiring.plus(t, ht.group_starts)
         yield v
 
@@ -529,14 +553,14 @@ def messages(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarra
     """The forward messages of the first replica of ``tables`` after every
     layer, stacked: ``[i, S]`` aggregates layers 0..i ending in reserved
     set S, so ``[k - 1, 0]`` is the value of the prefix of layers 1..k."""
-    return np.stack([v[0] for v in sweep(W, tables["hsum"], tables["ht"], semiring)])
+    return np.stack([v[..., 0] for v in sweep(W, tables["hsum"], tables["ht"], semiring)])
 
 
 def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables, i: int, S: int):
     """Backward step: how layer i of a path can end in reserved set S.
 
     For one instance with forward messages ``msgs[i, S]``, horizontal sums
-    ``hsum[S, k]`` and fiber-row scores ``scores[row, i]``, returns the
+    ``hsum[k, S]`` and fiber-row scores ``scores[row, i]``, returns the
     logits of the candidates (previous reserved set S', fiber matching)
     together with int arrays of their S' and fiber rows.  Under (logaddexp,
     +) messages the logits are the exact conditional law of the candidate;
@@ -546,11 +570,11 @@ def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables
     if i == 0:   # only S' = 0 precedes the first layer
         k = ht.fiber_start[S + 1] - ht.fiber_start[S]
         return scores[rows[:k], 0], prev[:k], rows[:k]
-    return (msgs[i - 1] + hsum[:, i - 1])[prev] + scores[rows, i], prev, rows
+    return (msgs[i - 1] + hsum[i - 1])[prev] + scores[rows, i], prev, rows
 
 
 def batch_scalar_log_z(tables: dict, x: float = 0.0) -> np.ndarray:
-    return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[:, 0]
+    return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[0]
 
 
 def batch_moments(tables: dict, x: float = 0.0):
@@ -558,8 +582,7 @@ def batch_moments(tables: dict, x: float = 0.0):
     monomer count under that tilted measure, from one sweep in the moment
     semiring; three arrays of shape (R,)."""
     ht = tables["ht"]
-    v = _last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0]
-    return tuple(v.reshape(3, -1))
+    return tuple(_last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0])
 
 
 def cut_moments(tables: dict, k: int, x: float = 0.0):
@@ -580,10 +603,12 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     if not 1 <= k < n:
         raise ValueError(f"cut k={k} must satisfy 1 <= k < n={n}")
     W, semiring = _moment_W(tables, x), _moment_semiring(ht)
-    fw = _last(sweep(W[..., :k], hsum, ht, semiring)).reshape(3, -1, ht.states)
-    bw = _last(sweep(W[..., k:][..., ::-1], hsum[..., k:][..., ::-1], ht, semiring))
-    bw = bw.reshape(3, -1, ht.states)
-    logp = fw[0] + hsum[..., k - 1] + bw[0]
+    fw = _last(sweep(W[:k], hsum, ht, semiring))
+    bw = _last(sweep(W[k:][::-1], hsum[k:][::-1], ht, semiring))
+    # mix replica-major: each sum over S then runs along one contiguous row,
+    # whose order of additions does not depend on the batch size
+    fw, bw, cut = (np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (fw, bw, hsum[k - 1]))
+    logp = fw[0] + cut + bw[0]
     top = logp.max(axis=1)
     top[top == NEG_INF] = 0.0
     pi = np.exp(logp - top[:, None])
@@ -624,8 +649,9 @@ def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> 
     sizes = np.cumsum(mask_arr.sum(axis=1)).round().astype(int)
     M = int(sizes[-1])
     tables = instance_tables(g, w, mask_arr)
-    msgs = sweep(tables["B"][..., : min(g.h, M) + 1], tables["hsum"], tables["ht"], _degree_semiring(M))
-    out = {k: MonomerPolynomial(v[0, 0, : sizes[k - 1] + 1], N=k * g.h, mask_size=sizes[k - 1])
+    W = tables["B"][: min(g.h, M) + 1].swapaxes(0, 1)   # [i, d, F, r]
+    msgs = sweep(W, tables["hsum"], tables["ht"], _degree_semiring(M))
+    out = {k: MonomerPolynomial(v[: sizes[k - 1] + 1, 0, 0], N=k * g.h, mask_size=sizes[k - 1])
            for k, v in enumerate(islice(msgs, max(ks, default=0)), start=1) if k in ks}
     return [out[k] for k in ks]
 

@@ -22,6 +22,7 @@ from dimerlab.experiments import (
     estimate_limits,
     functional_consistency_check,
     joint_sections_check,
+    jsonify,
     linear_growth_check,
     make_fiber,
     parse_config,
@@ -319,3 +320,11 @@ def test_replica_table_csv_round_trip(tmp_path):
     assert set(again.columns) == set(table.columns)
     for key in table.columns:
         assert np.array_equal(table.columns[key], again.columns[key], equal_nan=True)
+
+
+def test_jsonify_passes_int_lists_through_and_converts_the_rest():
+    draws = [[3, 1, 2], []]
+    out = jsonify({"draws": draws, "mixed": [np.int64(4), 5], "x": (np.float64(0.5), float("nan"))})
+    assert out == {"draws": draws, "mixed": [4, 5], "x": [0.5, None]}
+    assert out["draws"][0] is draws[0]
+    assert all(type(v) is int for v in out["mixed"])

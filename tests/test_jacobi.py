@@ -14,6 +14,7 @@ from dimerlab.graphs import (
 )
 from dimerlab.jacobi import (
     JacobiMatrix,
+    _logaddexp,
     det_abs,
     det_phase_index,
     lyapunov_check,
@@ -48,6 +49,15 @@ def test_determinant_identity_matches_partition_value():
         A = JacobiMatrix.from_weights(g, w)
         assert det_abs(A) == pytest.approx(scalar_log_z(g, w), abs=1e-9)
         assert det_phase_index(A) == n % 4
+
+
+def test_float_logaddexp_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a = np.concatenate([rng.normal(0.0, 30.0, 2000), [0.0, -np.inf, -np.inf, 7.5, 1e300]])
+    b = np.concatenate([rng.normal(0.0, 30.0, 2000), [0.0, -np.inf, 2.0, 7.5, 1e300]])
+    b[:100] = a[:100]
+    got = np.array([_logaddexp(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(got, np.logaddexp(a, b))
 
 
 def test_matrix_gauge_shifts_log_determinant():

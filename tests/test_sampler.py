@@ -16,6 +16,7 @@ from dimerlab.sampler import (
     exact_sample,
     matching_weight,
     observables,
+    path_matching,
 )
 from dimerlab.transfer import partition_polynomial, scalar_log_z
 
@@ -113,6 +114,16 @@ def test_monomer_profiles_match_matchings():
             for i in range(1, g.n + 1)
         ]
         assert list(row) == per_layer
+
+
+def test_array_decode_matches_path_matching():
+    # the array-lookup decode of every draw against the one-path reference
+    for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64)):
+        g = build_cylinder(n, H)
+        sampler = GibbsSampler(g, sample_weights(g, STD_NORMAL, RngSeed(41, n)), x=0.7)
+        S_path, m_path = sampler.draw_states(np.random.default_rng(n), 30)
+        expect = [path_matching(g, sampler.ht, s, m) for s, m in zip(S_path, m_path)]
+        assert sampler.matchings_from_states(S_path, m_path) == expect
 
 
 def test_sampler_weight_distribution_is_gibbs():

@@ -12,7 +12,7 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
-from dimerlab.groundstate import max_weight
+from dimerlab.groundstate import max_values, max_weight
 from dimerlab.transfer import (
     CapacityError,
     CountingMask,
@@ -96,6 +96,40 @@ def test_transfer_handles_disabled_edges():
                               (var_r, CountingMask.layer_range(k + 1, g.n))):
                 v = brute_force_polynomial(g, w, mask).cumulants()[1]
                 assert got[r] == pytest.approx(v, rel=1e-10, abs=1e-12)
+
+
+def _batch(g, ws):
+    return batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")),
+                        keep_scores=True)
+
+
+def test_replica_results_do_not_depend_on_their_batch():
+    # every replica's results are array_equal alone and inside a batch, and
+    # the tables carry the documented layer-major, replica-last layout
+    rng = np.random.default_rng(83)
+    cases = []
+    for H in (HGraph.path(2), HGraph.cycle(3), HGraph.path(4)):
+        g = build_cylinder(int(rng.integers(3, 8)), H)
+        cases.append((g, [sample_weights(g, STD_NORMAL, RngSeed(83, r)) for r in range(6)]))
+    cases += list(disabled_edge_batches(89))
+    for g, ws in cases:
+        tables = _batch(g, ws)
+        rows, R = tables["ht"].fiber_start[-1], len(ws)
+        shapes = {"B": (g.h + 1, g.n, 2**g.h, R), "hsum": (g.n - 1, 2**g.h, R),
+                  "scores": (rows, g.n, R), "dmat": (rows, g.n)}
+        for key, shape in shapes.items():
+            assert tables[key].shape == shape and tables[key].flags.c_contiguous, key
+        k, x = g.n // 2, 0.3
+
+        def results(t):
+            return [*batch_moments(t, x), *cut_moments(t, k, x), max_values(t), batch_scalar_log_z(t, x)]
+
+        batch, W = results(tables), _tilted_W(tables, x)
+        for r, w in enumerate(ws):
+            alone = _batch(g, [w])
+            for got, ref in zip(batch, results(alone)):
+                assert np.array_equal(got[r], ref[0])
+            assert np.array_equal(W[..., r], _tilted_W(alone, x)[..., 0])
 
 
 def _section_oracle(g, w, k, x):
