@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -184,8 +185,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g, w = _resolve_weights(args)
-    p = partition_polynomial(g, w.gauged())
-    sp = spectrum(p)
+    sp = spectrum(partition_polynomial(g, w).monic())
     bound, ok = localization_check(g, w, sp)
     print(f"N = {sp.N}, zero multiplicity = {sp.zero_mult}, atoms = {len(sp.lambdas)} pairs")
     print(f"max |lambda| = {sp.max_abs():.12f}")
@@ -232,10 +232,8 @@ def _cmd_sample(args) -> int:
             },
             os.path.join(out, "matchings.json"),
         )
-        import csv as _csv
-
         with open(os.path.join(out, "heights.csv"), "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["draw", "t", "theta", "theta_hat"])
             theta, theta_hat = heights(profiles, t_grid, args.centering)
             for d in range(args.count):
@@ -281,10 +279,8 @@ def _cmd_ground(args) -> int:
             },
             os.path.join(out, "ground.json"),
         )
-        import csv as _csv
-
         with open(os.path.join(out, "remainders.csv"), "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["k", "remainder", "bound"])
             for k, r, b in rows:
                 writer.writerow([k, repr(r), repr(b)])
@@ -301,12 +297,9 @@ def _cmd_jacobi(args) -> int:
     log_z = scalar_log_z(g, w)
     det_residual = abs(log_det - log_z)
     res_residual = 0.0
-    p = None
     if g.n <= 64:
         p = partition_polynomial(g, w)
-    for x in (-1.0, 0.0, 1.0):
-        if p is not None:
-            res_residual = max(res_residual, abs(resolvent_U(A, x) - p.cumulants(x, 1)[0]))
+        res_residual = max(abs(resolvent_U(A, x) - p.cumulants(x, 1)[0]) for x in (-1.0, 0.0, 1.0))
     gauge_residual = abs(det_abs(A.gauged()) - (log_det - w.nu.sum()))
     report = {
         "n": g.n,
@@ -441,10 +434,8 @@ def _svg_chart(series, title, width=640, height=400):
 
 
 def _read_csv_columns(path):
-    import csv as _csv
-
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
     cols = {}

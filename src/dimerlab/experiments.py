@@ -40,7 +40,9 @@ from .sampler import GibbsSampler, heights
 from .transfer import (
     CapacityError,
     CountingMask,
+    MonomerPolynomial,
     batch_moments,
+    batch_prefix_coeffs,
     batch_tables,
     check_polynomial_caps,
     cut_moments,
@@ -103,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("ladder lengths must be >= 2")
         if not 0 < self.cut_fraction < 1:
             raise ValueError("cut_fraction must be in (0, 1)")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1 replica per batch, got {self.chunk}")
         make_fiber(self.fiber)
 
     def fiber_graph(self) -> HGraph:
@@ -285,14 +289,9 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     """Sweep the ladder, recording one row per (length, replica stream)."""
     H = cfg.fiber_graph()
-    all_cols: dict[str, list] = {k: [] for k in _BASE_COLUMNS}
-    want_opt = []
-    if cfg.with_sections:
-        want_opt += ["cov_cut", "var_left", "var_right"]
-    if cfg.with_spectrum:
-        want_opt += ["max_lambda", "u_n", "varQ_n"]
-    for k in want_opt:
-        all_cols[k] = []
+    keys = _BASE_COLUMNS + (_OPT_COLUMNS[:3] if cfg.with_sections else ()) + (
+        _OPT_COLUMNS[3:] if cfg.with_spectrum else ())
+    all_cols: dict[str, list] = {k: [] for k in keys}
     errors = []
 
     for n in cfg.n_ladder:
@@ -315,13 +314,27 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     return ReplicaTable(columns, errors)
 
 
+def _spectra(g: CylinderGraph, tables: dict):
+    """Each replica's monic polynomial and its Lee-Yang spectrum, or None
+    where extraction is refused (ill-conditioned coefficients), from one
+    degree sweep over ``tables``."""
+    coeffs, = batch_prefix_coeffs(tables, [g.n], g.h * np.arange(1, g.n + 1))
+    for lc in coeffs.T:
+        p = MonomerPolynomial(lc, g.num_vertices).monic()
+        try:
+            yield p, spectrum(p)
+        except SpectrumError:
+            yield p, None
+
+
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
     """Rows of one chunk from one table: log Z and the cumulants from one
     moment sweep, or with sections from the two sweeps of ``cut_moments``
     that meet at the cut; M from the (max, +) sweep over the same table;
-    with spectra the zeros of one gauged polynomial per replica."""
+    with spectra the zeros of every replica's polynomial from one degree
+    sweep over it."""
     if cfg.with_spectrum:
-        check_polynomial_caps(g)
+        check_polynomial_caps(g.n, g.h)
     streams = list(streams)
     R = len(streams)
     nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
@@ -339,18 +352,12 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
         "M": list(max_values(tables)) if cfg.with_ground else [float("nan")] * R,
     }
     if cfg.with_sections:
-        rows["cov_cut"] = list(cov)
-        rows["var_left"] = list(var_l)
-        rows["var_right"] = list(var_r)
+        rows.update(cov_cut=list(cov), var_left=list(var_l), var_right=list(var_r))
     if cfg.with_spectrum:
         spec = np.full((R, 3), np.nan)
-        for r in range(R):
-            w = WeightAssignment(g, nu_b[r], oh_b[r], ov_b[r])
-            try:
-                sp = spectrum(partition_polynomial(g, w.gauged()))
-            except SpectrumError:
-                continue   # extraction refused (ill-conditioned coefficients); keep the row
-            spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
+        for r, (_, sp) in enumerate(_spectra(g, tables)):
+            if sp is not None:   # a refused extraction keeps its row, with NaN spectra
+                spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
         for key, col in zip(("max_lambda", "u_n", "varQ_n"), spec.T):
             rows[key] = list(col)
     return rows
@@ -436,10 +443,7 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
     }
     if len(ns) >= 2:
         a, b = ns[-2], ns[-1]
-        for key in ("f", "u", "m"):
-            x, y = per_n[a][key], per_n[b][key]
-            est.drift[key] = abs(y - x) / max(abs(y), 1e-30)
-        for key in ("var_f", "var_m"):
+        for key in ("f", "u", "m", "var_f", "var_m"):
             x, y = per_n[a][key], per_n[b][key]
             est.drift[key] = abs(y - x) / max(abs(y), 1e-30)
     return est
@@ -622,6 +626,12 @@ def _zero_extraction_rung(cfg: ExperimentConfig) -> int:
 def _check_height_campaign(cfg: ExperimentConfig) -> None:
     if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
         raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
+    n, t = max(cfg.n_ladder), np.asarray(cfg.t_grid, dtype=float)
+    cuts = np.floor(n * t).astype(int)
+    if t.size < 2 or (t < 0).any() or (t > 1).any() or (np.diff(cuts) <= 0).any():
+        raise ValueError(f"height increments need a t grid in [0, 1] whose cuts floor(n*t)"
+                         f" strictly increase at n={n}; t_grid {','.join(f'{v:g}' for v in t)}"
+                         f" gives {','.join(map(str, cuts))}")
 
 
 def check_runnable(cfg: ExperimentConfig, checks) -> None:
@@ -646,12 +656,9 @@ def functional_consistency_check(
     xs = np.asarray(cfg.x_grid, dtype=float)
     max_u = max_vq = 0.0
     failures = 0
-    for r in range(environments):
-        w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, r))
-        p = partition_polynomial(g, w.gauged())
-        try:
-            sp = spectrum(p)
-        except SpectrumError:
+    tables = batch_tables(g, *_draw_weight_batch(g, cfg, range(environments)))
+    for p, sp in _spectra(g, tables):
+        if sp is None:
             failures += 1
             continue
         for x in xs:

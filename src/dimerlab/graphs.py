@@ -364,23 +364,12 @@ class WeightAssignment:
         """Same Gibbs measure, vertex weights identically zero."""
         return WeightAssignment(self.g, np.zeros_like(self.nu), self.gauge_h, self.gauge_v)
 
-    def reversed(self) -> "WeightAssignment":
-        """The same cylinder read from layer n down to layer 1.
-
-        Layer i becomes layer n + 1 - i and cut k becomes cut n - k, so
-        every matching keeps its weight and the Gibbs measure is unchanged.
-        """
-        return WeightAssignment(self.g, self.nu[::-1], self.omega_h[::-1], self.omega_v[::-1])
-
     def nu_flat(self) -> np.ndarray:
         return self.nu.reshape(-1)
 
     def omega_flat(self) -> np.ndarray:
         """Edge weights in canonical edge order."""
         return np.concatenate([self.omega_h.reshape(-1), self.omega_v.reshape(-1)])
-
-    def gauge_flat(self) -> np.ndarray:
-        return np.concatenate([self.gauge_h.reshape(-1), self.gauge_v.reshape(-1)])
 
     def omega_of(self, u: tuple[int, int], v: tuple[int, int]) -> float:
         """Weight of the edge u-v (raises if u-v is not an edge)."""

@@ -10,8 +10,9 @@ canonical enumeration order, so the argmax is deterministic.
 
 The (max, +) message at the empty reserved set after layer k is the
 maximum over the sub-cylinder of layers 1..k; with one sweep over the
-weights and one over their layer reversal, ``gse_remainder`` gives the
-ground-state remainder of every cut without re-solving any restriction.
+table and one over its layer flip, ``gse_remainder`` gives the
+ground-state remainder of every cut from one table, without re-solving
+any restriction.
 """
 from __future__ import annotations
 
@@ -88,12 +89,8 @@ def brute_force_max(g: CylinderGraph, w: WeightAssignment) -> float:
 def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
     """Superadditivity gaps M_n - M_[1:k] - M_[k+1:n] of the ground state,
     for every cut k = 1..n-1 (entry k-1)."""
-
-    def prefix(v: WeightAssignment) -> np.ndarray:
-        tables = instance_tables(g, v, keep_scores=True)
-        return messages(_max_W(tables), tables, MAX)[:, 0]
-
-    return cut_remainders(prefix, w)
+    tables = instance_tables(g, w, keep_scores=True)
+    return cut_remainders(_max_W(tables), tables, MAX)[:, 0]
 
 
 def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

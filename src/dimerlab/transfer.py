@@ -47,13 +47,14 @@ listing the candidate (previous reserved set, fiber matching) pairs with
 their logits; the exact sampler draws from them and the ground-state
 engine takes their argmax.
 
-The message at the empty reserved set after layer k (see ``messages``) is
-the value of the sub-cylinder of layers 1..k, whose polynomial
-``prefix_polynomials`` reads off, and the same sweep over the layer-reversed
-weights (``WeightAssignment.reversed``) gives the value of layers k+1..n.
-``cut_remainders`` turns these two sweeps into the remainders
-V - V[1:k] - V[k+1:n] of every cut k at once: ``remainder_R`` for log Z,
-``groundstate.gse_remainder`` for the maximal Hamiltonian.
+A route builds one table and reads views of it.  The message at the empty
+reserved set after layer k (see ``messages``) is the value of layers 1..k,
+and the sweep over the layer-flipped table (``W[::-1]``, ``hsum[::-1]``)
+gives that of layers k+1..n: ``cut_remainders`` turns the two into the
+remainders V - V[1:k] - V[k+1:n] of every cut.  ``dyadic_report`` sweeps
+block k..l as the slice ``W[k-1:l]``, ``hsum[k-1:l-1]``.  The gauge to zero
+vertex weights that the Lee-Yang spectra need is the coefficient shift
+``MonomerPolynomial.monic``, not a second table.
 
 Given the reserved set at a cut, the two sections of the cylinder are
 independent (forward-backward).  ``cut_moments`` runs the moment semiring
@@ -211,6 +212,14 @@ class MonomerPolynomial:
             m4 = float(p @ c**4)
             out.append(m4 - 3.0 * m2**2)
         return tuple(out)
+
+    def monic(self) -> "MonomerPolynomial":
+        """The polynomial of the gauged weights, log a_j - log a_N: moving every
+        vertex weight to zero divides Z by the all-monomer weight a_N = exp(sum nu)."""
+        if self.mask_size != self.N or self.log_coeffs[-1] == NEG_INF:
+            raise ValueError("no monic form: the all-monomer coefficient is not counted"
+                             " (partial mask) or vanishes (a vertex weight is -inf)")
+        return MonomerPolynomial(self.log_coeffs - self.log_coeffs[-1], self.N, self.mask_size)
 
     def to_payload(self) -> dict:
         return {
@@ -592,7 +601,7 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     with one entry per replica.
 
     A forward moment sweep over layers 1..k and one over the layer-flipped
-    tables of layers n..k+1 (the tables of ``WeightAssignment.reversed``)
+    view of layers n..k+1 of the same table
     meet at the reserved set S of cut k.  Given S the two sections are
     independent, so with pi[S] proportional to fw[S] exp(h_k[S]) bw[S],
     h_k[S] the horizontal weight of S at cut k, and d = m - mean, the
@@ -629,31 +638,50 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
 # single instances
 # ---------------------------------------------------------------------------
 
-def check_polynomial_caps(g: CylinderGraph) -> None:
-    """Refuse a cylinder too large for coefficient polynomials."""
-    if g.h > POLY_MAX_H or g.n > POLY_MAX_N:
+def check_polynomial_caps(n: int, h: int) -> None:
+    """Refuse a cylinder of n layers of h vertices too large for coefficient polynomials."""
+    if h > POLY_MAX_H or n > POLY_MAX_N:
         raise CapacityError(
             f"polynomials support fiber size h <= {POLY_MAX_H} and n <= {POLY_MAX_N}"
-            f" layers, got h={g.h}, n={g.n}"
+            f" layers, got h={h}, n={n}"
         )
+
+
+# a degree sweep's layer terms stay under this many numbers (128 KB) per block of replicas
+_POLY_BLOCK = 1 << 14
+
+
+def batch_prefix_coeffs(tables: dict, ks, masked) -> list[np.ndarray]:
+    """Log coefficients ``[j, r]``, j = 0..``masked[k - 1]``, of the monomer
+    polynomials of layers 1..k for each k in ``ks`` and every replica of
+    ``tables``, whose layers 1..i+1 hold ``masked[i]`` masked vertices, read
+    from the empty-set messages of one degree-semiring sweep over blocks of
+    replicas whose terms stay under ``_POLY_BLOCK`` numbers."""
+    check_polynomial_caps(tables["n"], tables["h"])
+    ht = tables["ht"]
+    if not all(1 <= k <= tables["n"] for k in ks):
+        raise ValueError(f"prefix lengths {ks} not inside [1:{tables['n']}]")
+    M = int(masked[-1])
+    W = tables["B"][: min(tables["h"], M) + 1].swapaxes(0, 1)   # [i, d, F, r]
+    step = max(1, _POLY_BLOCK // ((M + 1) * ht.pair_s.size))
+    out = {k: [] for k in ks}
+    for r in range(0, W.shape[-1], step):
+        msgs = sweep(W[..., r : r + step], tables["hsum"][..., r : r + step], ht, _degree_semiring(M))
+        for k, v in enumerate(islice(msgs, max(ks, default=0)), start=1):
+            if k in out:
+                out[k].append(v[: masked[k - 1] + 1, 0])
+    return [np.concatenate(out[k], axis=-1) for k in ks]
 
 
 def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> list[MonomerPolynomial]:
     """Monomer polynomials of the prefixes of layers 1..k, for each k in the
-    sequence ``ks``, read from the empty-set messages of one degree-semiring
-    sweep; the last layer's is the polynomial of the whole cylinder."""
-    check_polynomial_caps(g)
-    if not all(1 <= k <= g.n for k in ks):
-        raise ValueError(f"prefix lengths {ks} not inside [1:{g.n}]")
+    sequence ``ks``: ``batch_prefix_coeffs`` of one instance.  The last
+    layer's is the polynomial of the whole cylinder."""
     mask_arr = _resolve_mask(g, mask)
-    sizes = np.cumsum(mask_arr.sum(axis=1)).round().astype(int)
-    M = int(sizes[-1])
+    masked = np.cumsum(mask_arr.sum(axis=1)).round().astype(int)
     tables = instance_tables(g, w, mask_arr)
-    W = tables["B"][: min(g.h, M) + 1].swapaxes(0, 1)   # [i, d, F, r]
-    msgs = sweep(W, tables["hsum"], tables["ht"], _degree_semiring(M))
-    out = {k: MonomerPolynomial(v[: sizes[k - 1] + 1, 0, 0], N=k * g.h, mask_size=sizes[k - 1])
-           for k, v in enumerate(islice(msgs, max(ks, default=0)), start=1) if k in ks}
-    return [out[k] for k in ks]
+    return [MonomerPolynomial(c[:, 0], N=k * g.h, mask_size=masked[k - 1])
+            for k, c in zip(ks, batch_prefix_coeffs(tables, ks, masked))]
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
@@ -740,23 +768,8 @@ def brute_force_polynomial(
 
 
 # ---------------------------------------------------------------------------
-# restrictions, vertex removal, remainders
+# vertex removal, remainders
 # ---------------------------------------------------------------------------
-
-def restrict(g: CylinderGraph, w: WeightAssignment, k: int, l: int, mask=None):
-    """Induced sub-cylinder on layers k..l with sliced weights and mask."""
-    if not (1 <= k <= l <= g.n):
-        raise ValueError(f"layer range [{k}:{l}] not inside [1:{g.n}]")
-    sub_g = CylinderGraph(l - k + 1, g.H)
-    sub_w = WeightAssignment(
-        sub_g,
-        w.nu[k - 1 : l],
-        w.omega_h[k - 1 : l - 1],
-        w.omega_v[k - 1 : l],
-    )
-    sub_mask = _resolve_mask(g, mask)[k - 1 : l]
-    return sub_g, sub_w, sub_mask
-
 
 def kill_vertex_edges(w: WeightAssignment, vertices) -> WeightAssignment:
     """Disable every edge incident to the given vertices (-inf sentinels).
@@ -799,26 +812,25 @@ def vertex_removed_polynomial(
     return MonomerPolynomial(lc, N=g.num_vertices - 1, mask_size=lc.size - 1)
 
 
-def cut_remainders(prefix: Callable, w: WeightAssignment) -> np.ndarray:
-    """V - V_[1:k] - V_[k+1:n] for every cut k = 1..n-1 (entry k-1).
+def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarray:
+    """V - V_[1:k] - V_[k+1:n] for every cut k = 1..n-1 (entry ``[k - 1, r]``).
 
-    ``prefix(w)[i]`` is the value V of layers 1..i+1 under weights ``w``;
-    on ``w.reversed()`` it gives the values of the suffixes, so one forward
-    and one reversed sweep serve every cut.
+    ``W`` weighs the layers of ``tables`` in ``semiring``, whose message at
+    the empty reserved set after layer k is the value V of layers 1..k; the
+    same sweep over the layer-flipped table gives the values of the
+    suffixes, so one forward and one flipped sweep serve every cut.
     """
-    pre, suf = prefix(w), prefix(w.reversed())
+    hsum, ht = tables["hsum"], tables["ht"]
+    pre, suf = (np.stack([v[0] for v in sweep(Wd, hd, ht, semiring)])
+                for Wd, hd in ((W, hsum), (W[::-1], hsum[::-1])))
     return pre[-1] - pre[:-1] - suf[-2::-1]
 
 
 def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.ndarray:
     """Superadditivity gaps log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x,
     for every cut k = 1..n-1 (entry k-1)."""
-
-    def prefix(v: WeightAssignment) -> np.ndarray:
-        tables = instance_tables(g, v)
-        return messages(_tilted_W(tables, x), tables)[:, 0]
-
-    return cut_remainders(prefix, w)
+    tables = instance_tables(g, w)
+    return cut_remainders(_tilted_W(tables, x), tables)[:, 0]
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
@@ -876,13 +888,16 @@ def dyadic_report(g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 
     is cut in the middle (error R); recursion proceeds ``depth`` levels or
     until single layers.  R is also differentiated in the tilt: dR/dx is the
     Gibbs mean of the block's monomer count minus those of its halves, all
-    exact from one moment sweep per block.
+    exact from one moment sweep per block over its slice of one table.
     """
+    tables = instance_tables(g, w)
+    W, hsum, ht = _moment_W(tables, x), tables["hsum"], tables["ht"]
+    semiring = _moment_semiring(ht)
 
     @lru_cache(maxsize=None)
     def block(lo, hi):
-        log_z, mean, _ = batch_moments(instance_tables(*restrict(g, w, lo, hi)[:2]), x)
-        return float(log_z[0]), float(mean[0])
+        log_z, mean, _ = _last(sweep(W[lo - 1 : hi], hsum[lo - 1 : hi - 1], ht, semiring))[:, 0, 0]
+        return float(log_z), float(mean)
 
     def build(lo, hi, level) -> DyadicNode:
         node = DyadicNode(lo=lo, hi=hi)

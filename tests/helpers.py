@@ -4,16 +4,19 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+import pytest
 
 from dimerlab.graphs import (
+    CylinderGraph,
     DisorderSpec,
     HGraph,
     Law,
     RngSeed,
+    WeightAssignment,
     build_cylinder,
     sample_weights,
 )
-from dimerlab.transfer import kill_vertex_edges
+from dimerlab.transfer import _resolve_mask, kill_vertex_edges
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
 
@@ -42,6 +45,16 @@ def random_instance(rng: np.random.Generator, n_lo=2, n_hi=8, fibers=None,
     g = build_cylinder(n, H)
     seed = RngSeed(int(rng.integers(2**32)), 0)
     return g, sample_weights(g, disorder, seed)
+
+
+def restrict(g, w, k: int, l: int, mask=None):
+    """Induced sub-cylinder on layers k..l with sliced weights and mask: the
+    reference against which the sweeps over table slices are tested."""
+    if not (1 <= k <= l <= g.n):
+        raise ValueError(f"layer range [{k}:{l}] not inside [1:{g.n}]")
+    sub_g = CylinderGraph(l - k + 1, g.H)
+    sub_w = WeightAssignment(sub_g, w.nu[k - 1 : l], w.omega_h[k - 1 : l - 1], w.omega_v[k - 1 : l])
+    return sub_g, sub_w, _resolve_mask(g, mask)[k - 1 : l]
 
 
 def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):
@@ -84,6 +97,17 @@ def count_calls(monkeypatch, module, names) -> dict:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def table_builds(call) -> int:
+    """How many transfer tables ``call()`` builds: its ``batch_tables`` calls
+    through every dimerlab module binding."""
+    from dimerlab import transfer
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, transfer, ["batch_tables"])
+        call()
+    return calls["batch_tables"]
 
 
 def sweep_steps(monkeypatch) -> list:

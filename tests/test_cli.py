@@ -85,7 +85,16 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("with_spectrum = true\n", "", "no ladder rung is small enough"),
     # a Brownian check without height environments or Gibbs samples
     ("", "brownian", "height campaign needs height_envs >= 1"),
-], ids=["spectra", "brownian"])
+    # a Brownian check whose t grid repeats a cut floor(n*t) of the top rung,
+    # with one environment and with two
+    ("height_envs = 1\ngibbs_samples = 10\nt_grid = 0, 0.01, 1\n", "brownian",
+     "strictly increase at n=40; t_grid 0,0.01,1 gives 0,0,40"),
+    ("height_envs = 2\ngibbs_samples = 10\nt_grid = 0, 0.01, 1\n", "brownian",
+     "strictly increase at n=40"),
+    # a chunk of no replicas
+    ("chunk = 0\n", "", "chunk must be >= 1 replica per batch, got 0"),
+    ("chunk = -4\n", "", "chunk must be >= 1 replica per batch, got -4"),
+], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
@@ -165,7 +174,7 @@ def test_ground_one_layer_has_no_cuts(tmp_path, capsys):
 
 
 def test_ground_builds_a_fixed_number_of_tables(monkeypatch, tmp_path, capsys):
-    # the cut table comes from one forward and one reversed sweep, so the
+    # the cut table comes from one forward and one flipped sweep, so the
     # work per ground run must not grow with the number of cuts
     calls = count_calls(monkeypatch, transfer, ["batch_tables"])
     mw = count_calls(monkeypatch, groundstate, ["max_weight"])

@@ -32,9 +32,10 @@ from dimerlab.experiments import (
     write_config,
 )
 from dimerlab.groundstate import max_weight
-from dimerlab.transfer import CountingMask, partition_polynomial, restrict, section_covariance
+from dimerlab.leeyang import SpectrumError, spectrum
+from dimerlab.transfer import CountingMask, partition_polynomial, section_covariance
 
-from helpers import STD_NORMAL, count_calls, sweep_steps
+from helpers import STD_NORMAL, count_calls, restrict, sweep_steps, table_builds
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -62,6 +63,9 @@ def test_config_validation():
         _small_cfg(n_ladder=())
     with pytest.raises(ValueError):
         _small_cfg(cut_fraction=1.5)
+    for chunk in (0, -4):
+        with pytest.raises(ValueError, match=f"chunk must be >= 1 replica per batch, got {chunk}"):
+            parse_config(f"[ladder]\nchunk = {chunk}\n", is_text=True)
 
 
 def test_config_text_round_trip():
@@ -99,9 +103,12 @@ def test_constant_disorder_rows_are_identical():
 
 
 def test_run_replicas_deterministic_and_chunk_independent():
-    cfg_a = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=5, with_sections=True)
-    cfg_b = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=256, with_sections=True)
+    cfg_a = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=5, with_sections=True,
+                       with_spectrum=True)
+    cfg_b = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=256, with_sections=True,
+                       with_spectrum=True)
     ta, tb = run_replicas(cfg_a), run_replicas(cfg_b)
+    assert {"max_lambda", "u_n", "varQ_n"} <= set(ta.columns)
     for key in ta.columns:
         assert np.array_equal(ta.columns[key], tb.columns[key], equal_nan=True)
 
@@ -165,9 +172,9 @@ def test_campaign_rows_match_reference_routes():
 
 
 def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
-    # each chunk draws its log Z, cumulants, sections and ground state from a
-    # single table; a second table build, a finite-difference sweep or a
-    # polynomial outside the spectrum would show in these counts
+    # each chunk draws its log Z, cumulants, sections, ground state and
+    # spectra from a single table; a second table build, a finite-difference
+    # sweep or a per-replica polynomial would show in these counts
     calls = count_calls(monkeypatch, transfer,
                         ["batch_tables", "batch_scalar_log_z", "partition_polynomial"])
     steps = sweep_steps(monkeypatch)
@@ -181,15 +188,40 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
                          with_ground=True, with_spectrum=with_spectrum)
         table = run_replicas(cfg)
         assert not table.errors and len(table) == replicas
-        # every spectrum polynomial builds its own single-instance table
-        polys = replicas if with_spectrum else 0
-        assert calls == {"batch_tables": chunks + polys, "batch_scalar_log_z": 0,
-                         "partition_polynomial": polys}, with_spectrum
+        assert calls == {"batch_tables": chunks, "batch_scalar_log_z": 0,
+                         "partition_polynomial": 0}, with_spectrum
         # per chunk: the two moment sweeps meet at the cut (k = 3 of 6 and
         # k = 4 of 9), so their layer steps add up to n; then the (max, +)
-        # sweep of n layers, and an n-layer sweep per spectrum polynomial
-        expect = [3, 3, 6] * 3 + [4, 5, 9] * 3 + [6] * (polys // 2) + [9] * (polys // 2)
+        # sweep of n layers, and with spectra one n-layer degree sweep
+        expect = ([3, 3, 6] + [6] * with_spectrum) * 3 + ([4, 5, 9] + [9] * with_spectrum) * 3
         assert sorted(steps) == sorted(expect), with_spectrum
+
+
+def test_campaign_spectra_match_gauged_polynomials():
+    # the chunk's shifted coefficients against one polynomial of the gauged
+    # weights per replica: up to N = 32, where the functional check extracts
+    # zeros, and at N = 96, where every extraction is refused
+    ns, replicas = (6, 16, 48), 8
+    table = run_replicas(_small_cfg(fiber="path(2)", n_ladder=ns, replicas=replicas,
+                                    disorder=STD_NORMAL, seed=5, with_spectrum=True))
+    for n in ns:
+        g = build_cylinder(n, HGraph.path(2))
+        for s, lam, u, vq, mean, var in zip(*(table.at(n, key) for key in (
+                "stream", "max_lambda", "u_n", "varQ_n", "mean_U", "var_U"))):
+            w = sample_weights(g, STD_NORMAL, RngSeed(5, stream=int(s)))
+            try:
+                ref = spectrum(partition_polynomial(g, w.gauged()))
+            except SpectrumError:
+                assert n == 48 and np.isnan([lam, u, vq]).all(), (n, s)
+                continue
+            assert n < 48, (n, s)
+            assert lam == pytest.approx(ref.max_abs(), rel=1e-9, abs=0.0), (n, s)
+            assert abs(u - mean / n) <= 1e-9 and abs(vq - var / n) <= 1e-9, (n, s)
+
+
+def test_functional_check_builds_one_table():
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=4, disorder=STD_NORMAL)
+    assert table_builds(lambda: functional_consistency_check(cfg, environments=6)) == 1
 
 
 def test_weight_batch_matches_single_draws():
@@ -293,6 +325,21 @@ def test_brownian_report_shapes():
     assert rep.increment_vars.shape == (4,)
     assert np.all(rep.var_ratios > 0)
     assert 0 <= rep.max_abs_corr <= 1
+
+
+@pytest.mark.parametrize("envs", [1, 2])
+def test_brownian_refuses_a_grid_finer_than_the_layers(envs):
+    # 17 points on 8 layers repeat floor(8 t); so do points outside [0, 1]
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=2, disorder=STD_NORMAL,
+                     gibbs_samples=20, height_envs=envs)
+    with pytest.raises(ValueError, match=r"strictly increase at n=8; t_grid 0,0\.0625,"):
+        brownian_fdd_check(cfg, 0.5, 1.0)
+    for grid in ((0.0, 1.25), (0.5,)):
+        cfg.t_grid = grid
+        with pytest.raises(ValueError, match="strictly increase at n=8"):
+            brownian_fdd_check(cfg, 0.5, 1.0)
+    cfg.t_grid = (0.0, 0.25, 0.5, 1.0)
+    assert brownian_fdd_check(cfg, 0.5, 1.0).increment_vars.shape == (3,)
 
 
 def test_linear_growth_bounded():

@@ -19,9 +19,9 @@ from dimerlab.groundstate import (
     max_weight,
 )
 from dimerlab.sampler import matching_weight
-from dimerlab.transfer import partition_polynomial, restrict
+from dimerlab.transfer import partition_polynomial
 
-from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance
+from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict
 
 
 def test_max_weight_matches_enumeration():
@@ -89,7 +89,7 @@ def test_ground_remainder_sandwich():
 
 
 def test_gse_remainder_matches_restricted_solves():
-    # the forward/reversed (max, +) sweep pair against re-solving both sides
+    # the forward and flipped (max, +) sweeps against re-solving both sides
     for g, w in cut_instances(18):
         full = max_weight(g, w).value
         expect = [full - max_weight(*restrict(g, w, 1, k)[:2]).value

@@ -12,13 +12,14 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
-from dimerlab.groundstate import max_values, max_weight
+from dimerlab.groundstate import gse_remainder, max_values
 from dimerlab.transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
     _tilted_W,
     batch_moments,
+    batch_prefix_coeffs,
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
@@ -30,13 +31,14 @@ from dimerlab.transfer import (
     partition_polynomial,
     remainder_R,
     remainder_upper_bound,
-    restrict,
     scalar_log_z,
     section_covariance,
     vertex_removed_polynomial,
 )
 
-from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance
+from helpers import (
+    STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict, table_builds,
+)
 
 
 def _assert_poly_close(p, q, tol=1e-10):
@@ -287,7 +289,8 @@ def test_remainder_nonnegative_and_bounded():
 
 
 def test_remainder_R_matches_restricted_solves():
-    # the forward/reversed sweep pair against re-solving both sides of each cut
+    # the forward and flipped sweeps of one table against re-solving both
+    # sides of each cut
     for g, w in cut_instances(17):
         for x in (-1.0, 0.0, 0.7):
             full = scalar_log_z(g, w, x)
@@ -296,13 +299,43 @@ def test_remainder_R_matches_restricted_solves():
             assert np.allclose(remainder_R(g, w, x), expect, rtol=0.0, atol=1e-9)
 
 
-def test_reversal_keeps_partition_function_and_ground_state():
+def test_flipped_tables_keep_partition_function_and_ground_state():
+    # a cylinder read from layer n down to layer 1 keeps the weight of every
+    # matching: the layer-flipped table, a view, gives the same log Z, maximum
+    # and polynomial as the table itself
     for g, w in cut_instances(19):
-        v = w.reversed()
-        assert v.reversed() == w
-        assert scalar_log_z(g, v, 0.3) == pytest.approx(scalar_log_z(g, w, 0.3), abs=1e-10)
-        assert max_weight(g, v).value == pytest.approx(max_weight(g, w).value, abs=1e-10)
-        _assert_poly_close(partition_polynomial(g, v), partition_polynomial(g, w))
+        tables = instance_tables(g, w, keep_scores=True)
+        flip = {**tables, "B": tables["B"][:, ::-1], "hsum": tables["hsum"][::-1],
+                "scores": tables["scores"][:, ::-1]}
+        assert batch_scalar_log_z(flip, 0.3)[0] == pytest.approx(
+            batch_scalar_log_z(tables, 0.3)[0], abs=1e-10)
+        assert max_values(flip)[0] == pytest.approx(max_values(tables)[0], abs=1e-10)
+        (a,), (b,) = (batch_prefix_coeffs(t, [g.n], g.h * np.arange(1, g.n + 1))[0].T
+                      for t in (flip, tables))
+        _assert_poly_close(MonomerPolynomial(a, g.num_vertices), MonomerPolynomial(b, g.num_vertices))
+
+
+def test_remainders_and_dyadic_blocks_build_one_table():
+    for g, w in cut_instances(20):
+        assert table_builds(lambda: remainder_R(g, w, 0.3)) == 1
+        assert table_builds(lambda: gse_remainder(g, w)) == 1
+        assert table_builds(lambda: dyadic_report(g, w, depth=3, x=0.3)) == 1
+
+
+def test_monic_shifts_by_the_all_monomer_coefficient():
+    # the gauge to zero vertex weights divides Z by exp(sum nu)
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        g, w = random_instance(rng, n_lo=2, n_hi=5)
+        _assert_poly_close(partition_polynomial(g, w).monic(), partition_polynomial(g, w.gauged()))
+    # a -inf vertex weight leaves no all-monomer matching to divide by
+    nu = np.array(w.nu, copy=True)
+    nu[0, 0] = -np.inf
+    p = partition_polynomial(g, WeightAssignment(g, nu, w.omega_h, w.omega_v))
+    with pytest.raises(ValueError, match=r"vanishes \(a vertex weight is -inf\)"):
+        p.monic()
+    with pytest.raises(ValueError, match=r"not counted \(partial mask\)"):
+        partition_polynomial(g, w, CountingMask.layer_range(1, 1)).monic()
 
 
 def test_remainder_vanishes_on_disconnected_cut():
