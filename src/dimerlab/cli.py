@@ -154,8 +154,12 @@ def _cmd_exact(args) -> int:
     g, w = _resolve_weights(args)
     mask = None
     if args.layers is not None:
-        lo, _, hi = args.layers.partition(":")
-        mask = CountingMask.layer_range(int(lo), int(hi))
+        try:
+            lo, hi = map(int, args.layers.split(":"))
+        except ValueError:
+            raise UsageError(f"--layers takes k:l, the first and last counted layer"
+                             f" (1-based), got {args.layers!r}") from None
+        mask = CountingMask.layer_range(lo, hi)
     if args.scalar:
         lz = scalar_log_z(g, w, args.x, mask)
         print(f"log Z({args.x:g}) = {lz:.12f}")

@@ -47,7 +47,6 @@ from .transfer import (
     check_polynomial_caps,
     cut_moments,
     instance_tables,
-    partition_polynomial,
     prefix_polynomials,
 )
 
@@ -107,6 +106,9 @@ class ExperimentConfig:
             raise ValueError("cut_fraction must be in (0, 1)")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1 replica per batch, got {self.chunk}")
+        if not self.x_grid:
+            raise ValueError("empty x_grid: the functionals check compares the zeros"
+                             " with the exact cumulants at each tilt in it")
         make_fiber(self.fiber)
 
     def fiber_graph(self) -> HGraph:
@@ -318,7 +320,7 @@ def _spectra(g: CylinderGraph, tables: dict):
     """Each replica's monic polynomial and its Lee-Yang spectrum, or None
     where extraction is refused (ill-conditioned coefficients), from one
     degree sweep over ``tables``."""
-    coeffs, = batch_prefix_coeffs(tables, [g.n], g.h * np.arange(1, g.n + 1))
+    coeffs, = batch_prefix_coeffs(tables, [g.n])
     for lc in coeffs.T:
         p = MonomerPolynomial(lc, g.num_vertices).monic()
         try:
@@ -338,7 +340,7 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     streams = list(streams)
     R = len(streams)
     nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
-    tables = batch_tables(g, nu_b, oh_b, ov_b, keep_scores=cfg.with_ground)
+    tables = batch_tables(g, nu_b, oh_b, ov_b)
     if cfg.with_sections:
         lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
     else:
@@ -491,12 +493,15 @@ def clt_checks(
     metrics=("log_z", "mean_U", "M"),
     thresholds: Thresholds | None = None,
 ) -> StatsSummary:
-    """Normality diagnostics of the replica samples at the top length."""
+    """Normality diagnostics of the replica samples at the top length; a
+    metric the campaign did not record (an all-NaN column) is skipped."""
     th = thresholds or Thresholds()
     top = table.top_n()
     entries = []
     ok = True
     for metric in metrics:
+        if not table.has(metric):
+            continue
         sample = table.at(top, metric)
         sample = sample[~np.isnan(sample)]
         count = sample.size
@@ -752,17 +757,15 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         ks[j] = stats.kstest(z, "norm").statistic
     floors = exact = None
     if raw_inc is not None:
-        floors = np.empty(raw_inc.shape[1])
-        exact = np.empty(raw_inc.shape[1])
+        # every increment's exact law is a layer-range view of one table
+        tables = instance_tables(g, env_weights)
+        floors, exact = np.empty((2, raw_inc.shape[1]))
         for j in range(raw_inc.shape[1]):
-            p = partition_polynomial(
-                g, env_weights, CountingMask.layer_range(cuts[j] + 1, cuts[j + 1]))
-            pmf = p.pmf(0.0)
+            (c,) = batch_prefix_coeffs(tables, [n], CountingMask.layer_range(cuts[j] + 1, cuts[j + 1]))
+            pmf = MonomerPolynomial(c[:, 0], g.num_vertices).pmf(0.0)
             floors[j] = _lattice_normal_distance(pmf)
-            emp = np.searchsorted(np.sort(raw_inc[:, j]),
-                                  np.arange(pmf.size), side="right")
-            exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0]
-                                           - np.cumsum(pmf))))
+            emp = np.searchsorted(np.sort(raw_inc[:, j]), np.arange(pmf.size), side="right")
+            exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0] - np.cumsum(pmf))))
     return BrownianReport(
         n=n,
         samples=theta_hat.shape[0],

@@ -45,18 +45,18 @@ def _max_W(tables: dict) -> np.ndarray:
 
 
 def max_values(tables: dict) -> np.ndarray:
-    """Max Hamiltonian per replica of tables built with ``keep_scores``."""
+    """Max Hamiltonian per replica of ``tables``."""
     return _last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[0]
 
 
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
     """Max Hamiltonian per replica, vectorized; no argmax reconstruction."""
-    return max_values(batch_tables(g, nu_b, oh_b, ov_b, keep_scores=True))
+    return max_values(batch_tables(g, nu_b, oh_b, ov_b))
 
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
-    tables = instance_tables(g, w, keep_scores=True)
+    tables = instance_tables(g, w)
     ht, hsum, scores = tables["ht"], tables["hsum"][..., 0], tables["scores"][..., 0]
     msgs = messages(_max_W(tables), tables, MAX)
     value = float(msgs[-1, 0])
@@ -89,7 +89,7 @@ def brute_force_max(g: CylinderGraph, w: WeightAssignment) -> float:
 def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
     """Superadditivity gaps M_n - M_[1:k] - M_[k+1:n] of the ground state,
     for every cut k = 1..n-1 (entry k-1)."""
-    tables = instance_tables(g, w, keep_scores=True)
+    tables = instance_tables(g, w)
     return cut_remainders(_max_W(tables), tables, MAX)[:, 0]
 
 

@@ -133,14 +133,14 @@ class GibbsSampler:
         self.g = g
         self.w = w
         self.x = x
-        tables = instance_tables(g, w, keep_scores=True)
+        tables = instance_tables(g, w)
         self.ht = tables["ht"]
         msgs = messages(_tilted_W(tables, x), tables)
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
         hsum = tables["hsum"][..., 0]
-        scores = tables["scores"][..., 0] + x * tables["dmat"]
+        scores = tables["scores"][..., 0] + x * self.ht.fiber_mono[:, None]
 
         # for layer i and current reserved set S: the cumulative categorical
         # over the backward candidates, with their previous sets and fiber rows

@@ -4,10 +4,10 @@ The central object is the monomer-count polynomial
 
     Z(x) = sum_j a_j exp(j x),
 
-where a_j collects exp(H(m)) over all matchings m whose number of unpaired
-vertices inside a counting mask equals j.  All coefficient arithmetic is
-done in log space so that instances with hundreds of layers stay inside
-float64 range.
+where a_j collects exp(H(m)) over all matchings m with j unpaired vertices
+on the counted layers: every layer, or the layer range k..l of a
+``CountingMask``.  All coefficient arithmetic is done in log space so that
+instances with hundreds of layers stay inside float64 range.
 
 The DP state after layer i is the set S of layer-i vertices reserved for a
 horizontal dimer into layer i+1.  A transition into layer i+1 sums over the
@@ -22,25 +22,30 @@ arithmetic as a ``Semiring``:
   of the sampler;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
 * ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
-  of one count, the masked monomer count: ``times`` adds them, ``plus``
-  merges the terms of a state with their softmax weights in the
-  parallel-variance form, so ``batch_moments`` gives exact cumulants in one
-  pass, with no finite differences (the first- and second-order expectation
-  semiring of Li & Eisner, EMNLP 2009);
+  of one count, the monomer count: ``times`` adds them, ``plus`` merges
+  the terms of a state with their softmax weights in the parallel-variance
+  form, so ``batch_moments`` gives exact cumulants in one pass, with no
+  finite differences (the first- and second-order expectation semiring of
+  Li & Eisner, EMNLP 2009);
 * ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
-  masked monomer count) keeps the full coefficient vector (capped by
+  counted monomer count) keeps the full coefficient vector (capped by
   ``check_polynomial_caps``), enabling exact cumulants and Lee-Yang spectra.
 
 Every route builds its tables with ``batch_tables`` (one instance:
 ``instance_tables``), which refuses fibers of more than ``SCALAR_MAX_H``
 vertices, so that cap holds for single instances, campaigns and ground states.
-The tables are layer-major with the replica axis last, ``B[d, i, F, r]``,
-``hsum[k, S, r]`` and ``scores[row, i, r]``, and every consumer reads them in
-place: the tilt collapses reduce over the leading d axis, a set of
-contiguous blocks, and the sweep takes layer i as the block ``W[i]``,
-gathers its transition pairs along the state axis and sums each new
-reserved set's segment with ``reduceat`` along that axis.  A single
-instance is replica 0, ``[..., 0]``.
+The tables are functions of the weights alone, layer-major with the replica
+axis last, ``B[d, i, F, r]``, ``hsum[k, S, r]`` and ``scores[row, i, r]``,
+and every consumer reads them in place: the tilt collapses reduce over the
+leading d axis, a set of contiguous blocks, and the sweep takes layer i as
+the block ``W[i]``, gathers its transition pairs along the state axis and
+sums each new reserved set's segment with ``reduceat`` along that axis.  A
+single instance is replica 0, ``[..., 0]``.
+
+A counting mask is a view applied where the d axis collapses:
+``_tilted_W`` tilts only the counted layers, and the degree sweep weighs an
+uncounted layer by its collapsed weight lse_d B at degree 0.  So every
+layer range of one environment is counted from one table.
 
 ``resolve`` runs the recursion backward for one layer and reserved set,
 listing the candidate (previous reserved set, fiber matching) pairs with
@@ -88,11 +93,12 @@ class CapacityError(ValueError):
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis`` by a max shift; all -inf slices stay -inf."""
+    """log(sum(exp(a))) along ``axis`` by a max shift, overwriting ``a``; -inf slices stay -inf."""
     top = a.max(axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    a -= top
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+        return np.log(np.exp(a, out=a).sum(axis=axis)) + top.squeeze(axis)
 
 
 # ---------------------------------------------------------------------------
@@ -101,53 +107,35 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountingMask:
-    """Subset of vertices whose unpaired status is counted by the tilt."""
+    """Layers lo..hi (1-based, inclusive) whose unpaired vertices the tilt
+    counts; ``hi = None`` runs to the last layer."""
 
-    kind: str
-    lo: int = 0
-    hi: int = 0
-    vertices: frozenset = field(default_factory=frozenset)
+    lo: int = 1
+    hi: int | None = None
 
     @classmethod
     def all(cls) -> "CountingMask":
-        return cls("all")
+        return cls()
 
     @classmethod
     def layer_range(cls, k: int, l: int) -> "CountingMask":
         if k < 1 or l < k:
             raise ValueError(f"bad layer range [{k}:{l}]")
-        return cls("layers", lo=k, hi=l)
-
-    @classmethod
-    def vertex_set(cls, vs) -> "CountingMask":
-        return cls("vertices", vertices=frozenset(vs))
-
-    def to_array(self, g: CylinderGraph) -> np.ndarray:
-        arr = np.zeros((g.n, g.h))
-        if self.kind == "all":
-            arr[:] = 1.0
-        elif self.kind == "layers":
-            if self.hi > g.n:
-                raise ValueError(f"layer range [{self.lo}:{self.hi}] exceeds n={g.n}")
-            arr[self.lo - 1 : self.hi, :] = 1.0
-        else:
-            for v in self.vertices:
-                i, j = v
-                arr[i - 1, j - 1] = 1.0
-        return arr
+        return cls(k, l)
 
 
-def _resolve_mask(g: CylinderGraph, mask) -> np.ndarray:
-    if mask is None:
-        return np.ones((g.n, g.h))
-    if isinstance(mask, CountingMask):
-        return mask.to_array(g)
-    arr = np.asarray(mask, dtype=float)
-    if arr.shape != (g.n, g.h):
-        raise ValueError(f"mask shape {arr.shape} != {(g.n, g.h)}")
-    if not np.isin(arr, (0.0, 1.0)).all():
-        raise ValueError("mask entries must be 0 or 1")
-    return arr
+def _resolve_mask(mask, n: int) -> np.ndarray:
+    """1.0 on the layers of an n-layer cylinder that ``mask`` counts (None:
+    every layer), 0.0 on the others."""
+    if not isinstance(mask, (CountingMask, type(None))):
+        raise TypeError(f"a counting mask is a CountingMask, got {type(mask).__name__}")
+    mask = mask or CountingMask.all()
+    hi = n if mask.hi is None else mask.hi
+    if hi > n:
+        raise ValueError(f"layer range [{mask.lo}:{hi}] exceeds n={n}")
+    out = np.zeros(n)
+    out[mask.lo - 1 : hi] = 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +276,10 @@ class _HTables:
         self.row_edges = np.concatenate(match_edges)   # (rows, mH) 0/1
         self.row_mono = np.concatenate(match_mono)     # (rows, h) 0/1
         self.fiber_mono = self.row_mono.sum(axis=1).astype(np.int64)
+        # the rows, ascending, of each (monomer count d, forbidden set F) group of B[d, :, F]
+        per_F = np.split(np.arange(self.fiber_start[-1]), self.fiber_start[1:-1])
+        self.groups = [(d, F, rows[self.fiber_mono[rows] == d])
+                       for F, rows in enumerate(per_F) for d in np.unique(self.fiber_mono[rows])]
 
         # disjoint (S, S') pairs grouped contiguously by S', for segmented
         # reductions in the layer transition
@@ -358,68 +350,76 @@ def _indicator_sum(sel: np.ndarray, arr) -> np.ndarray:
     return out
 
 
-def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b, mask=None, keep_scores: bool = False) -> dict:
+def _rows_logsumexp(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """log-sum-exp of the fiber rows ``rows`` of ``scores``, summed one row at
+    a time in ascending order, so no sum depends on the shape of the batch;
+    a single row is itself."""
+    if rows.size == 1:
+        return scores[rows[0]]
+    top = scores[rows].max(axis=0)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(sum(np.exp(scores[row] - top) for row in rows)) + top
+
+
+def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
     """Layer-transition tables for a batch of R weight assignments.
 
-    Every array is layer-major with the replica axis last and C-contiguous,
-    the layout the sweeps read in place:
+    The tables depend on the weights alone; a counting mask is applied
+    where a consumer collapses the d axis.  Every array is layer-major with
+    the replica axis last and C-contiguous, the layout the sweeps read in
+    place:
 
     * ``B[d, i, F, r]`` aggregates (log-sum-exp) the fiber blocks of layer i
-      with forbidden set F over matchings leaving exactly d masked monomers;
-      shape (h + 1, n, 2^h, R);
+      with forbidden set F over the matchings leaving exactly d monomers in
+      the fiber (the rows of ``ht.groups``); shape (h + 1, n, 2^h, R);
     * ``hsum[k, S, r]`` is the total horizontal dimer weight of reserved set
       S at cut k (0-based, cut k joins layers k and k + 1); shape
       (n - 1, 2^h, R);
-    * with ``keep_scores``, ``scores[row, i, r]`` is the block score of
-      every fiber row (rows of F are ``ht.fiber_start[F]:fiber_start[F + 1]``)
-      and ``dmat[row, i]`` its masked monomer count, shapes (rows, n, R) and
-      (rows, n), for consumers that resolve individual fiber matchings
-      (exact sampling, ground-state argmax).
+    * ``scores[row, i, r]`` is the block score of every fiber row (rows of F
+      are ``ht.fiber_start[F]:fiber_start[F + 1]``, and row ``row`` leaves
+      ``ht.fiber_mono[row]`` monomers), shape (rows, n, R), for consumers
+      that resolve individual fiber matchings (exact sampling, ground-state
+      argmax).
 
     One instance is replica 0: ``[..., 0]``.
     """
     if g.h > SCALAR_MAX_H:
         raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={g.h}")
     ht = _h_tables(g.H)
-    mask_arr = _resolve_mask(g, mask)
     R, n, h = np.shape(nu_b)
     # every fiber row's vertical dimers plus its monomers, per layer and replica
     scores = _indicator_sum(ht.row_edges, ov_b)
     scores += _indicator_sum(ht.row_mono, nu_b)
-    dmat = (ht.row_mono @ mask_arr.T).astype(np.int64)
     B = np.full((h + 1, n, ht.states, R), NEG_INF)
-    for F in range(ht.states):
-        rows = slice(*ht.fiber_start[F : F + 2])
-        for d in range(h + 1):
-            hit = dmat[rows] == d
-            if hit.any():
-                B[d, :, F] = _logsumexp(np.where(hit[..., None], scores[rows], NEG_INF), axis=0)
+    for d, F, rows in ht.groups:
+        B[d, :, F] = _rows_logsumexp(scores, rows)
     hsum = np.ascontiguousarray(_indicator_sum(ht.sbits, oh_b).swapaxes(0, 1))
-    out = {"B": B, "hsum": hsum, "ht": ht, "n": n, "h": h}
-    if keep_scores:
-        out["scores"] = scores
-        out["dmat"] = dmat
-    return out
+    return {"B": B, "hsum": hsum, "scores": scores, "ht": ht, "n": n, "h": h}
 
 
-def instance_tables(g: CylinderGraph, w: WeightAssignment, mask=None, keep_scores: bool = False) -> dict:
+def instance_tables(g: CylinderGraph, w: WeightAssignment) -> dict:
     """``batch_tables`` of one weight assignment, as a batch of one."""
     if w.g != g:
         raise ValueError("weight assignment belongs to a different graph")
-    return batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None], mask, keep_scores)
+    return batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None])
 
 
-def _tilted_W(tables: dict, x: float) -> np.ndarray:
-    """Collapse the d axis at tilt x: W[i, F, r] = lse_d(B[d, i, F, r] + x d)."""
+def _tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
+    """Collapse the d axis: W[i, F, r] = lse_d(B[d, i, F, r] + x d) on the layers
+    that ``mask`` counts (None: every layer), lse_d B[d, i, F, r] on the others."""
     B = tables["B"]
-    return _logsumexp(B + x * np.arange(B.shape[0])[:, None, None, None], axis=0)
+    tilt = x * np.arange(B.shape[0])[:, None, None, None]
+    if mask is not None:
+        tilt = tilt * _resolve_mask(mask, tables["n"])[:, None, None]
+    return _logsumexp(B + tilt, axis=0)
 
 
 def _moment_W(tables: dict, x: float) -> np.ndarray:
     """Layer weights of the moment semiring at tilt x, ``W[i, c, F, r]``.
 
     Channel c = 0 holds the tilted weight W, c = 1 and 2 the mean and
-    variance of the layer's masked monomer count d under the law
+    variance of the layer's monomer count d under the law
     proportional to exp(B[d, ...] + x d).  The exponentials of the
     log-sum-exp are the weights of that law, so each is taken once, in
     place, on contiguous blocks of ``B``.
@@ -478,7 +478,7 @@ MAX = Semiring(partial(np.maximum.reduceat, axis=-2))
 
 
 def _degree_semiring(M: int) -> Semiring:
-    """(logaddexp, truncated log-convolution) over the masked monomer count.
+    """(logaddexp, truncated log-convolution) over the counted monomer count.
 
     Messages and layer weights carry log coefficients over degrees on their
     leading axis; ``times`` convolves the two and keeps the degrees 0..M
@@ -582,13 +582,14 @@ def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables
     return (msgs[i - 1] + hsum[i - 1])[prev] + scores[rows, i], prev, rows
 
 
-def batch_scalar_log_z(tables: dict, x: float = 0.0) -> np.ndarray:
-    return _last(sweep(_tilted_W(tables, x), tables["hsum"], tables["ht"]))[0]
+def batch_scalar_log_z(tables: dict, x: float = 0.0, mask=None) -> np.ndarray:
+    """log Z per replica at tilt x of the monomers that ``mask`` counts."""
+    return _last(sweep(_tilted_W(tables, x, mask), tables["hsum"], tables["ht"]))[0]
 
 
 def batch_moments(tables: dict, x: float = 0.0):
-    """log Z at tilt x and the exact Gibbs mean and variance of the masked
-    monomer count under that tilted measure, from one sweep in the moment
+    """log Z at tilt x and the exact Gibbs mean and variance of the monomer
+    count under that tilted measure, from one sweep in the moment
     semiring; three arrays of shape (R,)."""
     ht = tables["ht"]
     return tuple(_last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0])
@@ -596,7 +597,7 @@ def batch_moments(tables: dict, x: float = 0.0):
 
 def cut_moments(tables: dict, k: int, x: float = 0.0):
     """log Z, mean_U, var_U, var_left, var_right and cov at cut k: the
-    masked monomer count U of all layers and its sections L (layers 1..k)
+    monomer count U of all layers and its sections L (layers 1..k)
     and U - L (layers k+1..n) under the measure tilted by x; six arrays
     with one entry per replica.
 
@@ -651,18 +652,25 @@ def check_polynomial_caps(n: int, h: int) -> None:
 _POLY_BLOCK = 1 << 14
 
 
-def batch_prefix_coeffs(tables: dict, ks, masked) -> list[np.ndarray]:
-    """Log coefficients ``[j, r]``, j = 0..``masked[k - 1]``, of the monomer
-    polynomials of layers 1..k for each k in ``ks`` and every replica of
-    ``tables``, whose layers 1..i+1 hold ``masked[i]`` masked vertices, read
-    from the empty-set messages of one degree-semiring sweep over blocks of
-    replicas whose terms stay under ``_POLY_BLOCK`` numbers."""
-    check_polynomial_caps(tables["n"], tables["h"])
-    ht = tables["ht"]
-    if not all(1 <= k <= tables["n"] for k in ks):
-        raise ValueError(f"prefix lengths {ks} not inside [1:{tables['n']}]")
+def batch_prefix_coeffs(tables: dict, ks, mask=None) -> list[np.ndarray]:
+    """Log coefficients ``[j, r]`` of the monomer polynomials of layers 1..k,
+    j monomers on the layers that ``mask`` counts (None: every layer), for
+    each k in ``ks`` and every replica of ``tables``, read from the empty-set
+    messages of one degree-semiring sweep over blocks of replicas whose terms
+    stay under ``_POLY_BLOCK`` numbers; an uncounted layer weighs lse_d B at degree 0."""
+    n, h, ht = tables["n"], tables["h"], tables["ht"]
+    check_polynomial_caps(n, h)
+    if not all(1 <= k <= n for k in ks):
+        raise ValueError(f"prefix lengths {ks} not inside [1:{n}]")
+    counted = _resolve_mask(mask, n)
+    masked = h * np.cumsum(counted).astype(int)   # counted vertices of layers 1..i+1
     M = int(masked[-1])
-    W = tables["B"][: min(tables["h"], M) + 1].swapaxes(0, 1)   # [i, d, F, r]
+    W = tables["B"].swapaxes(0, 1)   # [i, d, F, r]
+    off = np.flatnonzero(counted == 0)
+    if off.size:
+        W = W.copy()
+        W[off, 0] = _logsumexp(W[off], axis=1)
+        W[off, 1:] = NEG_INF
     step = max(1, _POLY_BLOCK // ((M + 1) * ht.pair_s.size))
     out = {k: [] for k in ks}
     for r in range(0, W.shape[-1], step):
@@ -677,11 +685,8 @@ def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> 
     """Monomer polynomials of the prefixes of layers 1..k, for each k in the
     sequence ``ks``: ``batch_prefix_coeffs`` of one instance.  The last
     layer's is the polynomial of the whole cylinder."""
-    mask_arr = _resolve_mask(g, mask)
-    masked = np.cumsum(mask_arr.sum(axis=1)).round().astype(int)
-    tables = instance_tables(g, w, mask_arr)
-    return [MonomerPolynomial(c[:, 0], N=k * g.h, mask_size=masked[k - 1])
-            for k, c in zip(ks, batch_prefix_coeffs(tables, ks, masked))]
+    coeffs = batch_prefix_coeffs(instance_tables(g, w), ks, mask)
+    return [MonomerPolynomial(c[:, 0], N=k * g.h) for k, c in zip(ks, coeffs)]
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
@@ -691,29 +696,27 @@ def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> Mo
 
 def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=None) -> float:
     """log Z at a fixed tilt without materializing coefficients."""
-    return float(batch_scalar_log_z(instance_tables(g, w, mask), x)[0])
+    return float(batch_scalar_log_z(instance_tables(g, w), x, mask)[0])
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracle (independent of the DP above)
 # ---------------------------------------------------------------------------
 
-def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None, removed=()) -> None:
+def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None) -> None:
     """Call ``leaf(count, weight)`` once per matching of the cylinder.
 
-    ``count`` is the number of masked monomers and ``weight`` is H(m); the
-    ``removed`` vertices take no part.  Kept deliberately simple and apart
-    from the sweep, as the reference for tests: vertices are processed in
-    canonical order and each one either stays a monomer or pairs with a
-    free neighbor, which visits every matching exactly once.
+    ``count`` is the number of counted monomers and ``weight`` is H(m).
+    Kept deliberately simple and apart from the sweep, as the reference for
+    tests: vertices are processed in canonical order and each one either
+    stays a monomer or pairs with a free neighbor, which visits every
+    matching exactly once.
     """
-    removed = [g.flat_index(v) for v in removed]
-    N = g.num_vertices - len(removed)
-    if N > BRUTE_MAX_N:
+    if g.num_vertices > BRUTE_MAX_N:
         raise CapacityError(
-            f"brute force supports at most {BRUTE_MAX_N} vertices, got {N}"
+            f"brute force supports at most {BRUTE_MAX_N} vertices, got {g.num_vertices}"
         )
-    mask_flat = _resolve_mask(g, mask).reshape(-1)
+    mask_flat = np.repeat(_resolve_mask(mask, g.n), g.h)   # per vertex, layer-major
     total = g.num_vertices
     nu_flat = w.nu_flat()
     adj: list[list[tuple[int, float]]] = [[] for _ in range(total)]
@@ -722,9 +725,6 @@ def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None, 
         wt = w.omega_of(u, v)
         adj[fu].append((fv, wt))
         adj[fv].append((fu, wt))
-    removed_bits = 0
-    for r in removed:
-        removed_bits |= 1 << r
 
     def rec(start: int, used: int, count: int, weight: float):
         v = start
@@ -739,15 +739,12 @@ def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None, 
             if not used >> u & 1:
                 rec(v + 1, used | bit | 1 << u, count, weight + wt)
 
-    rec(0, removed_bits, 0, 0.0)
+    rec(0, 0, 0, 0.0)
 
 
-def brute_force_polynomial(
-    g: CylinderGraph, w: WeightAssignment, mask=None, removed=()
-) -> MonomerPolynomial:
+def brute_force_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
     """Monomer polynomial by enumerating every matching; the test oracle."""
-    mask_arr = _resolve_mask(g, mask)
-    M = int(round(mask_arr.sum() - sum(mask_arr[i - 1, j - 1] for i, j in removed)))
+    M = g.h * int(_resolve_mask(mask, g.n).sum())
     best = np.full(M + 1, NEG_INF)   # running max exponent per coefficient
     sums = np.zeros(M + 1)           # sum of exp(H - best) per coefficient
 
@@ -761,10 +758,10 @@ def brute_force_polynomial(
         else:
             sums[count] += np.exp(weight - b)
 
-    enumerate_matchings(g, w, leaf, mask_arr, removed)
+    enumerate_matchings(g, w, leaf, mask)
     with np.errstate(divide="ignore"):
         log_coeffs = best + np.log(sums, where=sums > 0, out=np.full(M + 1, NEG_INF))
-    return MonomerPolynomial(log_coeffs, N=g.num_vertices - len(removed), mask_size=M)
+    return MonomerPolynomial(log_coeffs, N=g.num_vertices, mask_size=M)
 
 
 # ---------------------------------------------------------------------------
@@ -793,23 +790,17 @@ def kill_vertex_edges(w: WeightAssignment, vertices) -> WeightAssignment:
     return WeightAssignment(g, w.nu, oh, ov)
 
 
-def vertex_removed_polynomial(
-    g: CylinderGraph, w: WeightAssignment, v: tuple[int, int], mask=None
-) -> MonomerPolynomial:
+def vertex_removed_polynomial(g: CylinderGraph, w: WeightAssignment, v: tuple[int, int]) -> MonomerPolynomial:
     """Monomer polynomial of the graph with one vertex deleted.
 
     Computed on the full graph with the incident edges disabled, which
     forces v to stay a monomer in every configuration; stripping its
-    monomer factor (and coefficient shift, when counted) yields the
-    polynomial of the deleted-vertex graph.
+    monomer factor and coefficient shift yields the polynomial of the
+    deleted-vertex graph.
     """
-    mask_arr = _resolve_mask(g, mask)
-    killed = partition_polynomial(g, kill_vertex_edges(w, [v]), mask_arr)
     i, j = v
-    lc = killed.log_coeffs - w.nu[i - 1, j - 1]
-    if mask_arr[i - 1, j - 1]:
-        lc = lc[1:]
-    return MonomerPolynomial(lc, N=g.num_vertices - 1, mask_size=lc.size - 1)
+    killed = partition_polynomial(g, kill_vertex_edges(w, [v]))
+    return MonomerPolynomial(killed.log_coeffs[1:] - w.nu[i - 1, j - 1], N=g.num_vertices - 1)
 
 
 def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarray:

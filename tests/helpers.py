@@ -16,7 +16,7 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
-from dimerlab.transfer import _resolve_mask, kill_vertex_edges
+from dimerlab.transfer import kill_vertex_edges
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
 
@@ -47,14 +47,14 @@ def random_instance(rng: np.random.Generator, n_lo=2, n_hi=8, fibers=None,
     return g, sample_weights(g, disorder, seed)
 
 
-def restrict(g, w, k: int, l: int, mask=None):
-    """Induced sub-cylinder on layers k..l with sliced weights and mask: the
-    reference against which the sweeps over table slices are tested."""
+def restrict(g, w, k: int, l: int):
+    """Induced sub-cylinder on layers k..l with sliced weights: the reference
+    against which the sweeps over table slices are tested."""
     if not (1 <= k <= l <= g.n):
         raise ValueError(f"layer range [{k}:{l}] not inside [1:{g.n}]")
     sub_g = CylinderGraph(l - k + 1, g.H)
     sub_w = WeightAssignment(sub_g, w.nu[k - 1 : l], w.omega_h[k - 1 : l - 1], w.omega_v[k - 1 : l])
-    return sub_g, sub_w, _resolve_mask(g, mask)[k - 1 : l]
+    return sub_g, sub_w
 
 
 def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):

@@ -94,7 +94,10 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     # a chunk of no replicas
     ("chunk = 0\n", "", "chunk must be >= 1 replica per batch, got 0"),
     ("chunk = -4\n", "", "chunk must be >= 1 replica per batch, got -4"),
-], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg"])
+    # a functionals check over an empty tilt grid, which would compare nothing
+    ("x_grid =\nwith_spectrum = true\n", "functionals", "empty x_grid"),
+], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
+        "x-grid-empty"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
@@ -110,6 +113,28 @@ def test_experiment_refuses_unrunnable_check_before_campaign(
     assert reason in capsys.readouterr().err
     assert calls == {"run_replicas": 0}
     assert not out.exists()
+
+
+def test_experiment_without_ground_states_reports_the_recorded_metrics(tmp_path, capsys):
+    # with_ground = false leaves M all NaN; the default CLT block skips it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[graph]\nfiber = path(2)\n"
+        "[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
+        "[ladder]\nn = 8, 16\nreplicas = 40\nseed = 3\nwith_ground = false\n"
+    )
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    clt = json.loads((out / "report.json").read_text())["clt"]
+    assert [e["metric"] for e in clt["entries"]] == ["log_z", "mean_U"]
+
+
+def test_exact_refuses_a_malformed_layer_range(capsys):
+    for layers in ("3", "a:4", "2:"):
+        assert main(["exact", "--n", "4", "--h", "1", "--const", "0", "--layers", layers]) == 2
+        err = capsys.readouterr().err
+        assert "--layers takes k:l" in err and repr(layers) in err
+    assert main(["exact", "--n", "4", "--h", "1", "--const", "0", "--layers", "2:3"]) == 0
 
 
 def test_spectrum_command(tmp_path, capsys):

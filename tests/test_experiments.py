@@ -5,18 +5,21 @@ import pytest
 
 from dimerlab import transfer
 from dimerlab.graphs import (
+    DOMAIN_GIBBS,
     DisorderSpec,
     HGraph,
     Law,
     RngSeed,
     WeightAssignment,
     build_cylinder,
+    rng_generator,
     sample_weights,
 )
 from dimerlab.experiments import (
     ExperimentConfig,
     ReplicaTable,
     _draw_weight_batch,
+    _lattice_normal_distance,
     brownian_fdd_check,
     clt_checks,
     estimate_limits,
@@ -33,6 +36,7 @@ from dimerlab.experiments import (
 )
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
+from dimerlab.sampler import GibbsSampler, heights
 from dimerlab.transfer import CountingMask, partition_polynomial, section_covariance
 
 from helpers import STD_NORMAL, count_calls, restrict, sweep_steps, table_builds
@@ -66,6 +70,9 @@ def test_config_validation():
     for chunk in (0, -4):
         with pytest.raises(ValueError, match=f"chunk must be >= 1 replica per batch, got {chunk}"):
             parse_config(f"[ladder]\nchunk = {chunk}\n", is_text=True)
+    # an empty tilt grid would let the functionals check pass having compared nothing
+    with pytest.raises(ValueError, match="empty x_grid"):
+        parse_config("[ladder]\nx_grid =\nwith_spectrum = true\n", is_text=True)
 
 
 def test_config_text_round_trip():
@@ -288,7 +295,7 @@ def test_quenched_ladder_distance_decreases():
     w3 = sample_weights(g3, STD_NORMAL, RngSeed(21, 1))
     ks = (1, 7, 20, 33, 40)
     for k, rep in zip(ks, quenched_ladder(g3, w3, ks)):
-        ref = quenched_clt_check(*restrict(g3, w3, 1, k)[:2])
+        ref = quenched_clt_check(*restrict(g3, w3, 1, k))
         assert rep.n == ref.n == k
         for key in ("distance", "mean", "var"):
             assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
@@ -325,6 +332,28 @@ def test_brownian_report_shapes():
     assert rep.increment_vars.shape == (4,)
     assert np.all(rep.var_ratios > 0)
     assert 0 <= rep.max_abs_corr <= 1
+
+
+def test_brownian_exact_laws_are_views_of_one_table():
+    # one environment: the sampler's table and one table whose layer-range
+    # views give every increment's exact law
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
+                     gibbs_samples=200, height_envs=1)
+    reps = []
+    assert table_builds(lambda: reps.append(brownian_fdd_check(cfg, 0.5, 1.0))) <= 2
+    rep, = reps
+    g = build_cylinder(32, HGraph.path(2))
+    w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=0))
+    sampler = GibbsSampler(g, w)
+    theta, _ = heights(sampler.monomer_profiles(*sampler.draw_states(
+        rng_generator(RngSeed(cfg.seed, stream=0), DOMAIN_GIBBS), cfg.gibbs_samples)), rep.t_grid, None)
+    inc = np.diff(theta, axis=1)
+    cuts = np.floor(32 * rep.t_grid).astype(int)
+    for j in range(inc.shape[1]):
+        pmf = partition_polynomial(g, w, CountingMask.layer_range(cuts[j] + 1, cuts[j + 1])).pmf()
+        emp = np.searchsorted(np.sort(inc[:, j]), np.arange(pmf.size), side="right") / inc.shape[0]
+        assert rep.lattice_floors[j] == pytest.approx(_lattice_normal_distance(pmf), rel=0.0, abs=1e-12)
+        assert rep.ks_exact[j] == pytest.approx(np.max(np.abs(emp - np.cumsum(pmf))), rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("envs", [1, 2])

@@ -92,8 +92,8 @@ def test_gse_remainder_matches_restricted_solves():
     # the forward and flipped (max, +) sweeps against re-solving both sides
     for g, w in cut_instances(18):
         full = max_weight(g, w).value
-        expect = [full - max_weight(*restrict(g, w, 1, k)[:2]).value
-                  - max_weight(*restrict(g, w, k + 1, g.n)[:2]).value for k in range(1, g.n)]
+        expect = [full - max_weight(*restrict(g, w, 1, k)).value
+                  - max_weight(*restrict(g, w, k + 1, g.n)).value for k in range(1, g.n)]
         assert np.allclose(gse_remainder(g, w), expect, rtol=0.0, atol=1e-9)
 
 

@@ -101,8 +101,7 @@ def test_transfer_handles_disabled_edges():
 
 
 def _batch(g, ws):
-    return batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")),
-                        keep_scores=True)
+    return batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")))
 
 
 def test_replica_results_do_not_depend_on_their_batch():
@@ -114,11 +113,21 @@ def test_replica_results_do_not_depend_on_their_batch():
         g = build_cylinder(int(rng.integers(3, 8)), H)
         cases.append((g, [sample_weights(g, STD_NORMAL, RngSeed(83, r)) for r in range(6)]))
     cases += list(disabled_edge_batches(89))
+    # one-layer tables too, where a batch of one holds one number per fiber
+    # row and some forbidden sets of these fibers leave 8 or more rows
+    for H in (HGraph.path(6), HGraph.complete(4), HGraph.complete(5)):
+        g = build_cylinder(1, H)
+        ws = [sample_weights(g, STD_NORMAL, RngSeed(84, r)) for r in range(9)]
+        tables = _batch(g, ws)
+        for r, w in enumerate(ws):
+            alone = _batch(g, [w])
+            for key in ("B", "scores"):
+                assert np.array_equal(tables[key][..., r], alone[key][..., 0]), (H, key)
     for g, ws in cases:
         tables = _batch(g, ws)
         rows, R = tables["ht"].fiber_start[-1], len(ws)
         shapes = {"B": (g.h + 1, g.n, 2**g.h, R), "hsum": (g.n - 1, 2**g.h, R),
-                  "scores": (rows, g.n, R), "dmat": (rows, g.n)}
+                  "scores": (rows, g.n, R)}
         for key, shape in shapes.items():
             assert tables[key].shape == shape and tables[key].flags.c_contiguous, key
         k, x = g.n // 2, 0.3
@@ -186,10 +195,21 @@ def test_layer_mask_counts_only_requested_layers():
     p = partition_polynomial(g, w, mask)
     assert p.mask_size == 2 * g.h
     assert p.log_z() == pytest.approx(scalar_log_z(g, w), abs=1e-10)
-    # counting every vertex individually agrees with the layer range
-    vs = [(i, j) for i in (2, 3) for j in range(1, g.h + 1)]
-    q = partition_polynomial(g, w, CountingMask.vertex_set(vs))
-    _assert_poly_close(p, q, tol=1e-12)
+    with pytest.raises(TypeError, match="a counting mask is a CountingMask"):
+        partition_polynomial(g, w, np.ones((g.n, g.h)))
+    # the masked polynomial and the masked scalar log Z are views of one
+    # mask-free table; every layer range against its enumerated polynomial
+    instances = [random_instance(rng, n_lo=1, n_hi=6, max_vertices=12) for _ in range(4)]
+    instances.append(random_instance(rng, n_lo=8, n_hi=8, fibers=["path2"]))
+    instances += [(g, w) for g, ws in disabled_edge_batches(53) for w in ws]
+    for g, w in instances:
+        for k in range(1, g.n + 1):
+            for l in range(k, g.n + 1):
+                mask = CountingMask.layer_range(k, l)
+                ref = brute_force_polynomial(g, w, mask)
+                _assert_poly_close(partition_polynomial(g, w, mask), ref, tol=1e-12)
+                for x in (-1.0, 0.0, 0.7):
+                    assert scalar_log_z(g, w, x, mask) == pytest.approx(ref.log_z(x), rel=0.0, abs=1e-12)
 
 
 def test_scalar_route_matches_polynomial_log_z():
@@ -210,7 +230,7 @@ def test_forward_messages_terminal_state_is_log_z():
     assert msgs[-1, 0] == pytest.approx(scalar_log_z(g, w, 0.4), abs=1e-10)
     # the message at the empty reserved set after layer k is log Z of layers 1..k
     for k in range(1, g.n + 1):
-        sub_g, sub_w, _ = restrict(g, w, 1, k)
+        sub_g, sub_w = restrict(g, w, 1, k)
         assert msgs[k - 1, 0] == pytest.approx(scalar_log_z(sub_g, sub_w, 0.4), abs=1e-10)
 
 
@@ -294,8 +314,8 @@ def test_remainder_R_matches_restricted_solves():
     for g, w in cut_instances(17):
         for x in (-1.0, 0.0, 0.7):
             full = scalar_log_z(g, w, x)
-            expect = [full - scalar_log_z(*restrict(g, w, 1, k)[:2], x)
-                      - scalar_log_z(*restrict(g, w, k + 1, g.n)[:2], x) for k in range(1, g.n)]
+            expect = [full - scalar_log_z(*restrict(g, w, 1, k), x)
+                      - scalar_log_z(*restrict(g, w, k + 1, g.n), x) for k in range(1, g.n)]
             assert np.allclose(remainder_R(g, w, x), expect, rtol=0.0, atol=1e-9)
 
 
@@ -304,13 +324,13 @@ def test_flipped_tables_keep_partition_function_and_ground_state():
     # matching: the layer-flipped table, a view, gives the same log Z, maximum
     # and polynomial as the table itself
     for g, w in cut_instances(19):
-        tables = instance_tables(g, w, keep_scores=True)
+        tables = instance_tables(g, w)
         flip = {**tables, "B": tables["B"][:, ::-1], "hsum": tables["hsum"][::-1],
                 "scores": tables["scores"][:, ::-1]}
         assert batch_scalar_log_z(flip, 0.3)[0] == pytest.approx(
             batch_scalar_log_z(tables, 0.3)[0], abs=1e-10)
         assert max_values(flip)[0] == pytest.approx(max_values(tables)[0], abs=1e-10)
-        (a,), (b,) = (batch_prefix_coeffs(t, [g.n], g.h * np.arange(1, g.n + 1))[0].T
+        (a,), (b,) = (batch_prefix_coeffs(t, [g.n])[0].T
                       for t in (flip, tables))
         _assert_poly_close(MonomerPolynomial(a, g.num_vertices), MonomerPolynomial(b, g.num_vertices))
 
@@ -410,6 +430,31 @@ def test_dyadic_report_structure_and_bounds():
                 assert nd.dRdx == pytest.approx(expect, abs=1e-9)
         assert rep.max_abs_dRdx == pytest.approx(
             max(abs(nd.dRdx) for nd in rep.nodes() if nd.cut is not None))
+
+
+def test_dyadic_blocks_equal_their_restricted_solves():
+    # every block of the report, single layers included, is a slice of one
+    # table and bit for bit the moment sweep of its own restricted table
+    for H, n in ((HGraph.complete(4), 7), (HGraph.path(6), 6)):
+        g = build_cylinder(n, H)
+        w = sample_weights(g, STD_NORMAL, RngSeed(97, 0))
+        for x in (0.0, 0.4):
+            def block(lo, hi):
+                lz, mean, _ = batch_moments(instance_tables(*restrict(g, w, lo, hi)), x)
+                return lz[0], mean[0]
+
+            got, ref = [], []
+            for nd in dyadic_report(g, w, depth=4, x=x).nodes():
+                if nd.T is not None:
+                    got.append(nd.T)
+                    ref.append(block(nd.lo, nd.hi)[0] - block(nd.lo, nd.hi - 1)[0])
+                if nd.cut is not None:
+                    left, right = nd.children
+                    (lz, mean), (lz_l, mean_l), (lz_r, mean_r) = (
+                        block(left.lo, right.hi), block(left.lo, left.hi), block(right.lo, right.hi))
+                    got += [nd.R, nd.dRdx]
+                    ref += [lz - lz_l - lz_r, mean - mean_l - mean_r]
+            assert len(got) >= 8 and np.array_equal(got, ref), (H, x)
 
 
 def test_polynomial_payload_round_trip():
