@@ -57,6 +57,7 @@ from .sampler import GibbsSampler, heights
 from .transfer import (
     CapacityError,
     CountingMask,
+    instance_tables,
     partition_polynomial,
     scalar_log_z,
 )
@@ -108,6 +109,13 @@ def _resolve_weights(args):
     return g, sample_weights(g, spec, RngSeed(args.seed, stream=args.stream))
 
 
+def _require_finite(args, *names) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
+
+
 def _resolved_args_dict(args) -> dict:
     skip = {"func", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
@@ -151,6 +159,7 @@ def _ensure_out(args) -> str | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args) -> int:
+    _require_finite(args, "x")
     g, w = _resolve_weights(args)
     mask = None
     if args.layers is not None:
@@ -212,8 +221,9 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}: "
                          "the summary and the height table need at least one draw")
+    _require_finite(args, "x", "centering")
     g, w = _resolve_weights(args)
-    sampler = GibbsSampler(g, w, x=args.x)
+    sampler = GibbsSampler(instance_tables(g, w), x=args.x)
     from .graphs import DOMAIN_GIBBS, rng_generator
 
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
@@ -440,7 +450,9 @@ def _svg_chart(series, title, width=640, height=400):
 def _read_csv_columns(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise UsageError(f"csv file is empty: {path}")
         rows = list(reader)
     cols = {}
     for j, name in enumerate(header):

@@ -31,7 +31,6 @@ from .graphs import (
     _check_weight_array,
     build_cylinder,
     rng_generator,
-    sample_weights,
     weight_arrays,
 )
 from .groundstate import max_values
@@ -39,13 +38,13 @@ from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CapacityError,
-    CountingMask,
     MonomerPolynomial,
     batch_moments,
     batch_prefix_coeffs,
     batch_tables,
     check_polynomial_caps,
     cut_moments,
+    increment_laws,
     instance_tables,
     prefix_polynomials,
 )
@@ -632,6 +631,7 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
     if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
         raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
     n, t = max(cfg.n_ladder), np.asarray(cfg.t_grid, dtype=float)
+    check_polynomial_caps(n, cfg.fiber_graph().h)   # the exact increment laws
     cuts = np.floor(n * t).astype(int)
     if t.size < 2 or (t < 0).any() or (t > 1).any() or (np.diff(cuts) <= 0).any():
         raise ValueError(f"height increments need a t grid in [0, 1] whose cuts floor(n*t)"
@@ -639,9 +639,24 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
                          f" gives {','.join(map(str, cuts))}")
 
 
+CHECKS = ("clt", "drift", "brownian", "functionals")
+
+
 def check_runnable(cfg: ExperimentConfig, checks) -> None:
-    """Raise the ValueError that the functional check (run with spectra) or
-    an enabled Brownian check would raise on ``cfg``, before any campaign work."""
+    """Before any campaign work, raise the ValueError that the functional
+    check (run with spectra) or an enabled check would raise on ``cfg``, or
+    that says an enabled check is unknown or would check nothing."""
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; the checks are {', '.join(CHECKS)}")
+    if "clt" in checks and cfg.replicas < 30:
+        raise ValueError(f"the clt check needs >= 30 replicas, got {cfg.replicas}")
+    if "drift" in checks and len(set(cfg.n_ladder)) < 2:
+        raise ValueError("the drift check compares the top two ladder lengths;"
+                         f" the ladder {','.join(map(str, cfg.n_ladder))} has one")
+    if "functionals" in checks and not cfg.with_spectrum:
+        raise ValueError("the functionals check compares zeros with cumulants:"
+                         " it needs with_spectrum = true")
     if cfg.with_spectrum:
         _zero_extraction_rung(cfg)
     if "brownian" in checks:
@@ -694,23 +709,21 @@ class BrownianReport:
     max_abs_corr: float
     ks_stats: np.ndarray
     ks_envelope: float
-    # single-environment runs also carry the exact increment laws:
-    # the lattice floor of each increment's distance to normal, and the
-    # empirical-vs-exact CDF distance (which the sampling envelope bounds)
-    lattice_floors: np.ndarray | None = None
-    ks_exact: np.ndarray | None = None
+    # from the exact law of each pooled increment: the lattice floor of its
+    # distance to normal, and the empirical-vs-exact CDF distance (which
+    # the sampling envelope bounds)
+    lattice_floors: np.ndarray
+    ks_exact: np.ndarray
 
     def normality_ok(self) -> bool:
         """Per-increment KS within envelope.
 
         Section counts are integers, so their laws sit a fixed lattice
-        distance from normal no matter how many samples are drawn; with
-        exact laws in hand the envelope for the raw KS statistic is that
-        floor plus the sampling term, and the empirical CDF must match
-        the exact law within the sampling term alone.
+        distance from normal no matter how many samples are drawn: the
+        envelope for the raw KS statistic is that floor plus the sampling
+        term, and the empirical CDF must match the exact law within the
+        sampling term alone.
         """
-        if self.lattice_floors is None:
-            return bool(np.all(self.ks_stats <= self.ks_envelope))
         return bool(
             np.all(self.ks_exact <= self.ks_envelope)
             and np.all(self.ks_stats <= self.lattice_floors + self.ks_envelope)
@@ -723,7 +736,10 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     Draws Gibbs samples across independent environments at the top ladder
     length, forms scaled height increments on the t-grid, and reports
     variance ratios against sigma^2 * dt, pairwise correlations, and
-    per-increment normality.
+    per-increment normality.  One table holds every environment: each
+    sampler reads its replica, and ``increment_laws`` gives every exact
+    increment law, whose mean over the environments is the law of the
+    pooled draws.
     """
     from scipy import stats
 
@@ -731,19 +747,16 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)
-    cuts = np.floor(n * t).astype(int)
-    paths = []
-    raw_inc = env_weights = None
+    tables = batch_tables(g, *_draw_weight_batch(g, cfg, range(cfg.height_envs)))
+    raw, paths = [], []
     for env in range(cfg.height_envs):
-        w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=env))
-        sampler = GibbsSampler(g, w)
+        sampler = GibbsSampler(tables, env)
         gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
         theta, scaled = heights(
             sampler.monomer_profiles(*sampler.draw_states(gen, cfg.gibbs_samples)), t, u_hat)
-        if cfg.height_envs == 1:
-            raw_inc = np.diff(theta, axis=1)
-            env_weights = w
+        raw.append(np.diff(theta, axis=1))
         paths.append(scaled)
+    raw_inc = np.concatenate(raw, axis=0)
     theta_hat = np.concatenate(paths, axis=0)
     inc = np.diff(theta_hat, axis=1)
     dt = np.diff(t)
@@ -755,17 +768,13 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     for j in range(inc.shape[1]):
         z = (inc[:, j] - inc[:, j].mean()) / inc[:, j].std(ddof=1)
         ks[j] = stats.kstest(z, "norm").statistic
-    floors = exact = None
-    if raw_inc is not None:
-        # every increment's exact law is a layer-range view of one table
-        tables = instance_tables(g, env_weights)
-        floors, exact = np.empty((2, raw_inc.shape[1]))
-        for j in range(raw_inc.shape[1]):
-            (c,) = batch_prefix_coeffs(tables, [n], CountingMask.layer_range(cuts[j] + 1, cuts[j + 1]))
-            pmf = MonomerPolynomial(c[:, 0], g.num_vertices).pmf(0.0)
-            floors[j] = _lattice_normal_distance(pmf)
-            emp = np.searchsorted(np.sort(raw_inc[:, j]), np.arange(pmf.size), side="right")
-            exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0] - np.cumsum(pmf))))
+    floors, exact = np.empty((2, inc.shape[1]))
+    for j, lc in enumerate(increment_laws(tables, np.floor(n * t).astype(int))):
+        p = np.exp(lc - lc.max(axis=0))
+        pmf = (p / p.sum(axis=0)).mean(axis=1)
+        floors[j] = _lattice_normal_distance(pmf)
+        emp = np.searchsorted(np.sort(raw_inc[:, j]), np.arange(pmf.size), side="right")
+        exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0] - np.cumsum(pmf))))
     return BrownianReport(
         n=n,
         samples=theta_hat.shape[0],

@@ -58,7 +58,7 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
     tables = instance_tables(g, w)
     ht, hsum, scores = tables["ht"], tables["hsum"][..., 0], tables["scores"][..., 0]
-    msgs = messages(_max_W(tables), tables, MAX)
+    msgs = messages(_max_W(tables), tables, MAX)[..., 0]
     value = float(msgs[-1, 0])
     S_path = np.zeros(g.n, dtype=np.int64)
     rows = np.zeros(g.n, dtype=np.int64)
@@ -123,6 +123,9 @@ def ground_zero_temperature_limit(
     the gap column is always nonnegative and shrinks like beta^{-1}.
     """
     betas = np.asarray(betas, dtype=float)
+    bad = betas[~np.isfinite(betas)]
+    if bad.size:
+        raise ValueError(f"beta values must be finite, got {', '.join(map(str, bad))}")
     if (betas <= 0).any():
         raise ValueError("beta values must be positive")
     M = max_weight(g, w).value

@@ -8,6 +8,8 @@ configuration, so the shared backward resolution (``transfer.resolve``)
 turns them into the exact conditional law of (S_{i-1}, m_i) given S_i.
 Sampling those pairs backward from the last layer produces draws from the
 Gibbs measure itself - no Markov chain, no mixing-time question.
+A ``GibbsSampler`` builds no table: it reads and sweeps one replica of a
+built one (one instance: ``instance_tables``).
 ``matchings_from_states`` decodes the drawn paths by array lookups;
 ``path_matching`` decodes one path, the ground-state argmax.
 """
@@ -122,31 +124,32 @@ def path_matching(g: CylinderGraph, ht, S_path, rows) -> Matching:
 
 
 class GibbsSampler:
-    """Backward exact sampler with precomputed per-layer conditionals.
+    """Backward exact sampler of replica r of built tables at tilt x, with
+    precomputed per-layer conditionals.
 
-    Building the tables costs one forward sweep and one backward resolution
-    per (layer, reserved set); afterwards each draw is a cheap categorical
-    walk, so large draw counts are vectorized across draws layer by layer.
+    Building it costs one forward sweep of replica r and one backward
+    resolution per (layer, reserved set); afterwards each draw is a cheap
+    categorical walk, so large draw counts are vectorized across draws layer
+    by layer.
     """
 
-    def __init__(self, g: CylinderGraph, w: WeightAssignment, x: float = 0.0):
-        self.g = g
-        self.w = w
-        self.x = x
-        tables = instance_tables(g, w)
-        self.ht = tables["ht"]
-        msgs = messages(_tilted_W(tables, x), tables)
+    def __init__(self, tables: dict, r: int = 0, x: float = 0.0):
+        self.n, self.h, self.ht, self.x = tables["n"], tables["h"], tables["ht"], x
+        # replica r as a contiguous batch of one, so every number below is
+        # the one that the replica's own instance_tables give
+        one = {**tables, **{k: tables[k][..., [r]] for k in ("B", "hsum", "scores")}}
+        msgs = messages(_tilted_W(one, x), one)[..., 0]
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
-        hsum = tables["hsum"][..., 0]
-        scores = tables["scores"][..., 0] + x * self.ht.fiber_mono[:, None]
+        hsum = one["hsum"][..., 0]
+        scores = one["scores"][..., 0] + x * self.ht.fiber_mono[:, None]
 
         # for layer i and current reserved set S: the cumulative categorical
         # over the backward candidates, with their previous sets and fiber rows
-        self._tables = [[None] * self.ht.states for _ in range(g.n)]
-        for i in range(g.n):
-            for S in range(self.ht.states if i < g.n - 1 else 1):
+        self._tables = [[None] * self.ht.states for _ in range(self.n)]
+        for i in range(self.n):
+            for S in range(self.ht.states if i < self.n - 1 else 1):
                 logits, prev, rows = resolve(msgs, hsum, scores, self.ht, i, S)
                 top = logits.max()
                 if top == NEG_INF:
@@ -161,7 +164,7 @@ class GibbsSampler:
         each layer (always 0 at the last) and the fiber row of each layer,
         which indexes ``ht.fiber_edges`` and ``ht.fiber_mono``.
         """
-        n = self.g.n
+        n = self.n
         S_path = np.zeros((count, n), dtype=np.int64)
         m_path = np.zeros((count, n), dtype=np.int64)
         cur = np.zeros(count, dtype=np.int64)
@@ -184,13 +187,13 @@ class GibbsSampler:
         """Decode draws by array lookups: the H-edges of each layer's fiber
         row and the fiber vertices of each reserved set, offset to the
         canonical edge indices of their layer (as ``path_matching`` does)."""
-        g, ht = self.g, self.ht
+        n, h, ht = self.n, self.h, self.ht
         row_edges = np.full((len(ht.fiber_edges), max(map(len, ht.fiber_edges))), -1)
         for r, es in enumerate(ht.fiber_edges):
             row_edges[r, : len(es)] = es
-        layer = np.arange(g.n)[:, None]
-        vertical = g.num_horizontal + layer * len(g.H.edges)
-        horizontal = layer * g.h + np.arange(g.h)
+        layer = np.arange(n)[:, None]
+        vertical = (n - 1) * h + layer * ht.mH
+        horizontal = layer * h + np.arange(h)
         reserved = ht.sbits > 0
         out = []
         for S, rows in zip(S_path, m_path):
@@ -213,6 +216,6 @@ def exact_sample(
     """Draw ``count`` independent matchings from the Gibbs measure."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    sampler = GibbsSampler(g, w)
+    sampler = GibbsSampler(instance_tables(g, w))
     gen = rng_generator(seed, DOMAIN_GIBBS)
     return sampler.draw_matchings(gen, count)

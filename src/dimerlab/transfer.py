@@ -52,10 +52,11 @@ listing the candidate (previous reserved set, fiber matching) pairs with
 their logits; the exact sampler draws from them and the ground-state
 engine takes their argmax.
 
-A route builds one table and reads views of it.  The message at the empty
-reserved set after layer k (see ``messages``) is the value of layers 1..k,
-and the sweep over the layer-flipped table (``W[::-1]``, ``hsum[::-1]``)
-gives that of layers k+1..n: ``cut_remainders`` turns the two into the
+A route builds one table and reads views of it.  ``messages`` stacks the
+messages of a forward sweep, or of the sweep over the layer-flipped table
+(``W[::-1]``, ``hsum[::-1]``).  The forward message at the empty reserved
+set after layer k is the value of layers 1..k, and the flipped one gives
+that of layers k+1..n: ``cut_remainders`` turns the two into the
 remainders V - V[1:k] - V[k+1:n] of every cut.  ``dyadic_report`` sweeps
 block k..l as the slice ``W[k-1:l]``, ``hsum[k-1:l-1]``.  The gauge to zero
 vertex weights that the Lee-Yang spectra need is the coefficient shift
@@ -66,7 +67,13 @@ independent (forward-backward).  ``cut_moments`` runs the moment semiring
 forward over layers 1..k and over the layer-flipped tables of layers
 k+1..n, and mixes the two messages over the reserved set of cut k: the
 section variances and their covariance come out directly, with no
-polarization.
+polarization.  The same factorisation (forward-backward, Rabiner, Proc.
+IEEE 1989) gives the exact law of the count on every increment a+1..b of
+a grid of cuts: ``increment_laws`` starts a degree sweep from the stacked
+forward LOG message after layer a, runs it over the increment's layers
+only, and closes it against the stacked flipped message at cut b.  One
+forward and one flipped pass serve every increment, and the degree sweeps
+cover n layers in all.
 """
 from __future__ import annotations
 
@@ -541,6 +548,7 @@ def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LO
     ``W[i][..., F, r]`` weighs layer i with forbidden set F and
     ``hsum[k, S, r]`` the horizontal dimers of reserved set S at cut k;
     ``W[i]`` may carry leading axes that the semiring's ``times`` consumes.
+    Layer 0 of ``W``, a sequence, may be an earlier sweep's message to continue.
     Message i, indexed ``[..., S, r]``, aggregates every configuration of
     layers 0..i that ends in reserved set S, so message n-1 at S = 0 is the
     whole instance.  Messages are produced one at a time; callers keep what
@@ -558,11 +566,15 @@ def _last(messages) -> np.ndarray:
     return deque(messages, maxlen=1)[0]
 
 
-def messages(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarray:
-    """The forward messages of the first replica of ``tables`` after every
-    layer, stacked: ``[i, S]`` aggregates layers 0..i ending in reserved
-    set S, so ``[k - 1, 0]`` is the value of the prefix of layers 1..k."""
-    return np.stack([v[..., 0] for v in sweep(W, tables["hsum"], tables["ht"], semiring)])
+def messages(W: np.ndarray, tables: dict, semiring: Semiring = LOG, flipped: bool = False) -> np.ndarray:
+    """The messages of the sweep of ``W`` after every layer, stacked
+    ``[i, ..., S, r]``, so ``[k - 1, 0]`` is the value of layers 1..k; with
+    ``flipped``, of the sweep over the layer-flipped view, so ``[n - k - 1,
+    0]`` is the value of layers k+1..n from the empty reserved set at cut k."""
+    hsum = tables["hsum"]
+    if flipped:
+        W, hsum = W[::-1], hsum[::-1]
+    return np.stack(list(sweep(W, hsum, tables["ht"], semiring)))
 
 
 def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables, i: int, S: int):
@@ -679,6 +691,27 @@ def batch_prefix_coeffs(tables: dict, ks, mask=None) -> list[np.ndarray]:
             if k in out:
                 out[k].append(v[: masked[k - 1] + 1, 0])
     return [np.concatenate(out[k], axis=-1) for k in ks]
+
+
+def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
+    """Log coefficients ``[j, r]`` of j monomers on layers a+1..b, for each
+    pair (a, b) of consecutive ``cuts`` and every replica: the masked
+    ``batch_prefix_coeffs``, from one forward and one flipped LOG sweep and
+    a degree sweep over each increment's layers (see the module docstring)."""
+    n, h, ht, hsum = tables["n"], tables["h"], tables["ht"], tables["hsum"]
+    check_polynomial_caps(n, h)
+    cuts = [int(c) for c in cuts]
+    if len(cuts) < 2 or cuts[0] < 0 or cuts[-1] > n or any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValueError(f"cuts {cuts} must strictly increase inside [0:{n}]")
+    W = _tilted_W(tables, 0.0)
+    fw, bw = (messages(W, tables, LOG, flipped) for flipped in (False, True))
+    B = tables["B"].swapaxes(0, 1)   # [i, d, F, r]
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
+        v = _last(sweep(layers, cut_h, ht, _degree_semiring(h * (b - a))))
+        out.append(v[:, 0] if b == n else _logsumexp(v + hsum[b - 1] + bw[n - b - 1], axis=1))
+    return out
 
 
 def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> list[MonomerPolynomial]:
@@ -811,9 +844,7 @@ def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.
     same sweep over the layer-flipped table gives the values of the
     suffixes, so one forward and one flipped sweep serve every cut.
     """
-    hsum, ht = tables["hsum"], tables["ht"]
-    pre, suf = (np.stack([v[0] for v in sweep(Wd, hd, ht, semiring)])
-                for Wd, hd in ((W, hsum), (W[::-1], hsum[::-1])))
+    pre, suf = (messages(W, tables, semiring, flipped)[:, 0] for flipped in (False, True))
     return pre[-1] - pre[:-1] - suf[-2::-1]
 
 

@@ -52,6 +52,7 @@ from dimerlab.transfer import (
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
+    instance_tables,
     kill_vertex_edges,
     partition_polynomial,
     remainder_R,
@@ -547,7 +548,7 @@ def test_criterion_15_sampler_chi_square():
         probs /= probs.sum()
         index = {m: i for i, m in enumerate(support)}
 
-        sampler = GibbsSampler(g, w, x=x)
+        sampler = GibbsSampler(instance_tables(g, w), x=x)
         gen = rng_generator(RngSeed(seed, 1), DOMAIN_GIBBS)
         draws = sampler.draw_matchings(gen, 100_000)
         counts = np.zeros(len(support))

@@ -96,16 +96,24 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("chunk = -4\n", "", "chunk must be >= 1 replica per batch, got -4"),
     # a functionals check over an empty tilt grid, which would compare nothing
     ("x_grid =\nwith_spectrum = true\n", "functionals", "empty x_grid"),
+    # a check that does not exist, or that would be skipped or fail only after
+    # the campaign: functionals without spectra, drift on one rung, clt on 4 replicas
+    ("", "clt,foo", "unknown check(s) foo; the checks are clt, drift, brownian, functionals"),
+    ("", "functionals", "it needs with_spectrum = true"),
+    ("n = 8\n", "drift", "the ladder 8 has one"),
+    ("", "clt", "the clt check needs >= 30 replicas, got 4"),
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
-        "x-grid-empty"])
+        "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
+    ladder = {"n": "20, 40", "replicas": "4", "seed": "1"}
+    ladder.update((k.strip(), v.strip()) for k, _, v in (line.partition("=") for line in extra.splitlines()))
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         "[graph]\nfiber = path(2)\n"
         "[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
-        "[ladder]\nn = 20, 40\nreplicas = 4\nseed = 1\n" + extra
+        "[ladder]\n" + "".join(f"{k} = {v}\n" for k, v in ladder.items())
     )
     out = tmp_path / "run"
     assert main(["experiment", "--config", str(cfg), "--out", str(out),
@@ -166,6 +174,37 @@ def test_sample_command_writes_heights(tmp_path, capsys):
         expect += [f"{d},{t!r},{int(th)},{float(th_hat)!r}"
                    for t, th, th_hat in zip(hs.t.tolist(), hs.theta, hs.theta_hat)]
     assert lines[1:] == expect
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("exact", "--x", "nan"), ("exact", "--x", "inf"), ("exact --scalar", "--x", "-inf"),
+    ("sample", "--x", "nan"), ("sample", "--centering", "nan"), ("sample", "--centering", "inf"),
+], ids=["exact-nan", "exact-inf", "exact-scalar-neg-inf", "sample-nan", "sample-centering-nan",
+        "sample-centering-inf"])
+def test_non_finite_tilt_or_centering_is_usage_error(tmp_path, capsys, cmd, flag, value):
+    out = tmp_path / "run"
+    code = main(cmd.split() + [f"{flag}={value}", "--n", "4", "--h", "2", "--vertex", "normal(0,1)",
+                               "--out", str(out)])
+    assert code == 2
+    assert f"{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ground_refuses_non_finite_betas(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["ground", "--n", "4", "--h", "2", "--vertex", "normal(0,1)", "--betas", "1,nan",
+                 "--out", str(out)]) == 2
+    assert "beta values must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_of_an_empty_csv_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(empty), "--svg", str(svg)]) == 2
+    assert f"csv file is empty: {empty}" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

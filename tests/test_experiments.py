@@ -37,7 +37,7 @@ from dimerlab.experiments import (
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
 from dimerlab.sampler import GibbsSampler, heights
-from dimerlab.transfer import CountingMask, partition_polynomial, section_covariance
+from dimerlab.transfer import CountingMask, instance_tables, partition_polynomial, section_covariance
 
 from helpers import STD_NORMAL, count_calls, restrict, sweep_steps, table_builds
 
@@ -335,25 +335,44 @@ def test_brownian_report_shapes():
 
 
 def test_brownian_exact_laws_are_views_of_one_table():
-    # one environment: the sampler's table and one table whose layer-range
-    # views give every increment's exact law
+    # one table for every environment: each sampler reads its replica, and
+    # the exact law of the pooled increments is the mean of the environments'
+    # masked polynomials
+    for envs in (1, 3):
+        cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
+                         gibbs_samples=200, height_envs=envs)
+        reps = []
+        assert table_builds(lambda: reps.append(brownian_fdd_check(cfg, 0.5, 1.0))) == 1
+        rep, = reps
+        g = build_cylinder(32, HGraph.path(2))
+        cuts = np.floor(32 * rep.t_grid).astype(int)
+        incs, pmfs = [], []
+        for env in range(envs):
+            w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=env))
+            sampler = GibbsSampler(instance_tables(g, w))
+            theta, _ = heights(sampler.monomer_profiles(*sampler.draw_states(
+                rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS), cfg.gibbs_samples)), rep.t_grid, None)
+            incs.append(np.diff(theta, axis=1))
+            pmfs.append([partition_polynomial(g, w, CountingMask.layer_range(a + 1, b)).pmf()
+                         for a, b in zip(cuts, cuts[1:])])
+        inc = np.concatenate(incs)
+        assert rep.samples == inc.shape[0] == envs * cfg.gibbs_samples
+        for j in range(inc.shape[1]):
+            pmf = np.mean([p[j] for p in pmfs], axis=0)
+            emp = np.searchsorted(np.sort(inc[:, j]), np.arange(pmf.size), side="right") / inc.shape[0]
+            assert rep.lattice_floors[j] == pytest.approx(_lattice_normal_distance(pmf), rel=0.0, abs=1e-12)
+            assert rep.ks_exact[j] == pytest.approx(np.max(np.abs(emp - np.cumsum(pmf))), rel=0.0, abs=1e-12)
+
+
+def test_brownian_normality_of_several_environments_allows_the_lattice_floor():
+    # exact Gibbs draws of two environments: the pooled increments are
+    # lattice-valued, so their KS distance to normal exceeds the bare
+    # sampling envelope, but not the exact pooled law's floor plus it
     cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
-                     gibbs_samples=200, height_envs=1)
-    reps = []
-    assert table_builds(lambda: reps.append(brownian_fdd_check(cfg, 0.5, 1.0))) <= 2
-    rep, = reps
-    g = build_cylinder(32, HGraph.path(2))
-    w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=0))
-    sampler = GibbsSampler(g, w)
-    theta, _ = heights(sampler.monomer_profiles(*sampler.draw_states(
-        rng_generator(RngSeed(cfg.seed, stream=0), DOMAIN_GIBBS), cfg.gibbs_samples)), rep.t_grid, None)
-    inc = np.diff(theta, axis=1)
-    cuts = np.floor(32 * rep.t_grid).astype(int)
-    for j in range(inc.shape[1]):
-        pmf = partition_polynomial(g, w, CountingMask.layer_range(cuts[j] + 1, cuts[j + 1])).pmf()
-        emp = np.searchsorted(np.sort(inc[:, j]), np.arange(pmf.size), side="right") / inc.shape[0]
-        assert rep.lattice_floors[j] == pytest.approx(_lattice_normal_distance(pmf), rel=0.0, abs=1e-12)
-        assert rep.ks_exact[j] == pytest.approx(np.max(np.abs(emp - np.cumsum(pmf))), rel=0.0, abs=1e-12)
+                     gibbs_samples=500, height_envs=2, t_grid=tuple(np.linspace(0, 1, 5)))
+    rep = brownian_fdd_check(cfg, 0.5, 1.0)
+    assert not np.all(rep.ks_stats <= rep.ks_envelope)
+    assert rep.normality_ok()
 
 
 @pytest.mark.parametrize("envs", [1, 2])

@@ -140,3 +140,10 @@ def test_weights_of_another_cylinder_are_refused():
     for route in (max_weight, gse_remainder):
         with pytest.raises(ValueError, match="belongs to a different graph"):
             route(g, w)
+
+
+def test_zero_temperature_ladder_refuses_non_finite_betas():
+    g, w = random_instance(np.random.default_rng(37), n_lo=3, n_hi=3, fibers=["path2"])
+    for betas, named in (([1.0, float("nan")], "nan"), ([float("inf"), 2.0, float("-inf")], "inf, -inf")):
+        with pytest.raises(ValueError, match=f"beta values must be finite, got {named}$"):
+            ground_zero_temperature_limit(g, w, betas)

@@ -18,9 +18,9 @@ from dimerlab.sampler import (
     observables,
     path_matching,
 )
-from dimerlab.transfer import partition_polynomial, scalar_log_z
+from dimerlab.transfer import batch_tables, instance_tables, partition_polynomial, scalar_log_z
 
-from helpers import STD_NORMAL, disabled_edge_batches, random_instance
+from helpers import STD_NORMAL, disabled_edge_batches, random_instance, table_builds
 
 
 def test_matching_rejects_shared_vertices():
@@ -68,7 +68,7 @@ def test_draws_are_valid_matchings_and_deterministic():
 def test_draws_avoid_disabled_edges():
     for g, ws in disabled_edge_batches(71):
         for w in ws:
-            draws = GibbsSampler(g, w, x=0.3).draw_matchings(np.random.default_rng(5), 300)
+            draws = GibbsSampler(instance_tables(g, w), x=0.3).draw_matchings(np.random.default_rng(5), 300)
             assert all(np.isfinite(matching_weight(g, w, m)) for m in draws)
 
 
@@ -90,7 +90,7 @@ def test_tilted_sampler_shifts_the_monomer_count():
     x = 1.2
     pmf = partition_polynomial(g, w).pmf(x)
     gen = np.random.default_rng(5)
-    sampler = GibbsSampler(g, w, x=x)
+    sampler = GibbsSampler(instance_tables(g, w), x=x)
     draws = sampler.draw_matchings(gen, 20000)
     mean = np.mean([m.num_unpaired(g) for m in draws])
     expect = pmf @ np.arange(pmf.size)
@@ -101,7 +101,7 @@ def test_tilted_sampler_shifts_the_monomer_count():
 def test_monomer_profiles_match_matchings():
     rng = np.random.default_rng(29)
     g, w = random_instance(rng, n_lo=6, n_hi=6, fibers=["path2"])
-    sampler = GibbsSampler(g, w)
+    sampler = GibbsSampler(instance_tables(g, w))
     gen = np.random.default_rng(11)
     S_path, m_path = sampler.draw_states(gen, 25)
     profiles = sampler.monomer_profiles(S_path, m_path)
@@ -120,7 +120,7 @@ def test_array_decode_matches_path_matching():
     # the array-lookup decode of every draw against the one-path reference
     for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64)):
         g = build_cylinder(n, H)
-        sampler = GibbsSampler(g, sample_weights(g, STD_NORMAL, RngSeed(41, n)), x=0.7)
+        sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(41, n))), x=0.7)
         S_path, m_path = sampler.draw_states(np.random.default_rng(n), 30)
         expect = [path_matching(g, sampler.ht, s, m) for s, m in zip(S_path, m_path)]
         assert sampler.matchings_from_states(S_path, m_path) == expect
@@ -140,3 +140,18 @@ def test_sampler_weight_distribution_is_gibbs():
     draws = exact_sample(g, w, RngSeed(3, 2), count=30000)
     values = np.array([matching_weight(g, w, m) for m in draws])
     assert values.mean() == pytest.approx(expect_H, abs=5 * values.std() / np.sqrt(30000))
+
+
+def test_sampler_reads_a_replica_of_a_batch_table():
+    # a sampler on replica r of a batch table builds no table and draws, bit
+    # for bit, what a sampler on that environment's own table draws
+    cases = [(g, [sample_weights(g, STD_NORMAL, RngSeed(37, r)) for r in range(4)])
+             for g in (build_cylinder(7, HGraph.path(3)), build_cylinder(5, HGraph.cycle(3)))]
+    for g, ws in cases + list(disabled_edge_batches(37)):
+        tables = batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")))
+        for r, w in enumerate(ws):
+            samplers = []
+            assert table_builds(lambda: samplers.append(GibbsSampler(tables, r, x=0.4))) == 0
+            got = samplers[0].draw_states(np.random.default_rng(r), 200)
+            ref = GibbsSampler(instance_tables(g, w), x=0.4).draw_states(np.random.default_rng(r), 200)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))

@@ -25,6 +25,7 @@ from dimerlab.transfer import (
     brute_force_polynomial,
     cut_moments,
     dyadic_report,
+    increment_laws,
     instance_tables,
     kill_vertex_edges,
     messages,
@@ -225,7 +226,7 @@ def test_forward_messages_terminal_state_is_log_z():
     rng = np.random.default_rng(21)
     g, w = random_instance(rng, n_lo=4, n_hi=6, fibers=["path2", "cycle3"])
     tables = instance_tables(g, w)
-    msgs = messages(_tilted_W(tables, 0.4), tables)
+    msgs = messages(_tilted_W(tables, 0.4), tables)[..., 0]
     assert msgs.shape[0] == g.n
     assert msgs[-1, 0] == pytest.approx(scalar_log_z(g, w, 0.4), abs=1e-10)
     # the message at the empty reserved set after layer k is log Z of layers 1..k
@@ -333,6 +334,33 @@ def test_flipped_tables_keep_partition_function_and_ground_state():
         (a,), (b,) = (batch_prefix_coeffs(t, [g.n])[0].T
                       for t in (flip, tables))
         _assert_poly_close(MonomerPolynomial(a, g.num_vertices), MonomerPolynomial(b, g.num_vertices))
+
+
+def test_increment_laws_match_masked_polynomials():
+    # each law from one forward and one flipped sweep of one table against the
+    # masked polynomial of the whole cylinder: every layer range a+1..b, cuts
+    # 0 and n included, and the increments of the finest grid on a batch
+    for g, w in cut_instances(23):
+        tables = instance_tables(g, w)
+        for a in range(g.n):
+            for b in range(a + 1, g.n + 1):
+                (lc,) = increment_laws(tables, [a, b])
+                ref = partition_polynomial(g, w, CountingMask.layer_range(a + 1, b))
+                _assert_poly_close(MonomerPolynomial(lc[:, 0], g.num_vertices), ref, tol=1e-12)
+    for g, ws in disabled_edge_batches(23, n=6):
+        laws = increment_laws(_batch(g, ws), range(g.n + 1))
+        for r, w in enumerate(ws):
+            for a, lc in enumerate(laws):
+                ref = partition_polynomial(g, w, CountingMask.layer_range(a + 1, a + 1))
+                _assert_poly_close(MonomerPolynomial(lc[:, r], g.num_vertices), ref, tol=1e-12)
+
+
+def test_increment_laws_refuse_bad_cuts():
+    g, w = random_instance(np.random.default_rng(5), n_lo=4, n_hi=4, fibers=["path2"])
+    tables = instance_tables(g, w)
+    for cuts in ([], [2], [0, 0, 4], [-1, 4], [0, 5], [3, 1], [0, 2, 2, 4]):
+        with pytest.raises(ValueError, match=r"must strictly increase inside \[0:4\]"):
+            increment_laws(tables, cuts)
 
 
 def test_remainders_and_dyadic_blocks_build_one_table():
