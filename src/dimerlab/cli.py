@@ -221,6 +221,9 @@ def _cmd_sample(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}: "
                          "the summary and the height table need at least one draw")
+    if args.t_points < 2:
+        raise UsageError(f"--t-points must be >= 2, got {args.t_points}: "
+                         "the height grid runs from t = 0 to t = 1")
     _require_finite(args, "x", "centering")
     g, w = _resolve_weights(args)
     sampler = GibbsSampler(instance_tables(g, w), x=args.x)
@@ -454,6 +457,8 @@ def _read_csv_columns(path):
         if header is None:
             raise UsageError(f"csv file is empty: {path}")
         rows = list(reader)
+    if not rows:
+        raise UsageError(f"csv file has a header and no rows: {path}")
     cols = {}
     for j, name in enumerate(header):
         vals = []

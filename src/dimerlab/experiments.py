@@ -40,13 +40,11 @@ from .transfer import (
     CapacityError,
     MonomerPolynomial,
     batch_moments,
-    batch_prefix_coeffs,
     batch_tables,
     check_polynomial_caps,
     cut_moments,
     increment_laws,
     instance_tables,
-    prefix_polynomials,
 )
 
 
@@ -101,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("empty n ladder")
         if any(n < 2 for n in self.n_ladder):
             raise ValueError("ladder lengths must be >= 2")
+        if len(set(self.n_ladder)) < len(self.n_ladder):
+            raise ValueError(f"ladder {','.join(map(str, self.n_ladder))} repeats a length")
         if not 0 < self.cut_fraction < 1:
             raise ValueError("cut_fraction must be in (0, 1)")
         if self.chunk < 1:
@@ -319,7 +319,7 @@ def _spectra(g: CylinderGraph, tables: dict):
     """Each replica's monic polynomial and its Lee-Yang spectrum, or None
     where extraction is refused (ill-conditioned coefficients), from one
     degree sweep over ``tables``."""
-    coeffs, = batch_prefix_coeffs(tables, [g.n])
+    coeffs, = increment_laws(tables, [0, g.n])
     for lc in coeffs.T:
         p = MonomerPolynomial(lc, g.num_vertices).monic()
         try:
@@ -556,9 +556,13 @@ def quenched_clt_check(g: CylinderGraph, w: WeightAssignment) -> QuenchedReport:
 
 def quenched_ladder(g: CylinderGraph, w: WeightAssignment, ns) -> list[QuenchedReport]:
     """Quenched normality reports along nested prefixes of one environment,
-    every prefix polynomial from one sweep."""
-    out = []
-    for n, p in zip(sorted(ns), prefix_polynomials(g, w, sorted(ns))):
+    prefix k the increment 0..k of the layer slice 1..k of one table."""
+    if not all(1 <= n <= g.n for n in ns):
+        raise ValueError(f"prefix lengths {list(ns)} not inside [1:{g.n}]")
+    tables, out = instance_tables(g, w), []
+    for n in sorted(ns):
+        prefix = {**tables, "B": tables["B"][:, :n], "hsum": tables["hsum"][: n - 1], "n": n}
+        p = MonomerPolynomial(increment_laws(prefix, [0, n])[0][:, 0], N=n * g.h)
         mean, var = p.cumulants(0.0, 2)
         dist = _lattice_normal_distance(p.pmf(0.0))
         out.append(QuenchedReport(n=n, distance=dist, mean=float(mean), var=float(var)))
@@ -651,7 +655,7 @@ def check_runnable(cfg: ExperimentConfig, checks) -> None:
         raise ValueError(f"unknown check(s) {', '.join(unknown)}; the checks are {', '.join(CHECKS)}")
     if "clt" in checks and cfg.replicas < 30:
         raise ValueError(f"the clt check needs >= 30 replicas, got {cfg.replicas}")
-    if "drift" in checks and len(set(cfg.n_ladder)) < 2:
+    if "drift" in checks and len(cfg.n_ladder) < 2:
         raise ValueError("the drift check compares the top two ladder lengths;"
                          f" the ladder {','.join(map(str, cfg.n_ladder))} has one")
     if "functionals" in checks and not cfg.with_spectrum:

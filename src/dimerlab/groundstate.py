@@ -23,8 +23,8 @@ import numpy as np
 from .graphs import CylinderGraph, WeightAssignment
 from .sampler import Matching, matching_weight, path_matching
 from .transfer import (
-    MAX, NEG_INF, _last, batch_tables, cut_remainders, enumerate_matchings, instance_tables, messages,
-    resolve, scalar_log_z, sweep,
+    MAX, NEG_INF, _last, batch_tables, check_cut, cut_remainders, enumerate_matchings, instance_tables,
+    messages, resolve, scalar_log_z, sweep,
 )
 
 
@@ -100,6 +100,7 @@ def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     unpaired costs exactly the gauge weight of each dropped dimer, so the
     gap never exceeds the positive part summed over the cut.
     """
+    check_cut(k, g.n)
     z = w.gauge_h[k - 1]
     finite = np.isfinite(z)
     return float(np.sum(np.clip(z[finite], 0.0, None)))

@@ -43,9 +43,8 @@ sums each new reserved set's segment with ``reduceat`` along that axis.  A
 single instance is replica 0, ``[..., 0]``.
 
 A counting mask is a view applied where the d axis collapses:
-``_tilted_W`` tilts only the counted layers, and the degree sweep weighs an
-uncounted layer by its collapsed weight lse_d B at degree 0.  So every
-layer range of one environment is counted from one table.
+``_tilted_W`` tilts only the counted layers, and the coefficients of layers
+k..l are the increment k-1..l of ``increment_laws`` below.
 
 ``resolve`` runs the recursion backward for one layer and reserved set,
 listing the candidate (previous reserved set, fiber matching) pairs with
@@ -73,14 +72,15 @@ a grid of cuts: ``increment_laws`` starts a degree sweep from the stacked
 forward LOG message after layer a, runs it over the increment's layers
 only, and closes it against the stacked flipped message at cut b.  One
 forward and one flipped pass serve every increment, and the degree sweeps
-cover n layers in all.
+cover n layers in all.  It is the only route to coefficients: a whole
+cylinder is the increment 0..n, which needs neither pass, and a prefix
+1..k is the increment 0..k of the layer slice ``B[:, :k]``, ``hsum[:k-1]``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -138,8 +138,8 @@ def _resolve_mask(mask, n: int) -> np.ndarray:
         raise TypeError(f"a counting mask is a CountingMask, got {type(mask).__name__}")
     mask = mask or CountingMask.all()
     hi = n if mask.hi is None else mask.hi
-    if hi > n:
-        raise ValueError(f"layer range [{mask.lo}:{hi}] exceeds n={n}")
+    if not 1 <= mask.lo <= hi <= n:
+        raise ValueError(f"layer range [{mask.lo}:{hi}] not inside [1:{n}]")
     out = np.zeros(n)
     out[mask.lo - 1 : hi] = 1.0
     return out
@@ -607,6 +607,12 @@ def batch_moments(tables: dict, x: float = 0.0):
     return tuple(_last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0])
 
 
+def check_cut(k: int, n: int) -> None:
+    """Refuse a cut k that does not split n layers into two nonempty sections."""
+    if not 1 <= k < n:
+        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={n}")
+
+
 def cut_moments(tables: dict, k: int, x: float = 0.0):
     """log Z, mean_U, var_U, var_left, var_right and cov at cut k: the
     monomer count U of all layers and its sections L (layers 1..k)
@@ -622,8 +628,7 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     cov = sum pi d_L d_R directly, never as a difference of variances.
     """
     n, ht, hsum = tables["n"], tables["ht"], tables["hsum"]
-    if not 1 <= k < n:
-        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={n}")
+    check_cut(k, n)
     W, semiring = _moment_W(tables, x), _moment_semiring(ht)
     fw = _last(sweep(W[:k], hsum, ht, semiring))
     bw = _last(sweep(W[k:][::-1], hsum[k:][::-1], ht, semiring))
@@ -664,67 +669,42 @@ def check_polynomial_caps(n: int, h: int) -> None:
 _POLY_BLOCK = 1 << 14
 
 
-def batch_prefix_coeffs(tables: dict, ks, mask=None) -> list[np.ndarray]:
-    """Log coefficients ``[j, r]`` of the monomer polynomials of layers 1..k,
-    j monomers on the layers that ``mask`` counts (None: every layer), for
-    each k in ``ks`` and every replica of ``tables``, read from the empty-set
-    messages of one degree-semiring sweep over blocks of replicas whose terms
-    stay under ``_POLY_BLOCK`` numbers; an uncounted layer weighs lse_d B at degree 0."""
-    n, h, ht = tables["n"], tables["h"], tables["ht"]
-    check_polynomial_caps(n, h)
-    if not all(1 <= k <= n for k in ks):
-        raise ValueError(f"prefix lengths {ks} not inside [1:{n}]")
-    counted = _resolve_mask(mask, n)
-    masked = h * np.cumsum(counted).astype(int)   # counted vertices of layers 1..i+1
-    M = int(masked[-1])
-    W = tables["B"].swapaxes(0, 1)   # [i, d, F, r]
-    off = np.flatnonzero(counted == 0)
-    if off.size:
-        W = W.copy()
-        W[off, 0] = _logsumexp(W[off], axis=1)
-        W[off, 1:] = NEG_INF
-    step = max(1, _POLY_BLOCK // ((M + 1) * ht.pair_s.size))
-    out = {k: [] for k in ks}
-    for r in range(0, W.shape[-1], step):
-        msgs = sweep(W[..., r : r + step], tables["hsum"][..., r : r + step], ht, _degree_semiring(M))
-        for k, v in enumerate(islice(msgs, max(ks, default=0)), start=1):
-            if k in out:
-                out[k].append(v[: masked[k - 1] + 1, 0])
-    return [np.concatenate(out[k], axis=-1) for k in ks]
-
-
 def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
     """Log coefficients ``[j, r]`` of j monomers on layers a+1..b, for each
-    pair (a, b) of consecutive ``cuts`` and every replica: the masked
-    ``batch_prefix_coeffs``, from one forward and one flipped LOG sweep and
-    a degree sweep over each increment's layers (see the module docstring)."""
-    n, h, ht, hsum = tables["n"], tables["h"], tables["ht"], tables["hsum"]
+    pair (a, b) of consecutive ``cuts`` and every replica (see the module
+    docstring): a degree sweep over the increment's layers, seeded by the
+    forward LOG message at a cut a > 0 and closed against the flipped one at
+    a cut b < n.  The replicas run in blocks whose sweep terms stay under
+    ``_POLY_BLOCK`` numbers, and no sum depends on the block or the batch."""
+    n, h, ht = tables["n"], tables["h"], tables["ht"]
     check_polynomial_caps(n, h)
     cuts = [int(c) for c in cuts]
     if len(cuts) < 2 or cuts[0] < 0 or cuts[-1] > n or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts {cuts} must strictly increase inside [0:{n}]")
-    W = _tilted_W(tables, 0.0)
-    fw, bw = (messages(W, tables, LOG, flipped) for flipped in (False, True))
-    B = tables["B"].swapaxes(0, 1)   # [i, d, F, r]
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
-        v = _last(sweep(layers, cut_h, ht, _degree_semiring(h * (b - a))))
-        out.append(v[:, 0] if b == n else _logsumexp(v + hsum[b - 1] + bw[n - b - 1], axis=1))
-    return out
-
-
-def prefix_polynomials(g: CylinderGraph, w: WeightAssignment, ks, mask=None) -> list[MonomerPolynomial]:
-    """Monomer polynomials of the prefixes of layers 1..k, for each k in the
-    sequence ``ks``: ``batch_prefix_coeffs`` of one instance.  The last
-    layer's is the polynomial of the whole cylinder."""
-    coeffs = batch_prefix_coeffs(instance_tables(g, w), ks, mask)
-    return [MonomerPolynomial(c[:, 0], N=k * g.h) for k, c in zip(ks, coeffs)]
+    pairs = list(zip(cuts, cuts[1:]))
+    step = max(1, _POLY_BLOCK // ((h * max(b - a for a, b in pairs) + 1) * ht.pair_s.size))
+    out = [[] for _ in pairs]
+    for r in range(0, tables["B"].shape[-1], step):
+        block = {**tables, "B": tables["B"][..., r : r + step], "hsum": tables["hsum"][..., r : r + step]}
+        hsum, B = block["hsum"], block["B"].swapaxes(0, 1)   # B[i, d, F, r]
+        if any(0 < c < n for c in cuts):
+            W = _tilted_W(block, 0.0)
+            fw, bw = (messages(W, block, LOG, flipped) for flipped in (False, True))
+        for (a, b), laws in zip(pairs, out):
+            layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
+            v = _last(sweep(layers, cut_h, ht, _degree_semiring(h * (b - a))))
+            # close replica-major: each sum over S runs along one contiguous row
+            laws.append(v[:, 0] if b == n else
+                        _logsumexp(np.moveaxis(v + hsum[b - 1] + bw[n - b - 1], 1, -1).copy()))
+    return [np.concatenate(laws, axis=-1) for laws in out]
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
-    """Exact monomer-count polynomial of the Gibbs partition function."""
-    return prefix_polynomials(g, w, [g.n], mask)[0]
+    """Exact monomer-count polynomial of the Gibbs partition function, counting
+    the layers k..l of ``mask`` (None: every layer): the increment k-1..l."""
+    counted = np.flatnonzero(_resolve_mask(mask, g.n))   # layers k-1..l-1, 0-based
+    (lc,) = increment_laws(instance_tables(g, w), [counted[0], counted[-1] + 1])
+    return MonomerPolynomial(lc[:, 0], N=g.num_vertices, mask_size=g.h * counted.size)
 
 
 def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=None) -> float:
@@ -856,7 +836,8 @@ def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.nda
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Sum of 1 + |gauge weight| over the cut edges (disabled edges add 0)."""
+    """Sum of 1 + |gauge weight| over the edges of cut k (disabled edges add 0)."""
+    check_cut(k, g.n)
     z = w.gauge_h[k - 1]
     finite = np.isfinite(z)
     return float(np.sum(1.0 + np.abs(z[finite])))
@@ -864,8 +845,7 @@ def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> floa
 
 def section_covariance(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     """Cov of the monomer counts of layers [1:k] and [k+1:n] by polarization."""
-    if not (1 <= k < g.n):
-        raise ValueError(f"cut k={k} must satisfy 1 <= k < n={g.n}")
+    check_cut(k, g.n)
     var_all = partition_polynomial(g, w).cumulants(0.0, 2)[1]
     var_l = partition_polynomial(g, w, CountingMask.layer_range(1, k)).cumulants(0.0, 2)[1]
     var_r = partition_polynomial(g, w, CountingMask.layer_range(k + 1, g.n)).cumulants(0.0, 2)[1]

@@ -111,17 +111,20 @@ def table_builds(call) -> int:
 
 
 def sweep_steps(monkeypatch) -> list:
-    """Record the layers each ``transfer.sweep`` yields, through every
-    dimerlab module binding of it; returns the live list, one entry per sweep."""
+    """Record each ``transfer.sweep``, through every dimerlab module binding
+    of it, as (semiring, layers yielded); the semiring is "log", "max",
+    "moment" or "degree".  Returns the live list, one entry per sweep."""
     from dimerlab import transfer
 
     steps = []
     original = transfer.sweep
 
-    def counted(*args, **kwargs):
-        steps.append(0)
-        for v in original(*args, **kwargs):
-            steps[-1] += 1
+    def counted(W, hsum, ht, semiring=transfer.LOG):
+        name = ("log" if semiring is transfer.LOG else "max" if semiring is transfer.MAX
+                else semiring.times.__qualname__.split("_")[1])   # "_degree_semiring.<locals>.times"
+        steps.append((name, 0))
+        for v in original(W, hsum, ht, semiring):
+            steps[-1] = (name, steps[-1][1] + 1)
             yield v
 
     for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:

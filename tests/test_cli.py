@@ -102,8 +102,11 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("", "functionals", "it needs with_spectrum = true"),
     ("n = 8\n", "drift", "the ladder 8 has one"),
     ("", "clt", "the clt check needs >= 30 replicas, got 4"),
+    # a ladder that repeats a length, which the default run's drift report needs twice
+    ("n = 8, 8\n", "", "ladder 8,8 repeats a length"),
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
-        "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas"])
+        "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
+        "ladder-repeats"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
@@ -205,6 +208,26 @@ def test_plot_of_an_empty_csv_is_usage_error(tmp_path, capsys):
     assert main(["plot", "--csv", str(empty), "--svg", str(svg)]) == 2
     assert f"csv file is empty: {empty}" in capsys.readouterr().err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("kind", ["series", "hist", "heights"])
+def test_plot_of_a_csv_without_rows_is_usage_error(tmp_path, capsys, kind):
+    header_only = tmp_path / "heights.csv"
+    header_only.write_text("draw,t,theta\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(header_only), "--svg", str(svg), "--kind", kind,
+                 "--x", "t", "--y", "theta"]) == 2
+    assert f"csv file has a header and no rows: {header_only}" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("t_points", ["1", "0", "-1"])
+def test_sample_refuses_a_height_grid_of_fewer_than_two_points(tmp_path, capsys, t_points):
+    out = tmp_path / "s"
+    assert main(["sample", "--n", "4", "--h", "2", "--const", "0", "--t-points", t_points,
+                 "--out", str(out)]) == 2
+    assert f"--t-points must be >= 2, got {t_points}: the height grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -67,6 +67,8 @@ def test_config_validation():
         _small_cfg(n_ladder=())
     with pytest.raises(ValueError):
         _small_cfg(cut_fraction=1.5)
+    with pytest.raises(ValueError, match="ladder 8,16,8 repeats a length"):
+        parse_config("[ladder]\nn = 8, 16, 8\n", is_text=True)
     for chunk in (0, -4):
         with pytest.raises(ValueError, match=f"chunk must be >= 1 replica per batch, got {chunk}"):
             parse_config(f"[ladder]\nchunk = {chunk}\n", is_text=True)
@@ -199,8 +201,12 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
                          "partition_polynomial": 0}, with_spectrum
         # per chunk: the two moment sweeps meet at the cut (k = 3 of 6 and
         # k = 4 of 9), so their layer steps add up to n; then the (max, +)
-        # sweep of n layers, and with spectra one n-layer degree sweep
-        expect = ([3, 3, 6] + [6] * with_spectrum) * 3 + ([4, 5, 9] + [9] * with_spectrum) * 3
+        # sweep of n layers, and with spectra one n-layer degree sweep and
+        # no LOG sweep
+        expect = []
+        for n, k in ((6, 3), (9, 4)):
+            expect += ([("moment", k), ("moment", n - k), ("max", n)]
+                       + [("degree", n)] * with_spectrum) * 3
         assert sorted(steps) == sorted(expect), with_spectrum
 
 

@@ -12,14 +12,14 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
-from dimerlab.groundstate import gse_remainder, max_values
+from dimerlab import transfer
+from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
 from dimerlab.transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
     _tilted_W,
     batch_moments,
-    batch_prefix_coeffs,
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
@@ -38,7 +38,8 @@ from dimerlab.transfer import (
 )
 
 from helpers import (
-    STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict, table_builds,
+    STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict, sweep_steps,
+    table_builds,
 )
 
 
@@ -105,7 +106,7 @@ def _batch(g, ws):
     return batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")))
 
 
-def test_replica_results_do_not_depend_on_their_batch():
+def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
     # every replica's results are array_equal alone and inside a batch, and
     # the tables carry the documented layer-major, replica-last layout
     rng = np.random.default_rng(83)
@@ -142,6 +143,22 @@ def test_replica_results_do_not_depend_on_their_batch():
             for got, ref in zip(batch, results(alone)):
                 assert np.array_equal(got[r], ref[0])
             assert np.array_equal(W[..., r], _tilted_W(alone, x)[..., 0])
+    # the increment laws close over the reserved sets of an interior cut: no
+    # law depends on how many replicas share the batch or the block
+    cuts = [3, 10, 29]
+    for H in (HGraph.path(3), HGraph.cycle(3), HGraph.path(4)):
+        g = build_cylinder(30, H)
+        ws = [sample_weights(g, STD_NORMAL, RngSeed(85, r)) for r in range(10)]
+        tables = _batch(g, ws)
+        batch = increment_laws(tables, cuts)
+        for r, w in enumerate(ws):
+            for got, ref in zip(batch, increment_laws(_batch(g, [w]), cuts)):
+                assert np.array_equal(got[:, r], ref[:, 0]), (H, r)
+        for block in (1, 1 << 30):
+            monkeypatch.setattr(transfer, "_POLY_BLOCK", block)
+            for got, ref in zip(increment_laws(tables, cuts), batch):
+                assert np.array_equal(got, ref), (H, block)
+        monkeypatch.undo()
 
 
 def _section_oracle(g, w, k, x):
@@ -309,6 +326,14 @@ def test_remainder_nonnegative_and_bounded():
             assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
 
 
+def test_remainder_bounds_refuse_cuts_outside_the_cylinder():
+    g, w = random_instance(np.random.default_rng(7), n_lo=5, n_hi=5, fibers=["path2"])
+    for bound in (remainder_upper_bound, gse_remainder_bound):
+        for k in (-1, 0, 5, 6):
+            with pytest.raises(ValueError, match=f"cut k={k} must satisfy 1 <= k < n=5"):
+                bound(g, w, k)
+
+
 def test_remainder_R_matches_restricted_solves():
     # the forward and flipped sweeps of one table against re-solving both
     # sides of each cut
@@ -331,28 +356,57 @@ def test_flipped_tables_keep_partition_function_and_ground_state():
         assert batch_scalar_log_z(flip, 0.3)[0] == pytest.approx(
             batch_scalar_log_z(tables, 0.3)[0], abs=1e-10)
         assert max_values(flip)[0] == pytest.approx(max_values(tables)[0], abs=1e-10)
-        (a,), (b,) = (batch_prefix_coeffs(t, [g.n])[0].T
-                      for t in (flip, tables))
+        (a,), (b,) = (increment_laws(t, [0, g.n])[0].T for t in (flip, tables))
         _assert_poly_close(MonomerPolynomial(a, g.num_vertices), MonomerPolynomial(b, g.num_vertices))
 
 
 def test_increment_laws_match_masked_polynomials():
-    # each law from one forward and one flipped sweep of one table against the
-    # masked polynomial of the whole cylinder: every layer range a+1..b, cuts
-    # 0 and n included, and the increments of the finest grid on a batch
-    for g, w in cut_instances(23):
-        tables = instance_tables(g, w)
+    # each replica's law on every layer range a+1..b, as the one increment
+    # of the cuts [a, b] and as an increment of the finest grid, against the
+    # enumerated polynomial of that range: small instances and batches with
+    # disabled edges
+    rng = np.random.default_rng(23)
+    batches = [(g, [w]) for g, w in (random_instance(rng, n_lo=1, n_hi=7, max_vertices=14)
+                                     for _ in range(6))]
+    batches += list(disabled_edge_batches(23))
+    for g, ws in batches:
+        tables = _batch(g, ws)
+        grid = increment_laws(tables, range(g.n + 1))
         for a in range(g.n):
             for b in range(a + 1, g.n + 1):
                 (lc,) = increment_laws(tables, [a, b])
-                ref = partition_polynomial(g, w, CountingMask.layer_range(a + 1, b))
-                _assert_poly_close(MonomerPolynomial(lc[:, 0], g.num_vertices), ref, tol=1e-12)
-    for g, ws in disabled_edge_batches(23, n=6):
-        laws = increment_laws(_batch(g, ws), range(g.n + 1))
-        for r, w in enumerate(ws):
-            for a, lc in enumerate(laws):
-                ref = partition_polynomial(g, w, CountingMask.layer_range(a + 1, a + 1))
-                _assert_poly_close(MonomerPolynomial(lc[:, r], g.num_vertices), ref, tol=1e-12)
+                for r, w in enumerate(ws):
+                    ref = brute_force_polynomial(g, w, CountingMask.layer_range(a + 1, b))
+                    for got in [lc] + [grid[a]] * (b == a + 1):
+                        _assert_poly_close(MonomerPolynomial(got[:, r], g.num_vertices), ref, tol=1e-12)
+    # at campaign sizes, the two sections of a cut against the section
+    # variances of the moment sweeps of cut_moments
+    for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64), (HGraph.path(4), 48)):
+        g = build_cylinder(n, H)
+        tables = _batch(g, [sample_weights(g, STD_NORMAL, RngSeed(29, r)) for r in range(3)])
+        k = n // 3
+        laws = increment_laws(tables, [0, k, n])
+        var_l, var_r = cut_moments(tables, k)[3:5]
+        for lc, var in zip(laws, (var_l, var_r)):
+            for r in range(3):
+                got = MonomerPolynomial(lc[:, r], g.num_vertices).cumulants()[1]
+                assert got == pytest.approx(var[r], rel=1e-10, abs=0.0), (H, r)
+
+
+def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
+    # a whole cylinder is one n-layer degree sweep and no LOG sweep; a mask
+    # inside the cylinder adds the forward and flipped LOG passes and sweeps
+    # its own layers, after the forward message when it starts past layer 1
+    steps = sweep_steps(monkeypatch)
+    for g, w in cut_instances(31):
+        steps.clear()
+        partition_polynomial(g, w)
+        assert steps == [("degree", g.n)]
+        for k, l in ((1, g.n - 1), (2, g.n), (2, g.n - 1)):
+            if 1 <= k <= l <= g.n:
+                steps.clear()
+                partition_polynomial(g, w, CountingMask.layer_range(k, l))
+                assert steps == [("log", g.n), ("log", g.n), ("degree", l - k + 1 + (k > 1))]
 
 
 def test_increment_laws_refuse_bad_cuts():
