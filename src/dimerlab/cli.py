@@ -55,7 +55,6 @@ from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import SpectrumError, localization_check, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
-    CapacityError,
     CountingMask,
     instance_tables,
     partition_polynomial,
@@ -306,6 +305,8 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
+    if not args.tol >= 0.0:
+        raise UsageError(f"--tol must be >= 0, got {args.tol}: no residual can pass it")
     g, w = _resolve_weights(args)
     if g.h != 1:
         raise UsageError("jacobi checks need a single-vertex fiber (--h 1)")
@@ -352,7 +353,7 @@ def _cmd_experiment(args) -> int:
     check_runnable(cfg, enabled)
     table = run_replicas(cfg)
     est = estimate_limits(table)
-    report: dict = {"estimates": est, "errors": table.errors}
+    report: dict = {"estimates": est}
     failed = []
     if "clt" in enabled or (not enabled and est.replicas >= 30):
         summary = clt_checks(table, thresholds=cfg.thresholds)
@@ -471,21 +472,32 @@ def _read_csv_columns(path):
     return cols
 
 
+def _finite(cols, name, path) -> np.ndarray:
+    """Which rows of column ``name`` are finite; a column of none draws nothing."""
+    keep = np.isfinite(cols[name])
+    if not keep.any():
+        raise UsageError(f"column {name!r} of {path} has no finite value")
+    return keep
+
+
 def _cmd_plot(args) -> int:
     if not os.path.exists(args.csv):
         raise UsageError(f"csv file not found: {args.csv}")
+    for flag, value in (("--bins", args.bins), ("--max-paths", args.max_paths)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     cols = _read_csv_columns(args.csv)
     if args.kind == "series":
         if args.x not in cols or args.y not in cols:
             raise UsageError(f"columns {args.x!r}/{args.y!r} not in {list(cols)}")
-        order = np.argsort(cols[args.x])
-        svg = _svg_chart([(args.y, cols[args.x][order], cols[args.y][order])],
-                         f"{args.y} vs {args.x}")
+        keep = _finite(cols, args.x, args.csv) & _finite(cols, args.y, args.csv)
+        xs, ys = cols[args.x][keep], cols[args.y][keep]
+        order = np.argsort(xs)
+        svg = _svg_chart([(args.y, xs[order], ys[order])], f"{args.y} vs {args.x}")
     elif args.kind == "hist":
         if args.y not in cols:
             raise UsageError(f"column {args.y!r} not in {list(cols)}")
-        vals = cols[args.y]
-        vals = vals[~np.isnan(vals)]
+        vals = cols[args.y][_finite(cols, args.y, args.csv)]
         freq, edges = np.histogram(vals, bins=args.bins)
         centers = 0.5 * (edges[:-1] + edges[1:])
         svg = _svg_chart([(f"{args.y} histogram", centers, freq)], f"{args.y} histogram")
@@ -495,6 +507,7 @@ def _cmd_plot(args) -> int:
             raise UsageError(f"heights plot needs columns {sorted(need)}")
         series = []
         key = "theta_hat" if (args.y == "theta_hat" and "theta_hat" in cols) else "theta"
+        _finite(cols, key, args.csv)
         for d in np.unique(cols["draw"])[: args.max_paths]:
             sel = cols["draw"] == d
             series.append(("", cols["t"][sel], cols[key][sel]))
@@ -585,13 +598,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FileNotFoundError, PermissionError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, SpectrumError, ValueError) as exc:
+    except (UsageError, SpectrumError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

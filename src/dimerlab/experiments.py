@@ -37,11 +37,10 @@ from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
-    CapacityError,
     MonomerPolynomial,
-    batch_moments,
     batch_tables,
     check_polynomial_caps,
+    check_transfer_cap,
     cut_moments,
     increment_laws,
     instance_tables,
@@ -83,7 +82,6 @@ class ExperimentConfig:
     x_grid: tuple = (0.0,)
     t_grid: tuple = tuple(i / 16 for i in range(17))
     cut_fraction: float = 0.5
-    with_sections: bool = False
     with_ground: bool = True
     with_spectrum: bool = False
     gibbs_samples: int = 0           # per environment, for height campaigns
@@ -108,7 +106,15 @@ class ExperimentConfig:
         if not self.x_grid:
             raise ValueError("empty x_grid: the functionals check compares the zeros"
                              " with the exact cumulants at each tilt in it")
-        make_fiber(self.fiber)
+        for key in ("x_grid", "t_grid"):
+            grid = getattr(self, key)
+            if not all(map(math.isfinite, grid)):
+                raise ValueError(f"{key} entries must be finite, got {','.join(map(str, grid))}")
+        # capacity refusals follow from the config alone, so none waits for a draw
+        h = make_fiber(self.fiber).h
+        check_transfer_cap(h)
+        if self.with_spectrum:
+            check_polynomial_caps(max(self.n_ladder), h)
 
     def fiber_graph(self) -> HGraph:
         return make_fiber(self.fiber)
@@ -122,9 +128,9 @@ _CONFIG_KEYS = {
     "graph": {"fiber"},
     "disorder": {"vertex", "edge"},
     "ladder": {
-        "n", "replicas", "seed", "mode", "cut_fraction", "gibbs_samples",
-        "height_envs", "chunk", "with_sections", "with_ground",
-        "with_spectrum", "x_grid", "t_grid", "out_dir",
+        "n", "replicas", "seed", "cut_fraction", "gibbs_samples",
+        "height_envs", "chunk", "with_ground", "with_spectrum", "x_grid",
+        "t_grid", "out_dir", "mode", "with_sections",   # the last two retired, ignored
     },
 }
 
@@ -167,7 +173,7 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     ):
         if key in lad:
             kw[key] = cast(lad[key])
-    for key in ("with_sections", "with_ground", "with_spectrum"):
+    for key in ("with_ground", "with_spectrum"):
         if key in lad:
             kw[key] = cp["ladder"].getboolean(key)
     for key in ("x_grid", "t_grid"):
@@ -200,7 +206,6 @@ def write_config(cfg: ExperimentConfig, path: str | None = None) -> str:
         "replicas": str(cfg.replicas),
         "seed": str(cfg.seed),
         "cut_fraction": repr(cfg.cut_fraction),
-        "with_sections": str(cfg.with_sections).lower(),
         "with_ground": str(cfg.with_ground).lower(),
         "with_spectrum": str(cfg.with_spectrum).lower(),
         "gibbs_samples": str(cfg.gibbs_samples),
@@ -226,14 +231,9 @@ def write_config(cfg: ExperimentConfig, path: str | None = None) -> str:
 # replica tables
 # ---------------------------------------------------------------------------
 
-_BASE_COLUMNS = ("n", "stream", "log_z", "mean_U", "var_U", "M")
-_OPT_COLUMNS = ("cov_cut", "var_left", "var_right", "max_lambda", "u_n", "varQ_n")
-
-
 @dataclass
 class ReplicaTable:
-    columns: dict
-    errors: list = field(default_factory=list)
+    columns: dict    # name -> one entry per row, in the order of the CSV columns
 
     def __len__(self):
         return self.columns["n"].size
@@ -252,7 +252,7 @@ class ReplicaTable:
         return key in self.columns and not np.isnan(self.columns[key]).all()
 
     def to_csv(self, path: str) -> None:
-        keys = [k for k in (*_BASE_COLUMNS, *_OPT_COLUMNS) if k in self.columns]
+        keys = list(self.columns)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(keys)
@@ -289,30 +289,14 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
 
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     """Sweep the ladder, recording one row per (length, replica stream)."""
-    H = cfg.fiber_graph()
-    keys = _BASE_COLUMNS + (_OPT_COLUMNS[:3] if cfg.with_sections else ()) + (
-        _OPT_COLUMNS[3:] if cfg.with_spectrum else ())
-    all_cols: dict[str, list] = {k: [] for k in keys}
-    errors = []
-
+    H, chunks = cfg.fiber_graph(), []
     for n in cfg.n_ladder:
         g = build_cylinder(n, H)
         k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
-        try:
-            for lo in range(0, cfg.replicas, cfg.chunk):
-                streams = range(lo, min(lo + cfg.chunk, cfg.replicas))
-                rows = _replica_chunk(g, cfg, streams, k_cut)
-                for key, vals in rows.items():
-                    all_cols[key].extend(vals)
-        except CapacityError as exc:
-            errors.append((n, str(exc)))
-            continue
-
-    columns = {}
-    for key, vals in all_cols.items():
-        arr = np.array(vals)
-        columns[key] = arr.astype(np.int64) if key in ("n", "stream") else arr.astype(float)
-    return ReplicaTable(columns, errors)
+        for lo in range(0, cfg.replicas, cfg.chunk):
+            streams = range(lo, min(lo + cfg.chunk, cfg.replicas))
+            chunks.append(_replica_chunk(g, cfg, streams, k_cut))
+    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]})
 
 
 def _spectra(g: CylinderGraph, tables: dict):
@@ -329,38 +313,31 @@ def _spectra(g: CylinderGraph, tables: dict):
 
 
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
-    """Rows of one chunk from one table: log Z and the cumulants from one
-    moment sweep, or with sections from the two sweeps of ``cut_moments``
-    that meet at the cut; M from the (max, +) sweep over the same table;
-    with spectra the zeros of every replica's polynomial from one degree
-    sweep over it."""
-    if cfg.with_spectrum:
-        check_polynomial_caps(g.n, g.h)
-    streams = list(streams)
-    R = len(streams)
-    nu_b, oh_b, ov_b = _draw_weight_batch(g, cfg, streams)
-    tables = batch_tables(g, nu_b, oh_b, ov_b)
-    if cfg.with_sections:
-        lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
-    else:
-        lz, mean, var = batch_moments(tables)
+    """Rows of one chunk from one table: log Z, the cumulants and the
+    sections from the two sweeps of ``cut_moments`` that meet at the cut;
+    M from the (max, +) sweep over the same table; with spectra the zeros
+    of every replica's polynomial from one degree sweep over it."""
+    streams = np.array(streams, dtype=np.int64)
+    R = streams.size
+    tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
+    lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
     rows = {
-        "n": [g.n] * R,
+        "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
-        "log_z": list(lz),
-        "mean_U": list(mean),
-        "var_U": list(var),
-        "M": list(max_values(tables)) if cfg.with_ground else [float("nan")] * R,
+        "log_z": lz,
+        "mean_U": mean,
+        "var_U": var,
+        "M": max_values(tables) if cfg.with_ground else np.full(R, np.nan),
+        "cov_cut": cov,
+        "var_left": var_l,
+        "var_right": var_r,
     }
-    if cfg.with_sections:
-        rows.update(cov_cut=list(cov), var_left=list(var_l), var_right=list(var_r))
     if cfg.with_spectrum:
         spec = np.full((R, 3), np.nan)
         for r, (_, sp) in enumerate(_spectra(g, tables)):
             if sp is not None:   # a refused extraction keeps its row, with NaN spectra
                 spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
-        for key, col in zip(("max_lambda", "u_n", "varQ_n"), spec.T):
-            rows[key] = list(col)
+        rows.update(zip(("max_lambda", "u_n", "varQ_n"), spec.T))
     return rows
 
 
@@ -678,7 +655,7 @@ def functional_consistency_check(
     """
     g = build_cylinder(_zero_extraction_rung(cfg), cfg.fiber_graph())
     xs = np.asarray(cfg.x_grid, dtype=float)
-    max_u = max_vq = 0.0
+    gaps = []
     failures = 0
     tables = batch_tables(g, *_draw_weight_batch(g, cfg, range(environments)))
     for p, sp in _spectra(g, tables):
@@ -688,8 +665,9 @@ def functional_consistency_check(
         for x in xs:
             u, vq = density_functionals(sp, float(x), g.n)
             mean, var = p.cumulants(float(x), 2)
-            max_u = max(max_u, abs(u - mean / g.n))
-            max_vq = max(max_vq, abs(vq - var / g.n))
+            gaps.append((abs(u - mean / g.n), abs(vq - var / g.n)))
+    # np.max keeps a NaN gap, which then fails ok; max(0.0, nan) would drop it
+    max_u, max_vq = (float(v) for v in np.max(np.reshape(gaps, (-1, 2)), axis=0, initial=0.0))
     ok = failures == 0 and max_u <= tol and max_vq <= tol
     return FunctionalReport(
         n=g.n,

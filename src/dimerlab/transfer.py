@@ -369,6 +369,12 @@ def _rows_logsumexp(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.log(sum(np.exp(scores[row] - top) for row in rows)) + top
 
 
+def check_transfer_cap(h: int) -> None:
+    """Refuse a fiber of h vertices too large for the transfer tables."""
+    if h > SCALAR_MAX_H:
+        raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={h}")
+
+
 def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
     """Layer-transition tables for a batch of R weight assignments.
 
@@ -391,8 +397,7 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
 
     One instance is replica 0: ``[..., 0]``.
     """
-    if g.h > SCALAR_MAX_H:
-        raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={g.h}")
+    check_transfer_cap(g.h)
     ht = _h_tables(g.H)
     R, n, h = np.shape(nu_b)
     # every fiber row's vertical dimers plus its monomers, per layer and replica
@@ -844,11 +849,12 @@ def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> floa
 
 
 def section_covariance(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Cov of the monomer counts of layers [1:k] and [k+1:n] by polarization."""
+    """Cov of the monomer counts of layers [1:k] and [k+1:n] by polarization,
+    from the laws of both sections and of all layers over one table."""
     check_cut(k, g.n)
-    var_all = partition_polynomial(g, w).cumulants(0.0, 2)[1]
-    var_l = partition_polynomial(g, w, CountingMask.layer_range(1, k)).cumulants(0.0, 2)[1]
-    var_r = partition_polynomial(g, w, CountingMask.layer_range(k + 1, g.n)).cumulants(0.0, 2)[1]
+    tables = instance_tables(g, w)
+    laws = increment_laws(tables, [0, k, g.n]) + increment_laws(tables, [0, g.n])
+    var_l, var_r, var_all = (MonomerPolynomial(lc[:, 0], g.num_vertices).cumulants()[1] for lc in laws)
     return 0.5 * (var_all - var_l - var_r)
 
 

@@ -104,18 +104,29 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("", "clt", "the clt check needs >= 30 replicas, got 4"),
     # a ladder that repeats a length, which the default run's drift report needs twice
     ("n = 8, 8\n", "", "ladder 8,8 repeats a length"),
+    # a fiber past the transfer tables' cap, a spectra rung or fiber past the
+    # polynomials' caps, and a tilt or height grid that is not finite
+    ("fiber = path(13)\n", "", "transfer supports fiber size h <= 12, got h=13"),
+    ("n = 20, 2000\nwith_spectrum = true\n", "",
+     "polynomials support fiber size h <= 6 and n <= 1024 layers, got h=2, n=2000"),
+    ("fiber = path(7)\nn = 4\nwith_spectrum = true\n", "", "h <= 6"),
+    ("n = 8\nx_grid = nan\nwith_spectrum = true\n", "functionals",
+     "x_grid entries must be finite, got nan"),
+    ("t_grid = 0, inf\n", "", "t_grid entries must be finite, got 0.0,inf"),
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
         "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
-        "ladder-repeats"])
+        "ladder-repeats", "fiber-past-transfer-cap", "spectra-past-polynomial-cap",
+        "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
-    ladder = {"n": "20, 40", "replicas": "4", "seed": "1"}
-    ladder.update((k.strip(), v.strip()) for k, _, v in (line.partition("=") for line in extra.splitlines()))
+    graph, ladder = {"fiber": "path(2)"}, {"n": "20, 40", "replicas": "4", "seed": "1"}
+    for k, _, v in (line.partition("=") for line in extra.splitlines()):
+        (graph if k.strip() in graph else ladder)[k.strip()] = v.strip()
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
-        "[graph]\nfiber = path(2)\n"
-        "[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
+        "[graph]\n" + "".join(f"{k} = {v}\n" for k, v in graph.items())
+        + "[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
         "[ladder]\n" + "".join(f"{k} = {v}\n" for k, v in ladder.items())
     )
     out = tmp_path / "run"
@@ -221,6 +232,29 @@ def test_plot_of_a_csv_without_rows_is_usage_error(tmp_path, capsys, kind):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("kind", ["series", "hist", "heights"])
+def test_plot_of_a_column_without_finite_values_is_usage_error(tmp_path, capsys, kind):
+    # theta_hat is blank in a sample run without --centering
+    heights = tmp_path / "heights.csv"
+    heights.write_text("draw,t,theta,theta_hat\n0,0.0,0,\n0,1.0,2,\n1,0.0,0,\n1,1.0,0,\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(heights), "--svg", str(svg), "--kind", kind,
+                 "--x", "t", "--y", "theta_hat"]) == 2
+    assert f"column 'theta_hat' of {heights} has no finite value" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("kind,flag", [("hist", "--bins"), ("heights", "--max-paths")])
+def test_plot_refuses_a_chart_of_no_bins_or_paths(tmp_path, capsys, kind, flag):
+    heights = tmp_path / "heights.csv"
+    heights.write_text("draw,t,theta\n0,0.0,0\n0,1.0,2\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(heights), "--svg", str(svg), "--kind", kind,
+                 "--y", "theta", flag, "0"]) == 2
+    assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("t_points", ["1", "0", "-1"])
 def test_sample_refuses_a_height_grid_of_fewer_than_two_points(tmp_path, capsys, t_points):
     out = tmp_path / "s"
@@ -290,6 +324,12 @@ def test_jacobi_command_checks_identities(tmp_path, capsys):
     assert main(["jacobi", "--n", "4", "--h", "2", "--const", "0"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+def test_jacobi_refuses_a_tolerance_no_residual_can_pass(capsys, tol):
+    assert main(["jacobi", "--n", "8", "--h", "1", "--const", "0", f"--tol={tol}"]) == 2
+    assert f"--tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
+
+
 def test_plot_commands(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
@@ -305,6 +345,12 @@ def test_plot_commands(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
     assert main(["plot", "--csv", str(out / "replicas.csv"), "--svg", str(svg),
                  "--kind", "series", "--x", "n", "--y", "log_z"]) == 0
+    # a blank cell (a refused spectrum) leaves its row out of the series
+    # instead of turning every coordinate into nan
+    partial = tmp_path / "partial.csv"
+    partial.write_text("n,u_n\n8,0.5\n16,\n32,0.25\n")
+    assert main(["plot", "--csv", str(partial), "--svg", str(svg), "--x", "n", "--y", "u_n"]) == 0
+    assert "nan" not in svg.read_text()
 
 
 def test_version_and_help(capsys):
