@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -64,6 +65,16 @@ from .transfer import (
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a token after a flag as the flag's value only if it
+    cannot be an option; a negative number is not one, and this parser
+    counts exponent notation (``--x -1e-3``) as a number too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +534,7 @@ def _cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dimerlab",
         description="Monomer-dimer systems on cylinder graphs: exact partition "
                     "polynomials, Lee-Yang spectra, perfect sampling, ground "

@@ -173,9 +173,14 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     ):
         if key in lad:
             kw[key] = cast(lad[key])
-    for key in ("with_ground", "with_spectrum"):
+    for key in ("with_ground", "with_spectrum", "with_sections"):
         if key in lad:
-            kw[key] = cp["ladder"].getboolean(key)
+            try:
+                value = cp["ladder"].getboolean(key)
+            except ValueError:
+                raise ValueError(f"{key} must be a boolean, got {lad[key]!r}") from None
+            if key != "with_sections":   # retired: checked, then ignored
+                kw[key] = value
     for key in ("x_grid", "t_grid"):
         if key in lad:
             kw[key] = tuple(float(v) for v in lad[key].split(",") if v.strip())

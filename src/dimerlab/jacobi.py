@@ -69,29 +69,36 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def det_abs(A: JacobiMatrix) -> float:
-    """log |det A_n| by the three-term recurrence.
+    """log |det A_n| by the three-term recurrence, in ratio form.
 
     Both recurrence terms always share one phase, so the determinant is a
     positive magnitude times a quarter-turn per row; the phase alignment is
     asserted rather than assumed.  The magnitude equals the partition
-    function of the corresponding path.  The recurrence runs on Python
-    floats, read one at a time through memoryviews, where one step costs a
-    fraction of a numpy scalar call.
+    function of the corresponding path.  It is the product of the ratios
+    r_k = |D_k| / |D_{k-1}|, with log r_1 = nu_1 and log r_k =
+    logaddexp(nu_k, omega_{k-1} - log r_{k-1}): every term stays the size of
+    one row, and ``math.fsum`` adds the n logs exactly, so the rounding does
+    not grow with the magnitude of log |det A_n|.  The recurrence runs on
+    Python floats, read one at a time through memoryviews, where one step
+    costs a fraction of a numpy scalar call.
     """
     nu, omega = memoryview(A.nu), memoryview(A.omega)
-    log_prev2, phase_prev2 = 0.0, 0  # D_0 = 1
-    log_prev, phase_prev = nu[0], 1  # D_1 = sqrt(-1) e^{nu_1}
-    for k in range(2, A.n + 1):
-        phase_a = (phase_prev + 1) % 4
-        phase_b = (phase_prev2 + 2) % 4
-        if phase_a != phase_b:
-            raise AssertionError(f"phase misalignment at row {k}: {phase_a} vs {phase_b}")
-        log_cur = _logaddexp(nu[k - 1] + log_prev, omega[k - 2] + log_prev2)
-        log_prev2, phase_prev2 = log_prev, phase_prev
-        log_prev, phase_prev = log_cur, phase_a
-    if phase_prev != A.n % 4:
-        raise AssertionError(f"determinant phase {phase_prev} != quarter-turn pattern {A.n % 4}")
-    return float(log_prev)
+
+    def log_ratios():
+        log_r, phase_prev2, phase_prev = nu[0], 0, 1   # D_0 = 1, D_1 = sqrt(-1) e^{nu_1}
+        yield log_r
+        for k in range(2, A.n + 1):
+            phase_a = (phase_prev + 1) % 4
+            phase_b = (phase_prev2 + 2) % 4
+            if phase_a != phase_b:
+                raise AssertionError(f"phase misalignment at row {k}: {phase_a} vs {phase_b}")
+            log_r = _logaddexp(nu[k - 1], omega[k - 2] - log_r)
+            phase_prev2, phase_prev = phase_prev, phase_a
+            yield log_r
+        if phase_prev != A.n % 4:
+            raise AssertionError(f"determinant phase {phase_prev} != quarter-turn pattern {A.n % 4}")
+
+    return math.fsum(log_ratios())
 
 
 def det_phase_index(A: JacobiMatrix) -> int:

@@ -204,6 +204,23 @@ def test_non_finite_tilt_or_centering_is_usage_error(tmp_path, capsys, cmd, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--x", "-1e-3"], ["exact", "--scalar", "--x", "-2.5E+0"], ["exact", "--const", "-1e-1"],
+    ["sample", "--count", "2", "--centering", "-1e-2"],
+], ids=["x", "x-scalar", "const", "centering"])
+def test_negative_numbers_in_exponent_notation_are_values(capsys, argv):
+    assert main(argv + ["--n", "4", "--h", "1"]) == 0
+    value = float(argv[-1])
+    out = capsys.readouterr().out
+    if argv[-2] == "--x":
+        assert f"log Z({value:g})" in out
+
+
+def test_negative_tolerance_in_exponent_notation_is_read_and_refused(capsys):
+    assert main(["jacobi", "--n", "8", "--h", "1", "--const", "0", "--tol", "-1e-9"]) == 2
+    assert "--tol must be >= 0, got -1e-09" in capsys.readouterr().err
+
+
 def test_ground_refuses_non_finite_betas(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(["ground", "--n", "4", "--h", "2", "--vertex", "normal(0,1)", "--betas", "1,nan",

@@ -99,12 +99,15 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown checks option"):
         parse_config("[checks]\nks_konst = 2\n", is_text=True)
     # retired keys that older configs set are accepted and ignored; a mode
-    # other than the two it once named is still an error
+    # other than the two it once named, or a with_sections that is no
+    # boolean, is still an error
     old = parse_config("[ladder]\nmode = polynomial\nwith_sections = false\n"
                        "[checks]\nse_mult = 2\nquenched_dist = 0.1\n", is_text=True)
     assert write_config(old) == write_config(ExperimentConfig())
     with pytest.raises(ValueError, match="unknown mode"):
         parse_config("[ladder]\nmode = exactly\n", is_text=True)
+    with pytest.raises(ValueError, match="with_sections must be a boolean, got 'banana'"):
+        parse_config("[ladder]\nwith_sections = banana\n", is_text=True)
 
 
 def test_constant_disorder_rows_are_identical():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,6 +50,27 @@ def test_determinant_identity_matches_partition_value():
         A = JacobiMatrix.from_weights(g, w)
         assert det_abs(A) == pytest.approx(scalar_log_z(g, w), abs=1e-9)
         assert det_phase_index(A) == n % 4
+
+
+def _mp_log_det(A: JacobiMatrix) -> mpmath.mpf:
+    """log |det A_n| from the three-term recurrence on the magnitudes in
+    40-digit arithmetic, whose exponent range needs no logs."""
+    with mpmath.workdps(40):
+        prev2, prev = mpmath.mpf(1), mpmath.exp(A.nu[0])
+        for nu, om in zip(A.nu[1:].tolist(), A.omega.tolist()):
+            prev2, prev = prev, mpmath.exp(nu) * prev + mpmath.exp(om) * prev2
+        return mpmath.log(prev)
+
+
+def test_long_chain_log_z_matches_extended_precision():
+    # log Z is about 1.1e4 here: a sum of layer terms carried at that size
+    # would drift by several 1e-11, and both routes stay within 1e-11
+    for seed in (1, 3):
+        g, w = _chain(16384, seed=seed)
+        A = JacobiMatrix.from_weights(g, w)
+        ref = _mp_log_det(A)
+        for got in (scalar_log_z(g, w), det_abs(A)):
+            assert abs(mpmath.mpf(got) - ref) <= 1e-11
 
 
 def test_float_logaddexp_is_numpys_bit_for_bit():

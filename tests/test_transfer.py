@@ -18,6 +18,8 @@ from dimerlab.transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
+    _blocked_log_z,
+    _log_blocks,
     _tilted_W,
     batch_moments,
     batch_scalar_log_z,
@@ -237,6 +239,68 @@ def test_scalar_route_matches_polynomial_log_z():
         p = partition_polynomial(g, w)
         for x in (-1.5, 0.0, 0.7):
             assert scalar_log_z(g, w, x) == pytest.approx(p.log_z(x), abs=1e-9)
+
+
+def _blocked_cases():
+    """(graph, weights) on path, cycle and complete fibers of 1 to 4
+    vertices at n = 17 and 23, then the disabled-edge replicas of path(2)
+    and cycle(3) at n = 13."""
+    for H in (HGraph.single(), HGraph.path(2), HGraph.cycle(3), HGraph.complete(3),
+              HGraph.path(4), HGraph.cycle(4), HGraph.complete(4)):
+        for n in (17, 23):
+            g = build_cylinder(n, H)
+            yield g, sample_weights(g, STD_NORMAL, RngSeed(n, H.h))
+    for g, ws in disabled_edge_batches(71, n=13):
+        for w in ws:
+            yield g, w
+
+
+def test_blocked_log_z_agrees_with_the_batched_row():
+    # every block count, also one that leaves a padded tail, at tilts x != 0
+    # and under a counting mask, agrees with the sequential batched sweep
+    for g, w in _blocked_cases():
+        tables = instance_tables(g, w)
+        for x, mask in ((0.0, None), (-0.8, None), (0.6, CountingMask.layer_range(3, g.n - 2))):
+            ref = batch_scalar_log_z(tables, x, mask)[0]
+            W = _tilted_W(tables, x, mask)
+            for K in (2, 3, 4, 5, g.n):
+                got = _blocked_log_z(W, tables["hsum"], tables["ht"], K)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # and the route the rule picks, where it blocks
+    for H, n in ((HGraph.single(), 40), (HGraph.path(2), 50), (HGraph.complete(3), 130)):
+        g = build_cylinder(n, H)
+        w = sample_weights(g, STD_NORMAL, RngSeed(5, 0))
+        assert _log_blocks(n, H.h) > 1
+        tables = instance_tables(g, w)
+        for x, mask in ((0.4, None), (-0.3, CountingMask.layer_range(2, n - 7))):
+            assert scalar_log_z(g, w, x, mask) == pytest.approx(
+                batch_scalar_log_z(tables, x, mask)[0], rel=1e-13, abs=0.0)
+
+
+def test_unblocked_scalar_log_z_is_the_batched_row():
+    # where blocking does not pay, the single-instance value is the batched
+    # row bit for bit
+    for H, n in ((HGraph.single(), 15), (HGraph.path(2), 9), (HGraph.cycle(3), 127),
+                 (HGraph.path(4), 200), (HGraph.complete(5), 20)):
+        assert _log_blocks(n, H.h) == 1
+        g = build_cylinder(n, H)
+        w = sample_weights(g, STD_NORMAL, RngSeed(8, 0))
+        tables = instance_tables(g, w)
+        for x, mask in ((0.0, None), (0.7, CountingMask.layer_range(2, n - 1))):
+            assert np.array_equal(scalar_log_z(g, w, x, mask), batch_scalar_log_z(tables, x, mask)[0])
+
+
+def test_scalar_log_z_sweeps_about_sqrt_n_layers(monkeypatch):
+    steps = sweep_steps(monkeypatch)
+    g = build_cylinder(65536, HGraph.single())
+    scalar_log_z(g, sample_weights(g, STD_NORMAL, RngSeed(1, 0)))
+    assert {name for name, _ in steps} == {"log"}
+    assert sum(layers for _, layers in steps) <= 3 * 256
+    # a fiber the rule leaves unblocked runs one n-layer sweep
+    steps.clear()
+    g = build_cylinder(64, HGraph.path(4))
+    scalar_log_z(g, sample_weights(g, STD_NORMAL, RngSeed(1, 0)))
+    assert steps == [("log", 64)]
 
 
 def test_forward_messages_terminal_state_is_log_z():
