@@ -32,16 +32,13 @@ from .graphs import (
     sample_weights,
 )
 from .experiments import (
+    CHECKS,
     ExperimentConfig,
-    brownian_fdd_check,
     check_runnable,
-    clt_checks,
-    estimate_limits,
-    functional_consistency_check,
     jsonify,
-    linear_growth_check,
     make_fiber,
     parse_config,
+    run_checks,
     run_replicas,
     write_config,
     write_json,
@@ -363,38 +360,15 @@ def _cmd_experiment(args) -> int:
     enabled = [c.strip() for c in args.checks.split(",") if c.strip()] if args.checks else []
     check_runnable(cfg, enabled)
     table = run_replicas(cfg)
-    est = estimate_limits(table)
-    report: dict = {"estimates": est}
-    failed = []
-    if "clt" in enabled or (not enabled and est.replicas >= 30):
-        summary = clt_checks(table, thresholds=cfg.thresholds)
-        report["clt"] = summary
-        if "clt" in enabled and not summary.ok:
-            failed.append("clt")
-    if len(cfg.n_ladder) >= 2:
-        report["linear_growth"] = linear_growth_check(table)
-        drift_ok = est.drift.get("f", 0.0) <= cfg.thresholds.drift_tol
-        report["drift_ok"] = drift_ok
-        if "drift" in enabled and not drift_ok:
-            failed.append("drift")
-    if "brownian" in enabled:
-        br = brownian_fdd_check(cfg, est.u_hat, est.total_sigma2())
-        report["brownian"] = br
-        ok = (
-            np.all(np.abs(br.var_ratios - 1.0) <= cfg.thresholds.increment_var_tol)
-            and br.max_abs_corr <= cfg.thresholds.increment_corr_tol
-            and br.normality_ok()
-        )
-        if not ok:
-            failed.append("brownian")
-    if cfg.with_spectrum:
-        fr = functional_consistency_check(cfg)
-        report["functionals"] = fr
-        if "functionals" in enabled and not fr.ok:
-            failed.append("functionals")
+    report, failed = run_checks(cfg, table, enabled)
+    est = report["estimates"]
     print(f"{len(table)} replica rows over ladder {cfg.n_ladder}")
     print(f"f_hat = {est.f_hat:.6f}, u_hat = {est.u_hat:.6f}, m_hat = {est.m_hat:.6f}")
     print(f"sigma2: F={est.sigma2_F:.4g} Q={est.sigma2_Q:.4g} A={est.sigma2_A:.4g} M={est.sigma2_M:.4g}")
+    refused = [f"{c} of {cfg.replicas} at n={n}"
+               for n, c in report.get("refused_spectra", {}).items() if c]
+    if refused:
+        print("refused spectra: " + ", ".join(refused))
     for name in failed:
         print(f"check failed: {name}")
     out_dir = cfg.out_dir
@@ -584,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="override output directory")
     p.add_argument("--seed", type=int, default=None, help="override campaign seed")
     p.add_argument("--checks", type=str, default=None,
-                   help="comma list of checks that gate the exit code "
-                        "(clt, drift, brownian, functionals)")
+                   help=f"comma list of checks that gate the exit code ({', '.join(CHECKS)})")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("plot", help="simple SVG charts from campaign CSVs")

@@ -8,6 +8,12 @@ law-of-large-numbers, CLT, and Brownian-increment diagnostics.
 
 Replica streams are domain-separated Philox generators, so every table is
 reproducible bit-for-bit from (seed, stream) regardless of chunking.
+
+The front end is two tables: ``CONFIG_KEYS`` (every config key, the
+attribute it sets, how it is parsed and written), which ``parse_config``
+and ``write_config`` loop over, and ``CHECKS`` (every check, its
+precondition, whether it runs unnamed, how it runs and decides), which
+``check_runnable`` reads before the campaign and ``run_checks`` after it.
 """
 from __future__ import annotations
 
@@ -16,7 +22,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.n_ladder:
             raise ValueError("empty n ladder")
         if any(n < 2 for n in self.n_ladder):
@@ -120,18 +130,69 @@ class ExperimentConfig:
         return make_fiber(self.fiber)
 
 
-# [checks] keys that no check reads any more: accepted so that old configs run
-_RETIRED_CHECKS = {"var_drift_tol", "se_mult", "quenched_dist", "quenched_frac",
-                   "section_cov_tol", "section_var_tol"}
+class ConfigKey(NamedTuple):
+    attr: str | None        # ExperimentConfig attribute, "part.field" inside a part; None: retired
+    parse: Callable         # text -> value; raises a ValueError saying what the text must be
+    fmt: Callable | None = None   # value -> text, for write_config
 
-_CONFIG_KEYS = {
-    "graph": {"fiber"},
-    "disorder": {"vertex", "edge"},
-    "ladder": {
-        "n", "replicas", "seed", "cut_fraction", "gibbs_samples",
-        "height_envs", "chunk", "with_ground", "with_spectrum", "x_grid",
-        "t_grid", "out_dir", "mode", "with_sections",   # the last two retired, ignored
-    },
+
+def _cast(kind: str, read: Callable, ok: Callable = lambda value: True) -> Callable:
+    def parse(text: str):
+        try:
+            value = read(text)
+            if ok(value):
+                return value
+        except (ValueError, KeyError):
+            pass
+        raise ValueError(f"must be {kind}, got {text!r}")
+    return parse
+
+
+def _law(text: str) -> Law:
+    try:
+        return Law.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"must be a weight law: {exc}") from None
+
+
+def _retired_mode(text: str) -> None:
+    if text not in ("scalar", "polynomial"):
+        raise ValueError(f"must be scalar or polynomial, got unknown mode {text!r}")
+
+
+_INT = _cast("an integer", int)
+_BOOL = _cast("a boolean", lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()])
+_INTS = _cast("a comma list of integers", lambda t: tuple(int(v) for v in t.split(",") if v.strip()))
+_GRID = _cast("a comma list of numbers", lambda t: tuple(float(v) for v in t.split(",") if v.strip()))
+_THRESHOLD = _cast("a finite number", float, math.isfinite)
+
+# Every key of the config file, in the order write_config writes them.
+# Retired keys (the campaign mode, the section switch and [checks]
+# thresholds that no check reads) are still read and checked, so that
+# configs and resolved.cfg files written before their removal re-run.
+CONFIG_KEYS = {
+    ("graph", "fiber"): ConfigKey("fiber", str, str),
+    ("disorder", "vertex"): ConfigKey("disorder.vertex_law", _law, str),
+    ("disorder", "edge"): ConfigKey("disorder.edge_law", _law, str),
+    ("ladder", "n"): ConfigKey("n_ladder", _INTS, lambda ns: ",".join(map(str, ns))),
+    ("ladder", "replicas"): ConfigKey("replicas", _INT, str),
+    ("ladder", "seed"): ConfigKey("seed", _INT, str),
+    ("ladder", "cut_fraction"): ConfigKey("cut_fraction", _cast("a number", float), repr),
+    ("ladder", "with_ground"): ConfigKey("with_ground", _BOOL, lambda v: str(v).lower()),
+    ("ladder", "with_spectrum"): ConfigKey("with_spectrum", _BOOL, lambda v: str(v).lower()),
+    ("ladder", "gibbs_samples"): ConfigKey("gibbs_samples", _INT, str),
+    ("ladder", "height_envs"): ConfigKey("height_envs", _INT, str),
+    ("ladder", "chunk"): ConfigKey("chunk", _INT, str),
+    ("ladder", "x_grid"): ConfigKey("x_grid", _GRID, lambda xs: ",".join(map(repr, xs))),
+    ("ladder", "t_grid"): ConfigKey("t_grid", _GRID, lambda ts: ",".join(map(repr, ts))),
+    ("ladder", "out_dir"): ConfigKey("out_dir", str, str),
+    ("ladder", "mode"): ConfigKey(None, _retired_mode),
+    ("ladder", "with_sections"): ConfigKey(None, _BOOL),
+    **{("checks", f.name): ConfigKey(f"thresholds.{f.name}", _THRESHOLD, repr)
+       for f in fields(Thresholds)},
+    **{("checks", key): ConfigKey(None, _THRESHOLD) for key in (
+        "var_drift_tol", "se_mult", "quenched_dist", "quenched_frac",
+        "section_cov_tol", "section_var_tol")},
 }
 
 
@@ -142,94 +203,38 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     else:
         with open(path_or_text) as fh:
             cp.read_file(fh)
-    for section in cp.sections():
-        if section == "checks":
-            continue
-        if section not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config section [{section}]")
-        stray = set(cp[section]) - _CONFIG_KEYS[section]
-        if stray:
-            raise ValueError(
-                f"unknown option(s) in [{section}]: {', '.join(sorted(stray))}"
-            )
+    sections = {section for section, _ in CONFIG_KEYS}
+    parts = {f.name: f.default_factory for f in fields(ExperimentConfig)}
     kw = {}
-    g = cp["graph"] if cp.has_section("graph") else {}
-    if "fiber" in g:
-        kw["fiber"] = g["fiber"]
-    d = cp["disorder"] if cp.has_section("disorder") else {}
-    if d:
-        kw["disorder"] = DisorderSpec(
-            Law.parse(d.get("vertex", "normal(0,1)")),
-            Law.parse(d.get("edge", "normal(0,1)")),
-        )
-    lad = cp["ladder"] if cp.has_section("ladder") else {}
-    if lad.get("mode", "scalar") not in ("scalar", "polynomial"):
-        raise ValueError(f"unknown mode {lad['mode']!r}")
-    if "n" in lad:
-        kw["n_ladder"] = tuple(int(v) for v in lad["n"].split(",") if v.strip())
-    for key, cast in (
-        ("replicas", int), ("seed", int), ("cut_fraction", float),
-        ("gibbs_samples", int), ("height_envs", int), ("chunk", int),
-    ):
-        if key in lad:
-            kw[key] = cast(lad[key])
-    for key in ("with_ground", "with_spectrum", "with_sections"):
-        if key in lad:
+    for section in cp.sections():
+        if section not in sections:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, text in cp[section].items():
+            if (section, key) not in CONFIG_KEYS:
+                noun = "checks option" if section == "checks" else "option"
+                raise ValueError(f"unknown {noun} {key!r} in [{section}]")
+            attr, parse, _ = CONFIG_KEYS[section, key]
             try:
-                value = cp["ladder"].getboolean(key)
-            except ValueError:
-                raise ValueError(f"{key} must be a boolean, got {lad[key]!r}") from None
-            if key != "with_sections":   # retired: checked, then ignored
-                kw[key] = value
-    for key in ("x_grid", "t_grid"):
-        if key in lad:
-            kw[key] = tuple(float(v) for v in lad[key].split(",") if v.strip())
-    if "out_dir" in lad:
-        kw["out_dir"] = lad["out_dir"]
-    th = Thresholds()
-    if cp.has_section("checks"):
-        fields = {f for f in vars(th)}
-        for key, val in cp["checks"].items():
-            if key in _RETIRED_CHECKS:
-                continue
-            if key not in fields:
-                raise ValueError(f"unknown checks option {key!r}")
-            setattr(th, key, float(val))
-    kw["thresholds"] = th
+                value = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} {exc}") from None
+            if attr is not None:
+                part, _, name = attr.partition(".")
+                if name:   # a field of a part: of the part read so far, or of its default
+                    value = replace(kw.get(part) or parts[part](), **{name: value})
+                kw[part] = value
     return ExperimentConfig(**kw)
 
 
-def write_config(cfg: ExperimentConfig, path: str | None = None) -> str:
+def write_config(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["graph"] = {"fiber": cfg.fiber}
-    cp["disorder"] = {
-        "vertex": str(cfg.disorder.vertex_law),
-        "edge": str(cfg.disorder.edge_law),
-    }
-    lad = {
-        "n": ",".join(str(n) for n in cfg.n_ladder),
-        "replicas": str(cfg.replicas),
-        "seed": str(cfg.seed),
-        "cut_fraction": repr(cfg.cut_fraction),
-        "with_ground": str(cfg.with_ground).lower(),
-        "with_spectrum": str(cfg.with_spectrum).lower(),
-        "gibbs_samples": str(cfg.gibbs_samples),
-        "height_envs": str(cfg.height_envs),
-        "chunk": str(cfg.chunk),
-        "x_grid": ",".join(repr(x) for x in cfg.x_grid),
-        "t_grid": ",".join(repr(t) for t in cfg.t_grid),
-    }
-    if cfg.out_dir is not None:
-        lad["out_dir"] = cfg.out_dir
-    cp["ladder"] = lad
-    cp["checks"] = {k: repr(v) for k, v in vars(cfg.thresholds).items()}
+    for (section, key), (attr, _, fmt) in CONFIG_KEYS.items():
+        value = reduce(getattr, attr.split("."), cfg) if attr else None
+        if value is not None:
+            cp.read_dict({section: {key: fmt(value)}})
     buf = io.StringIO()
     cp.write(buf)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -625,30 +630,6 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
                          f" gives {','.join(map(str, cuts))}")
 
 
-CHECKS = ("clt", "drift", "brownian", "functionals")
-
-
-def check_runnable(cfg: ExperimentConfig, checks) -> None:
-    """Before any campaign work, raise the ValueError that the functional
-    check (run with spectra) or an enabled check would raise on ``cfg``, or
-    that says an enabled check is unknown or would check nothing."""
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check(s) {', '.join(unknown)}; the checks are {', '.join(CHECKS)}")
-    if "clt" in checks and cfg.replicas < 30:
-        raise ValueError(f"the clt check needs >= 30 replicas, got {cfg.replicas}")
-    if "drift" in checks and len(cfg.n_ladder) < 2:
-        raise ValueError("the drift check compares the top two ladder lengths;"
-                         f" the ladder {','.join(map(str, cfg.n_ladder))} has one")
-    if "functionals" in checks and not cfg.with_spectrum:
-        raise ValueError("the functionals check compares zeros with cumulants:"
-                         " it needs with_spectrum = true")
-    if cfg.with_spectrum:
-        _zero_extraction_rung(cfg)
-    if "brownian" in checks:
-        _check_height_campaign(cfg)
-
-
 def functional_consistency_check(
     cfg: ExperimentConfig, environments: int = 8, tol: float = 1e-9
 ) -> FunctionalReport:
@@ -701,6 +682,8 @@ class BrownianReport:
     # the sampling envelope bounds)
     lattice_floors: np.ndarray
     ks_exact: np.ndarray
+    # variance ratios, correlations and normality within the [checks] tolerances
+    ok: bool = False
 
     def normality_ok(self) -> bool:
         """Per-increment KS within envelope.
@@ -762,7 +745,8 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         floors[j] = _lattice_normal_distance(pmf)
         emp = np.searchsorted(np.sort(raw_inc[:, j]), np.arange(pmf.size), side="right")
         exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0] - np.cumsum(pmf))))
-    return BrownianReport(
+    th = cfg.thresholds
+    rep = BrownianReport(
         n=n,
         samples=theta_hat.shape[0],
         t_grid=t,
@@ -771,10 +755,13 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         var_ratios=inc_var / expected,
         max_abs_corr=float(np.max(np.abs(off))) if off.size else 0.0,
         ks_stats=ks,
-        ks_envelope=cfg.thresholds.ks_const / math.sqrt(theta_hat.shape[0]),
+        ks_envelope=th.ks_const / math.sqrt(theta_hat.shape[0]),
         lattice_floors=floors,
         ks_exact=exact,
     )
+    rep.ok = bool(np.all(np.abs(rep.var_ratios - 1.0) <= th.increment_var_tol)
+                  and rep.max_abs_corr <= th.increment_corr_tol and rep.normality_ok())
+    return rep
 
 
 @dataclass
@@ -786,15 +773,13 @@ class LinearGrowthReport:
     u_consistency: float        # |u_hat(top) - u_hat(second)|
 
 
-def linear_growth_check(table: ReplicaTable, u_hat: float | None = None) -> LinearGrowthReport:
+def linear_growth_check(table: ReplicaTable) -> LinearGrowthReport:
     """Boundedness of |E<U>_n - n u| along the ladder."""
     ns = np.array(sorted(int(v) for v in table.ns()))
     if ns.size < 2:
         raise ValueError("need at least two ladder lengths")
     means = np.array([float(np.mean(table.at(n, "mean_U"))) for n in ns])
-    if u_hat is None:
-        u_hat = means[-1] / ns[-1]
-    dev = np.abs(means - ns * u_hat)
+    dev = np.abs(means - ns * (means[-1] / ns[-1]))
     slope = float(np.polyfit(ns, dev, 1)[0])
     return LinearGrowthReport(
         ns=ns,
@@ -803,6 +788,84 @@ def linear_growth_check(table: ReplicaTable, u_hat: float | None = None) -> Line
         slope=slope,
         u_consistency=abs(means[-1] / ns[-1] - means[-2] / ns[-2]),
     )
+
+
+# ---------------------------------------------------------------------------
+# the campaign's checks
+# ---------------------------------------------------------------------------
+
+class Check(NamedTuple):
+    require: Callable   # cfg -> None, or the ValueError that refuses the check before the campaign
+    unnamed: Callable   # cfg -> whether the check runs when --checks does not name it
+    run: Callable       # (cfg, table, estimates) -> (report entries, verdict)
+
+
+def _require_clt(cfg: ExperimentConfig) -> None:
+    if cfg.replicas < 30:
+        raise ValueError(f"the clt check needs >= 30 replicas, got {cfg.replicas}")
+
+
+def _require_drift(cfg: ExperimentConfig) -> None:
+    if len(cfg.n_ladder) < 2:
+        raise ValueError("the drift check compares the top two ladder lengths;"
+                         f" the ladder {','.join(map(str, cfg.n_ladder))} has one")
+
+
+def _require_functionals(cfg: ExperimentConfig) -> None:
+    if not cfg.with_spectrum:
+        raise ValueError("the functionals check compares zeros with cumulants:"
+                         " it needs with_spectrum = true")
+    _zero_extraction_rung(cfg)
+
+
+def _run_drift(cfg, table, est):
+    ok = est.drift["f"] <= cfg.thresholds.drift_tol
+    return {"linear_growth": linear_growth_check(table), "drift_ok": ok}, ok
+
+
+def _block(name: str, report) -> tuple:
+    """The entries and verdict of a check whose report is one block with an ``ok``."""
+    return {name: report}, report.ok
+
+
+CHECKS = {
+    "clt": Check(_require_clt, lambda cfg: cfg.replicas >= 30, lambda cfg, table, est:
+                 _block("clt", clt_checks(table, thresholds=cfg.thresholds))),
+    "drift": Check(_require_drift, lambda cfg: len(cfg.n_ladder) >= 2, _run_drift),
+    "brownian": Check(_check_height_campaign, lambda cfg: False, lambda cfg, table, est:
+                      _block("brownian", brownian_fdd_check(cfg, est.u_hat, est.total_sigma2()))),
+    "functionals": Check(_require_functionals, lambda cfg: cfg.with_spectrum, lambda cfg, table, est:
+                         _block("functionals", functional_consistency_check(cfg))),
+}
+
+
+def check_runnable(cfg: ExperimentConfig, checks) -> None:
+    """Before any campaign work, refuse an unknown check name and every check
+    that would run on ``cfg`` but cannot."""
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(unknown)}; the checks are {', '.join(CHECKS)}")
+    for name, check in CHECKS.items():
+        if name in checks or check.unnamed(cfg):
+            check.require(cfg)
+
+
+def run_checks(cfg: ExperimentConfig, table: ReplicaTable, checks) -> tuple[dict, list]:
+    """The report of a campaign (the estimates, with spectra the refused
+    extractions per rung, and the entries of every check that runs) and the
+    named checks that failed."""
+    est = estimate_limits(table)
+    report, failed = {"estimates": est}, []
+    if cfg.with_spectrum:   # a refused extraction leaves its row with NaN spectra
+        report["refused_spectra"] = {int(n): int(np.isnan(table.at(n, "max_lambda")).sum())
+                                     for n in table.ns()}
+    for name, check in CHECKS.items():
+        if name in checks or check.unnamed(cfg):
+            entries, ok = check.run(cfg, table, est)
+            report.update(entries)
+            if name in checks and not ok:
+                failed.append(name)
+    return report, failed
 
 
 # ---------------------------------------------------------------------------

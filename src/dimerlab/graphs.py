@@ -33,6 +33,11 @@ class RngSeed:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 def rng_generator(seed: RngSeed, domain: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, domain) triple.

@@ -248,52 +248,44 @@ class MonomerPolynomial:
 # fiber matching tables (combinatorial structure, cached per H)
 # ---------------------------------------------------------------------------
 
+def _fiber_rows(H: HGraph) -> list:
+    """For each forbidden set F, the matchings of H that avoid F, as
+    (H-edge indices, covered vertices | F), read from one enumeration of
+    the matchings of H: edge by edge, a matching without the edge before
+    the one with it."""
+    matchings = [((), 0)]
+    for e, (a, b) in enumerate(H.edges):
+        pair = 1 << (a - 1) | 1 << (b - 1)
+        grown = []
+        for chosen, used in matchings:
+            grown.append((chosen, used))
+            if not used & pair:
+                grown.append((chosen + (e,), used | pair))
+        matchings = grown
+    return [[(chosen, used | F) for chosen, used in matchings if not used & F]
+            for F in range(1 << H.h)]
+
+
 class _HTables:
     def __init__(self, H: HGraph):
         h = H.h
         self.h = h
         self.states = 1 << h
         self.mH = len(H.edges)
-        edges0 = [(a - 1, b - 1) for a, b in H.edges]
-        full = self.states - 1
+        sets = np.arange(self.states)
+        self.sbits = (sets[:, None] >> np.arange(h) & 1).astype(float)
 
         # the fiber matchings avoiding each forbidden set F; flattened over F,
         # they are the rows fiber_start[F]:fiber_start[F + 1]
-        match_edges = []        # per F: (m_F, mH) 0/1
-        match_mono = []         # per F: (m_F, h) 0/1, monomer = not in F, not covered
-        self.fiber_edges = []   # per row: tuple of H-edge indices
-        fiber_start = [0]
-        for F in range(self.states):
-            rows = []
-
-            def rec(eidx, used, chosen):
-                if eidx == len(edges0):
-                    rows.append((tuple(chosen), used))
-                    return
-                rec(eidx + 1, used, chosen)
-                a, b = edges0[eidx]
-                if not (used >> a & 1) and not (used >> b & 1):
-                    chosen.append(eidx)
-                    rec(eidx + 1, used | 1 << a | 1 << b, chosen)
-                    chosen.pop()
-
-            rec(0, F, [])
-            me = np.zeros((len(rows), self.mH))
-            mm = np.zeros((len(rows), h))
-            for r, (chosen, used) in enumerate(rows):
-                for e in chosen:
-                    me[r, e] = 1.0
-                mono = full & ~used
-                for j in range(h):
-                    if mono >> j & 1:
-                        mm[r, j] = 1.0
-            match_edges.append(me)
-            match_mono.append(mm)
-            self.fiber_edges.extend(chosen for chosen, _ in rows)
-            fiber_start.append(fiber_start[-1] + len(rows))
-        self.fiber_start = np.array(fiber_start, dtype=np.intp)
-        self.row_edges = np.concatenate(match_edges)   # (rows, mH) 0/1
-        self.row_mono = np.concatenate(match_mono)     # (rows, h) 0/1
+        fiber_rows = _fiber_rows(H)
+        rows = [row for F_rows in fiber_rows for row in F_rows]
+        self.fiber_edges = [chosen for chosen, _ in rows]   # per row: tuple of H-edge indices
+        self.fiber_start = np.cumsum([0] + [len(F_rows) for F_rows in fiber_rows], dtype=np.intp)
+        self.row_edges = np.zeros((len(rows), self.mH))     # (rows, mH) 0/1
+        for r, chosen in enumerate(self.fiber_edges):
+            self.row_edges[r, list(chosen)] = 1.0
+        # (rows, h) 0/1: a monomer is a vertex neither in F nor covered
+        self.row_mono = self.sbits[[(self.states - 1) & ~used for _, used in rows]]
         self.fiber_mono = self.row_mono.sum(axis=1).astype(np.int64)
         # the rows, ascending, of each (monomer count d, forbidden set F) group of B[d, :, F]
         per_F = np.split(np.arange(self.fiber_start[-1]), self.fiber_start[1:-1])
@@ -302,33 +294,20 @@ class _HTables:
 
         # disjoint (S, S') pairs grouped contiguously by S', for segmented
         # reductions in the layer transition
-        ps, pf, starts = [], [], []
-        for Sp in range(self.states):
-            starts.append(len(ps))
-            for S in range(self.states):
-                if S & Sp == 0:
-                    ps.append(S)
-                    pf.append(S | Sp)
-        self.pair_s = np.array(ps, dtype=np.intp)
-        self.pair_f = np.array(pf, dtype=np.intp)
-        self.group_starts = np.array(starts, dtype=np.intp)
+        Sp, self.pair_s = np.nonzero((sets[:, None] & sets) == 0)
+        self.pair_f = self.pair_s | Sp
+        self.group_starts = np.searchsorted(Sp, sets)
 
         # backward candidates of each reserved set S: every previous set S'
         # disjoint from S (ascending, so S' = 0 leads) paired with every fiber
         # row avoiding S | S'
-        bounds = np.append(self.group_starts, len(ps))
+        bounds = np.append(self.group_starts, len(Sp))
         self.cand_prev, self.cand_row = [], []
         for S in range(self.states):
             group = slice(bounds[S], bounds[S + 1])
             Fs = self.pair_f[group]
             self.cand_prev.append(np.repeat(self.pair_s[group], np.diff(self.fiber_start)[Fs]))
             self.cand_row.append(np.concatenate([np.arange(*self.fiber_start[F : F + 2]) for F in Fs]))
-
-        self.sbits = np.zeros((self.states, h))
-        for S in range(self.states):
-            for j in range(h):
-                if S >> j & 1:
-                    self.sbits[S, j] = 1.0
 
 
 @lru_cache(maxsize=64)

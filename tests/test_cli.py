@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -113,10 +114,12 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("n = 8\nx_grid = nan\nwith_spectrum = true\n", "functionals",
      "x_grid entries must be finite, got nan"),
     ("t_grid = 0, inf\n", "", "t_grid entries must be finite, got 0.0,inf"),
+    # a seed that numpy would refuse only at the first draw
+    ("seed = -1\n", "", "seed must be >= 0, got -1"),
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
         "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
         "ladder-repeats", "fiber-past-transfer-cap", "spectra-past-polynomial-cap",
-        "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf"])
+        "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf", "seed-neg"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
     calls = count_calls(monkeypatch, experiments, ["run_replicas"])
@@ -135,6 +138,49 @@ def test_experiment_refuses_unrunnable_check_before_campaign(
     assert reason in capsys.readouterr().err
     assert calls == {"run_replicas": 0}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("checks,code", [
+    ("", 1),
+    ("[checks]\nincrement_var_tol = 100\nincrement_corr_tol = 1\nks_const = 100\n", 0),
+], ids=["default-tolerances", "loose-tolerances"])
+def test_brownian_verdict_in_report_matches_exit_code(tmp_path, capsys, checks, code):
+    # 100 pooled draws cannot meet the default tolerances; loose ones pass
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[graph]\nfiber = path(2)\n"
+        "[ladder]\nn = 20, 40\nreplicas = 4\nseed = 1\nheight_envs = 2\ngibbs_samples = 50\n"
+        "t_grid = 0, 0.5, 1\n" + checks
+    )
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                 "--checks", "brownian"]) == code
+    assert ("check failed: brownian" in capsys.readouterr().out) == bool(code)
+    assert json.loads((out / "report.json").read_text())["brownian"]["ok"] is (code == 0)
+
+
+def test_experiment_counts_and_prints_refused_spectra(tmp_path, capsys):
+    # n = 24 on path(2) puts every polynomial past the N <= 32 that zero
+    # extraction resolves; each refused row keeps empty spectral cells
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[graph]\nfiber = path(2)\n"
+                   "[ladder]\nn = 8, 24\nreplicas = 6\nseed = 3\nwith_spectrum = true\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "replicas.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    blank = {n: sum(r["n"] == n and r["max_lambda"] == r["u_n"] == r["varQ_n"] == "" for r in rows)
+             for n in ("8", "24")}
+    assert blank["24"] > 0
+    assert json.loads((out / "report.json").read_text())["refused_spectra"] == blank
+    assert f"refused spectra: {blank['24']} of 6 at n=24\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd,flag", [("exact", "--seed"), ("exact", "--stream"),
+                                      ("sample", "--stream")])
+def test_negative_seed_or_stream_is_refused_before_any_draw(capsys, cmd, flag):
+    assert main([cmd, "--n", "4", "--h", "2", "--vertex", "normal(0,1)", flag, "-1"]) == 2
+    assert f"{flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_experiment_without_ground_states_reports_the_recorded_metrics(tmp_path, capsys):

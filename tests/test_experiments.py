@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
     ReplicaTable,
     _draw_weight_batch,
@@ -108,6 +112,37 @@ def test_config_rejects_unknown_keys():
         parse_config("[ladder]\nmode = exactly\n", is_text=True)
     with pytest.raises(ValueError, match="with_sections must be a boolean, got 'banana'"):
         parse_config("[ladder]\nwith_sections = banana\n", is_text=True)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[ladder]\nreplicas = 2.5\n", "[ladder] replicas must be an integer, got '2.5'"),
+    ("[ladder]\nn = 8, x\n", "[ladder] n must be a comma list of integers, got '8, x'"),
+    ("[ladder]\nwith_ground = maybe\n", "[ladder] with_ground must be a boolean, got 'maybe'"),
+    ("[ladder]\nt_grid = 0, half\n", "[ladder] t_grid must be a comma list of numbers, got '0, half'"),
+    ("[disorder]\nedge = uniform(1,0)\n", "[disorder] edge must be a weight law: uniform(a, b) needs a <= b"),
+    # a NaN or infinite threshold would fail or pass every metric it bounds
+    ("[checks]\nskew_tol = nan\n", "[checks] skew_tol must be a finite number, got 'nan'"),
+    ("[checks]\nks_const = inf\n", "[checks] ks_const must be a finite number, got 'inf'"),
+    ("[checks]\nse_mult = two\n", "[checks] se_mult must be a finite number, got 'two'"),
+    ("[ladder]\nseed = -1\n", "seed must be >= 0, got -1"),
+], ids=["int", "int-list", "bool", "grid", "law", "threshold-nan", "threshold-inf",
+        "retired-threshold", "seed-neg"])
+def test_config_refusals_name_the_key(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config(text, is_text=True)
+
+
+def test_config_doc_lists_every_live_key():
+    # the INI block of docs/config.md against the key table: a key added,
+    # retired or renamed in one and not the other fails here
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    section, listed = None, set()
+    for line in doc.split("```ini\n", 1)[1].split("```", 1)[0].splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = m.group(1)
+        elif m := re.match(r"(\w+)\s*=", line):
+            listed.add((section, m.group(1)))
+    assert listed == {key for key, entry in CONFIG_KEYS.items() if entry.attr is not None}
 
 
 def test_constant_disorder_rows_are_identical():

@@ -13,6 +13,7 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab import transfer
+from dimerlab.experiments import make_fiber
 from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
 from dimerlab.transfer import (
     CapacityError,
@@ -51,6 +52,51 @@ def _assert_poly_close(p, q, tol=1e-10):
     both = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(np.isfinite(a), np.isfinite(b))
     assert np.max(np.abs(a[both] - b[both]), initial=0.0) <= tol
+
+
+def _fiber_rows_per_forbidden_set(H):
+    """The fiber rows of each forbidden set F from a depth-first recursion of its own."""
+    out = []
+    for F in range(1 << H.h):
+        rows = []
+
+        def rec(e, used, chosen):
+            if e == len(H.edges):
+                rows.append((chosen, used))
+                return
+            rec(e + 1, used, chosen)
+            a, b = H.edges[e]
+            pair = 1 << (a - 1) | 1 << (b - 1)
+            if not used & pair:
+                rec(e + 1, used | pair, chosen + (e,))
+
+        rec(0, F, ())
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("fiber", ["single"] + [f"path({k})" for k in range(2, 8)]
+                         + [f"cycle({k})" for k in range(3, 8)]
+                         + [f"complete({k})" for k in range(2, 7)])
+def test_fiber_tables_from_one_enumeration_match_one_recursion_per_forbidden_set(
+        monkeypatch, fiber):
+    # the same rows in the same order, so the same row groups and, bit for
+    # bit, the same layer tables
+    H = make_fiber(fiber)
+    g = build_cylinder(3, H)
+    w = sample_weights(g, STD_NORMAL, RngSeed(5, 0))
+    ht, tables = transfer._HTables(H), instance_tables(g, w)
+    monkeypatch.setattr(transfer, "_fiber_rows", _fiber_rows_per_forbidden_set)
+    ref = transfer._HTables(H)
+    monkeypatch.setattr(transfer, "_h_tables", lambda _: ref)
+    assert ht.fiber_edges == ref.fiber_edges
+    for key in ("fiber_start", "row_edges", "row_mono"):
+        assert np.array_equal(getattr(ht, key), getattr(ref, key)), key
+    assert [(d, F, rows.tolist()) for d, F, rows in ht.groups] == \
+        [(d, F, rows.tolist()) for d, F, rows in ref.groups]
+    want = instance_tables(g, w)
+    for key in ("B", "scores"):
+        assert np.array_equal(tables[key], want[key]), key
 
 
 def test_path4_zero_weights_coefficients():
