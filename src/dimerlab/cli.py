@@ -272,7 +272,7 @@ def _cmd_ground(args) -> int:
     g, w = _resolve_weights(args)
     gs = max_weight(g, w)
     print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
-          f"{gs.monomer_count(g)} monomers")
+          f"{gs.matching.num_unpaired(g)} monomers")
     rows = [(k, r, gse_remainder_bound(g, w, k))
             for k, r in enumerate(gse_remainder(g, w).tolist(), start=1)]
     worst = max((r[1] for r in rows), default=None)
@@ -297,7 +297,7 @@ def _cmd_ground(args) -> int:
             {
                 "value": gs.value,
                 "edges": sorted(gs.matching.edge_indices),
-                "monomer_count": gs.monomer_count(g),
+                "monomer_count": gs.matching.num_unpaired(g),
                 "max_remainder": worst,
                 "zero_temperature": ladder,
             },
@@ -322,7 +322,7 @@ def _cmd_jacobi(args) -> int:
     log_det = det_abs(A)
     log_z = scalar_log_z(g, w)
     det_residual = abs(log_det - log_z)
-    res_residual = 0.0
+    res_residual = None   # null above n = 64, where the check is skipped
     if g.n <= 64:
         p = partition_polynomial(g, w)
         res_residual = max(abs(resolvent_U(A, x) - p.cumulants(x, 1)[0]) for x in (-1.0, 0.0, 1.0))
@@ -337,10 +337,12 @@ def _cmd_jacobi(args) -> int:
         "eigenvalues": list(map(float, omega_spectrum(A))) if g.n <= 64 else None,
         "tol": args.tol,
     }
-    ok = det_residual <= args.tol and gauge_residual <= args.tol and res_residual <= 100 * args.tol
+    ok = (det_residual <= args.tol and gauge_residual <= args.tol
+          and (res_residual is None or res_residual <= 100 * args.tol))
     print(f"|log|det A| - log Z| = {det_residual:.2e}")
     print(f"matrix gauge residual = {gauge_residual:.2e}")
-    print(f"resolvent residual    = {res_residual:.2e}")
+    print("resolvent residual    = " + ("skipped, n > 64" if res_residual is None
+                                        else f"{res_residual:.2e}"))
     print("ok" if ok else "FAILED")
     out = _ensure_out(args)
     if out:

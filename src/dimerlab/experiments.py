@@ -46,12 +46,14 @@ from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     MonomerPolynomial,
+    _degree_semiring,
     batch_tables,
     check_polynomial_caps,
     check_transfer_cap,
     cut_moments,
     increment_laws,
     instance_tables,
+    sweep,
 )
 
 
@@ -399,23 +401,20 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
             "replicas": int(lz.size),
         }
     top = ns[-1]
-    lz = table.at(top, "log_z")
-    mu = table.at(top, "mean_U")
-    vu = table.at(top, "var_U")
-    mm = table.at(top, "M")
-    m = lz.size
+    lz, mu = table.at(top, "log_z"), table.at(top, "mean_U")
+    at_top, m = per_n[top], lz.size
     if m < 2:
         raise ValueError("need at least 2 replicas at the top length")
     est = LimitEstimates(
         n_top=top,
         replicas=m,
-        f_hat=float(np.mean(lz)) / top,
-        sigma2_F=_sample_var(lz) / top,
-        u_hat=float(np.mean(mu)) / top,
-        sigma2_Q=float(np.mean(vu)) / top,
+        f_hat=at_top["f"],
+        sigma2_F=at_top["var_f"],
+        u_hat=at_top["u"],
+        sigma2_Q=float(np.mean(table.at(top, "var_U"))) / top,
         sigma2_A=_sample_var(mu) / top,
-        m_hat=float(np.mean(mm)) / top,
-        sigma2_M=_sample_var(mm) / top,
+        m_hat=at_top["m"],
+        sigma2_M=at_top["var_m"],
         per_n=per_n,
         drift={},
         se={},
@@ -531,69 +530,32 @@ def _lattice_normal_distance(pmf: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
-def quenched_clt_check(g: CylinderGraph, w: WeightAssignment) -> QuenchedReport:
-    """Sup-distance of the standardized exact monomer-count law to normal.
-
-    The count lives on a lattice of fixed parity, so the distance contains
-    an irreducible lattice term of order (sigma sqrt(n))^{-1}; the report
-    is meaningful as a sequence along growing n.
-    """
-    return quenched_ladder(g, w, [g.n])[0]
-
-
 def quenched_ladder(g: CylinderGraph, w: WeightAssignment, ns) -> list[QuenchedReport]:
-    """Quenched normality reports along nested prefixes of one environment,
-    prefix k the increment 0..k of the layer slice 1..k of one table."""
-    if not all(1 <= n <= g.n for n in ns):
-        raise ValueError(f"prefix lengths {list(ns)} not inside [1:{g.n}]")
-    tables, out = instance_tables(g, w), []
-    for n in sorted(ns):
-        prefix = {**tables, "B": tables["B"][:, :n], "hsum": tables["hsum"][: n - 1], "n": n}
-        p = MonomerPolynomial(increment_laws(prefix, [0, n])[0][:, 0], N=n * g.h)
+    """Sup-distance of the standardized exact monomer-count law to normal,
+    along nested prefixes of one environment.
+
+    Prefix k is the degree message after layer k at the empty reserved
+    set, so one degree sweep over max(ns) layers serves every prefix; its
+    degree cap never binds on a prefix.  The count lives on a lattice of
+    fixed parity, so each distance contains an irreducible lattice term of
+    order (sigma sqrt(k))^{-1}; the reports are meaningful as a sequence
+    along growing k.
+    """
+    ns = sorted(ns)
+    if not ns or not all(1 <= n <= g.n for n in ns):
+        raise ValueError(f"prefix lengths {ns} must be a nonempty list inside [1:{g.n}]")
+    check_polynomial_caps(ns[-1], g.h)
+    tables = instance_tables(g, w)
+    W = tables["B"].swapaxes(0, 1)[: ns[-1]]   # B[i, d, F, r]
+    msgs = sweep(W, tables["hsum"], tables["ht"], _degree_semiring(g.h * ns[-1]))
+    laws = {k: v[:, 0, 0] for k, v in enumerate(msgs, start=1) if k in ns}
+    out = []
+    for n in ns:
+        p = MonomerPolynomial(laws[n], N=n * g.h)
         mean, var = p.cumulants(0.0, 2)
         dist = _lattice_normal_distance(p.pmf(0.0))
         out.append(QuenchedReport(n=n, distance=dist, mean=float(mean), var=float(var)))
     return out
-
-
-@dataclass
-class SectionReport:
-    n: int
-    k: int
-    t: float
-    cov_over_n: float
-    var_left_over_n: float
-    var_right_over_n: float
-    sigma2_Q: float
-    cov_ratio: float        # |cov|/n relative to sigma2_Q
-    var_left_ratio: float   # vs t * sigma2_Q
-    var_right_ratio: float  # vs (1-t) * sigma2_Q
-
-
-def joint_sections_check(
-    g: CylinderGraph, w: WeightAssignment, k: int, sigma2_Q: float | None = None
-) -> SectionReport:
-    """Exact section covariance/variance rates at a cut, vs the split law.
-
-    The variances of the whole count and of both sections and their
-    covariance come from the two moment sweeps of ``cut_moments``.
-    """
-    var_all, var_L, var_R, cov = (float(v[0]) for v in cut_moments(instance_tables(g, w), k)[2:])
-    if sigma2_Q is None:
-        sigma2_Q = var_all / g.n
-    t = k / g.n
-    return SectionReport(
-        n=g.n,
-        k=k,
-        t=t,
-        cov_over_n=cov / g.n,
-        var_left_over_n=var_L / g.n,
-        var_right_over_n=var_R / g.n,
-        sigma2_Q=float(sigma2_Q),
-        cov_ratio=abs(cov / g.n) / sigma2_Q,
-        var_left_ratio=(var_L / g.n) / (t * sigma2_Q),
-        var_right_ratio=(var_R / g.n) / ((1.0 - t) * sigma2_Q),
-    )
 
 
 @dataclass

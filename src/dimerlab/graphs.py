@@ -90,15 +90,6 @@ class HGraph:
     def complete(cls, h: int) -> "HGraph":
         return cls(h, tuple((a, b) for a in range(1, h) for b in range(a + 1, h + 1)))
 
-    @classmethod
-    def named(cls, name: str, h: int) -> "HGraph":
-        if h == 1 or name == "single":
-            return cls.single() if h == 1 else cls(h)
-        builders = {"path": cls.path, "cycle": cls.cycle, "complete": cls.complete}
-        if name not in builders:
-            raise ValueError(f"unknown fiber family {name!r} (use path/cycle/complete/single)")
-        return builders[name](h)
-
     def neighbors(self, j: int) -> list[int]:
         out = []
         for a, b in self.edges:
@@ -458,24 +449,8 @@ def graph_from_payload(d: dict) -> CylinderGraph:
     return CylinderGraph(int(d["n"]), H)
 
 
-def weights_payload(
-    g: CylinderGraph,
-    w: WeightAssignment,
-    seed: RngSeed | None = None,
-    disorder: DisorderSpec | None = None,
-) -> dict:
-    out = graph_payload(g)
-    out["nu"] = _float_list(w.nu_flat())
-    out["omega"] = _float_list(w.omega_flat())
-    if seed is not None:
-        out["seed"] = seed.seed
-        out["stream"] = seed.stream
-    if disorder is not None:
-        out["disorder"] = {
-            "vertex": str(disorder.vertex_law),
-            "edge": str(disorder.edge_law),
-        }
-    return out
+def weights_payload(g: CylinderGraph, w: WeightAssignment) -> dict:
+    return {**graph_payload(g), "nu": _float_list(w.nu_flat()), "omega": _float_list(w.omega_flat())}
 
 
 def weights_from_payload(d: dict) -> tuple[CylinderGraph, WeightAssignment]:
@@ -488,9 +463,9 @@ def weights_from_payload(d: dict) -> tuple[CylinderGraph, WeightAssignment]:
     return g, WeightAssignment(g, nu, omega_h, omega_v)
 
 
-def dump_weights(path, g, w, seed=None, disorder=None) -> None:
+def dump_weights(path, g, w) -> None:
     with open(path, "w") as fh:
-        json.dump(weights_payload(g, w, seed, disorder), fh, sort_keys=True)
+        json.dump(weights_payload(g, w), fh, sort_keys=True)
         fh.write("\n")
 
 

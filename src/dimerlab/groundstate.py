@@ -33,9 +33,6 @@ class GroundState:
     value: float
     matching: Matching
 
-    def monomer_count(self, g: CylinderGraph) -> int:
-        return g.num_vertices - 2 * len(self.matching.edge_indices)
-
 
 def _max_W(tables: dict) -> np.ndarray:
     """Layer weights of the (max, +) sweep, ``W[i, F, r]``: the best fiber

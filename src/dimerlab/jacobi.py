@@ -3,8 +3,8 @@
 A width-1 cylinder is a path, and its partition function equals |det A_n|
 for the tridiagonal matrix with diagonal entries sqrt(-1) * e^{nu_k} and
 off-diagonal entries e^{omega_k / 2}.  Everything here is phrased through
-two real arrays (log diagonal magnitudes, log edge weights), so the
-imaginary unit only ever appears as a phase index mod 4.
+two real arrays (log diagonal magnitudes, log edge weights): the
+imaginary unit only sets the phase sqrt(-1)^n of the determinant.
 """
 from __future__ import annotations
 
@@ -71,10 +71,11 @@ def _logaddexp(a: float, b: float) -> float:
 def det_abs(A: JacobiMatrix) -> float:
     """log |det A_n| by the three-term recurrence, in ratio form.
 
-    Both recurrence terms always share one phase, so the determinant is a
-    positive magnitude times a quarter-turn per row; the phase alignment is
-    asserted rather than assumed.  The magnitude equals the partition
-    function of the corresponding path.  It is the product of the ratios
+    D_k = sqrt(-1) e^{nu_k} D_{k-1} - e^{omega_{k-1}} D_{k-2}, and both
+    terms carry the phase sqrt(-1)^k whatever the weights, so |D_k| obeys
+    the same recurrence with positive terms and the phase of det A_n is
+    sqrt(-1)^n.  The magnitude equals the partition function of the
+    corresponding path.  It is the product of the ratios
     r_k = |D_k| / |D_{k-1}|, with log r_1 = nu_1 and log r_k =
     logaddexp(nu_k, omega_{k-1} - log r_{k-1}): every term stays the size of
     one row, and ``math.fsum`` adds the n logs exactly, so the rounding does
@@ -85,26 +86,13 @@ def det_abs(A: JacobiMatrix) -> float:
     nu, omega = memoryview(A.nu), memoryview(A.omega)
 
     def log_ratios():
-        log_r, phase_prev2, phase_prev = nu[0], 0, 1   # D_0 = 1, D_1 = sqrt(-1) e^{nu_1}
+        log_r = nu[0]
         yield log_r
         for k in range(2, A.n + 1):
-            phase_a = (phase_prev + 1) % 4
-            phase_b = (phase_prev2 + 2) % 4
-            if phase_a != phase_b:
-                raise AssertionError(f"phase misalignment at row {k}: {phase_a} vs {phase_b}")
             log_r = _logaddexp(nu[k - 1], omega[k - 2] - log_r)
-            phase_prev2, phase_prev = phase_prev, phase_a
             yield log_r
-        if phase_prev != A.n % 4:
-            raise AssertionError(f"determinant phase {phase_prev} != quarter-turn pattern {A.n % 4}")
 
     return math.fsum(log_ratios())
-
-
-def det_phase_index(A: JacobiMatrix) -> int:
-    """Phase of det A_n as a power of sqrt(-1); periodic with period 4."""
-    det_abs(A)  # runs the exact alignment assertions
-    return A.n % 4
 
 
 def omega_spectrum(A: JacobiMatrix) -> np.ndarray:

@@ -9,8 +9,8 @@ nonnegative coefficients and fixed parity, and it factors as
 i.e. all zeroes lie on the imaginary axis at +-i lambda.  This module
 extracts the positive half-spectrum {lambda_i} together with the
 multiplicity of the zero at the origin, and evaluates the spectral-measure
-functionals (mean monomer density, quenched variance density, Stieltjes
-style transform) as finite sums over the signed atom multiset.
+functionals (mean monomer density and quenched variance density at a tilt)
+as finite sums over the signed atom multiset, whose mass per layer is h.
 """
 from __future__ import annotations
 
@@ -175,21 +175,6 @@ def localization_check(
 # spectral measure functionals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Zero atoms with both normalizations: per layer (mass h) and per atom."""
-
-    atoms: tuple[float, ...]
-    n_layers: int
-
-    @classmethod
-    def from_spectrum(cls, spec: LeeYangSpectrum, n_layers: int) -> "EmpiricalMeasure":
-        return cls(tuple(spec.signed_atoms()), n_layers)
-
-    def mass(self) -> float:
-        return len(self.atoms) / self.n_layers
-
-
 def _squared_tilted(atoms: np.ndarray, x: float) -> np.ndarray:
     """lambda^2 exp(-2x) per atom, computed in log space to dodge overflow."""
     out = np.zeros_like(atoms)
@@ -216,17 +201,3 @@ def density_functionals(
         var_terms = np.where(np.isinf(t), 0.0, 2.0 * t / (1.0 + t) ** 2)
     return float(f1.sum() / n_layers), float(var_terms.sum() / n_layers)
 
-
-def transform_F(spec: LeeYangSpectrum, z: complex) -> complex:
-    """Probability-normalized transform F(z) = (1/N) sum z / (z + lambda^2).
-
-    Defined for z > 0 (off the real axis also works); at z = e^{2x} it
-    equals the mean unpaired-vertex density times n/N.
-    """
-    if complex(z).imag == 0.0 and complex(z).real <= 0.0:
-        raise ValueError(f"transform needs z > 0, got {z}")
-    atoms = np.asarray(spec.signed_atoms())
-    val = np.mean(z / (z + atoms**2))
-    if isinstance(z, complex):
-        return complex(val)
-    return float(val.real) if np.isrealobj(val) or abs(val.imag) < 1e-15 else complex(val)

@@ -74,7 +74,8 @@ only, and closes it against the stacked flipped message at cut b.  One
 forward and one flipped pass serve every increment, and the degree sweeps
 cover n layers in all.  It is the only route to coefficients: a whole
 cylinder is the increment 0..n, which needs neither pass, and a prefix
-1..k is the increment 0..k of the layer slice ``B[:, :k]``, ``hsum[:k-1]``.
+1..k is the increment 0..k, whose law is that sweep's message after
+layer k at the empty reserved set.
 
 Batched routes sweep layer by layer, so a campaign row does not depend on
 its chunk.  The log Z of a single instance, ``scalar_log_z``, is a blocked
@@ -133,10 +134,6 @@ class CountingMask:
     hi: int | None = None
 
     @classmethod
-    def all(cls) -> "CountingMask":
-        return cls()
-
-    @classmethod
     def layer_range(cls, k: int, l: int) -> "CountingMask":
         if k < 1 or l < k:
             raise ValueError(f"bad layer range [{k}:{l}]")
@@ -148,7 +145,7 @@ def _resolve_mask(mask, n: int) -> np.ndarray:
     every layer), 0.0 on the others."""
     if not isinstance(mask, (CountingMask, type(None))):
         raise TypeError(f"a counting mask is a CountingMask, got {type(mask).__name__}")
-    mask = mask or CountingMask.all()
+    mask = mask or CountingMask()
     hi = n if mask.hi is None else mask.hi
     if not 1 <= mask.lo <= hi <= n:
         raise ValueError(f"layer range [{mask.lo}:{hi}] not inside [1:{n}]")

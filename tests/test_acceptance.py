@@ -20,7 +20,6 @@ from dimerlab.experiments import (
     brownian_fdd_check,
     clt_checks,
     estimate_limits,
-    joint_sections_check,
     quenched_ladder,
     run_replicas,
 )
@@ -52,6 +51,7 @@ from dimerlab.transfer import (
     batch_scalar_log_z,
     batch_tables,
     brute_force_polynomial,
+    cut_moments,
     instance_tables,
     kill_vertex_edges,
     partition_polynomial,
@@ -329,16 +329,18 @@ def test_criterion_10_section_laws_split():
     g = build_cylinder(256, HGraph.path(2))
     for env in range(12):
         w = sample_weights(g, STD_NORMAL, RngSeed(4242, env))
-        worst_cov = max(worst_cov, joint_sections_check(g, w, k=128).cov_ratio)
+        _, _, var_u, _, _, cov = (float(v[0]) for v in cut_moments(instance_tables(g, w), 128))
+        worst_cov = max(worst_cov, abs(cov / g.n) / (var_u / g.n))
     assert worst_cov <= 0.02
 
     worst_var = 0.0
     g = build_cylinder(512, HGraph.path(2))
     for env in range(6):
         w = sample_weights(g, STD_NORMAL, RngSeed(4243, env))
-        rep = joint_sections_check(g, w, k=256)
-        worst_var = max(worst_var, abs(rep.var_left_ratio - 1.0),
-                        abs(rep.var_right_ratio - 1.0))
+        _, _, var_u, var_l, var_r, _ = (float(v[0]) for v in cut_moments(instance_tables(g, w), 256))
+        t, sigma2_q = 256 / g.n, var_u / g.n
+        worst_var = max(worst_var, abs((var_l / g.n) / (t * sigma2_q) - 1.0),
+                        abs((var_r / g.n) / ((1.0 - t) * sigma2_q) - 1.0))
     assert worst_var <= 0.10
     _report(10, f"cov ratio <= {worst_cov:.4f} over 12 environments, "
                 f"section variance ratios within {worst_var:.2%} at n=512")

@@ -341,7 +341,7 @@ def test_ground_command(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     data = json.loads((out / "ground.json").read_text())
-    assert data["monomer_count"] >= 0
+    assert data["monomer_count"] == 6 - 2 * len(data["edges"])
     rows = (out / "remainders.csv").read_text().strip().split("\n")
     assert rows[0] == "k,remainder,bound"
     assert len(rows) == 6  # header + one row per interior cut
@@ -385,6 +385,18 @@ def test_jacobi_command_checks_identities(tmp_path, capsys):
     data = json.loads((out / "jacobi.json").read_text())
     assert data["det_residual"] <= 1e-9
     assert main(["jacobi", "--n", "4", "--h", "2", "--const", "0"]) == 2
+
+
+def test_jacobi_reports_the_skipped_resolvent_check_as_null(tmp_path, capsys):
+    # the resolvent check runs up to n = 64; above, the report and the
+    # printout say it was skipped instead of showing a zero residual
+    argv = ["jacobi", "--h", "1", "--vertex", "normal(0,1)", "--edge", "normal(0,1)", "--seed", "6"]
+    assert main([*argv, "--n", "65", "--out", str(tmp_path / "j65")]) == 0
+    assert "resolvent residual    = skipped, n > 64\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "j65" / "jacobi.json").read_text())["resolvent_residual"] is None
+    assert main([*argv, "--n", "64", "--out", str(tmp_path / "j64")]) == 0
+    data = json.loads((tmp_path / "j64" / "jacobi.json").read_text())
+    assert 0.0 <= data["resolvent_residual"] <= 100 * data["tol"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1e-9"])

@@ -28,12 +28,10 @@ from dimerlab.experiments import (
     clt_checks,
     estimate_limits,
     functional_consistency_check,
-    joint_sections_check,
     jsonify,
     linear_growth_check,
     make_fiber,
     parse_config,
-    quenched_clt_check,
     quenched_ladder,
     run_replicas,
     write_config,
@@ -41,7 +39,9 @@ from dimerlab.experiments import (
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
 from dimerlab.sampler import GibbsSampler, heights
-from dimerlab.transfer import CountingMask, instance_tables, partition_polynomial, section_covariance
+from dimerlab.transfer import (
+    CountingMask, cut_moments, instance_tables, partition_polynomial, section_covariance,
+)
 
 from helpers import STD_NORMAL, count_calls, restrict, sweep_steps, table_builds
 
@@ -316,7 +316,7 @@ def test_quenched_two_point_lattice_distance():
     from scipy.stats import norm
 
     g = build_cylinder(2, HGraph.single())
-    rep = quenched_clt_check(g, WeightAssignment.constant(g))
+    rep, = quenched_ladder(g, WeightAssignment.constant(g), [g.n])
     assert rep.distance == pytest.approx(norm.cdf(1.0) - 0.5, abs=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_quenched_ladder_distance_decreases():
     w3 = sample_weights(g3, STD_NORMAL, RngSeed(21, 1))
     ks = (1, 7, 20, 33, 40)
     for k, rep in zip(ks, quenched_ladder(g3, w3, ks)):
-        ref = quenched_clt_check(*restrict(g3, w3, 1, k))
+        ref, = quenched_ladder(*restrict(g3, w3, 1, k), [k])
         assert rep.n == ref.n == k
         for key in ("distance", "mean", "var"):
             assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
@@ -339,23 +339,42 @@ def test_quenched_ladder_distance_decreases():
         quenched_ladder(g3, w3, (20, 41))
 
 
+def test_quenched_ladder_reads_every_prefix_from_one_degree_sweep(monkeypatch):
+    # prefix k is the degree message after layer k: one sweep of 256 layers
+    # serves the ladder, where one sweep per prefix took 32 + 64 + 128 + 256
+    g = build_cylinder(256, HGraph.path(2))
+    w = sample_weights(g, STD_NORMAL, RngSeed(23, 0))
+    ks = (32, 64, 128, 256)
+    refs = []
+    for k in ks:   # each prefix's own polynomial, the increment 0..k of its restriction
+        p = partition_polynomial(*restrict(g, w, 1, k))
+        mean, var = p.cumulants(0.0, 2)
+        refs.append((k, _lattice_normal_distance(p.pmf(0.0)), float(mean), float(var)))
+    steps = sweep_steps(monkeypatch)
+    reports = quenched_ladder(g, w, ks)
+    assert steps == [("degree", 256)]
+    assert [(r.n, r.distance, r.mean, r.var) for r in reports] == refs
+
+
 def test_joint_sections_small_covariance_at_scale():
     g = build_cylinder(64, HGraph.path(2))
     w = sample_weights(g, STD_NORMAL, RngSeed(33, 0))
-    rep = joint_sections_check(g, w, k=32)
-    assert rep.t == pytest.approx(0.5)
+    _, _, var_u, var_left, var_right, cov_cut = (
+        float(v[0]) for v in cut_moments(instance_tables(g, w), 32))
+    t, sigma2_q = 32 / g.n, var_u / g.n
+    assert t == pytest.approx(0.5)
     # the one-sweep rates against the masked polynomials and polarization
     cov = section_covariance(g, w, 32)
     var_all = partition_polynomial(g, w).cumulants()[1]
     var_l = partition_polynomial(g, w, CountingMask.layer_range(1, 32)).cumulants()[1]
     var_r = partition_polynomial(g, w, CountingMask.layer_range(33, 64)).cumulants()[1]
-    assert abs(rep.cov_over_n * 64 - cov) <= 1e-10 * var_all
-    assert rep.var_left_over_n * 64 == pytest.approx(var_l, rel=1e-10, abs=0.0)
-    assert rep.var_right_over_n * 64 == pytest.approx(var_r, rel=1e-10, abs=0.0)
-    assert rep.sigma2_Q * 64 == pytest.approx(var_all, rel=1e-10, abs=0.0)
-    assert rep.cov_ratio < 0.02
-    assert rep.var_left_ratio == pytest.approx(1.0, abs=0.15)
-    assert rep.var_right_ratio == pytest.approx(1.0, abs=0.15)
+    assert abs(cov_cut / g.n * 64 - cov) <= 1e-10 * var_all
+    assert var_left / g.n * 64 == pytest.approx(var_l, rel=1e-10, abs=0.0)
+    assert var_right / g.n * 64 == pytest.approx(var_r, rel=1e-10, abs=0.0)
+    assert sigma2_q * 64 == pytest.approx(var_all, rel=1e-10, abs=0.0)
+    assert abs(cov_cut / g.n) / sigma2_q < 0.02
+    assert (var_left / g.n) / (t * sigma2_q) == pytest.approx(1.0, abs=0.15)
+    assert (var_right / g.n) / ((1.0 - t) * sigma2_q) == pytest.approx(1.0, abs=0.15)
 
 
 def test_brownian_report_shapes():

@@ -24,7 +24,6 @@ def test_fiber_factories():
     assert HGraph.path(4).edges == ((1, 2), (2, 3), (3, 4))
     assert HGraph.cycle(3).edges == ((1, 2), (1, 3), (2, 3))
     assert len(HGraph.complete(5).edges) == 10
-    assert HGraph.named("path", 3) == HGraph.path(3)
     with pytest.raises(ValueError):
         HGraph.cycle(2)
     with pytest.raises(ValueError):
@@ -162,7 +161,7 @@ def test_weights_json_round_trip(tmp_path):
     g = build_cylinder(5, HGraph.cycle(3))
     w = sample_weights(g, STD_NORMAL, RngSeed(11, 2))
     path = tmp_path / "w.json"
-    dump_weights(path, g, w, seed=RngSeed(11, 2), disorder=STD_NORMAL)
+    dump_weights(path, g, w)
     g2, w2 = load_weights(path)
     assert g2 == g
     assert w2 == w

@@ -11,14 +11,11 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.leeyang import (
-    EmpiricalMeasure,
-    LeeYangSpectrum,
     NonImaginaryZeroError,
     SpectrumError,
     density_functionals,
     localization_check,
     spectrum,
-    transform_F,
     verify_interlacing,
 )
 from dimerlab.transfer import (
@@ -127,8 +124,9 @@ def test_localization_bound_with_nonnegative_gauge_weights():
 def test_empirical_measure_mass():
     rng = np.random.default_rng(67)
     g, w = random_instance(rng, n_lo=5, n_hi=5, fibers=["path3"])
-    mu = EmpiricalMeasure.from_spectrum(_gauged_spectrum(g, w), g.n)
-    assert mu.mass() == pytest.approx(g.h)
+    # N atoms over n layers: mass h per layer
+    atoms = _gauged_spectrum(g, w).signed_atoms()
+    assert len(atoms) / g.n == pytest.approx(g.h)
 
 
 def test_density_functionals_match_coefficient_cumulants():
@@ -155,26 +153,3 @@ def test_density_functionals_tilt_limits():
     assert u_lo == pytest.approx(0.0, abs=1e-12)
     assert varq_hi == pytest.approx(0.0, abs=1e-12)
     assert varq_lo == pytest.approx(0.0, abs=1e-12)
-
-
-def test_transform_F_limits():
-    sp = LeeYangSpectrum(lambdas=(1.0,), zero_mult=0, N=2)
-    assert transform_F(sp, 1.0) == pytest.approx(0.5)  # atoms +-1
-    assert transform_F(sp, 1e12) == pytest.approx(1.0, abs=1e-9)
-    assert transform_F(sp, 1e-12) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        transform_F(sp, 0.0)
-    with pytest.raises(ValueError):
-        transform_F(sp, -2.0)
-
-
-def test_transform_F_equals_mean_density():
-    rng = np.random.default_rng(73)
-    g, w = random_instance(rng, n_lo=3, n_hi=6, max_vertices=14)
-    p = partition_polynomial(g, w.gauged())
-    sp = spectrum(p)
-    for x in (-0.5, 0.0, 1.0):
-        u, _ = density_functionals(sp, x, g.n)
-        assert transform_F(sp, np.exp(2 * x)) == pytest.approx(
-            u * g.n / g.num_vertices, abs=1e-10
-        )
