@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -509,7 +510,10 @@ def _cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dimerlab`` parser, built once per process: it takes no input,
+    and ``parse_args`` keeps no state on it between calls."""
     parser = _Parser(
         prog="dimerlab",
         description="Monomer-dimer systems on cylinder graphs: exact partition "

@@ -20,10 +20,10 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -848,14 +848,70 @@ def jsonify(obj):
         return None
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, list) and all(type(v) is int for v in obj):
+    if isinstance(obj, list) and set(map(type, obj)) <= {int}:
         return obj
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     return obj
 
 
+def _json_scalar(v) -> str:
+    """JSON text of a string, number, bool or None, as ``json.dumps`` writes it."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_text(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of a ``jsonify`` result,
+    nested ``indent`` deep.  A list that holds no container is rendered by
+    one ``str.join`` over its items, through ``repr`` when every item is
+    an int."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        brackets = "[]"
+        types = set(map(type, obj))
+        if types == {int}:
+            items = map(repr, obj)
+        elif not any(issubclass(t, (list, tuple, dict)) for t in types):
+            items = map(_json_scalar, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+    else:
+        return _json_scalar(obj)
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def write_json(obj, path: str) -> None:
+    """Write ``json.dumps(jsonify(obj), indent=2, sort_keys=True)`` and a
+    newline to ``path``, byte for byte, in one write.
+
+    ``json`` falls back to its pure-Python encoder whenever it indents,
+    and walks every int of a sample's draws one call at a time; here each
+    list of scalars (draws, coefficients, spectra) is joined in one call,
+    and only the nesting above them runs in Python.
+    """
+    text = _json_text(jsonify(obj), "") + "\n"
     with open(path, "w") as fh:
-        json.dump(jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

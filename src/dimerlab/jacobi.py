@@ -69,30 +69,54 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def det_abs(A: JacobiMatrix) -> float:
-    """log |det A_n| by the three-term recurrence, in ratio form.
+    """log |det A_n| as a blocked product of log-space 2 x 2 transfer maps.
 
     D_k = sqrt(-1) e^{nu_k} D_{k-1} - e^{omega_{k-1}} D_{k-2}, and both
-    terms carry the phase sqrt(-1)^k whatever the weights, so |D_k| obeys
-    the same recurrence with positive terms and the phase of det A_n is
-    sqrt(-1)^n.  The magnitude equals the partition function of the
-    corresponding path.  It is the product of the ratios
-    r_k = |D_k| / |D_{k-1}|, with log r_1 = nu_1 and log r_k =
-    logaddexp(nu_k, omega_{k-1} - log r_{k-1}): every term stays the size of
-    one row, and ``math.fsum`` adds the n logs exactly, so the rounding does
-    not grow with the magnitude of log |det A_n|.  The recurrence runs on
-    Python floats, read one at a time through memoryviews, where one step
-    costs a fraction of a numpy scalar call.
+    terms carry the phase sqrt(-1)^k whatever the weights, so the magnitudes
+    obey D_k = e^{nu_k} D_{k-1} + e^{omega_{k-1}} D_{k-2}, the partition
+    function of the corresponding path, and the phase of det A_n is
+    sqrt(-1)^n.  Step k maps (D_{k-1}, D_{k-2}) to (D_k, D_{k-1}) by the
+    nonnegative matrix [[e^{nu_k}, e^{omega_{k-1}}], [1, 0]], from (1, 0).
+
+    The n steps are cut into K = ceil(sqrt(n)) blocks of L = ceil(n / K);
+    steps past n map (D, D') to (D, D), which keeps D_n.  Step j of every
+    block runs at once, with the blocks as numpy columns, on the logs of
+    the block products, each renormalised by the integer part of its largest
+    entry; integer shifts add up exactly in any order.  The block products
+    then act in order on (log D_0, log D_{-1}) in Python floats, each partial
+    pair shifted by its maximum, and ``math.fsum`` adds the block totals,
+    those shifts and the last log D_n.  A product of nonnegative matrices has
+    no cancellation, so each step adds a few ulps of relative error to every
+    entry (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    ch. 3); disabled edges (omega = -inf) are exact zeros.  Only the
+    step-major copies of nu and omega have n entries, and neither outlives
+    the call.  The route shares nothing with ``transfer``, which the Jacobi
+    check compares it against.
     """
-    nu, omega = memoryview(A.nu), memoryview(A.omega)
-
-    def log_ratios():
-        log_r = nu[0]
-        yield log_r
-        for k in range(2, A.n + 1):
-            log_r = _logaddexp(nu[k - 1], omega[k - 2] - log_r)
-            yield log_r
-
-    return math.fsum(log_ratios())
+    n = A.n
+    K = math.isqrt(n - 1) + 1
+    L = -(-n // K)
+    pad = K * L - n
+    # step-major (L, K): row j holds step j of every block
+    nu = np.concatenate([A.nu, np.zeros(pad)]).reshape(K, L).T.copy()
+    omega = np.concatenate([[-math.inf], A.omega, np.full(pad, -math.inf)]).reshape(K, L).T.copy()
+    # rows (log P[0, :], log P[1, :]) of every block product, from the identity
+    top = np.array([np.zeros(K), np.full(K, -math.inf)])
+    bottom = np.array([np.full(K, -math.inf), np.zeros(K)])
+    totals = np.zeros(K)
+    for nu_j, omega_j in zip(nu, omega):
+        new = np.logaddexp(top + nu_j, bottom + omega_j)
+        shift = np.floor(np.maximum(np.maximum(new[0], new[1]), np.maximum(top[0], top[1])))
+        totals += shift
+        top, bottom = new - shift, top - shift
+    shifts = totals.tolist()
+    d, d_prev = 0.0, -math.inf
+    for (p00, p01), (p10, p11) in zip(top.T.tolist(), bottom.T.tolist()):
+        d, d_prev = _logaddexp(p00 + d, p01 + d_prev), _logaddexp(p10 + d, p11 + d_prev)
+        top_d = max(d, d_prev)
+        shifts.append(top_d)
+        d, d_prev = d - top_d, d_prev - top_d
+    return math.fsum([*shifts, d])
 
 
 def omega_spectrum(A: JacobiMatrix) -> np.ndarray:

@@ -297,14 +297,15 @@ class _HTables:
 
         # backward candidates of each reserved set S: every previous set S'
         # disjoint from S (ascending, so S' = 0 leads) paired with every fiber
-        # row avoiding S | S'
-        bounds = np.append(self.group_starts, len(Sp))
-        self.cand_prev, self.cand_row = [], []
-        for S in range(self.states):
-            group = slice(bounds[S], bounds[S + 1])
-            Fs = self.pair_f[group]
-            self.cand_prev.append(np.repeat(self.pair_s[group], np.diff(self.fiber_start)[Fs]))
-            self.cand_row.append(np.concatenate([np.arange(*self.fiber_start[F : F + 2]) for F in Fs]))
+        # row avoiding S | S', that is the rows fiber_start[F]:fiber_start[F + 1]
+        # of F = S | S'; all pairs' ranges are laid end to end, then cut per S
+        lens = np.diff(self.fiber_start)[self.pair_f]
+        ends = np.cumsum(lens)
+        starts = self.fiber_start[self.pair_f]
+        flat_rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        cuts = ends[self.group_starts[1:] - 1]
+        self.cand_prev = np.split(np.repeat(self.pair_s, lens), cuts)
+        self.cand_row = np.split(flat_rows, cuts)
 
 
 @lru_cache(maxsize=64)

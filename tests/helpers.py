@@ -131,3 +131,17 @@ def sweep_steps(monkeypatch) -> list:
         if getattr(mod, "sweep", None) is original:
             monkeypatch.setattr(mod, "sweep", counted)
     return steps
+
+
+def candidate_lists(ht) -> tuple:
+    """The backward candidates of ``transfer._HTables`` built one reserved
+    set S and one forbidden set F = S | S' at a time: per S, the previous
+    sets S' and the fiber rows; the reference for the vectorised tables."""
+    bounds = np.append(ht.group_starts, len(ht.pair_s))
+    cand_prev, cand_row = [], []
+    for S in range(ht.states):
+        group = slice(bounds[S], bounds[S + 1])
+        Fs = ht.pair_f[group]
+        cand_prev.append(np.repeat(ht.pair_s[group], np.diff(ht.fiber_start)[Fs]))
+        cand_row.append(np.concatenate([np.arange(*ht.fiber_start[F : F + 2]) for F in Fs]))
+    return cand_prev, cand_row

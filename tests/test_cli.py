@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
-from dimerlab import experiments, groundstate, transfer
+from dimerlab import cli, experiments, groundstate, transfer
 from dimerlab.cli import main
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
 from dimerlab.sampler import Matching, observables
@@ -436,3 +435,40 @@ def test_version_and_help(capsys):
                 "experiment", "plot"):
         assert main([cmd, "--help"]) == 0
         assert capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    instance = ["--n", "4", "--h", "1", "--const", "0", "--scalar"]
+    assert main(["exact", "--x", "0.5", *instance]) == 0
+    assert "log Z(0.5) =" in capsys.readouterr().out
+    assert main(["exact", *instance, "--out", str(tmp_path / "x0")]) == 0
+    assert "log Z(0) =" in capsys.readouterr().out
+    assert json.loads((tmp_path / "x0" / "exact.json").read_text())["x"] == 0.0
+    assert main(["exact", *instance, "--frob", "1"]) == 2
+    assert "unrecognized" in capsys.readouterr().err
+    assert main(["exact", *instance]) == 0
+    assert main(["--version"]) == 0
+    assert "0.1.0" in capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert "usage: dimerlab" in capsys.readouterr().out
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+
+
+def test_sample_and_exact_files_are_the_bytes_of_json_dumps(tmp_path, monkeypatch):
+    written = []
+
+    def recording(obj, path):
+        written.append((obj, path))
+        experiments.write_json(obj, path)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    common = ["--n", "6", "--fiber", "path(2)", "--vertex", "normal(0,1)", "--edge", "normal(0,1)"]
+    assert main(["sample", *common, "--count", "7", "--out", str(tmp_path / "s")]) == 0
+    assert main(["exact", *common, "--x", "0.25", "--out", str(tmp_path / "e")]) == 0
+    paths = {path for _, path in written}
+    assert {str(tmp_path / "s" / "matchings.json"), str(tmp_path / "e" / "exact.json")} <= paths
+    for obj, path in written:
+        with open(path) as fh:
+            assert fh.read() == json.dumps(experiments.jsonify(obj), indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimerlab import transfer
 from dimerlab.graphs import (
@@ -35,6 +37,7 @@ from dimerlab.experiments import (
     quenched_ladder,
     run_replicas,
     write_config,
+    write_json,
 )
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
@@ -483,3 +486,36 @@ def test_jsonify_passes_int_lists_through_and_converts_the_rest():
     assert out == {"draws": draws, "mixed": [4, 5], "x": [0.5, None]}
     assert out["draws"][0] is draws[0]
     assert all(type(v) is int for v in out["mixed"])
+
+
+_NUMBERS = st.one_of(st.integers(), st.floats(), st.integers(-2**62, 2**62).map(np.int64),
+                     st.floats(width=32).map(np.float32), st.floats().map(np.float64))
+_LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(),
+                    st.lists(st.floats(), max_size=6).map(np.array),
+                    st.lists(st.integers(-2**31, 2**31), max_size=6).map(np.array),
+                    st.lists(st.floats(), min_size=2, max_size=2).map(lambda v: np.array([v, v])))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_PAYLOADS)
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, payload):
+    # nested dicts and lists of ints, floats (+-inf, NaN), bools, None,
+    # non-ASCII strings, empty containers and numpy arrays and scalars
+    path = tmp_path / "out.json"
+    write_json(payload, str(path))
+    assert path.read_text() == json.dumps(jsonify(payload), indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_refuses_what_json_refuses(tmp_path):
+    for payload in ({"a": object()}, [np.bool_(True)]):
+        with pytest.raises(TypeError):
+            json.dumps(jsonify(payload))
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(payload, str(tmp_path / "bad.json"))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dimerlab.graphs import (
-    DisorderSpec,
     HGraph,
     Law,
     RngSeed,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -69,6 +71,31 @@ def test_long_chain_log_z_matches_extended_precision():
         ref = _mp_log_det(A)
         for got in (scalar_log_z(g, w), det_abs(A)):
             assert abs(mpmath.mpf(got) - ref) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097])
+def test_det_abs_at_block_boundaries_matches_extended_precision(n):
+    # n = K^2 and K^2 +- 1 put the block boundaries of the blocked product
+    # at every offset of the padding
+    for disorder in (STD_NORMAL, DisorderSpec(Law.normal(0.0, 30.0), Law.normal(0.0, 30.0))):
+        A = JacobiMatrix.from_weights(*_chain(n, seed=n, disorder=disorder))
+        assert abs(mpmath.mpf(det_abs(A)) - _mp_log_det(A)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 257])
+def test_det_abs_with_disabled_edges_at_and_inside_block_boundaries(n):
+    g, w = _chain(n, seed=7)
+    K = math.isqrt(n - 1) + 1
+    L = -(-n // K)
+    omega = w.omega_h[:, 0].copy()
+    # step k (1-based) reads omega[k - 2]; block b starts at step b * L + 1
+    for k in (L + 1, L, 2 * L + 2, n):
+        omega[k - 2] = -np.inf
+    A = JacobiMatrix(w.nu[:, 0], omega)
+    assert abs(mpmath.mpf(det_abs(A)) - _mp_log_det(A)) <= 1e-11
+    # every edge disabled: the empty matching alone
+    A = JacobiMatrix(w.nu[:, 0], np.full(n - 1, -np.inf))
+    assert det_abs(A) == pytest.approx(float(w.nu.sum()), abs=1e-11)
 
 
 def test_float_logaddexp_is_numpys_bit_for_bit():
