@@ -261,10 +261,10 @@ def _cmd_sample(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["draw", "t", "theta", "theta_hat"])
             theta, theta_hat = heights(profiles, t_grid, args.centering)
-            for d in range(args.count):
-                for j in range(t_grid.size):
-                    th = "" if theta_hat is None else repr(float(theta_hat[d, j]))
-                    writer.writerow([d, repr(float(t_grid[j])), int(theta[d, j]), th])
+            hat = [""] * theta.size if theta_hat is None else map(repr, theta_hat.ravel().tolist())
+            writer.writerows(zip(np.repeat(np.arange(args.count), t_grid.size).tolist(),
+                                 list(map(repr, t_grid.tolist())) * args.count,
+                                 theta.astype(np.int64).ravel().tolist(), hat))
         _write_manifest(out, args, ["matchings.json", "heights.csv"])
     return 0
 

@@ -843,7 +843,7 @@ def jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and math.isnan(obj):
         return None
     if isinstance(obj, dict):

@@ -2,11 +2,12 @@
 
 The transfer module's layer sweep turns into a ground-state solver in the
 (max, +) semiring, with each layer weighted by its best fiber matching per
-forbidden set.  The optimal matching is then read off backward: from the
-empty reserved set after the last layer, each step takes the argmax of the
-shared backward resolution over (previous reserved set, fiber matching)
-and moves to that previous set.  Ties go to the first candidate in the
-canonical enumeration order, so the argmax is deterministic.
+forbidden set.  The optimal matching is then read off backward by the two
+stages of ``transfer.backward_terms``: from the empty reserved set after
+the last layer, each layer takes the first argmax over the previous set S',
+then over the fiber rows of F = S | S'.  Rounding is monotone, so a +
+max_row s = max_row (a + s), and ties go to the first candidate in the
+canonical order (S' ascending, row ascending), as one joint argmax would.
 
 The (max, +) message at the empty reserved set after layer k is the
 maximum over the sub-cylinder of layers 1..k; with one sweep over the
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
-from .sampler import Matching, matching_weight, path_matching
+from .sampler import Matching, decode_paths, matching_weight
 from .transfer import (
-    MAX, NEG_INF, _last, batch_tables, check_cut, cut_remainders, enumerate_matchings, instance_tables,
-    messages, resolve, scalar_log_z, sweep,
+    MAX, NEG_INF, _last, backward_terms, backward_weights, batch_tables, check_cut, cut_remainders,
+    enumerate_matchings, instance_tables, messages, scalar_log_z, sweep,
 )
 
 
@@ -54,17 +55,18 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
     tables = instance_tables(g, w)
-    ht, hsum, scores = tables["ht"], tables["hsum"][..., 0], tables["scores"][..., 0]
-    msgs = messages(_max_W(tables), tables, MAX)[..., 0]
+    ht, scores = tables["ht"], tables["scores"][..., 0]
+    W = _max_W(tables)
+    msgs = messages(W, tables, MAX)[..., 0]
     value = float(msgs[-1, 0])
-    S_path = np.zeros(g.n, dtype=np.int64)
-    rows = np.zeros(g.n, dtype=np.int64)
+    a, W = backward_weights(msgs, tables["hsum"][..., 0]), W[..., 0]
+    S_path, rows = np.zeros((2, g.n), dtype=np.int64)
     S = 0
     for i in range(g.n - 1, -1, -1):
-        logits, prev, cand = resolve(msgs, hsum, scores, ht, i, S)
-        k = int(np.argmax(logits))
-        S_path[i], rows[i], S = S, cand[k], prev[k]
-    gs = GroundState(value=value, matching=path_matching(g, ht, S_path, rows))
+        p = ht.pair_start[S] + backward_terms(a, W, ht, S, i).argmax()
+        lo, hi = ht.fiber_start[ht.pair_f[p]], ht.fiber_start[ht.pair_f[p] + 1]   # the rows of F = S | S'
+        S_path[i], rows[i], S = S, lo + scores[lo:hi, i].argmax(), ht.pair_s[p]
+    gs = GroundState(value=value, matching=decode_paths(ht, S_path[None], rows[None])[0])
     achieved = matching_weight(g, w, gs.matching)
     if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
         raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")

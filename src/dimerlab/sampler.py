@@ -1,17 +1,16 @@
-"""Exact Gibbs sampling of matchings by backward resolution of the transfer DP.
+"""Exact Gibbs sampling of matchings by the backward step of the transfer DP.
 
 A matching of the cylinder decomposes layer by layer into the set S_i of
 vertices matched forward by horizontal dimers and a fiber matching m_i
-avoiding S_{i-1} and S_i.  The forward messages of the transfer module's
-(logaddexp, +) sweep give the exact marginal weight of every partial
-configuration, so the shared backward resolution (``transfer.resolve``)
-turns them into the exact conditional law of (S_{i-1}, m_i) given S_i.
-Sampling those pairs backward from the last layer produces draws from the
-Gibbs measure itself - no Markov chain, no mixing-time question.
-A ``GibbsSampler`` builds no table: it reads and sweeps one replica of a
-built one (one instance: ``instance_tables``).
-``matchings_from_states`` decodes the drawn paths by array lookups;
-``path_matching`` decodes one path, the ground-state argmax.
+avoiding S_{i-1} and S_i.  Under the forward messages of the transfer
+module's (logaddexp, +) sweep, the two stages of its backward step are the
+exact laws of S_{i-1} given S_i and of m_i given F = S_{i-1} | S_i, so
+sampling them backward from the last layer draws from the Gibbs measure
+itself - no Markov chain, no mixing time.  A ``GibbsSampler`` keeps the
+cumulative law of every segment of both stages at every layer.  Each draw
+takes one uniform u per layer: stage 1 inverts its law C at u and picks k,
+stage 2 inverts its law at the residual (u - C[k-1]) / (C[k] - C[k-1]), in
+all the inverse of the joint law ordered by S_{i-1}, then by fiber row.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DOMAIN_GIBBS, CylinderGraph, RngSeed, WeightAssignment, rng_generator
-from .transfer import NEG_INF, _tilted_W, instance_tables, messages, resolve
+from .transfer import NEG_INF, _tilted_W, backward_terms, backward_weights, instance_tables, messages
 
 
 @dataclass(frozen=True)
@@ -114,48 +113,53 @@ def observables(
     )
 
 
-def path_matching(g: CylinderGraph, ht, S_path, rows) -> Matching:
-    """The matching of one layer path: the reserved set after each layer
-    (horizontal dimers into the next layer) and the fiber row of each layer."""
-    idxs = [g.vertical_index(i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
-    idxs += [g.horizontal_index(i + 1, j + 1)
-             for i, S in enumerate(S_path) for j in range(g.h) if S >> j & 1]
-    return Matching(frozenset(idxs))
+def _cumulative_law(t: np.ndarray) -> np.ndarray:
+    """The cumulative law of each row of log weights ``t``, in place,
+    normalised by its own last entry so that it ends at exactly 1.0; a row
+    of -inf weights (zero mass) becomes zeros."""
+    top = t.max(axis=1, keepdims=True)
+    top[top == NEG_INF] = 0.0
+    np.exp(t - top, out=t)
+    np.cumsum(t, axis=1, out=t)
+    total = t[:, -1:]
+    t /= np.where(total > 0.0, total, 1.0)
+    return t
+
+
+def _pick(cum: np.ndarray, seg: np.ndarray, starts: np.ndarray, j: np.ndarray, u: np.ndarray):
+    """Per draw, the entry p of segment ``j`` of the laws ``cum`` (segment ids
+    ``seg``, bounds ``starts``) holding u < 1, by one search over segment +
+    1j cumulative, which numpy orders lexicographically.  Laws end at exactly
+    1.0, so only a zero-mass segment sends p past its end: that is refused."""
+    p = np.searchsorted(seg + 1j * cum, j + 1j * u, side="right")
+    if (p >= starts[j + 1]).any():
+        raise ValueError("sampling reached a state of zero mass")
+    return p
 
 
 class GibbsSampler:
-    """Backward exact sampler of replica r of built tables at tilt x, with
-    precomputed per-layer conditionals.
-
-    Building it costs one forward sweep of replica r and one backward
-    resolution per (layer, reserved set); afterwards each draw is a cheap
-    categorical walk, so large draw counts are vectorized across draws layer
-    by layer.
-    """
+    """Backward exact sampler of replica r of built tables at tilt x: the
+    cumulative laws ``prev_law[i, p]`` of stage 1 and ``row_law[i, row]`` of
+    stage 2 of the backward step at every layer i, from one forward sweep."""
 
     def __init__(self, tables: dict, r: int = 0, x: float = 0.0):
-        self.n, self.h, self.ht, self.x = tables["n"], tables["h"], tables["ht"], x
+        self.n, self.h, self.x = tables["n"], tables["h"], x
+        ht = self.ht = tables["ht"]
         # replica r as a contiguous batch of one, so every number below is
         # the one that the replica's own instance_tables give
         one = {**tables, **{k: tables[k][..., [r]] for k in ("B", "hsum", "scores")}}
-        msgs = messages(_tilted_W(one, x), one)[..., 0]
+        W = _tilted_W(one, x)
+        msgs = messages(W, one)[..., 0]
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
-        hsum = one["hsum"][..., 0]
-        scores = one["scores"][..., 0] + x * self.ht.fiber_mono[:, None]
-
-        # for layer i and current reserved set S: the cumulative categorical
-        # over the backward candidates, with their previous sets and fiber rows
-        self._tables = [[None] * self.ht.states for _ in range(self.n)]
-        for i in range(self.n):
-            for S in range(self.ht.states if i < self.n - 1 else 1):
-                logits, prev, rows = resolve(msgs, hsum, scores, self.ht, i, S)
-                top = logits.max()
-                if top == NEG_INF:
-                    continue
-                p = np.exp(logits - top)
-                self._tables[i][S] = (np.cumsum(p) / p.sum(), prev, rows)
+        a, W = backward_weights(msgs, one["hsum"][..., 0]), W[..., 0]
+        self.prev_law = np.empty((self.n, ht.pair_s.size))
+        self.row_law = one["scores"][..., 0].T + x * ht.fiber_mono
+        for S in range(ht.states):
+            self.prev_law[:, ht.pair_start[S] : ht.pair_start[S + 1]] = _cumulative_law(
+                backward_terms(a, W, ht, S))
+            _cumulative_law(self.row_law[:, ht.fiber_start[S] : ht.fiber_start[S + 1]])
 
     def draw_states(self, gen: np.random.Generator, count: int):
         """Sample (S_path, m_path) for ``count`` draws, vectorized per layer.
@@ -164,43 +168,21 @@ class GibbsSampler:
         each layer (always 0 at the last) and the fiber row of each layer,
         which indexes ``ht.fiber_edges`` and ``ht.fiber_mono``.
         """
-        n = self.n
-        S_path = np.zeros((count, n), dtype=np.int64)
-        m_path = np.zeros((count, n), dtype=np.int64)
+        n, ht = self.n, self.ht
+        S_path, m_path = np.zeros((2, count, n), dtype=np.int64)
         cur = np.zeros(count, dtype=np.int64)
         for i in range(n - 1, -1, -1):
-            u = gen.random(count)
-            nxt = np.zeros(count, dtype=np.int64)
-            for S in np.unique(cur):
-                sel = np.flatnonzero(cur == S)
-                if self._tables[i][S] is None:
-                    raise ValueError("reached a zero-weight state during sampling")
-                cum, prev, rows = self._tables[i][S]
-                picks = np.minimum(np.searchsorted(cum, u[sel], side="right"), len(cum) - 1)
-                nxt[sel] = prev[picks]
-                m_path[sel, i] = rows[picks]
+            u, cum = gen.random(count), self.prev_law[i]
+            p = _pick(cum, ht.pair_next, ht.pair_start, cur, u)
+            lower = np.where(p > ht.pair_start[cur], cum[p - 1], 0.0)
+            u = np.minimum((u - lower) / (cum[p] - lower), np.nextafter(1.0, 0.0))   # the residual
+            m_path[:, i] = _pick(self.row_law[i], ht.row_f, ht.fiber_start, ht.pair_f[p], u)
             S_path[:, i] = cur
-            cur = nxt
+            cur = ht.pair_s[p]
         return S_path, m_path
 
     def matchings_from_states(self, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
-        """Decode draws by array lookups: the H-edges of each layer's fiber
-        row and the fiber vertices of each reserved set, offset to the
-        canonical edge indices of their layer (as ``path_matching`` does)."""
-        n, h, ht = self.n, self.h, self.ht
-        row_edges = np.full((len(ht.fiber_edges), max(map(len, ht.fiber_edges))), -1)
-        for r, es in enumerate(ht.fiber_edges):
-            row_edges[r, : len(es)] = es
-        layer = np.arange(n)[:, None]
-        vertical = (n - 1) * h + layer * ht.mH
-        horizontal = layer * h + np.arange(h)
-        reserved = ht.sbits > 0
-        out = []
-        for S, rows in zip(S_path, m_path):
-            e = row_edges[rows]
-            idxs = (e + vertical)[e >= 0].tolist() + horizontal[reserved[S]].tolist()
-            out.append(Matching(frozenset(idxs)))
-        return out
+        return decode_paths(self.ht, S_path, m_path)
 
     def monomer_profiles(self, S_path: np.ndarray, m_path: np.ndarray) -> np.ndarray:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""
@@ -208,6 +190,26 @@ class GibbsSampler:
 
     def draw_matchings(self, gen: np.random.Generator, count: int) -> list[Matching]:
         return self.matchings_from_states(*self.draw_states(gen, count))
+
+
+def decode_paths(ht, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
+    """Decode layer paths, shape (count, n), by array lookups: the H-edges
+    of each layer's fiber row and the fiber vertices of each reserved set,
+    offset to the canonical edge indices of their layer."""
+    n, h = S_path.shape[1], ht.h
+    row_edges = np.full((len(ht.fiber_edges), max(map(len, ht.fiber_edges))), -1)
+    for r, es in enumerate(ht.fiber_edges):
+        row_edges[r, : len(es)] = es
+    layer = np.arange(n)[:, None]
+    vertical = (n - 1) * h + layer * ht.mH
+    horizontal = layer * h + np.arange(h)
+    reserved = ht.sbits > 0
+    out = []
+    for S, rows in zip(S_path, m_path):
+        e = row_edges[rows]
+        idxs = (e + vertical)[e >= 0].tolist() + horizontal[reserved[S]].tolist()
+        out.append(Matching(frozenset(idxs)))
+    return out
 
 
 def exact_sample(

@@ -46,10 +46,14 @@ A counting mask is a view applied where the d axis collapses:
 ``_tilted_W`` tilts only the counted layers, and the coefficients of layers
 k..l are the increment k-1..l of ``increment_laws`` below.
 
-``resolve`` runs the recursion backward for one layer and reserved set,
-listing the candidate (previous reserved set, fiber matching) pairs with
-their logits; the exact sampler draws from them and the ground-state
-engine takes their argmax.
+The recursion runs backward in two stages over the same pairs and rows.
+Given the reserved set S after layer i, stage 1 picks the previous set S'
+among the pairs ``pair_start[S]:pair_start[S + 1]`` by their terms
+(``backward_terms``), and stage 2 the fiber row of F = S | S' among
+``fiber_start[F]:fiber_start[F + 1]`` by its score.  Under LOG messages
+these are exact conditional laws (forward filtering, backward sampling:
+Carter & Kohn, Biometrika 1994; see ``sampler``); under MAX their first
+argmaxes continue an optimal path (Viterbi backtracking, ``groundstate``).
 
 A route builds one table and reads views of it.  ``messages`` stacks the
 messages of a forward sweep, or of the sweep over the layer-flipped table
@@ -278,6 +282,7 @@ class _HTables:
         rows = [row for F_rows in fiber_rows for row in F_rows]
         self.fiber_edges = [chosen for chosen, _ in rows]   # per row: tuple of H-edge indices
         self.fiber_start = np.cumsum([0] + [len(F_rows) for F_rows in fiber_rows], dtype=np.intp)
+        self.row_f = np.repeat(sets, np.diff(self.fiber_start))
         self.row_edges = np.zeros((len(rows), self.mH))     # (rows, mH) 0/1
         for r, chosen in enumerate(self.fiber_edges):
             self.row_edges[r, list(chosen)] = 1.0
@@ -289,23 +294,12 @@ class _HTables:
         self.groups = [(d, F, rows[self.fiber_mono[rows] == d])
                        for F, rows in enumerate(per_F) for d in np.unique(self.fiber_mono[rows])]
 
-        # disjoint (S, S') pairs grouped contiguously by S', for segmented
-        # reductions in the layer transition
-        Sp, self.pair_s = np.nonzero((sets[:, None] & sets) == 0)
-        self.pair_f = self.pair_s | Sp
-        self.group_starts = np.searchsorted(Sp, sets)
-
-        # backward candidates of each reserved set S: every previous set S'
-        # disjoint from S (ascending, so S' = 0 leads) paired with every fiber
-        # row avoiding S | S', that is the rows fiber_start[F]:fiber_start[F + 1]
-        # of F = S | S'; all pairs' ranges are laid end to end, then cut per S
-        lens = np.diff(self.fiber_start)[self.pair_f]
-        ends = np.cumsum(lens)
-        starts = self.fiber_start[self.pair_f]
-        flat_rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-        cuts = ends[self.group_starts[1:] - 1]
-        self.cand_prev = np.split(np.repeat(self.pair_s, lens), cuts)
-        self.cand_row = np.split(flat_rows, cuts)
+        # disjoint pairs p of the set pair_s[p] before a layer and pair_next[p]
+        # after it, for segmented reductions in the layer transition: the pairs
+        # of S are pair_start[S]:pair_start[S + 1], their sets pair_s ascending
+        self.pair_next, self.pair_s = np.nonzero((sets[:, None] & sets) == 0)
+        self.pair_f = self.pair_s | self.pair_next
+        self.pair_start = np.searchsorted(self.pair_next, np.arange(self.states + 1))
 
 
 @lru_cache(maxsize=64)
@@ -380,9 +374,9 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
       (n - 1, 2^h, R);
     * ``scores[row, i, r]`` is the block score of every fiber row (rows of F
       are ``ht.fiber_start[F]:fiber_start[F + 1]``, and row ``row`` leaves
-      ``ht.fiber_mono[row]`` monomers), shape (rows, n, R), for consumers
-      that resolve individual fiber matchings (exact sampling, ground-state
-      argmax).
+      ``ht.fiber_mono[row]`` monomers), shape (rows, n, R), for the
+      backward step, which picks individual fiber matchings (exact
+      sampling, ground-state argmax).
 
     One instance is replica 0: ``[..., 0]``.
     """
@@ -464,10 +458,10 @@ def _join(v, cut, w):
 class Semiring(NamedTuple):
     """Arithmetic of a layer sweep.
 
-    ``plus(t, group_starts)`` sums the terms ``t[..., group_starts[j]:
-    group_starts[j + 1], :]`` of each new reserved set j over the previous
-    reserved sets; ``times(v, cut, w)`` joins a previous message with the
-    horizontal weight of the cut and the layer weight.
+    ``plus(t, starts)`` sums the terms ``t[..., starts[j]:starts[j + 1], :]``
+    of each new reserved set j over the previous reserved sets (``starts``
+    is ``ht.pair_start[:-1]``); ``times(v, cut, w)`` joins a previous
+    message with the horizontal weight of the cut and the layer weight.
     """
 
     plus: Callable
@@ -511,7 +505,6 @@ def _moment_semiring(ht: _HTables) -> Semiring:
     mean = sum q mean_t and var = sum q (var_t + (mean_t - mean)^2).  A
     segment of -inf terms keeps log Z = -inf and zero moments.
     """
-    seg = np.repeat(np.arange(ht.states), np.diff(ht.group_starts, append=ht.pair_s.size))
 
     def times(v, cut, w):
         t = v + w
@@ -523,13 +516,13 @@ def _moment_semiring(ht: _HTables) -> Semiring:
         log_z, mean, var = out
         top = np.maximum.reduceat(t[0], starts, axis=0)
         top[top == NEG_INF] = 0.0
-        e = np.exp(t[0] - top[seg])
+        e = np.exp(t[0] - top[ht.pair_next])
         total = np.add.reduceat(e, starts, axis=0)
         with np.errstate(divide="ignore"):
             np.add(np.log(total), top, out=log_z)
         total[total == 0.0] = 1.0
         np.divide(np.add.reduceat(e * t[1], starts, axis=0), total, out=mean)
-        dev = t[1] - mean[seg]
+        dev = t[1] - mean[ht.pair_next]
         np.divide(np.add.reduceat(e * (t[2] + dev * dev), starts, axis=0), total, out=var)
         return out
 
@@ -550,9 +543,10 @@ def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LO
     """
     v = W[0]
     yield v
+    starts = ht.pair_start[:-1]
     for i in range(1, len(W)):
         t = semiring.times(v[..., ht.pair_s, :], hsum[i - 1][ht.pair_s], W[i][..., ht.pair_f, :])
-        v = semiring.plus(t, ht.group_starts)
+        v = semiring.plus(t, starts)
         yield v
 
 
@@ -571,21 +565,22 @@ def messages(W: np.ndarray, tables: dict, semiring: Semiring = LOG, flipped: boo
     return np.stack(list(sweep(W, hsum, tables["ht"], semiring)))
 
 
-def resolve(msgs: np.ndarray, hsum: np.ndarray, scores: np.ndarray, ht: _HTables, i: int, S: int):
-    """Backward step: how layer i of a path can end in reserved set S.
+def backward_weights(msgs: np.ndarray, hsum: np.ndarray) -> np.ndarray:
+    """``a[i, S']``, the weight of reserved set S' before layer i in one
+    instance's backward step: msgs[i - 1] + hsum[i - 1] from its messages and
+    horizontal sums; a[0] is the identity, as only S' = 0 precedes layer 0."""
+    a = np.full_like(msgs, NEG_INF)
+    a[0, 0] = 0.0
+    np.add(msgs[:-1], hsum, out=a[1:])
+    return a
 
-    For one instance with forward messages ``msgs[i, S]``, horizontal sums
-    ``hsum[k, S]`` and fiber-row scores ``scores[row, i]``, returns the
-    logits of the candidates (previous reserved set S', fiber matching)
-    together with int arrays of their S' and fiber rows.  Under (logaddexp,
-    +) messages the logits are the exact conditional law of the candidate;
-    under (max, +) messages their argmax continues an optimal path.
-    """
-    prev, rows = ht.cand_prev[S], ht.cand_row[S]
-    if i == 0:   # only S' = 0 precedes the first layer
-        k = ht.fiber_start[S + 1] - ht.fiber_start[S]
-        return scores[rows[:k], 0], prev[:k], rows[:k]
-    return (msgs[i - 1] + hsum[i - 1])[prev] + scores[rows, i], prev, rows
+
+def backward_terms(a: np.ndarray, W: np.ndarray, ht: _HTables, S: int, i=slice(None)) -> np.ndarray:
+    """Stage-1 terms ``a[i, pair_s[p]] + W[i, pair_f[p]]`` of the pairs p of
+    reserved set S, ``pair_start[S]:pair_start[S + 1]``, at layer i (default:
+    every layer), from ``backward_weights`` and layer weights in its semiring."""
+    pairs = slice(ht.pair_start[S], ht.pair_start[S + 1])
+    return a[i, ht.pair_s[pairs]] + W[i, ht.pair_f[pairs]]
 
 
 def batch_scalar_log_z(tables: dict, x: float = 0.0, mask=None) -> np.ndarray:

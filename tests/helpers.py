@@ -16,6 +16,7 @@ from dimerlab.graphs import (
     build_cylinder,
     sample_weights,
 )
+from dimerlab.sampler import Matching
 from dimerlab.transfer import kill_vertex_edges
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
@@ -133,15 +134,11 @@ def sweep_steps(monkeypatch) -> list:
     return steps
 
 
-def candidate_lists(ht) -> tuple:
-    """The backward candidates of ``transfer._HTables`` built one reserved
-    set S and one forbidden set F = S | S' at a time: per S, the previous
-    sets S' and the fiber rows; the reference for the vectorised tables."""
-    bounds = np.append(ht.group_starts, len(ht.pair_s))
-    cand_prev, cand_row = [], []
-    for S in range(ht.states):
-        group = slice(bounds[S], bounds[S + 1])
-        Fs = ht.pair_f[group]
-        cand_prev.append(np.repeat(ht.pair_s[group], np.diff(ht.fiber_start)[Fs]))
-        cand_row.append(np.concatenate([np.arange(*ht.fiber_start[F : F + 2]) for F in Fs]))
-    return cand_prev, cand_row
+def path_matching(g, ht, S_path, rows) -> Matching:
+    """The matching of one layer path, built edge by edge: the reserved set
+    after each layer (horizontal dimers into the next layer) and the fiber
+    row of each layer; the reference for the array decode."""
+    idxs = [g.vertical_index(i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
+    idxs += [g.horizontal_index(i + 1, j + 1)
+             for i, S in enumerate(S_path) for j in range(g.h) if S >> j & 1]
+    return Matching(frozenset(idxs))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dimerlab import cli, experiments, groundstate, transfer
 from dimerlab.cli import main
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
-from dimerlab.sampler import Matching, observables
+from dimerlab.sampler import Matching, heights, observables
 
 from helpers import count_calls
 
@@ -435,6 +436,27 @@ def test_version_and_help(capsys):
                 "experiment", "plot"):
         assert main([cmd, "--help"]) == 0
         assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("centering", [None, "0.3"])
+def test_heights_csv_has_the_bytes_of_a_per_cell_writer(tmp_path, capsys, centering):
+    out = tmp_path / "h"
+    argv = ["sample", "--n", "6", "--fiber", "path(2)", "--vertex", "normal(0,1)",
+            "--edge", "normal(0,1)", "--seed", "5", "--count", "9", "--out", str(out)]
+    assert main(argv + ([] if centering is None else ["--centering", centering])) == 0
+    g = build_cylinder(6, HGraph.path(2))
+    draws = json.loads((out / "matchings.json").read_text())["draws"]
+    profiles = np.array([np.diff(observables(g, Matching(frozenset(d))).prefix) for d in draws])
+    t_grid = np.linspace(0.0, 1.0, 17)
+    theta, theta_hat = heights(profiles, t_grid, None if centering is None else float(centering))
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["draw", "t", "theta", "theta_hat"])
+    for d in range(len(draws)):
+        for j in range(t_grid.size):
+            th = "" if theta_hat is None else repr(float(theta_hat[d, j]))
+            writer.writerow([d, repr(float(t_grid[j])), int(theta[d, j]), th])
+    assert (out / "heights.csv").read_bytes() == expect.getvalue().encode()
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):

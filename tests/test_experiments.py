@@ -488,8 +488,17 @@ def test_jsonify_passes_int_lists_through_and_converts_the_rest():
     assert all(type(v) is int for v in out["mixed"])
 
 
+def test_numpy_nan_scalars_are_written_as_null(tmp_path):
+    nan = np.float64("nan")
+    path = tmp_path / "nan.json"
+    write_json({"a": nan, "b": float("nan"), "c": [nan, np.float32("nan"), 1.0], "d": (nan,)}, str(path))
+    assert "NaN" not in path.read_text()
+    assert json.loads(path.read_text()) == {"a": None, "b": None, "c": [None, None, 1.0], "d": [None]}
+
+
 _NUMBERS = st.one_of(st.integers(), st.floats(), st.integers(-2**62, 2**62).map(np.int64),
-                     st.floats(width=32).map(np.float32), st.floats().map(np.float64))
+                     st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+                     st.sampled_from([np.float64("nan"), np.float32("nan")]))
 _LEAVES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(),
                     st.lists(st.floats(), max_size=6).map(np.array),
                     st.lists(st.integers(-2**31, 2**31), max_size=6).map(np.array),
@@ -507,10 +516,14 @@ _PAYLOADS = st.recursive(
 @given(payload=_PAYLOADS)
 def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, payload):
     # nested dicts and lists of ints, floats (+-inf, NaN), bools, None,
-    # non-ASCII strings, empty containers and numpy arrays and scalars
+    # non-ASCII strings, empty containers and numpy arrays and scalars; a
+    # NaN of any kind is written as null, never as the literal NaN
     path = tmp_path / "out.json"
     write_json(payload, str(path))
     assert path.read_text() == json.dumps(jsonify(payload), indent=2, sort_keys=True) + "\n"
+    constants = []
+    json.loads(path.read_text(), parse_constant=constants.append)
+    assert "NaN" not in constants
 
 
 def test_write_json_refuses_what_json_refuses(tmp_path):

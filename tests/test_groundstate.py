@@ -35,9 +35,13 @@ def test_max_weight_matches_enumeration():
 
 
 def test_zero_weights_prefer_empty_matching():
-    g = build_cylinder(5, HGraph.path(2))
-    gs = max_weight(g, WeightAssignment.constant(g))
-    assert gs.value == pytest.approx(0.0)
+    # every matching ties; the first candidate of every step is S' = 0 and
+    # the empty fiber matching
+    for H in (HGraph.path(2), HGraph.cycle(3), HGraph.complete(4)):
+        g = build_cylinder(5, H)
+        gs = max_weight(g, WeightAssignment.constant(g))
+        assert gs.value == pytest.approx(0.0)
+        assert gs.matching.edge_indices == frozenset()
 
 
 def test_large_edge_weight_forces_that_dimer():

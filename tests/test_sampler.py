@@ -16,11 +16,12 @@ from dimerlab.sampler import (
     exact_sample,
     matching_weight,
     observables,
-    path_matching,
 )
-from dimerlab.transfer import batch_tables, instance_tables, partition_polynomial, scalar_log_z
+from dimerlab.transfer import (
+    NEG_INF, batch_tables, brute_force_polynomial, instance_tables, partition_polynomial, scalar_log_z,
+)
 
-from helpers import STD_NORMAL, disabled_edge_batches, random_instance, table_builds
+from helpers import STD_NORMAL, disabled_edge_batches, path_matching, random_instance, table_builds
 
 
 def test_matching_rejects_shared_vertices():
@@ -155,3 +156,104 @@ def test_sampler_reads_a_replica_of_a_batch_table():
             got = samplers[0].draw_states(np.random.default_rng(r), 200)
             ref = GibbsSampler(instance_tables(g, w), x=0.4).draw_states(np.random.default_rng(r), 200)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _dp_paths(ht, n, i=0, prev=0):
+    """Every path of the transfer DP from layer i on, after reserved set
+    ``prev``: (reserved sets after each layer, fiber rows), 0 after the last."""
+    if i == n:
+        yield [], []
+        return
+    for S in range(ht.states if i < n - 1 else 1):
+        if S & prev:
+            continue
+        for row in range(ht.fiber_start[S | prev], ht.fiber_start[(S | prev) + 1]):
+            for S_rest, rows_rest in _dp_paths(ht, n, i + 1, S):
+                yield [S, *S_rest], [row, *rows_rest]
+
+
+def _law_instances():
+    for H, n in ((HGraph.path(2), 4), (HGraph.cycle(3), 3), (HGraph.complete(4), 2)):
+        g = build_cylinder(n, H)
+        yield g, sample_weights(g, STD_NORMAL, RngSeed(43, n))
+    for g, ws in disabled_edge_batches(43):
+        for w in ws:
+            yield g, w
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3])
+def test_backward_step_gives_the_exact_law_of_every_path(x):
+    # the product of a path's stage-1 and stage-2 probabilities, read off the
+    # stored cumulative laws, against exp(H + x U - log Z) by enumeration
+    for g, w in _law_instances():
+        sampler = GibbsSampler(instance_tables(g, w), x=x)
+        ht, log_z = sampler.ht, brute_force_polynomial(g, w).log_z(x)
+        for law, starts in ((sampler.prev_law, ht.pair_start), (sampler.row_law, ht.fiber_start)):
+            # a law ends at exactly 1.0; a segment of zero mass is all zeros
+            assert np.isin(law[:, starts[1:] - 1], (0.0, 1.0)).all()
+
+        def mass(cum, lo, k):
+            return cum[k] - (cum[k - 1] if k > lo else 0.0)
+
+        total = 0.0
+        for S_path, rows in _dp_paths(ht, g.n):
+            prob = 1.0
+            for i, (S, row) in enumerate(zip(S_path, rows)):
+                prev = S_path[i - 1] if i else 0
+                lo = ht.pair_start[S]
+                p = lo + list(ht.pair_s[lo : ht.pair_start[S + 1]]).index(prev)
+                prob *= mass(sampler.prev_law[i], lo, p)
+                prob *= mass(sampler.row_law[i], ht.fiber_start[S | prev], row)
+            m = path_matching(g, ht, S_path, rows)
+            H = matching_weight(g, w, m)
+            if H == NEG_INF:
+                assert prob == 0.0
+            else:
+                assert prob == pytest.approx(np.exp(H + x * m.num_unpaired(g) - log_z), rel=1e-12, abs=0.0)
+            total += prob
+        assert total == pytest.approx(1.0, rel=1e-12)
+
+
+def test_draws_invert_the_joint_law_at_one_uniform_per_layer():
+    # each layer's pick is the inverse of the joint law of (S', row), in the
+    # order (S' ascending, row ascending), at that layer's uniform
+    for g, w in _law_instances():
+        sampler = GibbsSampler(instance_tables(g, w), x=0.3)
+        ht, count = sampler.ht, 200
+        S_path, m_path = sampler.draw_states(np.random.default_rng(53), count)
+        rng = np.random.default_rng(53)
+        us = {i: rng.random(count) for i in range(g.n - 1, -1, -1)}
+        for d in range(count):
+            for i in range(g.n):
+                S = S_path[d, i]
+                prev_cum, probs, cands = 0.0, [], []
+                for p in range(ht.pair_start[S], ht.pair_start[S + 1]):
+                    F = ht.pair_s[p] | S
+                    row_cum = 0.0
+                    for row in range(ht.fiber_start[F], ht.fiber_start[F + 1]):
+                        probs.append((sampler.prev_law[i, p] - prev_cum)
+                                     * (sampler.row_law[i, row] - row_cum))
+                        cands.append((ht.pair_s[p], row))
+                        row_cum = sampler.row_law[i, row]
+                    prev_cum = sampler.prev_law[i, p]
+                k = np.searchsorted(np.cumsum(probs), us[i][d], side="right")
+                assert cands[k] == (S_path[d, i - 1] if i else 0, m_path[d, i])
+
+
+def test_sampler_refuses_a_vanishing_partition_function():
+    # three vertices in a row with every monomer forbidden: no matching has weight
+    g = build_cylinder(3, HGraph.single())
+    w = WeightAssignment(g, np.full((3, 1), NEG_INF), np.zeros((2, 1)), np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="partition function vanishes"):
+        GibbsSampler(instance_tables(g, w))
+
+
+def test_sampler_refuses_a_pick_in_a_zero_mass_segment():
+    # fiber-row scores that vanish at layer 2 while its layer weights do not:
+    # stage 1 still reaches layer 2, whose stage-2 laws then have no mass
+    g = build_cylinder(4, HGraph.path(2))
+    tables = instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(47, 0)))
+    tables["scores"][:, 1] = NEG_INF
+    sampler = GibbsSampler(tables)
+    with pytest.raises(ValueError, match="zero mass"):
+        sampler.draw_states(np.random.default_rng(0), 10)

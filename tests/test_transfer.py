@@ -41,7 +41,7 @@ from dimerlab.transfer import (
 )
 
 from helpers import (
-    STD_NORMAL, candidate_lists, cut_instances, disabled_edge_batches, random_instance, restrict,
+    STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict,
     sweep_steps, table_builds,
 )
 
@@ -97,18 +97,6 @@ def test_fiber_tables_from_one_enumeration_match_one_recursion_per_forbidden_set
     want = instance_tables(g, w)
     for key in ("B", "scores"):
         assert np.array_equal(tables[key], want[key]), key
-
-
-@pytest.mark.parametrize("fiber", [f"path({k})" for k in range(1, 7)]
-                         + [f"cycle({k})" for k in range(3, 6)] + ["complete(4)"])
-def test_candidate_lists_match_one_range_per_forbidden_set(fiber):
-    ht = transfer._HTables(make_fiber(fiber))
-    ref_prev, ref_row = candidate_lists(ht)
-    assert len(ht.cand_prev) == len(ht.cand_row) == ht.states
-    for S in range(ht.states):
-        assert np.array_equal(ht.cand_prev[S], ref_prev[S]), S
-        assert np.array_equal(ht.cand_row[S], ref_row[S]), S
-        assert ht.cand_row[S].dtype == ref_row[S].dtype
 
 
 def test_path4_zero_weights_coefficients():
