@@ -18,12 +18,11 @@ from .transfer import (
     CapacityError,
     CountingMask,
     MonomerPolynomial,
-    brute_force_polynomial,
     partition_polynomial,
     scalar_log_z,
 )
 from .leeyang import LeeYangSpectrum, density_functionals, spectrum
-from .sampler import GibbsSampler, Matching, exact_sample
+from .sampler import GibbsSampler, Matching
 from .groundstate import GroundState, gse_remainder, max_weight
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .experiments import ExperimentConfig, ReplicaTable, estimate_limits, run_replicas
@@ -45,12 +44,10 @@ __all__ = [
     "ReplicaTable",
     "RngSeed",
     "WeightAssignment",
-    "brute_force_polynomial",
     "build_cylinder",
     "density_functionals",
     "det_abs",
     "estimate_limits",
-    "exact_sample",
     "gse_remainder",
     "max_weight",
     "omega_spectrum",

@@ -179,6 +179,8 @@ def _cmd_exact(args) -> int:
         mask = CountingMask.layer_range(lo, hi)
     if args.scalar:
         lz = scalar_log_z(g, w, args.x, mask)
+        if lz == -np.inf:   # the reason the coefficient route gives
+            raise ValueError("all coefficients vanish; empty Gibbs measure")
         print(f"log Z({args.x:g}) = {lz:.12f}")
         payload = {"log_z": lz, "x": args.x, "n": g.n, "h": g.h}
     else:

@@ -35,7 +35,6 @@ from .graphs import (
     HGraph,
     Law,
     RngSeed,
-    WeightAssignment,
     _check_weight_array,
     build_cylinder,
     rng_generator,
@@ -46,14 +45,11 @@ from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     MonomerPolynomial,
-    _degree_semiring,
     batch_tables,
     check_polynomial_caps,
     check_transfer_cap,
     cut_moments,
     increment_laws,
-    instance_tables,
-    sweep,
 )
 
 
@@ -67,7 +63,8 @@ def make_fiber(text: str) -> HGraph:
     m = re.fullmatch(r"(path|cycle|complete)\((\d+)\)", text)
     if m is None:
         raise ValueError(f"cannot parse fiber spec {text!r}")
-    return getattr(HGraph, m.group(1))(int(m.group(2)))
+    make = {"path": HGraph.path, "cycle": HGraph.cycle, "complete": HGraph.complete}[m.group(1)]
+    return make(int(m.group(2)))
 
 
 @dataclass
@@ -271,19 +268,6 @@ class ReplicaTable:
             for i in range(len(self)):
                 writer.writerow([_csv_value(self.columns[k][i], k) for k in keys])
 
-    @classmethod
-    def from_csv(cls, path: str) -> "ReplicaTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            keys = next(reader)
-            rows = [[float("nan") if v == "" else float(v) for v in row] for row in reader]
-        arr = np.array(rows, dtype=float) if rows else np.zeros((0, len(keys)))
-        cols = {}
-        for j, k in enumerate(keys):
-            col = arr[:, j]
-            cols[k] = col.astype(np.int64) if k in ("n", "stream") else col
-        return cls(cols)
-
 
 def _csv_value(v, key):
     if key in ("n", "stream"):
@@ -454,9 +438,6 @@ class StatsSummary:
     entries: list
     ok: bool
 
-    def by_metric(self) -> dict:
-        return {e.metric: e for e in self.entries}
-
 
 def _normality_stats(sample: np.ndarray):
     from scipy import stats
@@ -506,16 +487,8 @@ def clt_checks(
 
 
 # ---------------------------------------------------------------------------
-# quenched / joint / Brownian / linear-growth diagnostics
+# functional / Brownian / linear-growth diagnostics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class QuenchedReport:
-    n: int
-    distance: float
-    mean: float
-    var: float
-
 
 def _lattice_normal_distance(pmf: np.ndarray) -> float:
     """Sup-distance between a standardized integer-lattice CDF and normal."""
@@ -528,34 +501,6 @@ def _lattice_normal_distance(pmf: np.ndarray) -> float:
     phi = stats.norm.cdf((support - mean) / sd)
     left = np.concatenate([[0.0], cdf[:-1]])
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
-
-
-def quenched_ladder(g: CylinderGraph, w: WeightAssignment, ns) -> list[QuenchedReport]:
-    """Sup-distance of the standardized exact monomer-count law to normal,
-    along nested prefixes of one environment.
-
-    Prefix k is the degree message after layer k at the empty reserved
-    set, so one degree sweep over max(ns) layers serves every prefix; its
-    degree cap never binds on a prefix.  The count lives on a lattice of
-    fixed parity, so each distance contains an irreducible lattice term of
-    order (sigma sqrt(k))^{-1}; the reports are meaningful as a sequence
-    along growing k.
-    """
-    ns = sorted(ns)
-    if not ns or not all(1 <= n <= g.n for n in ns):
-        raise ValueError(f"prefix lengths {ns} must be a nonempty list inside [1:{g.n}]")
-    check_polynomial_caps(ns[-1], g.h)
-    tables = instance_tables(g, w)
-    W = tables["B"].swapaxes(0, 1)[: ns[-1]]   # B[i, d, F, r]
-    msgs = sweep(W, tables["hsum"], tables["ht"], _degree_semiring(g.h * ns[-1]))
-    laws = {k: v[:, 0, 0] for k, v in enumerate(msgs, start=1) if k in ns}
-    out = []
-    for n in ns:
-        p = MonomerPolynomial(laws[n], N=n * g.h)
-        mean, var = p.cumulants(0.0, 2)
-        dist = _lattice_normal_distance(p.pmf(0.0))
-        out.append(QuenchedReport(n=n, distance=dist, mean=float(mean), var=float(var)))
-    return out
 
 
 @dataclass

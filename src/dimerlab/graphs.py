@@ -121,14 +121,6 @@ class CylinderGraph:
     def num_horizontal(self) -> int:
         return (self.n - 1) * self.H.h
 
-    @property
-    def num_vertical(self) -> int:
-        return self.n * len(self.H.edges)
-
-    @property
-    def num_edges(self) -> int:
-        return self.num_horizontal + self.num_vertical
-
     def vertices(self) -> Iterable[tuple[int, int]]:
         for i in range(1, self.n + 1):
             for j in range(1, self.h + 1):
@@ -139,9 +131,6 @@ class CylinderGraph:
         if not (1 <= i <= self.n and 1 <= j <= self.h):
             raise ValueError(f"vertex {v} outside {self.n}x{self.h} cylinder")
         return (i - 1) * self.h + (j - 1)
-
-    def vertex_at(self, flat: int) -> tuple[int, int]:
-        return (flat // self.h + 1, flat % self.h + 1)
 
     def neighbors(self, v: tuple[int, int]) -> list[tuple[int, int]]:
         i, j = v
@@ -165,19 +154,6 @@ class CylinderGraph:
             for a, b in self.H.edges:
                 out.append(((i, a), (i, b)))
         return out
-
-    def horizontal_index(self, k: int, j: int) -> int:
-        """Canonical index of the edge (k, j)-(k+1, j)."""
-        if not (1 <= k < self.n and 1 <= j <= self.h):
-            raise ValueError(f"no horizontal edge at cut {k}, fiber {j}")
-        return (k - 1) * self.h + (j - 1)
-
-    def vertical_index(self, i: int, h_edge: int) -> int:
-        """Canonical index of the i-th copy of H edge number ``h_edge``."""
-        m = len(self.H.edges)
-        if not (1 <= i <= self.n and 0 <= h_edge < m):
-            raise ValueError(f"no vertical edge at layer {i}, H-edge {h_edge}")
-        return self.num_horizontal + (i - 1) * m + h_edge
 
     def __eq__(self, other):
         return (
@@ -242,14 +218,6 @@ class Law:
     @classmethod
     def normal(cls, mu: float, sigma: float) -> "Law":
         return cls("normal", (mu, sigma))
-
-    @classmethod
-    def bernoulli_shift(cls, p: float, v0: float, v1: float) -> "Law":
-        return cls("bernoulli_shift", (p, v0, v1))
-
-    @classmethod
-    def exponential_shift(cls, rate: float, shift: float) -> "Law":
-        return cls("exponential_shift", (rate, shift))
 
     @classmethod
     def parse(cls, text: str) -> "Law":

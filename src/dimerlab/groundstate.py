@@ -25,7 +25,7 @@ from .graphs import CylinderGraph, WeightAssignment
 from .sampler import Matching, decode_paths, matching_weight
 from .transfer import (
     MAX, NEG_INF, _last, backward_terms, backward_weights, batch_tables, check_cut, cut_remainders,
-    enumerate_matchings, instance_tables, messages, scalar_log_z, sweep,
+    instance_tables, messages, scalar_log_z, sweep,
 )
 
 
@@ -59,6 +59,8 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     W = _max_W(tables)
     msgs = messages(W, tables, MAX)[..., 0]
     value = float(msgs[-1, 0])
+    if value == NEG_INF:   # no matching of finite weight: nothing to maximize over
+        raise ValueError("all coefficients vanish; empty Gibbs measure")
     a, W = backward_weights(msgs, tables["hsum"][..., 0]), W[..., 0]
     S_path, rows = np.zeros((2, g.n), dtype=np.int64)
     S = 0
@@ -71,18 +73,6 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
         raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")
     return gs
-
-
-def brute_force_max(g: CylinderGraph, w: WeightAssignment) -> float:
-    """Enumeration reference for the maximum, small instances only."""
-    best = NEG_INF
-
-    def leaf(count: int, weight: float):
-        nonlocal best
-        best = max(best, weight)
-
-    enumerate_matchings(g, w, leaf)
-    return float(best)
 
 
 def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:

@@ -134,57 +134,3 @@ def resolvent_U(A: JacobiMatrix, x: float = 0.0) -> float:
     e^{2x} tr[(Omega~^2 + e^{2x} I)^{-1}]."""
     lam = omega_spectrum(A)
     return float(np.sum(1.0 / (1.0 + _squared_tilted(lam, x))))
-
-
-@dataclass
-class LyapunovEntry:
-    n: int
-    f_hat: float        # log Z / n
-    gamma_hat: float    # log Z~ / n (gauge-transformed growth rate)
-    nu_bar: float       # empirical mean vertex weight
-    gap: float          # |f_hat - gamma_ref - nu_bar|
-
-
-@dataclass
-class LyapunovReport:
-    gamma_ref: float
-    entries: list[LyapunovEntry]
-
-    def gaps(self) -> np.ndarray:
-        return np.array([e.gap for e in self.entries])
-
-
-def lyapunov_check(ladder, reference=None) -> LyapunovReport:
-    """Growth-rate consistency across a ladder of path instances.
-
-    The free energy per layer should match the gauge-transformed growth
-    rate plus the mean vertex weight.  The reference rate is taken from an
-    independent instance (by default the last ladder entry) so the ladder
-    gaps are a genuine convergence diagnostic rather than an identity.
-    """
-    ladder = list(ladder)
-    if not ladder:
-        raise ValueError("empty ladder")
-    if reference is None:
-        reference = ladder[-1]
-    g_ref, w_ref = reference
-    A_ref = JacobiMatrix.from_weights(g_ref, w_ref)
-    gamma_ref = (det_abs(A_ref) - w_ref.nu.sum()) / g_ref.n
-    entries = []
-    for g, w in ladder:
-        A = JacobiMatrix.from_weights(g, w)
-        log_z = det_abs(A)
-        nu_sum = float(w.nu.sum())
-        f_hat = log_z / g.n
-        gamma_hat = (log_z - nu_sum) / g.n
-        nu_bar = nu_sum / g.n
-        entries.append(
-            LyapunovEntry(
-                n=g.n,
-                f_hat=f_hat,
-                gamma_hat=gamma_hat,
-                nu_bar=nu_bar,
-                gap=abs(f_hat - gamma_ref - nu_bar),
-            )
-        )
-    return LyapunovReport(gamma_ref=float(gamma_ref), entries=entries)

@@ -139,26 +139,6 @@ def _check_reconstruction(p: MonomerPolynomial, spec: LeeYangSpectrum, tol: floa
         )
 
 
-def verify_interlacing(
-    parent: LeeYangSpectrum, child: LeeYangSpectrum, slack: float = 1e-9
-) -> bool:
-    """Do the child's signed zeroes separate the parent's?
-
-    ``child`` must come from the parent graph with one vertex removed;
-    writing the ascending signed sequences p (length N) and c (length N-1),
-    interlacing means p_k <= c_k <= p_{k+1} for every k.
-    """
-    if child.N != parent.N - 1:
-        raise ValueError(
-            f"child degree {child.N} is not parent degree {parent.N} minus one"
-        )
-    pa = parent.signed_atoms()
-    ca = child.signed_atoms()
-    return bool(
-        np.all(pa[:-1] - slack <= ca) and np.all(ca <= pa[1:] + slack)
-    )
-
-
 def localization_bound(g: CylinderGraph, w: WeightAssignment) -> float:
     """Max over vertices of the gauge-weighted degree; bounds every zero."""
     return max(weighted_degree(g, w, v) for v in g.vertices())

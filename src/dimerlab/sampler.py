@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DOMAIN_GIBBS, CylinderGraph, RngSeed, WeightAssignment, rng_generator
-from .transfer import NEG_INF, _tilted_W, backward_terms, backward_weights, instance_tables, messages
+from .graphs import CylinderGraph, WeightAssignment
+from .transfer import NEG_INF, _tilted_W, backward_terms, backward_weights, messages
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ def matching_weight(g: CylinderGraph, w: WeightAssignment, m: Matching) -> float
     return float(total)
 
 
-@dataclass
-class HeightSeries:
-    """Cumulative unpaired counts theta(t) = U_[1:floor(nt)] on a t-grid."""
-
-    t: np.ndarray
-    theta: np.ndarray
-    theta_hat: np.ndarray | None = None
-
-
-@dataclass
-class ObservableSet:
-    U: int
-    prefix: np.ndarray          # prefix[k] = unpaired count in layers 1..k
-    height: HeightSeries
-
-
 def heights(profiles: np.ndarray, t, centering: float | None = None):
     """Heights theta(t) = U_[1:floor(nt)] of each draw from its unpaired
     count per layer (``profiles``, shape (draws, n)), and with a centering u
@@ -85,32 +69,6 @@ def heights(profiles: np.ndarray, t, centering: float | None = None):
     if centering is None:
         return theta, None
     return theta, (theta - n * t * centering) / np.sqrt(n)
-
-
-def observables(
-    g: CylinderGraph,
-    m: Matching,
-    t_grid=None,
-    centering: float | None = None,
-) -> ObservableSet:
-    """Monomer count, per-prefix counts, and the (optionally centered) height.
-
-    With a centering constant u the scaled height (theta(t) - n t u) / sqrt(n)
-    is attached; without it only the raw series is produced.
-    """
-    covered = m.covered_flat(g)
-    per_layer = np.zeros(g.n, dtype=np.int64)
-    for i in range(1, g.n + 1):
-        per_layer[i - 1] = sum(
-            1 for j in range(1, g.h + 1) if g.flat_index((i, j)) not in covered
-        )
-    prefix = np.concatenate([[0], np.cumsum(per_layer)])
-    t = np.linspace(0.0, 1.0, 9) if t_grid is None else np.asarray(t_grid, dtype=float)
-    theta, theta_hat = heights(per_layer[None], t, centering)
-    return ObservableSet(
-        U=int(prefix[-1]), prefix=prefix,
-        height=HeightSeries(t, theta[0], None if theta_hat is None else theta_hat[0]),
-    )
 
 
 def _cumulative_law(t: np.ndarray) -> np.ndarray:
@@ -188,9 +146,6 @@ class GibbsSampler:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""
         return self.ht.fiber_mono[m_path]
 
-    def draw_matchings(self, gen: np.random.Generator, count: int) -> list[Matching]:
-        return self.matchings_from_states(*self.draw_states(gen, count))
-
 
 def decode_paths(ht, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
     """Decode layer paths, shape (count, n), by array lookups: the H-edges
@@ -210,14 +165,3 @@ def decode_paths(ht, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
         idxs = (e + vertical)[e >= 0].tolist() + horizontal[reserved[S]].tolist()
         out.append(Matching(frozenset(idxs)))
     return out
-
-
-def exact_sample(
-    g: CylinderGraph, w: WeightAssignment, seed: RngSeed, count: int
-) -> list[Matching]:
-    """Draw ``count`` independent matchings from the Gibbs measure."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    sampler = GibbsSampler(instance_tables(g, w))
-    gen = rng_generator(seed, DOMAIN_GIBBS)
-    return sampler.draw_matchings(gen, count)

@@ -18,15 +18,15 @@ One forward ``sweep`` runs this recursion for every consumer and takes its
 arithmetic as a ``Semiring``:
 
 * ``LOG`` = (logaddexp, +) fixes the tilt x and carries one number per
-  state: scalar log Z for the replica campaigns and the forward messages
-  of the sampler;
+  state: the log Z of one instance and the forward messages of the
+  sampler and of the increment laws;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
 * ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
   of one count, the monomer count: ``times`` adds them, ``plus`` merges
   the terms of a state with their softmax weights in the parallel-variance
-  form, so ``batch_moments`` gives exact cumulants in one pass, with no
-  finite differences (the first- and second-order expectation semiring of
-  Li & Eisner, EMNLP 2009);
+  form, so ``cut_moments`` gives exact cumulants, with no finite
+  differences (the first- and second-order expectation semiring of Li &
+  Eisner, EMNLP 2009);
 * ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
   counted monomer count) keeps the full coefficient vector (capped by
   ``check_polynomial_caps``), enabling exact cumulants and Lee-Yang spectra.
@@ -60,8 +60,7 @@ messages of a forward sweep, or of the sweep over the layer-flipped table
 (``W[::-1]``, ``hsum[::-1]``).  The forward message at the empty reserved
 set after layer k is the value of layers 1..k, and the flipped one gives
 that of layers k+1..n: ``cut_remainders`` turns the two into the
-remainders V - V[1:k] - V[k+1:n] of every cut.  ``dyadic_report`` sweeps
-block k..l as the slice ``W[k-1:l]``, ``hsum[k-1:l-1]``.  The gauge to zero
+remainders V - V[1:k] - V[k+1:n] of every cut.  The gauge to zero
 vertex weights that the Lee-Yang spectra need is the coefficient shift
 ``MonomerPolynomial.monic``, not a second table.
 
@@ -77,9 +76,7 @@ forward LOG message after layer a, runs it over the increment's layers
 only, and closes it against the stacked flipped message at cut b.  One
 forward and one flipped pass serve every increment, and the degree sweeps
 cover n layers in all.  It is the only route to coefficients: a whole
-cylinder is the increment 0..n, which needs neither pass, and a prefix
-1..k is the increment 0..k, whose law is that sweep's message after
-layer k at the empty reserved set.
+cylinder is the increment 0..n, which needs neither pass.
 
 Batched routes sweep layer by layer, so a campaign row does not depend on
 its chunk.  The log Z of a single instance, ``scalar_log_z``, is a blocked
@@ -87,16 +84,16 @@ LOG sweep instead (the scan of Blelloch, 1990, in the temporal form of
 Sarkka & Garcia-Fernandez, IEEE TAC 2021): about sqrt(n) blocks of about
 sqrt(n) layers run as the columns of one sweep, which gives every block's
 matrix between the reserved sets at its two ends, and the matrices are
-combined from the empty set.  It agrees with the batched row to a
+combined from the empty set.  It agrees with the sequential sweep to a
 tolerance, not bit for bit, and is more exact at large n, as no partial
 value grows past one block.  Where blocking does not pay (``_log_blocks``)
-it is the batched row's sequential sweep.
+it is the sequential sweep.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -107,7 +104,6 @@ from .graphs import CylinderGraph, HGraph, WeightAssignment
 POLY_MAX_H = 6
 POLY_MAX_N = 1024
 SCALAR_MAX_H = 12
-BRUTE_MAX_N = 22
 
 NEG_INF = -np.inf
 
@@ -182,14 +178,6 @@ class MonomerPolynomial:
         self.N = int(N)
         self.mask_size = int(mask_size)
 
-    @classmethod
-    def from_coeffs(cls, coeffs, N: int) -> "MonomerPolynomial":
-        c = np.asarray(coeffs, dtype=float)
-        if (c < 0).any():
-            raise ValueError("coefficients must be nonnegative")
-        with np.errstate(divide="ignore"):
-            return cls(np.log(c), N)
-
     def log_z(self, x: float = 0.0) -> float:
         return float(_logsumexp(self.log_coeffs + np.arange(self.mask_size + 1) * x))
 
@@ -235,11 +223,6 @@ class MonomerPolynomial:
             "mask_size": self.mask_size,
             "log_coeffs": [None if v == NEG_INF else float(v) for v in self.log_coeffs],
         }
-
-    @classmethod
-    def from_payload(cls, d: dict) -> "MonomerPolynomial":
-        lc = [NEG_INF if v is None else float(v) for v in d["log_coeffs"]]
-        return cls(lc, int(d["N"]), int(d["mask_size"]))
 
     def __repr__(self):
         return f"MonomerPolynomial(N={self.N}, mask_size={self.mask_size})"
@@ -583,19 +566,6 @@ def backward_terms(a: np.ndarray, W: np.ndarray, ht: _HTables, S: int, i=slice(N
     return a[i, ht.pair_s[pairs]] + W[i, ht.pair_f[pairs]]
 
 
-def batch_scalar_log_z(tables: dict, x: float = 0.0, mask=None) -> np.ndarray:
-    """log Z per replica at tilt x of the monomers that ``mask`` counts."""
-    return _last(sweep(_tilted_W(tables, x, mask), tables["hsum"], tables["ht"]))[0]
-
-
-def batch_moments(tables: dict, x: float = 0.0):
-    """log Z at tilt x and the exact Gibbs mean and variance of the monomer
-    count under that tilted measure, from one sweep in the moment
-    semiring; three arrays of shape (R,)."""
-    ht = tables["ht"]
-    return tuple(_last(sweep(_moment_W(tables, x), tables["hsum"], ht, _moment_semiring(ht)))[:, 0])
-
-
 def check_cut(k: int, n: int) -> None:
     """Refuse a cut k that does not split n layers into two nonempty sections."""
     if not 1 <= k < n:
@@ -758,108 +728,8 @@ def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=Non
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (independent of the DP above)
+# remainders
 # ---------------------------------------------------------------------------
-
-def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None) -> None:
-    """Call ``leaf(count, weight)`` once per matching of the cylinder.
-
-    ``count`` is the number of counted monomers and ``weight`` is H(m).
-    Kept deliberately simple and apart from the sweep, as the reference for
-    tests: vertices are processed in canonical order and each one either
-    stays a monomer or pairs with a free neighbor, which visits every
-    matching exactly once.
-    """
-    if g.num_vertices > BRUTE_MAX_N:
-        raise CapacityError(
-            f"brute force supports at most {BRUTE_MAX_N} vertices, got {g.num_vertices}"
-        )
-    mask_flat = np.repeat(_resolve_mask(mask, g.n), g.h)   # per vertex, layer-major
-    total = g.num_vertices
-    nu_flat = w.nu_flat()
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(total)]
-    for (u, v) in g.edge_list():
-        fu, fv = g.flat_index(u), g.flat_index(v)
-        wt = w.omega_of(u, v)
-        adj[fu].append((fv, wt))
-        adj[fv].append((fu, wt))
-
-    def rec(start: int, used: int, count: int, weight: float):
-        v = start
-        while v < total and used >> v & 1:
-            v += 1
-        if v == total:
-            leaf(count, weight)
-            return
-        bit = 1 << v
-        rec(v + 1, used | bit, count + int(mask_flat[v]), weight + nu_flat[v])
-        for u, wt in adj[v]:
-            if not used >> u & 1:
-                rec(v + 1, used | bit | 1 << u, count, weight + wt)
-
-    rec(0, 0, 0, 0.0)
-
-
-def brute_force_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:
-    """Monomer polynomial by enumerating every matching; the test oracle."""
-    M = g.h * int(_resolve_mask(mask, g.n).sum())
-    best = np.full(M + 1, NEG_INF)   # running max exponent per coefficient
-    sums = np.zeros(M + 1)           # sum of exp(H - best) per coefficient
-
-    def leaf(count: int, weight: float):
-        if weight == NEG_INF:  # disabled edge or vertex; contributes nothing
-            return
-        b = best[count]
-        if weight > b:
-            sums[count] = sums[count] * np.exp(b - weight) + 1.0 if b > NEG_INF else 1.0
-            best[count] = weight
-        else:
-            sums[count] += np.exp(weight - b)
-
-    enumerate_matchings(g, w, leaf, mask)
-    with np.errstate(divide="ignore"):
-        log_coeffs = best + np.log(sums, where=sums > 0, out=np.full(M + 1, NEG_INF))
-    return MonomerPolynomial(log_coeffs, N=g.num_vertices, mask_size=M)
-
-
-# ---------------------------------------------------------------------------
-# vertex removal, remainders
-# ---------------------------------------------------------------------------
-
-def kill_vertex_edges(w: WeightAssignment, vertices) -> WeightAssignment:
-    """Disable every edge incident to the given vertices (-inf sentinels).
-
-    The killed vertices are then forced monomers, so dividing out their
-    monomer weight realizes vertex removal without rebuilding the graph.
-    """
-    g = w.g
-    oh = np.array(w.omega_h, copy=True)
-    ov = np.array(w.omega_v, copy=True)
-    for v in vertices:
-        i, j = v
-        g.flat_index(v)
-        if i > 1:
-            oh[i - 2, j - 1] = NEG_INF
-        if i < g.n:
-            oh[i - 1, j - 1] = NEG_INF
-        for e, (a, b) in enumerate(g.H.edges):
-            if j in (a, b):
-                ov[i - 1, e] = NEG_INF
-    return WeightAssignment(g, w.nu, oh, ov)
-
-
-def vertex_removed_polynomial(g: CylinderGraph, w: WeightAssignment, v: tuple[int, int]) -> MonomerPolynomial:
-    """Monomer polynomial of the graph with one vertex deleted.
-
-    Computed on the full graph with the incident edges disabled, which
-    forces v to stay a monomer in every configuration; stripping its
-    monomer factor and coefficient shift yields the polynomial of the
-    deleted-vertex graph.
-    """
-    i, j = v
-    killed = partition_polynomial(g, kill_vertex_edges(w, [v]))
-    return MonomerPolynomial(killed.log_coeffs[1:] - w.nu[i - 1, j - 1], N=g.num_vertices - 1)
-
 
 def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.ndarray:
     """V - V_[1:k] - V_[k+1:n] for every cut k = 1..n-1 (entry ``[k - 1, r]``).
@@ -873,21 +743,6 @@ def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.
     return pre[-1] - pre[:-1] - suf[-2::-1]
 
 
-def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.ndarray:
-    """Superadditivity gaps log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x,
-    for every cut k = 1..n-1 (entry k-1)."""
-    tables = instance_tables(g, w)
-    return cut_remainders(_tilted_W(tables, x), tables)[:, 0]
-
-
-def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Sum of 1 + |gauge weight| over the edges of cut k (disabled edges add 0)."""
-    check_cut(k, g.n)
-    z = w.gauge_h[k - 1]
-    finite = np.isfinite(z)
-    return float(np.sum(1.0 + np.abs(z[finite])))
-
-
 def section_covariance(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     """Cov of the monomer counts of layers [1:k] and [k+1:n] by polarization,
     from the laws of both sections and of all layers over one table."""
@@ -896,82 +751,3 @@ def section_covariance(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     laws = increment_laws(tables, [0, k, g.n]) + increment_laws(tables, [0, g.n])
     var_l, var_r, var_all = (MonomerPolynomial(lc[:, 0], g.num_vertices).cumulants()[1] for lc in laws)
     return 0.5 * (var_all - var_l - var_r)
-
-
-# ---------------------------------------------------------------------------
-# dyadic subdivision report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DyadicNode:
-    lo: int
-    hi: int
-    cut: int | None = None
-    R: float | None = None
-    dRdx: float | None = None
-    T: float | None = None
-    bound: float | None = None
-    children: list = field(default_factory=list)
-
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
-
-
-@dataclass
-class DyadicReport:
-    root: DyadicNode
-    max_abs_R: float
-    max_abs_dRdx: float
-
-    def nodes(self) -> list[DyadicNode]:
-        return list(self.root.walk())
-
-
-def dyadic_report(g: CylinderGraph, w: WeightAssignment, depth: int, x: float = 0.0) -> DyadicReport:
-    """Recursive halving of the cylinder, reporting the cut and drop errors.
-
-    Odd blocks first drop their terminal layer (error T), then every block
-    is cut in the middle (error R); recursion proceeds ``depth`` levels or
-    until single layers.  R is also differentiated in the tilt: dR/dx is the
-    Gibbs mean of the block's monomer count minus those of its halves, all
-    exact from one moment sweep per block over its slice of one table.
-    """
-    tables = instance_tables(g, w)
-    W, hsum, ht = _moment_W(tables, x), tables["hsum"], tables["ht"]
-    semiring = _moment_semiring(ht)
-
-    @lru_cache(maxsize=None)
-    def block(lo, hi):
-        log_z, mean, _ = _last(sweep(W[lo - 1 : hi], hsum[lo - 1 : hi - 1], ht, semiring))[:, 0, 0]
-        return float(log_z), float(mean)
-
-    def build(lo, hi, level) -> DyadicNode:
-        node = DyadicNode(lo=lo, hi=hi)
-        length = hi - lo + 1
-        if level <= 0 or length < 2:
-            return node
-        eff_hi = hi
-        if length % 2 == 1:
-            node.T = block(lo, hi)[0] - block(lo, hi - 1)[0]
-            eff_hi = hi - 1
-            length -= 1
-        cut = lo + length // 2 - 1
-        node.cut = cut
-        (lz, mean), (lz_l, mean_l), (lz_r, mean_r) = (
-            block(lo, eff_hi), block(lo, cut), block(cut + 1, eff_hi))
-        node.R = lz - lz_l - lz_r
-        node.dRdx = mean - mean_l - mean_r
-        node.bound = remainder_upper_bound(g, w, cut)
-        node.children = [build(lo, cut, level - 1), build(cut + 1, eff_hi, level - 1)]
-        return node
-
-    root = build(1, g.n, depth)
-    rvals = [abs(nd.R) for nd in root.walk() if nd.R is not None]
-    dvals = [abs(nd.dRdx) for nd in root.walk() if nd.dRdx is not None]
-    return DyadicReport(
-        root=root,
-        max_abs_R=max(rvals, default=0.0),
-        max_abs_dRdx=max(dvals, default=0.0),
-    )

@@ -17,7 +17,8 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.sampler import Matching
-from dimerlab.transfer import kill_vertex_edges
+
+from oracle import horizontal_index, kill_vertex_edges, vertical_index
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
 
@@ -64,11 +65,11 @@ def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):
     rng = np.random.default_rng(seed)
     for name in ("path2", "cycle3"):
         g = build_cylinder(n, FIBERS[name])
-        ws = []
+        vertices, ws = list(g.vertices()), []   # in flat-index order
         for r in range(replicas):
             w = sample_weights(g, STD_NORMAL, RngSeed(seed, r))
             flat = rng.choice(g.num_vertices, size=int(rng.integers(1, 3)), replace=False)
-            ws.append(kill_vertex_edges(w, [g.vertex_at(int(f)) for f in flat]))
+            ws.append(kill_vertex_edges(w, [vertices[int(f)] for f in flat]))
         yield g, ws
 
 
@@ -138,7 +139,13 @@ def path_matching(g, ht, S_path, rows) -> Matching:
     """The matching of one layer path, built edge by edge: the reserved set
     after each layer (horizontal dimers into the next layer) and the fiber
     row of each layer; the reference for the array decode."""
-    idxs = [g.vertical_index(i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
-    idxs += [g.horizontal_index(i + 1, j + 1)
+    idxs = [vertical_index(g, i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
+    idxs += [horizontal_index(g, i + 1, j + 1)
              for i, S in enumerate(S_path) for j in range(g.h) if S >> j & 1]
     return Matching(frozenset(idxs))
+
+
+def layer_counts(g, m: Matching) -> np.ndarray:
+    """The unpaired-vertex count of each layer of ``m``, read off its
+    unpaired vertices: the reference for the sampler's monomer profiles."""
+    return np.bincount([i for i, _ in m.unpaired(g)], minlength=g.n + 1)[1:]

@@ -10,9 +10,9 @@ import pytest
 from dimerlab import cli, experiments, groundstate, transfer
 from dimerlab.cli import main
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
-from dimerlab.sampler import Matching, heights, observables
+from dimerlab.sampler import Matching, heights
 
-from helpers import count_calls
+from helpers import count_calls, layer_counts
 
 
 def test_exact_prints_log_z_of_path4(capsys, tmp_path):
@@ -226,13 +226,14 @@ def test_sample_command_writes_heights(tmp_path, capsys):
     assert lines[0] == "draw,t,theta,theta_hat"
     matchings = json.loads((out / "matchings.json").read_text())
     assert len(matchings["draws"]) == 12
-    # the table equals the per-draw ``observables`` route, digit for digit
+    # the table equals the heights of each draw's own per-layer counts, digit for digit
     g = build_cylinder(5, HGraph.path(2))
+    t = np.linspace(0.0, 1.0, 17)
     expect = []
     for d, draw in enumerate(matchings["draws"]):
-        hs = observables(g, Matching(frozenset(draw)), np.linspace(0.0, 1.0, 17), 0.5).height
-        expect += [f"{d},{t!r},{int(th)},{float(th_hat)!r}"
-                   for t, th, th_hat in zip(hs.t.tolist(), hs.theta, hs.theta_hat)]
+        theta, theta_hat = heights(layer_counts(g, Matching(frozenset(draw)))[None], t, 0.5)
+        expect += [f"{d},{tk!r},{int(th)},{float(th_hat)!r}"
+                   for tk, th, th_hat in zip(t.tolist(), theta[0], theta_hat[0])]
     assert lines[1:] == expect
 
 
@@ -272,6 +273,16 @@ def test_ground_refuses_non_finite_betas(tmp_path, capsys):
     assert main(["ground", "--n", "4", "--h", "2", "--vertex", "normal(0,1)", "--betas", "1,nan",
                  "--out", str(out)]) == 2
     assert "beta values must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["exact", "--scalar"], ["ground"]], ids=["exact-scalar", "ground"])
+def test_an_empty_gibbs_measure_is_refused_before_any_file(tmp_path, capsys, argv):
+    # every weight -inf: no matching has finite weight, so there is no Gibbs
+    # measure to give log Z or a maximum of, as exact without --scalar says
+    out = tmp_path / "d"
+    assert main([*argv, "--n", "3", "--const=-inf", "--out", str(out)]) == 2
+    assert "all coefficients vanish; empty Gibbs measure" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -446,7 +457,7 @@ def test_heights_csv_has_the_bytes_of_a_per_cell_writer(tmp_path, capsys, center
     assert main(argv + ([] if centering is None else ["--centering", centering])) == 0
     g = build_cylinder(6, HGraph.path(2))
     draws = json.loads((out / "matchings.json").read_text())["draws"]
-    profiles = np.array([np.diff(observables(g, Matching(frozenset(d))).prefix) for d in draws])
+    profiles = np.array([layer_counts(g, Matching(frozenset(d))) for d in draws])
     t_grid = np.linspace(0.0, 1.0, 17)
     theta, theta_hat = heights(profiles, t_grid, None if centering is None else float(centering))
     expect = io.StringIO()

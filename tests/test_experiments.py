@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -23,7 +24,6 @@ from dimerlab.graphs import (
 from dimerlab.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
-    ReplicaTable,
     _draw_weight_batch,
     _lattice_normal_distance,
     brownian_fdd_check,
@@ -34,7 +34,6 @@ from dimerlab.experiments import (
     linear_growth_check,
     make_fiber,
     parse_config,
-    quenched_ladder,
     run_replicas,
     write_config,
     write_json,
@@ -218,8 +217,7 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
     # each chunk draws its log Z, cumulants, sections, ground state and
     # spectra from a single table; a second table build, a finite-difference
     # sweep or a per-replica polynomial would show in these counts
-    calls = count_calls(monkeypatch, transfer,
-                        ["batch_tables", "batch_scalar_log_z", "partition_polynomial"])
+    calls = count_calls(monkeypatch, transfer, ["batch_tables", "partition_polynomial"])
     steps = sweep_steps(monkeypatch)
     chunks, replicas = 2 * 3, 2 * 10
     for with_spectrum in (False, True):
@@ -230,8 +228,7 @@ def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
                          disorder=STD_NORMAL, with_ground=True, with_spectrum=with_spectrum)
         table = run_replicas(cfg)
         assert len(table) == replicas
-        assert calls == {"batch_tables": chunks, "batch_scalar_log_z": 0,
-                         "partition_polynomial": 0}, with_spectrum
+        assert calls == {"batch_tables": chunks, "partition_polynomial": 0}, with_spectrum
         # per chunk: the two moment sweeps meet at the cut (k = 3 of 6 and
         # k = 4 of 9), so their layer steps add up to n; then the (max, +)
         # sweep of n layers, and with spectra one n-layer degree sweep and
@@ -319,44 +316,17 @@ def test_quenched_two_point_lattice_distance():
     from scipy.stats import norm
 
     g = build_cylinder(2, HGraph.single())
-    rep, = quenched_ladder(g, WeightAssignment.constant(g), [g.n])
-    assert rep.distance == pytest.approx(norm.cdf(1.0) - 0.5, abs=1e-12)
+    distance = _lattice_normal_distance(partition_polynomial(g, WeightAssignment.constant(g)).pmf())
+    assert distance == pytest.approx(norm.cdf(1.0) - 0.5, abs=1e-12)
 
 
 def test_quenched_ladder_distance_decreases():
+    # the exact count law of each prefix cylinder, layers 1..k
     g = build_cylinder(128, HGraph.single())
     w = sample_weights(g, STD_NORMAL, RngSeed(21, 0))
-    reports = quenched_ladder(g, w, (32, 64, 128))
-    d = [r.distance for r in reports]
+    d = [_lattice_normal_distance(partition_polynomial(*restrict(g, w, 1, k)).pmf())
+         for k in (32, 64, 128)]
     assert d[2] < d[1] < d[0]
-    # one sweep gives every prefix; each matches its own restricted solve
-    g3 = build_cylinder(40, HGraph.cycle(3))
-    w3 = sample_weights(g3, STD_NORMAL, RngSeed(21, 1))
-    ks = (1, 7, 20, 33, 40)
-    for k, rep in zip(ks, quenched_ladder(g3, w3, ks)):
-        ref, = quenched_ladder(*restrict(g3, w3, 1, k), [k])
-        assert rep.n == ref.n == k
-        for key in ("distance", "mean", "var"):
-            assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError):
-        quenched_ladder(g3, w3, (20, 41))
-
-
-def test_quenched_ladder_reads_every_prefix_from_one_degree_sweep(monkeypatch):
-    # prefix k is the degree message after layer k: one sweep of 256 layers
-    # serves the ladder, where one sweep per prefix took 32 + 64 + 128 + 256
-    g = build_cylinder(256, HGraph.path(2))
-    w = sample_weights(g, STD_NORMAL, RngSeed(23, 0))
-    ks = (32, 64, 128, 256)
-    refs = []
-    for k in ks:   # each prefix's own polynomial, the increment 0..k of its restriction
-        p = partition_polynomial(*restrict(g, w, 1, k))
-        mean, var = p.cumulants(0.0, 2)
-        refs.append((k, _lattice_normal_distance(p.pmf(0.0)), float(mean), float(var)))
-    steps = sweep_steps(monkeypatch)
-    reports = quenched_ladder(g, w, ks)
-    assert steps == [("degree", 256)]
-    assert [(r.n, r.distance, r.mean, r.var) for r in reports] == refs
 
 
 def test_joint_sections_small_covariance_at_scale():
@@ -474,10 +444,13 @@ def test_replica_table_csv_round_trip(tmp_path):
     table = run_replicas(cfg)
     path = tmp_path / "t.csv"
     table.to_csv(path)
-    again = ReplicaTable.from_csv(path)
-    assert set(again.columns) == set(table.columns)
-    for key in table.columns:
-        assert np.array_equal(table.columns[key], again.columns[key], equal_nan=True)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        keys = next(reader)
+        again = np.array([[float(v) if v else np.nan for v in row] for row in reader])
+    assert set(keys) == set(table.columns)
+    for j, key in enumerate(keys):
+        assert np.array_equal(table.columns[key], again[:, j], equal_nan=True)
 
 
 def test_jsonify_passes_int_lists_through_and_converts_the_rest():

@@ -42,42 +42,82 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(tree) == [(2, "os"), (3, "c")]
 
 
+MODULES = {p.stem for p in PACKAGE} - {"__init__"}
+
+
 def definitions(tree: ast.Module) -> list:
-    """(line, name) of every function and class that ``tree`` defines,
-    methods included; dunder methods are exempt."""
-    return sorted((node.lineno, node.name) for node in ast.walk(tree)
+    """(line, name, module level?) of every function and class that ``tree``
+    defines, methods and nested functions included; dunder methods are exempt."""
+    top = {id(node) for node in tree.body}
+    return sorted((node.lineno, node.name, id(node) in top) for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                   and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
-def references(tree: ast.Module) -> set:
-    """Every name that ``tree`` reads as a Name, an Attribute or an import
-    alias (the last part of a dotted one); a definition is none of these."""
-    names = set()
+def references(tree: ast.Module) -> tuple:
+    """What ``tree`` reads: (names, attributes).  ``names`` holds every Name,
+    every import alias (the last part of a dotted one) and every attribute
+    read off a name that ``tree`` binds to a dimerlab module, as ``cli`` in
+    ``from dimerlab import cli; cli.main()``; ``attributes`` every attribute
+    read off anything.  A definition is none of these."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "dimerlab" or node.level and not node.module):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name in MODULES)
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
-    return names
+    return names, attrs
+
+
+def unreferenced(sources, readers) -> list:
+    """(file, line, name) of each function and class of ``sources`` that no
+    reader refers to: one at module level by a name (see ``references``), a
+    method or nested function by a name or any attribute."""
+    names, attrs = set(), set()
+    for p in readers:
+        n, a = references(ast.parse(p.read_text(), str(p)))
+        names |= n
+        attrs |= a
+    return [(p.name, line, name) for p in sources
+            for line, name, top in definitions(ast.parse(p.read_text(), str(p)))
+            if name not in (names if top else names | attrs)]
 
 
 def test_every_definition_is_referenced():
     # a function or class of the package that nothing in the package, the
     # tests or the benchmark refers to is dead code
-    readers = [*SOURCES, *ROOT.glob("perfbench/*.py")]
-    used = set().union(*(references(ast.parse(p.read_text(), str(p))) for p in readers))
-    dead = [(p.name, line, name) for p in PACKAGE
-            for line, name in definitions(ast.parse(p.read_text(), str(p))) if name not in used]
-    assert dead == []
+    assert unreferenced(PACKAGE, [*SOURCES, *ROOT.glob("perfbench/*.py")]) == []
 
 
-def test_the_scan_sees_a_dead_definition():
-    tree = ast.parse("from m import imported\nclass K:\n    def __init__(self): pass\n"
-                     "    def method(self): pass\n    def dead(self): pass\n"
-                     "def called(): pass\ndef unused(): pass\ncalled(); K().method()\n")
-    used = references(tree) | references(ast.parse("import pkg.imported_too"))
-    assert [name for _, name in definitions(tree) if name not in used] == ["dead", "unused"]
-    assert {"imported", "imported_too"} <= used
+def test_every_definition_is_reached_without_the_tests():
+    # the package holds what a command or the benchmark reaches: a function
+    # or class that only the tests (or a re-export in __init__) refer to
+    # belongs in the tests, as an oracle, or nowhere
+    readers = [p for p in PACKAGE if p.name != "__init__.py"]
+    assert unreferenced(PACKAGE, [*readers, *ROOT.glob("perfbench/*.py")]) == []
+
+
+def test_the_scan_sees_a_dead_definition(tmp_path):
+    source = tmp_path / "transfer.py"
+    source.write_text("from m import imported\nclass K:\n    def __init__(self): pass\n"
+                      "    def method(self): pass\n    def dead(self): pass\n"
+                      "def called(): pass\ndef unused(): pass\ndef resolve(msgs): pass\n"
+                      "def sweep(): pass\ncalled(); K().method()\n")
+    # a module-level function is not reached by an attribute of the same
+    # name read off something else, as Path.resolve is; an attribute of an
+    # imported dimerlab module reaches it
+    reader = tmp_path / "reader.py"
+    reader.write_text("import pkg.imported_too\nfrom pathlib import Path\n"
+                      "from dimerlab import transfer\nPath(__file__).resolve()\ntransfer.sweep()\n")
+    dead = [name for _, _, name in unreferenced([source], [source, reader])]
+    assert dead == ["dead", "unused", "resolve"]
+    names, _ = references(ast.parse(source.read_text() + reader.read_text()))
+    assert {"imported", "imported_too", "sweep"} <= names and "resolve" not in names

@@ -19,7 +19,6 @@ from dimerlab.jacobi import (
     JacobiMatrix,
     _logaddexp,
     det_abs,
-    lyapunov_check,
     omega_spectrum,
     resolvent_U,
 )
@@ -139,20 +138,18 @@ def test_resolvent_matches_mean_unpaired_count():
 
 def test_growth_rate_ladder_with_constant_weights():
     # deterministic chain: the free energy rate converges to the growth
-    # rate of the gauge-transformed chain plus the vertex weight
+    # rate (log|det A| - sum nu) / n of the gauge-transformed chain plus the
+    # vertex weight; the reference rate is that of a longer, independent chain
     disorder = DisorderSpec(Law.constant(0.3), Law.constant(0.1))
     ladder = [_chain(n, seed=0, disorder=disorder) for n in (32, 64, 128, 256)]
-    ref = _chain(4096, seed=0, disorder=disorder)
-    rep = lyapunov_check(ladder, reference=ref)
-    gaps = rep.gaps()
+    g_ref, w_ref = _chain(4096, seed=0, disorder=disorder)
+    gamma_ref = (det_abs(JacobiMatrix.from_weights(g_ref, w_ref)) - w_ref.nu.sum()) / g_ref.n
+    gaps = []
+    for g, w in ladder:
+        log_z = det_abs(JacobiMatrix.from_weights(g, w))
+        f_hat, gamma_hat, nu_bar = log_z / g.n, (log_z - w.nu.sum()) / g.n, w.nu.sum() / g.n
+        assert nu_bar == pytest.approx(0.3)
+        assert f_hat == pytest.approx(gamma_hat + nu_bar)
+        gaps.append(abs(f_hat - gamma_ref - nu_bar))
     assert np.all(np.diff(gaps) < 0)
     assert gaps[-1] < 1e-2
-    for entry in rep.entries:
-        assert entry.nu_bar == pytest.approx(0.3)
-        assert entry.f_hat == pytest.approx(entry.gamma_hat + entry.nu_bar)
-
-
-def test_growth_rate_reference_defaults_to_last_entry():
-    ladder = [_chain(n, seed=9, stream=i) for i, n in enumerate((16, 32, 64))]
-    rep = lyapunov_check(ladder)
-    assert rep.gamma_ref == pytest.approx(rep.entries[-1].gamma_hat)

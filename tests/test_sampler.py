@@ -4,24 +4,31 @@ import numpy as np
 import pytest
 
 from dimerlab.graphs import (
+    DOMAIN_GIBBS,
     HGraph,
     RngSeed,
     WeightAssignment,
     build_cylinder,
+    rng_generator,
     sample_weights,
 )
-from dimerlab.sampler import (
-    GibbsSampler,
-    Matching,
-    exact_sample,
-    matching_weight,
-    observables,
-)
-from dimerlab.transfer import (
-    NEG_INF, batch_tables, brute_force_polynomial, instance_tables, partition_polynomial, scalar_log_z,
-)
+from dimerlab.sampler import GibbsSampler, Matching, heights, matching_weight
+from dimerlab.transfer import NEG_INF, batch_tables, instance_tables, partition_polynomial, scalar_log_z
 
-from helpers import STD_NORMAL, disabled_edge_batches, path_matching, random_instance, table_builds
+from helpers import (
+    STD_NORMAL, disabled_edge_batches, layer_counts, path_matching, random_instance, table_builds,
+)
+from oracle import brute_force_polynomial
+
+
+def _draw(sampler, gen, count):
+    """``count`` matchings from ``sampler``, decoded from its layer paths."""
+    return sampler.matchings_from_states(*sampler.draw_states(gen, count))
+
+
+def _exact_sample(g, w, seed, count):
+    """``count`` draws of the Gibbs measure of ``w`` from the Gibbs stream of ``seed``."""
+    return _draw(GibbsSampler(instance_tables(g, w)), rng_generator(seed, DOMAIN_GIBBS), count)
 
 
 def test_matching_rejects_shared_vertices():
@@ -44,20 +51,20 @@ def test_matching_weight_by_hand():
 
 def test_empty_matching_observables():
     g = build_cylinder(8, HGraph.path(2))
-    obs = observables(g, Matching(frozenset()), t_grid=[0.0, 0.5, 1.0],
-                      centering=2.0)
-    assert obs.U == 16
-    assert list(obs.height.theta) == [0.0, 8.0, 16.0]
+    per_layer = layer_counts(g, Matching(frozenset()))
+    theta, theta_hat = heights(per_layer[None], [0.0, 0.5, 1.0], 2.0)
+    assert per_layer.sum() == 16
+    assert list(theta[0]) == [0.0, 8.0, 16.0]
     # theta(t) - n t u vanishes when every vertex is unpaired and u = h
-    assert np.allclose(obs.height.theta_hat, 0.0)
-    assert obs.prefix[3] == 6
+    assert np.allclose(theta_hat[0], 0.0)
+    assert per_layer[:3].sum() == 6
 
 
 def test_draws_are_valid_matchings_and_deterministic():
     rng = np.random.default_rng(17)
     g, w = random_instance(rng, n_lo=5, n_hi=5, fibers=["path2"])
-    draws1 = exact_sample(g, w, RngSeed(99, 0), count=40)
-    draws2 = exact_sample(g, w, RngSeed(99, 0), count=40)
+    draws1 = _exact_sample(g, w, RngSeed(99, 0), count=40)
+    draws2 = _exact_sample(g, w, RngSeed(99, 0), count=40)
     assert [sorted(m.edge_indices) for m in draws1] == [
         sorted(m.edge_indices) for m in draws2
     ]
@@ -69,7 +76,7 @@ def test_draws_are_valid_matchings_and_deterministic():
 def test_draws_avoid_disabled_edges():
     for g, ws in disabled_edge_batches(71):
         for w in ws:
-            draws = GibbsSampler(instance_tables(g, w), x=0.3).draw_matchings(np.random.default_rng(5), 300)
+            draws = _draw(GibbsSampler(instance_tables(g, w), x=0.3), np.random.default_rng(5), 300)
             assert all(np.isfinite(matching_weight(g, w, m)) for m in draws)
 
 
@@ -77,7 +84,7 @@ def test_empirical_monomer_pmf_matches_polynomial():
     rng = np.random.default_rng(19)
     g, w = random_instance(rng, n_lo=4, n_hi=4, fibers=["path2"])
     pmf = partition_polynomial(g, w).pmf()
-    draws = exact_sample(g, w, RngSeed(7, 1), count=20000)
+    draws = _exact_sample(g, w, RngSeed(7, 1), count=20000)
     counts = np.bincount([m.num_unpaired(g) for m in draws],
                          minlength=pmf.size)
     freq = counts / counts.sum()
@@ -92,7 +99,7 @@ def test_tilted_sampler_shifts_the_monomer_count():
     pmf = partition_polynomial(g, w).pmf(x)
     gen = np.random.default_rng(5)
     sampler = GibbsSampler(instance_tables(g, w), x=x)
-    draws = sampler.draw_matchings(gen, 20000)
+    draws = _draw(sampler, gen, 20000)
     mean = np.mean([m.num_unpaired(g) for m in draws])
     expect = pmf @ np.arange(pmf.size)
     var = pmf @ (np.arange(pmf.size) - expect) ** 2
@@ -138,7 +145,7 @@ def test_sampler_weight_distribution_is_gibbs():
     w_minus = WeightAssignment(g, w.nu * (1 - eta), w.omega_h * (1 - eta),
                                w.omega_v * (1 - eta))
     expect_H = (scalar_log_z(g, w_plus) - scalar_log_z(g, w_minus)) / (2 * eta)
-    draws = exact_sample(g, w, RngSeed(3, 2), count=30000)
+    draws = _exact_sample(g, w, RngSeed(3, 2), count=30000)
     values = np.array([matching_weight(g, w, m) for m in draws])
     assert values.mean() == pytest.approx(expect_H, abs=5 * values.std() / np.sqrt(30000))
 

@@ -16,33 +16,30 @@ from dimerlab import transfer
 from dimerlab.experiments import make_fiber
 from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
 from dimerlab.transfer import (
+    NEG_INF,
     CapacityError,
     CountingMask,
     MonomerPolynomial,
     _blocked_log_z,
     _log_blocks,
     _tilted_W,
-    batch_moments,
-    batch_scalar_log_z,
     batch_tables,
-    brute_force_polynomial,
     cut_moments,
-    dyadic_report,
     increment_laws,
     instance_tables,
-    kill_vertex_edges,
     messages,
     partition_polynomial,
-    remainder_R,
-    remainder_upper_bound,
     scalar_log_z,
     section_covariance,
-    vertex_removed_polynomial,
 )
 
 from helpers import (
     STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict,
     sweep_steps, table_builds,
+)
+from oracle import (
+    batch_scalar_log_z, brute_force_polynomial, kill_vertex_edges, remainder_R,
+    remainder_upper_bound, vertex_removed_polynomial,
 )
 
 
@@ -104,7 +101,7 @@ def test_path4_zero_weights_coefficients():
     # dimers, one empty
     g = build_cylinder(4, HGraph.single())
     p = partition_polynomial(g, WeightAssignment.constant(g))
-    expect = MonomerPolynomial.from_coeffs([1, 0, 3, 0, 1], N=4)
+    expect = MonomerPolynomial([0.0, NEG_INF, np.log(3.0), NEG_INF, 0.0], N=4)
     _assert_poly_close(p, expect, tol=1e-12)
     assert p.log_z() == pytest.approx(np.log(5.0), abs=1e-12)
 
@@ -133,7 +130,7 @@ def test_transfer_handles_disabled_edges():
             for w, e in zip(ws, expect):
                 assert scalar_log_z(g, w, x) == pytest.approx(e, abs=1e-10)
             # the moment sweep: log Z and the cumulants of the tilted count
-            lz, mean, var = batch_moments(tables, x)
+            lz, mean, var = cut_moments(tables, 1, x)[:3]
             assert np.allclose(lz, expect, rtol=0.0, atol=1e-10)
             for r, p in enumerate(refs):
                 assert (mean[r], var[r]) == pytest.approx(p.cumulants(x), rel=1e-10)
@@ -183,7 +180,7 @@ def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
         k, x = g.n // 2, 0.3
 
         def results(t):
-            return [*batch_moments(t, x), *cut_moments(t, k, x), max_values(t), batch_scalar_log_z(t, x)]
+            return [*cut_moments(t, k, x), max_values(t), batch_scalar_log_z(t, x)]
 
         batch, W = results(tables), _tilted_W(tables, x)
         for r, w in enumerate(ws):
@@ -455,6 +452,22 @@ def test_remainder_R_matches_restricted_solves():
             assert np.allclose(remainder_R(g, w, x), expect, rtol=0.0, atol=1e-9)
 
 
+def test_remainder_slope_is_the_mean_count_gap():
+    # dR/dx at cut k is the mean monomer count of layers 1..n minus those of
+    # 1..k and k+1..n; a central difference of step h errs by O(h^2)
+    rng = np.random.default_rng(29)
+    g, w = random_instance(rng, n_lo=12, n_hi=12, fibers=["path2"])
+    h = 1e-4
+
+    def mean(lo, hi, x):
+        return partition_polynomial(*restrict(g, w, lo, hi)).cumulants(x)[0]
+
+    for x in (0.0, 0.4):
+        slope = (remainder_R(g, w, x + h) - remainder_R(g, w, x - h)) / (2 * h)
+        expect = [mean(1, g.n, x) - mean(1, k, x) - mean(k + 1, g.n, x) for k in range(1, g.n)]
+        assert np.allclose(slope, expect, rtol=0.0, atol=1e-6)
+
+
 def test_flipped_tables_keep_partition_function_and_ground_state():
     # a cylinder read from layer n down to layer 1 keeps the weight of every
     # matching: the layer-flipped table, a view, gives the same log Z, maximum
@@ -527,11 +540,10 @@ def test_increment_laws_refuse_bad_cuts():
             increment_laws(tables, cuts)
 
 
-def test_remainders_and_dyadic_blocks_build_one_table():
+def test_remainders_build_one_table():
     for g, w in cut_instances(20):
         assert table_builds(lambda: remainder_R(g, w, 0.3)) == 1
         assert table_builds(lambda: gse_remainder(g, w)) == 1
-        assert table_builds(lambda: dyadic_report(g, w, depth=3, x=0.3)) == 1
 
 
 def test_monic_shifts_by_the_all_monomer_coefficient():
@@ -599,62 +611,11 @@ def test_section_covariance_matches_enumeration():
     assert got[0] == pytest.approx(_enumerated_section_cov(g, w, 2), abs=1e-9)
 
 
-def test_dyadic_report_structure_and_bounds():
-    rng = np.random.default_rng(29)
-    g, w = random_instance(rng, n_lo=12, n_hi=12, fibers=["path2"])
-    rep = dyadic_report(g, w, depth=3)
-    nodes = rep.nodes()
-    assert nodes[0].lo == 1 and nodes[0].hi == g.n
-    cut_nodes = [nd for nd in nodes if nd.cut is not None]
-    assert cut_nodes, "expected at least one cut"
-    for nd in cut_nodes:
-        assert -1e-9 <= nd.R <= nd.bound + 1e-9
-    assert rep.max_abs_R == pytest.approx(max(abs(nd.R) for nd in cut_nodes))
-    # dR/dx is the block's mean monomer count minus those of its halves
-    for x in (0.0, 0.4):
-        rep = dyadic_report(g, w, depth=3, x=x)
-
-        def mean(lo, hi):
-            return partition_polynomial(*restrict(g, w, lo, hi)).cumulants(x)[0]
-
-        for nd in rep.nodes():
-            if nd.cut is not None:
-                left, right = nd.children
-                expect = mean(left.lo, right.hi) - mean(left.lo, left.hi) - mean(right.lo, right.hi)
-                assert nd.dRdx == pytest.approx(expect, abs=1e-9)
-        assert rep.max_abs_dRdx == pytest.approx(
-            max(abs(nd.dRdx) for nd in rep.nodes() if nd.cut is not None))
-
-
-def test_dyadic_blocks_equal_their_restricted_solves():
-    # every block of the report, single layers included, is a slice of one
-    # table and bit for bit the moment sweep of its own restricted table
-    for H, n in ((HGraph.complete(4), 7), (HGraph.path(6), 6)):
-        g = build_cylinder(n, H)
-        w = sample_weights(g, STD_NORMAL, RngSeed(97, 0))
-        for x in (0.0, 0.4):
-            def block(lo, hi):
-                lz, mean, _ = batch_moments(instance_tables(*restrict(g, w, lo, hi)), x)
-                return lz[0], mean[0]
-
-            got, ref = [], []
-            for nd in dyadic_report(g, w, depth=4, x=x).nodes():
-                if nd.T is not None:
-                    got.append(nd.T)
-                    ref.append(block(nd.lo, nd.hi)[0] - block(nd.lo, nd.hi - 1)[0])
-                if nd.cut is not None:
-                    left, right = nd.children
-                    (lz, mean), (lz_l, mean_l), (lz_r, mean_r) = (
-                        block(left.lo, right.hi), block(left.lo, left.hi), block(right.lo, right.hi))
-                    got += [nd.R, nd.dRdx]
-                    ref += [lz - lz_l - lz_r, mean - mean_l - mean_r]
-            assert len(got) >= 8 and np.array_equal(got, ref), (H, x)
-
-
 def test_polynomial_payload_round_trip():
     rng = np.random.default_rng(37)
     g, w = random_instance(rng, n_lo=3, n_hi=4)
     p = partition_polynomial(g, w)
-    q = MonomerPolynomial.from_payload(p.to_payload())
+    d = p.to_payload()
+    q = MonomerPolynomial([NEG_INF if v is None else v for v in d["log_coeffs"]], d["N"], d["mask_size"])
     _assert_poly_close(p, q, tol=0.0)
     assert q.N == p.N
