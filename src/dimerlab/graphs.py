@@ -307,11 +307,16 @@ class WeightAssignment:
             g.n, len(g.H.edges)
         )
         # gauge: move every vertex weight to zero, absorbing it into the
-        # weights of incident edges
-        self.gauge_h = self.omega_h - self.nu[:-1, :] - self.nu[1:, :]
+        # weights of incident edges; a disabled (-inf) edge stays disabled,
+        # where a -inf endpoint would make it -inf - (-inf) = NaN
+        live = self.omega_h > -np.inf
+        gh = np.array(self.omega_h, copy=True)
+        np.subtract(gh, self.nu[:-1, :], out=gh, where=live)
+        np.subtract(gh, self.nu[1:, :], out=gh, where=live)
+        self.gauge_h = gh
         gv = np.array(self.omega_v, copy=True)
         for e, (a, b) in enumerate(g.H.edges):
-            gv[:, e] -= self.nu[:, a - 1] + self.nu[:, b - 1]
+            np.subtract(gv[:, e], self.nu[:, a - 1] + self.nu[:, b - 1], out=gv[:, e], where=gv[:, e] > -np.inf)
         self.gauge_v = gv
         self.gauge_offset = float(self.nu.sum())
 

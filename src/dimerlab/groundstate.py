@@ -87,12 +87,13 @@ def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
 
     Dropping the cut dimers of a global optimum and leaving their endpoints
     unpaired costs exactly the gauge weight of each dropped dimer, so the
-    gap never exceeds the positive part summed over the cut.
+    gap never exceeds the positive part summed over the cut.  A disabled
+    (-inf) edge adds nothing; an edge between two -inf vertices has gauge
+    weight +inf, and so has the bound.
     """
     check_cut(k, g.n)
     z = w.gauge_h[k - 1]
-    finite = np.isfinite(z)
-    return float(np.sum(np.clip(z[finite], 0.0, None)))
+    return float(np.sum(np.clip(z[z > NEG_INF], 0.0, None)))
 
 
 @dataclass

@@ -21,7 +21,7 @@ arithmetic as a ``Semiring``:
   state: the log Z of one instance and the forward messages of the
   sampler and of the increment laws;
 * ``MAX`` = (max, +) gives ground-state values (see ``groundstate``);
-* ``_moment_semiring`` carries, next to log Z, the Gibbs mean and variance
+* ``MOMENT`` carries, next to log Z, the Gibbs mean and variance
   of one count, the monomer count: ``times`` adds them, ``plus`` merges
   the terms of a state with their softmax weights in the parallel-variance
   form, so ``cut_moments`` gives exact cumulants, with no finite
@@ -36,11 +36,16 @@ Every route builds its tables with ``batch_tables`` (one instance:
 vertices, so that cap holds for single instances, campaigns and ground states.
 The tables are functions of the weights alone, layer-major with the replica
 axis last, ``B[d, i, F, r]``, ``hsum[k, S, r]`` and ``scores[row, i, r]``,
-and every consumer reads them in place: the tilt collapses reduce over the
-leading d axis, a set of contiguous blocks, and the sweep takes layer i as
-the block ``W[i]``, gathers its transition pairs along the state axis and
-sums each new reserved set's segment with ``reduceat`` along that axis.  A
-single instance is replica 0, ``[..., 0]``.
+and every consumer reads them in place: the tilt collapses write the sets
+whose fiber rows all leave one monomer count directly and reduce the others
+over the leading d axis, and the sweep takes layer i as the block ``W[i]``,
+gathers its transition pairs along the state axis and sums each new
+reserved set's segment along that axis.  A step with many numbers per
+pair (a batch, or the blocks of ``scalar_log_z``) sums the segments in rank
+blocks, one slice op per rank j holding the j-th pair of every set; a
+single instance's sequential sweep and a fiber of more than 3 vertices use
+``reduceat``, with the same bits (see ``Semiring``).  A single instance is
+replica 0, ``[..., 0]``.
 
 A counting mask is a view applied where the d axis collapses:
 ``_tilted_W`` tilts only the counted layers, and the coefficients of layers
@@ -94,7 +99,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -250,6 +255,70 @@ def _fiber_rows(H: HGraph) -> list:
             for F in range(1 << H.h)]
 
 
+# Rank blocks reproduce reduceat's association only while a segment has at
+# most 8 terms: numpy adds a longer one pairwise.  The largest segment, of
+# the empty set, has 2^h terms.
+_RANK_MAX_H = 3
+# the smallest per-pair term block (leading axes x replicas) at which rank
+# blocks measured faster than reduceat
+_RANK_MIN_BLOCK = 64
+
+
+class _ReduceAt:
+    """Terms in pair order, the pairs of S at ``pair_start[S]:pair_start[S + 1]``;
+    ``reducer(ufunc, t)`` reduces each set's segment along axis -2 with
+    ``ufunc.reduceat``, one inner loop per (set, column)."""
+
+    def __init__(self, ht: "_HTables"):
+        self.s, self.f, self.next = ht.pair_s, ht.pair_f, ht.pair_next
+        self.starts = ht.pair_start[:-1]
+
+    def __call__(self, ufunc, t: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(t, self.starts, axis=-2)
+
+
+class _RankBlocks:
+    """Terms in rank-major order: block j holds the j-th pair of every set
+    that has one, the sets by decreasing segment length (popcount order, the
+    identity for h <= 2), so they are a prefix of the sets and each block
+    folds into a prefix of the result with one slice op.
+
+    ``reducer(ufunc, t)`` gives ``_ReduceAt``'s bits: max and logaddexp fold
+    left to right, and add sums the first term and the left-to-right sum of
+    the others, as numpy's reduce loop and its pairwise sum below 8 terms do.
+    """
+
+    def __init__(self, ht: "_HTables"):
+        length = np.diff(ht.pair_start)                  # 2^(h - popcount S) pairs of S
+        rank = np.argsort(-length, kind="stable")
+        counts = [int((length > j).sum()) for j in range(length.max())]   # sets with a j-th pair
+        pairs = np.concatenate([ht.pair_start[rank[:c]] + j for j, c in enumerate(counts)])
+        self.s, self.f, self.next = ht.pair_s[pairs], ht.pair_f[pairs], ht.pair_next[pairs]
+        ends = np.cumsum(counts)
+        # the terms of block j along axis -2, and the prefix of sets it folds into
+        self.blocks = [((..., slice(e - c, e), slice(None)), (..., slice(c), slice(None)))
+                       for e, c in zip(ends, counts)]
+        self.order = None if (rank == np.arange(rank.size)).all() else np.argsort(rank)
+
+    def __call__(self, ufunc, t: np.ndarray) -> np.ndarray:
+        (first, _), *later = self.blocks
+        acc = t[first].copy()
+        if ufunc is np.add and len(later) > 1:
+            (second, prefix), *rest = later
+            tail = t[second].copy()
+            _fold(np.add, tail, t, rest)
+            acc[prefix] += tail
+        else:
+            _fold(ufunc, acc, t, later)
+        return acc if self.order is None else acc[..., self.order, :]
+
+
+def _fold(ufunc, acc: np.ndarray, t: np.ndarray, blocks) -> None:
+    """Fold rank blocks of ``t`` into prefixes of ``acc``, left to right."""
+    for terms, prefix in blocks:
+        ufunc(acc[prefix], t[terms], out=acc[prefix])
+
+
 class _HTables:
     def __init__(self, H: HGraph):
         h = H.h
@@ -283,6 +352,25 @@ class _HTables:
         self.pair_next, self.pair_s = np.nonzero((sets[:, None] & sets) == 0)
         self.pair_f = self.pair_s | self.pair_next
         self.pair_start = np.searchsorted(self.pair_next, np.arange(self.states + 1))
+        self.reduce_at = _ReduceAt(self)
+        self.rank_blocks = _RankBlocks(self) if h <= _RANK_MAX_H else None
+
+        # the sets F whose fiber rows all leave one monomer count d, as
+        # (d, sets) per d, and the others with every count that one of them
+        # reaches: the tilt collapses write the first directly and sum over d
+        # only on the others
+        counts = [np.unique(self.fiber_mono[rows]) for rows in per_F]
+        single = np.array([c[0] if c.size == 1 else -1 for c in counts])
+        self.one_count = [(d, np.flatnonzero(single == d)) for d in range(h + 1) if (single == d).any()]
+        self.mixed = np.flatnonzero(single < 0)
+        self.mixed_counts = np.unique(self.fiber_mono[np.isin(self.row_f, self.mixed)])
+
+    def reducer(self, block: int):
+        """The segment reducer of a sweep step whose reductions carry
+        ``block`` numbers per transition pair (leading axes x replicas)."""
+        if self.rank_blocks is not None and block >= _RANK_MIN_BLOCK:
+            return self.rank_blocks
+        return self.reduce_at
 
 
 @lru_cache(maxsize=64)
@@ -385,49 +473,88 @@ def instance_tables(g: CylinderGraph, w: WeightAssignment) -> dict:
 
 def _tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
     """Collapse the d axis: W[i, F, r] = lse_d(B[d, i, F, r] + x d) on the layers
-    that ``mask`` counts (None: every layer), lse_d B[d, i, F, r] on the others."""
-    B = tables["B"]
-    tilt = x * np.arange(B.shape[0])[:, None, None, None]
-    if mask is not None:
-        tilt = tilt * _resolve_mask(mask, tables["n"])[:, None, None]
-    return _logsumexp(B + tilt, axis=0)
+    that ``mask`` counts (None: every layer), lse_d B[d, i, F, r] on the others.
+
+    A set F whose fiber rows all leave d monomers (``ht.one_count``) has
+    W = B[d, :, F] + x d, written directly; the others sum over the counts
+    they reach (``_collapse``), with the same bits as a sum over every d.
+    """
+    B, ht = tables["B"], tables["ht"]
+    _, n, S, R = B.shape
+    m = None if mask is None else _resolve_mask(mask, n)[:, None, None]
+
+    def tilt(d):
+        return x * d if m is None else x * d * m
+
+    W = np.empty((n, S, R))
+    for d, sets in ht.one_count:
+        # + 0.0 as log(1) adds it in the log-sum-exp: a -0.0 tilt leaves no -0.0
+        W[:, sets] = B[d][:, sets] + (tilt(d) + 0.0)
+    if ht.mixed.size:
+        W[:, ht.mixed] = _collapse(B, ht, tilt, moments=False)
+    return W
 
 
 def _moment_W(tables: dict, x: float) -> np.ndarray:
     """Layer weights of the moment semiring at tilt x, ``W[i, c, F, r]``.
 
     Channel c = 0 holds the tilted weight W, c = 1 and 2 the mean and
-    variance of the layer's monomer count d under the law
-    proportional to exp(B[d, ...] + x d).  The exponentials of the
-    log-sum-exp are the weights of that law, so each is taken once, in
-    place, on contiguous blocks of ``B``.
+    variance of the layer's monomer count d under the law proportional to
+    exp(B[d, ...] + x d).  A set whose fiber rows all leave d monomers has
+    W = B[d] + x d, mean d and variance 0 (mean 0 where B is -inf); the
+    others collapse over the counts they reach (``_collapse``).
     """
-    B = tables["B"]
-    nd, n, F, R = B.shape
-    out = np.empty((n, 3, F, R))
-    log_w, mean, var = out[:, 0], out[:, 1], out[:, 2]
-    e = B + x * np.arange(nd)[:, None, None, None]
-    top = e.max(axis=0, out=log_w)
+    B, ht = tables["B"], tables["ht"]
+    _, n, S, R = B.shape
+    out = np.empty((n, 3, S, R))
+    for d, sets in ht.one_count:
+        w = B[d][:, sets] + (x * d + 0.0)
+        out[:, 0, sets] = w
+        out[:, 1, sets] = np.where(w == NEG_INF, 0.0, float(d))
+        out[:, 2, sets] = 0.0
+    if ht.mixed.size:
+        for c, a in enumerate(_collapse(B, ht, lambda d: x * d, moments=True)):
+            out[:, c, ht.mixed] = a
+    return out
+
+
+def _collapse(B: np.ndarray, ht: _HTables, tilt: Callable, moments: bool):
+    """Over the counts d of ``ht.mixed_counts`` and the sets of ``ht.mixed``,
+    ``[i, set, r]``: the log-sum-exp of e[d] = B[d] + tilt(d), and with
+    ``moments`` the mean and variance of d under the law proportional to
+    exp(e[d]).  The counts ascend, and every sum runs over them left to
+    right, elementwise, whatever the shape of ``B``; a count no fiber row of
+    these sets reaches would add an exact 0 and is left out.
+    """
+    ds = ht.mixed_counts
+    e = np.empty((ds.size, B.shape[1], ht.mixed.size, B.shape[3]))
+    for ed, d in zip(e, ds):
+        np.take(B[d], ht.mixed, axis=1, out=ed)
+        ed += tilt(d)
+    top = e.max(axis=0)
     top[top == NEG_INF] = 0.0
     e -= top
     np.exp(e, out=e)
-    total = e.sum(axis=0)
+    total = e[0].copy()
+    for ed in e[1:]:
+        total += ed
     with np.errstate(divide="ignore"):
-        log_w += np.log(total)
+        log_w = np.log(total) + top
+    if not moments:
+        return log_w
     total[total == 0.0] = 1.0
-    # the sums of d e[d] and e[d] (d - mean)^2 accumulate in the order d = 0, 1, ...
-    mean[:] = e[1]
-    for d in range(2, nd):
-        mean += d * e[d]
+    mean = np.zeros_like(total)
+    for d, ed in zip(ds, e):
+        mean += d * ed
     mean /= total
-    var[:] = 0.0
-    for d in range(nd):
+    var = np.zeros_like(total)
+    for d, ed in zip(ds, e):
         dev = d - mean
         dev *= dev
-        dev *= e[d]
+        dev *= ed
         var += dev
     var /= total
-    return out
+    return log_w, mean, var
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +568,31 @@ def _join(v, cut, w):
 class Semiring(NamedTuple):
     """Arithmetic of a layer sweep.
 
-    ``plus(t, starts)`` sums the terms ``t[..., starts[j]:starts[j + 1], :]``
-    of each new reserved set j over the previous reserved sets (``starts``
-    is ``ht.pair_start[:-1]``); ``times(v, cut, w)`` joins a previous
-    message with the horizontal weight of the cut and the layer weight.
+    ``plus(t, reducer)`` sums the terms ``t[..., p, :]`` of each new
+    reserved set over the previous reserved sets; the pairs p lie along
+    axis -2 in the reducer's order (``reducer.s``, ``reducer.f`` and
+    ``reducer.next``), and ``reducer(ufunc, t)`` reduces their segments.
+    Where each reduction carries at least ``_RANK_MIN_BLOCK`` numbers per
+    pair (leading axes x replicas) and h <= 3, the reducer folds rank blocks
+    with one slice op each; else it is ``reduceat``, whose inner loop runs
+    once per (set, column).  The two give the same bits, so no value
+    depends on the batch.  ``times(v, cut, w)`` joins a previous message
+    with the horizontal weight of the cut and the layer weight.
+    ``channels`` is the length of a leading message axis whose entries
+    ``plus`` reduces apart (the moment semiring's log Z, mean and variance).
     """
 
     plus: Callable
     times: Callable = _join
+    channels: int = 1
 
 
-LOG = Semiring(partial(np.logaddexp.reduceat, axis=-2))
-MAX = Semiring(partial(np.maximum.reduceat, axis=-2))
+def _reducing(ufunc) -> Callable:
+    return lambda t, reducer: reducer(ufunc, t)
+
+
+LOG = Semiring(_reducing(np.logaddexp))
+MAX = Semiring(_reducing(np.maximum))
 
 
 def _degree_semiring(M: int) -> Semiring:
@@ -475,41 +615,40 @@ def _degree_semiring(M: int) -> Semiring:
             out[d : d + k, live] = np.logaddexp(out[d : d + k, live], v[:k, live] + w[d, live])
         return out
 
-    return Semiring(partial(np.logaddexp.reduceat, axis=-2), times)
+    return Semiring(_reducing(np.logaddexp), times)
 
 
-def _moment_semiring(ht: _HTables) -> Semiring:
-    """(log Z, mean, variance) of one count on the leading channel axis, as
-    in ``_moment_W``.
+def _moment_times(v, cut, w):
+    t = v + w
+    t[0] += cut
+    return t
 
-    ``times`` adds the log weights, the means and the variances; the cut
-    weight, which may be -inf, enters the log channel only.  ``plus`` merges
-    the terms of a segment with softmax weights q of their log channel:
-    mean = sum q mean_t and var = sum q (var_t + (mean_t - mean)^2).  A
-    segment of -inf terms keeps log Z = -inf and zero moments.
-    """
 
-    def times(v, cut, w):
-        t = v + w
-        t[0] += cut
-        return t
+def _moment_plus(t, reducer):
+    top = reducer(np.maximum, t[0])
+    top[top == NEG_INF] = 0.0
+    # the softmax weights e and e * mean_t, reduced in one call
+    q = np.empty((2,) + t.shape[1:])
+    e = np.exp(np.subtract(t[0], top[reducer.next], out=q[0]), out=q[0])
+    np.multiply(e, t[1], out=q[1])
+    total, mean = reducer(np.add, q)
+    out = np.empty((3,) + top.shape)
+    with np.errstate(divide="ignore"):
+        np.add(np.log(total), top, out=out[0])
+    total[total == 0.0] = 1.0
+    np.divide(mean, total, out=out[1])
+    dev = t[1] - out[1][reducer.next]
+    np.divide(reducer(np.add, e * (t[2] + dev * dev)), total, out=out[2])
+    return out
 
-    def plus(t, starts):
-        out = np.empty((3, starts.size) + t.shape[2:])
-        log_z, mean, var = out
-        top = np.maximum.reduceat(t[0], starts, axis=0)
-        top[top == NEG_INF] = 0.0
-        e = np.exp(t[0] - top[ht.pair_next])
-        total = np.add.reduceat(e, starts, axis=0)
-        with np.errstate(divide="ignore"):
-            np.add(np.log(total), top, out=log_z)
-        total[total == 0.0] = 1.0
-        np.divide(np.add.reduceat(e * t[1], starts, axis=0), total, out=mean)
-        dev = t[1] - mean[ht.pair_next]
-        np.divide(np.add.reduceat(e * (t[2] + dev * dev), starts, axis=0), total, out=var)
-        return out
 
-    return Semiring(plus, times)
+# (log Z, mean, variance) of one count on the leading channel axis, as in
+# ``_moment_W``.  ``times`` adds the log weights, the means and the
+# variances; the cut weight, which may be -inf, enters the log channel only.
+# ``plus`` merges the terms of a segment with softmax weights q of their log
+# channel: mean = sum q mean_t and var = sum q (var_t + (mean_t - mean)^2).
+# A segment of -inf terms keeps log Z = -inf and zero moments.
+MOMENT = Semiring(_moment_plus, _moment_times, channels=3)
 
 
 def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LOG):
@@ -526,10 +665,10 @@ def sweep(W: np.ndarray, hsum: np.ndarray, ht: _HTables, semiring: Semiring = LO
     """
     v = W[0]
     yield v
-    starts = ht.pair_start[:-1]
     for i in range(1, len(W)):
-        t = semiring.times(v[..., ht.pair_s, :], hsum[i - 1][ht.pair_s], W[i][..., ht.pair_f, :])
-        v = semiring.plus(t, starts)
+        red = ht.reducer(v.size // (v.shape[-2] * semiring.channels))
+        t = semiring.times(v[..., red.s, :], hsum[i - 1][red.s], W[i][..., red.f, :])
+        v = semiring.plus(t, red)
         yield v
 
 
@@ -588,9 +727,9 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     """
     n, ht, hsum = tables["n"], tables["ht"], tables["hsum"]
     check_cut(k, n)
-    W, semiring = _moment_W(tables, x), _moment_semiring(ht)
-    fw = _last(sweep(W[:k], hsum, ht, semiring))
-    bw = _last(sweep(W[k:][::-1], hsum[k:][::-1], ht, semiring))
+    W = _moment_W(tables, x)
+    fw = _last(sweep(W[:k], hsum, ht, MOMENT))
+    bw = _last(sweep(W[k:][::-1], hsum[k:][::-1], ht, MOMENT))
     # mix replica-major: each sum over S then runs along one contiguous row,
     # whose order of additions does not depend on the batch size
     fw, bw, cut = (np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (fw, bw, hsum[k - 1]))

@@ -135,6 +135,43 @@ def vertex_removed_polynomial(g: CylinderGraph, w: WeightAssignment, v: tuple[in
 
 
 # ---------------------------------------------------------------------------
+# the tilt collapses over every monomer count d
+# ---------------------------------------------------------------------------
+
+def full_tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
+    """``_tilted_W`` as a log-sum-exp over every d of every set, each d
+    summed elementwise in order: the reference for its direct columns."""
+    B = tables["B"]
+    tilt = x * np.arange(B.shape[0])[:, None, None, None]
+    if mask is not None:
+        tilt = tilt * _resolve_mask(mask, tables["n"])[:, None, None]
+    e = B + tilt
+    top = e.max(axis=0)
+    top[top == NEG_INF] = 0.0
+    total = sum(np.exp(ed - top) for ed in e)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + top
+
+
+def full_moment_W(tables: dict, x: float) -> np.ndarray:
+    """``_moment_W`` from the law of d over every count of every set."""
+    B = tables["B"]
+    nd, n, S, R = B.shape
+    e = B + x * np.arange(nd)[:, None, None, None]
+    top = e.max(axis=0)
+    top[top == NEG_INF] = 0.0
+    e = np.exp(e - top)
+    total = sum(e[1:], e[0])
+    out = np.empty((n, 3, S, R))
+    with np.errstate(divide="ignore"):
+        out[:, 0] = top + np.log(total)
+    total[total == 0.0] = 1.0
+    out[:, 1] = sum((d * e[d] for d in range(2, nd)), e[1]) / total
+    out[:, 2] = sum((d - out[:, 1]) ** 2 * e[d] for d in range(nd)) / total
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the sequential LOG sweep, remainders
 # ---------------------------------------------------------------------------
 
@@ -152,11 +189,11 @@ def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.nda
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Sum of 1 + |gauge weight| over the edges of cut k (disabled edges add 0)."""
+    """Sum of 1 + |gauge weight| over the edges of cut k (disabled edges add
+    0; an edge between -inf vertices, of gauge weight +inf, adds +inf)."""
     check_cut(k, g.n)
     z = w.gauge_h[k - 1]
-    finite = np.isfinite(z)
-    return float(np.sum(1.0 + np.abs(z[finite])))
+    return float(np.sum(1.0 + np.abs(z[z > NEG_INF])))
 
 
 # ---------------------------------------------------------------------------

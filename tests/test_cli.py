@@ -358,6 +358,19 @@ def test_ground_command(tmp_path, capsys):
     assert len(rows) == 6  # header + one row per interior cut
 
 
+def test_ground_bounds_the_infinite_remainders_of_minus_inf_vertices(tmp_path, capsys):
+    # every vertex must be covered: sections of odd length have no finite
+    # matching, so their cuts have remainder +inf, and the bound is +inf too
+    out = tmp_path / "g"
+    code = main(["ground", "--n", "4", "--h", "1", "--vertex", "constant(-inf)",
+                 "--edge", "constant(0)", "--out", str(out)])
+    assert code == 0
+    with open(out / "remainders.csv") as fh:
+        rows = [(float(r["remainder"]), float(r["bound"])) for r in csv.DictReader(fh)]
+    assert [r for r, _ in rows] == [np.inf, 0.0, np.inf]
+    assert all(r <= b for r, b in rows)
+
+
 def test_ground_one_layer_has_no_cuts(tmp_path, capsys):
     out = tmp_path / "g1"
     code = main(["ground", "--n", "1", "--h", "2", "--vertex", "normal(0,1)",

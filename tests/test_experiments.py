@@ -155,11 +155,15 @@ def test_constant_disorder_rows_are_identical():
     assert lz[0] == lz[1] == pytest.approx(np.log(5.0), abs=1e-10)
 
 
-def test_run_replicas_deterministic_and_chunk_independent():
-    cfg_a = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=5, with_spectrum=True)
-    cfg_b = _small_cfg(disorder=STD_NORMAL, replicas=12, chunk=256, with_spectrum=True)
-    ta, tb = run_replicas(cfg_a), run_replicas(cfg_b)
-    assert {"max_lambda", "u_n", "varQ_n"} <= set(ta.columns)
+@pytest.mark.parametrize("kw, chunks", [
+    (dict(replicas=12, with_spectrum=True), (5, 256)),
+    # a chunk of 70 replicas sweeps in rank blocks, a chunk of 3 by reduceat
+    (dict(fiber="path(3)", n_ladder=(5, 8), replicas=70), (70, 3)),
+], ids=["spectra", "rank-blocks"])
+def test_run_replicas_deterministic_and_chunk_independent(kw, chunks):
+    assert 3 < transfer._RANK_MIN_BLOCK <= 70
+    ta, tb = (run_replicas(_small_cfg(disorder=STD_NORMAL, chunk=c, **kw)) for c in chunks)
+    assert ({"max_lambda", "u_n", "varQ_n"} <= set(ta.columns)) == kw.get("with_spectrum", False)
     for key in ta.columns:
         assert np.array_equal(ta.columns[key], tb.columns[key], equal_nan=True)
 

@@ -128,6 +128,17 @@ def test_gauge_transform_moves_vertex_weights_onto_edges():
     assert np.allclose(gt.gauged().omega_flat(), gt.omega_flat())
 
 
+def test_a_disabled_edge_stays_disabled_under_the_gauge():
+    # a -inf edge between -inf vertices has gauge weight -inf, not
+    # -inf - (-inf) = NaN; a finite edge between them has +inf
+    g = build_cylinder(3, HGraph.path(2))
+    with np.errstate(invalid="raise"):
+        w = WeightAssignment(g, np.full((3, 2), -np.inf), np.full((2, 2), -np.inf), np.zeros((3, 1)))
+    assert np.isneginf(w.gauge_h).all()
+    assert np.isposinf(w.gauge_v).all()
+    assert all(weighted_degree(g, w, v) == np.inf for v in g.vertices())
+
+
 def test_omega_of_lookup():
     g = build_cylinder(3, HGraph.path(2))
     w = sample_weights(g, STD_NORMAL, RngSeed(8, 0))

@@ -91,6 +91,24 @@ def test_ground_remainder_sandwich():
             assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
 
 
+def test_ground_remainder_bound_keeps_infinite_gauge_weights():
+    # a -inf vertex weight makes the gauge weight of its cut edges +inf: the
+    # bound keeps them, so it holds where a section loses its best matching
+    rng = np.random.default_rng(9)
+    infinite = 0
+    for _ in range(40):
+        g, w = random_instance(rng, n_lo=3, n_hi=8, max_vertices=20)
+        nu = w.nu.copy()
+        nu[rng.random(nu.shape) < 0.3] = -np.inf
+        w = WeightAssignment(g, nu, w.omega_h, w.omega_v)
+        if brute_force_max(g, w) == -np.inf:   # no matching covers the -inf vertices
+            continue
+        for k, r in enumerate(gse_remainder(g, w), start=1):
+            assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
+            infinite += r == np.inf
+    assert infinite > 0
+
+
 def test_gse_remainder_matches_restricted_solves():
     # the forward and flipped (max, +) sweeps against re-solving both sides
     for g, w in cut_instances(18):

@@ -22,6 +22,7 @@ from dimerlab.transfer import (
     MonomerPolynomial,
     _blocked_log_z,
     _log_blocks,
+    _moment_W,
     _tilted_W,
     batch_tables,
     cut_moments,
@@ -38,8 +39,8 @@ from helpers import (
     sweep_steps, table_builds,
 )
 from oracle import (
-    batch_scalar_log_z, brute_force_polynomial, kill_vertex_edges, remainder_R,
-    remainder_upper_bound, vertex_removed_polynomial,
+    batch_scalar_log_z, brute_force_polynomial, full_moment_W, full_tilted_W, kill_vertex_edges,
+    remainder_R, remainder_upper_bound, vertex_removed_polynomial,
 )
 
 
@@ -204,6 +205,90 @@ def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
             for got, ref in zip(increment_laws(tables, cuts), batch):
                 assert np.array_equal(got, ref), (H, block)
         monkeypatch.undo()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_rank_blocks_reduce_with_the_bits_of_reduceat():
+    # every ufunc of the semirings, on terms by (previous set, new set) with
+    # -inf entries and a leading axis, laid out in each reducer's order
+    rng = np.random.default_rng(91)
+    for H in (HGraph.single(), HGraph.path(2), HGraph.path(3), HGraph.cycle(3)):
+        ht = transfer._h_tables(H)
+        assert np.diff(ht.pair_start).max() <= 8   # the largest segment
+        terms = rng.normal(size=(2, ht.states, ht.states, 7))
+        terms[terms < -1.2] = NEG_INF
+        for vals in (terms, np.exp(terms)):
+            for ufunc in (np.add, np.maximum, np.logaddexp):
+                got, ref = (red(ufunc, vals[:, red.s, red.next]) for red in (ht.rank_blocks, ht.reduce_at))
+                assert _same_bits(got, ref), (H, ufunc)
+    assert transfer._h_tables(HGraph.path(4)).rank_blocks is None
+
+
+def test_sweeps_give_the_same_bits_under_either_reducer(monkeypatch):
+    # rank blocks (threshold 0) against reduceat (a threshold no batch
+    # reaches) over whole routes, at h = 1, 2, 3 and with disabled edges
+    cases = []
+    for H in (HGraph.single(), HGraph.path(2), HGraph.path(3), HGraph.cycle(3)):
+        g = build_cylinder(7, H)
+        cases.append((g, [sample_weights(g, STD_NORMAL, RngSeed(93, r)) for r in range(5)]))
+    cases += list(disabled_edge_batches(95, n=6))
+    rank_calls = []
+    rank_call = transfer._RankBlocks.__call__
+    monkeypatch.setattr(transfer._RankBlocks, "__call__",
+                        lambda self, *a: rank_calls.append(1) or rank_call(self, *a))
+
+    def routes(g, ws):
+        tables = _batch(g, ws)
+        W = _tilted_W(tables, 0.4)
+        single = instance_tables(g, ws[0])
+        return [*cut_moments(tables, 3, -0.5), max_values(tables),
+                messages(W, tables), messages(W, tables, flipped=True),
+                *increment_laws(tables, [0, 2, 5, g.n]),
+                _blocked_log_z(_tilted_W(single, 0.4), single["hsum"], single["ht"], 3)]
+
+    for g, ws in cases:
+        got = []
+        for block, used in ((0, True), (1 << 62, False)):
+            monkeypatch.setattr(transfer, "_RANK_MIN_BLOCK", block)
+            rank_calls.clear()
+            got.append(routes(g, ws))
+            assert bool(rank_calls) == used
+        for a, b in zip(*got):
+            assert _same_bits(a, b), g.H
+
+
+def _with_dead_vertices(g, w, rng, p=0.3):
+    nu = w.nu.copy()
+    nu[rng.random(nu.shape) < p] = NEG_INF
+    return WeightAssignment(g, nu, w.omega_h, w.omega_v)
+
+
+def test_direct_columns_of_the_tilt_collapses_match_the_full_collapse():
+    # the sets whose fiber rows all leave one monomer count are written
+    # directly and the others summed over the counts they reach: every entry
+    # has the bits of the log-sum-exp over every d, -inf and signed zeros too
+    rng = np.random.default_rng(97)
+    cases = list(disabled_edge_batches(97, n=5))
+    for H in (HGraph.single(), HGraph.path(2), HGraph.cycle(3), HGraph.path(4), HGraph.complete(4)):
+        g = build_cylinder(5, H)
+        ws = [sample_weights(g, STD_NORMAL, RngSeed(97, r)) for r in range(3)]
+        cases.append((g, [*ws, _with_dead_vertices(g, ws[0], rng)]))
+    for g, ws in cases:
+        tables = _batch(g, ws)
+        ht = tables["ht"]
+        assert ht.one_count and (tables["B"] == NEG_INF).any()
+        assert sorted(np.concatenate([ht.mixed, *(sets for _, sets in ht.one_count)])) == list(range(ht.states))
+        mask = CountingMask.layer_range(2, g.n - 1)
+        # and a table of -0.0 weights, which a -0.0 tilt (x < 0, d = 0) keeps
+        for t in (tables, {**tables, "B": np.where(tables["B"] == NEG_INF, NEG_INF, -0.0)}):
+            for x in (0.0, -0.6, 1.3):
+                assert _same_bits(_tilted_W(t, x), full_tilted_W(t, x))
+                assert _same_bits(_tilted_W(t, x, mask), full_tilted_W(t, x, mask))
+                assert _same_bits(_moment_W(t, x), full_moment_W(t, x))
 
 
 def _section_oracle(g, w, k, x):
