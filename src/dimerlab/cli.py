@@ -286,7 +286,7 @@ def _cmd_ground(args) -> int:
     ladder = None
     if args.betas:
         betas = [float(b) for b in args.betas.split(",")]
-        lad = ground_zero_temperature_limit(g, w, betas)
+        lad = ground_zero_temperature_limit(g, w, betas, gs.value)
         for b, v, gap in zip(lad.betas, lad.free_energies, lad.gaps):
             print(f"beta={b:g}: free energy {v:.8f} (gap {gap:.2e})")
         ladder = {

@@ -7,7 +7,8 @@ statistics, ground-state value).  Downstream checks turn the tables into
 law-of-large-numbers, CLT, and Brownian-increment diagnostics.
 
 Replica streams are domain-separated Philox generators, so every table is
-reproducible bit-for-bit from (seed, stream) regardless of chunking.
+reproducible bit-for-bit from (seed, stream), whatever the batches of
+``transfer.replicas_per_batch`` that the campaign and the checks run in.
 
 The front end is two tables: ``CONFIG_KEYS`` (every config key, the
 attribute it sets, how it is parsed and written), which ``parse_config``
@@ -44,12 +45,14 @@ from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
+    NEG_INF,
     MonomerPolynomial,
     batch_tables,
     check_polynomial_caps,
     check_transfer_cap,
     cut_moments,
     increment_laws,
+    replicas_per_batch,
 )
 
 
@@ -93,7 +96,6 @@ class ExperimentConfig:
     with_spectrum: bool = False
     gibbs_samples: int = 0           # per environment, for height campaigns
     height_envs: int = 0
-    chunk: int = 256
     out_dir: str | None = None
     thresholds: Thresholds = field(default_factory=Thresholds)
 
@@ -110,8 +112,6 @@ class ExperimentConfig:
             raise ValueError(f"ladder {','.join(map(str, self.n_ladder))} repeats a length")
         if not 0 < self.cut_fraction < 1:
             raise ValueError("cut_fraction must be in (0, 1)")
-        if self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1 replica per batch, got {self.chunk}")
         if not self.x_grid:
             raise ValueError("empty x_grid: the functionals check compares the zeros"
                              " with the exact cumulants at each tilt in it")
@@ -120,10 +120,12 @@ class ExperimentConfig:
             if not all(map(math.isfinite, grid)):
                 raise ValueError(f"{key} entries must be finite, got {','.join(map(str, grid))}")
         # capacity refusals follow from the config alone, so none waits for a draw
-        h = make_fiber(self.fiber).h
-        check_transfer_cap(h)
+        H = make_fiber(self.fiber)
+        check_transfer_cap(H.h)
         if self.with_spectrum:
-            check_polynomial_caps(max(self.n_ladder), h)
+            check_polynomial_caps(max(self.n_ladder), H.h)
+        top = max(self.n_ladder)
+        replicas_per_batch(H, top, top if self.with_spectrum else 0)
 
     def fiber_graph(self) -> HGraph:
         return make_fiber(self.fiber)
@@ -159,6 +161,11 @@ def _retired_mode(text: str) -> None:
         raise ValueError(f"must be scalar or polynomial, got unknown mode {text!r}")
 
 
+def _retired_chunk(text: str) -> None:
+    if (value := _INT(text)) < 1:
+        raise ValueError(f"must be >= 1 replica per batch, got {value}")
+
+
 _INT = _cast("an integer", int)
 _BOOL = _cast("a boolean", lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()])
 _INTS = _cast("a comma list of integers", lambda t: tuple(int(v) for v in t.split(",") if v.strip()))
@@ -166,9 +173,9 @@ _GRID = _cast("a comma list of numbers", lambda t: tuple(float(v) for v in t.spl
 _THRESHOLD = _cast("a finite number", float, math.isfinite)
 
 # Every key of the config file, in the order write_config writes them.
-# Retired keys (the campaign mode, the section switch and [checks]
-# thresholds that no check reads) are still read and checked, so that
-# configs and resolved.cfg files written before their removal re-run.
+# Retired keys (the campaign mode, the section switch, the batch size and
+# [checks] thresholds that no check reads) are still read and checked, so
+# that configs and resolved.cfg files written before their removal re-run.
 CONFIG_KEYS = {
     ("graph", "fiber"): ConfigKey("fiber", str, str),
     ("disorder", "vertex"): ConfigKey("disorder.vertex_law", _law, str),
@@ -181,12 +188,12 @@ CONFIG_KEYS = {
     ("ladder", "with_spectrum"): ConfigKey("with_spectrum", _BOOL, lambda v: str(v).lower()),
     ("ladder", "gibbs_samples"): ConfigKey("gibbs_samples", _INT, str),
     ("ladder", "height_envs"): ConfigKey("height_envs", _INT, str),
-    ("ladder", "chunk"): ConfigKey("chunk", _INT, str),
     ("ladder", "x_grid"): ConfigKey("x_grid", _GRID, lambda xs: ",".join(map(repr, xs))),
     ("ladder", "t_grid"): ConfigKey("t_grid", _GRID, lambda ts: ",".join(map(repr, ts))),
     ("ladder", "out_dir"): ConfigKey("out_dir", str, str),
     ("ladder", "mode"): ConfigKey(None, _retired_mode),
     ("ladder", "with_sections"): ConfigKey(None, _BOOL),
+    ("ladder", "chunk"): ConfigKey(None, _retired_chunk),
     **{("checks", f.name): ConfigKey(f"thresholds.{f.name}", _THRESHOLD, repr)
        for f in fields(Thresholds)},
     **{("checks", key): ConfigKey(None, _THRESHOLD) for key in (
@@ -283,14 +290,19 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
                  for name, arrs in zip(("nu", "omega_h", "omega_v"), zip(*draws)))
 
 
+def _batches(g: CylinderGraph, count: int, degree_layers: int, draws: int = 0) -> list[range]:
+    """Streams 0..count-1 in batches of ``replicas_per_batch``."""
+    size = replicas_per_batch(g.H, g.n, degree_layers, draws)
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     """Sweep the ladder, recording one row per (length, replica stream)."""
     H, chunks = cfg.fiber_graph(), []
     for n in cfg.n_ladder:
         g = build_cylinder(n, H)
         k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
-        for lo in range(0, cfg.replicas, cfg.chunk):
-            streams = range(lo, min(lo + cfg.chunk, cfg.replicas))
+        for streams in _batches(g, cfg.replicas, n if cfg.with_spectrum else 0):
             chunks.append(_replica_chunk(g, cfg, streams, k_cut))
     return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]})
 
@@ -309,14 +321,19 @@ def _spectra(g: CylinderGraph, tables: dict):
 
 
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
-    """Rows of one chunk from one table: log Z, the cumulants and the
+    """Rows of one batch from one table: log Z, the cumulants and the
     sections from the two sweeps of ``cut_moments`` that meet at the cut;
     M from the (max, +) sweep over the same table; with spectra the zeros
-    of every replica's polynomial from one degree sweep over it."""
+    of every replica's polynomial from one degree sweep over it.  An empty
+    Gibbs measure (log Z = -inf) is refused."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size
     tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
     lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
+    empty = streams[lz == NEG_INF]
+    if empty.size:
+        raise ValueError(f"stream {empty[0]} at n={g.n} has no matching of finite weight"
+                         f" ({empty.size} of the {R} replicas of its batch): empty Gibbs measure")
     rows = {
         "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
@@ -535,6 +552,7 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
         raise ValueError(f"height increments need a t grid in [0, 1] whose cuts floor(n*t)"
                          f" strictly increase at n={n}; t_grid {','.join(f'{v:g}' for v in t)}"
                          f" gives {','.join(map(str, cuts))}")
+    replicas_per_batch(cfg.fiber_graph(), n, int(np.diff(cuts).max()), cfg.gibbs_samples)
 
 
 def functional_consistency_check(
@@ -550,15 +568,15 @@ def functional_consistency_check(
     xs = np.asarray(cfg.x_grid, dtype=float)
     gaps = []
     failures = 0
-    tables = batch_tables(g, *_draw_weight_batch(g, cfg, range(environments)))
-    for p, sp in _spectra(g, tables):
-        if sp is None:
-            failures += 1
-            continue
-        for x in xs:
-            u, vq = density_functionals(sp, float(x), g.n)
-            mean, var = p.cumulants(float(x), 2)
-            gaps.append((abs(u - mean / g.n), abs(vq - var / g.n)))
+    for envs in _batches(g, environments, g.n):
+        for p, sp in _spectra(g, batch_tables(g, *_draw_weight_batch(g, cfg, envs))):
+            if sp is None:
+                failures += 1
+                continue
+            for x in xs:
+                u, vq = density_functionals(sp, float(x), g.n)
+                mean, var = p.cumulants(float(x), 2)
+                gaps.append((abs(u - mean / g.n), abs(vq - var / g.n)))
     # np.max keeps a NaN gap, which then fails ok; max(0.0, nan) would drop it
     max_u, max_vq = (float(v) for v in np.max(np.reshape(gaps, (-1, 2)), axis=0, initial=0.0))
     ok = failures == 0 and max_u <= tol and max_vq <= tol
@@ -613,9 +631,9 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     Draws Gibbs samples across independent environments at the top ladder
     length, forms scaled height increments on the t-grid, and reports
     variance ratios against sigma^2 * dt, pairwise correlations, and
-    per-increment normality.  One table holds every environment: each
-    sampler reads its replica, and ``increment_laws`` gives every exact
-    increment law, whose mean over the environments is the law of the
+    per-increment normality.  The environments come in batches, one table
+    each: each sampler reads its replica, and ``increment_laws`` gives every
+    exact increment law, whose mean over the environments is the law of the
     pooled draws.
     """
     from scipy import stats
@@ -624,15 +642,20 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)
-    tables = batch_tables(g, *_draw_weight_batch(g, cfg, range(cfg.height_envs)))
-    raw, paths = [], []
-    for env in range(cfg.height_envs):
-        sampler = GibbsSampler(tables, env)
-        gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
-        theta, scaled = heights(
-            sampler.monomer_profiles(*sampler.draw_states(gen, cfg.gibbs_samples)), t, u_hat)
-        raw.append(np.diff(theta, axis=1))
-        paths.append(scaled)
+    cuts = np.floor(n * t).astype(int)
+    raw, paths, laws = [], [], []
+    for envs in _batches(g, cfg.height_envs, int(np.diff(cuts).max()), cfg.gibbs_samples):
+        tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
+        for r, env in enumerate(envs):
+            sampler = GibbsSampler(tables, r)
+            gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
+            theta, scaled = heights(
+                sampler.monomer_profiles(*sampler.draw_states(gen, cfg.gibbs_samples)), t, u_hat)
+            raw.append(np.diff(theta, axis=1))
+            paths.append(scaled)
+            del sampler   # one at a time, as the batch model counts
+        laws.append(increment_laws(tables, cuts))
+        del tables   # before the next batch's
     raw_inc = np.concatenate(raw, axis=0)
     theta_hat = np.concatenate(paths, axis=0)
     inc = np.diff(theta_hat, axis=1)
@@ -646,7 +669,7 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         z = (inc[:, j] - inc[:, j].mean()) / inc[:, j].std(ddof=1)
         ks[j] = stats.kstest(z, "norm").statistic
     floors, exact = np.empty((2, inc.shape[1]))
-    for j, lc in enumerate(increment_laws(tables, np.floor(n * t).astype(int))):
+    for j, lc in enumerate(np.concatenate(batch, axis=-1) for batch in zip(*laws)):
         p = np.exp(lc - lc.max(axis=0))
         pmf = (p / p.sum(axis=0)).mean(axis=1)
         floors[j] = _lattice_normal_distance(pmf)

@@ -105,9 +105,10 @@ class ZeroTemperatureLadder:
 
 
 def ground_zero_temperature_limit(
-    g: CylinderGraph, w: WeightAssignment, betas
+    g: CylinderGraph, w: WeightAssignment, betas, ground_value: float
 ) -> ZeroTemperatureLadder:
-    """Track beta^{-1} log Z at inverse temperature beta down to the maximum.
+    """Track beta^{-1} log Z at inverse temperature beta down to the maximum
+    ``ground_value`` of H over matchings (``max_weight(g, w).value``).
 
     Scaling every weight by beta and reheating by beta^{-1} interpolates
     between free energy (beta=1) and the ground-state value (beta=inf);
@@ -119,10 +120,9 @@ def ground_zero_temperature_limit(
         raise ValueError(f"beta values must be finite, got {', '.join(map(str, bad))}")
     if (betas <= 0).any():
         raise ValueError("beta values must be positive")
-    M = max_weight(g, w).value
     vals = []
     for b in betas:
         scaled = WeightAssignment(g, b * w.nu, b * w.omega_h, b * w.omega_v)
         vals.append(scalar_log_z(g, scaled) / b)
     vals = np.array(vals)
-    return ZeroTemperatureLadder(betas, vals, vals - M, ground_value=M)
+    return ZeroTemperatureLadder(betas, vals, vals - ground_value, ground_value=ground_value)

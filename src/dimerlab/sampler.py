@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
-from .transfer import NEG_INF, _tilted_W, backward_terms, backward_weights, messages
+from .transfer import NEG_INF, _moment_W, backward_terms, backward_weights, messages
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class GibbsSampler:
         # replica r as a contiguous batch of one, so every number below is
         # the one that the replica's own instance_tables give
         one = {**tables, **{k: tables[k][..., [r]] for k in ("B", "hsum", "scores")}}
-        W = _tilted_W(one, x)
+        W = _moment_W(one, x)[:, 0]
         msgs = messages(W, one)[..., 0]
         self.log_z = float(msgs[-1, 0])
         if self.log_z == NEG_INF:

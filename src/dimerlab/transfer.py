@@ -36,11 +36,11 @@ Every route builds its tables with ``batch_tables`` (one instance:
 vertices, so that cap holds for single instances, campaigns and ground states.
 The tables are functions of the weights alone, layer-major with the replica
 axis last, ``B[d, i, F, r]``, ``hsum[k, S, r]`` and ``scores[row, i, r]``,
-and every consumer reads them in place: the tilt collapses write the sets
-whose fiber rows all leave one monomer count directly and reduce the others
-over the leading d axis, and the sweep takes layer i as the block ``W[i]``,
-gathers its transition pairs along the state axis and sums each new
-reserved set's segment along that axis.  A step with many numbers per
+and every consumer reads them in place: the tilt collapse (``_moment_W``)
+writes the sets whose fiber rows all leave one monomer count directly and
+reduces the others over the leading d axis, and the sweep takes layer i as
+the block ``W[i]``, gathers its transition pairs along the state axis and
+sums each new reserved set's segment along that axis.  A step with many numbers per
 pair (a batch, or the blocks of ``scalar_log_z``) sums the segments in rank
 blocks, one slice op per rank j holding the j-th pair of every set; a
 single instance's sequential sweep and a fiber of more than 3 vertices use
@@ -48,7 +48,7 @@ single instance's sequential sweep and a fiber of more than 3 vertices use
 replica 0, ``[..., 0]``.
 
 A counting mask is a view applied where the d axis collapses:
-``_tilted_W`` tilts only the counted layers, and the coefficients of layers
+``_moment_W`` tilts only the counted layers, and the coefficients of layers
 k..l are the increment k-1..l of ``increment_laws`` below.
 
 The recursion runs backward in two stages over the same pairs and rows.
@@ -84,9 +84,12 @@ cover n layers in all.  It is the only route to coefficients: a whole
 cylinder is the increment 0..n, which needs neither pass.
 
 Batched routes sweep layer by layer, so a campaign row does not depend on
-its chunk.  The log Z of a single instance, ``scalar_log_z``, is a blocked
-LOG sweep instead (the scan of Blelloch, 1990, in the temporal form of
-Sarkka & Garcia-Fernandez, IEEE TAC 2021): about sqrt(n) blocks of about
+its batch, whose size ``replicas_per_batch`` reads off a model of the bytes
+a batch holds (``batch_bytes``) and one budget, ``BATCH_BYTES``.
+
+The log Z of a single instance, ``scalar_log_z``, is a blocked LOG sweep
+rather than a layer-by-layer one (the scan of Blelloch, 1990, in the
+temporal form of Sarkka & Garcia-Fernandez, IEEE TAC 2021): about sqrt(n) blocks of about
 sqrt(n) layers run as the columns of one sweep, which gives every block's
 matrix between the reserved sets at its two ends, and the matrices are
 combined from the empty set.  It agrees with the sequential sweep to a
@@ -384,30 +387,15 @@ def _h_tables(H: HGraph) -> _HTables:
 
 def _indicator_sum(sel: np.ndarray, arr) -> np.ndarray:
     """sum_j sel[m, j] arr[r, i, j] for a 0/1 selector and a batch of
-    weights, laid out [m, i, r].
-
-    A row of at most two terms has one rounding whatever the order, so one
-    matrix product gives those rows.  Longer rows take an einsum over the
-    contiguous last axis of ``arr``, numpy's order whatever the layout of
-    the result.  -inf entries (disabled weights) are zeroed out of the
-    sums, where 0 * -inf would be NaN, and re-imposed on every sum they
-    enter.
-    """
-    arr = np.asarray(arr, dtype=float)
-    R, n, J = arr.shape
-    arr_t = arr.transpose(2, 1, 0).reshape(J, n * R)
-    dead = arr_t == NEG_INF
-    any_dead = dead.any()
-    if any_dead:
-        arr, arr_t = np.where(arr == NEG_INF, 0.0, arr), np.where(dead, 0.0, arr_t)
-    out = (sel @ arr_t).reshape(len(sel), n, R)
-    long = np.flatnonzero(sel.sum(axis=1) > 2)
-    if long.size:
-        part = np.empty((long.size, n, R))
-        np.einsum("mj,rij->rmi", sel[long], arr, out=part.transpose(2, 0, 1))
-        out[long] = part
-    if any_dead:
-        out[(sel @ dead).reshape(out.shape) > 0.5] = NEG_INF
+    weights, laid out [m, i, r]: column j of ``arr`` is added to the rows m
+    that select it, in the order of j, so no sum depends on the batch.  The
+    weights hold no NaN or +inf, so a -inf (disabled) weight makes every sum
+    it enters -inf."""
+    cols = np.asarray(arr, dtype=float).transpose(2, 1, 0).copy()   # [j, i, r]
+    out = np.zeros((len(sel),) + cols.shape[1:])
+    for j, col in enumerate(cols):
+        for m in np.flatnonzero(sel[:, j]):
+            out[m] += col
     return out
 
 
@@ -427,6 +415,49 @@ def check_transfer_cap(h: int) -> None:
     """Refuse a fiber of h vertices too large for the transfer tables."""
     if h > SCALAR_MAX_H:
         raise CapacityError(f"transfer supports fiber size h <= {SCALAR_MAX_H}, got h={h}")
+
+
+# the bytes that one batch of replicas may hold at its peak
+BATCH_BYTES = 1 << 30
+
+
+def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 0) -> int:
+    """The bytes of float64 arrays that a batch of R replicas of an n-layer
+    cylinder over H holds at its peak: per replica its tables and, with
+    degree sweeps of ``degree_layers`` layers, its coefficients twice; and
+    the largest stage of either the moment weights and their collapse or
+    the LOG messages of ``increment_laws``, with a sweep step's terms, per
+    replica; or one block of a degree sweep and a spectrum's companion
+    matrix; or one ``GibbsSampler`` and its ``draws`` per layer."""
+    ht = _h_tables(H)
+    S, rows, pairs = ht.states, int(ht.fiber_start[-1]), ht.pair_s.size
+    tables = (ht.h + 2) * S + rows
+    held = n * tables
+    stage = n * (6 * S + (ht.mixed_counts.size + 10) * ht.mixed.size) + 16 * pairs
+    once = 0
+    if degree_layers:
+        held += 2 * (ht.h * n + 1)
+        D = ht.h * degree_layers + 1
+        block = max(1, _POLY_BLOCK // (D * pairs))   # replicas, as in increment_laws
+        once = block * (8 * D * pairs + 6 * S * n) + 2 * (D // 2) ** 2
+    if draws:
+        once = max(once, n * (tables + 6 * S + pairs + rows) + 6 * draws * n)
+    return 8 * (R * held + max(R * stage, once))
+
+
+def replicas_per_batch(H: HGraph, n: int, degree_layers: int = 0, draws: int = 0) -> int:
+    """The most replicas of an n-layer cylinder over H whose ``batch_bytes``
+    stay within ``BATCH_BYTES``; a single replica past it is refused,
+    naming h, n and the bytes."""
+    lo, hi = 0, BATCH_BYTES // 8 + 1   # a replica holds more than 8 bytes
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if batch_bytes(H, n, mid, degree_layers, draws) <= BATCH_BYTES else (lo, mid)
+    if lo == 0:
+        raise CapacityError(f"one replica of fiber size h={H.h} at n={n} layers needs"
+                            f" {batch_bytes(H, n, 1, degree_layers, draws):,} bytes, over the"
+                            f" batch budget of {BATCH_BYTES:,}")
+    return lo
 
 
 def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
@@ -471,13 +502,17 @@ def instance_tables(g: CylinderGraph, w: WeightAssignment) -> dict:
     return batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None])
 
 
-def _tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
-    """Collapse the d axis: W[i, F, r] = lse_d(B[d, i, F, r] + x d) on the layers
-    that ``mask`` counts (None: every layer), lse_d B[d, i, F, r] on the others.
+def _moment_W(tables: dict, x: float, mask=None) -> np.ndarray:
+    """Layer weights at tilt x, ``W[i, c, F, r]``, on the layers that
+    ``mask`` counts (None: every layer).
 
-    A set F whose fiber rows all leave d monomers (``ht.one_count``) has
-    W = B[d, :, F] + x d, written directly; the others sum over the counts
-    they reach (``_collapse``), with the same bits as a sum over every d.
+    Channel 0, the weight of the LOG sweeps, is lse_d(B[d, i, F, r] + x d)
+    on a counted layer and lse_d B[d, i, F, r] on the others; channels 1 and
+    2 are the mean and variance of d under the law proportional to the exp
+    of those terms.  A set whose fiber rows all leave d monomers (``ht.one_count``)
+    has W = B[d] + x d, mean d and variance 0 (mean 0 where B is -inf),
+    written directly; the others collapse over the counts they reach
+    (``_collapse``), with the same bits as a sum over every d.
     """
     B, ht = tables["B"], tables["ht"]
     _, n, S, R = B.shape
@@ -486,45 +521,26 @@ def _tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
     def tilt(d):
         return x * d if m is None else x * d * m
 
-    W = np.empty((n, S, R))
-    for d, sets in ht.one_count:
-        # + 0.0 as log(1) adds it in the log-sum-exp: a -0.0 tilt leaves no -0.0
-        W[:, sets] = B[d][:, sets] + (tilt(d) + 0.0)
-    if ht.mixed.size:
-        W[:, ht.mixed] = _collapse(B, ht, tilt, moments=False)
-    return W
-
-
-def _moment_W(tables: dict, x: float) -> np.ndarray:
-    """Layer weights of the moment semiring at tilt x, ``W[i, c, F, r]``.
-
-    Channel c = 0 holds the tilted weight W, c = 1 and 2 the mean and
-    variance of the layer's monomer count d under the law proportional to
-    exp(B[d, ...] + x d).  A set whose fiber rows all leave d monomers has
-    W = B[d] + x d, mean d and variance 0 (mean 0 where B is -inf); the
-    others collapse over the counts they reach (``_collapse``).
-    """
-    B, ht = tables["B"], tables["ht"]
-    _, n, S, R = B.shape
     out = np.empty((n, 3, S, R))
     for d, sets in ht.one_count:
-        w = B[d][:, sets] + (x * d + 0.0)
+        # + 0.0 as log(1) adds it in the log-sum-exp: a -0.0 tilt leaves no -0.0
+        w = B[d][:, sets] + (tilt(d) + 0.0)
         out[:, 0, sets] = w
         out[:, 1, sets] = np.where(w == NEG_INF, 0.0, float(d))
         out[:, 2, sets] = 0.0
     if ht.mixed.size:
-        for c, a in enumerate(_collapse(B, ht, lambda d: x * d, moments=True)):
+        for c, a in enumerate(_collapse(B, ht, tilt)):
             out[:, c, ht.mixed] = a
     return out
 
 
-def _collapse(B: np.ndarray, ht: _HTables, tilt: Callable, moments: bool):
+def _collapse(B: np.ndarray, ht: _HTables, tilt: Callable):
     """Over the counts d of ``ht.mixed_counts`` and the sets of ``ht.mixed``,
-    ``[i, set, r]``: the log-sum-exp of e[d] = B[d] + tilt(d), and with
-    ``moments`` the mean and variance of d under the law proportional to
-    exp(e[d]).  The counts ascend, and every sum runs over them left to
-    right, elementwise, whatever the shape of ``B``; a count no fiber row of
-    these sets reaches would add an exact 0 and is left out.
+    ``[i, set, r]``: the log-sum-exp of e[d] = B[d] + tilt(d), and the mean
+    and variance of d under the law proportional to exp(e[d]).  The counts
+    ascend, and every sum runs over them left to right, elementwise,
+    whatever the shape of ``B``; a count no fiber row of these sets reaches
+    would add an exact 0 and is left out.
     """
     ds = ht.mixed_counts
     e = np.empty((ds.size, B.shape[1], ht.mixed.size, B.shape[3]))
@@ -540,8 +556,6 @@ def _collapse(B: np.ndarray, ht: _HTables, tilt: Callable, moments: bool):
         total += ed
     with np.errstate(divide="ignore"):
         log_w = np.log(total) + top
-    if not moments:
-        return log_w
     total[total == 0.0] = 1.0
     mean = np.zeros_like(total)
     for d, ed in zip(ds, e):
@@ -786,7 +800,7 @@ def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
         block = {**tables, "B": tables["B"][..., r : r + step], "hsum": tables["hsum"][..., r : r + step]}
         hsum, B = block["hsum"], block["B"].swapaxes(0, 1)   # B[i, d, F, r]
         if any(0 < c < n for c in cuts):
-            W = _tilted_W(block, 0.0)
+            W = _moment_W(block, 0.0)[:, 0]
             fw, bw = (messages(W, block, LOG, flipped) for flipped in (False, True))
         for (a, b), laws in zip(pairs, out):
             layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
@@ -862,7 +876,7 @@ def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=Non
     """log Z at a fixed tilt without materializing coefficients, by the
     blocked LOG sweep (see the module docstring)."""
     tables = instance_tables(g, w)
-    return _blocked_log_z(_tilted_W(tables, x, mask), tables["hsum"], tables["ht"],
+    return _blocked_log_z(_moment_W(tables, x, mask)[:, 0], tables["hsum"], tables["ht"],
                           _log_blocks(g.n, g.h))
 
 
@@ -876,9 +890,14 @@ def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.
     ``W`` weighs the layers of ``tables`` in ``semiring``, whose message at
     the empty reserved set after layer k is the value V of layers 1..k; the
     same sweep over the layer-flipped table gives the values of the
-    suffixes, so one forward and one flipped sweep serve every cut.
+    suffixes, so one forward and one flipped sweep serve every cut.  A
+    replica of value V = -inf (an empty measure) is refused.
     """
     pre, suf = (messages(W, tables, semiring, flipped)[:, 0] for flipped in (False, True))
+    empty = np.flatnonzero(pre[-1] == NEG_INF)
+    if empty.size:
+        raise ValueError(f"replica {empty[0]} has no matching of finite weight ({empty.size}"
+                         f" of {pre.shape[-1]}): empty Gibbs measure")
     return pre[-1] - pre[:-1] - suf[-2::-1]
 
 

@@ -101,6 +101,16 @@ def count_calls(monkeypatch, module, names) -> dict:
     return calls
 
 
+def batch_budget(monkeypatch, replicas: int, H, n: int, *model) -> None:
+    """Set the batch budget to the modelled bytes of ``replicas`` replicas
+    of n layers over H (``model``: the degree layers and Gibbs draws of
+    ``transfer.batch_bytes``): a batch at that length holds exactly that
+    many."""
+    from dimerlab import transfer
+
+    monkeypatch.setattr(transfer, "BATCH_BYTES", transfer.batch_bytes(H, n, replicas, *model))
+
+
 def table_builds(call) -> int:
     """How many transfer tables ``call()`` builds: its ``batch_tables`` calls
     through every dimerlab module binding."""

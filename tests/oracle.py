@@ -11,7 +11,7 @@ import numpy as np
 
 from dimerlab.graphs import CylinderGraph, WeightAssignment
 from dimerlab.transfer import (
-    NEG_INF, CapacityError, MonomerPolynomial, _last, _resolve_mask, _tilted_W, check_cut,
+    NEG_INF, CapacityError, MonomerPolynomial, _last, _moment_W, _resolve_mask, check_cut,
     cut_remainders, instance_tables, partition_polynomial, sweep,
 )
 
@@ -138,26 +138,15 @@ def vertex_removed_polynomial(g: CylinderGraph, w: WeightAssignment, v: tuple[in
 # the tilt collapses over every monomer count d
 # ---------------------------------------------------------------------------
 
-def full_tilted_W(tables: dict, x: float, mask=None) -> np.ndarray:
-    """``_tilted_W`` as a log-sum-exp over every d of every set, each d
+def full_moment_W(tables: dict, x: float, mask=None) -> np.ndarray:
+    """``_moment_W`` from the law of d over every count of every set, each d
     summed elementwise in order: the reference for its direct columns."""
     B = tables["B"]
-    tilt = x * np.arange(B.shape[0])[:, None, None, None]
-    if mask is not None:
-        tilt = tilt * _resolve_mask(mask, tables["n"])[:, None, None]
-    e = B + tilt
-    top = e.max(axis=0)
-    top[top == NEG_INF] = 0.0
-    total = sum(np.exp(ed - top) for ed in e)
-    with np.errstate(divide="ignore"):
-        return np.log(total) + top
-
-
-def full_moment_W(tables: dict, x: float) -> np.ndarray:
-    """``_moment_W`` from the law of d over every count of every set."""
-    B = tables["B"]
     nd, n, S, R = B.shape
-    e = B + x * np.arange(nd)[:, None, None, None]
+    tilt = x * np.arange(nd)[:, None, None, None]
+    if mask is not None:
+        tilt = tilt * _resolve_mask(mask, n)[:, None, None]
+    e = B + tilt
     top = e.max(axis=0)
     top[top == NEG_INF] = 0.0
     e = np.exp(e - top)
@@ -178,14 +167,14 @@ def full_moment_W(tables: dict, x: float) -> np.ndarray:
 def batch_scalar_log_z(tables: dict, x: float = 0.0, mask=None) -> np.ndarray:
     """log Z per replica at tilt x of the monomers that ``mask`` counts, from
     one sequential LOG sweep: the reference for the blocked ``scalar_log_z``."""
-    return _last(sweep(_tilted_W(tables, x, mask), tables["hsum"], tables["ht"]))[0]
+    return _last(sweep(_moment_W(tables, x, mask)[:, 0], tables["hsum"], tables["ht"]))[0]
 
 
 def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.ndarray:
     """Superadditivity gaps log Z - log Z_[1:k] - log Z_[k+1:n] at tilt x,
     for every cut k = 1..n-1 (entry k-1)."""
     tables = instance_tables(g, w)
-    return cut_remainders(_tilted_W(tables, x), tables)[:, 0]
+    return cut_remainders(_moment_W(tables, x)[:, 0], tables)[:, 0]
 
 
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

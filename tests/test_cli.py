@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
      "strictly increase at n=40; t_grid 0,0.01,1 gives 0,0,40"),
     ("height_envs = 2\ngibbs_samples = 10\nt_grid = 0, 0.01, 1\n", "brownian",
      "strictly increase at n=40"),
-    # a chunk of no replicas
+    # a batch of no replicas, in the retired chunk key
     ("chunk = 0\n", "", "chunk must be >= 1 replica per batch, got 0"),
     ("chunk = -4\n", "", "chunk must be >= 1 replica per batch, got -4"),
     # a functionals check over an empty tilt grid, which would compare nothing
@@ -108,6 +109,11 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     # a fiber past the transfer tables' cap, a spectra rung or fiber past the
     # polynomials' caps, and a tilt or height grid that is not finite
     ("fiber = path(13)\n", "", "transfer supports fiber size h <= 12, got h=13"),
+    # a rung of which one replica exceeds the batch budget
+    ("fiber = path(12)\nn = 20, 1024\n", "", "one replica of fiber size h=12 at n=1024 layers needs"),
+    # a Brownian check whose Gibbs draws of one environment exceed it
+    ("height_envs = 2\ngibbs_samples = 3000000\n", "brownian",
+     "one replica of fiber size h=2 at n=40 layers needs"),
     ("n = 20, 2000\nwith_spectrum = true\n", "",
      "polynomials support fiber size h <= 6 and n <= 1024 layers, got h=2, n=2000"),
     ("fiber = path(7)\nn = 4\nwith_spectrum = true\n", "", "h <= 6"),
@@ -118,7 +124,8 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("seed = -1\n", "", "seed must be >= 0, got -1"),
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
         "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
-        "ladder-repeats", "fiber-past-transfer-cap", "spectra-past-polynomial-cap",
+        "ladder-repeats", "fiber-past-transfer-cap", "rung-past-batch-budget",
+        "brownian-draws-past-batch-budget", "spectra-past-polynomial-cap",
         "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf", "seed-neg"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
@@ -283,6 +290,22 @@ def test_an_empty_gibbs_measure_is_refused_before_any_file(tmp_path, capsys, arg
     out = tmp_path / "d"
     assert main([*argv, "--n", "3", "--const=-inf", "--out", str(out)]) == 2
     assert "all coefficients vanish; empty Gibbs measure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fiber, vertex", [
+    ("path(2)", "constant(-inf)"),
+    # a replica has a finite matching only if every vertex weight is 0
+    ("path(1)", "bernoulli_shift(0.5,-inf,0)"),
+], ids=["all-inf", "bernoulli-inf"])
+def test_a_campaign_refuses_an_empty_gibbs_measure_before_any_file(tmp_path, capsys, fiber, vertex):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[graph]\nfiber = {fiber}\n[disorder]\nvertex = {vertex}\nedge = constant(-inf)\n"
+                   "[ladder]\nn = 8, 16\nreplicas = 40\nseed = 3\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.search(r"error: stream \d+ at n=8 has no matching of finite weight \(\d+ of the 40"
+                     r" replicas of its batch\): empty Gibbs measure", capsys.readouterr().err)
     assert not out.exists()
 
 

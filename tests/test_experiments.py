@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from dimerlab.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
     _draw_weight_batch,
+    _replica_chunk,
     _lattice_normal_distance,
     brownian_fdd_check,
     clt_checks,
@@ -45,7 +48,7 @@ from dimerlab.transfer import (
     CountingMask, cut_moments, instance_tables, partition_polynomial, section_covariance,
 )
 
-from helpers import STD_NORMAL, count_calls, restrict, sweep_steps, table_builds
+from helpers import STD_NORMAL, batch_budget, count_calls, restrict, sweep_steps, table_builds
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -105,15 +108,17 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown checks option"):
         parse_config("[checks]\nks_konst = 2\n", is_text=True)
     # retired keys that older configs set are accepted and ignored; a mode
-    # other than the two it once named, or a with_sections that is no
-    # boolean, is still an error
-    old = parse_config("[ladder]\nmode = polynomial\nwith_sections = false\n"
+    # other than the two it once named, a with_sections that is no boolean,
+    # or a chunk that is no integer, is still an error
+    old = parse_config("[ladder]\nmode = polynomial\nwith_sections = false\nchunk = 64\n"
                        "[checks]\nse_mult = 2\nquenched_dist = 0.1\n", is_text=True)
     assert write_config(old) == write_config(ExperimentConfig())
     with pytest.raises(ValueError, match="unknown mode"):
         parse_config("[ladder]\nmode = exactly\n", is_text=True)
     with pytest.raises(ValueError, match="with_sections must be a boolean, got 'banana'"):
         parse_config("[ladder]\nwith_sections = banana\n", is_text=True)
+    with pytest.raises(ValueError, match="chunk must be an integer, got '2.5'"):
+        parse_config("[ladder]\nchunk = 2.5\n", is_text=True)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -155,17 +160,25 @@ def test_constant_disorder_rows_are_identical():
     assert lz[0] == lz[1] == pytest.approx(np.log(5.0), abs=1e-10)
 
 
-@pytest.mark.parametrize("kw, chunks", [
-    (dict(replicas=12, with_spectrum=True), (5, 256)),
-    # a chunk of 70 replicas sweeps in rank blocks, a chunk of 3 by reduceat
-    (dict(fiber="path(3)", n_ladder=(5, 8), replicas=70), (70, 3)),
+@pytest.mark.parametrize("kw", [
+    dict(replicas=12, with_spectrum=True),
+    # the default batch of 70 replicas sweeps in rank blocks, a batch of a few by reduceat
+    dict(fiber="path(3)", n_ladder=(5, 8), replicas=70),
 ], ids=["spectra", "rank-blocks"])
-def test_run_replicas_deterministic_and_chunk_independent(kw, chunks):
+def test_run_replicas_deterministic_and_batch_independent(monkeypatch, kw):
     assert 3 < transfer._RANK_MIN_BLOCK <= 70
-    ta, tb = (run_replicas(_small_cfg(disorder=STD_NORMAL, chunk=c, **kw)) for c in chunks)
-    assert ({"max_lambda", "u_n", "varQ_n"} <= set(ta.columns)) == kw.get("with_spectrum", False)
-    for key in ta.columns:
-        assert np.array_equal(ta.columns[key], tb.columns[key], equal_nan=True)
+    cfg = _small_cfg(disorder=STD_NORMAL, **kw)
+    ref = run_replicas(cfg)   # one batch per rung
+    assert ({"max_lambda", "u_n", "varQ_n"} <= set(ref.columns)) == cfg.with_spectrum
+    calls = count_calls(monkeypatch, transfer, ["batch_tables"])
+    for k in (1, 2, 3):
+        top = max(cfg.n_ladder)
+        batch_budget(monkeypatch, k, cfg.fiber_graph(), top, top if cfg.with_spectrum else 0)
+        calls["batch_tables"] = 0
+        table = run_replicas(cfg)
+        assert calls["batch_tables"] > -(-cfg.replicas // k)   # the top rung's, and more
+        for key in ref.columns:
+            assert np.array_equal(ref.columns[key], table.columns[key], equal_nan=True), (k, key)
 
 
 def test_run_replicas_distinct_rows_under_disorder():
@@ -217,30 +230,33 @@ def test_campaign_rows_match_reference_routes():
     assert np.allclose(table.at(n, "M"), ref["M"], rtol=0.0, atol=1e-10)
 
 
-def test_scalar_chunk_builds_one_table_and_no_tilted_sweeps(monkeypatch):
-    # each chunk draws its log Z, cumulants, sections, ground state and
+def test_each_batch_builds_one_table_and_no_tilted_sweeps(monkeypatch):
+    # each batch draws its log Z, cumulants, sections, ground state and
     # spectra from a single table; a second table build, a finite-difference
     # sweep or a per-replica polynomial would show in these counts
     calls = count_calls(monkeypatch, transfer, ["batch_tables", "partition_polynomial"])
     steps = sweep_steps(monkeypatch)
-    chunks, replicas = 2 * 3, 2 * 10
+    H, replicas = HGraph.path(2), 2 * 10
     for with_spectrum in (False, True):
         for key in calls:
             calls[key] = 0
         steps.clear()
-        cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10, chunk=4,
+        batch_budget(monkeypatch, 4, H, 9, 9 * with_spectrum)
+        batches = {n: -(-10 // transfer.replicas_per_batch(H, n, n * with_spectrum)) for n in (6, 9)}
+        assert batches[9] == 3
+        cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10,
                          disorder=STD_NORMAL, with_ground=True, with_spectrum=with_spectrum)
         table = run_replicas(cfg)
         assert len(table) == replicas
-        assert calls == {"batch_tables": chunks, "partition_polynomial": 0}, with_spectrum
-        # per chunk: the two moment sweeps meet at the cut (k = 3 of 6 and
+        assert calls == {"batch_tables": sum(batches.values()), "partition_polynomial": 0}, with_spectrum
+        # per batch: the two moment sweeps meet at the cut (k = 3 of 6 and
         # k = 4 of 9), so their layer steps add up to n; then the (max, +)
         # sweep of n layers, and with spectra one n-layer degree sweep and
         # no LOG sweep
         expect = []
         for n, k in ((6, 3), (9, 4)):
             expect += ([("moment", k), ("moment", n - k), ("max", n)]
-                       + [("degree", n)] * with_spectrum) * 3
+                       + [("degree", n)] * with_spectrum) * batches[n]
         assert sorted(steps) == sorted(expect), with_spectrum
 
 
@@ -269,6 +285,92 @@ def test_campaign_spectra_match_gauged_polynomials():
 def test_functional_check_builds_one_table():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=4, disorder=STD_NORMAL)
     assert table_builds(lambda: functional_consistency_check(cfg, environments=6)) == 1
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("h, n, R, spectra", [
+    (2, 512, 256, False), (4, 128, 64, False), (6, 64, 16, False), (8, 32, 8, False),
+    (2, 64, 32, True), (4, 32, 16, True), (6, 16, 8, True),
+])
+def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
+    # the modelled bytes of a batch are at or above the peak that
+    # tracemalloc sees for its rows, and within twice it; the first call
+    # builds the fiber tables and imports what the routes need
+    cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=R, disorder=STD_NORMAL,
+                     with_ground=True, with_spectrum=spectra)
+    g = build_cylinder(n, cfg.fiber_graph())
+    _replica_chunk(g, cfg, range(2), n // 2)
+    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), n // 2))
+    model = transfer.batch_bytes(g.H, n, R, n if spectra else 0)
+    assert peak <= model <= 2 * peak, (model, peak)
+
+
+def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
+    cfg = _small_cfg(fiber="path(4)", n_ladder=(64,), replicas=2, disorder=STD_NORMAL,
+                     gibbs_samples=100, height_envs=16, t_grid=tuple(np.linspace(0, 1, 5)))
+    brownian_fdd_check(replace(cfg, n_ladder=(8,), height_envs=2), 0.5, 1.0)
+    peak = _traced_peak(lambda: brownian_fdd_check(cfg, 0.5, 1.0))
+    model = transfer.batch_bytes(cfg.fiber_graph(), 64, 16, 16, 100)
+    assert transfer.replicas_per_batch(cfg.fiber_graph(), 64, 16, 100) >= 16   # one batch
+    assert peak <= model <= 2 * peak, (model, peak)
+
+
+def test_large_fibers_run_in_batches_or_are_refused_when_read():
+    # by the model's arithmetic, without drawing a replica: a path(10) rung
+    # of 512 layers (B and scores alone are 66 MiB per replica) runs in
+    # batches of a few replicas; a path(12) rung of 1024 layers, of which
+    # one replica exceeds the budget, is refused with h, n and the bytes
+    H = HGraph.path(10)
+    k = transfer.replicas_per_batch(H, 512)
+    tables = 8 * 512 * (11 * 2**10 + transfer._h_tables(H).fiber_start[-1])
+    assert tables > 66 * 2**20
+    assert 1 < k < 256 and k * tables < transfer.BATCH_BYTES
+    assert transfer.batch_bytes(H, 512, k) <= transfer.BATCH_BYTES < transfer.batch_bytes(H, 512, k + 1)
+    _small_cfg(fiber="path(10)", n_ladder=(8, 512))   # accepted when read
+    one = transfer.batch_bytes(HGraph.path(12), 1024, 1)
+    assert one > transfer.BATCH_BYTES
+    with pytest.raises(transfer.CapacityError,
+                       match=f"^one replica of fiber size h=12 at n=1024 layers needs {one:,} bytes,"
+                             f" over the batch budget of {transfer.BATCH_BYTES:,}$"):
+        parse_config("[graph]\nfiber = path(12)\n[ladder]\nn = 64, 1024\n", is_text=True)
+
+
+def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
+    # the Brownian and functional checks draw their environments in batches
+    # of the budget, one table each: batches of 1 to 3 of the seven
+    # environments give the reports of the default, one batch of all
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 32), replicas=2, disorder=STD_NORMAL,
+                     gibbs_samples=40, height_envs=7, t_grid=tuple(np.linspace(0, 1, 5)))
+    H = cfg.fiber_graph()
+
+    def run(check):
+        out = []
+        builds = table_builds(lambda: out.append(json.dumps(jsonify(check()), sort_keys=True)))
+        return builds, out[0]
+
+    def brownian():
+        return brownian_fdd_check(cfg, 0.5, 1.0)
+
+    def functional():
+        return functional_consistency_check(cfg, environments=7)
+
+    ref = {check: run(check) for check in (brownian, functional)}
+    assert all(builds == 1 for builds, _ in ref.values())
+    for k in (1, 2, 3):
+        # the Brownian check's top rung of 32 layers has increments of 8; the
+        # functional check runs on the rung of 8 layers
+        batch_budget(monkeypatch, k, H, 32, 8, 40)
+        assert run(brownian) == (-(-7 // k), ref[brownian][1]), k
+        batch_budget(monkeypatch, k, H, 8, 8)
+        assert run(functional) == (-(-7 // k), ref[functional][1]), k
 
 
 def test_weight_batch_matches_single_draws():
@@ -367,9 +469,9 @@ def test_brownian_report_shapes():
 
 
 def test_brownian_exact_laws_are_views_of_one_table():
-    # one table for every environment: each sampler reads its replica, and
-    # the exact law of the pooled increments is the mean of the environments'
-    # masked polynomials
+    # one table for every environment, which the default budget holds in
+    # one batch: each sampler reads its replica, and the exact law of the
+    # pooled increments is the mean of the environments' masked polynomials
     for envs in (1, 3):
         cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
                          gibbs_samples=200, height_envs=envs)

@@ -136,7 +136,7 @@ def test_zero_temperature_ladder_single_edge():
     w = WeightAssignment(g, np.array([[0.0], [0.0]]), np.array([[1.0]]),
                          np.zeros((2, 0)))
     betas = [1.0, 2.0, 4.0, 8.0, 16.0]
-    lad = ground_zero_temperature_limit(g, w, betas)
+    lad = ground_zero_temperature_limit(g, w, betas, max_weight(g, w).value)
     assert lad.ground_value == pytest.approx(1.0)
     expect = [np.log(1.0 + np.exp(b * 1.0)) / b for b in betas]
     assert np.allclose(lad.free_energies, expect, atol=1e-12)
@@ -150,7 +150,7 @@ def test_zero_temperature_gap_bounded_by_matching_count():
     g, w = random_instance(rng, n_lo=5, n_hi=5, fibers=["path2"])
     log_count = partition_polynomial(g, WeightAssignment.constant(g)).log_z()
     betas = [2.0, 8.0, 32.0]
-    lad = ground_zero_temperature_limit(g, w, betas)
+    lad = ground_zero_temperature_limit(g, w, betas, max_weight(g, w).value)
     assert np.all(lad.gaps >= -1e-9)
     assert np.all(lad.gaps <= log_count / np.asarray(betas) + 1e-9)
 
@@ -167,4 +167,4 @@ def test_zero_temperature_ladder_refuses_non_finite_betas():
     g, w = random_instance(np.random.default_rng(37), n_lo=3, n_hi=3, fibers=["path2"])
     for betas, named in (([1.0, float("nan")], "nan"), ([float("inf"), 2.0, float("-inf")], "inf, -inf")):
         with pytest.raises(ValueError, match=f"beta values must be finite, got {named}$"):
-            ground_zero_temperature_limit(g, w, betas)
+            ground_zero_temperature_limit(g, w, betas, max_weight(g, w).value)

@@ -14,8 +14,10 @@ from dimerlab.graphs import (
 )
 from dimerlab import transfer
 from dimerlab.experiments import make_fiber
-from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
+from dimerlab.groundstate import _max_W, gse_remainder, gse_remainder_bound, max_values
 from dimerlab.transfer import (
+    LOG,
+    MAX,
     NEG_INF,
     CapacityError,
     CountingMask,
@@ -23,9 +25,9 @@ from dimerlab.transfer import (
     _blocked_log_z,
     _log_blocks,
     _moment_W,
-    _tilted_W,
     batch_tables,
     cut_moments,
+    cut_remainders,
     increment_laws,
     instance_tables,
     messages,
@@ -39,7 +41,7 @@ from helpers import (
     sweep_steps, table_builds,
 )
 from oracle import (
-    batch_scalar_log_z, brute_force_polynomial, full_moment_W, full_tilted_W, kill_vertex_edges,
+    batch_scalar_log_z, brute_force_polynomial, full_moment_W, kill_vertex_edges,
     remainder_R, remainder_upper_bound, vertex_removed_polynomial,
 )
 
@@ -183,12 +185,12 @@ def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
         def results(t):
             return [*cut_moments(t, k, x), max_values(t), batch_scalar_log_z(t, x)]
 
-        batch, W = results(tables), _tilted_W(tables, x)
+        batch, W = results(tables), _moment_W(tables, x)
         for r, w in enumerate(ws):
             alone = _batch(g, [w])
             for got, ref in zip(batch, results(alone)):
                 assert np.array_equal(got[r], ref[0])
-            assert np.array_equal(W[..., r], _tilted_W(alone, x)[..., 0])
+            assert np.array_equal(W[..., r], _moment_W(alone, x)[..., 0])
     # the increment laws close over the reserved sets of an interior cut: no
     # law depends on how many replicas share the batch or the block
     cuts = [3, 10, 29]
@@ -243,12 +245,12 @@ def test_sweeps_give_the_same_bits_under_either_reducer(monkeypatch):
 
     def routes(g, ws):
         tables = _batch(g, ws)
-        W = _tilted_W(tables, 0.4)
+        W = _moment_W(tables, 0.4)[:, 0]
         single = instance_tables(g, ws[0])
         return [*cut_moments(tables, 3, -0.5), max_values(tables),
                 messages(W, tables), messages(W, tables, flipped=True),
                 *increment_laws(tables, [0, 2, 5, g.n]),
-                _blocked_log_z(_tilted_W(single, 0.4), single["hsum"], single["ht"], 3)]
+                _blocked_log_z(_moment_W(single, 0.4)[:, 0], single["hsum"], single["ht"], 3)]
 
     for g, ws in cases:
         got = []
@@ -286,9 +288,8 @@ def test_direct_columns_of_the_tilt_collapses_match_the_full_collapse():
         # and a table of -0.0 weights, which a -0.0 tilt (x < 0, d = 0) keeps
         for t in (tables, {**tables, "B": np.where(tables["B"] == NEG_INF, NEG_INF, -0.0)}):
             for x in (0.0, -0.6, 1.3):
-                assert _same_bits(_tilted_W(t, x), full_tilted_W(t, x))
-                assert _same_bits(_tilted_W(t, x, mask), full_tilted_W(t, x, mask))
                 assert _same_bits(_moment_W(t, x), full_moment_W(t, x))
+                assert _same_bits(_moment_W(t, x, mask), full_moment_W(t, x, mask))
 
 
 def _section_oracle(g, w, k, x):
@@ -390,7 +391,7 @@ def test_blocked_log_z_agrees_with_the_batched_row():
         tables = instance_tables(g, w)
         for x, mask in ((0.0, None), (-0.8, None), (0.6, CountingMask.layer_range(3, g.n - 2))):
             ref = batch_scalar_log_z(tables, x, mask)[0]
-            W = _tilted_W(tables, x, mask)
+            W = _moment_W(tables, x, mask)[:, 0]
             for K in (2, 3, 4, 5, g.n):
                 got = _blocked_log_z(W, tables["hsum"], tables["ht"], K)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -435,7 +436,7 @@ def test_forward_messages_terminal_state_is_log_z():
     rng = np.random.default_rng(21)
     g, w = random_instance(rng, n_lo=4, n_hi=6, fibers=["path2", "cycle3"])
     tables = instance_tables(g, w)
-    msgs = messages(_tilted_W(tables, 0.4), tables)[..., 0]
+    msgs = messages(_moment_W(tables, 0.4)[:, 0], tables)[..., 0]
     assert msgs.shape[0] == g.n
     assert msgs[-1, 0] == pytest.approx(scalar_log_z(g, w, 0.4), abs=1e-10)
     # the message at the empty reserved set after layer k is log Z of layers 1..k
@@ -645,6 +646,23 @@ def test_monic_shifts_by_the_all_monomer_coefficient():
         p.monic()
     with pytest.raises(ValueError, match=r"not counted \(partial mask\)"):
         partition_polynomial(g, w, CountingMask.layer_range(1, 1)).monic()
+
+
+def test_cut_remainders_refuse_an_empty_replica():
+    # one replica of the batch with every weight -inf has no matching of
+    # finite weight, so no remainders: refused, where V - V = -inf - -inf
+    # would be NaN; the others keep the remainders they have alone
+    g = build_cylinder(5, HGraph.path(2))
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(4, r)) for r in range(3)]
+    ws[1] = WeightAssignment(g, *(np.full_like(getattr(ws[1], a), NEG_INF)
+                                  for a in ("nu", "omega_h", "omega_v")))
+    tables = _batch(g, ws)
+    for W, semiring in ((_moment_W(tables, 0.0)[:, 0], LOG), (_max_W(tables), MAX)):
+        with pytest.raises(ValueError, match=r"^replica 1 has no matching of finite weight"
+                                             r" \(1 of 3\): empty Gibbs measure$"):
+            cut_remainders(W, tables, semiring)
+    kept = _batch(g, ws[::2])
+    assert np.array_equal(cut_remainders(_moment_W(kept, 0.0)[:, 0], kept)[:, 1], remainder_R(g, ws[2]))
 
 
 def test_remainder_vanishes_on_disconnected_cut():
