@@ -310,7 +310,7 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
 def _spectra(g: CylinderGraph, tables: dict):
     """Each replica's monic polynomial and its Lee-Yang spectrum, or None
     where extraction is refused (ill-conditioned coefficients), from one
-    degree sweep over ``tables``."""
+    vertex recursion over the weights of ``tables``."""
     coeffs, = increment_laws(tables, [0, g.n])
     for lc in coeffs.T:
         p = MonomerPolynomial(lc, g.num_vertices).monic()
@@ -324,7 +324,8 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     """Rows of one batch from one table: log Z, the cumulants and the
     sections from the two sweeps of ``cut_moments`` that meet at the cut;
     M from the (max, +) sweep over the same table; with spectra the zeros
-    of every replica's polynomial from one degree sweep over it.  An empty
+    of every replica's polynomial from one vertex recursion over its
+    weights.  An empty
     Gibbs measure (log Z = -inf) is refused."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size

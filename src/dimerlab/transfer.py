@@ -14,8 +14,8 @@ horizontal dimer into layer i+1.  A transition into layer i+1 sums over the
 new reserved set S', the horizontal dimers dictated by S, and all matchings
 of the fiber graph avoiding S and S'; leftover vertices are monomers.
 
-One forward ``sweep`` runs this recursion for every consumer and takes its
-arithmetic as a ``Semiring``:
+One forward ``sweep`` runs this recursion for every scalar consumer and
+takes its arithmetic as a ``Semiring``:
 
 * ``LOG`` = (logaddexp, +) fixes the tilt x and carries one number per
   state: the log Z of one instance and the forward messages of the
@@ -26,10 +26,20 @@ arithmetic as a ``Semiring``:
   the terms of a state with their softmax weights in the parallel-variance
   form, so ``cut_moments`` gives exact cumulants, with no finite
   differences (the first- and second-order expectation semiring of Li &
-  Eisner, EMNLP 2009);
-* ``_degree_semiring`` = (logaddexp, truncated log-convolution over the
-  counted monomer count) keeps the full coefficient vector (capped by
-  ``check_polynomial_caps``), enabling exact cumulants and Lee-Yang spectra.
+  Eisner, EMNLP 2009).
+
+The full coefficient vector (capped by ``check_polynomial_caps``), from
+which come exact count laws and Lee-Yang spectra, is not a layer sweep but
+the same recursion built one vertex at a time (``_degree_sweep``; Baxter,
+*Exactly Solved Models*, 1982, ch. 1).  Its state is the reserved set's
+bitmask: bit b holds layer i-1's reservation until vertex (i, b) is
+processed and layer i's "open" flag after it.  The vertex closes the
+horizontal dimer reserved at cut i-1, is a monomer (a shift of the degree
+axis by one), opens, or closes a fiber edge to an open earlier vertex; the
+vertices still open after the layer are its reserved set.  Every step is
+elementwise over the states, the degrees and the replicas, and reads the
+weights ``nu``, ``omega_h`` and ``omega_v`` themselves, which
+``batch_tables`` keeps in its dict as ``nu``, ``oh`` and ``ov``.
 
 Every route builds its tables with ``batch_tables`` (one instance:
 ``instance_tables``), which refuses fibers of more than ``SCALAR_MAX_H``
@@ -76,12 +86,12 @@ k+1..n, and mixes the two messages over the reserved set of cut k: the
 section variances and their covariance come out directly, with no
 polarization.  The same factorisation (forward-backward, Rabiner, Proc.
 IEEE 1989) gives the exact law of the count on every increment a+1..b of
-a grid of cuts: ``increment_laws`` starts a degree sweep from the stacked
-forward LOG message after layer a, runs it over the increment's layers
-only, and closes it against the stacked flipped message at cut b.  One
-forward and one flipped pass serve every increment, and the degree sweeps
-cover n layers in all.  It is the only route to coefficients: a whole
-cylinder is the increment 0..n, which needs neither pass.
+a grid of cuts: ``increment_laws`` starts the vertex recursion from the
+stacked forward LOG message after layer a, runs it over the increment's
+layers only, and closes it against the stacked flipped message at cut b.
+One forward and one flipped pass serve every increment, and the vertex
+recursions cover n layers in all.  It is the only route to coefficients: a
+whole cylinder is the increment 0..n, which needs neither pass.
 
 Batched routes sweep layer by layer, so a campaign row does not depend on
 its batch, whose size ``replicas_per_batch`` reads off a model of the bytes
@@ -351,8 +361,14 @@ class _HTables:
 
         # disjoint pairs p of the set pair_s[p] before a layer and pair_next[p]
         # after it, for segmented reductions in the layer transition: the pairs
-        # of S are pair_start[S]:pair_start[S + 1], their sets pair_s ascending
-        self.pair_next, self.pair_s = np.nonzero((sets[:, None] & sets) == 0)
+        # of S are pair_start[S]:pair_start[S + 1], their sets pair_s ascending;
+        # grown one vertex at a time, whose bit goes in neither set, in S or in
+        # the next set, so no 2^h x 2^h matrix is built
+        nxt = s = np.zeros(1, dtype=np.intp)
+        for bit in 1 << np.arange(h):
+            nxt, s = np.concatenate([nxt, nxt, nxt | bit]), np.concatenate([s, s | bit, s])
+        order = np.lexsort((s, nxt))
+        self.pair_next, self.pair_s = nxt[order], s[order]
         self.pair_f = self.pair_s | self.pair_next
         self.pair_start = np.searchsorted(self.pair_next, np.arange(self.states + 1))
         self.reduce_at = _ReduceAt(self)
@@ -381,17 +397,38 @@ def _h_tables(H: HGraph) -> _HTables:
     return _HTables(H)
 
 
+@lru_cache(maxsize=64)
+def _vertex_plan(H: HGraph) -> tuple:
+    """Index tuples of ``_degree_sweep`` into its message, whose axis h-1-c
+    holds bit c of the state: per layer parity p and fiber vertex b
+    (0-based), the half of bit b that the step keeps (index p), the half it
+    rewrites (1 - p), and per fiber edge e from an earlier vertex a to b
+    the source (b and a at p) and the target (b and a at 1 - p)."""
+    h = H.h
+
+    def at(*bits):
+        idx = [slice(None)] * h
+        for c, x in bits:
+            idx[h - 1 - c] = x
+        return tuple(idx)
+
+    return tuple(tuple((at((b, p)), at((b, 1 - p)),
+                        tuple((e, at((b, p), (a - 1, p)), at((b, 1 - p), (a - 1, 1 - p)))
+                              for e, (a, c) in enumerate(H.edges) if c == b + 1))
+                       for b in range(h)) for p in (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # per-instance weight tables (batched over replicas)
 # ---------------------------------------------------------------------------
 
-def _indicator_sum(sel: np.ndarray, arr) -> np.ndarray:
+def _indicator_sum(sel: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """sum_j sel[m, j] arr[r, i, j] for a 0/1 selector and a batch of
     weights, laid out [m, i, r]: column j of ``arr`` is added to the rows m
     that select it, in the order of j, so no sum depends on the batch.  The
     weights hold no NaN or +inf, so a -inf (disabled) weight makes every sum
     it enters -inf."""
-    cols = np.asarray(arr, dtype=float).transpose(2, 1, 0).copy()   # [j, i, r]
+    cols = arr.transpose(2, 1, 0).copy()   # [j, i, r]
     out = np.zeros((len(sel),) + cols.shape[1:])
     for j, col in enumerate(cols):
         for m in np.flatnonzero(sel[:, j]):
@@ -423,23 +460,25 @@ BATCH_BYTES = 1 << 30
 
 def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 0) -> int:
     """The bytes of float64 arrays that a batch of R replicas of an n-layer
-    cylinder over H holds at its peak: per replica its tables and, with
-    degree sweeps of ``degree_layers`` layers, its coefficients twice; and
-    the largest stage of either the moment weights and their collapse or
-    the LOG messages of ``increment_laws``, with a sweep step's terms, per
-    replica; or one block of a degree sweep and a spectrum's companion
-    matrix; or one ``GibbsSampler`` and its ``draws`` per layer."""
+    cylinder over H holds at its peak: per replica its tables, with the
+    weights they keep, and, with coefficients over increments of
+    ``degree_layers`` layers, its coefficients twice; and the largest stage
+    of either the moment weights and their collapse or the LOG messages of
+    ``increment_laws``, with a sweep step's terms, per replica; or one block
+    of the vertex recursion, whose message and its closing hold about three
+    times D x 2^h numbers per replica for D degrees, and a spectrum's
+    companion matrix; or one ``GibbsSampler`` and its ``draws`` per layer."""
     ht = _h_tables(H)
     S, rows, pairs = ht.states, int(ht.fiber_start[-1]), ht.pair_s.size
-    tables = (ht.h + 2) * S + rows
+    tables = (ht.h + 2) * S + rows + 2 * ht.h + ht.mH
     held = n * tables
     stage = n * (6 * S + (ht.mixed_counts.size + 10) * ht.mixed.size) + 16 * pairs
     once = 0
     if degree_layers:
         held += 2 * (ht.h * n + 1)
         D = ht.h * degree_layers + 1
-        block = max(1, _POLY_BLOCK // (D * pairs))   # replicas, as in increment_laws
-        once = block * (8 * D * pairs + 6 * S * n) + 2 * (D // 2) ** 2
+        block = min(R, max(1, _POLY_BLOCK // (D * S)))   # replicas, as in increment_laws
+        once = block * (3 * D * S + 6 * S * n) + 2 * (D // 2) ** 2
     if draws:
         once = max(once, n * (tables + 6 * S + pairs + rows) + 6 * draws * n)
     return 8 * (R * held + max(R * stage, once))
@@ -478,13 +517,17 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
       are ``ht.fiber_start[F]:fiber_start[F + 1]``, and row ``row`` leaves
       ``ht.fiber_mono[row]`` monomers), shape (rows, n, R), for the
       backward step, which picks individual fiber matchings (exact
-      sampling, ground-state argmax).
+      sampling, ground-state argmax);
+    * ``nu``, ``oh`` and ``ov``, the weights themselves, replica-major as
+      given (no copy) and read by the vertex recursion of ``increment_laws``;
+      ``plan`` is its ``_vertex_plan``.
 
     One instance is replica 0: ``[..., 0]``.
     """
     check_transfer_cap(g.h)
     ht = _h_tables(g.H)
-    R, n, h = np.shape(nu_b)
+    nu_b, oh_b, ov_b = (np.asarray(a, dtype=float) for a in (nu_b, oh_b, ov_b))
+    R, n, h = nu_b.shape
     # every fiber row's vertical dimers plus its monomers, per layer and replica
     scores = _indicator_sum(ht.row_edges, ov_b)
     scores += _indicator_sum(ht.row_mono, nu_b)
@@ -492,7 +535,8 @@ def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:
     for d, F, rows in ht.groups:
         B[d, :, F] = _rows_logsumexp(scores, rows)
     hsum = np.ascontiguousarray(_indicator_sum(ht.sbits, oh_b).swapaxes(0, 1))
-    return {"B": B, "hsum": hsum, "scores": scores, "ht": ht, "n": n, "h": h}
+    return {"B": B, "hsum": hsum, "scores": scores, "ht": ht, "n": n, "h": h,
+            "nu": nu_b, "oh": oh_b, "ov": ov_b, "plan": _vertex_plan(g.H)}
 
 
 def instance_tables(g: CylinderGraph, w: WeightAssignment) -> dict:
@@ -500,6 +544,10 @@ def instance_tables(g: CylinderGraph, w: WeightAssignment) -> dict:
     if w.g != g:
         raise ValueError("weight assignment belongs to a different graph")
     return batch_tables(g, w.nu[None], w.omega_h[None], w.omega_v[None])
+
+
+# the layers of one block of the tilt collapse
+_COLLAPSE_LAYERS = 64
 
 
 def _moment_W(tables: dict, x: float, mask=None) -> np.ndarray:
@@ -512,25 +560,32 @@ def _moment_W(tables: dict, x: float, mask=None) -> np.ndarray:
     of those terms.  A set whose fiber rows all leave d monomers (``ht.one_count``)
     has W = B[d] + x d, mean d and variance 0 (mean 0 where B is -inf),
     written directly; the others collapse over the counts they reach
-    (``_collapse``), with the same bits as a sum over every d.
+    (``_collapse``), with the same bits as a sum over every d, in blocks of
+    ``_COLLAPSE_LAYERS`` layers so that its temporaries stay small.
     """
     B, ht = tables["B"], tables["ht"]
     _, n, S, R = B.shape
     m = None if mask is None else _resolve_mask(mask, n)[:, None, None]
 
-    def tilt(d):
-        return x * d if m is None else x * d * m
+    def tilt(d, layers=slice(None)):
+        return x * d if m is None else x * d * m[layers]
 
     out = np.empty((n, 3, S, R))
     for d, sets in ht.one_count:
-        # + 0.0 as log(1) adds it in the log-sum-exp: a -0.0 tilt leaves no -0.0
-        w = B[d][:, sets] + (tilt(d) + 0.0)
+        # + 0.0 as log(1) adds it in the log-sum-exp: a -0.0 tilt leaves no -0.0;
+        # one buffer per count holds the weights, then the means
+        w = B[d][:, sets]
+        w += tilt(d) + 0.0
         out[:, 0, sets] = w
-        out[:, 1, sets] = np.where(w == NEG_INF, 0.0, float(d))
+        dead = w == NEG_INF
+        w.fill(float(d))
+        w[dead] = 0.0
+        out[:, 1, sets] = w
         out[:, 2, sets] = 0.0
-    if ht.mixed.size:
-        for c, a in enumerate(_collapse(B, ht, tilt)):
-            out[:, c, ht.mixed] = a
+    for lo in range(0, n, _COLLAPSE_LAYERS) if ht.mixed.size else ():
+        layers = slice(lo, lo + _COLLAPSE_LAYERS)
+        for c, a in enumerate(_collapse(B[:, layers], ht, lambda d: tilt(d, layers))):
+            out[layers, c, ht.mixed] = a
     return out
 
 
@@ -607,29 +662,6 @@ def _reducing(ufunc) -> Callable:
 
 LOG = Semiring(_reducing(np.logaddexp))
 MAX = Semiring(_reducing(np.maximum))
-
-
-def _degree_semiring(M: int) -> Semiring:
-    """(logaddexp, truncated log-convolution) over the counted monomer count.
-
-    Messages and layer weights carry log coefficients over degrees on their
-    leading axis; ``times`` convolves the two and keeps the degrees 0..M
-    that a coefficient vector can reach.  A layer weight that vanishes at
-    degree d for every replica skips that pair, which most pairs do for
-    most d.
-    """
-
-    def times(v, cut, w):
-        v = v + cut
-        D, nd = v.shape[0], w.shape[0]
-        out = np.full((min(D + nd - 1, M + 1),) + v.shape[1:], NEG_INF)
-        for d in range(nd):
-            k = min(D, out.shape[0] - d)
-            live = np.flatnonzero((w[d] > NEG_INF).any(axis=-1))
-            out[d : d + k, live] = np.logaddexp(out[d : d + k, live], v[:k, live] + w[d, live])
-        return out
-
-    return Semiring(_reducing(np.logaddexp), times)
 
 
 def _moment_times(v, cut, w):
@@ -777,37 +809,78 @@ def check_polynomial_caps(n: int, h: int) -> None:
         )
 
 
-# a degree sweep's layer terms stay under this many numbers (128 KB) per block of replicas
-_POLY_BLOCK = 1 << 14
+# the vertex recursion's messages stay under this many numbers (1 MiB) per block of replicas
+_POLY_BLOCK = 1 << 17
+
+
+def _degree_sweep(v: np.ndarray, nu, oh, ov, plan) -> np.ndarray:
+    """Log coefficients over the monomer count of the layers of ``nu``, one
+    vertex at a time (see the module docstring): from the message ``v[S, r,
+    d]`` at the cut before the first layer to the one after the last layer,
+    before the cut after it.  ``nu[r, i, b]`` and ``ov[r, i, e]`` weigh
+    layer i and ``oh[r, i, b]`` the cut before it; an ``oh`` one row short
+    means the first layer starts the cylinder, from the empty set.
+
+    The step of vertex b keeps the half of the states where bit b is unset,
+    which becomes the half where it is set (the vertex opens), and rewrites
+    the other half in place (``_vertex_plan``): the halves of bit b trade
+    places at every vertex, so after an odd number of layers the state axis
+    is reversed.  Degrees past the ``t`` that the message reaches stay -inf.
+    """
+    R, L, h = nu.shape
+    S, _, t = v.shape
+    m = np.full((2,) * h + (R, t + h * L), NEG_INF)
+    m.reshape(S, R, -1)[..., :t] = v
+    skip = L - oh.shape[1]
+    for i in range(L):
+        for b, (keep, new, edges) in enumerate(plan[i % 2]):
+            P, Q = m[keep], m[new]   # P: bit b unset before the step, set after it; Q: the reverse
+            if i >= skip:            # the horizontal dimer reserved at the cut before
+                np.add(Q[..., :t], oh[:, i - skip, b, None], out=Q[..., :t])
+            # a monomer, one degree up
+            np.logaddexp(Q[..., 1 : t + 1], P[..., :t] + nu[:, i, b, None], out=Q[..., 1 : t + 1])
+            for e, src, dst in edges:   # a fiber dimer to an open earlier vertex
+                d = m[dst][..., :t]
+                np.logaddexp(d, m[src][..., :t] + ov[:, i, e, None], out=d)
+            t += 1
+    m = m.reshape(S, R, -1)
+    return m[::-1] if L % 2 else m
 
 
 def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
     """Log coefficients ``[j, r]`` of j monomers on layers a+1..b, for each
     pair (a, b) of consecutive ``cuts`` and every replica (see the module
-    docstring): a degree sweep over the increment's layers, seeded by the
-    forward LOG message at a cut a > 0 and closed against the flipped one at
-    a cut b < n.  The replicas run in blocks whose sweep terms stay under
-    ``_POLY_BLOCK`` numbers, and no sum depends on the block or the batch."""
-    n, h, ht = tables["n"], tables["h"], tables["ht"]
+    docstring): the vertex recursion over the increment's layers, seeded by
+    the forward LOG message at a cut a > 0 and closed against the flipped
+    one at a cut b < n.  The replicas run in blocks whose messages stay
+    under ``_POLY_BLOCK`` numbers, and no sum depends on the block or the
+    batch."""
+    n, h, S = tables["n"], tables["h"], tables["ht"].states
     check_polynomial_caps(n, h)
     cuts = [int(c) for c in cuts]
     if len(cuts) < 2 or cuts[0] < 0 or cuts[-1] > n or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts {cuts} must strictly increase inside [0:{n}]")
     pairs = list(zip(cuts, cuts[1:]))
-    step = max(1, _POLY_BLOCK // ((h * max(b - a for a, b in pairs) + 1) * ht.pair_s.size))
+    step = max(1, _POLY_BLOCK // ((h * max(b - a for a, b in pairs) + 1) * S))
+    nu, oh, ov = tables["nu"], tables["oh"], tables["ov"]
     out = [[] for _ in pairs]
-    for r in range(0, tables["B"].shape[-1], step):
-        block = {**tables, "B": tables["B"][..., r : r + step], "hsum": tables["hsum"][..., r : r + step]}
-        hsum, B = block["hsum"], block["B"].swapaxes(0, 1)   # B[i, d, F, r]
+    for r in range(0, nu.shape[0], step):
+        rs = slice(r, r + step)
+        hsum = tables["hsum"][..., rs]
         if any(0 < c < n for c in cuts):
+            block = {**tables, "B": tables["B"][..., rs], "hsum": hsum}
             W = _moment_W(block, 0.0)[:, 0]
             fw, bw = (messages(W, block, LOG, flipped) for flipped in (False, True))
+        empty = np.full((S, nu[rs].shape[0]), NEG_INF)
+        empty[0] = 0.0
         for (a, b), laws in zip(pairs, out):
-            layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
-            v = _last(sweep(layers, cut_h, ht, _degree_semiring(h * (b - a))))
-            # close replica-major: each sum over S runs along one contiguous row
-            laws.append(v[:, 0] if b == n else
-                        _logsumexp(np.moveaxis(v + hsum[b - 1] + bw[n - b - 1], 1, -1).copy()))
+            v = _degree_sweep((fw[a - 1] if a else empty)[..., None], nu[rs, a:b],
+                              oh[rs, max(a - 1, 0) : b - 1], ov[rs, a:b], tables["plan"])
+            if b < n:   # close replica-major: each sum over S runs along one contiguous row
+                v = v + hsum[b - 1, ..., None]
+                v += bw[n - b - 1, ..., None]
+                v = _logsumexp(np.moveaxis(v, 0, -1).copy())[None]
+            laws.append(v[0].T.copy())   # [j, r], C-contiguous as the callers' sums over j expect
     return [np.concatenate(laws, axis=-1) for laws in out]
 
 

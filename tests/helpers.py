@@ -124,24 +124,30 @@ def table_builds(call) -> int:
 
 def sweep_steps(monkeypatch) -> list:
     """Record each ``transfer.sweep``, through every dimerlab module binding
-    of it, as (semiring, layers yielded); the semiring is "log", "max",
-    "moment" or "degree".  Returns the live list, one entry per sweep."""
+    of it, as (semiring, layers yielded), the semiring "log", "max" or
+    "moment"; and each vertex recursion of the coefficients as ("degree",
+    layers).  Returns the live list, one entry per sweep."""
     from dimerlab import transfer
 
     steps = []
-    original = transfer.sweep
+    original, degree_sweep = transfer.sweep, transfer._degree_sweep
+    names = {transfer.LOG: "log", transfer.MAX: "max", transfer.MOMENT: "moment"}
 
     def counted(W, hsum, ht, semiring=transfer.LOG):
-        name = ("log" if semiring is transfer.LOG else "max" if semiring is transfer.MAX
-                else semiring.times.__qualname__.split("_")[1])   # "_degree_semiring.<locals>.times"
+        name = names[semiring]
         steps.append((name, 0))
         for v in original(W, hsum, ht, semiring):
             steps[-1] = (name, steps[-1][1] + 1)
             yield v
 
+    def counted_degree(v, nu, *args):
+        steps.append(("degree", nu.shape[1]))
+        return degree_sweep(v, nu, *args)
+
     for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
         if getattr(mod, "sweep", None) is original:
             monkeypatch.setattr(mod, "sweep", counted)
+    monkeypatch.setattr(transfer, "_degree_sweep", counted_degree)
     return steps
 
 

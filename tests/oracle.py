@@ -2,8 +2,9 @@
 
 Brute-force enumeration shares nothing with the transfer sweep; the other
 references are kept deliberately simple (vertex removal by disabled edges,
-the sequential LOG sweep, remainders at one tilt, edge indices by formula)
-so that a fast route of the package has something independent to agree with.
+the sequential LOG sweep, the layer degree sweep, remainders at one tilt,
+edge indices by formula) so that a fast route of the package has something
+independent to agree with.
 """
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import numpy as np
 
 from dimerlab.graphs import CylinderGraph, WeightAssignment
 from dimerlab.transfer import (
-    NEG_INF, CapacityError, MonomerPolynomial, _last, _moment_W, _resolve_mask, check_cut,
-    cut_remainders, instance_tables, partition_polynomial, sweep,
+    LOG, NEG_INF, CapacityError, MonomerPolynomial, Semiring, _last, _logsumexp, _moment_W,
+    _resolve_mask, check_cut, cut_remainders, instance_tables, messages, partition_polynomial,
+    sweep,
 )
 
 BRUTE_MAX_N = 22
@@ -157,6 +159,50 @@ def full_moment_W(tables: dict, x: float, mask=None) -> np.ndarray:
     total[total == 0.0] = 1.0
     out[:, 1] = sum((d * e[d] for d in range(2, nd)), e[1]) / total
     out[:, 2] = sum((d - out[:, 1]) ** 2 * e[d] for d in range(nd)) / total
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the layer degree sweep
+# ---------------------------------------------------------------------------
+
+def degree_semiring(M: int) -> Semiring:
+    """(logaddexp, truncated log-convolution) over the counted monomer count.
+
+    Messages and layer weights carry log coefficients over degrees on their
+    leading axis; ``times`` convolves the two and keeps the degrees 0..M
+    that a coefficient vector can reach.  A layer weight that vanishes at
+    degree d for every replica skips that pair.
+    """
+
+    def times(v, cut, w):
+        v = v + cut
+        D, nd = v.shape[0], w.shape[0]
+        out = np.full((min(D + nd - 1, M + 1),) + v.shape[1:], NEG_INF)
+        for d in range(nd):
+            k = min(D, out.shape[0] - d)
+            live = np.flatnonzero((w[d] > NEG_INF).any(axis=-1))
+            out[d : d + k, live] = np.logaddexp(out[d : d + k, live], v[:k, live] + w[d, live])
+        return out
+
+    return Semiring(LOG.plus, times)
+
+
+def layer_increment_laws(tables: dict, cuts) -> list:
+    """``increment_laws`` from layer tables: per increment a+1..b, a sweep
+    of ``degree_semiring`` over the layers B[d, i, F] of the increment,
+    seeded by the forward LOG message at a > 0 and closed against the
+    flipped one at b < n; the reference for the vertex recursion."""
+    n, h, ht, hsum = tables["n"], tables["h"], tables["ht"], tables["hsum"]
+    B = tables["B"].swapaxes(0, 1)   # B[i, d, F, r]
+    W = _moment_W(tables, 0.0)[:, 0]
+    fw, bw = (messages(W, tables, LOG, flipped) for flipped in (False, True))
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        layers, cut_h = (B[:b], hsum) if a == 0 else ([fw[a - 1][None], *B[a:b]], hsum[a - 1 :])
+        v = _last(sweep(layers, cut_h, ht, degree_semiring(h * (b - a))))
+        out.append(v[:, 0] if b == n else
+                   _logsumexp(np.moveaxis(v + hsum[b - 1] + bw[n - b - 1], 1, -1).copy()))
     return out
 
 

@@ -47,7 +47,6 @@ from dimerlab.leeyang import (
 from dimerlab.sampler import GibbsSampler, Matching, matching_weight
 from dimerlab.transfer import (
     MonomerPolynomial,
-    _degree_semiring,
     batch_tables,
     cut_moments,
     instance_tables,
@@ -58,8 +57,8 @@ from dimerlab.transfer import (
 
 from helpers import NONNEG_GAUGE, STD_NORMAL, random_instance
 from oracle import (
-    batch_scalar_log_z, brute_force_max, brute_force_polynomial, kill_vertex_edges, remainder_R,
-    remainder_upper_bound, vertex_removed_polynomial,
+    batch_scalar_log_z, brute_force_max, brute_force_polynomial, degree_semiring, kill_vertex_edges,
+    remainder_R, remainder_upper_bound, vertex_removed_polynomial,
 )
 
 
@@ -315,9 +314,10 @@ def test_criterion_09_quenched_normality_improves_with_length():
     for env in range(100):
         tables = instance_tables(g, sample_weights(g, disorder, RngSeed(31415, env)))
         # the exact count law of the prefix cylinder of layers 1..k is the
-        # message after layer k of one degree sweep, at the empty reserved set
+        # message after layer k of the oracle's layer degree sweep, at the
+        # empty reserved set
         msgs = sweep(tables["B"].swapaxes(0, 1), tables["hsum"], tables["ht"],
-                     _degree_semiring(g.num_vertices))
+                     degree_semiring(g.num_vertices))
         ds = [_lattice_normal_distance(MonomerPolynomial(v[:, 0, 0], k * g.h).pmf())
               for k, v in enumerate(msgs, start=1) if k in ks]
         worst_top = max(worst_top, ds[-1])

@@ -251,8 +251,8 @@ def test_each_batch_builds_one_table_and_no_tilted_sweeps(monkeypatch):
         assert calls == {"batch_tables": sum(batches.values()), "partition_polynomial": 0}, with_spectrum
         # per batch: the two moment sweeps meet at the cut (k = 3 of 6 and
         # k = 4 of 9), so their layer steps add up to n; then the (max, +)
-        # sweep of n layers, and with spectra one n-layer degree sweep and
-        # no LOG sweep
+        # sweep of n layers, and with spectra one vertex recursion over n
+        # layers and no LOG sweep
         expect = []
         for n, k in ((6, 3), (9, 4)):
             expect += ([("moment", k), ("moment", n - k), ("max", n)]
@@ -298,7 +298,7 @@ def _traced_peak(call) -> int:
 
 @pytest.mark.parametrize("h, n, R, spectra", [
     (2, 512, 256, False), (4, 128, 64, False), (6, 64, 16, False), (8, 32, 8, False),
-    (2, 64, 32, True), (4, 32, 16, True), (6, 16, 8, True),
+    (2, 64, 32, True), (4, 32, 16, True), (6, 16, 8, True), (2, 128, 64, True),
 ])
 def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
     # the modelled bytes of a batch are at or above the peak that

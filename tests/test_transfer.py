@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dimerlab.graphs import (
 from dimerlab import transfer
 from dimerlab.experiments import make_fiber
 from dimerlab.groundstate import _max_W, gse_remainder, gse_remainder_bound, max_values
+from dimerlab.leeyang import SpectrumError, density_functionals, spectrum
 from dimerlab.transfer import (
     LOG,
     MAX,
@@ -42,7 +44,7 @@ from helpers import (
 )
 from oracle import (
     batch_scalar_log_z, brute_force_polynomial, full_moment_W, kill_vertex_edges,
-    remainder_R, remainder_upper_bound, vertex_removed_polynomial,
+    layer_increment_laws, remainder_R, remainder_upper_bound, vertex_removed_polynomial,
 )
 
 
@@ -150,8 +152,12 @@ def test_transfer_handles_disabled_edges():
                 assert got[r] == pytest.approx(v, rel=1e-10, abs=1e-12)
 
 
+def _stacked(ws):
+    return [np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")]
+
+
 def _batch(g, ws):
-    return batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")))
+    return batch_tables(g, *_stacked(ws))
 
 
 def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
@@ -228,6 +234,24 @@ def test_rank_blocks_reduce_with_the_bits_of_reduceat():
                 got, ref = (red(ufunc, vals[:, red.s, red.next]) for red in (ht.rank_blocks, ht.reduce_at))
                 assert _same_bits(got, ref), (H, ufunc)
     assert transfer._h_tables(HGraph.path(4)).rank_blocks is None
+
+
+def test_pairs_grown_by_vertex_match_the_dense_construction():
+    # the disjoint (next set, set) pairs, in their order, as the nonzero
+    # entries of the 2^h x 2^h disjointness matrix; at h = 12 the build
+    # stays far below that matrix's 144 MiB
+    for h in range(1, 9):
+        ht = transfer._HTables(HGraph.path(h))
+        sets = np.arange(1 << h)
+        for got, ref in zip((ht.pair_next, ht.pair_s), np.nonzero((sets[:, None] & sets) == 0)):
+            assert np.array_equal(got, ref) and got.dtype == ref.dtype, h
+    tracemalloc.start()
+    try:
+        transfer._HTables(HGraph.path(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
 
 
 def test_sweeps_give_the_same_bits_under_either_reducer(monkeypatch):
@@ -556,12 +580,13 @@ def test_remainder_slope_is_the_mean_count_gap():
 
 def test_flipped_tables_keep_partition_function_and_ground_state():
     # a cylinder read from layer n down to layer 1 keeps the weight of every
-    # matching: the layer-flipped table, a view, gives the same log Z, maximum
-    # and polynomial as the table itself
+    # matching: the layer-flipped table and weights, views, give the same
+    # log Z, maximum and polynomial as the table itself
     for g, w in cut_instances(19):
         tables = instance_tables(g, w)
         flip = {**tables, "B": tables["B"][:, ::-1], "hsum": tables["hsum"][::-1],
-                "scores": tables["scores"][:, ::-1]}
+                "scores": tables["scores"][:, ::-1],
+                **{key: tables[key][:, ::-1] for key in ("nu", "oh", "ov")}}
         assert batch_scalar_log_z(flip, 0.3)[0] == pytest.approx(
             batch_scalar_log_z(tables, 0.3)[0], abs=1e-10)
         assert max_values(flip)[0] == pytest.approx(max_values(tables)[0], abs=1e-10)
@@ -602,10 +627,85 @@ def test_increment_laws_match_masked_polynomials():
                 assert got == pytest.approx(var[r], rel=1e-10, abs=0.0), (H, r)
 
 
+def _assert_laws_close(got, ref, rel=1e-12):
+    """Same support, and log coefficients within ``rel`` relative (absolute below 1)."""
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    live = np.isfinite(ref)
+    assert np.all(np.abs(got[live] - ref[live]) <= rel * np.maximum(np.abs(ref[live]), 1.0))
+
+
+def test_increment_laws_match_the_layer_degree_sweep():
+    # the vertex recursion against the oracle's layer degree sweep over the
+    # same tables, and against enumeration on about 12 vertices: whole
+    # cylinders, interior cuts and the increments of partial masks, at
+    # h = 1..6 on path and cycle fibers, with -inf vertex, fiber-edge and
+    # horizontal weights
+    def weights(g):
+        nu, oh, ov = _stacked([sample_weights(g, STD_NORMAL, RngSeed(97, r)) for r in range(4)])
+        nu[1, 1, g.h - 1] = NEG_INF
+        ov[2, :, :1] = NEG_INF
+        oh[3, 0] = NEG_INF
+        return nu, oh, ov
+
+    for H in [HGraph.path(h) for h in range(1, 7)] + [HGraph.cycle(h) for h in range(3, 7)]:
+        n = 6 if H.h <= 4 else 4
+        g = build_cylinder(n, H)
+        tables = batch_tables(g, *weights(g))
+        for cuts in ([0, n], [0, 2, n], [1, 3], [1, n - 1, n], range(n + 1)):
+            for got, ref in zip(increment_laws(tables, cuts), layer_increment_laws(tables, cuts)):
+                _assert_laws_close(got, ref)
+        g = build_cylinder(max(2, 14 // H.h), H)
+        nu, oh, ov = weights(g)
+        tables = batch_tables(g, nu, oh, ov)
+        for cuts in ([0, g.n], [0, 1, g.n], [0, g.n - 1]):
+            for (a, b), lc in zip(zip(cuts, cuts[1:]), increment_laws(tables, cuts)):
+                for r in range(4):
+                    w = WeightAssignment(g, nu[r], oh[r], ov[r])
+                    ref = brute_force_polynomial(g, w, CountingMask.layer_range(a + 1, b))
+                    _assert_laws_close(lc[:, r], ref.log_coeffs)
+    # the disabled-edge batches with a -inf vertex weight in two replicas
+    for g, ws in disabled_edge_batches(99):
+        nu, oh, ov = _stacked(ws)
+        nu[0, 1, 0] = nu[2, g.n - 1, g.h - 1] = NEG_INF
+        tables = batch_tables(g, nu, oh, ov)
+        for k, l in ((1, g.n), (1, 2), (2, 3), (3, g.n)):
+            (lc,) = increment_laws(tables, [k - 1, l])
+            (ref,) = layer_increment_laws(tables, [k - 1, l])
+            _assert_laws_close(lc, ref)
+            for r in range(len(ws)):
+                w = WeightAssignment(g, nu[r], oh[r], ov[r])
+                _assert_laws_close(lc[:, r], brute_force_polynomial(g, w, CountingMask.layer_range(k, l)).log_coeffs)
+
+
+def test_spectrum_refusals_match_the_layer_oracle_at_32_vertices():
+    # at N = 32, where extraction is near its limit and a last-bit change in
+    # a coefficient could flip a refusal: the vertex and layer coefficients
+    # give the same refusals, the same largest zero to 1e-8 relative and
+    # the same density functionals to 1e-11
+    def spectra(coeffs, g):
+        for lc in coeffs.T:
+            try:
+                sp = spectrum(MonomerPolynomial(lc, g.num_vertices).monic())
+            except SpectrumError:
+                yield None
+                continue
+            yield (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
+
+    for H, n in ((HGraph.path(4), 8), (HGraph.path(2), 16)):
+        g = build_cylinder(n, H)
+        tables = _batch(g, [sample_weights(g, STD_NORMAL, RngSeed(1, r)) for r in range(64)])
+        (got,), (ref,) = increment_laws(tables, [0, n]), layer_increment_laws(tables, [0, n])
+        for r, (a, b) in enumerate(zip(spectra(got, g), spectra(ref, g))):
+            assert (a is None) == (b is None), (H, r)
+            if a is not None:
+                assert a[0] == pytest.approx(b[0], rel=1e-8, abs=0.0), (H, r)
+                assert abs(a[1] - b[1]) <= 1e-11 and abs(a[2] - b[2]) <= 1e-11, (H, r)
+
+
 def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
-    # a whole cylinder is one n-layer degree sweep and no LOG sweep; a mask
-    # inside the cylinder adds the forward and flipped LOG passes and sweeps
-    # its own layers, after the forward message when it starts past layer 1
+    # a whole cylinder is one vertex recursion over n layers and no LOG
+    # sweep; a mask inside the cylinder adds the forward and flipped LOG
+    # passes, and the recursion runs over its own layers only
     steps = sweep_steps(monkeypatch)
     for g, w in cut_instances(31):
         steps.clear()
@@ -615,7 +715,7 @@ def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
             if 1 <= k <= l <= g.n:
                 steps.clear()
                 partition_polynomial(g, w, CountingMask.layer_range(k, l))
-                assert steps == [("log", g.n), ("log", g.n), ("degree", l - k + 1 + (k > 1))]
+                assert steps == [("log", g.n), ("log", g.n), ("degree", l - k + 1)]
 
 
 def test_increment_laws_refuse_bad_cuts():
