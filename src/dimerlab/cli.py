@@ -144,12 +144,6 @@ def _write_manifest(out_dir: str, args, outputs: list, extra: dict | None = None
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    try:
-        import scipy
-
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     if extra:
         manifest.update(jsonify(extra))
     write_json(manifest, os.path.join(out_dir, "manifest.json"))

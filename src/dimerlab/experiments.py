@@ -4,7 +4,10 @@ A campaign sweeps a ladder of cylinder lengths, draws many independent
 weight environments per length, and records per-replica observables
 (log-partition value, Gibbs mean/variance of the unpaired count, section
 statistics, ground-state value).  Downstream checks turn the tables into
-law-of-large-numbers, CLT, and Brownian-increment diagnostics.
+law-of-large-numbers, CLT, and Brownian-increment diagnostics.  Their
+normality statistics (biased skewness, Fisher excess kurtosis, the
+two-sided Kolmogorov-Smirnov distance to N(0, 1) and Phi itself) come from
+their definitions, in numpy and ``math.erfc``.
 
 Replica streams are domain-separated Philox generators, so every table is
 reproducible bit-for-bit from (seed, stream), whatever the batches of
@@ -45,7 +48,7 @@ from .groundstate import max_values
 from .leeyang import SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
-    NEG_INF,
+    EmptyMeasureError,
     MonomerPolynomial,
     batch_tables,
     check_polynomial_caps,
@@ -326,15 +329,17 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     M from the (max, +) sweep over the same table; with spectra the zeros
     of every replica's polynomial from one vertex recursion over its
     weights.  An empty
-    Gibbs measure (log Z = -inf) is refused."""
+    Gibbs measure (log Z = -inf) is refused, naming its stream."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size
     tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
-    lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
-    empty = streams[lz == NEG_INF]
-    if empty.size:
-        raise ValueError(f"stream {empty[0]} at n={g.n} has no matching of finite weight"
-                         f" ({empty.size} of the {R} replicas of its batch): empty Gibbs measure")
+    try:
+        lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
+    except EmptyMeasureError as err:
+        empty = streams[err.replicas]
+        raise ValueError(
+            f"stream {empty[0]} at n={g.n} has no matching of finite weight"
+            f" ({empty.size} of the {R} replicas of its batch): empty Gibbs measure") from err
     rows = {
         "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
@@ -457,19 +462,38 @@ class StatsSummary:
     ok: bool
 
 
-def _normality_stats(sample: np.ndarray):
-    from scipy import stats
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF, Phi(x) = erfc(-x / sqrt 2) / 2, of a 1-d
+    array, by ``math.erfc``: erfc keeps its relative accuracy in the lower
+    tail, where 1 + erf(x / sqrt 2) would cancel."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), float, x.size)
 
+
+def _ks_normal(z: np.ndarray) -> float:
+    """The two-sided Kolmogorov-Smirnov distance sup |F_z - Phi| between the
+    empirical CDF of the sample z and N(0, 1): on sorted z, the largest of
+    i/m - Phi(z_i) and Phi(z_i) - (i - 1)/m.  Tied values need no care, as
+    the first and last of a tie carry both bounds of its jump."""
+    z = np.sort(z)
+    cdf, m = _norm_cdf(z), z.size
+    return float(max((np.arange(1.0, m + 1) / m - cdf).max(), (cdf - np.arange(0.0, m) / m).max()))
+
+
+def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
+    """The biased sample skewness m3 / m2^1.5 and the Fisher excess
+    kurtosis m4 / m2^2 - 3 of z, from its central moments m_k (means of
+    the k-th powers of the deviations from the sample mean)."""
+    d = z - z.mean()
+    d2 = d**2
+    m2 = float(np.mean(d2))
+    return float(np.mean(d2 * d)) / m2**1.5, float(np.mean(d2**2)) / m2**2.0 - 3.0
+
+
+def _normality_stats(sample: np.ndarray):
     mean = float(np.mean(sample))
     var = float(np.var(sample, ddof=1))
     z = (sample - mean) / math.sqrt(var)
-    return (
-        mean,
-        var,
-        float(stats.skew(z)),
-        float(stats.kurtosis(z)),
-        float(stats.kstest(z, "norm").statistic),
-    )
+    return (mean, var, *_skew_kurtosis(z), _ks_normal(z))
 
 
 def clt_checks(
@@ -477,7 +501,8 @@ def clt_checks(
     metrics=("log_z", "mean_U", "M"),
     thresholds: Thresholds | None = None,
 ) -> StatsSummary:
-    """Normality diagnostics of the replica samples at the top length; a
+    """Normality diagnostics of the replica samples at the top length (the
+    skewness, excess kurtosis and KS distance of ``_normality_stats``); a
     metric the campaign did not record (an all-NaN column) is skipped."""
     th = thresholds or Thresholds()
     top = table.top_n()
@@ -510,13 +535,11 @@ def clt_checks(
 
 def _lattice_normal_distance(pmf: np.ndarray) -> float:
     """Sup-distance between a standardized integer-lattice CDF and normal."""
-    from scipy import stats
-
     support = np.arange(pmf.size)
     mean = float(support @ pmf)
     sd = math.sqrt(float(((support - mean) ** 2) @ pmf))
     cdf = np.cumsum(pmf)
-    phi = stats.norm.cdf((support - mean) / sd)
+    phi = _norm_cdf((support - mean) / sd)
     left = np.concatenate([[0.0], cdf[:-1]])
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
@@ -632,13 +655,12 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     Draws Gibbs samples across independent environments at the top ladder
     length, forms scaled height increments on the t-grid, and reports
     variance ratios against sigma^2 * dt, pairwise correlations, and
-    per-increment normality.  The environments come in batches, one table
-    each: each sampler reads its replica, and ``increment_laws`` gives every
-    exact increment law, whose mean over the environments is the law of the
-    pooled draws.
+    per-increment normality (``_ks_normal`` of the standardized draws,
+    ``_lattice_normal_distance`` of the exact laws).  The environments come
+    in batches, one table each: each sampler reads its replica, and
+    ``increment_laws`` gives every exact increment law, whose mean over the
+    environments is the law of the pooled draws.
     """
-    from scipy import stats
-
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
@@ -668,7 +690,7 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     ks = np.empty(inc.shape[1])
     for j in range(inc.shape[1]):
         z = (inc[:, j] - inc[:, j].mean()) / inc[:, j].std(ddof=1)
-        ks[j] = stats.kstest(z, "norm").statistic
+        ks[j] = _ks_normal(z)
     floors, exact = np.empty((2, inc.shape[1]))
     for j, lc in enumerate(np.concatenate(batch, axis=-1) for batch in zip(*laws)):
         p = np.exp(lc - lc.max(axis=0))

@@ -24,8 +24,8 @@ import numpy as np
 from .graphs import CylinderGraph, WeightAssignment
 from .sampler import Matching, decode_paths, matching_weight
 from .transfer import (
-    MAX, NEG_INF, _last, backward_terms, backward_weights, batch_tables, check_cut, cut_remainders,
-    instance_tables, messages, scalar_log_z, sweep,
+    MAX, NEG_INF, _last, backward_terms, backward_weights, batch_tables, check_cut, check_nonempty,
+    cut_remainders, instance_tables, messages, scalar_log_z, sweep,
 )
 
 
@@ -43,8 +43,9 @@ def _max_W(tables: dict) -> np.ndarray:
 
 
 def max_values(tables: dict) -> np.ndarray:
-    """Max Hamiltonian per replica of ``tables``."""
-    return _last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[0]
+    """Max Hamiltonian per replica of ``tables``; a replica with no matching
+    of finite weight, nothing to maximize over, is refused."""
+    return check_nonempty(_last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[0])
 
 
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:

@@ -4,7 +4,9 @@ A width-1 cylinder is a path, and its partition function equals |det A_n|
 for the tridiagonal matrix with diagonal entries sqrt(-1) * e^{nu_k} and
 off-diagonal entries e^{omega_k / 2}.  Everything here is phrased through
 two real arrays (log diagonal magnitudes, log edge weights): the
-imaginary unit only sets the phase sqrt(-1)^n of the determinant.
+imaginary unit only sets the phase sqrt(-1)^n of the determinant.  The
+spectrum of the gauged zero-diagonal part comes from numpy's dense
+eigensolver, for n up to ``SPECTRUM_MAX_N`` layers.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
 from .leeyang import _squared_tilted
+from .transfer import CapacityError
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,20 @@ def det_abs(A: JacobiMatrix) -> float:
     return math.fsum([*shifts, d])
 
 
-def omega_spectrum(A: JacobiMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the gauge-transformed zero-diagonal part."""
-    from scipy.linalg import eigvalsh_tridiagonal
+# the largest n whose spectrum ``omega_spectrum`` takes (a dense n x n matrix)
+SPECTRUM_MAX_N = 1024
 
-    if A.n == 1:
-        return np.zeros(1)
-    off = np.exp(0.5 * A.gauge())
-    return eigvalsh_tridiagonal(np.zeros(A.n), off)
+
+def omega_spectrum(A: JacobiMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the gauge-transformed zero-diagonal part,
+    by numpy's dense symmetric eigensolver (``eigvalsh``), which is
+    backward stable: each eigenvalue is exact to a small multiple of eps
+    times the largest |eigenvalue|.  The matrix is dense, so n is capped at
+    ``SPECTRUM_MAX_N``; a larger n is refused."""
+    if A.n > SPECTRUM_MAX_N:
+        raise CapacityError(f"the Jacobi spectrum supports n <= {SPECTRUM_MAX_N} layers, got n={A.n}")
+    # eigvalsh reads the lower triangle alone
+    return np.linalg.eigvalsh(np.diag(np.exp(0.5 * A.gauge()), -1))
 
 
 def resolvent_U(A: JacobiMatrix, x: float = 0.0) -> float:

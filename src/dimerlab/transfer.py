@@ -130,6 +130,25 @@ class CapacityError(ValueError):
     """An instance exceeds a documented size cap."""
 
 
+class EmptyMeasureError(ValueError):
+    """Replicas of a batch (indices ``replicas``) have no matching of finite
+    weight: an empty Gibbs measure, with no moment, maximum or remainder."""
+
+    def __init__(self, replicas: np.ndarray, R: int):
+        super().__init__(f"replica {replicas[0]} has no matching of finite weight"
+                         f" ({replicas.size} of {R}): empty Gibbs measure")
+        self.replicas = replicas
+
+
+def check_nonempty(values: np.ndarray) -> np.ndarray:
+    """``values``, a value per replica (log Z or the maximum), after refusing
+    the replicas where it is -inf: the rule of every batched consumer."""
+    empty = np.flatnonzero(values == NEG_INF)
+    if empty.size:
+        raise EmptyMeasureError(empty, values.size)
+    return values
+
+
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) along ``axis`` by a max shift, overwriting ``a``; -inf slices stay -inf."""
     top = a.max(axis=axis, keepdims=True)
@@ -466,8 +485,10 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
     of either the moment weights and their collapse or the LOG messages of
     ``increment_laws``, with a sweep step's terms, per replica; or one block
     of the vertex recursion, whose message and its closing hold about three
-    times D x 2^h numbers per replica for D degrees, and a spectrum's
-    companion matrix; or one ``GibbsSampler`` and its ``draws`` per layer."""
+    times D x 2^h numbers per replica for D degrees, with the forward and
+    flipped messages of an interior cut unless the increment is the whole
+    cylinder (``degree_layers == n``), and a spectrum's companion matrix;
+    or one ``GibbsSampler`` and its ``draws`` per layer."""
     ht = _h_tables(H)
     S, rows, pairs = ht.states, int(ht.fiber_start[-1]), ht.pair_s.size
     tables = (ht.h + 2) * S + rows + 2 * ht.h + ht.mH
@@ -478,7 +499,8 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
         held += 2 * (ht.h * n + 1)
         D = ht.h * degree_layers + 1
         block = min(R, max(1, _POLY_BLOCK // (D * S)))   # replicas, as in increment_laws
-        once = block * (3 * D * S + 6 * S * n) + 2 * (D // 2) ** 2
+        cut_messages = 6 * S * n if degree_layers < n else 0
+        once = block * (3 * D * S + cut_messages) + 2 * (D // 2) ** 2
     if draws:
         once = max(once, n * (tables + 6 * S + pairs + rows) + 6 * draws * n)
     return 8 * (R * held + max(R * stage, once))
@@ -770,6 +792,8 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     h_k[S] the horizontal weight of S at cut k, and d = m - mean, the
     section laws mix over S: var_L = sum pi (v_L + d_L^2), and
     cov = sum pi d_L d_R directly, never as a difference of variances.
+    A replica with no matching of finite weight is refused
+    (``check_nonempty``).
     """
     n, ht, hsum = tables["n"], tables["ht"], tables["hsum"]
     check_cut(k, n)
@@ -780,14 +804,12 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     # whose order of additions does not depend on the batch size
     fw, bw, cut = (np.ascontiguousarray(a.swapaxes(-1, -2)) for a in (fw, bw, hsum[k - 1]))
     logp = fw[0] + cut + bw[0]
-    top = logp.max(axis=1)
-    top[top == NEG_INF] = 0.0
+    top = check_nonempty(logp.max(axis=1))
     pi = np.exp(logp - top[:, None])
     total = pi.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_z = np.log(total) + top
+    log_z = np.log(total) + top
     # normalised by its own sum, which exp(logp - log_z) is not to rounding
-    pi /= np.where(total > 0.0, total, 1.0)[:, None]
+    pi /= total[:, None]
     mean_l, mean_r = (pi * fw[1]).sum(axis=1), (pi * bw[1]).sum(axis=1)
     d_l, d_r = fw[1] - mean_l[:, None], bw[1] - mean_r[:, None]
     var_l = (pi * (fw[2] + d_l * d_l)).sum(axis=1)
@@ -964,14 +986,11 @@ def cut_remainders(W: np.ndarray, tables: dict, semiring: Semiring = LOG) -> np.
     the empty reserved set after layer k is the value V of layers 1..k; the
     same sweep over the layer-flipped table gives the values of the
     suffixes, so one forward and one flipped sweep serve every cut.  A
-    replica of value V = -inf (an empty measure) is refused.
+    replica of value V = -inf (an empty measure) is refused
+    (``check_nonempty``).
     """
     pre, suf = (messages(W, tables, semiring, flipped)[:, 0] for flipped in (False, True))
-    empty = np.flatnonzero(pre[-1] == NEG_INF)
-    if empty.size:
-        raise ValueError(f"replica {empty[0]} has no matching of finite weight ({empty.size}"
-                         f" of {pre.shape[-1]}): empty Gibbs measure")
-    return pre[-1] - pre[:-1] - suf[-2::-1]
+    return check_nonempty(pre[-1]) - pre[:-1] - suf[-2::-1]
 
 
 def section_covariance(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

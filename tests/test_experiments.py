@@ -27,8 +27,11 @@ from dimerlab.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
     _draw_weight_batch,
-    _replica_chunk,
+    _ks_normal,
     _lattice_normal_distance,
+    _norm_cdf,
+    _replica_chunk,
+    _skew_kurtosis,
     brownian_fdd_check,
     clt_checks,
     estimate_limits,
@@ -424,6 +427,37 @@ def test_quenched_two_point_lattice_distance():
     g = build_cylinder(2, HGraph.single())
     distance = _lattice_normal_distance(partition_polynomial(g, WeightAssignment.constant(g)).pmf())
     assert distance == pytest.approx(norm.cdf(1.0) - 0.5, abs=1e-12)
+
+
+def _normality_samples():
+    rng = np.random.default_rng(71)
+    return {
+        "normal-30": rng.normal(size=30),
+        "normal-1e4": rng.normal(size=10**4),
+        # a lattice law with many ties, whose KS sup sits on a tie
+        "tied": rng.poisson(3.0, size=2000).astype(float),
+        "cauchy-1e4": rng.standard_cauchy(10**4),
+        "student3-1e4": rng.standard_t(3, size=10**4),
+    }
+
+
+@pytest.mark.parametrize("name", list(_normality_samples()))
+def test_normality_statistics_match_scipy(name):
+    # the clt and brownian statistics against scipy's, on a sample
+    # standardized as the checks standardize theirs
+    from scipy import stats
+
+    x = _normality_samples()[name]
+    z = (x - x.mean()) / x.std(ddof=1)
+    skew, kurt = _skew_kurtosis(z)
+    assert skew == pytest.approx(stats.skew(z), rel=1e-13, abs=1e-13)
+    assert kurt == pytest.approx(stats.kurtosis(z), rel=1e-13, abs=1e-13)
+    assert _ks_normal(z) == pytest.approx(stats.kstest(z, "norm").statistic, rel=0.0, abs=1e-13)
+    # below the smallest normal float (z < -37.5) no relative accuracy is representable
+    tiny = np.finfo(float).tiny
+    np.testing.assert_allclose(_norm_cdf(z), stats.norm.cdf(z), rtol=1e-13, atol=tiny)
+    grid = np.linspace(-40.0, 10.0, 5001)
+    np.testing.assert_allclose(_norm_cdf(grid), stats.norm.cdf(grid), rtol=1e-13, atol=tiny)
 
 
 def test_quenched_ladder_distance_decreases():

@@ -3,6 +3,10 @@ function and class of the package is referenced."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,50 @@ def test_the_scan_sees_a_dead_definition(tmp_path):
     assert dead == ["dead", "unused", "resolve"]
     names, _ = references(ast.parse(source.read_text() + reader.read_text()))
     assert {"imported", "imported_too", "sweep"} <= names and "resolve" not in names
+
+
+# every command at toy sizes in one interpreter; the experiment runs the four
+# checks (clt on 30 replicas, drift on two rungs, functionals on spectra at
+# N = 16, brownian on pooled Gibbs draws), so every statistic of the report
+# and the Jacobi spectrum are computed
+RUNTIME_SCRIPT = """
+import json, sys
+from pathlib import Path
+from dimerlab.cli import main
+
+tmp = Path(sys.argv[1])
+inst = ["--n", "4", "--h", "2", "--vertex", "normal(0,1)", "--edge", "normal(0,1)"]
+cfg = tmp / "c.cfg"
+cfg.write_text("[graph]\\nfiber = path(2)\\n[ladder]\\nn = 4, 8\\nreplicas = 30\\nseed = 1\\n"
+               "with_spectrum = true\\nheight_envs = 2\\ngibbs_samples = 50\\nt_grid = 0, 0.5, 1\\n")
+codes = [main(argv) for argv in (
+    ["sample", *inst, "--count", "10", "--out", str(tmp / "sample")],
+    ["ground", *inst, "--betas", "1,2", "--out", str(tmp / "ground")],
+    ["exact", *inst, "--out", str(tmp / "exact")],
+    ["spectrum", *inst, "--out", str(tmp / "spectrum")],
+    ["jacobi", "--n", "16", "--h", "1", "--vertex", "normal(0,1)", "--out", str(tmp / "jacobi")],
+    ["experiment", "--config", str(cfg), "--out", str(tmp / "run"),
+     "--checks", "clt,drift,functionals,brownian"],
+    ["plot", "--csv", str(tmp / "run" / "replicas.csv"), "--svg", str(tmp / "x.svg"),
+     "--kind", "hist"],
+)]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # the runtime needs numpy alone: scipy is a test oracle, not a dependency
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", RUNTIME_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["scipy"] == []
+    # the experiment's gated checks may fail at 30 replicas; the rest succeed
+    assert result["codes"][:5] == [0] * 5 and result["codes"][5] in (0, 1) and result["codes"][6] == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert {"clt", "linear_growth", "functionals", "brownian"} <= report.keys()
+    assert len(json.loads((tmp_path / "jacobi" / "jacobi.json").read_text())["eigenvalues"]) == 16
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert sorted(manifest["versions"]) == ["dimerlab", "numpy", "python"]

@@ -16,6 +16,7 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.jacobi import (
+    SPECTRUM_MAX_N,
     JacobiMatrix,
     _logaddexp,
     det_abs,
@@ -23,7 +24,7 @@ from dimerlab.jacobi import (
     resolvent_U,
 )
 from dimerlab.leeyang import spectrum
-from dimerlab.transfer import partition_polynomial, scalar_log_z
+from dimerlab.transfer import CapacityError, partition_polynomial, scalar_log_z
 
 from helpers import STD_NORMAL
 
@@ -121,6 +122,33 @@ def test_eigenvalues_are_the_signed_zero_multiset():
         lam = omega_spectrum(JacobiMatrix.from_weights(g, w))
         sp = spectrum(partition_polynomial(g, w.gauged()))
         assert np.max(np.abs(np.sort(lam) - sp.signed_atoms())) <= 1e-8
+
+
+def test_spectrum_matches_the_tridiagonal_eigensolver():
+    # numpy's dense eigensolver against scipy's tridiagonal one, at every
+    # size the jacobi command lists, with a disabled edge from n = 8 on
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    for n in range(1, 65):
+        g, w = _chain(n, seed=1500 + n)
+        oh = np.array(w.omega_h, copy=True)
+        if n >= 8:
+            oh[n // 2, 0] = -np.inf
+        A = JacobiMatrix.from_weights(g, WeightAssignment(g, w.nu, oh, w.omega_v))
+        lam = omega_spectrum(A)
+        ref = eigvalsh_tridiagonal(np.zeros(n), np.exp(0.5 * A.gauge()))
+        assert lam.shape == (n,) and np.all(np.diff(lam) >= 0.0), n
+        assert np.max(np.abs(lam - ref)) <= 1e-12 * np.max(np.abs(ref), initial=0.0), n
+
+
+def test_spectrum_past_its_cap_is_refused():
+    n = SPECTRUM_MAX_N + 1
+    A = JacobiMatrix(np.zeros(n), np.zeros(n - 1))
+    with pytest.raises(CapacityError, match=f"^the Jacobi spectrum supports n <= {SPECTRUM_MAX_N}"
+                                            f" layers, got n={n}$"):
+        omega_spectrum(A)
+    with pytest.raises(CapacityError, match=f"got n={n}$"):
+        resolvent_U(A)
 
 
 def test_resolvent_matches_mean_unpaired_count():

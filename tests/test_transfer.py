@@ -18,11 +18,11 @@ from dimerlab.experiments import make_fiber
 from dimerlab.groundstate import _max_W, gse_remainder, gse_remainder_bound, max_values
 from dimerlab.leeyang import SpectrumError, density_functionals, spectrum
 from dimerlab.transfer import (
-    LOG,
     MAX,
     NEG_INF,
     CapacityError,
     CountingMask,
+    EmptyMeasureError,
     MonomerPolynomial,
     _blocked_log_z,
     _log_blocks,
@@ -748,21 +748,35 @@ def test_monic_shifts_by_the_all_monomer_coefficient():
         partition_polynomial(g, w, CountingMask.layer_range(1, 1)).monic()
 
 
-def test_cut_remainders_refuse_an_empty_replica():
-    # one replica of the batch with every weight -inf has no matching of
-    # finite weight, so no remainders: refused, where V - V = -inf - -inf
-    # would be NaN; the others keep the remainders they have alone
-    g = build_cylinder(5, HGraph.path(2))
-    ws = [sample_weights(g, STD_NORMAL, RngSeed(4, r)) for r in range(3)]
-    ws[1] = WeightAssignment(g, *(np.full_like(getattr(ws[1], a), NEG_INF)
-                                  for a in ("nu", "omega_h", "omega_v")))
-    tables = _batch(g, ws)
-    for W, semiring in ((_moment_W(tables, 0.0)[:, 0], LOG), (_max_W(tables), MAX)):
-        with pytest.raises(ValueError, match=r"^replica 1 has no matching of finite weight"
-                                             r" \(1 of 3\): empty Gibbs measure$"):
-            cut_remainders(W, tables, semiring)
-    kept = _batch(g, ws[::2])
-    assert np.array_equal(cut_remainders(_moment_W(kept, 0.0)[:, 0], kept)[:, 1], remainder_R(g, ws[2]))
+@pytest.mark.parametrize("H, n, dead", [
+    # an odd number of vertices, each of weight -inf: no perfect matching
+    (HGraph.single(), 5, ("nu",)),
+    (HGraph.cycle(3), 5, ("nu",)),
+    (HGraph.path(2), 6, ("nu", "omega_h", "omega_v")),
+], ids=["single-odd", "cycle3-odd", "path2-all"])
+def test_every_batched_route_refuses_an_empty_replica(H, n, dead):
+    # replica 2 of 4 has no matching of finite weight: the moments, the
+    # maximum and both remainders refuse it by one rule, where they would
+    # give log Z = M = -inf next to zero moments and NaN remainders
+    # (-inf - -inf); the batch without it runs, each replica as alone
+    g = build_cylinder(n, H)
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(8, r)) for r in range(4)]
+    ws[2] = WeightAssignment(g, *(np.full_like(getattr(ws[2], a), NEG_INF) if a in dead
+                                  else getattr(ws[2], a) for a in ("nu", "omega_h", "omega_v")))
+    routes = {
+        "cut_moments": lambda t: cut_moments(t, 2, 0.3),
+        "max_values": max_values,
+        "cut_remainders LOG": lambda t: cut_remainders(_moment_W(t, 0.0)[:, 0], t),
+        "cut_remainders MAX": lambda t: cut_remainders(_max_W(t), t, MAX),
+    }
+    tables, kept = _batch(g, ws), _batch(g, ws[:2] + ws[3:])
+    for name, route in routes.items():
+        with pytest.raises(EmptyMeasureError, match=r"^replica 2 has no matching of finite weight"
+                                                    r" \(1 of 4\): empty Gibbs measure$") as err:
+            route(tables)
+        assert err.value.replicas.tolist() == [2], name
+        assert np.isfinite(np.asarray(route(kept))).all(), name
+    assert np.array_equal(cut_remainders(_moment_W(kept, 0.0)[:, 0], kept)[:, 2], remainder_R(g, ws[3]))
 
 
 def test_remainder_vanishes_on_disconnected_cut():
