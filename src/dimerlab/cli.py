@@ -14,6 +14,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -234,10 +235,10 @@ def _cmd_sample(args) -> int:
     from .graphs import DOMAIN_GIBBS, rng_generator
 
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
-    S_path, m_path = sampler.draw_states(gen, args.count)
-    matchings = sampler.matchings_from_states(S_path, m_path)
+    moves = sampler.draw_states(gen, args.count)
+    matchings = sampler.matchings_from_states(moves)
     t_grid = np.linspace(0.0, 1.0, args.t_points)
-    profiles = sampler.monomer_profiles(S_path, m_path)
+    profiles = sampler.monomer_profiles(moves)
     print(f"drew {len(matchings)} matchings from the Gibbs law (x={args.x:g})")
     counts = profiles.sum(axis=1)
     print(f"unpaired count: mean {np.mean(counts):.4f}, min {counts.min()}, max {counts.max()}")
@@ -265,7 +266,25 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _betas(text: str | None) -> list[float]:
+    """The inverse temperatures of ``--betas``, a comma list of finite
+    positive numbers; an entry that is not one is refused, by name."""
+    betas = []
+    for entry in [] if text is None else text.split(","):
+        try:
+            beta = float(entry)
+        except ValueError:
+            raise UsageError(f"--betas entries must be numbers, got {entry!r} in {text!r}") from None
+        if not math.isfinite(beta):
+            raise UsageError(f"--betas: beta values must be finite, got {entry.strip()} in {text!r}")
+        if beta <= 0:
+            raise UsageError(f"--betas: beta values must be positive, got {entry.strip()} in {text!r}")
+        betas.append(beta)
+    return betas
+
+
 def _cmd_ground(args) -> int:
+    betas = _betas(args.betas)
     g, w = _resolve_weights(args)
     gs = max_weight(g, w)
     print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
@@ -278,8 +297,7 @@ def _cmd_ground(args) -> int:
     else:
         print(f"max remainder over cuts = {worst:.6f}")
     ladder = None
-    if args.betas:
-        betas = [float(b) for b in args.betas.split(",")]
+    if betas:
         lad = ground_zero_temperature_limit(g, w, betas, gs.value)
         for b, v, gap in zip(lad.betas, lad.free_energies, lad.gaps):
             print(f"beta={b:g}: free energy {v:.8f} (gap {gap:.2e})")

@@ -54,6 +54,7 @@ from .transfer import (
     check_polynomial_caps,
     check_transfer_cap,
     cut_moments,
+    draws_per_block,
     increment_laws,
     replicas_per_batch,
 )
@@ -576,7 +577,7 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
         raise ValueError(f"height increments need a t grid in [0, 1] whose cuts floor(n*t)"
                          f" strictly increase at n={n}; t_grid {','.join(f'{v:g}' for v in t)}"
                          f" gives {','.join(map(str, cuts))}")
-    replicas_per_batch(cfg.fiber_graph(), n, int(np.diff(cuts).max()), cfg.gibbs_samples)
+    draws_per_block(cfg.fiber_graph(), n, int(np.diff(cuts).max()), cfg.gibbs_samples)
 
 
 def functional_consistency_check(
@@ -657,9 +658,10 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     variance ratios against sigma^2 * dt, pairwise correlations, and
     per-increment normality (``_ks_normal`` of the standardized draws,
     ``_lattice_normal_distance`` of the exact laws).  The environments come
-    in batches, one table each: each sampler reads its replica, and
-    ``increment_laws`` gives every exact increment law, whose mean over the
-    environments is the law of the pooled draws.
+    in batches, one table each: each sampler reads its replica and draws
+    in blocks of ``transfer.draws_per_block``, which give the draws of one
+    block of all, and ``increment_laws`` gives every exact increment law,
+    whose mean over the environments is the law of the pooled draws.
     """
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
@@ -667,15 +669,19 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     t = np.asarray(cfg.t_grid, dtype=float)
     cuts = np.floor(n * t).astype(int)
     raw, paths, laws = [], [], []
-    for envs in _batches(g, cfg.height_envs, int(np.diff(cuts).max()), cfg.gibbs_samples):
+    degree_layers = int(np.diff(cuts).max())
+    block = draws_per_block(g.H, n, degree_layers, cfg.gibbs_samples)
+    for envs in _batches(g, cfg.height_envs, degree_layers, block):
         tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
         for r, env in enumerate(envs):
             sampler = GibbsSampler(tables, r)
             gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
-            theta, scaled = heights(
-                sampler.monomer_profiles(*sampler.draw_states(gen, cfg.gibbs_samples)), t, u_hat)
-            raw.append(np.diff(theta, axis=1))
-            paths.append(scaled)
+            for lo in range(0, cfg.gibbs_samples, block):
+                moves = sampler.draw_states(gen, min(block, cfg.gibbs_samples - lo))
+                theta, scaled = heights(sampler.monomer_profiles(moves), t, u_hat)
+                raw.append(np.diff(theta, axis=1))
+                paths.append(scaled)
+                del moves   # one block at a time, as the batch model counts
             del sampler   # one at a time, as the batch model counts
         laws.append(increment_laws(tables, cuts))
         del tables   # before the next batch's

@@ -1,19 +1,20 @@
 """Zero-temperature engine: maximal Hamiltonian over matchings.
 
-The transfer module's layer sweep turns into a ground-state solver in the
-(max, +) semiring, with each layer weighted by its best fiber matching per
-forbidden set.  The optimal matching is then read off backward by the two
-stages of ``transfer.backward_terms``: from the empty reserved set after
-the last layer, each layer takes the first argmax over the previous set S',
-then over the fiber rows of F = S | S'.  Rounding is monotone, so a +
-max_row s = max_row (a + s), and ties go to the first candidate in the
-canonical order (S' ascending, row ascending), as one joint argmax would.
+The transfer module's vertex recursion turns into a ground-state solver in
+the (max, +) arithmetic ``MAX``.  The optimal matching is then read off
+backward one vertex at a time, from the stored message after every vertex
+(``transfer.move_terms``): from the empty set after the last layer, each
+vertex takes the first largest of the moves into the state after it, in
+the fixed order monomer (or the forced opening), the close of the
+horizontal dimer reserved at the cut before, then the fiber dimers to the
+earlier vertices by H-edge.  The monomer comes first, so all-zero weights
+give the empty matching.  The backward terms are the very sums the forward
+maximum took, so the first largest is a move of an optimal configuration.
 
 The (max, +) message at the empty reserved set after layer k is the
-maximum over the sub-cylinder of layers 1..k; with one sweep over the
-table and one over its layer flip, ``gse_remainder`` gives the
-ground-state remainder of every cut from one table, without re-solving
-any restriction.
+maximum over the sub-cylinder of layers 1..k; with one sweep forward and
+one over the flipped layers, ``gse_remainder`` gives the ground-state
+remainder of every cut, without re-solving any restriction.
 """
 from __future__ import annotations
 
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
-from .sampler import Matching, decode_paths, matching_weight
+from .sampler import Matching, decode_moves, matching_weight
 from .transfer import (
-    MAX, NEG_INF, _last, backward_terms, backward_weights, batch_tables, check_cut, check_nonempty,
-    cut_remainders, instance_tables, messages, scalar_log_z, sweep,
+    MAX, NEG_INF, _empty, _vertex_sweep, batch_tables, check_cut, check_nonempty, cut_remainders,
+    instance_tables, move_terms, scalar_log_z,
 )
 
 
@@ -35,17 +36,12 @@ class GroundState:
     matching: Matching
 
 
-def _max_W(tables: dict) -> np.ndarray:
-    """Layer weights of the (max, +) sweep, ``W[i, F, r]``: the best fiber
-    matching of each block."""
-    s, start = tables["scores"], tables["ht"].fiber_start
-    return np.stack([s[a:b].max(axis=0) for a, b in zip(start[:-1], start[1:])], axis=1)
-
-
 def max_values(tables: dict) -> np.ndarray:
     """Max Hamiltonian per replica of ``tables``; a replica with no matching
     of finite weight, nothing to maximize over, is refused."""
-    return check_nonempty(_last(sweep(_max_W(tables), tables["hsum"], tables["ht"], MAX))[0])
+    nu, oh, ov = (tables[key] for key in ("nu", "oh", "ov"))
+    empty = _empty(1 << tables["h"], nu.shape[0])
+    return check_nonempty(_vertex_sweep(empty, nu, oh, ov, tables["plan"], MAX)[0])
 
 
 def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
@@ -55,21 +51,16 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
-    tables = instance_tables(g, w)
-    ht, scores = tables["ht"], tables["scores"][..., 0]
-    W = _max_W(tables)
-    msgs = messages(W, tables, MAX)[..., 0]
-    value = float(msgs[-1, 0])
+    value, terms, code, prev = move_terms(instance_tables(g, w), 0, MAX)
     if value == NEG_INF:   # no matching of finite weight: nothing to maximize over
         raise ValueError("all coefficients vanish; empty Gibbs measure")
-    a, W = backward_weights(msgs, tables["hsum"][..., 0]), W[..., 0]
-    S_path, rows = np.zeros((2, g.n), dtype=np.int64)
-    S = 0
+    best = terms.argmax(axis=-1)
+    moves, s = np.empty((1, g.n, g.h), dtype=np.intp), 0
     for i in range(g.n - 1, -1, -1):
-        p = ht.pair_start[S] + backward_terms(a, W, ht, S, i).argmax()
-        lo, hi = ht.fiber_start[ht.pair_f[p]], ht.fiber_start[ht.pair_f[p] + 1]   # the rows of F = S | S'
-        S_path[i], rows[i], S = S, lo + scores[lo:hi, i].argmax(), ht.pair_s[p]
-    gs = GroundState(value=value, matching=decode_paths(ht, S_path[None], rows[None])[0])
+        for b in range(g.h - 1, -1, -1):
+            j = best[i, b, s]
+            moves[0, i, b], s = code[b, s, j], prev[b, s, j]
+    gs = GroundState(value=value, matching=decode_moves(g.n, g.H, moves)[0])
     achieved = matching_weight(g, w, gs.matching)
     if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
         raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")
@@ -79,8 +70,7 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
 def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
     """Superadditivity gaps M_n - M_[1:k] - M_[k+1:n] of the ground state,
     for every cut k = 1..n-1 (entry k-1)."""
-    tables = instance_tables(g, w)
-    return cut_remainders(_max_W(tables), tables, MAX)[:, 0]
+    return cut_remainders(instance_tables(g, w), MAX)[:, 0]
 
 
 def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:

@@ -1,16 +1,19 @@
-"""Exact Gibbs sampling of matchings by the backward step of the transfer DP.
+"""Exact Gibbs sampling of matchings by the backward step of the transfer recursion.
 
-A matching of the cylinder decomposes layer by layer into the set S_i of
-vertices matched forward by horizontal dimers and a fiber matching m_i
-avoiding S_{i-1} and S_i.  Under the forward messages of the transfer
-module's (logaddexp, +) sweep, the two stages of its backward step are the
-exact laws of S_{i-1} given S_i and of m_i given F = S_{i-1} | S_i, so
-sampling them backward from the last layer draws from the Gibbs measure
-itself - no Markov chain, no mixing time.  A ``GibbsSampler`` keeps the
-cumulative law of every segment of both stages at every layer.  Each draw
-takes one uniform u per layer: stage 1 inverts its law C at u and picks k,
-stage 2 inverts its law at the residual (u - C[k-1]) / (C[k] - C[k-1]), in
-all the inverse of the joint law ordered by S_{i-1}, then by fiber row.
+The transfer module builds the cylinder one vertex at a time.  Given the
+state after vertex (i, b), the move into it is either the unique OPEN move
+(b is open), or one of: a monomer, the close of the horizontal dimer
+reserved at cut i-1, or a fiber dimer to an open earlier vertex of the
+layer.  Under the forward messages of the (logaddexp, +) sweep, the weights
+of these moves, each the message before the vertex at the state it leaves
+times the move's weight, are the exact conditional law of the move given
+the state after it, so drawing the moves backward from the empty set after
+the last vertex draws from the Gibbs measure itself - no Markov chain, no
+mixing time.  A ``GibbsSampler`` keeps the cumulative law of the moves into
+every state after every vertex.  Draw d takes one uniform per vertex, the
+row d of ``gen.random((count, n * h))``, and inverts each vertex's law at
+it: the uniforms are consumed draw-major, so draws taken in blocks are the
+draws taken at once.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment
-from .transfer import NEG_INF, _moment_W, backward_terms, backward_weights, messages
+from .transfer import FIBER, HORIZONTAL, LOG, MONOMER, NEG_INF, move_terms
 
 
 @dataclass(frozen=True)
@@ -71,97 +74,74 @@ def heights(profiles: np.ndarray, t, centering: float | None = None):
     return theta, (theta - n * t * centering) / np.sqrt(n)
 
 
+# the move drawn from a state of zero mass, which no consistent law reaches
+ZERO_MASS = -2
+
+
 def _cumulative_law(t: np.ndarray) -> np.ndarray:
-    """The cumulative law of each row of log weights ``t``, in place,
-    normalised by its own last entry so that it ends at exactly 1.0; a row
-    of -inf weights (zero mass) becomes zeros."""
-    top = t.max(axis=1, keepdims=True)
+    """The cumulative law along the last axis of log weights ``t``, in
+    place, normalised by its own last entry so that it ends at exactly 1.0;
+    a row of -inf weights (zero mass) becomes zeros."""
+    top = t.max(axis=-1, keepdims=True)
     top[top == NEG_INF] = 0.0
     np.exp(t - top, out=t)
-    np.cumsum(t, axis=1, out=t)
-    total = t[:, -1:]
+    np.cumsum(t, axis=-1, out=t)
+    total = t[..., -1:]
     t /= np.where(total > 0.0, total, 1.0)
     return t
 
 
-def _pick(cum: np.ndarray, seg: np.ndarray, starts: np.ndarray, j: np.ndarray, u: np.ndarray):
-    """Per draw, the entry p of segment ``j`` of the laws ``cum`` (segment ids
-    ``seg``, bounds ``starts``) holding u < 1, by one search over segment +
-    1j cumulative, which numpy orders lexicographically.  Laws end at exactly
-    1.0, so only a zero-mass segment sends p past its end: that is refused."""
-    p = np.searchsorted(seg + 1j * cum, j + 1j * u, side="right")
-    if (p >= starts[j + 1]).any():
-        raise ValueError("sampling reached a state of zero mass")
-    return p
-
-
 class GibbsSampler:
-    """Backward exact sampler of replica r of built tables at tilt x: the
-    cumulative laws ``prev_law[i, p]`` of stage 1 and ``row_law[i, row]`` of
-    stage 2 of the backward step at every layer i, from one forward sweep."""
+    """Backward exact sampler of replica r of ``tables`` at tilt x: the
+    cumulative law ``law[i, b, s, j]`` of the moves into each state s after
+    every vertex (i, b) (``transfer.move_terms``), from one forward sweep."""
 
     def __init__(self, tables: dict, r: int = 0, x: float = 0.0):
-        self.n, self.h, self.x = tables["n"], tables["h"], x
-        ht = self.ht = tables["ht"]
-        # replica r as a contiguous batch of one, so every number below is
-        # the one that the replica's own instance_tables give
-        one = {**tables, **{k: tables[k][..., [r]] for k in ("B", "hsum", "scores")}}
-        W = _moment_W(one, x)[:, 0]
-        msgs = messages(W, one)[..., 0]
-        self.log_z = float(msgs[-1, 0])
+        self.n, self.H, self.x = tables["n"], tables["H"], x
+        self.log_z, terms, code, prev = move_terms(tables, r, LOG, x)
         if self.log_z == NEG_INF:
             raise ValueError("partition function vanishes; nothing to sample")
-        a, W = backward_weights(msgs, one["hsum"][..., 0]), W[..., 0]
-        self.prev_law = np.empty((self.n, ht.pair_s.size))
-        self.row_law = one["scores"][..., 0].T + x * ht.fiber_mono
-        for S in range(ht.states):
-            self.prev_law[:, ht.pair_start[S] : ht.pair_start[S + 1]] = _cumulative_law(
-                backward_terms(a, W, ht, S))
-            _cumulative_law(self.row_law[:, ht.fiber_start[S] : ht.fiber_start[S + 1]])
+        self.law = _cumulative_law(terms)
+        # one column past the moves, which only a law of zero mass (all 0) reaches
+        self.code, self.prev = (np.pad(a, ((0, 0), (0, 0), (0, 1)), constant_values=v)
+                                for a, v in ((code, ZERO_MASS), (prev, 0)))
 
-    def draw_states(self, gen: np.random.Generator, count: int):
-        """Sample (S_path, m_path) for ``count`` draws, vectorized per layer.
+    def draw_states(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """The moves of ``count`` draws, ``[d, i, b]`` (the codes of
+        ``transfer.MONOMER`` and the others), drawn backward from the empty
+        set after the last layer; draw d inverts the law of vertex (i, b)
+        at ``gen.random((count, n * h))[d, i * h + b]``."""
+        n, h = self.n, self.H.h
+        u = gen.random((count, n * h)).T.copy()
+        moves = np.empty((n * h, count), dtype=np.intp)
+        cur = np.zeros(count, dtype=np.intp)
+        law = self.law.reshape(n * h, *self.law.shape[2:])
+        for k in range(n * h - 1, -1, -1):
+            j = (law[k, cur] <= u[k, :, None]).sum(axis=1)
+            moves[k], cur = self.code[k % h, cur, j], self.prev[k % h, cur, j]
+        if (moves == ZERO_MASS).any():
+            raise ValueError("sampling reached a state of zero mass")
+        return moves.T.reshape(count, n, h)
 
-        Returns integer arrays of shape (count, n): the reserved set after
-        each layer (always 0 at the last) and the fiber row of each layer,
-        which indexes ``ht.fiber_edges`` and ``ht.fiber_mono``.
-        """
-        n, ht = self.n, self.ht
-        S_path, m_path = np.zeros((2, count, n), dtype=np.int64)
-        cur = np.zeros(count, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            u, cum = gen.random(count), self.prev_law[i]
-            p = _pick(cum, ht.pair_next, ht.pair_start, cur, u)
-            lower = np.where(p > ht.pair_start[cur], cum[p - 1], 0.0)
-            u = np.minimum((u - lower) / (cum[p] - lower), np.nextafter(1.0, 0.0))   # the residual
-            m_path[:, i] = _pick(self.row_law[i], ht.row_f, ht.fiber_start, ht.pair_f[p], u)
-            S_path[:, i] = cur
-            cur = ht.pair_s[p]
-        return S_path, m_path
+    def matchings_from_states(self, moves: np.ndarray) -> list[Matching]:
+        return decode_moves(self.n, self.H, moves)
 
-    def matchings_from_states(self, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
-        return decode_paths(self.ht, S_path, m_path)
-
-    def monomer_profiles(self, S_path: np.ndarray, m_path: np.ndarray) -> np.ndarray:
+    def monomer_profiles(self, moves: np.ndarray) -> np.ndarray:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""
-        return self.ht.fiber_mono[m_path]
+        return (moves == MONOMER).sum(axis=2)
 
 
-def decode_paths(ht, S_path: np.ndarray, m_path: np.ndarray) -> list[Matching]:
-    """Decode layer paths, shape (count, n), by array lookups: the H-edges
-    of each layer's fiber row and the fiber vertices of each reserved set,
-    offset to the canonical edge indices of their layer."""
-    n, h = S_path.shape[1], ht.h
-    row_edges = np.full((len(ht.fiber_edges), max(map(len, ht.fiber_edges))), -1)
-    for r, es in enumerate(ht.fiber_edges):
-        row_edges[r, : len(es)] = es
-    layer = np.arange(n)[:, None]
-    vertical = (n - 1) * h + layer * ht.mH
-    horizontal = layer * h + np.arange(h)
-    reserved = ht.sbits > 0
-    out = []
-    for S, rows in zip(S_path, m_path):
-        e = row_edges[rows]
-        idxs = (e + vertical)[e >= 0].tolist() + horizontal[reserved[S]].tolist()
-        out.append(Matching(frozenset(idxs)))
-    return out
+def decode_moves(n: int, H, moves: np.ndarray) -> list[Matching]:
+    """Decode moves ``[d, i, b]`` by array lookups: the horizontal dimer
+    that vertex (i, b) closes is canonical edge (i - 1) h + b, and the fiber
+    dimer of H-edge e at layer i is edge (n - 1) h + i mH + e."""
+    h, mH = H.h, len(H.edges)
+    i = np.arange(n)[:, None, None]
+    edge = np.full((n, h, FIBER + mH), -1)
+    edge[1:, :, HORIZONTAL] = (i[:-1, 0] * h + np.arange(h))
+    edge[..., FIBER:] = (n - 1) * h + i * mH + np.arange(mH)
+    e = edge[np.arange(n)[:, None], np.arange(h), moves].reshape(len(moves), -1)
+    live = e >= 0
+    ends = np.cumsum(live.sum(axis=1)).tolist()
+    flat = e[live].tolist()
+    return [Matching(frozenset(flat[a:b])) for a, b in zip([0, *ends], ends)]

@@ -123,42 +123,34 @@ def table_builds(call) -> int:
 
 
 def sweep_steps(monkeypatch) -> list:
-    """Record each ``transfer.sweep``, through every dimerlab module binding
-    of it, as (semiring, layers yielded), the semiring "log", "max" or
-    "moment"; and each vertex recursion of the coefficients as ("degree",
-    layers).  Returns the live list, one entry per sweep."""
+    """Record each vertex recursion, ``transfer._vertex_sweep``, through
+    every dimerlab module binding of it, as (the name of its arithmetic,
+    "log", "max", "moment" or "degree", and its layers).  Returns the live
+    list, one entry per recursion."""
     from dimerlab import transfer
 
     steps = []
-    original, degree_sweep = transfer.sweep, transfer._degree_sweep
-    names = {transfer.LOG: "log", transfer.MAX: "max", transfer.MOMENT: "moment"}
+    original = transfer._vertex_sweep
 
-    def counted(W, hsum, ht, semiring=transfer.LOG):
-        name = names[semiring]
-        steps.append((name, 0))
-        for v in original(W, hsum, ht, semiring):
-            steps[-1] = (name, steps[-1][1] + 1)
-            yield v
-
-    def counted_degree(v, nu, *args):
-        steps.append(("degree", nu.shape[1]))
-        return degree_sweep(v, nu, *args)
+    def counted(v, nu, oh, ov, plan, arith=transfer.LOG, each=None):
+        steps.append((arith.name, nu.shape[1]))
+        return original(v, nu, oh, ov, plan, arith, each)
 
     for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:
-        if getattr(mod, "sweep", None) is original:
-            monkeypatch.setattr(mod, "sweep", counted)
-    monkeypatch.setattr(transfer, "_degree_sweep", counted_degree)
+        if getattr(mod, "_vertex_sweep", None) is original:
+            monkeypatch.setattr(mod, "_vertex_sweep", counted)
     return steps
 
 
-def path_matching(g, ht, S_path, rows) -> Matching:
-    """The matching of one layer path, built edge by edge: the reserved set
-    after each layer (horizontal dimers into the next layer) and the fiber
-    row of each layer; the reference for the array decode."""
-    idxs = [vertical_index(g, i + 1, e) for i, r in enumerate(rows) for e in ht.fiber_edges[r]]
-    idxs += [horizontal_index(g, i + 1, j + 1)
-             for i, S in enumerate(S_path) for j in range(g.h) if S >> j & 1]
-    return Matching(frozenset(idxs))
+def moves_matching(g, moves) -> Matching:
+    """The matching of one draw's moves ``[i, b]``, built edge by edge: the
+    horizontal dimer that a vertex closes and the fiber dimer it closes;
+    the reference for the array decode."""
+    from dimerlab.transfer import FIBER, HORIZONTAL
+
+    idxs = [horizontal_index(g, i, b + 1) for i, b in zip(*np.nonzero(moves == HORIZONTAL))]
+    idxs += [vertical_index(g, i + 1, int(moves[i, b]) - FIBER) for i, b in zip(*np.nonzero(moves >= FIBER))]
+    return Matching(frozenset(int(e) for e in idxs))
 
 
 def layer_counts(g, m: Matching) -> np.ndarray:

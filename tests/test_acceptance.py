@@ -52,12 +52,11 @@ from dimerlab.transfer import (
     instance_tables,
     partition_polynomial,
     scalar_log_z,
-    sweep,
 )
 
 from helpers import NONNEG_GAUGE, STD_NORMAL, random_instance
 from oracle import (
-    batch_scalar_log_z, brute_force_max, brute_force_polynomial, degree_semiring, kill_vertex_edges,
+    batch_scalar_log_z, brute_force_max, brute_force_polynomial, kill_vertex_edges, prefix_laws,
     remainder_R, remainder_upper_bound, vertex_removed_polynomial,
 )
 
@@ -316,10 +315,8 @@ def test_criterion_09_quenched_normality_improves_with_length():
         # the exact count law of the prefix cylinder of layers 1..k is the
         # message after layer k of the oracle's layer degree sweep, at the
         # empty reserved set
-        msgs = sweep(tables["B"].swapaxes(0, 1), tables["hsum"], tables["ht"],
-                     degree_semiring(g.num_vertices))
-        ds = [_lattice_normal_distance(MonomerPolynomial(v[:, 0, 0], k * g.h).pmf())
-              for k, v in enumerate(msgs, start=1) if k in ks]
+        ds = [_lattice_normal_distance(MonomerPolynomial(lc[: k * g.h + 1, 0], k * g.h).pmf())
+              for k, lc in enumerate(prefix_laws(tables), start=1) if k in ks]
         worst_top = max(worst_top, ds[-1])
         decreasing += all(b < a for a, b in zip(ds, ds[1:]))
     assert worst_top <= 0.05
@@ -560,7 +557,7 @@ def test_criterion_15_sampler_chi_square():
 
         sampler = GibbsSampler(instance_tables(g, w), x=x)
         gen = rng_generator(RngSeed(seed, 1), DOMAIN_GIBBS)
-        draws = sampler.matchings_from_states(*sampler.draw_states(gen, 100_000))
+        draws = sampler.matchings_from_states(sampler.draw_states(gen, 100_000))
         counts = np.zeros(len(support))
         for m in draws:
             counts[index[tuple(sorted(m.edge_indices))]] += 1

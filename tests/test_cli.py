@@ -110,10 +110,7 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     # polynomials' caps, and a tilt or height grid that is not finite
     ("fiber = path(13)\n", "", "transfer supports fiber size h <= 12, got h=13"),
     # a rung of which one replica exceeds the batch budget
-    ("fiber = path(12)\nn = 20, 1024\n", "", "one replica of fiber size h=12 at n=1024 layers needs"),
-    # a Brownian check whose Gibbs draws of one environment exceed it
-    ("height_envs = 2\ngibbs_samples = 3000000\n", "brownian",
-     "one replica of fiber size h=2 at n=40 layers needs"),
+    ("fiber = path(12)\nn = 20, 2000000\n", "", "one replica of fiber size h=12 at n=2000000 layers needs"),
     ("n = 20, 2000\nwith_spectrum = true\n", "",
      "polynomials support fiber size h <= 6 and n <= 1024 layers, got h=2, n=2000"),
     ("fiber = path(7)\nn = 4\nwith_spectrum = true\n", "", "h <= 6"),
@@ -125,7 +122,7 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
         "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
         "ladder-repeats", "fiber-past-transfer-cap", "rung-past-batch-budget",
-        "brownian-draws-past-batch-budget", "spectra-past-polynomial-cap",
+        "spectra-past-polynomial-cap",
         "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf", "seed-neg"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
@@ -280,6 +277,21 @@ def test_ground_refuses_non_finite_betas(tmp_path, capsys):
     assert main(["ground", "--n", "4", "--h", "2", "--vertex", "normal(0,1)", "--betas", "1,nan",
                  "--out", str(out)]) == 2
     assert "beta values must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("betas, reason", [
+    ("1,,4", "--betas entries must be numbers, got '' in '1,,4'"),
+    ("0", "--betas: beta values must be positive, got 0 in '0'"),
+    ("abc", "--betas entries must be numbers, got 'abc' in 'abc'"),
+], ids=["empty-entry", "zero", "not-a-number"])
+def test_ground_refuses_bad_betas_before_any_work(tmp_path, capsys, betas, reason):
+    # the list is read before the ground state is solved: no result is
+    # printed and no output directory is made
+    out = tmp_path / "g"
+    assert main(["ground", "--n", "4", "--h", "1", "--betas", betas, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert reason in printed.err and printed.out == ""
     assert not out.exists()
 
 

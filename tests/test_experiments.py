@@ -33,6 +33,7 @@ from dimerlab.experiments import (
     _replica_chunk,
     _skew_kurtosis,
     brownian_fdd_check,
+    check_runnable,
     clt_checks,
     estimate_limits,
     functional_consistency_check,
@@ -165,11 +166,9 @@ def test_constant_disorder_rows_are_identical():
 
 @pytest.mark.parametrize("kw", [
     dict(replicas=12, with_spectrum=True),
-    # the default batch of 70 replicas sweeps in rank blocks, a batch of a few by reduceat
     dict(fiber="path(3)", n_ladder=(5, 8), replicas=70),
-], ids=["spectra", "rank-blocks"])
+], ids=["spectra", "seventy-replicas"])
 def test_run_replicas_deterministic_and_batch_independent(monkeypatch, kw):
-    assert 3 < transfer._RANK_MIN_BLOCK <= 70
     cfg = _small_cfg(disorder=STD_NORMAL, **kw)
     ref = run_replicas(cfg)   # one batch per rung
     assert ({"max_lambda", "u_n", "varQ_n"} <= set(ref.columns)) == cfg.with_spectrum
@@ -252,10 +251,10 @@ def test_each_batch_builds_one_table_and_no_tilted_sweeps(monkeypatch):
         table = run_replicas(cfg)
         assert len(table) == replicas
         assert calls == {"batch_tables": sum(batches.values()), "partition_polynomial": 0}, with_spectrum
-        # per batch: the two moment sweeps meet at the cut (k = 3 of 6 and
-        # k = 4 of 9), so their layer steps add up to n; then the (max, +)
-        # sweep of n layers, and with spectra one vertex recursion over n
-        # layers and no LOG sweep
+        # per batch three vertex recursions: the two MOMENT ones meet at the
+        # cut (k = 3 of 6 and k = 4 of 9), so their layers add up to n; then
+        # the MAX one over n layers, and with spectra one DEGREE recursion
+        # over n layers and no LOG one
         expect = []
         for n, k in ((6, 3), (9, 4)):
             expect += ([("moment", k), ("moment", n - k), ("max", n)]
@@ -302,6 +301,7 @@ def _traced_peak(call) -> int:
 @pytest.mark.parametrize("h, n, R, spectra", [
     (2, 512, 256, False), (4, 128, 64, False), (6, 64, 16, False), (8, 32, 8, False),
     (2, 64, 32, True), (4, 32, 16, True), (6, 16, 8, True), (2, 128, 64, True),
+    (12, 16, 4, False),
 ])
 def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
     # the modelled bytes of a batch are at or above the peak that
@@ -327,23 +327,40 @@ def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
 
 
 def test_large_fibers_run_in_batches_or_are_refused_when_read():
-    # by the model's arithmetic, without drawing a replica: a path(10) rung
-    # of 512 layers (B and scores alone are 66 MiB per replica) runs in
-    # batches of a few replicas; a path(12) rung of 1024 layers, of which
-    # one replica exceeds the budget, is refused with h, n and the bytes
-    H = HGraph.path(10)
-    k = transfer.replicas_per_batch(H, 512)
-    tables = 8 * 512 * (11 * 2**10 + transfer._h_tables(H).fiber_start[-1])
-    assert tables > 66 * 2**20
-    assert 1 < k < 256 and k * tables < transfer.BATCH_BYTES
-    assert transfer.batch_bytes(H, 512, k) <= transfer.BATCH_BYTES < transfer.batch_bytes(H, 512, k + 1)
-    _small_cfg(fiber="path(10)", n_ladder=(8, 512))   # accepted when read
-    one = transfer.batch_bytes(HGraph.path(12), 1024, 1)
+    # by the model's arithmetic, without drawing a replica: a path(12) rung
+    # of 1024 layers runs in batches of about a thousand replicas, one of
+    # 100,000 layers (its weights alone are 27 MiB per replica) in batches
+    # of a few, and one of 2,000,000 layers, of which one replica exceeds
+    # the budget, is refused with h, n and the bytes
+    H = HGraph.path(12)
+    assert transfer.replicas_per_batch(H, 1024) > 1000
+    k = transfer.replicas_per_batch(H, 100_000)
+    assert 1 < k < 32 and k * 8 * 100_000 * 35 < transfer.BATCH_BYTES
+    assert transfer.batch_bytes(H, 100_000, k) <= transfer.BATCH_BYTES < transfer.batch_bytes(H, 100_000, k + 1)
+    _small_cfg(fiber="path(12)", n_ladder=(8, 100_000))   # accepted when read
+    one = transfer.batch_bytes(H, 2_000_000, 1)
     assert one > transfer.BATCH_BYTES
     with pytest.raises(transfer.CapacityError,
-                       match=f"^one replica of fiber size h=12 at n=1024 layers needs {one:,} bytes,"
+                       match=f"^one replica of fiber size h=12 at n=2000000 layers needs {one:,} bytes,"
                              f" over the batch budget of {transfer.BATCH_BYTES:,}$"):
-        parse_config("[graph]\nfiber = path(12)\n[ladder]\nn = 64, 1024\n", is_text=True)
+        parse_config("[graph]\nfiber = path(12)\n[ladder]\nn = 64, 2000000\n", is_text=True)
+
+
+def test_brownian_draws_past_the_budget_are_planned_in_blocks(monkeypatch):
+    # 3,000,000 draws of one environment at path(2), n = 40 exceed the
+    # budget at once: the check plans them in blocks when the config is
+    # read, and draws nothing there
+    monkeypatch.setattr(GibbsSampler, "draw_states", lambda *a: pytest.fail("drew"))
+    cfg = parse_config("[graph]\nfiber = path(2)\n[ladder]\nn = 20, 40\nreplicas = 4\n"
+                       "height_envs = 2\ngibbs_samples = 3000000\n", is_text=True)
+    check_runnable(cfg, ["brownian"])
+    H, cuts = cfg.fiber_graph(), np.floor(40 * np.asarray(cfg.t_grid)).astype(int)
+    layers = int(np.diff(cuts).max())
+    assert transfer.batch_bytes(H, 40, 1, layers, 3_000_000) > transfer.BATCH_BYTES
+    block = transfer.draws_per_block(H, 40, layers, 3_000_000)
+    assert 1 < block < 3_000_000
+    assert (transfer.batch_bytes(H, 40, 1, layers, block) <= transfer.BATCH_BYTES
+            < transfer.batch_bytes(H, 40, 1, layers, block + 1))
 
 
 def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
@@ -374,6 +391,10 @@ def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
         assert run(brownian) == (-(-7 // k), ref[brownian][1]), k
         batch_budget(monkeypatch, k, H, 8, 8)
         assert run(functional) == (-(-7 // k), ref[functional][1]), k
+    # a budget of a few draws: each environment draws its 40 in blocks
+    batch_budget(monkeypatch, 1, H, 32, 8, 3)
+    assert transfer.draws_per_block(H, 32, 8, 40) == 3
+    assert run(brownian) == (7, ref[brownian][1])
 
 
 def test_weight_batch_matches_single_draws():
@@ -518,7 +539,7 @@ def test_brownian_exact_laws_are_views_of_one_table():
         for env in range(envs):
             w = sample_weights(g, cfg.disorder, RngSeed(cfg.seed, stream=env))
             sampler = GibbsSampler(instance_tables(g, w))
-            theta, _ = heights(sampler.monomer_profiles(*sampler.draw_states(
+            theta, _ = heights(sampler.monomer_profiles(sampler.draw_states(
                 rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS), cfg.gibbs_samples)), rep.t_grid, None)
             incs.append(np.diff(theta, axis=1))
             pmfs.append([partition_polynomial(g, w, CountingMask.layer_range(a + 1, b)).pmf()

@@ -13,17 +13,20 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.sampler import GibbsSampler, Matching, heights, matching_weight
-from dimerlab.transfer import NEG_INF, batch_tables, instance_tables, partition_polynomial, scalar_log_z
+from dimerlab.transfer import (
+    FIBER, HORIZONTAL, MONOMER, NEG_INF, OPEN, batch_tables, instance_tables, partition_polynomial,
+    scalar_log_z,
+)
 
 from helpers import (
-    STD_NORMAL, disabled_edge_batches, layer_counts, path_matching, random_instance, table_builds,
+    STD_NORMAL, disabled_edge_batches, layer_counts, moves_matching, random_instance, table_builds,
 )
 from oracle import brute_force_polynomial
 
 
 def _draw(sampler, gen, count):
     """``count`` matchings from ``sampler``, decoded from its layer paths."""
-    return sampler.matchings_from_states(*sampler.draw_states(gen, count))
+    return sampler.matchings_from_states(sampler.draw_states(gen, count))
 
 
 def _exact_sample(g, w, seed, count):
@@ -111,9 +114,9 @@ def test_monomer_profiles_match_matchings():
     g, w = random_instance(rng, n_lo=6, n_hi=6, fibers=["path2"])
     sampler = GibbsSampler(instance_tables(g, w))
     gen = np.random.default_rng(11)
-    S_path, m_path = sampler.draw_states(gen, 25)
-    profiles = sampler.monomer_profiles(S_path, m_path)
-    matchings = sampler.matchings_from_states(S_path, m_path)
+    moves = sampler.draw_states(gen, 25)
+    profiles = sampler.monomer_profiles(moves)
+    matchings = sampler.matchings_from_states(moves)
     assert profiles.shape == (25, g.n)
     for row, m in zip(profiles, matchings):
         covered = m.covered_flat(g)
@@ -125,13 +128,12 @@ def test_monomer_profiles_match_matchings():
 
 
 def test_array_decode_matches_path_matching():
-    # the array-lookup decode of every draw against the one-path reference
+    # the array-lookup decode of every draw against the move-by-move reference
     for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64)):
         g = build_cylinder(n, H)
         sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(41, n))), x=0.7)
-        S_path, m_path = sampler.draw_states(np.random.default_rng(n), 30)
-        expect = [path_matching(g, sampler.ht, s, m) for s, m in zip(S_path, m_path)]
-        assert sampler.matchings_from_states(S_path, m_path) == expect
+        moves = sampler.draw_states(np.random.default_rng(n), 30)
+        assert sampler.matchings_from_states(moves) == [moves_matching(g, m) for m in moves]
 
 
 def test_sampler_weight_distribution_is_gibbs():
@@ -162,21 +164,37 @@ def test_sampler_reads_a_replica_of_a_batch_table():
             assert table_builds(lambda: samplers.append(GibbsSampler(tables, r, x=0.4))) == 0
             got = samplers[0].draw_states(np.random.default_rng(r), 200)
             ref = GibbsSampler(instance_tables(g, w), x=0.4).draw_states(np.random.default_rng(r), 200)
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert np.array_equal(got, ref)
 
 
-def _dp_paths(ht, n, i=0, prev=0):
-    """Every path of the transfer DP from layer i on, after reserved set
-    ``prev``: (reserved sets after each layer, fiber rows), 0 after the last."""
-    if i == n:
-        yield [], []
+def _move_paths(g, i=0, b=0, state=0):
+    """Every path of the vertex recursion from vertex (i, b) on, before
+    which ``state`` holds the open vertices of layer i below b and the
+    reservations of the cut before from b on: (vertex, move, state after
+    it) per vertex, ending at the empty set after the last layer."""
+    if i == g.n:
+        if state == 0:
+            yield []
         return
-    for S in range(ht.states if i < n - 1 else 1):
-        if S & prev:
-            continue
-        for row in range(ht.fiber_start[S | prev], ht.fiber_start[(S | prev) + 1]):
-            for S_rest, rows_rest in _dp_paths(ht, n, i + 1, S):
-                yield [S, *S_rest], [row, *rows_rest]
+    nxt = (i, b + 1) if b + 1 < g.h else (i + 1, 0)
+    bit = 1 << b
+    if state & bit:   # reserved at the cut before: the horizontal dimer closes
+        options = [(HORIZONTAL, state ^ bit)]
+    else:
+        options = [(MONOMER, state), (OPEN, state | bit)]
+        options += [(FIBER + e, state ^ 1 << (a - 1)) for e, (a, c) in enumerate(g.H.edges)
+                    if c == b + 1 and state >> (a - 1) & 1]
+    for code, after in options:
+        for rest in _move_paths(g, *nxt, after):
+            yield [((i, b), code, after), *rest]
+
+
+def _mass(sampler, i, b, after, code):
+    """The probability that the law of vertex (i, b) gives the move ``code``
+    into state ``after``, read off the stored cumulative law."""
+    cum = sampler.law[i, b, after]
+    j = list(sampler.code[b, after]).index(code)
+    return cum[j] - (cum[j - 1] if j else 0.0)
 
 
 def _law_instances():
@@ -190,28 +208,22 @@ def _law_instances():
 
 @pytest.mark.parametrize("x", [0.0, 0.3])
 def test_backward_step_gives_the_exact_law_of_every_path(x):
-    # the product of a path's stage-1 and stage-2 probabilities, read off the
+    # the product of a path's per-vertex move probabilities, read off the
     # stored cumulative laws, against exp(H + x U - log Z) by enumeration
     for g, w in _law_instances():
         sampler = GibbsSampler(instance_tables(g, w), x=x)
-        ht, log_z = sampler.ht, brute_force_polynomial(g, w).log_z(x)
-        for law, starts in ((sampler.prev_law, ht.pair_start), (sampler.row_law, ht.fiber_start)):
-            # a law ends at exactly 1.0; a segment of zero mass is all zeros
-            assert np.isin(law[:, starts[1:] - 1], (0.0, 1.0)).all()
-
-        def mass(cum, lo, k):
-            return cum[k] - (cum[k - 1] if k > lo else 0.0)
-
+        log_z = brute_force_polynomial(g, w).log_z(x)
+        # a law ends at exactly 1.0; a state of zero mass is all zeros
+        assert np.isin(sampler.law[..., -1], (0.0, 1.0)).all()
         total = 0.0
-        for S_path, rows in _dp_paths(ht, g.n):
+        for path in _move_paths(g):
             prob = 1.0
-            for i, (S, row) in enumerate(zip(S_path, rows)):
-                prev = S_path[i - 1] if i else 0
-                lo = ht.pair_start[S]
-                p = lo + list(ht.pair_s[lo : ht.pair_start[S + 1]]).index(prev)
-                prob *= mass(sampler.prev_law[i], lo, p)
-                prob *= mass(sampler.row_law[i], ht.fiber_start[S | prev], row)
-            m = path_matching(g, ht, S_path, rows)
+            for (i, b), code, after in path:
+                prob *= _mass(sampler, i, b, after, code)
+            moves = np.empty((g.n, g.h), dtype=int)
+            for (i, b), code, _ in path:
+                moves[i, b] = code
+            m = moves_matching(g, moves)
             H = matching_weight(g, w, m)
             if H == NEG_INF:
                 assert prob == 0.0
@@ -221,30 +233,26 @@ def test_backward_step_gives_the_exact_law_of_every_path(x):
         assert total == pytest.approx(1.0, rel=1e-12)
 
 
-def test_draws_invert_the_joint_law_at_one_uniform_per_layer():
-    # each layer's pick is the inverse of the joint law of (S', row), in the
-    # order (S' ascending, row ascending), at that layer's uniform
+def test_draws_invert_the_law_of_each_vertex_at_its_own_uniform():
+    # each vertex's pick is the inverse of the law of its moves, in their
+    # order, at that vertex's uniform, the uniforms consumed draw-major: so
+    # draws taken in blocks are the draws taken at once
     for g, w in _law_instances():
         sampler = GibbsSampler(instance_tables(g, w), x=0.3)
-        ht, count = sampler.ht, 200
-        S_path, m_path = sampler.draw_states(np.random.default_rng(53), count)
-        rng = np.random.default_rng(53)
-        us = {i: rng.random(count) for i in range(g.n - 1, -1, -1)}
+        count = 200
+        moves = sampler.draw_states(np.random.default_rng(53), count)
+        gen = np.random.default_rng(53)
+        assert np.array_equal(np.concatenate([sampler.draw_states(gen, k) for k in (1, 60, 139)]), moves)
+        us = np.random.default_rng(53).random((count, g.n * g.h))
         for d in range(count):
-            for i in range(g.n):
-                S = S_path[d, i]
-                prev_cum, probs, cands = 0.0, [], []
-                for p in range(ht.pair_start[S], ht.pair_start[S + 1]):
-                    F = ht.pair_s[p] | S
-                    row_cum = 0.0
-                    for row in range(ht.fiber_start[F], ht.fiber_start[F + 1]):
-                        probs.append((sampler.prev_law[i, p] - prev_cum)
-                                     * (sampler.row_law[i, row] - row_cum))
-                        cands.append((ht.pair_s[p], row))
-                        row_cum = sampler.row_law[i, row]
-                    prev_cum = sampler.prev_law[i, p]
-                k = np.searchsorted(np.cumsum(probs), us[i][d], side="right")
-                assert cands[k] == (S_path[d, i - 1] if i else 0, m_path[d, i])
+            after = 0
+            for k in range(g.n * g.h - 1, -1, -1):
+                i, b = divmod(k, g.h)
+                codes = [c for c in sampler.code[b, after] if c >= 0]
+                probs = [_mass(sampler, i, b, after, c) for c in codes]
+                j = np.searchsorted(np.cumsum(probs), us[d, k], side="right")
+                assert moves[d, i, b] == codes[j]
+                after = sampler.prev[b, after, list(sampler.code[b, after]).index(codes[j])]
 
 
 def test_sampler_refuses_a_vanishing_partition_function():
@@ -256,11 +264,10 @@ def test_sampler_refuses_a_vanishing_partition_function():
 
 
 def test_sampler_refuses_a_pick_in_a_zero_mass_segment():
-    # fiber-row scores that vanish at layer 2 while its layer weights do not:
-    # stage 1 still reaches layer 2, whose stage-2 laws then have no mass
+    # move laws that vanish at layer 2 while the forward messages do not:
+    # the backward step still reaches layer 2, whose laws then have no mass
     g = build_cylinder(4, HGraph.path(2))
-    tables = instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(47, 0)))
-    tables["scores"][:, 1] = NEG_INF
-    sampler = GibbsSampler(tables)
+    sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(47, 0))))
+    sampler.law[1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
         sampler.draw_states(np.random.default_rng(0), 10)

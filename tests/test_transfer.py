@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +14,10 @@ from dimerlab.graphs import (
 )
 from dimerlab import transfer
 from dimerlab.experiments import make_fiber
-from dimerlab.groundstate import _max_W, gse_remainder, gse_remainder_bound, max_values
+from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
 from dimerlab.leeyang import SpectrumError, density_functionals, spectrum
 from dimerlab.transfer import (
+    LOG,
     MAX,
     NEG_INF,
     CapacityError,
@@ -25,14 +25,15 @@ from dimerlab.transfer import (
     EmptyMeasureError,
     MonomerPolynomial,
     _blocked_log_z,
+    _empty,
     _log_blocks,
-    _moment_W,
+    _resolve_mask,
+    _vertex_sweep,
     batch_tables,
     cut_moments,
     cut_remainders,
     increment_laws,
     instance_tables,
-    messages,
     partition_polynomial,
     scalar_log_z,
     section_covariance,
@@ -43,8 +44,9 @@ from helpers import (
     sweep_steps, table_builds,
 )
 from oracle import (
-    batch_scalar_log_z, brute_force_polynomial, full_moment_W, kill_vertex_edges,
-    layer_increment_laws, remainder_R, remainder_upper_bound, vertex_removed_polynomial,
+    batch_scalar_log_z, brute_force_polynomial, kill_vertex_edges,
+    layer_cut_moments, layer_cut_remainders, layer_increment_laws, layer_max_values, remainder_R,
+    remainder_upper_bound, vertex_removed_polynomial,
 )
 
 
@@ -54,51 +56,6 @@ def _assert_poly_close(p, q, tol=1e-10):
     both = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(np.isfinite(a), np.isfinite(b))
     assert np.max(np.abs(a[both] - b[both]), initial=0.0) <= tol
-
-
-def _fiber_rows_per_forbidden_set(H):
-    """The fiber rows of each forbidden set F from a depth-first recursion of its own."""
-    out = []
-    for F in range(1 << H.h):
-        rows = []
-
-        def rec(e, used, chosen):
-            if e == len(H.edges):
-                rows.append((chosen, used))
-                return
-            rec(e + 1, used, chosen)
-            a, b = H.edges[e]
-            pair = 1 << (a - 1) | 1 << (b - 1)
-            if not used & pair:
-                rec(e + 1, used | pair, chosen + (e,))
-
-        rec(0, F, ())
-        out.append(rows)
-    return out
-
-
-@pytest.mark.parametrize("fiber", ["single"] + [f"path({k})" for k in range(2, 8)]
-                         + [f"cycle({k})" for k in range(3, 8)]
-                         + [f"complete({k})" for k in range(2, 7)])
-def test_fiber_tables_from_one_enumeration_match_one_recursion_per_forbidden_set(
-        monkeypatch, fiber):
-    # the same rows in the same order, so the same row groups and, bit for
-    # bit, the same layer tables
-    H = make_fiber(fiber)
-    g = build_cylinder(3, H)
-    w = sample_weights(g, STD_NORMAL, RngSeed(5, 0))
-    ht, tables = transfer._HTables(H), instance_tables(g, w)
-    monkeypatch.setattr(transfer, "_fiber_rows", _fiber_rows_per_forbidden_set)
-    ref = transfer._HTables(H)
-    monkeypatch.setattr(transfer, "_h_tables", lambda _: ref)
-    assert ht.fiber_edges == ref.fiber_edges
-    for key in ("fiber_start", "row_edges", "row_mono"):
-        assert np.array_equal(getattr(ht, key), getattr(ref, key)), key
-    assert [(d, F, rows.tolist()) for d, F, rows in ht.groups] == \
-        [(d, F, rows.tolist()) for d, F, rows in ref.groups]
-    want = instance_tables(g, w)
-    for key in ("B", "scores"):
-        assert np.array_equal(tables[key], want[key]), key
 
 
 def test_path4_zero_weights_coefficients():
@@ -160,43 +117,40 @@ def _batch(g, ws):
     return batch_tables(g, *_stacked(ws))
 
 
+def _with_dead_vertices(g, w, rng, p=0.3):
+    nu = w.nu.copy()
+    nu[rng.random(nu.shape) < p] = NEG_INF
+    return WeightAssignment(g, nu, w.omega_h, w.omega_v)
+
+
 def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
-    # every replica's results are array_equal alone and inside a batch, and
-    # the tables carry the documented layer-major, replica-last layout
+    # every replica's results are array_equal alone and inside a batch
     rng = np.random.default_rng(83)
     cases = []
     for H in (HGraph.path(2), HGraph.cycle(3), HGraph.path(4)):
         g = build_cylinder(int(rng.integers(3, 8)), H)
         cases.append((g, [sample_weights(g, STD_NORMAL, RngSeed(83, r)) for r in range(6)]))
     cases += list(disabled_edge_batches(89))
-    # one-layer tables too, where a batch of one holds one number per fiber
-    # row and some forbidden sets of these fibers leave 8 or more rows
+    # one-layer cylinders too, whose fibers leave 8 or more matchings
+    # avoiding some forbidden sets
     for H in (HGraph.path(6), HGraph.complete(4), HGraph.complete(5)):
         g = build_cylinder(1, H)
         ws = [sample_weights(g, STD_NORMAL, RngSeed(84, r)) for r in range(9)]
         tables = _batch(g, ws)
         for r, w in enumerate(ws):
             alone = _batch(g, [w])
-            for key in ("B", "scores"):
-                assert np.array_equal(tables[key][..., r], alone[key][..., 0]), (H, key)
+            assert np.array_equal(max_values(tables)[r], max_values(alone)[0]), H
+            assert np.array_equal(increment_laws(tables, [0, 1])[0][:, r], increment_laws(alone, [0, 1])[0][:, 0]), H
     for g, ws in cases:
-        tables = _batch(g, ws)
-        rows, R = tables["ht"].fiber_start[-1], len(ws)
-        shapes = {"B": (g.h + 1, g.n, 2**g.h, R), "hsum": (g.n - 1, 2**g.h, R),
-                  "scores": (rows, g.n, R)}
-        for key, shape in shapes.items():
-            assert tables[key].shape == shape and tables[key].flags.c_contiguous, key
         k, x = g.n // 2, 0.3
 
         def results(t):
-            return [*cut_moments(t, k, x), max_values(t), batch_scalar_log_z(t, x)]
+            return [*cut_moments(t, k, x), max_values(t), cut_remainders(t, x=x).T, cut_remainders(t, MAX).T]
 
-        batch, W = results(tables), _moment_W(tables, x)
+        batch = results(_batch(g, ws))
         for r, w in enumerate(ws):
-            alone = _batch(g, [w])
-            for got, ref in zip(batch, results(alone)):
+            for got, ref in zip(batch, results(_batch(g, [w]))):
                 assert np.array_equal(got[r], ref[0])
-            assert np.array_equal(W[..., r], _moment_W(alone, x)[..., 0])
     # the increment laws close over the reserved sets of an interior cut: no
     # law depends on how many replicas share the batch or the block
     cuts = [3, 10, 29]
@@ -215,107 +169,6 @@ def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
         monkeypatch.undo()
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def test_rank_blocks_reduce_with_the_bits_of_reduceat():
-    # every ufunc of the semirings, on terms by (previous set, new set) with
-    # -inf entries and a leading axis, laid out in each reducer's order
-    rng = np.random.default_rng(91)
-    for H in (HGraph.single(), HGraph.path(2), HGraph.path(3), HGraph.cycle(3)):
-        ht = transfer._h_tables(H)
-        assert np.diff(ht.pair_start).max() <= 8   # the largest segment
-        terms = rng.normal(size=(2, ht.states, ht.states, 7))
-        terms[terms < -1.2] = NEG_INF
-        for vals in (terms, np.exp(terms)):
-            for ufunc in (np.add, np.maximum, np.logaddexp):
-                got, ref = (red(ufunc, vals[:, red.s, red.next]) for red in (ht.rank_blocks, ht.reduce_at))
-                assert _same_bits(got, ref), (H, ufunc)
-    assert transfer._h_tables(HGraph.path(4)).rank_blocks is None
-
-
-def test_pairs_grown_by_vertex_match_the_dense_construction():
-    # the disjoint (next set, set) pairs, in their order, as the nonzero
-    # entries of the 2^h x 2^h disjointness matrix; at h = 12 the build
-    # stays far below that matrix's 144 MiB
-    for h in range(1, 9):
-        ht = transfer._HTables(HGraph.path(h))
-        sets = np.arange(1 << h)
-        for got, ref in zip((ht.pair_next, ht.pair_s), np.nonzero((sets[:, None] & sets) == 0)):
-            assert np.array_equal(got, ref) and got.dtype == ref.dtype, h
-    tracemalloc.start()
-    try:
-        transfer._HTables(HGraph.path(12))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 2**20, peak
-
-
-def test_sweeps_give_the_same_bits_under_either_reducer(monkeypatch):
-    # rank blocks (threshold 0) against reduceat (a threshold no batch
-    # reaches) over whole routes, at h = 1, 2, 3 and with disabled edges
-    cases = []
-    for H in (HGraph.single(), HGraph.path(2), HGraph.path(3), HGraph.cycle(3)):
-        g = build_cylinder(7, H)
-        cases.append((g, [sample_weights(g, STD_NORMAL, RngSeed(93, r)) for r in range(5)]))
-    cases += list(disabled_edge_batches(95, n=6))
-    rank_calls = []
-    rank_call = transfer._RankBlocks.__call__
-    monkeypatch.setattr(transfer._RankBlocks, "__call__",
-                        lambda self, *a: rank_calls.append(1) or rank_call(self, *a))
-
-    def routes(g, ws):
-        tables = _batch(g, ws)
-        W = _moment_W(tables, 0.4)[:, 0]
-        single = instance_tables(g, ws[0])
-        return [*cut_moments(tables, 3, -0.5), max_values(tables),
-                messages(W, tables), messages(W, tables, flipped=True),
-                *increment_laws(tables, [0, 2, 5, g.n]),
-                _blocked_log_z(_moment_W(single, 0.4)[:, 0], single["hsum"], single["ht"], 3)]
-
-    for g, ws in cases:
-        got = []
-        for block, used in ((0, True), (1 << 62, False)):
-            monkeypatch.setattr(transfer, "_RANK_MIN_BLOCK", block)
-            rank_calls.clear()
-            got.append(routes(g, ws))
-            assert bool(rank_calls) == used
-        for a, b in zip(*got):
-            assert _same_bits(a, b), g.H
-
-
-def _with_dead_vertices(g, w, rng, p=0.3):
-    nu = w.nu.copy()
-    nu[rng.random(nu.shape) < p] = NEG_INF
-    return WeightAssignment(g, nu, w.omega_h, w.omega_v)
-
-
-def test_direct_columns_of_the_tilt_collapses_match_the_full_collapse():
-    # the sets whose fiber rows all leave one monomer count are written
-    # directly and the others summed over the counts they reach: every entry
-    # has the bits of the log-sum-exp over every d, -inf and signed zeros too
-    rng = np.random.default_rng(97)
-    cases = list(disabled_edge_batches(97, n=5))
-    for H in (HGraph.single(), HGraph.path(2), HGraph.cycle(3), HGraph.path(4), HGraph.complete(4)):
-        g = build_cylinder(5, H)
-        ws = [sample_weights(g, STD_NORMAL, RngSeed(97, r)) for r in range(3)]
-        cases.append((g, [*ws, _with_dead_vertices(g, ws[0], rng)]))
-    for g, ws in cases:
-        tables = _batch(g, ws)
-        ht = tables["ht"]
-        assert ht.one_count and (tables["B"] == NEG_INF).any()
-        assert sorted(np.concatenate([ht.mixed, *(sets for _, sets in ht.one_count)])) == list(range(ht.states))
-        mask = CountingMask.layer_range(2, g.n - 1)
-        # and a table of -0.0 weights, which a -0.0 tilt (x < 0, d = 0) keeps
-        for t in (tables, {**tables, "B": np.where(tables["B"] == NEG_INF, NEG_INF, -0.0)}):
-            for x in (0.0, -0.6, 1.3):
-                assert _same_bits(_moment_W(t, x), full_moment_W(t, x))
-                assert _same_bits(_moment_W(t, x, mask), full_moment_W(t, x, mask))
-
-
 def _section_oracle(g, w, k, x):
     """var_left, var_right and cov at cut k under tilt x, from the masked
     enumerated polynomials and section_covariance; the tilt shifts every
@@ -324,6 +177,52 @@ def _section_oracle(g, w, k, x):
     return (brute_force_polynomial(g, wx, CountingMask.layer_range(1, k)).cumulants()[1],
             brute_force_polynomial(g, wx, CountingMask.layer_range(k + 1, g.n)).cumulants()[1],
             section_covariance(g, wx, k))
+
+
+def _stacked_with_dead_weights(g, seed):
+    """Four replicas, one with -inf vertex weights at random, and a -inf
+    vertex, fiber-edge and horizontal weight in the others."""
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(seed, r)) for r in range(4)]
+    nu, oh, ov = _stacked(ws[:3] + [_with_dead_vertices(g, ws[3], np.random.default_rng(seed))])
+    nu[1, 2, g.h - 1] = NEG_INF
+    ov[2, 1:3, :1] = NEG_INF
+    oh[0, 1] = NEG_INF
+    return nu, oh, ov
+
+
+# path, cycle and complete fibers of 1 to 7 vertices, with -inf weights;
+# then path(2) at n = 512 and path(4) at n = 128, the sizes of campaign rungs
+_ORACLE_CASES = [(f"{kind}({h})", 7 if h <= 4 else 4 if h <= 6 else 3, 0) for kind, hs in (
+    ("path", range(1, 8)), ("cycle", range(3, 8)), ("complete", range(2, 7))) for h in hs]
+_ORACLE_CASES += [("path(2)", 512, 8), ("path(4)", 128, 4)]
+
+
+def _assert_rel(got, ref, scale, rel=1e-12):
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    live = np.isfinite(ref)
+    assert np.all(np.abs(got[live] - ref[live]) <= rel * np.broadcast_to(scale, ref.shape)[live])
+
+
+@pytest.mark.parametrize("fiber, n, R", _ORACLE_CASES,
+                         ids=[f"{f}-n{n}" for f, n, _ in _ORACLE_CASES])
+def test_every_route_matches_the_layer_oracle(fiber, n, R):
+    # the vertex recursion against the oracle's layer sweep: the six moment
+    # columns at a cut (cov relative to var_U), the maximum, and the LOG and
+    # MAX remainders of every cut, relative to the value they split
+    g = build_cylinder(n, make_fiber(fiber))
+    weights = (_stacked([sample_weights(g, STD_NORMAL, RngSeed(62, r)) for r in range(R)]) if R
+               else _stacked_with_dead_weights(g, 61))
+    tables = batch_tables(g, *weights)
+    for k, x in ((g.n // 2, 0.0), (1, -0.7), (g.n - 1, 0.4)):
+        got, ref = cut_moments(tables, k, x), layer_cut_moments(tables, k, x)
+        for c, (a, b) in enumerate(zip(got, ref)):
+            _assert_rel(a, b, np.abs(ref[2]) if c == 5 else np.maximum(np.abs(b), 1.0))
+    M = layer_max_values(tables)
+    _assert_rel(max_values(tables), M, np.maximum(np.abs(M), 1.0))
+    for arith, x in ((LOG, 0.0), (LOG, 0.6), (MAX, 0.0)):
+        scale = np.abs(cut_moments(tables, 1, x)[0] if arith is LOG else M)
+        _assert_rel(cut_remainders(tables, arith, x), layer_cut_remainders(tables, arith.name, x),
+                    np.maximum(scale, 1.0))
 
 
 def test_cut_moments_match_enumeration_at_every_cut():
@@ -410,37 +309,27 @@ def _blocked_cases():
 
 def test_blocked_log_z_agrees_with_the_batched_row():
     # every block count, also one that leaves a padded tail, at tilts x != 0
-    # and under a counting mask, agrees with the sequential batched sweep
+    # and under a counting mask, agrees with the sequential layer sweep
     for g, w in _blocked_cases():
         tables = instance_tables(g, w)
         for x, mask in ((0.0, None), (-0.8, None), (0.6, CountingMask.layer_range(3, g.n - 2))):
             ref = batch_scalar_log_z(tables, x, mask)[0]
-            W = _moment_W(tables, x, mask)[:, 0]
-            for K in (2, 3, 4, 5, g.n):
-                got = _blocked_log_z(W, tables["hsum"], tables["ht"], K)
+            nu = w.nu + x * _resolve_mask(mask, g.n)[:, None]
+            for K in (1, 2, 3, 4, 5, g.n):
+                got = _blocked_log_z(nu, w.omega_h, w.omega_v, tables["plan"], K)
                 assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
-    # and the route the rule picks, where it blocks
-    for H, n in ((HGraph.single(), 40), (HGraph.path(2), 50), (HGraph.complete(3), 130)):
+    # and the route the rule picks, where it blocks and where it does not
+    for H, n, blocked in ((HGraph.single(), 40, True), (HGraph.path(2), 50, True),
+                          (HGraph.complete(3), 130, True), (HGraph.single(), 15, False),
+                          (HGraph.path(2), 9, False), (HGraph.cycle(3), 127, False),
+                          (HGraph.path(4), 200, False), (HGraph.complete(5), 20, False)):
         g = build_cylinder(n, H)
         w = sample_weights(g, STD_NORMAL, RngSeed(5, 0))
-        assert _log_blocks(n, H.h) > 1
+        assert (_log_blocks(n, H.h) > 1) == blocked
         tables = instance_tables(g, w)
-        for x, mask in ((0.4, None), (-0.3, CountingMask.layer_range(2, n - 7))):
+        for x, mask in ((0.4, None), (-0.3, CountingMask.layer_range(2, n - 7 if blocked else n - 1))):
             assert scalar_log_z(g, w, x, mask) == pytest.approx(
                 batch_scalar_log_z(tables, x, mask)[0], rel=1e-13, abs=0.0)
-
-
-def test_unblocked_scalar_log_z_is_the_batched_row():
-    # where blocking does not pay, the single-instance value is the batched
-    # row bit for bit
-    for H, n in ((HGraph.single(), 15), (HGraph.path(2), 9), (HGraph.cycle(3), 127),
-                 (HGraph.path(4), 200), (HGraph.complete(5), 20)):
-        assert _log_blocks(n, H.h) == 1
-        g = build_cylinder(n, H)
-        w = sample_weights(g, STD_NORMAL, RngSeed(8, 0))
-        tables = instance_tables(g, w)
-        for x, mask in ((0.0, None), (0.7, CountingMask.layer_range(2, n - 1))):
-            assert np.array_equal(scalar_log_z(g, w, x, mask), batch_scalar_log_z(tables, x, mask)[0])
 
 
 def test_scalar_log_z_sweeps_about_sqrt_n_layers(monkeypatch):
@@ -460,7 +349,8 @@ def test_forward_messages_terminal_state_is_log_z():
     rng = np.random.default_rng(21)
     g, w = random_instance(rng, n_lo=4, n_hi=6, fibers=["path2", "cycle3"])
     tables = instance_tables(g, w)
-    msgs = messages(_moment_W(tables, 0.4)[:, 0], tables)[..., 0]
+    nu, oh, ov = (tables[key] for key in ("nu", "oh", "ov"))
+    msgs = _vertex_sweep(_empty(2**g.h, 1), nu + 0.4, oh, ov, tables["plan"], LOG, "layer")[..., 0]
     assert msgs.shape[0] == g.n
     assert msgs[-1, 0] == pytest.approx(scalar_log_z(g, w, 0.4), abs=1e-10)
     # the message at the empty reserved set after layer k is log Z of layers 1..k
@@ -584,9 +474,7 @@ def test_flipped_tables_keep_partition_function_and_ground_state():
     # log Z, maximum and polynomial as the table itself
     for g, w in cut_instances(19):
         tables = instance_tables(g, w)
-        flip = {**tables, "B": tables["B"][:, ::-1], "hsum": tables["hsum"][::-1],
-                "scores": tables["scores"][:, ::-1],
-                **{key: tables[key][:, ::-1] for key in ("nu", "oh", "ov")}}
+        flip = {**tables, **{key: tables[key][:, ::-1] for key in ("nu", "oh", "ov")}}
         assert batch_scalar_log_z(flip, 0.3)[0] == pytest.approx(
             batch_scalar_log_z(tables, 0.3)[0], abs=1e-10)
         assert max_values(flip)[0] == pytest.approx(max_values(tables)[0], abs=1e-10)
@@ -766,8 +654,8 @@ def test_every_batched_route_refuses_an_empty_replica(H, n, dead):
     routes = {
         "cut_moments": lambda t: cut_moments(t, 2, 0.3),
         "max_values": max_values,
-        "cut_remainders LOG": lambda t: cut_remainders(_moment_W(t, 0.0)[:, 0], t),
-        "cut_remainders MAX": lambda t: cut_remainders(_max_W(t), t, MAX),
+        "cut_remainders LOG": cut_remainders,
+        "cut_remainders MAX": lambda t: cut_remainders(t, MAX),
     }
     tables, kept = _batch(g, ws), _batch(g, ws[:2] + ws[3:])
     for name, route in routes.items():
@@ -776,7 +664,7 @@ def test_every_batched_route_refuses_an_empty_replica(H, n, dead):
             route(tables)
         assert err.value.replicas.tolist() == [2], name
         assert np.isfinite(np.asarray(route(kept))).all(), name
-    assert np.array_equal(cut_remainders(_moment_W(kept, 0.0)[:, 0], kept)[:, 2], remainder_R(g, ws[3]))
+    assert np.array_equal(cut_remainders(kept)[:, 2], remainder_R(g, ws[3]))
 
 
 def test_remainder_vanishes_on_disconnected_cut():
