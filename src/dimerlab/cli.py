@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .graphs import (
+    DOMAIN_GIBBS,
     DisorderSpec,
     HGraph,
     Law,
@@ -31,6 +32,7 @@ from .graphs import (
     WeightAssignment,
     build_cylinder,
     dump_weights,
+    rng_generator,
     sample_weights,
 )
 from .experiments import (
@@ -56,8 +58,10 @@ from .leeyang import SpectrumError, localization_check, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CountingMask,
+    draws_per_block,
     instance_tables,
     partition_polynomial,
+    replicas_per_batch,
     scalar_log_z,
 )
 
@@ -174,8 +178,6 @@ def _cmd_exact(args) -> int:
         mask = CountingMask.layer_range(lo, hi)
     if args.scalar:
         lz = scalar_log_z(g, w, args.x, mask)
-        if lz == -np.inf:   # the reason the coefficient route gives
-            raise ValueError("all coefficients vanish; empty Gibbs measure")
         print(f"log Z({args.x:g}) = {lz:.12f}")
         payload = {"log_z": lz, "x": args.x, "n": g.n, "h": g.h}
     else:
@@ -231,11 +233,13 @@ def _cmd_sample(args) -> int:
                          "the height grid runs from t = 0 to t = 1")
     _require_finite(args, "x", "centering")
     g, w = _resolve_weights(args)
+    # the draws run in blocks that the batch budget holds; the uniforms are
+    # consumed draw-major, so the blocks draw what one block would
+    block = draws_per_block(g.H, g.n, 0, args.count)
     sampler = GibbsSampler(instance_tables(g, w), x=args.x)
-    from .graphs import DOMAIN_GIBBS, rng_generator
-
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
-    moves = sampler.draw_states(gen, args.count)
+    moves = np.concatenate([sampler.draw_states(gen, min(block, args.count - lo))
+                            for lo in range(0, args.count, block)])
     matchings = sampler.matchings_from_states(moves)
     t_grid = np.linspace(0.0, 1.0, args.t_points)
     profiles = sampler.monomer_profiles(moves)
@@ -286,11 +290,11 @@ def _betas(text: str | None) -> list[float]:
 def _cmd_ground(args) -> int:
     betas = _betas(args.betas)
     g, w = _resolve_weights(args)
+    replicas_per_batch(g.H, g.n, 0, 1)   # the backward step's messages fit the budget
     gs = max_weight(g, w)
     print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
           f"{gs.matching.num_unpaired(g)} monomers")
-    rows = [(k, r, gse_remainder_bound(g, w, k))
-            for k, r in enumerate(gse_remainder(g, w).tolist(), start=1)]
+    rows = list(zip(range(1, g.n), gse_remainder(g, w).tolist(), gse_remainder_bound(g, w).tolist()))
     worst = max((r[1] for r in rows), default=None)
     if worst is None:
         print("no cuts: a one-layer cylinder has no remainders")

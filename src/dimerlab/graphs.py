@@ -1,22 +1,25 @@
 """Cylinder graphs, disorder laws, and edge/vertex weight assignments.
 
 A cylinder graph is the product of a path on ``n`` layers with a fixed
-finite graph ``H`` on ``h`` vertices.  Vertices are addressed as ``(i, j)``
-with layer ``i`` in ``1..n`` and fiber ``j`` in ``1..h``.  Edges come in two
-kinds: horizontal edges ``(i, j)-(i+1, j)`` joining consecutive layers, and
-vertical edges ``(i, a)-(i, b)`` for each edge ``a-b`` of ``H``.
+finite graph ``H`` on ``h`` vertices.  Vertex ``(i, j)``, layer ``i`` in
+``1..n`` and fiber ``j`` in ``1..h``, has the flat index ``(i-1) h + j-1``.
+Edges come in two kinds: horizontal edges ``(i, j)-(i+1, j)`` joining
+consecutive layers, and vertical (fiber) edges ``(i, a)-(i, b)`` for each
+edge ``a-b`` of ``H``.  The canonical edge order is the horizontal block by
+(cut, fiber), then the fiber block by (layer, H-edge); ``edge_ends`` gives
+the flat endpoints of every edge in that order.
 
 Weights attach a monomer weight ``nu`` to every vertex and a dimer weight
 ``omega`` to every edge.  The gauge-transformed edge weights
-``omega - nu_u - nu_v`` (with all vertex weights moved to zero) are kept
-alongside, since most spectral routines operate on the gauged model.
+``omega - nu_u - nu_v`` (all vertex weights moved to zero) are computed
+when asked, by ``gauge``.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,15 +93,6 @@ class HGraph:
     def complete(cls, h: int) -> "HGraph":
         return cls(h, tuple((a, b) for a in range(1, h) for b in range(a + 1, h + 1)))
 
-    def neighbors(self, j: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == j:
-                out.append(b)
-            elif b == j:
-                out.append(a)
-        return sorted(out)
-
 
 class CylinderGraph:
     """Product of an n-layer path with a fiber graph H."""
@@ -121,40 +115,6 @@ class CylinderGraph:
     def num_horizontal(self) -> int:
         return (self.n - 1) * self.H.h
 
-    def vertices(self) -> Iterable[tuple[int, int]]:
-        for i in range(1, self.n + 1):
-            for j in range(1, self.h + 1):
-                yield (i, j)
-
-    def flat_index(self, v: tuple[int, int]) -> int:
-        i, j = v
-        if not (1 <= i <= self.n and 1 <= j <= self.h):
-            raise ValueError(f"vertex {v} outside {self.n}x{self.h} cylinder")
-        return (i - 1) * self.h + (j - 1)
-
-    def neighbors(self, v: tuple[int, int]) -> list[tuple[int, int]]:
-        i, j = v
-        self.flat_index(v)
-        out = []
-        if i > 1:
-            out.append((i - 1, j))
-        if i < self.n:
-            out.append((i + 1, j))
-        out.extend((i, jj) for jj in self.H.neighbors(j))
-        return out
-
-    def edge_list(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Canonical edge order: horizontal block by (layer, fiber), then
-        vertical block by (layer, H-edge index)."""
-        out = []
-        for k in range(1, self.n):
-            for j in range(1, self.h + 1):
-                out.append(((k, j), (k + 1, j)))
-        for i in range(1, self.n + 1):
-            for a, b in self.H.edges:
-                out.append(((i, a), (i, b)))
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, CylinderGraph)
@@ -168,6 +128,16 @@ class CylinderGraph:
 
 def build_cylinder(n: int, H: HGraph) -> CylinderGraph:
     return CylinderGraph(n, H)
+
+
+def edge_ends(g: CylinderGraph) -> np.ndarray:
+    """The flat endpoints ``[2, E]`` of every edge in canonical order: the
+    horizontal edge at cut k and fiber j joins f = (k-1) h + j-1 and f + h,
+    and H-edge a-b of layer i joins (i-1) h + a-1 and (i-1) h + b-1."""
+    f = np.arange(g.num_horizontal)
+    ab = np.array(g.H.edges, dtype=np.intp).reshape(-1, 2) - 1
+    fiber = (g.h * np.arange(g.n)[:, None, None] + ab).reshape(-1, 2).T
+    return np.concatenate([np.stack([f, f + g.h]), fiber], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +219,6 @@ class Law:
             return np.where(gen.random(size) < p[0], p[2], p[1])
         return p[1] + gen.exponential(1.0 / p[0], size)
 
-    def mean(self) -> float:
-        p = self.params
-        if self.kind == "constant":
-            return p[0]
-        if self.kind == "uniform":
-            return 0.5 * (p[0] + p[1])
-        if self.kind == "normal":
-            return p[0]
-        if self.kind == "bernoulli_shift":
-            return (1.0 - p[0]) * p[1] + p[0] * p[2]
-        return p[1] + 1.0 / p[0]
-
     def __str__(self):
         args = ",".join(repr(p) for p in self.params)
         return f"{self.kind}({args})"
@@ -293,8 +251,7 @@ class WeightAssignment:
     Arrays are indexed the canonical way: ``nu[i-1, j-1]`` for vertex
     ``(i, j)``, ``omega_h[k-1, j-1]`` for the horizontal edge at cut ``k``
     and fiber ``j``, ``omega_v[i-1, e]`` for H-edge number ``e`` in layer
-    ``i``.  Gauge-transformed edge weights and the additive offset
-    ``sum(nu)`` are precomputed.
+    ``i``.
     """
 
     def __init__(self, g: CylinderGraph, nu, omega_h, omega_v):
@@ -306,19 +263,6 @@ class WeightAssignment:
         self.omega_v = _check_weight_array("omega_v", omega_v).reshape(
             g.n, len(g.H.edges)
         )
-        # gauge: move every vertex weight to zero, absorbing it into the
-        # weights of incident edges; a disabled (-inf) edge stays disabled,
-        # where a -inf endpoint would make it -inf - (-inf) = NaN
-        live = self.omega_h > -np.inf
-        gh = np.array(self.omega_h, copy=True)
-        np.subtract(gh, self.nu[:-1, :], out=gh, where=live)
-        np.subtract(gh, self.nu[1:, :], out=gh, where=live)
-        self.gauge_h = gh
-        gv = np.array(self.omega_v, copy=True)
-        for e, (a, b) in enumerate(g.H.edges):
-            np.subtract(gv[:, e], self.nu[:, a - 1] + self.nu[:, b - 1], out=gv[:, e], where=gv[:, e] > -np.inf)
-        self.gauge_v = gv
-        self.gauge_offset = float(self.nu.sum())
 
     @classmethod
     def constant(cls, g: CylinderGraph, vertex: float = 0.0, edge: float = 0.0):
@@ -329,28 +273,12 @@ class WeightAssignment:
             np.full((g.n, len(g.H.edges)), edge),
         )
 
-    def gauged(self) -> "WeightAssignment":
-        """Same Gibbs measure, vertex weights identically zero."""
-        return WeightAssignment(self.g, np.zeros_like(self.nu), self.gauge_h, self.gauge_v)
-
     def nu_flat(self) -> np.ndarray:
         return self.nu.reshape(-1)
 
     def omega_flat(self) -> np.ndarray:
         """Edge weights in canonical edge order."""
         return np.concatenate([self.omega_h.reshape(-1), self.omega_v.reshape(-1)])
-
-    def omega_of(self, u: tuple[int, int], v: tuple[int, int]) -> float:
-        """Weight of the edge u-v (raises if u-v is not an edge)."""
-        (i, j), (ii, jj) = sorted((u, v))
-        if j == jj and ii == i + 1:
-            return float(self.omega_h[i - 1, j - 1])
-        if i == ii:
-            key = (min(j, jj), max(j, jj))
-            for e, ed in enumerate(self.g.H.edges):
-                if ed == key:
-                    return float(self.omega_v[i - 1, e])
-        raise ValueError(f"{u}-{v} is not an edge of the cylinder")
 
     def __eq__(self, other):
         return (
@@ -381,23 +309,18 @@ def sample_weights(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> Weigh
     return WeightAssignment(g, *weight_arrays(g, spec, seed))
 
 
-def weighted_degree(g: CylinderGraph, w: WeightAssignment, v: tuple[int, int]) -> float:
-    """Sum of exp(gauge weight) over edges incident to ``v``.
-
-    The maximum of this quantity over vertices bounds every Lee-Yang zero
-    of the gauged model.
-    """
-    i, j = v
-    g.flat_index(v)
-    total = 0.0
-    if i > 1:
-        total += float(np.exp(w.gauge_h[i - 2, j - 1]))
-    if i < g.n:
-        total += float(np.exp(w.gauge_h[i - 1, j - 1]))
-    for e, (a, b) in enumerate(g.H.edges):
-        if j in (a, b):
-            total += float(np.exp(w.gauge_v[i - 1, e]))
-    return total
+def gauge(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
+    """The gauge-transformed edge weights omega - nu_u - nu_v in canonical
+    order: every vertex weight moved to zero and absorbed into the weights
+    of its edges.  A horizontal edge subtracts its endpoint weights one at a
+    time and a fiber edge their sum.  A disabled (-inf) edge stays disabled,
+    where a -inf endpoint would make it -inf - (-inf) = NaN; a live edge at
+    a -inf vertex has gauge weight +inf."""
+    z, nu, (u, v) = w.omega_flat(), w.nu_flat(), edge_ends(g)
+    live, nh = z > -np.inf, g.num_horizontal
+    np.subtract(z, np.concatenate([nu[u[:nh]], nu[u[nh:]] + nu[v[nh:]]]), out=z, where=live)
+    np.subtract(z[:nh], nu[v[:nh]], out=z[:nh], where=live[:nh])
+    return z
 
 
 # ---------------------------------------------------------------------------

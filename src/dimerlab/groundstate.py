@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CylinderGraph, WeightAssignment
+from .graphs import CylinderGraph, WeightAssignment, gauge
 from .sampler import Matching, decode_moves, matching_weight
 from .transfer import (
-    MAX, NEG_INF, _empty, _vertex_sweep, batch_tables, check_cut, check_nonempty, cut_remainders,
+    MAX, _empty, _vertex_sweep, batch_tables, check_nonempty, cut_remainders,
     instance_tables, move_terms, scalar_log_z,
 )
 
@@ -50,10 +50,11 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
-    """Maximize H over matchings: a (max, +) sweep, then a backward argmax."""
+    """Maximize H over matchings: a (max, +) sweep, then a backward argmax.
+    The matching's weight, summed over the flat weights at ``edge_ends``,
+    must give the value: every ground state checks the edge numbering of
+    ``decode_moves`` against ``edge_ends``."""
     value, terms, code, prev = move_terms(instance_tables(g, w), 0, MAX)
-    if value == NEG_INF:   # no matching of finite weight: nothing to maximize over
-        raise ValueError("all coefficients vanish; empty Gibbs measure")
     best = terms.argmax(axis=-1)
     moves, s = np.empty((1, g.n, g.h), dtype=np.intp), 0
     for i in range(g.n - 1, -1, -1):
@@ -73,8 +74,9 @@ def gse_remainder(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
     return cut_remainders(instance_tables(g, w), MAX)[:, 0]
 
 
-def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
-    """Sum of positive parts of the gauge weights across the cut.
+def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
+    """Sum of positive parts of the gauge weights across each cut k = 1..n-1
+    (entry k-1), the bound of every ``gse_remainder``.
 
     Dropping the cut dimers of a global optimum and leaving their endpoints
     unpaired costs exactly the gauge weight of each dropped dimer, so the
@@ -82,9 +84,8 @@ def gse_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     (-inf) edge adds nothing; an edge between two -inf vertices has gauge
     weight +inf, and so has the bound.
     """
-    check_cut(k, g.n)
-    z = w.gauge_h[k - 1]
-    return float(np.sum(np.clip(z[z > NEG_INF], 0.0, None)))
+    z = gauge(g, w)[: g.num_horizontal].reshape(g.n - 1, g.h)
+    return np.clip(z, 0.0, None).sum(axis=1)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CylinderGraph, WeightAssignment, weighted_degree
+from .graphs import CylinderGraph, WeightAssignment, edge_ends, gauge
 from .transfer import NEG_INF, MonomerPolynomial
 
 
@@ -140,8 +140,12 @@ def _check_reconstruction(p: MonomerPolynomial, spec: LeeYangSpectrum, tol: floa
 
 
 def localization_bound(g: CylinderGraph, w: WeightAssignment) -> float:
-    """Max over vertices of the gauge-weighted degree; bounds every zero."""
-    return max(weighted_degree(g, w, v) for v in g.vertices())
+    """Max over vertices of the gauge-weighted degree, the sum of exp(gauge
+    weight) over the edges at the vertex; bounds every zero.  The terms are
+    added edge by edge in canonical order, to both endpoints."""
+    degree = np.zeros(g.num_vertices)
+    np.add.at(degree, edge_ends(g).T.reshape(-1), np.repeat(np.exp(gauge(g, w)), 2))
+    return float(degree.max())
 
 
 def localization_check(

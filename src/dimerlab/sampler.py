@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CylinderGraph, WeightAssignment
+from .graphs import CylinderGraph, WeightAssignment, edge_ends
 from .transfer import FIBER, HORIZONTAL, LOG, MONOMER, NEG_INF, move_terms
 
 
@@ -31,32 +31,18 @@ class Matching:
 
     edge_indices: frozenset
 
-    def covered_flat(self, g: CylinderGraph) -> set[int]:
-        edges = g.edge_list()
-        out = set()
-        for idx in self.edge_indices:
-            u, v = edges[idx]
-            fu, fv = g.flat_index(u), g.flat_index(v)
-            if fu in out or fv in out:
-                raise ValueError("edges share a vertex; not a matching")
-            out.update((fu, fv))
-        return out
-
-    def unpaired(self, g: CylinderGraph) -> list[tuple[int, int]]:
-        covered = self.covered_flat(g)
-        return [v for v in g.vertices() if g.flat_index(v) not in covered]
-
     def num_unpaired(self, g: CylinderGraph) -> int:
         return g.num_vertices - 2 * len(self.edge_indices)
 
 
 def matching_weight(g: CylinderGraph, w: WeightAssignment, m: Matching) -> float:
-    """Hamiltonian H(m): monomer weights of unpaired vertices + dimer weights."""
-    edges = g.edge_list()
-    total = sum(w.omega_of(*edges[idx]) for idx in m.edge_indices)
-    for v in m.unpaired(g):
-        total += w.nu[v[0] - 1, v[1] - 1]
-    return float(total)
+    """Hamiltonian H(m): monomer weights of unpaired vertices + dimer weights.
+    Edges that share a vertex are refused: ``m`` is not a matching."""
+    idx = np.array(sorted(m.edge_indices), dtype=np.intp)
+    covered = np.bincount(edge_ends(g)[:, idx].reshape(-1), minlength=g.num_vertices)
+    if (covered > 1).any():
+        raise ValueError("edges share a vertex; not a matching")
+    return float(w.omega_flat()[idx].sum() + w.nu_flat()[covered == 0].sum())
 
 
 def heights(profiles: np.ndarray, t, centering: float | None = None):
@@ -99,8 +85,6 @@ class GibbsSampler:
     def __init__(self, tables: dict, r: int = 0, x: float = 0.0):
         self.n, self.H, self.x = tables["n"], tables["H"], x
         self.log_z, terms, code, prev = move_terms(tables, r, LOG, x)
-        if self.log_z == NEG_INF:
-            raise ValueError("partition function vanishes; nothing to sample")
         self.law = _cumulative_law(terms)
         # one column past the moves, which only a law of zero mass (all 0) reaches
         self.code, self.prev = (np.pad(a, ((0, 0), (0, 0), (0, 1)), constant_values=v)

@@ -735,10 +735,12 @@ def _blocked_log_z(nu: np.ndarray, oh: np.ndarray, ov: np.ndarray, plan, K: int)
 
 def scalar_log_z(g: CylinderGraph, w: WeightAssignment, x: float = 0.0, mask=None) -> float:
     """log Z at a fixed tilt without materializing coefficients, by the
-    blocked LOG sweep (see the module docstring)."""
+    blocked LOG sweep (see the module docstring).  An instance with no
+    matching of finite weight is refused (``check_nonempty``)."""
     tables = instance_tables(g, w)
     nu = tables["nu"][0] + x * _resolve_mask(mask, g.n)[:, None]
-    return _blocked_log_z(nu, tables["oh"][0], tables["ov"][0], tables["plan"], _log_blocks(g.n, g.h))
+    lz = _blocked_log_z(nu, tables["oh"][0], tables["ov"][0], tables["plan"], _log_blocks(g.n, g.h))
+    return float(check_nonempty(np.asarray(lz)))
 
 
 def cut_remainders(tables: dict, arith=LOG, x: float = 0.0) -> np.ndarray:
@@ -799,11 +801,13 @@ def move_terms(tables: dict, r: int, arith, x: float = 0.0) -> tuple:
     forward sweep that keeps the message after every vertex.  Under LOG the
     terms of (i, b, s) are the conditional law of the move into s, up to
     their sum; under MAX their largest continues an optimal configuration.
-    Returns (value, terms, code, prev)."""
+    A replica with no matching of finite weight is refused, as a batch of
+    one (``check_nonempty``).  Returns (value, terms, code, prev)."""
     nu, oh, ov = (a[r : r + 1] for a in _weights(tables))
     _, n, h = nu.shape
     nu = nu + x
     msgs = _vertex_sweep(_empty(1 << h, 1), nu, oh, ov, tables["plan"], arith, "vertex")[..., 0]
+    value = float(check_nonempty(msgs[-1, :1])[0])
     before = np.concatenate([_empty(1 << h)[None], msgs[:-1]]).reshape(n, h, -1)
     code, prev = _moves(tables["H"])
     # per vertex, the weight of each move code; code -1 reads the last, -inf
@@ -813,4 +817,4 @@ def move_terms(tables: dict, r: int, arith, x: float = 0.0) -> tuple:
     w[..., OPEN] = 0.0
     w[..., FIBER:-1] = ov[0][:, None]
     terms = np.stack([before[:, b][:, prev[b]] + w[:, b][:, code[b]] for b in range(h)], axis=1)
-    return float(msgs[-1, 0]), terms, code, prev
+    return value, terms, code, prev

@@ -14,11 +14,12 @@ from dimerlab.graphs import (
     RngSeed,
     WeightAssignment,
     build_cylinder,
+    gauge,
     sample_weights,
 )
 from dimerlab.sampler import Matching
 
-from oracle import horizontal_index, kill_vertex_edges, vertical_index
+from oracle import horizontal_index, kill_vertex_edges, unpaired, vertical_index, vertices
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
 
@@ -49,6 +50,14 @@ def random_instance(rng: np.random.Generator, n_lo=2, n_hi=8, fibers=None,
     return g, sample_weights(g, disorder, seed)
 
 
+def gauged(w: WeightAssignment) -> WeightAssignment:
+    """The same Gibbs measure with every vertex weight moved to zero: the
+    edge weights of ``graphs.gauge``."""
+    z = gauge(w.g, w)
+    nh = w.g.num_horizontal
+    return WeightAssignment(w.g, np.zeros_like(w.nu), z[:nh], z[nh:])
+
+
 def restrict(g, w, k: int, l: int):
     """Induced sub-cylinder on layers k..l with sliced weights: the reference
     against which the sweeps over table slices are tested."""
@@ -65,12 +74,33 @@ def disabled_edge_batches(seed: int, n: int = 4, replicas: int = 3):
     rng = np.random.default_rng(seed)
     for name in ("path2", "cycle3"):
         g = build_cylinder(n, FIBERS[name])
-        vertices, ws = list(g.vertices()), []   # in flat-index order
+        flat_order, ws = vertices(g), []
         for r in range(replicas):
             w = sample_weights(g, STD_NORMAL, RngSeed(seed, r))
             flat = rng.choice(g.num_vertices, size=int(rng.integers(1, 3)), replace=False)
-            ws.append(kill_vertex_edges(w, [vertices[int(f)] for f in flat]))
+            ws.append(kill_vertex_edges(w, [flat_order[int(f)] for f in flat]))
         yield g, ws
+
+
+# fibers from one vertex to h = 9 (past the 8 terms that numpy adds in
+# sequence), with and without fiber cycles
+LAYOUT_FIBERS = (HGraph.single(), HGraph.path(2), HGraph.path(3), HGraph.path(5), HGraph.path(9),
+                 HGraph.cycle(3), HGraph.cycle(4), HGraph.complete(4), HGraph.complete(6))
+
+
+def layout_instances(seed: int, dead: str = "", ns=(1, 2, 5, 17)):
+    """Per fiber of ``LAYOUT_FIBERS`` and layer count in ``ns``, normal
+    weights, with about one in eight edge weights (``dead`` = "edges") or
+    also vertex weights (``dead`` = "all") set to -inf."""
+    rng = np.random.default_rng(seed)
+    for H in LAYOUT_FIBERS:
+        for n in ns:
+            g = build_cylinder(n, H)
+            w = sample_weights(g, STD_NORMAL, RngSeed(seed, n))
+            arrays = [w.nu, w.omega_h, w.omega_v]
+            for a in arrays[{"": 3, "edges": 1, "all": 0}[dead]:]:
+                a[rng.random(a.shape) < 0.125] = -np.inf
+            yield g, WeightAssignment(g, *arrays)
 
 
 def cut_instances(seed: int):
@@ -156,4 +186,4 @@ def moves_matching(g, moves) -> Matching:
 def layer_counts(g, m: Matching) -> np.ndarray:
     """The unpaired-vertex count of each layer of ``m``, read off its
     unpaired vertices: the reference for the sampler's monomer profiles."""
-    return np.bincount([i for i, _ in m.unpaired(g)], minlength=g.n + 1)[1:]
+    return np.bincount([i for i, _ in unpaired(g, m)], minlength=g.n + 1)[1:]

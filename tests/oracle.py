@@ -4,8 +4,10 @@ Brute-force enumeration shares nothing with the transfer recursion; the
 other references are kept deliberately simple (vertex removal by disabled
 edges, the layer sweep over fiber-row tables that the package's vertex
 recursion replaced, in LOG, MAX, the moment semiring and the degree
-semiring, remainders at one tilt, edge indices by formula) so that a fast
-route of the package has something independent to agree with.
+semiring, remainders at one tilt, the cylinder as (i, j) tuples with its
+gauge weights, weighted degrees and cut bounds one at a time, edge indices
+by formula) so that a fast route of the package has something independent
+to agree with.
 """
 from __future__ import annotations
 
@@ -44,9 +46,9 @@ def enumerate_matchings(g: CylinderGraph, w: WeightAssignment, leaf, mask=None) 
     total = g.num_vertices
     nu_flat = w.nu_flat()
     adj: list[list[tuple[int, float]]] = [[] for _ in range(total)]
-    for (u, v) in g.edge_list():
-        fu, fv = g.flat_index(u), g.flat_index(v)
-        wt = w.omega_of(u, v)
+    for (u, v) in edges(g):
+        fu, fv = flat_index(g, u), flat_index(g, v)
+        wt = edge_weight(w, u, v)
         adj[fu].append((fv, wt))
         adj[fv].append((fu, wt))
 
@@ -115,7 +117,7 @@ def kill_vertex_edges(w: WeightAssignment, vertices) -> WeightAssignment:
     ov = np.array(w.omega_v, copy=True)
     for v in vertices:
         i, j = v
-        g.flat_index(v)
+        flat_index(g, v)
         if i > 1:
             oh[i - 2, j - 1] = NEG_INF
         if i < g.n:
@@ -429,9 +431,94 @@ def remainder_R(g: CylinderGraph, w: WeightAssignment, x: float = 0.0) -> np.nda
 def remainder_upper_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
     """Sum of 1 + |gauge weight| over the edges of cut k (disabled edges add
     0; an edge between -inf vertices, of gauge weight +inf, adds +inf)."""
-    check_cut(k, g.n)
-    z = w.gauge_h[k - 1]
+    z = cut_gauge_weights(w, k)
     return float(np.sum(1.0 + np.abs(z[z > NEG_INF])))
+
+
+def ground_remainder_bound(g: CylinderGraph, w: WeightAssignment, k: int) -> float:
+    """Sum of the positive parts of the gauge weights of the edges of cut k,
+    the bound of the ground-state remainder, one cut at a time."""
+    z = cut_gauge_weights(w, k)
+    return float(np.sum(np.clip(z[z > NEG_INF], 0.0, None)))
+
+
+# ---------------------------------------------------------------------------
+# the cylinder as tuples: vertices (i, j), edges, neighbours and gauge weights
+# ---------------------------------------------------------------------------
+
+def vertices(g: CylinderGraph) -> list:
+    """Every vertex (i, j), layer-major: in flat-index order."""
+    return [(i, j) for i in range(1, g.n + 1) for j in range(1, g.h + 1)]
+
+
+def flat_index(g: CylinderGraph, v) -> int:
+    i, j = v
+    if not (1 <= i <= g.n and 1 <= j <= g.h):
+        raise ValueError(f"vertex {v} outside {g.n}x{g.h} cylinder")
+    return (i - 1) * g.h + (j - 1)
+
+
+def edges(g: CylinderGraph) -> list:
+    """Every edge (u, v) in canonical order: the horizontal block by (cut,
+    fiber), then the vertical block by (layer, H-edge)."""
+    return ([((k, j), (k + 1, j)) for k in range(1, g.n) for j in range(1, g.h + 1)]
+            + [((i, a), (i, b)) for i in range(1, g.n + 1) for a, b in g.H.edges])
+
+
+def neighbors(g: CylinderGraph, v) -> list:
+    """The neighbours of v: the layers before and after, then the fiber
+    neighbours in ascending order, which is the order of their H-edges."""
+    i, j = v
+    flat_index(g, v)
+    out = [(i + d, j) for d in (-1, 1) if 1 <= i + d <= g.n]
+    return out + sorted((i, b if a == j else a) for a, b in g.H.edges if j in (a, b))
+
+
+def edge_weight(w: WeightAssignment, u, v) -> float:
+    """The weight of the edge u-v (raises if u-v is not an edge)."""
+    (i, j), (ii, jj) = sorted((u, v))
+    if j == jj and ii == i + 1:
+        return w.omega_h[i - 1, j - 1]
+    if i == ii and (min(j, jj), max(j, jj)) in w.g.H.edges:
+        return w.omega_v[i - 1, w.g.H.edges.index((min(j, jj), max(j, jj)))]
+    raise ValueError(f"{u}-{v} is not an edge of the cylinder")
+
+
+def gauge_weight(w: WeightAssignment, u, v) -> float:
+    """omega - nu_u - nu_v of the edge u-v: a horizontal edge subtracts the
+    endpoint weights one at a time, a vertical edge their sum; a disabled
+    (-inf) edge stays -inf."""
+    omega = edge_weight(w, u, v)
+    if omega == NEG_INF:
+        return omega
+    nu_u, nu_v = (w.nu[i - 1, j - 1] for i, j in sorted((u, v)))
+    return omega - nu_u - nu_v if u[0] != v[0] else omega - (nu_u + nu_v)
+
+
+def cut_gauge_weights(w: WeightAssignment, k: int) -> np.ndarray:
+    """The gauge weights of the horizontal edges of cut k, by fiber."""
+    check_cut(k, w.g.n)
+    return np.array([gauge_weight(w, (k, j), (k + 1, j)) for j in range(1, w.g.h + 1)])
+
+
+def weighted_degree(w: WeightAssignment, v) -> float:
+    """Sum of exp(gauge weight) over the edges at v, in neighbour order."""
+    total = 0.0
+    for u in neighbors(w.g, v):
+        total += float(np.exp(gauge_weight(w, u, v)))
+    return total
+
+
+def localization_reference(w: WeightAssignment) -> float:
+    """The largest weighted degree, vertex by vertex."""
+    return max(weighted_degree(w, v) for v in vertices(w.g))
+
+
+def unpaired(g: CylinderGraph, m) -> list:
+    """The vertices that no edge of the matching ``m`` covers."""
+    all_edges = edges(g)
+    covered = {x for e in m.edge_indices for x in all_edges[e]}
+    return [v for v in vertices(g) if v not in covered]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from dimerlab.graphs import (
     Law,
     RngSeed,
     build_cylinder,
+    gauge,
     rng_generator,
     sample_weights,
 )
@@ -54,10 +55,11 @@ from dimerlab.transfer import (
     scalar_log_z,
 )
 
-from helpers import NONNEG_GAUGE, STD_NORMAL, random_instance
+from helpers import NONNEG_GAUGE, STD_NORMAL, gauged, random_instance
 from oracle import (
-    batch_scalar_log_z, brute_force_max, brute_force_polynomial, kill_vertex_edges, prefix_laws,
-    remainder_R, remainder_upper_bound, vertex_removed_polynomial,
+    batch_scalar_log_z, brute_force_max, brute_force_polynomial, edge_weight, edges, flat_index,
+    kill_vertex_edges, neighbors, prefix_laws, remainder_R, remainder_upper_bound,
+    vertex_removed_polynomial,
 )
 
 
@@ -126,7 +128,7 @@ def test_criterion_02_gauge_identity():
     for _ in range(250):
         g, w = random_instance(rng, n_lo=2, n_hi=40)
         lhs = scalar_log_z(g, w)
-        rhs = w.gauge_offset + scalar_log_z(g, w.gauged())
+        rhs = float(w.nu.sum()) + scalar_log_z(g, gauged(w))
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-9
     _report(2, f"250 instances, max |log Z - (sum nu + log Z~)| = {worst:.2e}")
@@ -145,11 +147,11 @@ def test_criterion_03_terminal_vertex_recurrence():
         v = (g.n, int(rng.integers(1, g.h + 1)))
         total = np.exp(w.nu[v[0] - 1, v[1] - 1]
                        + vertex_removed_polynomial(g, w, v).log_z())
-        for u in g.neighbors(v):
+        for u in neighbors(g, v):
             kw = kill_vertex_edges(w, [v])
             pair = (vertex_removed_polynomial(g, kw, u).log_z()
                     - kw.nu[v[0] - 1, v[1] - 1])
-            total += np.exp(w.omega_of(u, v) + pair)
+            total += np.exp(edge_weight(w, u, v) + pair)
         worst = max(worst, abs(np.log(total) - scalar_log_z(g, w)))
     assert worst <= 1e-9
     _report(3, f"120 terminal-vertex checks, max residual {worst:.2e}")
@@ -165,15 +167,15 @@ def test_criterion_04_zero_structure():
     g2 = build_cylinder(2, HGraph.single())
     for _ in range(60):
         w = sample_weights(g2, STD_NORMAL, RngSeed(int(rng.integers(2**32)), 0))
-        sp = spectrum(partition_polynomial(g2, w.gauged()))
+        sp = spectrum(partition_polynomial(g2, gauged(w)))
         assert sp.zero_mult == 0
-        assert abs(sp.lambdas[0] - math.exp(0.5 * w.gauge_h[0, 0])) <= 1e-12
+        assert abs(sp.lambdas[0] - math.exp(0.5 * gauge(g2, w)[0])) <= 1e-12
 
     # (b) rebuilding the polynomial from the zero multiset
     recon_worst = 0.0
     for _ in range(40):
         g, w = random_instance(rng, n_lo=2, n_hi=9, max_vertices=18)
-        p = partition_polynomial(g, w.gauged())
+        p = partition_polynomial(g, gauged(w))
         sp = spectrum(p)
         poly = np.array([1.0])
         for lam in sp.lambdas:
@@ -189,9 +191,9 @@ def test_criterion_04_zero_structure():
     inter_ok = 0
     for _ in range(500):
         g, w = random_instance(rng, n_lo=2, n_hi=7, max_vertices=14)
-        parent = spectrum(partition_polynomial(g, w.gauged()))
+        parent = spectrum(partition_polynomial(g, gauged(w)))
         v = (int(rng.integers(1, g.n + 1)), int(rng.integers(1, g.h + 1)))
-        child = spectrum(vertex_removed_polynomial(g, w.gauged(), v))
+        child = spectrum(vertex_removed_polynomial(g, gauged(w), v))
         # the ascending signed zeros p of the parent and c of the child
         # interlace: p_k <= c_k <= p_{k+1}
         pa, ca = parent.signed_atoms(), child.signed_atoms()
@@ -204,7 +206,7 @@ def test_criterion_04_zero_structure():
     for _ in range(500):
         g, w = random_instance(rng, n_lo=2, n_hi=9, max_vertices=18,
                                disorder=NONNEG_GAUGE)
-        sp = spectrum(partition_polynomial(g, w.gauged()))
+        sp = spectrum(partition_polynomial(g, gauged(w)))
         loc_ok += localization_check(g, w, sp)[1]
     assert loc_ok == 500
     _report(4, f"60 two-vertex exact, recon residual {recon_worst:.2e}, "
@@ -223,7 +225,7 @@ def test_criterion_05_cumulant_routes_agree():
     worst_fd = 0.0
     for _ in range(25):
         g, w = random_instance(rng, n_lo=2, n_hi=10, max_vertices=20)
-        p = partition_polynomial(g, w.gauged())
+        p = partition_polynomial(g, gauged(w))
         sp = spectrum(p)
         for x in x_grid:
             mean, var = p.cumulants(float(x), 2)
@@ -258,10 +260,11 @@ def test_criterion_06_remainder_bounds():
     for disorder in laws:
         for _ in range(70):
             g, w = random_instance(rng, n_lo=3, n_hi=24, disorder=disorder)
-            cuts = zip(range(1, g.n), remainder_R(g, w), gse_remainder(g, w), strict=True)
-            for k, r, rg in cuts:
+            cuts = zip(range(1, g.n), remainder_R(g, w), gse_remainder(g, w),
+                       gse_remainder_bound(g, w), strict=True)
+            for k, r, rg, bound in cuts:
                 assert -1e-9 <= r <= remainder_upper_bound(g, w, k) + 1e-9
-                assert -1e-9 <= rg <= gse_remainder_bound(g, w, k) + 1e-9
+                assert -1e-9 <= rg <= bound + 1e-9
                 checks += 2
     _report(6, f"{checks} remainder checks over every cut of 210 instances, "
                f"all inside the bounds")
@@ -428,7 +431,7 @@ def test_criterion_13_tridiagonal_identities_and_growth_rate():
         g = build_cylinder(n, HGraph.single())
         w = sample_weights(g, STD_NORMAL, RngSeed(1350 + n, 0))
         lam = np.sort(omega_spectrum(JacobiMatrix.from_weights(g, w)))
-        sp = spectrum(partition_polynomial(g, w.gauged()))
+        sp = spectrum(partition_polynomial(g, gauged(w)))
         worst_eig = max(worst_eig,
                         float(np.max(np.abs(lam - sp.signed_atoms()))))
     assert worst_eig <= 1e-8
@@ -439,7 +442,7 @@ def test_criterion_13_tridiagonal_identities_and_growth_rate():
         g = build_cylinder(n, HGraph.single())
         w = sample_weights(g, STD_NORMAL, RngSeed(1400 + n, 0))
         A = JacobiMatrix.from_weights(g, w)
-        p = partition_polynomial(g, w.gauged())
+        p = partition_polynomial(g, gauged(w))
         for x in (-0.5, 0.0, 1.0):
             worst_res = max(worst_res,
                             abs(resolvent_U(A, x) - p.cumulants(x, 1)[0]))
@@ -515,7 +518,7 @@ def test_criterion_14_ground_state(free_energy_ladder, clt_replicas):
 
 def _enumerate_matchings(g):
     """All matchings of g, as tuples of canonical edge indices."""
-    flat = [(g.flat_index(u), g.flat_index(v)) for u, v in g.edge_list()]
+    flat = [(flat_index(g, u), flat_index(g, v)) for u, v in edges(g)]
     out = []
 
     def rec(idx, used, chosen):

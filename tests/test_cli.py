@@ -11,9 +11,9 @@ import pytest
 from dimerlab import cli, experiments, groundstate, transfer
 from dimerlab.cli import main
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
-from dimerlab.sampler import Matching, heights
+from dimerlab.sampler import GibbsSampler, Matching, heights
 
-from helpers import count_calls, layer_counts
+from helpers import batch_budget, count_calls, layer_counts
 
 
 def test_exact_prints_log_z_of_path4(capsys, tmp_path):
@@ -295,14 +295,45 @@ def test_ground_refuses_bad_betas_before_any_work(tmp_path, capsys, betas, reaso
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["exact", "--scalar"], ["ground"]], ids=["exact-scalar", "ground"])
+@pytest.mark.parametrize("argv", [["exact", "--scalar"], ["exact"], ["ground"], ["sample"]],
+                         ids=["exact-scalar", "exact", "ground", "sample"])
 def test_an_empty_gibbs_measure_is_refused_before_any_file(tmp_path, capsys, argv):
     # every weight -inf: no matching has finite weight, so there is no Gibbs
-    # measure to give log Z or a maximum of, as exact without --scalar says
+    # measure to give log Z, the coefficients' law, a maximum or a draw of
     out = tmp_path / "d"
     assert main([*argv, "--n", "3", "--const=-inf", "--out", str(out)]) == 2
-    assert "all coefficients vanish; empty Gibbs measure" in capsys.readouterr().err
+    assert "empty Gibbs measure" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "ground"])
+def test_single_instance_routes_past_the_batch_budget_are_refused(tmp_path, capsys, command):
+    # one replica of path(12) at n = 1024 would hold about 3.6 GB of
+    # per-vertex messages: refused by the batch model, before any is made
+    H, out = HGraph.path(12), tmp_path / "big"
+    need = transfer.batch_bytes(H, 1024, 1, 0, 1)
+    assert 3.5e9 < need < 3.7e9
+    assert main([command, "--n", "1024", "--fiber", "path(12)", "--out", str(out)]) == 2
+    assert f"fiber size h=12 at n=1024 layers needs {need:,} bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_draws_in_budgeted_blocks_are_the_draws_of_one_block(tmp_path, monkeypatch):
+    # blocks of 1 and of 7 draws write the bytes of one block of all 20: the
+    # uniforms are consumed draw-major
+    argv = ["sample", "--n", "8", "--h", "2", "--vertex", "normal(0,1)", "--edge", "normal(0,1)",
+            "--count", "20", "--centering", "0.5"]
+    assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+    blocks, draw_states = [], GibbsSampler.draw_states
+    monkeypatch.setattr(GibbsSampler, "draw_states",
+                        lambda self, gen, count: blocks.append(count) or draw_states(self, gen, count))
+    for draws, sizes in ((1, [1] * 20), (7, [7, 7, 6])):
+        batch_budget(monkeypatch, 1, HGraph.path(2), 8, 0, draws)
+        blocks.clear()
+        assert main([*argv, "--out", str(tmp_path / str(draws))]) == 0
+        assert blocks == sizes
+        for name in ("matchings.json", "heights.csv"):
+            assert (tmp_path / str(draws) / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.mark.parametrize("fiber, vertex", [

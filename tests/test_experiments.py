@@ -52,7 +52,7 @@ from dimerlab.transfer import (
     CountingMask, cut_moments, instance_tables, partition_polynomial, section_covariance,
 )
 
-from helpers import STD_NORMAL, batch_budget, count_calls, restrict, sweep_steps, table_builds
+from helpers import STD_NORMAL, batch_budget, count_calls, gauged, restrict, sweep_steps, table_builds
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -275,7 +275,7 @@ def test_campaign_spectra_match_gauged_polynomials():
                 "stream", "max_lambda", "u_n", "varQ_n", "mean_U", "var_U"))):
             w = sample_weights(g, STD_NORMAL, RngSeed(5, stream=int(s)))
             try:
-                ref = spectrum(partition_polynomial(g, w.gauged()))
+                ref = spectrum(partition_polynomial(g, gauged(w)))
             except SpectrumError:
                 assert n == 48 and np.isnan([lam, u, vq]).all(), (n, s)
                 continue

@@ -10,13 +10,17 @@ from dimerlab.graphs import (
     WeightAssignment,
     build_cylinder,
     dump_weights,
+    edge_ends,
+    gauge,
     load_weights,
     sample_weights,
-    weighted_degree,
 )
+from dimerlab.leeyang import localization_bound
 
-from helpers import STD_NORMAL
-from oracle import horizontal_index, vertical_index
+from helpers import STD_NORMAL, gauged, layout_instances
+from oracle import (
+    edges, flat_index, gauge_weight, horizontal_index, neighbors, vertical_index, vertices,
+)
 
 
 def test_fiber_factories():
@@ -33,46 +37,61 @@ def test_fiber_factories():
 
 
 def test_fiber_neighbors():
-    H = HGraph.cycle(4)
-    assert H.neighbors(1) == [2, 4]
-    assert H.neighbors(3) == [2, 4]
+    # the oracle's neighbours of a vertex: the fiber ones in H-edge order
+    g = build_cylinder(1, HGraph.cycle(4))
+    assert neighbors(g, (1, 1)) == [(1, 2), (1, 4)]
+    assert neighbors(g, (1, 3)) == [(1, 2), (1, 4)]
 
 
 def test_cylinder_counts_and_indexing():
     g = build_cylinder(5, HGraph.path(3))
     assert g.num_vertices == 15
     assert g.num_horizontal == 4 * 3
-    assert sum(u[0] == v[0] for u, v in g.edge_list()) == 5 * 2   # vertical: within a layer
-    assert len(g.edge_list()) == 22
-    # flat index round trip covers every vertex exactly once
-    flats = [g.flat_index(v) for v in g.vertices()]
-    assert sorted(flats) == list(range(15))
-    vertices = list(g.vertices())
-    for v in g.vertices():
-        assert vertices[g.flat_index(v)] == v
+    u, v = edge_ends(g)
+    assert u.size == 22
+    assert (u // g.h == v // g.h).sum() == 5 * 2   # vertical: within a layer
+    # no loops, and no edge twice
+    assert (u < v).all() and len(set(zip(u.tolist(), v.tolist()))) == 22
+    # the oracle's flat index round trip covers every vertex exactly once
+    assert [flat_index(g, v) for v in vertices(g)] == list(range(15))
+
+
+@pytest.mark.parametrize("H", [HGraph.single(), HGraph.path(3), HGraph.cycle(4), HGraph.complete(4)],
+                         ids=["single", "path3", "cycle4", "complete4"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_edge_ends_match_the_tuple_enumeration(H, n):
+    # the flat endpoints of every edge, in canonical order, against the
+    # oracle's own (i, j) enumeration of the cylinder's edges
+    g = build_cylinder(n, H)
+    expect = [[flat_index(g, u), flat_index(g, v)] for u, v in edges(g)]
+    assert edge_ends(g).T.tolist() == expect
+    assert edge_ends(g).shape == (2, g.num_horizontal + n * len(H.edges))
+
+
+def test_neighbors_symmetric():
+    # the oracle's neighbours are symmetric, and are the other ends of the
+    # edges at each vertex
+    g = build_cylinder(3, HGraph.complete(3))
+    ends = edge_ends(g).T.tolist()
+    for v in vertices(g):
+        f = flat_index(g, v)
+        assert sorted(flat_index(g, u) for u in neighbors(g, v)) == sorted(
+            a + b - f for a, b in ends if f in (a, b))
+        for u in neighbors(g, v):
+            assert v in neighbors(g, u)
 
 
 def test_cylinder_edge_order_matches_index_functions():
     g = build_cylinder(4, HGraph.cycle(3))
-    edges = g.edge_list()
-    assert len(edges) == g.num_horizontal + g.n * len(g.H.edges)
+    ends = edge_ends(g).T.tolist()
     # horizontal block first, ordered by (cut, fiber vertex)
     for k in range(1, g.n):
         for j in range(1, g.h + 1):
-            idx = horizontal_index(g, k, j)
-            assert edges[idx] == ((k, j), (k + 1, j))
+            assert ends[horizontal_index(g, k, j)] == [flat_index(g, (k, j)), flat_index(g, (k + 1, j))]
     # then vertical block, ordered by (layer, H-edge position)
     for i in range(1, g.n + 1):
         for e, (a, b) in enumerate(g.H.edges):
-            idx = vertical_index(g, i, e)
-            assert edges[idx] == ((i, a), (i, b))
-
-
-def test_neighbors_symmetric():
-    g = build_cylinder(3, HGraph.complete(3))
-    for v in g.vertices():
-        for u in g.neighbors(v):
-            assert v in g.neighbors(u)
+            assert ends[vertical_index(g, i, e)] == [flat_index(g, (i, a)), flat_index(g, (i, b))]
 
 
 def test_law_parse_and_str_round_trip():
@@ -94,10 +113,11 @@ def test_law_parse_and_str_round_trip():
 
 def test_law_sampling_matches_mean():
     gen = np.random.default_rng(7)
-    for law in [Law.uniform(-1, 3), Law.normal(0.5, 1), Law.parse("exponential_shift(2, -1)"),
-                Law.parse("bernoulli_shift(0.25, 0, 4)")]:
+    for law, mean in [(Law.uniform(-1, 3), 1.0), (Law.normal(0.5, 1), 0.5),
+                      (Law.parse("exponential_shift(2, -1)"), -0.5),
+                      (Law.parse("bernoulli_shift(0.25, 0, 4)"), 1.0)]:
         x = law.sample(gen, 200_000)
-        assert abs(x.mean() - law.mean()) < 0.02
+        assert abs(x.mean() - mean) < 0.02
     c = Law.constant(-2.0).sample(gen, 10)
     assert np.all(c == -2.0)
 
@@ -114,38 +134,35 @@ def test_sample_weights_deterministic_per_seed():
 def test_gauge_transform_moves_vertex_weights_onto_edges():
     g = build_cylinder(4, HGraph.path(2))
     w = sample_weights(g, STD_NORMAL, RngSeed(5, 0))
-    gt = w.gauged()
-    assert np.all(gt.nu == 0.0)
-    assert gt.gauge_offset == 0.0
+    z = gauge(g, w)
     # spot-check one horizontal and one vertical edge by hand
-    assert gt.omega_h[1, 0] == pytest.approx(
-        w.omega_h[1, 0] - w.nu[1, 0] - w.nu[2, 0]
-    )
-    assert gt.omega_v[2, 0] == pytest.approx(
-        w.omega_v[2, 0] - w.nu[2, 0] - w.nu[2, 1]
-    )
-    # gauging twice is idempotent
-    assert np.allclose(gt.gauged().omega_flat(), gt.omega_flat())
+    assert z[horizontal_index(g, 2, 1)] == pytest.approx(w.omega_h[1, 0] - w.nu[1, 0] - w.nu[2, 0])
+    assert z[vertical_index(g, 3, 0)] == pytest.approx(w.omega_v[2, 0] - w.nu[2, 0] - w.nu[2, 1])
+    # the weights are left as they were, and gauging twice is idempotent
+    assert w == sample_weights(g, STD_NORMAL, RngSeed(5, 0))
+    assert np.array_equal(gauge(g, gauged(w)), z)
+
+
+@pytest.mark.parametrize("dead", ["", "edges", "all"])
+def test_gauge_matches_the_edge_by_edge_reference(dead):
+    # bit for bit, -inf weights included: a horizontal edge subtracts its
+    # endpoint weights one at a time, a fiber edge their sum
+    for g, w in layout_instances(3, dead):
+        with np.errstate(invalid="raise"):
+            z = gauge(g, w)
+        assert np.array_equal(z, [gauge_weight(w, u, v) for u, v in edges(g)])
 
 
 def test_a_disabled_edge_stays_disabled_under_the_gauge():
     # a -inf edge between -inf vertices has gauge weight -inf, not
     # -inf - (-inf) = NaN; a finite edge between them has +inf
     g = build_cylinder(3, HGraph.path(2))
+    w = WeightAssignment(g, np.full((3, 2), -np.inf), np.full((2, 2), -np.inf), np.zeros((3, 1)))
     with np.errstate(invalid="raise"):
-        w = WeightAssignment(g, np.full((3, 2), -np.inf), np.full((2, 2), -np.inf), np.zeros((3, 1)))
-    assert np.isneginf(w.gauge_h).all()
-    assert np.isposinf(w.gauge_v).all()
-    assert all(weighted_degree(g, w, v) == np.inf for v in g.vertices())
-
-
-def test_omega_of_lookup():
-    g = build_cylinder(3, HGraph.path(2))
-    w = sample_weights(g, STD_NORMAL, RngSeed(8, 0))
-    assert w.omega_of((1, 1), (2, 1)) == w.omega_h[0, 0]
-    assert w.omega_of((2, 2), (2, 1)) == w.omega_v[1, 0]
-    with pytest.raises(ValueError):
-        w.omega_of((1, 1), (3, 1))
+        z = gauge(g, w)
+        assert localization_bound(g, w) == np.inf
+    assert np.isneginf(z[: g.num_horizontal]).all()
+    assert np.isposinf(z[g.num_horizontal :]).all()
 
 
 def test_weight_arrays_reject_nan_but_allow_neg_inf():
@@ -161,12 +178,14 @@ def test_weight_arrays_reject_nan_but_allow_neg_inf():
         WeightAssignment(g, np.full((2, 1), np.inf), oh, ov)
 
 
-def test_weighted_degree_by_hand():
+def test_localization_bound_by_hand():
     g = build_cylinder(3, HGraph.path(2))
     w = WeightAssignment.constant(g, vertex=0.0, edge=0.0)
     # middle vertex (2,1): two horizontal edges plus one vertical, all weight 1
-    assert weighted_degree(g, w, (2, 1)) == pytest.approx(3.0)
-    assert weighted_degree(g, w, (1, 1)) == pytest.approx(2.0)
+    assert localization_bound(g, w) == 3.0
+    # one vertex, no edge: degree 0
+    g1 = build_cylinder(1, HGraph.single())
+    assert localization_bound(g1, WeightAssignment.constant(g1)) == 0.0
 
 
 def test_weights_json_round_trip(tmp_path):

@@ -20,8 +20,10 @@ from dimerlab.groundstate import (
 from dimerlab.sampler import matching_weight
 from dimerlab.transfer import partition_polynomial
 
-from helpers import STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict
-from oracle import brute_force_max, horizontal_index
+from helpers import (
+    STD_NORMAL, cut_instances, disabled_edge_batches, layout_instances, random_instance, restrict,
+)
+from oracle import brute_force_max, ground_remainder_bound, horizontal_index
 
 
 def test_max_weight_matches_enumeration():
@@ -87,8 +89,8 @@ def test_ground_remainder_sandwich():
         g, w = random_instance(rng, n_lo=4, n_hi=10)
         rs = gse_remainder(g, w)
         assert rs.shape == (g.n - 1,)
-        for k, r in enumerate(rs, start=1):
-            assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
+        for r, bound in zip(rs, gse_remainder_bound(g, w), strict=True):
+            assert -1e-9 <= r <= bound + 1e-9
 
 
 def test_ground_remainder_bound_keeps_infinite_gauge_weights():
@@ -103,10 +105,24 @@ def test_ground_remainder_bound_keeps_infinite_gauge_weights():
         w = WeightAssignment(g, nu, w.omega_h, w.omega_v)
         if brute_force_max(g, w) == -np.inf:   # no matching covers the -inf vertices
             continue
-        for k, r in enumerate(gse_remainder(g, w), start=1):
-            assert -1e-9 <= r <= gse_remainder_bound(g, w, k) + 1e-9
+        for r, bound in zip(gse_remainder(g, w), gse_remainder_bound(g, w), strict=True):
+            assert -1e-9 <= r <= bound + 1e-9
             infinite += r == np.inf
     assert infinite > 0
+
+
+@pytest.mark.parametrize("dead", ["", "edges", "all"])
+def test_remainder_bound_matches_the_cut_by_cut_reference(dead):
+    # every cut at once against one cut at a time: bit for bit up to h = 8,
+    # where numpy adds a row in sequence, and to 1 ulp past it, where its
+    # pairwise sum groups the zeros of disabled edges with the other terms
+    for g, w in layout_instances(7, dead):
+        got = gse_remainder_bound(g, w)
+        ref = np.array([ground_remainder_bound(g, w, k) for k in range(1, g.n)])
+        if g.h <= 8:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_array_max_ulp(got, ref, maxulp=1)
 
 
 def test_gse_remainder_matches_restricted_solves():
@@ -125,8 +141,7 @@ def test_ground_remainder_zero_when_cut_edges_unattractive():
     nu = np.full((6, 1), 1.0)
     oh = np.full((5, 1), -0.5)  # gauge weight -2.5 < 0 everywhere
     w = WeightAssignment(g, nu, oh, np.zeros((6, 0)))
-    for k in range(1, g.n):
-        assert gse_remainder_bound(g, w, k) == 0.0
+    assert np.array_equal(gse_remainder_bound(g, w), np.zeros(g.n - 1))
     assert np.allclose(gse_remainder(g, w), 0.0, rtol=0.0, atol=1e-12)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,49 +51,68 @@ MODULES = {p.stem for p in PACKAGE} - {"__init__"}
 
 
 def definitions(tree: ast.Module) -> list:
-    """(line, name, module level?) of every function and class that ``tree``
-    defines, methods and nested functions included; dunder methods are exempt."""
+    """(line, name, module level?, node) of every function and class that
+    ``tree`` defines, methods and nested functions included; dunder methods
+    are exempt."""
     top = {id(node) for node in tree.body}
-    return sorted((node.lineno, node.name, id(node) in top) for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not (node.name.startswith("__") and node.name.endswith("__")))
+    return sorted(((node.lineno, node.name, id(node) in top, node) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))),
+                  key=lambda d: d[:2])
 
 
-def references(tree: ast.Module) -> tuple:
-    """What ``tree`` reads: (names, attributes).  ``names`` holds every Name,
-    every import alias (the last part of a dotted one) and every attribute
-    read off a name that ``tree`` binds to a dimerlab module, as ``cli`` in
-    ``from dimerlab import cli; cli.main()``; ``attributes`` every attribute
-    read off anything.  A definition is none of these."""
+def _dimerlab_modules(tree: ast.Module) -> set:
+    """The names that ``tree`` binds to dimerlab modules."""
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module == "dimerlab" or node.level and not node.module):
             modules.update(alias.asname or alias.name for alias in node.names if alias.name in MODULES)
-    names, attrs = set(), set()
+    return modules
+
+
+def references(tree: ast.AST, modules: set | None = None) -> tuple:
+    """What ``tree`` reads: (names, attributes), each counted.  ``names``
+    holds every Name, every import alias (the last part of a dotted one)
+    and every attribute read off a name bound to a dimerlab module
+    (``modules``, by default those that ``tree`` binds), as ``cli`` in
+    ``from dimerlab import cli; cli.main()``; ``attributes`` every
+    attribute read off anything.  A definition is none of these."""
+    if modules is None:
+        modules = _dimerlab_modules(tree)
+    names, attrs = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
+            attrs[node.attr] += 1
             if isinstance(node.value, ast.Name) and node.value.id in modules:
-                names.add(node.attr)
+                names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            names[node.name.rpartition(".")[2]] += 1
     return names, attrs
 
 
 def unreferenced(sources, readers) -> list:
     """(file, line, name) of each function and class of ``sources`` that no
-    reader refers to: one at module level by a name (see ``references``), a
-    method or nested function by a name or any attribute."""
-    names, attrs = set(), set()
+    reader refers to outside the definition's own body: one at module level
+    by a name (see ``references``), a method or nested function by a name
+    or any attribute."""
+    names, attrs = Counter(), Counter()
     for p in readers:
         n, a = references(ast.parse(p.read_text(), str(p)))
-        names |= n
-        attrs |= a
-    return [(p.name, line, name) for p in sources
-            for line, name, top in definitions(ast.parse(p.read_text(), str(p)))
-            if name not in (names if top else names | attrs)]
+        names += n
+        attrs += a
+    dead = []
+    for p in sources:
+        tree = ast.parse(p.read_text(), str(p))
+        modules = _dimerlab_modules(tree)
+        for line, name, top, node in definitions(tree):
+            # what the definition reads of itself does not reach it
+            own_names, own_attrs = references(node, modules) if p in readers else (Counter(), Counter())
+            seen = (names - own_names)[name] + (0 if top else (attrs - own_attrs)[name])
+            if not seen:
+                dead.append((p.name, line, name))
+    return dead
 
 
 def test_every_definition_is_referenced():
@@ -113,18 +133,20 @@ def test_the_scan_sees_a_dead_definition(tmp_path):
     source = tmp_path / "transfer.py"
     source.write_text("from m import imported\nclass K:\n    def __init__(self): pass\n"
                       "    def method(self): pass\n    def dead(self): pass\n"
+                      "    def recur(self): return self.recur()\n"
                       "def called(): pass\ndef unused(): pass\ndef resolve(msgs): pass\n"
                       "def sweep(): pass\ncalled(); K().method()\n")
     # a module-level function is not reached by an attribute of the same
     # name read off something else, as Path.resolve is; an attribute of an
-    # imported dimerlab module reaches it
+    # imported dimerlab module reaches it; a method that only its own body
+    # reads is not reached
     reader = tmp_path / "reader.py"
     reader.write_text("import pkg.imported_too\nfrom pathlib import Path\n"
                       "from dimerlab import transfer\nPath(__file__).resolve()\ntransfer.sweep()\n")
     dead = [name for _, _, name in unreferenced([source], [source, reader])]
-    assert dead == ["dead", "unused", "resolve"]
+    assert dead == ["dead", "recur", "unused", "resolve"]
     names, _ = references(ast.parse(source.read_text() + reader.read_text()))
-    assert {"imported", "imported_too", "sweep"} <= names and "resolve" not in names
+    assert {"imported", "imported_too", "sweep"} <= names.keys() and "resolve" not in names
 
 
 # every command at toy sizes in one interpreter; the experiment runs the four

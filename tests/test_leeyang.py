@@ -8,23 +8,25 @@ from dimerlab.graphs import (
     RngSeed,
     WeightAssignment,
     build_cylinder,
+    gauge,
     sample_weights,
 )
 from dimerlab.leeyang import (
     NonImaginaryZeroError,
     SpectrumError,
     density_functionals,
+    localization_bound,
     localization_check,
     spectrum,
 )
 from dimerlab.transfer import NEG_INF, MonomerPolynomial, partition_polynomial
 
-from helpers import NONNEG_GAUGE, STD_NORMAL, random_instance
-from oracle import vertex_removed_polynomial
+from helpers import NONNEG_GAUGE, STD_NORMAL, gauged, layout_instances, random_instance
+from oracle import localization_reference, vertex_removed_polynomial
 
 
 def _gauged_spectrum(g, w, **kw):
-    return spectrum(partition_polynomial(g, w.gauged()), **kw)
+    return spectrum(partition_polynomial(g, gauged(w)), **kw)
 
 
 def test_two_vertex_spectrum_is_plus_minus_half_edge_weight():
@@ -33,7 +35,7 @@ def test_two_vertex_spectrum_is_plus_minus_half_edge_weight():
     for seed in range(20):
         w = sample_weights(g, STD_NORMAL, RngSeed(seed, 0))
         sp = _gauged_spectrum(g, w)
-        lam = np.exp(0.5 * w.gauge_h[0, 0])
+        lam = np.exp(0.5 * gauge(g, w)[0])
         assert sp.zero_mult == 0
         assert sp.lambdas[0] == pytest.approx(lam, abs=1e-12)
 
@@ -84,7 +86,7 @@ def test_reconstruction_residual_small():
         for lam in sp.lambdas:
             poly = np.convolve(poly, [1.0, 0.0, lam**2])
         poly = np.concatenate([poly, np.zeros(sp.zero_mult)])
-        p = partition_polynomial(g, w.gauged())
+        p = partition_polynomial(g, gauged(w))
         finite = np.isfinite(p.log_coeffs)
         recon = np.log(poly[::-1][finite[: poly.size]])
         assert np.max(np.abs(recon - p.log_coeffs[finite])) <= 1e-10
@@ -96,7 +98,7 @@ def test_interlacing_after_vertex_removal():
         g, w = random_instance(rng, n_lo=2, n_hi=6, max_vertices=12)
         parent = _gauged_spectrum(g, w)
         v = (int(rng.integers(1, g.n + 1)), int(rng.integers(1, g.h + 1)))
-        child = spectrum(vertex_removed_polynomial(g, w.gauged(), v))
+        child = spectrum(vertex_removed_polynomial(g, gauged(w), v))
         # the ascending signed zeros p of the parent (N of them) and c of the
         # child (N - 1) interlace: p_k <= c_k <= p_{k+1}
         pa, ca = parent.signed_atoms(), child.signed_atoms()
@@ -113,6 +115,14 @@ def test_localization_bound_with_nonnegative_gauge_weights():
         assert ok, f"zero bound {bound} violated"
 
 
+@pytest.mark.parametrize("dead", ["", "edges", "all"])
+def test_localization_bound_matches_the_vertex_by_vertex_reference(dead):
+    # the edge-by-edge accumulation adds each vertex's terms in the order of
+    # the oracle's weighted degree: bit for bit, -inf weights included
+    for g, w in layout_instances(5, dead):
+        assert localization_bound(g, w) == localization_reference(w)
+
+
 def test_empirical_measure_mass():
     rng = np.random.default_rng(67)
     g, w = random_instance(rng, n_lo=5, n_hi=5, fibers=["path3"])
@@ -125,7 +135,7 @@ def test_density_functionals_match_coefficient_cumulants():
     rng = np.random.default_rng(71)
     for _ in range(5):
         g, w = random_instance(rng, n_lo=3, n_hi=7, max_vertices=16)
-        p = partition_polynomial(g, w.gauged())
+        p = partition_polynomial(g, gauged(w))
         sp = spectrum(p)
         for x in (-1.0, 0.0, 0.8):
             u, varq = density_functionals(sp, x, g.n)

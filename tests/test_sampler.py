@@ -21,7 +21,7 @@ from dimerlab.transfer import (
 from helpers import (
     STD_NORMAL, disabled_edge_batches, layer_counts, moves_matching, random_instance, table_builds,
 )
-from oracle import brute_force_polynomial
+from oracle import brute_force_polynomial, edge_weight, edges, unpaired
 
 
 def _draw(sampler, gen, count):
@@ -39,7 +39,7 @@ def test_matching_rejects_shared_vertices():
     # edges 0 and 1 both touch vertex (2,1)
     bad = Matching(frozenset({0, 1}))
     with pytest.raises(ValueError, match="share a vertex"):
-        bad.covered_flat(g)
+        matching_weight(g, WeightAssignment.constant(g), bad)
 
 
 def test_matching_weight_by_hand():
@@ -49,7 +49,19 @@ def test_matching_weight_by_hand():
     m = Matching(frozenset({0}))  # dimer on layers 1-2, monomer at layer 3
     assert matching_weight(g, w, m) == pytest.approx(1.0 + 0.4)
     assert m.num_unpaired(g) == 1
-    assert m.unpaired(g) == [(3, 1)]
+    assert unpaired(g, m) == [(3, 1)]
+
+
+def test_matching_weight_matches_the_tuple_sum():
+    # the index sum over the flat weights against the oracle's sum over
+    # (i, j) tuples: the dimer weights, then the unpaired vertices' weights
+    for g, ws in disabled_edge_batches(59):
+        all_edges = edges(g)
+        for w in ws:
+            for m in _draw(GibbsSampler(instance_tables(g, w)), np.random.default_rng(59), 20):
+                ref = sum(edge_weight(w, *all_edges[e]) for e in sorted(m.edge_indices))
+                ref += sum(w.nu[i - 1, j - 1] for i, j in unpaired(g, m))
+                assert matching_weight(g, w, m) == pytest.approx(ref, rel=1e-15, abs=1e-15)
 
 
 def test_empty_matching_observables():
@@ -72,8 +84,7 @@ def test_draws_are_valid_matchings_and_deterministic():
         sorted(m.edge_indices) for m in draws2
     ]
     for m in draws1:
-        m.covered_flat(g)  # raises if overlapping
-        assert np.isfinite(matching_weight(g, w, m))
+        assert np.isfinite(matching_weight(g, w, m))   # raises if edges overlap
 
 
 def test_draws_avoid_disabled_edges():
@@ -119,12 +130,7 @@ def test_monomer_profiles_match_matchings():
     matchings = sampler.matchings_from_states(moves)
     assert profiles.shape == (25, g.n)
     for row, m in zip(profiles, matchings):
-        covered = m.covered_flat(g)
-        per_layer = [
-            sum(1 for j in range(1, g.h + 1) if g.flat_index((i, j)) not in covered)
-            for i in range(1, g.n + 1)
-        ]
-        assert list(row) == per_layer
+        assert list(row) == list(layer_counts(g, m))
 
 
 def test_array_decode_matches_path_matching():
@@ -259,7 +265,7 @@ def test_sampler_refuses_a_vanishing_partition_function():
     # three vertices in a row with every monomer forbidden: no matching has weight
     g = build_cylinder(3, HGraph.single())
     w = WeightAssignment(g, np.full((3, 1), NEG_INF), np.zeros((2, 1)), np.zeros((3, 0)))
-    with pytest.raises(ValueError, match="partition function vanishes"):
+    with pytest.raises(ValueError, match="empty Gibbs measure"):
         GibbsSampler(instance_tables(g, w))
 
 

@@ -40,13 +40,14 @@ from dimerlab.transfer import (
 )
 
 from helpers import (
-    STD_NORMAL, cut_instances, disabled_edge_batches, random_instance, restrict,
+    STD_NORMAL, cut_instances, disabled_edge_batches, gauged, random_instance, restrict,
     sweep_steps, table_builds,
 )
 from oracle import (
-    batch_scalar_log_z, brute_force_polynomial, kill_vertex_edges,
-    layer_cut_moments, layer_cut_remainders, layer_increment_laws, layer_max_values, remainder_R,
-    remainder_upper_bound, vertex_removed_polynomial,
+    batch_scalar_log_z, brute_force_polynomial, edge_weight, edges, ground_remainder_bound,
+    kill_vertex_edges, layer_cut_moments, layer_cut_remainders, layer_increment_laws,
+    layer_max_values, neighbors, remainder_R, remainder_upper_bound, vertex_removed_polynomial,
+    vertices,
 )
 
 
@@ -416,10 +417,10 @@ def test_terminal_vertex_recurrence():
         v = (g.n, int(rng.integers(1, g.h + 1)))
         total = np.exp(w.nu[v[0] - 1, v[1] - 1]
                        + vertex_removed_polynomial(g, w, v).log_z())
-        for u in g.neighbors(v):
+        for u in neighbors(g, v):
             kw = kill_vertex_edges(w, [v])
             pair = vertex_removed_polynomial(g, kw, u).log_z() - kw.nu[v[0] - 1, v[1] - 1]
-            total += np.exp(w.omega_of(u, v) + pair)
+            total += np.exp(edge_weight(w, u, v) + pair)
         assert np.log(total) == pytest.approx(scalar_log_z(g, w), abs=1e-9)
 
 
@@ -434,8 +435,11 @@ def test_remainder_nonnegative_and_bounded():
 
 
 def test_remainder_bounds_refuse_cuts_outside_the_cylinder():
+    # the package bounds every cut at once; the per-cut references refuse
+    # a cut that does not split the cylinder
     g, w = random_instance(np.random.default_rng(7), n_lo=5, n_hi=5, fibers=["path2"])
-    for bound in (remainder_upper_bound, gse_remainder_bound):
+    assert gse_remainder_bound(g, w).shape == (4,)
+    for bound in (remainder_upper_bound, ground_remainder_bound):
         for k in (-1, 0, 5, 6):
             with pytest.raises(ValueError, match=f"cut k={k} must satisfy 1 <= k < n=5"):
                 bound(g, w, k)
@@ -625,7 +629,7 @@ def test_monic_shifts_by_the_all_monomer_coefficient():
     rng = np.random.default_rng(41)
     for _ in range(4):
         g, w = random_instance(rng, n_lo=2, n_hi=5)
-        _assert_poly_close(partition_polynomial(g, w).monic(), partition_polynomial(g, w.gauged()))
+        _assert_poly_close(partition_polynomial(g, w).monic(), partition_polynomial(g, gauged(w)))
     # a -inf vertex weight leaves no all-monomer matching to divide by
     nu = np.array(w.nu, copy=True)
     nu[0, 0] = -np.inf
@@ -677,14 +681,14 @@ def test_remainder_vanishes_on_disconnected_cut():
 
 
 def _enumerated_section_cov(g, w, k):
-    edges = g.edge_list()
+    all_edges = edges(g)
     cov_num = mean_l = mean_r = total = 0.0
-    for size in range(len(edges) + 1):
-        for combo in itertools.combinations(range(len(edges)), size):
+    for size in range(len(all_edges) + 1):
+        for combo in itertools.combinations(range(len(all_edges)), size):
             used = set()
             ok = True
             for ei in combo:
-                a, b = edges[ei]
+                a, b = all_edges[ei]
                 if a in used or b in used:
                     ok = False
                     break
@@ -692,11 +696,11 @@ def _enumerated_section_cov(g, w, k):
                 used.add(b)
             if not ok:
                 continue
-            weight = sum(w.omega_of(*edges[ei]) for ei in combo)
-            weight += sum(w.nu[i - 1, j - 1] for (i, j) in g.vertices()
+            weight = sum(edge_weight(w, *all_edges[ei]) for ei in combo)
+            weight += sum(w.nu[i - 1, j - 1] for (i, j) in vertices(g)
                           if (i, j) not in used)
-            ul = sum(1 for (i, j) in g.vertices() if i <= k and (i, j) not in used)
-            ur = sum(1 for (i, j) in g.vertices() if i > k and (i, j) not in used)
+            ul = sum(1 for (i, j) in vertices(g) if i <= k and (i, j) not in used)
+            ur = sum(1 for (i, j) in vertices(g) if i > k and (i, j) not in used)
             z = np.exp(weight)
             total += z
             mean_l += z * ul
