@@ -54,7 +54,7 @@ from .groundstate import (
     max_weight,
 )
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
-from .leeyang import SpectrumError, localization_check, spectrum
+from .leeyang import EXTRACTION_MAX_N, SpectrumError, check_extractable, localization_check, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CountingMask,
@@ -204,6 +204,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    check_extractable(args.n * _resolve_fiber(args).h)   # before any weight is drawn
     g, w = _resolve_weights(args)
     sp = spectrum(partition_polynomial(g, w).monic())
     bound, ok = localization_check(g, w, sp)
@@ -386,7 +387,10 @@ def _cmd_experiment(args) -> int:
     print(f"{len(table)} replica rows over ladder {cfg.n_ladder}")
     print(f"f_hat = {est.f_hat:.6f}, u_hat = {est.u_hat:.6f}, m_hat = {est.m_hat:.6f}")
     print(f"sigma2: F={est.sigma2_F:.4g} Q={est.sigma2_Q:.4g} A={est.sigma2_A:.4g} M={est.sigma2_M:.4g}")
+    h = cfg.fiber_graph().h
     refused = [f"{c} of {cfg.replicas} at n={n}"
+               + (f" (N={n * h} > extraction limit {EXTRACTION_MAX_N})"
+                  if n * h > EXTRACTION_MAX_N else "")
                for n, c in report.get("refused_spectra", {}).items() if c]
     if refused:
         print("refused spectra: " + ", ".join(refused))

@@ -45,7 +45,7 @@ from .graphs import (
     weight_arrays,
 )
 from .groundstate import max_values
-from .leeyang import SpectrumError, density_functionals, spectrum
+from .leeyang import EXTRACTION_MAX_N, SpectrumError, density_functionals, spectrum
 from .sampler import GibbsSampler, heights
 from .transfer import (
     EmptyMeasureError,
@@ -129,10 +129,15 @@ class ExperimentConfig:
         if self.with_spectrum:
             check_polynomial_caps(max(self.n_ladder), H.h)
         top = max(self.n_ladder)
-        replicas_per_batch(H, top, top if self.with_spectrum else 0)
+        replicas_per_batch(H, top, self.degree_layers(top))
 
     def fiber_graph(self) -> HGraph:
         return make_fiber(self.fiber)
+
+    def degree_layers(self, n: int) -> int:
+        """The layers of the degree recursion of rung n: all n with spectra
+        whose zeros are extracted (n*h <= ``EXTRACTION_MAX_N``), else none."""
+        return n if self.with_spectrum and n * self.fiber_graph().h <= EXTRACTION_MAX_N else 0
 
 
 class ConfigKey(NamedTuple):
@@ -306,7 +311,7 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     for n in cfg.n_ladder:
         g = build_cylinder(n, H)
         k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
-        for streams in _batches(g, cfg.replicas, n if cfg.with_spectrum else 0):
+        for streams in _batches(g, cfg.replicas, cfg.degree_layers(n)):
             chunks.append(_replica_chunk(g, cfg, streams, k_cut))
     return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]})
 
@@ -324,23 +329,30 @@ def _spectra(g: CylinderGraph, tables: dict):
             yield p, None
 
 
+def _empty_stream(err: EmptyMeasureError, streams, n: int) -> ValueError:
+    """The refusal of a batch's empty replicas, naming the first one's
+    stream, and how many there are where the whole batch was checked."""
+    empty = np.asarray(streams)[err.replicas]
+    count = "" if err.alone else f" ({empty.size} of the {len(streams)} replicas of its batch)"
+    return ValueError(f"stream {empty[0]} at n={n} has no matching of finite weight{count}:"
+                      " empty Gibbs measure")
+
+
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
     """Rows of one batch from one table: log Z, the cumulants and the
     sections from the two sweeps of ``cut_moments`` that meet at the cut;
     M from the (max, +) sweep over the same table; with spectra the zeros
     of every replica's polynomial from one vertex recursion over its
-    weights.  An empty
-    Gibbs measure (log Z = -inf) is refused, naming its stream."""
+    weights.  A rung past the extraction limit runs neither the recursion
+    nor a root finder: its rows keep NaN spectra, refused.  An empty Gibbs
+    measure (log Z = -inf) is refused, naming its stream."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size
     tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
     try:
         lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
     except EmptyMeasureError as err:
-        empty = streams[err.replicas]
-        raise ValueError(
-            f"stream {empty[0]} at n={g.n} has no matching of finite weight"
-            f" ({empty.size} of the {R} replicas of its batch): empty Gibbs measure") from err
+        raise _empty_stream(err, streams, g.n) from err
     rows = {
         "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
@@ -352,11 +364,12 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
         "var_left": var_l,
         "var_right": var_r,
     }
-    if cfg.with_spectrum:
+    if cfg.with_spectrum:   # a refused extraction keeps its row, with NaN spectra
         spec = np.full((R, 3), np.nan)
-        for r, (_, sp) in enumerate(_spectra(g, tables)):
-            if sp is not None:   # a refused extraction keeps its row, with NaN spectra
-                spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
+        if cfg.degree_layers(g.n):
+            for r, (_, sp) in enumerate(_spectra(g, tables)):
+                if sp is not None:
+                    spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
         rows.update(zip(("max_lambda", "u_n", "varQ_n"), spec.T))
     return rows
 
@@ -559,11 +572,13 @@ class FunctionalReport:
 
 
 def _zero_extraction_rung(cfg: ExperimentConfig) -> int:
-    """The largest ladder length whose zeros double precision resolves (n*h <= 32)."""
+    """The largest ladder length whose zeros double precision resolves
+    (n*h <= ``EXTRACTION_MAX_N``)."""
     h = cfg.fiber_graph().h
-    candidates = [n for n in cfg.n_ladder if n * h <= 32]
+    candidates = [n for n in cfg.n_ladder if n * h <= EXTRACTION_MAX_N]
     if not candidates:
-        raise ValueError("no ladder rung is small enough for zero extraction (need n*h <= 32)")
+        raise ValueError("no ladder rung is small enough for zero extraction"
+                         f" (need n*h <= extraction limit {EXTRACTION_MAX_N})")
     return max(candidates)
 
 
@@ -586,8 +601,9 @@ def functional_consistency_check(
     """Check u_n / varQ_n from the zero multiset against exact cumulants.
 
     Runs on the largest ladder rung whose polynomial degree still permits
-    trustworthy root extraction (N <= 32); larger rungs are skipped because
-    double-precision coefficients cannot resolve their small zeros.
+    trustworthy root extraction (N <= ``EXTRACTION_MAX_N``); larger rungs
+    are skipped because double-precision coefficients cannot resolve their
+    small zeros.
     """
     g = build_cylinder(_zero_extraction_rung(cfg), cfg.fiber_graph())
     xs = np.asarray(cfg.x_grid, dtype=float)
@@ -674,7 +690,10 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     for envs in _batches(g, cfg.height_envs, degree_layers, block):
         tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
         for r, env in enumerate(envs):
-            sampler = GibbsSampler(tables, r)
+            try:
+                sampler = GibbsSampler(tables, r)
+            except EmptyMeasureError as err:
+                raise _empty_stream(err, envs, n) from err
             gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
             for lo in range(0, cfg.gibbs_samples, block):
                 moves = sampler.draw_states(gen, min(block, cfg.gibbs_samples - lo))

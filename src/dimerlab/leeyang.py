@@ -11,6 +11,11 @@ extracts the positive half-spectrum {lambda_i} together with the
 multiplicity of the zero at the origin, and evaluates the spectral-measure
 functionals (mean monomer density and quenched variance density at a tilt)
 as finite sums over the signed atom multiset, whose mass per layer is h.
+
+Double-precision coefficients pin these zeros only for small polynomials,
+so ``spectrum`` refuses a degree N = n*h past ``EXTRACTION_MAX_N`` before
+any work: past it a spectrum that passes the root guards measured up to
+2e-9 off the exact cumulant densities (see the README's numerical scope).
 """
 from __future__ import annotations
 
@@ -22,8 +27,13 @@ from .graphs import CylinderGraph, WeightAssignment, edge_ends, gauge
 from .transfer import NEG_INF, MonomerPolynomial
 
 
+# the largest degree N = n*h whose zeros are extracted from float64 coefficients
+EXTRACTION_MAX_N = 32
+
+
 class SpectrumError(ArithmeticError):
-    """The polynomial does not have the expected imaginary zero structure."""
+    """The polynomial does not have the expected imaginary zero structure,
+    or its zeros lie past what its coefficients resolve."""
 
 
 class NonImaginaryZeroError(SpectrumError):
@@ -73,6 +83,15 @@ def _even_part_log_coeffs(p: MonomerPolynomial) -> tuple[np.ndarray, int]:
     return lc[parity::2], parity
 
 
+def check_extractable(N: int) -> None:
+    """Refuse a polynomial of degree N past ``EXTRACTION_MAX_N``."""
+    if N > EXTRACTION_MAX_N:
+        raise SpectrumError(
+            f"zero extraction refused: N={N} > extraction limit {EXTRACTION_MAX_N}"
+            " (N = n*h vertices; double-precision coefficients do not resolve the zeros past it)"
+        )
+
+
 def spectrum(
     p: MonomerPolynomial,
     imag_tol: float = 1e-7,
@@ -84,8 +103,11 @@ def spectrum(
     the (balanced) companion matrix after rescaling the coefficients into
     unit range, and each s-root must sit on the negative real axis within
     ``imag_tol``.  The factored form is expanded again in log space and has
-    to reproduce every coefficient to ``recon_tol`` relative error.
+    to reproduce every coefficient to ``recon_tol`` relative error.  A
+    degree N past ``EXTRACTION_MAX_N`` is refused before any of this
+    (``check_extractable``).
     """
+    check_extractable(p.N)
     c, parity = _even_part_log_coeffs(p)
     zero_mult = parity
     # exact zero roots in s: strip vanishing low-order coefficients

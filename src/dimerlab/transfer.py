@@ -106,13 +106,15 @@ class CapacityError(ValueError):
 
 
 class EmptyMeasureError(ValueError):
-    """Replicas of a batch (indices ``replicas``) have no matching of finite
-    weight: an empty Gibbs measure, with no moment, maximum or remainder."""
+    """Replicas of a batch of R (indices ``replicas``) have no matching of
+    finite weight: an empty Gibbs measure, with no moment, maximum or
+    remainder.  ``alone``: replicas[0] was checked, not the whole batch."""
 
-    def __init__(self, replicas: np.ndarray, R: int):
-        super().__init__(f"replica {replicas[0]} has no matching of finite weight"
-                         f" ({replicas.size} of {R}): empty Gibbs measure")
-        self.replicas = replicas
+    def __init__(self, replicas: np.ndarray, R: int, alone: bool = False):
+        which, count = ((f"replica {replicas[0]} of a batch of {R}", "") if alone
+                        else (f"replica {replicas[0]}", f" ({replicas.size} of {R})"))
+        super().__init__(f"{which} has no matching of finite weight{count}: empty Gibbs measure")
+        self.replicas, self.alone = replicas, alone
 
 
 def check_nonempty(values: np.ndarray) -> np.ndarray:
@@ -482,11 +484,11 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
       temporaries (5W/4), or a recursion step's messages times their
       channels (the tilted monomer weights, the forward and flipped moment
       messages and their mix at the cut: 16 x 2^h);
-    * one block of the degree recursion: its message and a step's terms,
-      about 2 D x 2^h numbers per replica for D degrees, or, unless the
-      increment is the whole cylinder (``degree_layers == n``), 3 D x 2^h
-      with the closing at an interior cut and the stacked forward and
-      flipped messages of every cut; and a spectrum's companion matrix;
+    * one block of the degree recursion: its message, a step's terms and
+      their temporaries, 3 D x 2^h numbers per replica for D degrees, and
+      unless the increment is the whole cylinder (``degree_layers == n``)
+      the stacked forward and flipped messages of every cut; and a
+      spectrum's companion matrix;
     * one ``GibbsSampler``: its per-vertex messages and the terms and laws
       of its moves, with a block of ``draws`` draws.
     """
@@ -499,7 +501,7 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
         held += 2 * (h * n + 1)
         D = h * degree_layers + 1
         block = min(R, max(1, _POLY_BLOCK // (D * S)))   # replicas, as in increment_laws
-        per_replica = 2 * D * S if degree_layers == n else 3 * D * S + 2 * S * n
+        per_replica = 3 * D * S + (0 if degree_layers == n else 2 * S * n)
         once = block * per_replica + 2 * (D // 2) ** 2
     if draws:
         moves = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
@@ -661,6 +663,7 @@ def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
                 v += bw[n - b - 1, ..., None]
                 v = _logsumexp(np.moveaxis(v, 0, -1).copy())[None]
             laws.append(v[0].T.copy())   # [j, r], C-contiguous as the callers' sums over j expect
+            del v   # before the next sweep's, as the batch model counts one block
     return [np.concatenate(laws, axis=-1) for laws in out]
 
 
@@ -801,13 +804,15 @@ def move_terms(tables: dict, r: int, arith, x: float = 0.0) -> tuple:
     forward sweep that keeps the message after every vertex.  Under LOG the
     terms of (i, b, s) are the conditional law of the move into s, up to
     their sum; under MAX their largest continues an optimal configuration.
-    A replica with no matching of finite weight is refused, as a batch of
-    one (``check_nonempty``).  Returns (value, terms, code, prev)."""
+    A replica with no matching of finite weight is refused, named as
+    replica r of its batch (``EmptyMeasureError``).  Returns (value, terms, code, prev)."""
     nu, oh, ov = (a[r : r + 1] for a in _weights(tables))
     _, n, h = nu.shape
     nu = nu + x
     msgs = _vertex_sweep(_empty(1 << h, 1), nu, oh, ov, tables["plan"], arith, "vertex")[..., 0]
-    value = float(check_nonempty(msgs[-1, :1])[0])
+    value = float(msgs[-1, 0])
+    if value == NEG_INF:
+        raise EmptyMeasureError(np.array([r]), tables["nu"].shape[0], alone=True)
     before = np.concatenate([_empty(1 << h)[None], msgs[:-1]]).reshape(n, h, -1)
     code, prev = _moves(tables["H"])
     # per vertex, the weight of each move code; code -1 reads the last, -inf

@@ -164,8 +164,9 @@ def test_brownian_verdict_in_report_matches_exit_code(tmp_path, capsys, checks, 
 
 
 def test_experiment_counts_and_prints_refused_spectra(tmp_path, capsys):
-    # n = 24 on path(2) puts every polynomial past the N <= 32 that zero
-    # extraction resolves; each refused row keeps empty spectral cells
+    # n = 24 on path(2) is N = 48, past the extraction limit of N <= 32:
+    # every row of the rung is refused and keeps empty spectral cells,
+    # report.json counts them, and the printed line gives the reason
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[graph]\nfiber = path(2)\n"
                    "[ladder]\nn = 8, 24\nreplicas = 6\nseed = 3\nwith_spectrum = true\n")
@@ -175,9 +176,11 @@ def test_experiment_counts_and_prints_refused_spectra(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     blank = {n: sum(r["n"] == n and r["max_lambda"] == r["u_n"] == r["varQ_n"] == "" for r in rows)
              for n in ("8", "24")}
-    assert blank["24"] > 0
+    assert blank == {"8": 0, "24": 6}
     assert json.loads((out / "report.json").read_text())["refused_spectra"] == blank
-    assert f"refused spectra: {blank['24']} of 6 at n=24\n" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "refused spectra: 6 of 6 at n=24 (N=48 > extraction limit 32)\n" in printed
+    assert "at n=8" not in printed
 
 
 @pytest.mark.parametrize("cmd,flag", [("exact", "--seed"), ("exact", "--stream"),
@@ -218,6 +221,24 @@ def test_spectrum_command(tmp_path, capsys):
     data = json.loads((out / "spectrum.json").read_text())
     assert len(data["lambdas"]) == 6
     assert data["localization_ok"] is True
+
+
+@pytest.mark.parametrize("argv, N", [
+    (["--n", "17", "--fiber", "path(2)"], 34),
+    # the instance whose extracted spectrum missed var_U/n by 2.0e-9
+    (["--n", "11", "--fiber", "path(4)", "--vertex", "normal(0,1)", "--edge", "normal(0,1)",
+      "--seed", "3", "--stream", "8"], 44),
+], ids=["N34", "N44"])
+def test_spectrum_past_the_extraction_limit_is_refused_before_any_draw(
+        monkeypatch, tmp_path, capsys, argv, N):
+    out = tmp_path / "s"
+    assert main(["spectrum", "--n", "16", "--fiber", "path(2)", "--out", str(out)]) == 0
+    assert json.loads((out / "spectrum.json").read_text())["N"] == 32   # at the limit
+    monkeypatch.setattr(cli, "sample_weights", lambda *a: pytest.fail("drew weights"))
+    out = tmp_path / "past"
+    assert main(["spectrum", *argv, "--out", str(out)]) == 2
+    assert f"error: zero extraction refused: N={N} > extraction limit 32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_command_writes_heights(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dimerlab import transfer
+from dimerlab import experiments, leeyang, transfer
 from dimerlab.graphs import (
     DOMAIN_GIBBS,
     DisorderSpec,
@@ -284,6 +284,26 @@ def test_campaign_spectra_match_gauged_polynomials():
             assert abs(u - mean / n) <= 1e-9 and abs(vq - var / n) <= 1e-9, (n, s)
 
 
+def test_spectra_past_the_extraction_limit_compute_no_zeros(monkeypatch):
+    # the polynomial workload's shape: path(4) at n = 8 (N = 32) and n = 48
+    # (N = 192), 8 replicas, with the functional check.  Only N = 32 reaches
+    # the root finder: 8 campaign rows and 8 environments of the check, 16
+    # np.roots calls and 2 degree recursions, where extracting at n = 48
+    # too took 24 and 3
+    roots, calls = np.roots, []
+    monkeypatch.setattr(leeyang.np, "roots", lambda c: calls.append(c.size) or roots(c))
+    steps = sweep_steps(monkeypatch)
+    cfg = _small_cfg(fiber="path(4)", n_ladder=(8, 48), replicas=8, disorder=STD_NORMAL,
+                     seed=7, with_spectrum=True)
+    table = run_replicas(cfg)
+    report, failed = experiments.run_checks(cfg, table, ["functionals"])
+    assert failed == [] and report["functionals"].n == 8
+    assert calls == [17] * 16   # the even part of a degree-32 polynomial
+    assert [layers for name, layers in steps if name == "degree"] == [8, 8]
+    assert report["refused_spectra"] == {8: 0, 48: 8}
+    assert np.isnan([table.at(48, key) for key in ("max_lambda", "u_n", "varQ_n")]).all()
+
+
 def test_functional_check_builds_one_table():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=4, disorder=STD_NORMAL)
     assert table_builds(lambda: functional_consistency_check(cfg, environments=6)) == 1
@@ -300,7 +320,9 @@ def _traced_peak(call) -> int:
 
 @pytest.mark.parametrize("h, n, R, spectra", [
     (2, 512, 256, False), (4, 128, 64, False), (6, 64, 16, False), (8, 32, 8, False),
-    (2, 64, 32, True), (4, 32, 16, True), (6, 16, 8, True), (2, 128, 64, True),
+    # spectra within the extraction limit (n*h <= 32), where the degree
+    # recursion runs; path(6) at R = 256 runs it in four blocks of replicas
+    (2, 16, 32, True), (4, 8, 16, True), (6, 5, 8, True), (6, 5, 256, True),
     (12, 16, 4, False),
 ])
 def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
@@ -314,6 +336,26 @@ def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
     peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), n // 2))
     model = transfer.batch_bytes(g.H, n, R, n if spectra else 0)
     assert peak <= model <= 2 * peak, (model, peak)
+
+
+def test_a_rung_past_the_extraction_limit_is_sized_without_the_degree_term(monkeypatch):
+    # path(4) at n = 48 is N = 192: its rows run no degree recursion, so its
+    # batches hold replicas_per_batch(H, 48, 0) replicas, where the degree
+    # term would not leave room for one; n = 8 (N = 32) keeps the term
+    H = HGraph.path(4)
+    cfg = _small_cfg(fiber="path(4)", n_ladder=(8, 48), replicas=8, disorder=STD_NORMAL,
+                     with_spectrum=True)
+    assert (cfg.degree_layers(8), cfg.degree_layers(48)) == (8, 0)
+    batch_budget(monkeypatch, 3, H, 48, 0)
+    assert transfer.replicas_per_batch(H, 48, 0) == 3
+    assert transfer.batch_bytes(H, 48, 1, 48) > transfer.BATCH_BYTES
+    sizes, chunk = [], experiments._replica_chunk
+    monkeypatch.setattr(experiments, "_replica_chunk",
+                        lambda g, *a: sizes.append((g.n, len(a[1]))) or chunk(g, *a))
+    run_replicas(cfg)
+    assert [b for n, b in sizes if n == 48] == [3, 3, 2]
+    k = transfer.replicas_per_batch(H, 8, 8)
+    assert [b for n, b in sizes if n == 8] == [min(k, 8 - lo) for lo in range(0, 8, k)]
 
 
 def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
@@ -344,6 +386,21 @@ def test_large_fibers_run_in_batches_or_are_refused_when_read():
                        match=f"^one replica of fiber size h=12 at n=2000000 layers needs {one:,} bytes,"
                              f" over the batch budget of {transfer.BATCH_BYTES:,}$"):
         parse_config("[graph]\nfiber = path(12)\n[ladder]\nn = 64, 2000000\n", is_text=True)
+
+
+def test_brownian_check_names_the_stream_of_an_empty_environment():
+    # with every edge -inf an environment has a matching of finite weight
+    # only if no vertex weight is -inf; its sampler refuses the first empty
+    # one, and the check names that environment's stream
+    disorder = DisorderSpec(Law.parse("bernoulli_shift(0.05,0,-inf)"), Law.constant(float("-inf")))
+    cfg = _small_cfg(n_ladder=(8,), disorder=disorder, seed=3, height_envs=8, gibbs_samples=4,
+                     t_grid=(0.0, 0.5, 1.0))
+    g = build_cylinder(8, HGraph.single())
+    empty = [s for s in range(8) if np.isneginf(sample_weights(g, disorder, RngSeed(3, s)).nu).any()]
+    assert empty[0] > 0
+    with pytest.raises(ValueError, match=f"^stream {empty[0]} at n=8 has no matching of finite"
+                                         " weight: empty Gibbs measure$"):
+        brownian_fdd_check(cfg, 0.5, 1.0)
 
 
 def test_brownian_draws_past_the_budget_are_planned_in_blocks(monkeypatch):

@@ -3,8 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dimerlab import leeyang
+from dimerlab.experiments import make_fiber
 from dimerlab.graphs import (
+    DisorderSpec,
     HGraph,
+    Law,
     RngSeed,
     WeightAssignment,
     build_cylinder,
@@ -12,6 +16,7 @@ from dimerlab.graphs import (
     sample_weights,
 )
 from dimerlab.leeyang import (
+    EXTRACTION_MAX_N,
     NonImaginaryZeroError,
     SpectrumError,
     density_functionals,
@@ -19,7 +24,9 @@ from dimerlab.leeyang import (
     localization_check,
     spectrum,
 )
-from dimerlab.transfer import NEG_INF, MonomerPolynomial, partition_polynomial
+from dimerlab.transfer import (
+    NEG_INF, MonomerPolynomial, cut_moments, instance_tables, partition_polynomial,
+)
 
 from helpers import NONNEG_GAUGE, STD_NORMAL, gauged, layout_instances, random_instance
 from oracle import localization_reference, vertex_removed_polynomial
@@ -73,6 +80,37 @@ def test_root_extraction_breaks_down_at_large_degree():
     g = build_cylinder(256, HGraph.single())
     w = sample_weights(g, STD_NORMAL, RngSeed(123, 0))
     with pytest.raises(SpectrumError):
+        _gauged_spectrum(g, w)
+
+
+@pytest.mark.parametrize("law", ["normal(0,1)", "uniform(0,1)"])
+@pytest.mark.parametrize("fiber", ["path(1)", "path(2)", "path(4)", "cycle(3)"])
+def test_spectra_within_the_extraction_limit_give_the_cumulant_densities(fiber, law):
+    # at the longest cylinder within the limit (N = 32, or 30 on cycle(3)),
+    # every stream's zeros are extracted and give u_n and varQ_n to the
+    # 1e-9 of the functional check, against the moment sweep's mean_U/n and
+    # var_U/n
+    H = make_fiber(fiber)
+    n = EXTRACTION_MAX_N // H.h
+    g = build_cylinder(n, H)
+    disorder = DisorderSpec(Law.parse(law), Law.parse(law))
+    for s in range(32):
+        w = sample_weights(g, disorder, RngSeed(3, s))
+        _, mean, var, *_ = cut_moments(instance_tables(g, w), n // 2)
+        u, varq = density_functionals(_gauged_spectrum(g, w), 0.0, n)
+        assert abs(u - mean[0] / n) <= 1e-9 and abs(varq - var[0] / n) <= 1e-9, s
+
+
+@pytest.mark.parametrize("fiber, n, stream", [("path(4)", 11, 8), ("path(2)", 17, 0)])
+def test_spectra_past_the_extraction_limit_are_refused_before_any_root(monkeypatch, fiber, n, stream):
+    # N = 44: an extracted spectrum of this stream missed var_U/n by 2.0e-9,
+    # past the functional check's 1e-9, though it passed the root guards;
+    # N = 34: just past the limit.  Both are refused before np.roots runs
+    monkeypatch.setattr(leeyang.np, "roots", lambda c: pytest.fail("np.roots ran"))
+    g = build_cylinder(n, make_fiber(fiber))
+    w = sample_weights(g, STD_NORMAL, RngSeed(3, stream))
+    with pytest.raises(SpectrumError, match=f"^zero extraction refused: N={g.num_vertices}"
+                                            f" > extraction limit {EXTRACTION_MAX_N} "):
         _gauged_spectrum(g, w)
 
 

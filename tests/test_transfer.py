@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dimerlab import transfer
 from dimerlab.experiments import make_fiber
 from dimerlab.groundstate import gse_remainder, gse_remainder_bound, max_values
 from dimerlab.leeyang import SpectrumError, density_functionals, spectrum
+from dimerlab.sampler import GibbsSampler
 from dimerlab.transfer import (
     LOG,
     MAX,
@@ -594,6 +596,26 @@ def test_spectrum_refusals_match_the_layer_oracle_at_32_vertices():
                 assert abs(a[1] - b[1]) <= 1e-11 and abs(a[2] - b[2]) <= 1e-11, (H, r)
 
 
+def test_the_degree_recursion_holds_one_block_of_messages_at_a_time():
+    # four blocks of replicas peak where one block does: each block's
+    # messages are freed before the next block's sweep, as batch_bytes
+    # counts them (holding the last one measured 1.6 times the peak)
+    g = build_cylinder(5, HGraph.path(6))
+    step = transfer._POLY_BLOCK // ((g.num_vertices + 1) << g.h)
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(1, r)) for r in range(4 * step)]
+    peaks = []
+    for R in (step, 4 * step):
+        tables = _batch(g, ws[:R])
+        increment_laws(tables, [0, g.n])
+        tracemalloc.start()
+        try:
+            increment_laws(tables, [0, g.n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
 def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
     # a whole cylinder is one vertex recursion over n layers and no LOG
     # sweep; a mask inside the cylinder adds the forward and flipped LOG
@@ -669,6 +691,23 @@ def test_every_batched_route_refuses_an_empty_replica(H, n, dead):
         assert err.value.replicas.tolist() == [2], name
         assert np.isfinite(np.asarray(route(kept))).all(), name
     assert np.array_equal(cut_remainders(kept)[:, 2], remainder_R(g, ws[3]))
+
+
+def test_the_backward_step_names_an_empty_replica_in_its_batch():
+    # the sampler and the argmax sweep replica r alone: an empty replica 2
+    # of 4 (3 vertices of weight -inf, no perfect matching) is refused as
+    # that replica of its batch, and replica 3 runs
+    g = build_cylinder(3, HGraph.single())
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(8, r)) for r in range(4)]
+    ws[2] = WeightAssignment(g, np.full(3, NEG_INF), ws[2].omega_h, ws[2].omega_v)
+    tables = _batch(g, ws)
+    for route in (lambda r: GibbsSampler(tables, r).log_z,
+                  lambda r: transfer.move_terms(tables, r, MAX)[0]):
+        with pytest.raises(EmptyMeasureError, match=r"^replica 2 of a batch of 4 has no matching"
+                                                    r" of finite weight: empty Gibbs measure$") as err:
+            route(2)
+        assert err.value.replicas.tolist() == [2] and err.value.alone
+        assert np.isfinite(route(3))
 
 
 def test_remainder_vanishes_on_disconnected_cut():
