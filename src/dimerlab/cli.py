@@ -58,6 +58,7 @@ from .leeyang import EXTRACTION_MAX_N, SpectrumError, check_extractable, localiz
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CountingMask,
+    check_nonempty,
     draws_per_block,
     instance_tables,
     partition_polynomial,
@@ -182,7 +183,7 @@ def _cmd_exact(args) -> int:
         payload = {"log_z": lz, "x": args.x, "n": g.n, "h": g.h}
     else:
         p = partition_polynomial(g, w, mask)
-        lz = p.log_z(args.x)
+        lz = float(check_nonempty(np.asarray(p.log_z(args.x))))
         mean, var = p.cumulants(args.x, 2)
         print(f"log Z({args.x:g}) = {lz:.12f}")
         print(f"<U> = {mean:.12f}   Var U = {var:.12f}")

@@ -126,8 +126,9 @@ class ExperimentConfig:
         # capacity refusals follow from the config alone, so none waits for a draw
         H = make_fiber(self.fiber)
         check_transfer_cap(H.h)
-        if self.with_spectrum:
-            check_polynomial_caps(max(self.n_ladder), H.h)
+        for n in self.n_ladder:   # the rungs that build polynomials, the functional check's among them
+            if self.degree_layers(n):
+                check_polynomial_caps(n, H.h)
         top = max(self.n_ladder)
         replicas_per_batch(H, top, self.degree_layers(top))
 
@@ -292,11 +293,15 @@ def _csv_value(v, key):
 
 
 def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tuple:
-    """Stacked (nu, omega_h, omega_v) of the streams, drawn as
-    ``sample_weights`` draws them; NaN and +inf are refused once per batch."""
-    draws = [weight_arrays(g, cfg.disorder, RngSeed(cfg.seed, stream=int(s))) for s in streams]
-    return tuple(_check_weight_array(name, np.stack(arrs))
-                 for name, arrs in zip(("nu", "omega_h", "omega_v"), zip(*draws)))
+    """(nu, omega_h, omega_v) of the streams, ``[R, ...]``, drawn as
+    ``sample_weights`` draws them, each stream's draws written into its
+    row; NaN and +inf are refused once per batch."""
+    shapes = ((g.n, g.h), (max(g.n - 1, 0), g.h), (g.n, len(g.H.edges)))
+    out = tuple(np.empty((len(streams),) + shape) for shape in shapes)
+    for r, s in enumerate(streams):
+        for row, draw in zip(out, weight_arrays(g, cfg.disorder, RngSeed(cfg.seed, stream=int(s)))):
+            row[r] = draw
+    return tuple(_check_weight_array(name, a) for name, a in zip(("nu", "omega_h", "omega_v"), out))
 
 
 def _batches(g: CylinderGraph, count: int, degree_layers: int, draws: int = 0) -> list[range]:

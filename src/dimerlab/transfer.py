@@ -48,11 +48,15 @@ independent (forward-backward, Rabiner, Proc. IEEE 1989).  The flipped
 recursion runs over the layers from the last, the weights read backward
 as views, and its message at the empty set after its k-th layer is the
 value of the last k layers: ``cut_remainders`` turns it and the forward
-one into the remainders V - V[1:k] - V[k+1:n] of every cut.
-``cut_moments`` runs MOMENT forward over layers 1..k and flipped over
-layers n..k+1, and mixes the two messages over the reserved set of cut k:
-the section variances and their covariance come out directly, with no
-polarization.  ``increment_laws`` gives the exact law of the count on
+one into the remainders V - V[1:k] - V[k+1:n] of every cut.  A forward
+pass and its flipped twin run as one recursion (``_both_ways``): the
+flipped weights stack after the forward ones as R more columns, so the
+pair costs the ufunc calls of one sweep, which at small batches is most
+of its time.  ``cut_moments`` runs MOMENT forward over layers 1..k and
+flipped over layers n..k+1, together over the layers they share, and
+mixes the two messages over the reserved set of cut k: the section
+variances and their covariance come out directly, with no polarization.
+``increment_laws`` gives the exact law of the count on
 every increment a+1..b of a grid of cuts: DEGREE starts from the stacked
 forward LOG message after layer a, runs over the increment's layers only,
 and closes against the stacked flipped message at cut b.  One forward and
@@ -411,8 +415,9 @@ def _vertex_sweep(v: np.ndarray, nu, oh, ov, plan, arith=LOG, each=None) -> np.n
     steps = [[(at(keep), at(new), [(e, at(src), at(dst)) for e, src, dst in edges])
               for keep, new, edges in layer] for layer in plan]
     nu, oh, ov = (np.moveaxis(a, 0, -1) for a in (nu, oh, ov))   # [i, b, r]
-    skip, out = L - oh.shape[0], []
+    skip = L - oh.shape[0]
     flat = ar.flat
+    out = np.empty(({"layer": L, "vertex": L * h}[each],) + flat.shape) if each else None
     with np.errstate(invalid="ignore"):   # MOMENT's share of two empty terms, see there
         for i in range(L):
             for b, (P, Q, edges) in enumerate(steps[i % 2]):
@@ -422,15 +427,15 @@ def _vertex_sweep(v: np.ndarray, nu, oh, ov, plan, arith=LOG, each=None) -> np.n
                 for e, src, dst in edges:   # a fiber dimer to an open earlier vertex
                     fold(dst, src, ov[i, e], 0)
                 if each == "vertex":
-                    out.append(flat.copy())
+                    out[i * h + b] = flat
             if each == "layer":
-                out.append((flat[::-1] if i % 2 == 0 else flat).copy())
+                out[i] = flat[::-1] if i % 2 == 0 else flat
     if each == "vertex":   # from storage to state order
         low = (2 << np.arange(h)) - 1
         stored = np.arange(S) ^ np.where(np.arange(L)[:, None] % 2, S - 1 - low, low).reshape(-1, 1)
-        return np.stack(out)[np.arange(L * h)[:, None], stored]
+        return out[np.arange(L * h)[:, None], stored]
     if each:
-        return np.stack(out)
+        return out
     return flat[::-1] if L % 2 else flat
 
 
@@ -458,6 +463,31 @@ def _weights(tables: dict, flipped: bool = False) -> tuple:
     return tuple(tables[key][:, ::-1] if flipped else tables[key] for key in ("nu", "oh", "ov"))
 
 
+def _both_ways(v: np.ndarray, tables: dict, fore: int, back: int, arith, x: float = 0.0,
+               each=None) -> tuple:
+    """The forward sweep over the first ``fore`` layers of ``tables`` and
+    the flipped one over its last ``back``, at tilt x, from the message
+    ``v[S, ..., 1]`` at the empty set, the same for every column.  Over
+    the min(fore, back) layers they share they run as one ``_vertex_sweep``:
+    the halves' weights stack on the replica axis, columns ``:R`` forward
+    and ``R:`` flipped, in one copy that takes the tilt in place.  The
+    longer half then goes on alone from its columns of that message.
+    Returns the forward and the flipped message, or with ``each`` (and
+    fore == back) their stacks, views of the columns of one array."""
+    ways, m = (_weights(tables), _weights(tables, flipped=True)), min(fore, back)
+    rows = (m, m - 1, m)   # oh one row short: both halves start at an end
+    nu, oh, ov = (np.concatenate([w[j][:, :r] for w in ways]) for j, r in enumerate(rows))
+    nu += x
+    R = nu.shape[0] // 2
+    both = _vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (2 * R,)), nu, oh, ov, tables["plan"],
+                         arith, each)
+    del nu, oh, ov   # the stacked copy, before a longer half goes on
+    return tuple(half if layers == m else
+                 _vertex_sweep(half, nu[:, m:layers] + x, oh[:, m - 1 : layers - 1], ov[:, m:layers],
+                               tables["plan"], arith)
+                 for half, layers, (nu, oh, ov) in zip((both[..., :R], both[..., R:]), (fore, back), ways))
+
+
 # ---------------------------------------------------------------------------
 # batches of weights
 # ---------------------------------------------------------------------------
@@ -470,6 +500,8 @@ def check_transfer_cap(h: int) -> None:
 
 # the bytes that one batch of replicas may hold at its peak
 BATCH_BYTES = 1 << 30
+# the bytes of a batch that do not grow with its replicas (``batch_bytes``)
+_BATCH_FIXED = 1 << 16
 
 
 def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 0) -> int:
@@ -480,10 +512,12 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
     increments of ``degree_layers`` layers its coefficients twice.  On top,
     the largest of three stages:
 
-    * per replica, the weights drawn a second time with the checks'
-      temporaries (5W/4), or a recursion step's messages times their
-      channels (the tilted monomer weights, the forward and flipped moment
-      messages and their mix at the cut: 16 x 2^h);
+    * per replica, the forward and flipped sweeps of ``cut_moments`` as
+      one (``_both_ways``): the halves' weights stacked and tilted, W, and
+      15 x 2^h, the 2R-wide moment message (6 x 2^h), a step's terms (5 x
+      2^h) and numpy's buffers for them (up to 4 x 2^h), which also bounds
+      the mix at the cut; the draw writes the weights into their rows, so
+      it holds no second copy;
     * one block of the degree recursion: its message, a step's terms and
       their temporaries, 3 D x 2^h numbers per replica for D degrees, and
       unless the increment is the whole cylinder (``degree_layers == n``)
@@ -491,11 +525,15 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
       spectrum's companion matrix;
     * one ``GibbsSampler``: its per-vertex messages and the terms and laws
       of its moves, with a block of ``draws`` draws.
+
+    On top of all, ``_BATCH_FIXED`` bytes that do not grow with the batch:
+    numpy's iterator buffers, at most 8192 numbers per operand, and the
+    interpreter's objects of a batch's routes.
     """
     h, S, mH = H.h, 1 << H.h, len(H.edges)
     W = n * (2 * h + mH)
     held = W
-    stage = max(W + W // 4, n * h + 16 * S)
+    stage = W + 15 * S
     once = 0
     if degree_layers:
         held += 2 * (h * n + 1)
@@ -506,7 +544,7 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
     if draws:
         moves = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
         once = max(once, n * h * S * (2 * moves + 3) + 3 * draws * n * h)
-    return 8 * (R * held + max(R * stage, once))
+    return 8 * (R * held + max(R * stage, once)) + _BATCH_FIXED
 
 
 def _most(fits: Callable, top: int) -> int:
@@ -580,22 +618,22 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     with one entry per replica.
 
     A MOMENT sweep forward over layers 1..k and one over the flipped
-    layers n..k+1 meet at the reserved set S of cut k.  Given S the two
-    sections are independent, so with pi[S] proportional to fw[S]
-    exp(h_k[S]) bw[S], h_k[S] the horizontal weight of S at cut k, and d =
-    m - mean, the section laws mix over S: var_L = sum pi (v_L + d_L^2),
-    and cov = sum pi d_L d_R directly, never as a difference of variances.
+    layers n..k+1 meet at the reserved set S of cut k.  They run as one
+    sweep (``_both_ways``) over the min(k, n - k) layers they share, and
+    the longer then goes on alone from its columns of that message.
+    Given S the two sections are independent, so with pi[S] proportional
+    to fw[S] exp(h_k[S]) bw[S], h_k[S] the horizontal weight of S at cut
+    k, and d = m - mean, the section laws mix over S: var_L = sum pi (v_L
+    + d_L^2), and cov = sum pi d_L d_R directly, never as a difference of
+    variances.
     A replica with no matching of finite weight is refused
     (``check_nonempty``).
     """
-    n, plan = tables["n"], tables["plan"]
+    n = tables["n"]
     check_cut(k, n)
-    nu, oh, ov = _weights(tables)
-    start = np.zeros((1 << tables["h"], 3, nu.shape[0]))
+    start = np.zeros((1 << tables["h"], 3, 1))
     start[1:, 0] = NEG_INF
-    fw = _vertex_sweep(start, nu[:, :k] + x, oh[:, : k - 1], ov[:, :k], plan, MOMENT)
-    nu, oh, ov = _weights(tables, flipped=True)
-    bw = _vertex_sweep(start, nu[:, : n - k] + x, oh[:, : n - k - 1], ov[:, : n - k], plan, MOMENT)
+    fw, bw = _both_ways(start, tables, k, n - k, MOMENT, x)
     # mix replica-major: each sum over S then runs along one contiguous row,
     # whose order of additions does not depend on the batch size
     fw, bw = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (fw, bw))
@@ -653,8 +691,7 @@ def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
         nu, oh, ov = _weights(block)
         empty = _empty(S, nu.shape[0])
         if any(0 < c < n for c in cuts):
-            fw, bw = (_vertex_sweep(empty, *_weights(block, flipped), plan, LOG, "layer")
-                      for flipped in (False, True))
+            fw, bw = _both_ways(empty[:, :1], block, n, n, LOG, each="layer")
         for (a, b), laws in zip(pairs, out):
             v = _vertex_sweep((fw[a - 1] if a else empty)[..., None], nu[:, a:b],
                               oh[:, max(a - 1, 0) : b - 1], ov[:, a:b], plan, DEGREE)
@@ -753,12 +790,11 @@ def cut_remainders(tables: dict, arith=LOG, x: float = 0.0) -> np.ndarray:
     The message at the empty reserved set after layer k of the forward
     sweep is the value V of layers 1..k, and of the flipped sweep the
     value of the last k layers, so one forward and one flipped sweep serve
-    every cut.  A replica of value V = -inf (an empty measure) is refused
-    (``check_nonempty``).
+    every cut; the two run as one sweep (``_both_ways``).  A replica of
+    value V = -inf (an empty measure) is refused (``check_nonempty``).
     """
-    empty = _empty(1 << tables["h"], tables["nu"].shape[0])
-    pre, suf = (_vertex_sweep(empty, nu + x, oh, ov, tables["plan"], arith, "layer")[:, 0]
-                for nu, oh, ov in (_weights(tables, flipped) for flipped in (False, True)))
+    n = tables["n"]
+    pre, suf = (v[:, 0] for v in _both_ways(_empty(1 << tables["h"], 1), tables, n, n, arith, x, "layer"))
     return check_nonempty(pre[-1]) - pre[:-1] - suf[-2::-1]
 
 

@@ -155,15 +155,16 @@ def table_builds(call) -> int:
 def sweep_steps(monkeypatch) -> list:
     """Record each vertex recursion, ``transfer._vertex_sweep``, through
     every dimerlab module binding of it, as (the name of its arithmetic,
-    "log", "max", "moment" or "degree", and its layers).  Returns the live
-    list, one entry per recursion."""
+    "log", "max", "moment" or "degree", its layers and its columns: the
+    replicas, both halves' of a forward and flipped pair, or the blocks).
+    Returns the live list, one entry per recursion."""
     from dimerlab import transfer
 
     steps = []
     original = transfer._vertex_sweep
 
     def counted(v, nu, oh, ov, plan, arith=transfer.LOG, each=None):
-        steps.append((arith.name, nu.shape[1]))
+        steps.append((arith.name, nu.shape[1], nu.shape[0]))
         return original(v, nu, oh, ov, plan, arith, each)
 
     for mod in [m for k, m in sys.modules.items() if k.startswith("dimerlab")]:

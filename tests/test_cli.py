@@ -10,6 +10,7 @@ import pytest
 
 from dimerlab import cli, experiments, groundstate, transfer
 from dimerlab.cli import main
+from dimerlab.experiments import parse_config
 from dimerlab.graphs import HGraph, build_cylinder, load_weights
 from dimerlab.sampler import GibbsSampler, Matching, heights
 
@@ -106,13 +107,12 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
     ("", "clt", "the clt check needs >= 30 replicas, got 4"),
     # a ladder that repeats a length, which the default run's drift report needs twice
     ("n = 8, 8\n", "", "ladder 8,8 repeats a length"),
-    # a fiber past the transfer tables' cap, a spectra rung or fiber past the
-    # polynomials' caps, and a tilt or height grid that is not finite
+    # a fiber past the transfer tables' cap, a spectra fiber past the
+    # polynomials' caps on a rung that extracts zeros (N = 28), and a tilt or
+    # height grid that is not finite
     ("fiber = path(13)\n", "", "transfer supports fiber size h <= 12, got h=13"),
     # a rung of which one replica exceeds the batch budget
     ("fiber = path(12)\nn = 20, 2000000\n", "", "one replica of fiber size h=12 at n=2000000 layers needs"),
-    ("n = 20, 2000\nwith_spectrum = true\n", "",
-     "polynomials support fiber size h <= 6 and n <= 1024 layers, got h=2, n=2000"),
     ("fiber = path(7)\nn = 4\nwith_spectrum = true\n", "", "h <= 6"),
     ("n = 8\nx_grid = nan\nwith_spectrum = true\n", "functionals",
      "x_grid entries must be finite, got nan"),
@@ -122,7 +122,6 @@ def test_experiment_failing_check_exits_one(tmp_path, capsys):
 ], ids=["spectra", "brownian", "brownian-grid-1", "brownian-grid-2", "chunk-0", "chunk-neg",
         "x-grid-empty", "unknown", "functionals-no-spectra", "drift-one-rung", "clt-few-replicas",
         "ladder-repeats", "fiber-past-transfer-cap", "rung-past-batch-budget",
-        "spectra-past-polynomial-cap",
         "spectra-fiber-past-polynomial-cap", "x-grid-nan", "t-grid-inf", "seed-neg"])
 def test_experiment_refuses_unrunnable_check_before_campaign(
         monkeypatch, tmp_path, capsys, extra, checks, reason):
@@ -142,6 +141,26 @@ def test_experiment_refuses_unrunnable_check_before_campaign(
     assert reason in capsys.readouterr().err
     assert calls == {"run_replicas": 0}
     assert not out.exists()
+
+
+def test_experiment_accepts_spectra_past_the_polynomial_cap(tmp_path):
+    # only the rungs that extract zeros (n*h <= 32) build polynomials, so
+    # only they meet the polynomial caps: n = 2000 on path(2), past n <=
+    # 1024, is accepted, and its rows keep empty spectral cells, counted as
+    # refused; the n = 20 ladder is accepted when read too
+    parse_config("[graph]\nfiber = path(2)\n[ladder]\nn = 20, 2000\nwith_spectrum = true\n",
+                 is_text=True)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[graph]\nfiber = path(2)\n"
+                   "[ladder]\nn = 8, 2000\nreplicas = 4\nseed = 1\nwith_spectrum = true\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "replicas.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    blank = {n: sum(r["n"] == n and r["max_lambda"] == r["u_n"] == r["varQ_n"] == "" for r in rows)
+             for n in ("8", "2000")}
+    assert blank == {"8": 0, "2000": 4}
+    assert json.loads((out / "report.json").read_text())["refused_spectra"] == blank
 
 
 @pytest.mark.parametrize("checks,code", [
@@ -325,6 +344,17 @@ def test_an_empty_gibbs_measure_is_refused_before_any_file(tmp_path, capsys, arg
     assert main([*argv, "--n", "3", "--const=-inf", "--out", str(out)]) == 2
     assert "empty Gibbs measure" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exact_refuses_an_empty_measure_alike_with_and_without_coefficients(tmp_path, capsys):
+    # the coefficient route and the scalar one refuse by the rule of every
+    # batched route, in its words, and write no output directory
+    for argv in (["exact"], ["exact", "--scalar"]):
+        out = tmp_path / "-".join(argv)
+        assert main([*argv, "--n", "3", "--h", "2", "--const=-inf", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: replica 0 has no matching of finite weight"
+                                           " (1 of 1): empty Gibbs measure\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sample", "ground"])

@@ -244,21 +244,25 @@ def test_each_batch_builds_one_table_and_no_tilted_sweeps(monkeypatch):
             calls[key] = 0
         steps.clear()
         batch_budget(monkeypatch, 4, H, 9, 9 * with_spectrum)
-        batches = {n: -(-10 // transfer.replicas_per_batch(H, n, n * with_spectrum)) for n in (6, 9)}
-        assert batches[9] == 3
+        size = {n: transfer.replicas_per_batch(H, n, n * with_spectrum) for n in (6, 9)}
+        sizes = {n: [min(s, 10 - lo) for lo in range(0, 10, s)] for n, s in size.items()}
+        assert sizes[9] == [4, 4, 2]
         cfg = _small_cfg(fiber="path(2)", n_ladder=(6, 9), replicas=10,
                          disorder=STD_NORMAL, with_ground=True, with_spectrum=with_spectrum)
         table = run_replicas(cfg)
         assert len(table) == replicas
-        assert calls == {"batch_tables": sum(batches.values()), "partition_polynomial": 0}, with_spectrum
-        # per batch three vertex recursions: the two MOMENT ones meet at the
-        # cut (k = 3 of 6 and k = 4 of 9), so their layers add up to n; then
-        # the MAX one over n layers, and with spectra one DEGREE recursion
-        # over n layers and no LOG one
+        assert calls == {"batch_tables": sum(map(len, sizes.values())), "partition_polynomial": 0}, with_spectrum
+        # per batch of R: the two MOMENT sweeps that meet at the cut (k = 3
+        # of 6 and k = 4 of 9) run as one over 2R columns for the min(k,
+        # n - k) layers they share, and the longer half goes on over its
+        # other layers on R; then the MAX one over n layers, and with
+        # spectra one DEGREE recursion over n layers and no LOG one
         expect = []
         for n, k in ((6, 3), (9, 4)):
-            expect += ([("moment", k), ("moment", n - k), ("max", n)]
-                       + [("degree", n)] * with_spectrum) * batches[n]
+            for R in sizes[n]:
+                expect += ([("moment", min(k, n - k), 2 * R)]
+                           + [("moment", abs(n - 2 * k), R)] * (n != 2 * k)
+                           + [("max", n, R)] + [("degree", n, R)] * with_spectrum)
         assert sorted(steps) == sorted(expect), with_spectrum
 
 
@@ -299,7 +303,7 @@ def test_spectra_past_the_extraction_limit_compute_no_zeros(monkeypatch):
     report, failed = experiments.run_checks(cfg, table, ["functionals"])
     assert failed == [] and report["functionals"].n == 8
     assert calls == [17] * 16   # the even part of a degree-32 polynomial
-    assert [layers for name, layers in steps if name == "degree"] == [8, 8]
+    assert [layers for name, layers, _ in steps if name == "degree"] == [8, 8]
     assert report["refused_spectra"] == {8: 0, 48: 8}
     assert np.isnan([table.at(48, key) for key in ("max_lambda", "u_n", "varQ_n")]).all()
 

@@ -339,13 +339,13 @@ def test_scalar_log_z_sweeps_about_sqrt_n_layers(monkeypatch):
     steps = sweep_steps(monkeypatch)
     g = build_cylinder(65536, HGraph.single())
     scalar_log_z(g, sample_weights(g, STD_NORMAL, RngSeed(1, 0)))
-    assert {name for name, _ in steps} == {"log"}
-    assert sum(layers for _, layers in steps) <= 3 * 256
+    assert {name for name, _, _ in steps} == {"log"}
+    assert sum(layers for _, layers, _ in steps) <= 3 * 256
     # a fiber the rule leaves unblocked runs one n-layer sweep
     steps.clear()
     g = build_cylinder(64, HGraph.path(4))
     scalar_log_z(g, sample_weights(g, STD_NORMAL, RngSeed(1, 0)))
-    assert steps == [("log", 64)]
+    assert steps == [("log", 64, 1)]
 
 
 def test_forward_messages_terminal_state_is_log_z():
@@ -619,17 +619,65 @@ def test_the_degree_recursion_holds_one_block_of_messages_at_a_time():
 def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
     # a whole cylinder is one vertex recursion over n layers and no LOG
     # sweep; a mask inside the cylinder adds the forward and flipped LOG
-    # passes, and the recursion runs over its own layers only
+    # passes, as one sweep over both halves' columns, and the recursion
+    # runs over its own layers only
     steps = sweep_steps(monkeypatch)
     for g, w in cut_instances(31):
         steps.clear()
         partition_polynomial(g, w)
-        assert steps == [("degree", g.n)]
+        assert steps == [("degree", g.n, 1)]
         for k, l in ((1, g.n - 1), (2, g.n), (2, g.n - 1)):
             if 1 <= k <= l <= g.n:
                 steps.clear()
                 partition_polynomial(g, w, CountingMask.layer_range(k, l))
-                assert steps == [("log", g.n), ("log", g.n), ("degree", l - k + 1)]
+                assert steps == [("log", g.n, 2), ("degree", l - k + 1, 1)]
+
+
+def _separate_sweeps(v, tables, fore, back, arith, x=0.0, each=None):
+    """The reference of ``transfer._both_ways``: the forward sweep over
+    ``fore`` layers and the flipped one over ``back``, each its own
+    ``_vertex_sweep`` over the R replicas from the first layer on."""
+    R = tables["nu"].shape[0]
+    return [_vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (R,)), nu[:, :layers] + x,
+                          oh[:, : layers - 1], ov[:, :layers], tables["plan"], arith, each)
+            for layers, (nu, oh, ov) in zip((fore, back), (transfer._weights(tables, flipped)
+                                                           for flipped in (False, True)))]
+
+
+def _dead_batches(seed: int):
+    """Batches of 3 replicas over path(1)..path(7) and cycle(3) at n = 7 and
+    of 2 over path(12) at n = 4, with about one in twelve vertex and edge
+    weights -inf."""
+    rng = np.random.default_rng(seed)
+    fibers = [HGraph.single()] + [HGraph.path(h) for h in range(2, 8)] + [HGraph.cycle(3), HGraph.path(12)]
+    for H in fibers:
+        n, R = (4, 2) if H.h == 12 else (7, 3)
+        arrays = [rng.normal(size=(R, rows, cols)) for rows, cols in ((n, H.h), (n - 1, H.h), (n, len(H.edges)))]
+        for a in arrays:
+            a[rng.random(a.shape) < 1 / 12] = NEG_INF
+        yield batch_tables(build_cylinder(n, H), *arrays)
+
+
+def test_forward_and_flipped_halves_in_one_sweep_keep_every_bit(monkeypatch):
+    # cut_moments, cut_remainders and increment_laws sweep both halves as
+    # the 2R columns of one recursion over the layers they share, the longer
+    # half going on alone; each output is bit for bit that of the two sweeps
+    # run apart over their whole lengths, with -inf vertex and edge weights,
+    # for cuts before, at and past the middle, and a tilt
+    cases = []
+    for tables in _dead_batches(27):
+        n, h = tables["n"], tables["h"]
+        calls = {f"moments k={k}": lambda t=tables, k=k: cut_moments(t, k, 0.3)
+                 for k in sorted({1, 2, n // 2, n - 2, n - 1})}
+        calls["remainders log"] = lambda t=tables: cut_remainders(t, LOG, 0.3)
+        calls["remainders max"] = lambda t=tables: cut_remainders(t, MAX)
+        if h <= transfer.POLY_MAX_H:
+            calls["laws"] = lambda t=tables, n=n: increment_laws(t, [0, 2, 3, n])
+        cases += [(tables, name, call, [np.asarray(a) for a in call()]) for name, call in calls.items()]
+    monkeypatch.setattr(transfer, "_both_ways", _separate_sweeps)
+    for tables, name, call, joint in cases:
+        apart = call()
+        assert len(joint) == len(apart) and all(map(np.array_equal, joint, apart)), (tables["H"], name)
 
 
 def test_increment_laws_refuse_bad_cuts():
