@@ -39,13 +39,11 @@ from .experiments import (
     CHECKS,
     ExperimentConfig,
     check_runnable,
-    jsonify,
     make_fiber,
     parse_config,
     run_checks,
     run_replicas,
     write_config,
-    write_json,
 )
 from .groundstate import (
     ground_zero_temperature_limit,
@@ -55,6 +53,7 @@ from .groundstate import (
 )
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import EXTRACTION_MAX_N, SpectrumError, check_extractable, localization_check, spectrum
+from .output import IntRows, jsonify, write_csv, write_json
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CountingMask,
@@ -135,12 +134,12 @@ def _resolved_args_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_manifest(out_dir: str, args, outputs: list, extra: dict | None = None) -> None:
-    resolved = _resolved_args_dict(args)
-    blob = json.dumps(jsonify(resolved), sort_keys=True).encode()
+def _write_manifest(out_dir: str, args, outputs: list) -> None:
+    arguments = jsonify(_resolved_args_dict(args))
+    blob = json.dumps(arguments, sort_keys=True).encode()
     manifest = {
         "command": args.command,
-        "arguments": jsonify(resolved),
+        "arguments": arguments,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "outputs": sorted(outputs),
         "versions": {
@@ -150,8 +149,6 @@ def _write_manifest(out_dir: str, args, outputs: list, extra: dict | None = None
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    if extra:
-        manifest.update(jsonify(extra))
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
@@ -242,32 +239,24 @@ def _cmd_sample(args) -> int:
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
     moves = np.concatenate([sampler.draw_states(gen, min(block, args.count - lo))
                             for lo in range(0, args.count, block)])
-    matchings = sampler.matchings_from_states(moves)
     t_grid = np.linspace(0.0, 1.0, args.t_points)
     profiles = sampler.monomer_profiles(moves)
-    print(f"drew {len(matchings)} matchings from the Gibbs law (x={args.x:g})")
+    print(f"drew {args.count} matchings from the Gibbs law (x={args.x:g})")
     counts = profiles.sum(axis=1)
     print(f"unpaired count: mean {np.mean(counts):.4f}, min {counts.min()}, max {counts.max()}")
     out = _ensure_out(args)
     if out:
-        write_json(
-            {
-                "n": g.n,
-                "h": g.h,
-                "x": args.x,
-                "count": len(matchings),
-                "draws": [sorted(m.edge_indices) for m in matchings],
-            },
-            os.path.join(out, "matchings.json"),
-        )
-        with open(os.path.join(out, "heights.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "t", "theta", "theta_hat"])
-            theta, theta_hat = heights(profiles, t_grid, args.centering)
-            hat = [""] * theta.size if theta_hat is None else map(repr, theta_hat.ravel().tolist())
-            writer.writerows(zip(np.repeat(np.arange(args.count), t_grid.size).tolist(),
-                                 list(map(repr, t_grid.tolist())) * args.count,
-                                 theta.astype(np.int64).ravel().tolist(), hat))
+        # each draw's sorted edges from one array, written without a list per draw
+        draws = IntRows(sampler.matchings_from_states(moves))
+        write_json({"n": g.n, "h": g.h, "x": args.x, "count": args.count, "draws": draws},
+                   os.path.join(out, "matchings.json"))
+        theta, theta_hat = heights(profiles, t_grid, args.centering)
+        write_csv(os.path.join(out, "heights.csv"), {
+            "draw": np.repeat(np.arange(args.count), t_grid.size),
+            "t": np.tile(t_grid, args.count),
+            "theta": theta.astype(np.int64).ravel(),
+            "theta_hat": np.full(theta.size, np.nan) if theta_hat is None else theta_hat.ravel(),
+        })
         _write_manifest(out, args, ["matchings.json", "heights.csv"])
     return 0
 
@@ -296,8 +285,9 @@ def _cmd_ground(args) -> int:
     gs = max_weight(g, w)
     print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
           f"{gs.matching.num_unpaired(g)} monomers")
-    rows = list(zip(range(1, g.n), gse_remainder(g, w).tolist(), gse_remainder_bound(g, w).tolist()))
-    worst = max((r[1] for r in rows), default=None)
+    remainders = {"k": np.arange(1, g.n), "remainder": gse_remainder(g, w),
+                  "bound": gse_remainder_bound(g, w)}
+    worst = float(remainders["remainder"].max()) if g.n > 1 else None
     if worst is None:
         print("no cuts: a one-layer cylinder has no remainders")
     else:
@@ -324,11 +314,7 @@ def _cmd_ground(args) -> int:
             },
             os.path.join(out, "ground.json"),
         )
-        with open(os.path.join(out, "remainders.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "remainder", "bound"])
-            for k, r, b in rows:
-                writer.writerow([k, repr(r), repr(b)])
+        write_csv(os.path.join(out, "remainders.csv"), remainders)
         _write_manifest(out, args, ["ground.json", "remainders.csv"])
     return 0
 

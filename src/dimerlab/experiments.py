@@ -22,12 +22,10 @@ precondition, whether it runs unnamed, how it runs and decides), which
 from __future__ import annotations
 
 import configparser
-import csv
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,6 +44,7 @@ from .graphs import (
 )
 from .groundstate import max_values
 from .leeyang import EXTRACTION_MAX_N, SpectrumError, density_functionals, spectrum
+from .output import write_csv
 from .sampler import GibbsSampler, heights
 from .transfer import (
     EmptyMeasureError,
@@ -278,18 +277,7 @@ class ReplicaTable:
         return key in self.columns and not np.isnan(self.columns[key]).all()
 
     def to_csv(self, path: str) -> None:
-        keys = list(self.columns)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for i in range(len(self)):
-                writer.writerow([_csv_value(self.columns[k][i], k) for k in keys])
-
-
-def _csv_value(v, key):
-    if key in ("n", "stream"):
-        return int(v)
-    return "" if math.isnan(v) else repr(float(v))
+        write_csv(path, self.columns)
 
 
 def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tuple:
@@ -849,90 +837,3 @@ def run_checks(cfg: ExperimentConfig, table: ReplicaTable, checks) -> tuple[dict
             if name in checks and not ok:
                 failed.append(name)
     return report, failed
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-def jsonify(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses for json."""
-    import dataclasses as dc
-
-    if dc.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonify(getattr(obj, f.name)) for f in dc.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, list) and set(map(type, obj)) <= {int}:
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    return obj
-
-
-def _json_scalar(v) -> str:
-    """JSON text of a string, number, bool or None, as ``json.dumps`` writes it."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _json_text(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of a ``jsonify`` result,
-    nested ``indent`` deep.  A list that holds no container is rendered by
-    one ``str.join`` over its items, through ``repr`` when every item is
-    an int."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        brackets = "{}"
-        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                 for k, v in sorted(obj.items()))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        brackets = "[]"
-        types = set(map(type, obj))
-        if types == {int}:
-            items = map(repr, obj)
-        elif not any(issubclass(t, (list, tuple, dict)) for t in types):
-            items = map(_json_scalar, obj)
-        else:
-            items = (_json_text(v, inner) for v in obj)
-    else:
-        return _json_scalar(obj)
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
-
-
-def write_json(obj, path: str) -> None:
-    """Write ``json.dumps(jsonify(obj), indent=2, sort_keys=True)`` and a
-    newline to ``path``, byte for byte, in one write.
-
-    ``json`` falls back to its pure-Python encoder whenever it indents,
-    and walks every int of a sample's draws one call at a time; here each
-    list of scalars (draws, coefficients, spectra) is joined in one call,
-    and only the nesting above them runs in Python.
-    """
-    text = _json_text(jsonify(obj), "") + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)

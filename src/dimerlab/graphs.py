@@ -329,7 +329,7 @@ def gauge(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:
 
 def _float_list(arr: np.ndarray) -> list:
     # JSON has no -inf literal; use None as the disabled sentinel.
-    return [None if x == -np.inf else float(x) for x in np.asarray(arr).reshape(-1)]
+    return [None if x == -np.inf else x for x in np.asarray(arr, dtype=float).reshape(-1).tolist()]
 
 
 def _float_array(values: Sequence) -> np.ndarray:
@@ -360,9 +360,11 @@ def weights_from_payload(d: dict) -> tuple[CylinderGraph, WeightAssignment]:
 
 
 def dump_weights(path, g, w) -> None:
+    # json.dump to a file always takes the pure-Python encoder, json.dumps
+    # the C one: the same bytes
+    text = json.dumps(weights_payload(g, w), sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(weights_payload(g, w), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_weights(path) -> tuple[CylinderGraph, WeightAssignment]:

@@ -14,6 +14,13 @@ every state after every vertex.  Draw d takes one uniform per vertex, the
 row d of ``gen.random((count, n * h))``, and inverts each vertex's law at
 it: the uniforms are consumed draw-major, so draws taken in blocks are the
 draws taken at once.
+
+One decoder, ``decode_edges``, turns the moves of every draw into its
+matching by one fancy index and one sort: row d of a ``[count, n * h]`` int
+array holds the canonical edge indices of draw d in ascending order, after
+-1 padding for the vertices that close no dimer.  ``sample`` writes its
+draws from that array, and ``decode_moves`` builds ``Matching`` objects from
+it for the ground state and the tests.
 """
 from __future__ import annotations
 
@@ -107,24 +114,38 @@ class GibbsSampler:
             raise ValueError("sampling reached a state of zero mass")
         return moves.T.reshape(count, n, h)
 
-    def matchings_from_states(self, moves: np.ndarray) -> list[Matching]:
-        return decode_moves(self.n, self.H, moves)
+    def matchings_from_states(self, moves: np.ndarray) -> np.ndarray:
+        """The matchings of the draws, row d the sorted edge indices of draw
+        d after -1 padding (``decode_edges``)."""
+        return decode_edges(self.n, self.H, moves)
 
     def monomer_profiles(self, moves: np.ndarray) -> np.ndarray:
         """Unpaired-vertex count per layer for each draw, shape (count, n)."""
         return (moves == MONOMER).sum(axis=2)
 
 
-def decode_moves(n: int, H, moves: np.ndarray) -> list[Matching]:
-    """Decode moves ``[d, i, b]`` by array lookups: the horizontal dimer
-    that vertex (i, b) closes is canonical edge (i - 1) h + b, and the fiber
-    dimer of H-edge e at layer i is edge (n - 1) h + i mH + e."""
+def decode_edges(n: int, H, moves: np.ndarray) -> np.ndarray:
+    """The canonical edge indices of the matching of each draw of moves
+    ``[d, i, b]``, ``[count, n * h]``: row d sorted, the vertices that close
+    no dimer giving the -1 padding at its front.  The horizontal dimer that
+    vertex (i, b) closes is edge (i - 1) h + b, and the fiber dimer of H-edge
+    e at layer i is edge (n - 1) h + i mH + e; a fiber whose vertex order is
+    not its edge order, as complete(4), comes out sorted all the same."""
     h, mH = H.h, len(H.edges)
     i = np.arange(n)[:, None, None]
     edge = np.full((n, h, FIBER + mH), -1)
     edge[1:, :, HORIZONTAL] = (i[:-1, 0] * h + np.arange(h))
     edge[..., FIBER:] = (n - 1) * h + i * mH + np.arange(mH)
-    e = edge[np.arange(n)[:, None], np.arange(h), moves].reshape(len(moves), -1)
+    # move m of vertex (i, b) is entry m of the table's row (i, b), read flat
+    rows = (FIBER + mH) * np.arange(n * h).reshape(n, h)
+    e = np.take(edge, moves + rows).reshape(len(moves), -1)
+    e.sort(axis=1)
+    return e
+
+
+def decode_moves(n: int, H, moves: np.ndarray) -> list[Matching]:
+    """The ``Matching`` of each draw of moves ``[d, i, b]``, from ``decode_edges``."""
+    e = decode_edges(n, H, moves)
     live = e >= 0
     ends = np.cumsum(live.sum(axis=1)).tolist()
     flat = e[live].tolist()

@@ -635,8 +635,11 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     start[1:, 0] = NEG_INF
     fw, bw = _both_ways(start, tables, k, n - k, MOMENT, x)
     # mix replica-major: each sum over S then runs along one contiguous row,
-    # whose order of additions does not depend on the batch size
-    fw, bw = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (fw, bw))
+    # whose order of additions does not depend on the batch size; one half
+    # at a time, so that off centre the joint message or the longer half's
+    # own is freed before the second copy (12 x 2^h numbers per replica)
+    fw = np.ascontiguousarray(fw.transpose(1, 2, 0))
+    bw = np.ascontiguousarray(bw.transpose(1, 2, 0))
     logp = fw[0] + _set_sums(tables["oh"][:, k - 1]).T + bw[0]
     top = check_nonempty(logp.max(axis=1))
     pi = np.exp(logp - top[:, None])

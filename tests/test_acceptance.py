@@ -45,7 +45,7 @@ from dimerlab.leeyang import (
     localization_check,
     spectrum,
 )
-from dimerlab.sampler import GibbsSampler, Matching, matching_weight
+from dimerlab.sampler import GibbsSampler, Matching, decode_moves, matching_weight
 from dimerlab.transfer import (
     MonomerPolynomial,
     batch_tables,
@@ -560,7 +560,7 @@ def test_criterion_15_sampler_chi_square():
 
         sampler = GibbsSampler(instance_tables(g, w), x=x)
         gen = rng_generator(RngSeed(seed, 1), DOMAIN_GIBBS)
-        draws = sampler.matchings_from_states(sampler.draw_states(gen, 100_000))
+        draws = decode_moves(g.n, g.H, sampler.draw_states(gen, 100_000))
         counts = np.zeros(len(support))
         for m in draws:
             counts[index[tuple(sorted(m.edge_indices))]] += 1

@@ -8,11 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from dimerlab import cli, experiments, groundstate, transfer
+from dimerlab import cli, experiments, groundstate, output, transfer
 from dimerlab.cli import main
-from dimerlab.experiments import parse_config
-from dimerlab.graphs import HGraph, build_cylinder, load_weights
-from dimerlab.sampler import GibbsSampler, Matching, heights
+from dimerlab.experiments import make_fiber, parse_config
+from dimerlab.graphs import (
+    DOMAIN_GIBBS, DisorderSpec, HGraph, Law, RngSeed, build_cylinder, load_weights, rng_generator,
+    sample_weights,
+)
+from dimerlab.sampler import GibbsSampler, Matching, decode_moves, heights
 
 from helpers import batch_budget, count_calls, layer_counts
 
@@ -624,7 +627,7 @@ def test_sample_and_exact_files_are_the_bytes_of_json_dumps(tmp_path, monkeypatc
 
     def recording(obj, path):
         written.append((obj, path))
-        experiments.write_json(obj, path)
+        output.write_json(obj, path)
 
     monkeypatch.setattr(cli, "write_json", recording)
     common = ["--n", "6", "--fiber", "path(2)", "--vertex", "normal(0,1)", "--edge", "normal(0,1)"]
@@ -634,4 +637,72 @@ def test_sample_and_exact_files_are_the_bytes_of_json_dumps(tmp_path, monkeypatc
     assert {str(tmp_path / "s" / "matchings.json"), str(tmp_path / "e" / "exact.json")} <= paths
     for obj, path in written:
         with open(path) as fh:
-            assert fh.read() == json.dumps(experiments.jsonify(obj), indent=2, sort_keys=True) + "\n"
+            assert fh.read() == json.dumps(output.jsonify(obj), indent=2, sort_keys=True) + "\n"
+    # the draws reach write_json as one array (IntRows); the file still holds
+    # json.dumps of each draw's sorted edges, decoded Matching by Matching
+    g, matchings = _cli_draws(6, "path(2)", 0, 7)
+    payload = {"n": 6, "h": 2, "x": 0.0, "count": 7, "draws": [sorted(m.edge_indices) for m in matchings]}
+    assert ((tmp_path / "s" / "matchings.json").read_text()
+            == json.dumps(output.jsonify(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _cli_draws(n, fiber, seed, count, x=0.0, edge="normal(0,1)"):
+    """The cylinder and the ``Matching`` of each draw that ``sample`` takes
+    with normal(0,1) vertex weights at ``seed``, ``count`` draws in one block."""
+    g = build_cylinder(n, make_fiber(fiber))
+    w = sample_weights(g, DisorderSpec(Law.parse("normal(0,1)"), Law.parse(edge)), RngSeed(seed))
+    moves = GibbsSampler(transfer.instance_tables(g, w), x=x).draw_states(
+        rng_generator(RngSeed(seed), DOMAIN_GIBBS), count)
+    return g, decode_moves(g.n, g.H, moves)
+
+
+@pytest.mark.parametrize("n, fiber, x, centering", [
+    (4, "complete(4)", 0.0, "0.3"), (5, "cycle(3)", -0.5, None), (1, "path(3)", 0.0, "0.1"),
+    (2, "single", 6.0, None),
+])
+def test_sample_files_have_the_bytes_of_stdlib_writers(tmp_path, n, fiber, x, centering):
+    # matchings.json against json.dumps of each draw's sorted edges, decoded
+    # Matching by Matching, and heights.csv against csv.writer fed per cell:
+    # a fiber whose vertex order is not its edge order, one with a cycle,
+    # one layer (no horizontal edge), draws with no edge at all (written
+    # []), and no centering (an empty theta_hat column)
+    out = tmp_path / "s"
+    argv = ["sample", "--n", str(n), "--fiber", fiber, "--x", str(x), "--vertex", "normal(0,1)",
+            "--edge", "normal(0,1)", "--seed", "9", "--count", "40", "--t-points", "5", "--out", str(out)]
+    assert main(argv + ([] if centering is None else ["--centering", centering])) == 0
+    g, matchings = _cli_draws(n, fiber, 9, 40, x)
+    draws = [sorted(m.edge_indices) for m in matchings]
+    assert fiber != "single" or [] in draws
+    payload = {"n": n, "h": g.h, "x": x, "count": 40, "draws": draws}
+    assert (out / "matchings.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    t_grid = np.linspace(0.0, 1.0, 5)
+    theta, theta_hat = heights(np.array([layer_counts(g, m) for m in matchings]), t_grid,
+                               None if centering is None else float(centering))
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["draw", "t", "theta", "theta_hat"])
+    for d in range(40):
+        for j in range(t_grid.size):
+            th = "" if theta_hat is None else repr(float(theta_hat[d, j]))
+            writer.writerow([d, repr(float(t_grid[j])), int(theta[d, j]), th])
+    assert (out / "heights.csv").read_bytes() == expect.getvalue().encode()
+
+
+@pytest.mark.parametrize("n, edge", [(1, "normal(0,1)"), (9, "bernoulli_shift(0.3,0,-inf)")])
+def test_remainders_csv_has_the_bytes_of_csv_writer(tmp_path, n, edge):
+    # csv.writer fed each cut k and repr of its remainder and bound: one
+    # layer has no cut (a header alone), and disabled (-inf) edges
+    out = tmp_path / "g"
+    assert main(["ground", "--n", str(n), "--h", "2", "--vertex", "normal(0,1)", "--edge", edge,
+                 "--seed", "3", "--out", str(out)]) == 0
+    g = build_cylinder(n, HGraph.path(2))
+    w = sample_weights(g, DisorderSpec(Law.parse("normal(0,1)"), Law.parse(edge)), RngSeed(3))
+    rows = list(zip(range(1, n), groundstate.gse_remainder(g, w).tolist(),
+                    groundstate.gse_remainder_bound(g, w).tolist()))
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(["k", "remainder", "bound"])
+    writer.writerows([k, repr(r), repr(b)] for k, r, b in rows)
+    assert (out / "remainders.csv").read_bytes() == expect.getvalue().encode()
+    assert json.loads((out / "ground.json").read_text())["max_remainder"] == max((r for _, r, _ in rows),
+                                                                                default=None)

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dimerlab import experiments, leeyang, transfer
+from dimerlab import experiments, leeyang, output, transfer
 from dimerlab.graphs import (
     DOMAIN_GIBBS,
     DisorderSpec,
@@ -37,14 +39,13 @@ from dimerlab.experiments import (
     clt_checks,
     estimate_limits,
     functional_consistency_check,
-    jsonify,
     linear_growth_check,
     make_fiber,
     parse_config,
     run_replicas,
     write_config,
-    write_json,
 )
+from dimerlab.output import IntRows, jsonify, write_csv, write_json
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
 from dimerlab.sampler import GibbsSampler, heights
@@ -322,22 +323,30 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("h, n, R, spectra", [
-    (2, 512, 256, False), (4, 128, 64, False), (6, 64, 16, False), (8, 32, 8, False),
+_PEAK_CASES = [
+    (2, 512, 256, False, 256), (4, 128, 64, False, 64), (6, 64, 16, False, 32),
+    (8, 32, 8, False, 16),
     # spectra within the extraction limit (n*h <= 32), where the degree
     # recursion runs; path(6) at R = 256 runs it in four blocks of replicas
-    (2, 16, 32, True), (4, 8, 16, True), (6, 5, 8, True), (6, 5, 256, True),
-    (12, 16, 4, False),
-])
-def test_batch_model_bounds_the_traced_peak(h, n, R, spectra):
+    (2, 16, 32, True, 8), (4, 8, 16, True, 4), (6, 5, 8, True, 2), (6, 5, 256, True, 2),
+    # at h = 12 the mix at the cut outweighs the weights; off centre the
+    # longer half's own message is alive beside the joint one
+    (12, 16, 4, False, 8), (12, 5, 2, False, 2), (12, 16, 4, False, 3),
+]
+
+
+# a case's id names its cut k only when k is off the centre n // 2
+@pytest.mark.parametrize("h, n, R, spectra, k", _PEAK_CASES,
+                         ids=["-".join(map(str, c[:4] if c[4] == c[1] // 2 else c)) for c in _PEAK_CASES])
+def test_batch_model_bounds_the_traced_peak(h, n, R, spectra, k):
     # the modelled bytes of a batch are at or above the peak that
-    # tracemalloc sees for its rows, and within twice it; the first call
-    # builds the fiber tables and imports what the routes need
+    # tracemalloc sees for its rows at cut k, and within twice it; the
+    # first call builds the fiber tables and imports what the routes need
     cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=R, disorder=STD_NORMAL,
                      with_ground=True, with_spectrum=spectra)
     g = build_cylinder(n, cfg.fiber_graph())
-    _replica_chunk(g, cfg, range(2), n // 2)
-    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), n // 2))
+    _replica_chunk(g, cfg, range(2), k)
+    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), k))
     model = transfer.batch_bytes(g.H, n, R, n if spectra else 0)
     assert peak <= model <= 2 * peak, (model, peak)
 
@@ -661,18 +670,78 @@ def test_functional_consistency_report():
     assert not rep.ok and np.isnan(rep.max_u_gap)
 
 
-def test_replica_table_csv_round_trip(tmp_path):
-    cfg = _small_cfg(disorder=STD_NORMAL, replicas=7)
-    table = run_replicas(cfg)
-    path = tmp_path / "t.csv"
-    table.to_csv(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        keys = next(reader)
-        again = np.array([[float(v) if v else np.nan for v in row] for row in reader])
-    assert set(keys) == set(table.columns)
-    for j, key in enumerate(keys):
-        assert np.array_equal(table.columns[key], again[:, j], equal_nan=True)
+def _csv_writer_bytes(columns: dict, cell) -> bytes:
+    """The bytes of ``csv.writer`` fed the header and ``cell(key, value)`` of every entry, row by row."""
+    expect = io.StringIO()
+    writer = csv.writer(expect)
+    writer.writerow(list(columns))
+    writer.writerows([cell(k, columns[k][i]) for k in columns] for i in range(len(next(iter(columns.values())))))
+    return expect.getvalue().encode()
+
+
+def test_replica_table_csv_round_trip(tmp_path, monkeypatch):
+    # the values come back, and the bytes are those of csv.writer fed n and
+    # stream as ints, an empty cell for NaN and repr of every other float;
+    # M is NaN without the ground state, and the spectra of the rung past
+    # the extraction limit (n = 20, N = 40) are refused; rows go out in
+    # blocks of 48 cells (5 rows of 9 columns, 4 of 12)
+    monkeypatch.setattr(output, "CSV_BLOCK_CELLS", 48)
+    tables = [run_replicas(_small_cfg(disorder=STD_NORMAL, replicas=7)),
+              run_replicas(_small_cfg(fiber="path(2)", n_ladder=(4, 20), disorder=STD_NORMAL, replicas=5,
+                                      with_ground=False, with_spectrum=True))]
+    assert np.isnan(tables[1].columns["M"]).all() and np.isnan(tables[1].at(20, "u_n")).all()
+    for i, table in enumerate(tables):
+        path = tmp_path / f"t{i}.csv"
+        table.to_csv(path)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            keys = next(reader)
+            again = np.array([[float(v) if v else np.nan for v in row] for row in reader])
+        assert set(keys) == set(table.columns)
+        for j, key in enumerate(keys):
+            assert np.array_equal(table.columns[key], again[:, j], equal_nan=True)
+        assert path.read_bytes() == _csv_writer_bytes(table.columns, lambda k, v: int(v) if k in ("n", "stream")
+                                                      else "" if np.isnan(v) else repr(float(v)))
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
+    # ints, both zeros, both infinities, NaN (an empty cell), repeated and
+    # extreme floats, over blocks of 9 cells (3 rows) and a table of no rows
+    monkeypatch.setattr(output, "CSV_BLOCK_CELLS", 9)
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 0.1, 5e-324, -2.5e17, np.nan])
+    k = np.array([3, -1, 0, 3, 10**12, 7, 7, 0, -5, 2])
+    for rows in (10, 3, 1, 0):
+        columns = {"k": k[:rows], "x": x[:rows], "y": x[::-1][:rows]}
+        path = tmp_path / f"{rows}.csv"
+        write_csv(str(path), columns)
+        assert path.read_bytes() == _csv_writer_bytes(columns, lambda key, v: int(v) if key == "k"
+                                                      else "" if np.isnan(v) else repr(float(v)))
+
+
+@dataclass
+class _Record:
+    values: np.ndarray
+    rows: IntRows
+    note: tuple
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                       elements=st.integers(-1, 6) | st.integers(-1, 2**40)))
+def test_int_rows_are_written_as_their_lists(tmp_path, rows):
+    # list i of IntRows is the non-negative entries of row i, wherever the
+    # -1 padding sits, empty lists and no lists included; entries from a
+    # short range and from a long one, at three depths and in a dataclass
+    lists = [[int(v) for v in row if v >= 0] for row in rows]
+    payload = {"draws": IntRows(rows), "nested": [[IntRows(rows)]],
+               "record": _Record(np.array([np.nan, 1.5]), IntRows(rows), (np.int64(3), None))}
+    plain = {"draws": lists, "nested": [[lists]],
+             "record": {"values": [None, 1.5], "rows": lists, "note": [3, None]}}
+    assert jsonify(payload) == plain
+    path = tmp_path / "rows.json"
+    write_json(payload, str(path))
+    assert path.read_text() == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 def test_jsonify_passes_int_lists_through_and_converts_the_rest():

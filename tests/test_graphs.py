@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from dimerlab.graphs import (
+    DisorderSpec,
     HGraph,
     Law,
     RngSeed,
@@ -12,6 +16,7 @@ from dimerlab.graphs import (
     dump_weights,
     edge_ends,
     gauge,
+    graph_payload,
     load_weights,
     sample_weights,
 )
@@ -196,3 +201,20 @@ def test_weights_json_round_trip(tmp_path):
     g2, w2 = load_weights(path)
     assert g2 == g
     assert w2 == w
+
+
+def test_weights_json_has_the_bytes_of_json_dump(tmp_path):
+    # json.dump to a file, fed each weight as a float and a disabled (-inf)
+    # one as None, writes null for it: the file holds those bytes
+    g = build_cylinder(4, HGraph.path(2))
+    w = sample_weights(g, DisorderSpec(Law.parse("normal(0,1)"), Law.parse("bernoulli_shift(0.5,0,-inf)")),
+                       RngSeed(2))
+    assert np.isneginf(w.omega_flat()).any()
+    path = tmp_path / "w.json"
+    dump_weights(path, g, w)
+    expect = io.StringIO()
+    json.dump({**graph_payload(g), **{key: [None if x == -np.inf else float(x) for x in flat]
+                                      for key, flat in (("nu", w.nu_flat()), ("omega", w.omega_flat()))}},
+              expect, sort_keys=True)
+    assert path.read_text() == expect.getvalue() + "\n"
+    assert "null" in path.read_text() and load_weights(path)[1] == w

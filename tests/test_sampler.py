@@ -12,7 +12,7 @@ from dimerlab.graphs import (
     rng_generator,
     sample_weights,
 )
-from dimerlab.sampler import GibbsSampler, Matching, heights, matching_weight
+from dimerlab.sampler import GibbsSampler, Matching, decode_moves, heights, matching_weight
 from dimerlab.transfer import (
     FIBER, HORIZONTAL, MONOMER, NEG_INF, OPEN, batch_tables, instance_tables, partition_polynomial,
     scalar_log_z,
@@ -25,8 +25,8 @@ from oracle import brute_force_polynomial, edge_weight, edges, unpaired
 
 
 def _draw(sampler, gen, count):
-    """``count`` matchings from ``sampler``, decoded from its layer paths."""
-    return sampler.matchings_from_states(sampler.draw_states(gen, count))
+    """``count`` matchings from ``sampler``, decoded from its moves."""
+    return decode_moves(sampler.n, sampler.H, sampler.draw_states(gen, count))
 
 
 def _exact_sample(g, w, seed, count):
@@ -127,19 +127,28 @@ def test_monomer_profiles_match_matchings():
     gen = np.random.default_rng(11)
     moves = sampler.draw_states(gen, 25)
     profiles = sampler.monomer_profiles(moves)
-    matchings = sampler.matchings_from_states(moves)
+    matchings = decode_moves(g.n, g.H, moves)
     assert profiles.shape == (25, g.n)
     for row, m in zip(profiles, matchings):
         assert list(row) == list(layer_counts(g, m))
 
 
 def test_array_decode_matches_path_matching():
-    # the array-lookup decode of every draw against the move-by-move reference
-    for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64)):
+    # the array-lookup decode of every draw against the move-by-move
+    # reference: each row the sorted edges after -1 padding, also where the
+    # fiber's vertex order is not its edge order (complete(4)), and at n = 1
+    for H, n in ((HGraph.path(2), 512), (HGraph.cycle(3), 64), (HGraph.complete(4), 16),
+                 (HGraph.path(3), 1)):
         g = build_cylinder(n, H)
         sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(41, n))), x=0.7)
         moves = sampler.draw_states(np.random.default_rng(n), 30)
-        assert sampler.matchings_from_states(moves) == [moves_matching(g, m) for m in moves]
+        expect = [moves_matching(g, m) for m in moves]
+        assert decode_moves(g.n, g.H, moves) == expect
+        rows = sampler.matchings_from_states(moves)
+        assert rows.shape == (30, g.num_vertices)
+        assert [sorted(m.edge_indices) for m in expect] == [r[r >= 0].tolist() for r in rows]
+        assert all(not (r[:-1] > r[1:]).any() and (r[: g.num_vertices - len(m.edge_indices)] == -1).all()
+                   for r, m in zip(rows, expect))
 
 
 def test_sampler_weight_distribution_is_gibbs():
