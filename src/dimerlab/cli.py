@@ -454,7 +454,12 @@ def _read_csv_columns(path):
         header = next(reader, None)
         if header is None:
             raise UsageError(f"csv file is empty: {path}")
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise UsageError(f"{path} line {reader.line_num} has {len(row)} cells,"
+                                 f" its header {len(header)}")
+            rows.append(row)
     if not rows:
         raise UsageError(f"csv file has a header and no rows: {path}")
     cols = {}

@@ -144,12 +144,14 @@ def edge_ends(g: CylinderGraph) -> np.ndarray:
 # disorder laws
 # ---------------------------------------------------------------------------
 
-_LAW_ARITY = {
-    "constant": 1,
-    "uniform": 2,
-    "normal": 2,
-    "bernoulli_shift": 3,
-    "exponential_shift": 2,
+# per law, whether each of its parameters is a weight value, which may be
+# -inf (a disabled weight); every other parameter must be finite
+_LAW_PARAMS = {
+    "constant": (True,),
+    "uniform": (False, False),
+    "normal": (False, False),
+    "bernoulli_shift": (False, True, True),
+    "exponential_shift": (False, True),
 }
 
 
@@ -161,15 +163,19 @@ class Law:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _LAW_ARITY:
+        if self.kind not in _LAW_PARAMS:
             raise ValueError(f"unknown law {self.kind!r}")
-        if len(self.params) != _LAW_ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_LAW_ARITY[self.kind]} parameters, got {len(self.params)}"
-            )
+        weights = _LAW_PARAMS[self.kind]
+        if len(self.params) != len(weights):
+            raise ValueError(f"{self.kind} takes {len(weights)} parameters, got {len(self.params)}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        for i, (p, weight) in enumerate(zip(self.params, weights), start=1):
+            if not (np.isfinite(p) or (weight and p == -np.inf)):
+                raise ValueError(f"{self}: parameter {i} must be finite{' or -inf' if weight else ''}")
         if self.kind == "uniform" and self.params[0] > self.params[1]:
             raise ValueError("uniform(a, b) needs a <= b")
+        if self.kind == "uniform" and np.isinf(self.params[1] - self.params[0]):
+            raise ValueError(f"{self}: b - a must be finite")
         if self.kind == "normal" and self.params[1] < 0:
             raise ValueError("normal(mu, sigma) needs sigma >= 0")
         if self.kind == "bernoulli_shift" and not 0 <= self.params[0] <= 1:

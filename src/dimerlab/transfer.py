@@ -61,10 +61,11 @@ every increment a+1..b of a grid of cuts: DEGREE starts from the stacked
 forward LOG message after layer a, runs over the increment's layers only,
 and closes against the stacked flipped message at cut b.  One forward and
 one flipped pass serve every increment, and the DEGREE recursions cover n
-layers in all.  It is the only route to coefficients: a whole cylinder is
-the increment 0..n, which needs neither pass.  The gauge to zero vertex
-weights that the Lee-Yang spectra need is the coefficient shift
-``MonomerPolynomial.monic``.
+layers in all, each over every replica of the batch it is given, so that
+``replicas_per_batch`` sizes the coefficient route as it does every other.
+It is the only route to coefficients: a whole cylinder is the increment
+0..n, which needs neither pass.  The gauge to zero vertex weights that the
+Lee-Yang spectra need is the coefficient shift ``MonomerPolynomial.monic``.
 
 The backward step (``move_terms``) reads the recursion in reverse, one
 vertex at a time, from the message kept after every vertex.  Given the
@@ -209,23 +210,13 @@ class MonomerPolynomial:
         return p / p.sum()
 
     def cumulants(self, x: float = 0.0, order: int = 2) -> tuple[float, ...]:
-        """First cumulants of the masked monomer count (order up to 4)."""
-        if not 1 <= order <= 4:
-            raise ValueError(f"cumulant order must be 1..4, got {order}")
+        """The mean of the masked monomer count, and at order 2 its variance."""
+        if order not in (1, 2):
+            raise ValueError(f"cumulant order must be 1 or 2, got {order}")
         p = self.pmf(x)
         j = np.arange(self.mask_size + 1, dtype=float)
-        k1 = float(p @ j)
-        out = [k1]
-        if order >= 2:
-            c = j - k1
-            m2 = float(p @ c**2)
-            out.append(m2)
-        if order >= 3:
-            out.append(float(p @ c**3))
-        if order >= 4:
-            m4 = float(p @ c**4)
-            out.append(m4 - 3.0 * m2**2)
-        return tuple(out)
+        mean = float(p @ j)
+        return (mean,) if order == 1 else (mean, float(p @ (j - mean) ** 2))
 
     def monic(self) -> "MonomerPolynomial":
         """The polynomial of the gauged weights, log a_j - log a_N: moving every
@@ -510,19 +501,20 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
 
     Per replica: its weights, W numbers, and with coefficients over
     increments of ``degree_layers`` layers its coefficients twice.  On top,
-    the largest of three stages:
+    the larger of two stages:
 
-    * per replica, the forward and flipped sweeps of ``cut_moments`` as
-      one (``_both_ways``): the halves' weights stacked and tilted, W, and
-      15 x 2^h, the 2R-wide moment message (6 x 2^h), a step's terms (5 x
-      2^h) and numpy's buffers for them (up to 4 x 2^h), which also bounds
-      the mix at the cut; the draw writes the weights into their rows, so
-      it holds no second copy;
-    * one block of the degree recursion: its message, a step's terms and
-      their temporaries, 3 D x 2^h numbers per replica for D degrees, and
-      unless the increment is the whole cylinder (``degree_layers == n``)
-      the stacked forward and flipped messages of every cut; and a
-      spectrum's companion matrix;
+    * per replica, the larger of two routes.  The forward and flipped
+      sweeps of ``cut_moments`` as one (``_both_ways``): the halves'
+      weights stacked and tilted, W, and 15 x 2^h, the 2R-wide moment
+      message (6 x 2^h), a step's terms (5 x 2^h) and numpy's buffers for
+      them (up to 4 x 2^h), which also bounds the mix at the cut.  And
+      ``increment_laws``: the degree recursion's message, a step's terms
+      and their temporaries, 3 D x 2^h numbers for D degrees, and unless
+      the increment is the whole cylinder (``degree_layers == n``) the
+      forward and flipped LOG messages of every cut, 2 n x 2^h, beside
+      first the weights of both passes stacked, 2 W, then the degree
+      recursion.  The draw writes the weights into their rows, so it holds
+      no second copy;
     * one ``GibbsSampler``: its per-vertex messages and the terms and laws
       of its moves, with a block of ``draws`` draws.
 
@@ -534,17 +526,15 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
     W = n * (2 * h + mH)
     held = W
     stage = W + 15 * S
-    once = 0
     if degree_layers:
         held += 2 * (h * n + 1)
         D = h * degree_layers + 1
-        block = min(R, max(1, _POLY_BLOCK // (D * S)))   # replicas, as in increment_laws
-        per_replica = 3 * D * S + (0 if degree_layers == n else 2 * S * n)
-        once = block * per_replica + 2 * (D // 2) ** 2
+        stage = max(stage, 3 * D * S if degree_layers == n else 2 * S * n + max(2 * W, 3 * D * S))
+    sampler = 0
     if draws:
         moves = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
-        once = max(once, n * h * S * (2 * moves + 3) + 3 * draws * n * h)
-    return 8 * (R * held + max(R * stage, once)) + _BATCH_FIXED
+        sampler = n * h * S * (2 * moves + 3) + 3 * draws * n * h
+    return 8 * (R * held + max(R * stage, sampler)) + _BATCH_FIXED
 
 
 def _most(fits: Callable, top: int) -> int:
@@ -668,43 +658,34 @@ def check_polynomial_caps(n: int, h: int) -> None:
         )
 
 
-# the vertex recursion's messages stay under this many numbers (1 MiB) per block of replicas
-_POLY_BLOCK = 1 << 17
-
-
 def increment_laws(tables: dict, cuts) -> list[np.ndarray]:
     """Log coefficients ``[j, r]`` of j monomers on layers a+1..b, for each
     pair (a, b) of consecutive ``cuts`` and every replica (see the module
     docstring): the DEGREE sweep over the increment's layers, seeded by the
     forward LOG message at a cut a > 0 and closed against the flipped one
-    at a cut b < n.  The replicas run in blocks whose messages stay under
-    ``_POLY_BLOCK`` numbers, and no sum depends on the block or the
-    batch."""
+    at a cut b < n.  Every sweep runs over the whole batch, and no sum
+    depends on the batch."""
     n, h, plan = tables["n"], tables["h"], tables["plan"]
     S = 1 << h
     check_polynomial_caps(n, h)
     cuts = [int(c) for c in cuts]
     if len(cuts) < 2 or cuts[0] < 0 or cuts[-1] > n or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError(f"cuts {cuts} must strictly increase inside [0:{n}]")
-    pairs = list(zip(cuts, cuts[1:]))
-    step = max(1, _POLY_BLOCK // ((h * max(b - a for a, b in pairs) + 1) * S))
-    out = [[] for _ in pairs]
-    for r in range(0, tables["nu"].shape[0], step):
-        block = {**tables, **{key: tables[key][r : r + step] for key in ("nu", "oh", "ov")}}
-        nu, oh, ov = _weights(block)
-        empty = _empty(S, nu.shape[0])
-        if any(0 < c < n for c in cuts):
-            fw, bw = _both_ways(empty[:, :1], block, n, n, LOG, each="layer")
-        for (a, b), laws in zip(pairs, out):
-            v = _vertex_sweep((fw[a - 1] if a else empty)[..., None], nu[:, a:b],
-                              oh[:, max(a - 1, 0) : b - 1], ov[:, a:b], plan, DEGREE)
-            if b < n:   # close replica-major: each sum over S runs along one contiguous row
-                v = v + _set_sums(oh[:, b - 1])[..., None]
-                v += bw[n - b - 1, ..., None]
-                v = _logsumexp(np.moveaxis(v, 0, -1).copy())[None]
-            laws.append(v[0].T.copy())   # [j, r], C-contiguous as the callers' sums over j expect
-            del v   # before the next sweep's, as the batch model counts one block
-    return [np.concatenate(laws, axis=-1) for laws in out]
+    nu, oh, ov = _weights(tables)
+    empty = _empty(S, nu.shape[0])
+    if any(0 < c < n for c in cuts):
+        fw, bw = _both_ways(empty[:, :1], tables, n, n, LOG, each="layer")
+    laws = []
+    for a, b in zip(cuts, cuts[1:]):
+        v = _vertex_sweep((fw[a - 1] if a else empty)[..., None], nu[:, a:b],
+                          oh[:, max(a - 1, 0) : b - 1], ov[:, a:b], plan, DEGREE)
+        if b < n:   # close replica-major: each sum over S runs along one contiguous row
+            v = v + _set_sums(oh[:, b - 1])[..., None]
+            v += bw[n - b - 1, ..., None]
+            v = _logsumexp(np.moveaxis(v, 0, -1).copy())[None]
+        laws.append(v[0].T.copy())   # [j, r], C-contiguous as the callers' sums over j expect
+        del v   # before the next sweep's, as the batch model counts one
+    return laws
 
 
 def partition_polynomial(g: CylinderGraph, w: WeightAssignment, mask=None) -> MonomerPolynomial:

@@ -205,6 +205,18 @@ def test_experiment_counts_and_prints_refused_spectra(tmp_path, capsys):
     assert "at n=8" not in printed
 
 
+@pytest.mark.parametrize("law,reason", [
+    ("uniform(0,inf)", "uniform(0.0,inf): parameter 2 must be finite"),
+    ("uniform(-inf,0)", "uniform(-inf,0.0): parameter 1 must be finite"),
+    ("normal(0,nan)", "normal(0.0,nan): parameter 2 must be finite"),
+    ("constant(inf)", "constant(inf): parameter 1 must be finite or -inf"),
+])
+def test_a_law_of_a_non_finite_parameter_is_refused_by_name(capsys, law, reason):
+    # -inf stays a disabled weight where a parameter is a weight value
+    assert main(["exact", "--n", "2", "--vertex", law]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 @pytest.mark.parametrize("cmd,flag", [("exact", "--seed"), ("exact", "--stream"),
                                       ("sample", "--stream")])
 def test_negative_seed_or_stream_is_refused_before_any_draw(capsys, cmd, flag):
@@ -423,6 +435,18 @@ def test_plot_of_a_csv_without_rows_is_usage_error(tmp_path, capsys, kind):
     assert main(["plot", "--csv", str(header_only), "--svg", str(svg), "--kind", kind,
                  "--x", "t", "--y", "theta"]) == 2
     assert f"csv file has a header and no rows: {header_only}" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("kind", ["series", "hist", "heights"])
+@pytest.mark.parametrize("row,cells", [("1,1.0", 2), ("1,1.0,2,5", 4)], ids=["short", "long"])
+def test_plot_refuses_a_row_of_another_width_than_its_header(tmp_path, capsys, kind, row, cells):
+    heights = tmp_path / "heights.csv"
+    heights.write_text(f"draw,t,theta\n0,0.0,0\n0,1.0,2\n{row}\n1,0.0,0\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--csv", str(heights), "--svg", str(svg), "--kind", kind,
+                 "--x", "t", "--y", "theta"]) == 2
+    assert f"{heights} line 4 has {cells} cells, its header 3" in capsys.readouterr().err
     assert not svg.exists()
 
 

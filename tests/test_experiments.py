@@ -132,12 +132,14 @@ def test_config_rejects_unknown_keys():
     ("[ladder]\nwith_ground = maybe\n", "[ladder] with_ground must be a boolean, got 'maybe'"),
     ("[ladder]\nt_grid = 0, half\n", "[ladder] t_grid must be a comma list of numbers, got '0, half'"),
     ("[disorder]\nedge = uniform(1,0)\n", "[disorder] edge must be a weight law: uniform(a, b) needs a <= b"),
+    ("[disorder]\nvertex = uniform(0,inf)\n",
+     "[disorder] vertex must be a weight law: uniform(0.0,inf): parameter 2 must be finite"),
     # a NaN or infinite threshold would fail or pass every metric it bounds
     ("[checks]\nskew_tol = nan\n", "[checks] skew_tol must be a finite number, got 'nan'"),
     ("[checks]\nks_const = inf\n", "[checks] ks_const must be a finite number, got 'inf'"),
     ("[checks]\nse_mult = two\n", "[checks] se_mult must be a finite number, got 'two'"),
     ("[ladder]\nseed = -1\n", "seed must be >= 0, got -1"),
-], ids=["int", "int-list", "bool", "grid", "law", "threshold-nan", "threshold-inf",
+], ids=["int", "int-list", "bool", "grid", "law", "law-inf", "threshold-nan", "threshold-inf",
         "retired-threshold", "seed-neg"])
 def test_config_refusals_name_the_key(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -327,7 +329,8 @@ _PEAK_CASES = [
     (2, 512, 256, False, 256), (4, 128, 64, False, 64), (6, 64, 16, False, 32),
     (8, 32, 8, False, 16),
     # spectra within the extraction limit (n*h <= 32), where the degree
-    # recursion runs; path(6) at R = 256 runs it in four blocks of replicas
+    # recursion runs over the whole batch; at path(6), R = 256 it is the
+    # largest stage
     (2, 16, 32, True, 8), (4, 8, 16, True, 4), (6, 5, 8, True, 2), (6, 5, 256, True, 2),
     # at h = 12 the mix at the cut outweighs the weights; off centre the
     # longer half's own message is alive beside the joint one
@@ -372,13 +375,18 @@ def test_a_rung_past_the_extraction_limit_is_sized_without_the_degree_term(monke
 
 
 def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
-    cfg = _small_cfg(fiber="path(4)", n_ladder=(64,), replicas=2, disorder=STD_NORMAL,
-                     gibbs_samples=100, height_envs=16, t_grid=tuple(np.linspace(0, 1, 5)))
-    brownian_fdd_check(replace(cfg, n_ladder=(8,), height_envs=2), 0.5, 1.0)
-    peak = _traced_peak(lambda: brownian_fdd_check(cfg, 0.5, 1.0))
-    model = transfer.batch_bytes(cfg.fiber_graph(), 64, 16, 16, 100)
-    assert transfer.replicas_per_batch(cfg.fiber_graph(), 64, 16, 100) >= 16   # one batch
-    assert peak <= model <= 2 * peak, (model, peak)
+    # the largest stage is the sampler's at path(4), the degree recursion's
+    # at path(6), and at path(2), n = 256 the LOG passes of increment_laws:
+    # their stacked weights beside the messages of every cut
+    for h, n, envs, draws, points in ((4, 64, 16, 100, 5), (6, 64, 48, 50, 5), (2, 256, 16, 10, 17)):
+        cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=2, disorder=STD_NORMAL,
+                         gibbs_samples=draws, height_envs=envs, t_grid=tuple(np.linspace(0, 1, points)))
+        brownian_fdd_check(replace(cfg, n_ladder=(32,), height_envs=2), 0.5, 1.0)
+        peak = _traced_peak(lambda: brownian_fdd_check(cfg, 0.5, 1.0))
+        degree_layers = n // (points - 1)
+        model = transfer.batch_bytes(cfg.fiber_graph(), n, envs, degree_layers, draws)
+        assert transfer.replicas_per_batch(cfg.fiber_graph(), n, degree_layers, draws) >= envs   # one batch
+        assert peak <= model <= 2 * peak, (h, model, peak)
 
 
 def test_large_fibers_run_in_batches_or_are_refused_when_read():
@@ -475,8 +483,8 @@ def test_weight_batch_matches_single_draws():
     ws = [sample_weights(g, STD_NORMAL, RngSeed(12, stream=s)) for s in streams]
     for got, name in zip(_draw_weight_batch(g, cfg, streams), ("nu", "omega_h", "omega_v")):
         assert np.array_equal(got, np.stack([getattr(w, name) for w in ws])), name
-    # and refused once for the batch if a law yields NaN
-    bad = _small_cfg(disorder=DisorderSpec(Law.normal(0.0, 1.0), Law.constant(float("nan"))))
+    # and refused once for the batch if a law's draws overflow to +inf
+    bad = _small_cfg(disorder=DisorderSpec(Law.normal(0.0, 1.0), Law.parse("exponential_shift(1e-308,0)")))
     with pytest.raises(ValueError, match="omega_h contains NaN"):
         _draw_weight_batch(g, bad, streams)
 

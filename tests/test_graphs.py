@@ -106,6 +106,9 @@ def test_law_parse_and_str_round_trip():
         "normal(0,2)",
         "bernoulli_shift(0.3,-1,1)",
         "exponential_shift(2,0.5)",
+        "constant(-inf)",
+        "bernoulli_shift(0.05,0,-inf)",
+        "exponential_shift(1,-inf)",
     ]:
         law = Law.parse(text)
         assert Law.parse(str(law)) == law
@@ -114,6 +117,13 @@ def test_law_parse_and_str_round_trip():
         Law.parse("cauchy(0,1)")
     with pytest.raises(ValueError):
         Law.parse("uniform(1,-1)")
+    # a parameter other than a weight value is finite; none is NaN or +inf
+    for text in ("uniform(0,inf)", "normal(-inf,1)", "normal(0,inf)", "exponential_shift(inf,0)",
+                 "bernoulli_shift(nan,0,1)", "bernoulli_shift(0.5,0,inf)", "constant(nan)"):
+        with pytest.raises(ValueError, match=r"^\w+\(.*\): parameter \d must be finite"):
+            Law.parse(text)
+    with pytest.raises(ValueError, match=r"^uniform\(-1e\+308,1e\+308\): b - a must be finite$"):
+        Law.parse("uniform(-1e308,1e308)")
 
 
 def test_law_sampling_matches_mean():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +125,7 @@ def _with_dead_vertices(g, w, rng, p=0.3):
     return WeightAssignment(g, nu, w.omega_h, w.omega_v)
 
 
-def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
+def test_replica_results_do_not_depend_on_their_batch():
     # every replica's results are array_equal alone and inside a batch
     rng = np.random.default_rng(83)
     cases = []
@@ -155,21 +154,47 @@ def test_replica_results_do_not_depend_on_their_batch(monkeypatch):
             for got, ref in zip(batch, results(_batch(g, [w]))):
                 assert np.array_equal(got[r], ref[0])
     # the increment laws close over the reserved sets of an interior cut: no
-    # law depends on how many replicas share the batch or the block
+    # law depends on how many replicas share the batch
     cuts = [3, 10, 29]
     for H in (HGraph.path(3), HGraph.cycle(3), HGraph.path(4)):
         g = build_cylinder(30, H)
         ws = [sample_weights(g, STD_NORMAL, RngSeed(85, r)) for r in range(10)]
-        tables = _batch(g, ws)
-        batch = increment_laws(tables, cuts)
+        batch = increment_laws(_batch(g, ws), cuts)
         for r, w in enumerate(ws):
             for got, ref in zip(batch, increment_laws(_batch(g, [w]), cuts)):
                 assert np.array_equal(got[:, r], ref[:, 0]), (H, r)
-        for block in (1, 1 << 30):
-            monkeypatch.setattr(transfer, "_POLY_BLOCK", block)
-            for got, ref in zip(increment_laws(tables, cuts), batch):
-                assert np.array_equal(got, ref), (H, block)
-        monkeypatch.undo()
+
+
+def _transposed(h, n, seed, replicas=3):
+    """A batch of path(h) x n and the same grid read as path(n) x h, whose
+    vertex weights transpose and whose horizontal and fiber weights swap
+    roles; replica 1 has a -inf vertex and a -inf edge."""
+    g, gt = build_cylinder(n, HGraph.path(h)), build_cylinder(h, HGraph.path(n))
+    nu, oh, ov = _stacked([sample_weights(g, STD_NORMAL, RngSeed(seed, r)) for r in range(replicas)])
+    nu[1, 0, 0] = ov[1, -1, -1] = NEG_INF
+    return (g, batch_tables(g, nu, oh, ov)), (gt, batch_tables(gt, *(a.transpose(0, 2, 1) for a in (nu, ov, oh))))
+
+
+def test_a_transposed_grid_has_the_same_values():
+    # path(h) x n is path(n) x h: every value of the grid agrees through two
+    # vertex plans, at fiber sizes 2 to 12 (the layer oracle stops at 7), and
+    # the coefficients of every replica of a batch where both sides are
+    # within the polynomial caps
+    for h, n in ((2, 6), (3, 5), (6, 4), (8, 3), (10, 4), (12, 5)):
+        sides = _transposed(h, n, seed=h)
+        (lz, mean, var), (lz_t, mean_t, var_t) = (cut_moments(t, g.n // 2)[:3] for g, t in sides)
+        assert lz_t == pytest.approx(lz, rel=1e-13), (h, n)
+        assert mean_t == pytest.approx(mean, rel=1e-13) and var_t == pytest.approx(var, rel=1e-13), (h, n)
+        assert max_values(sides[1][1]) == pytest.approx(max_values(sides[0][1]), rel=0, abs=1e-12), (h, n)
+        for r in range(3):
+            one, one_t = (scalar_log_z(g, WeightAssignment(g, t["nu"][r], t["oh"][r], t["ov"][r]))
+                          for g, t in sides)
+            assert one == pytest.approx(lz[r], rel=1e-13) and one_t == pytest.approx(one, rel=1e-13), (h, n, r)
+        if max(h, n) <= transfer.POLY_MAX_H:
+            (lc,), (lc_t,) = (increment_laws(t, [0, g.n]) for g, t in sides)
+            both = np.isfinite(lc)
+            assert np.array_equal(both, np.isfinite(lc_t)), (h, n)
+            assert np.max(np.abs(lc[both] - lc_t[both])) <= 1e-12, (h, n)
 
 
 def _section_oracle(g, w, k, x):
@@ -366,13 +391,15 @@ def test_cumulants_match_pmf_moments():
     rng = np.random.default_rng(31)
     g, w = random_instance(rng, n_lo=3, n_hi=5)
     p = partition_polynomial(g, w)
-    mean, var, k3, k4 = p.cumulants(0.3, order=4)
+    mean, var = p.cumulants(0.3, order=2)
     pr = p.pmf(0.3)
     j = np.arange(p.mask_size + 1)
     assert mean == pytest.approx(pr @ j, abs=1e-12)
     assert var == pytest.approx(pr @ (j - mean) ** 2, abs=1e-12)
-    assert k3 == pytest.approx(pr @ (j - mean) ** 3, abs=1e-12)
-    assert k4 == pytest.approx(pr @ (j - mean) ** 4 - 3 * var**2, abs=1e-12)
+    assert p.cumulants(0.3, order=1) == (mean,)
+    for order in (0, 3):
+        with pytest.raises(ValueError, match=f"^cumulant order must be 1 or 2, got {order}$"):
+            p.cumulants(0.3, order=order)
 
 
 def test_capacity_errors():
@@ -594,26 +621,6 @@ def test_spectrum_refusals_match_the_layer_oracle_at_32_vertices():
             if a is not None:
                 assert a[0] == pytest.approx(b[0], rel=1e-8, abs=0.0), (H, r)
                 assert abs(a[1] - b[1]) <= 1e-11 and abs(a[2] - b[2]) <= 1e-11, (H, r)
-
-
-def test_the_degree_recursion_holds_one_block_of_messages_at_a_time():
-    # four blocks of replicas peak where one block does: each block's
-    # messages are freed before the next block's sweep, as batch_bytes
-    # counts them (holding the last one measured 1.6 times the peak)
-    g = build_cylinder(5, HGraph.path(6))
-    step = transfer._POLY_BLOCK // ((g.num_vertices + 1) << g.h)
-    ws = [sample_weights(g, STD_NORMAL, RngSeed(1, r)) for r in range(4 * step)]
-    peaks = []
-    for R in (step, 4 * step):
-        tables = _batch(g, ws[:R])
-        increment_laws(tables, [0, g.n])
-        tracemalloc.start()
-        try:
-            increment_laws(tables, [0, g.n])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
