@@ -53,7 +53,7 @@ from .groundstate import (
 )
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .leeyang import EXTRACTION_MAX_N, SpectrumError, check_extractable, localization_check, spectrum
-from .output import IntRows, jsonify, write_csv, write_json
+from .output import Cells, IntRows, jsonify, write_csv, write_json
 from .sampler import GibbsSampler, heights
 from .transfer import (
     CountingMask,
@@ -251,9 +251,9 @@ def _cmd_sample(args) -> int:
         write_json({"n": g.n, "h": g.h, "x": args.x, "count": args.count, "draws": draws},
                    os.path.join(out, "matchings.json"))
         theta, theta_hat = heights(profiles, t_grid, args.centering)
-        write_csv(os.path.join(out, "heights.csv"), {
-            "draw": np.repeat(np.arange(args.count), t_grid.size),
-            "t": np.tile(t_grid, args.count),
+        write_csv(os.path.join(out, "heights.csv"), {   # draw and t: their distinct cells
+            "draw": Cells(np.arange(args.count), np.repeat(np.arange(args.count), t_grid.size)),
+            "t": Cells(t_grid, np.tile(np.arange(t_grid.size), args.count)),
             "theta": theta.astype(np.int64).ravel(),
             "theta_hat": np.full(theta.size, np.nan) if theta_hat is None else theta_hat.ravel(),
         })

@@ -47,6 +47,7 @@ from .leeyang import EXTRACTION_MAX_N, SpectrumError, density_functionals, spect
 from .output import write_csv
 from .sampler import GibbsSampler, heights
 from .transfer import (
+    NEG_INF,
     EmptyMeasureError,
     MonomerPolynomial,
     batch_tables,
@@ -256,9 +257,17 @@ def write_config(cfg: ExperimentConfig) -> str:
 # replica tables
 # ---------------------------------------------------------------------------
 
+# the environments of the functionals check: streams 0..E-1 at its rung
+FUNCTIONAL_ENVIRONMENTS = 8
+
+
 @dataclass
 class ReplicaTable:
     columns: dict    # name -> one entry per row, in the order of the CSV columns
+    # with spectra, the (monic polynomial, spectrum) pairs of streams
+    # 0..FUNCTIONAL_ENVIRONMENTS-1 at the zero-extraction rung, which the
+    # functionals check reads; not written to the CSV
+    zeros: list = field(default_factory=list)
 
     def __len__(self):
         return self.columns["n"].size
@@ -292,29 +301,42 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
     return tuple(_check_weight_array(name, a) for name, a in zip(("nu", "omega_h", "omega_v"), out))
 
 
-def _batches(g: CylinderGraph, count: int, degree_layers: int, draws: int = 0) -> list[range]:
-    """Streams 0..count-1 in batches of ``replicas_per_batch``."""
+def _batches(g: CylinderGraph, stop: int, degree_layers: int, draws: int = 0,
+             start: int = 0) -> list[range]:
+    """Streams start..stop-1 in batches of ``replicas_per_batch``."""
     size = replicas_per_batch(g.H, g.n, degree_layers, draws)
-    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
+    return [range(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
-    """Sweep the ladder, recording one row per (length, replica stream)."""
-    H, chunks = cfg.fiber_graph(), []
+    """Sweep the ladder, recording one row per (length, replica stream);
+    with spectra, keep the zeros of the functionals check's environments
+    (``ReplicaTable.zeros``) from the rows of its rung."""
+    H, chunks, zeros = cfg.fiber_graph(), [], []
+    # with spectra, the largest rung that extracts zeros: the check's (_zero_extraction_rung)
+    rung = max(filter(cfg.degree_layers, cfg.n_ladder), default=None)
     for n in cfg.n_ladder:
         g = build_cylinder(n, H)
         k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
         for streams in _batches(g, cfg.replicas, cfg.degree_layers(n)):
-            chunks.append(_replica_chunk(g, cfg, streams, k_cut))
-    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]})
+            rows, pairs = _replica_chunk(g, cfg, streams, k_cut)
+            chunks.append(rows)
+            if n == rung:
+                zeros += pairs[: max(0, FUNCTIONAL_ENVIRONMENTS - streams.start)]
+    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, zeros)
 
 
 def _spectra(g: CylinderGraph, tables: dict):
     """Each replica's monic polynomial and its Lee-Yang spectrum, or None
     where extraction is refused (ill-conditioned coefficients), from one
-    vertex recursion over the weights of ``tables``."""
+    vertex recursion over the weights of ``tables``.  A replica with a -inf
+    vertex weight has no all-monomer coefficient, so no monic form: its
+    extraction is refused, (None, None)."""
     coeffs, = increment_laws(tables, [0, g.n])
     for lc in coeffs.T:
+        if lc[-1] == NEG_INF:
+            yield None, None
+            continue
         p = MonomerPolynomial(lc, g.num_vertices).monic()
         try:
             yield p, spectrum(p)
@@ -331,14 +353,16 @@ def _empty_stream(err: EmptyMeasureError, streams, n: int) -> ValueError:
                       " empty Gibbs measure")
 
 
-def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> dict:
-    """Rows of one batch from one table: log Z, the cumulants and the
-    sections from the two sweeps of ``cut_moments`` that meet at the cut;
-    M from the (max, +) sweep over the same table; with spectra the zeros
-    of every replica's polynomial from one vertex recursion over its
-    weights.  A rung past the extraction limit runs neither the recursion
-    nor a root finder: its rows keep NaN spectra, refused.  An empty Gibbs
-    measure (log Z = -inf) is refused, naming its stream."""
+def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> tuple:
+    """Rows of one batch from one table, and the (polynomial, spectrum)
+    pair of each replica whose zeros were extracted (``_spectra``): log Z,
+    the cumulants and the sections from the two sweeps of ``cut_moments``
+    that meet at the cut; M from the (max, +) sweep over the same table;
+    with spectra the zeros of every replica's polynomial from one vertex
+    recursion over its weights.  A rung past the extraction limit runs
+    neither the recursion nor a root finder: its rows keep NaN spectra,
+    refused, and it gives no pairs.  An empty Gibbs measure (log Z = -inf)
+    is refused, naming its stream."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size
     tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
@@ -357,14 +381,14 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
         "var_left": var_l,
         "var_right": var_r,
     }
+    pairs = list(_spectra(g, tables)) if cfg.degree_layers(g.n) else []
     if cfg.with_spectrum:   # a refused extraction keeps its row, with NaN spectra
         spec = np.full((R, 3), np.nan)
-        if cfg.degree_layers(g.n):
-            for r, (_, sp) in enumerate(_spectra(g, tables)):
-                if sp is not None:
-                    spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
+        for r, (_, sp) in enumerate(pairs):
+            if sp is not None:
+                spec[r] = (sp.max_abs(), *density_functionals(sp, 0.0, g.n))
         rows.update(zip(("max_lambda", "u_n", "varQ_n"), spec.T))
-    return rows
+    return rows, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -589,28 +613,35 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
 
 
 def functional_consistency_check(
-    cfg: ExperimentConfig, environments: int = 8, tol: float = 1e-9
+    cfg: ExperimentConfig, environments: int = FUNCTIONAL_ENVIRONMENTS, tol: float = 1e-9,
+    table: ReplicaTable | None = None,
 ) -> FunctionalReport:
     """Check u_n / varQ_n from the zero multiset against exact cumulants.
 
     Runs on the largest ladder rung whose polynomial degree still permits
     trustworthy root extraction (N <= ``EXTRACTION_MAX_N``); larger rungs
     are skipped because double-precision coefficients cannot resolve their
-    small zeros.
+    small zeros.  The environments are streams 0..environments-1 at that
+    rung.  The first ones come from ``table.zeros``, the zeros that the
+    campaign of ``cfg`` (``run_replicas``) extracted from the same weights;
+    only the rest are drawn and extracted here.  A refused extraction fails
+    the check, read or extracted alike.
     """
     g = build_cylinder(_zero_extraction_rung(cfg), cfg.fiber_graph())
     xs = np.asarray(cfg.x_grid, dtype=float)
+    pairs = table.zeros[:environments] if table is not None else []   # a copy
+    for envs in _batches(g, environments, g.n, start=len(pairs)):
+        pairs += _spectra(g, batch_tables(g, *_draw_weight_batch(g, cfg, envs)))
     gaps = []
     failures = 0
-    for envs in _batches(g, environments, g.n):
-        for p, sp in _spectra(g, batch_tables(g, *_draw_weight_batch(g, cfg, envs))):
-            if sp is None:
-                failures += 1
-                continue
-            for x in xs:
-                u, vq = density_functionals(sp, float(x), g.n)
-                mean, var = p.cumulants(float(x), 2)
-                gaps.append((abs(u - mean / g.n), abs(vq - var / g.n)))
+    for p, sp in pairs:
+        if sp is None:
+            failures += 1
+            continue
+        for x in xs:
+            u, vq = density_functionals(sp, float(x), g.n)
+            mean, var = p.cumulants(float(x), 2)
+            gaps.append((abs(u - mean / g.n), abs(vq - var / g.n)))
     # np.max keeps a NaN gap, which then fails ok; max(0.0, nan) would drop it
     max_u, max_vq = (float(v) for v in np.max(np.reshape(gaps, (-1, 2)), axis=0, initial=0.0))
     ok = failures == 0 and max_u <= tol and max_vq <= tol
@@ -806,7 +837,7 @@ CHECKS = {
     "brownian": Check(_check_height_campaign, lambda cfg: False, lambda cfg, table, est:
                       _block("brownian", brownian_fdd_check(cfg, est.u_hat, est.total_sigma2()))),
     "functionals": Check(_require_functionals, lambda cfg: cfg.with_spectrum, lambda cfg, table, est:
-                         _block("functionals", functional_consistency_check(cfg))),
+                         _block("functionals", functional_consistency_check(cfg, table=table))),
 }
 
 

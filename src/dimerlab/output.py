@@ -7,7 +7,8 @@ JSON values.  ``write_csv`` is the one CSV writer: the bytes of
 ``csv.writer`` in its excel dialect, fed ints, ``repr`` of floats and empty
 cells for NaN.  Both write from the arrays the routes hold, with no list or
 row object per draw or replica row between them and the file: a sample's
-draws come as one ``IntRows`` array, written by one join.
+draws come as one ``IntRows`` array, written by one join, and a column of
+few distinct values as ``Cells``, each value formatted once.
 """
 from __future__ import annotations
 
@@ -26,6 +27,15 @@ class IntRows(NamedTuple):
     list of lists; ``write_json`` writes it from the array."""
 
     padded: np.ndarray
+
+
+class Cells(NamedTuple):
+    """A CSV column of few distinct values: row i holds ``values[codes[i]]``.
+    ``write_csv`` formats each of ``values`` once and writes the rows from
+    those cells."""
+
+    values: np.ndarray
+    codes: np.ndarray
 
 
 def jsonify(obj):
@@ -161,15 +171,26 @@ def write_json(obj, path: str) -> None:
 CSV_BLOCK_CELLS = 1 << 10
 
 
+def _cells(values: np.ndarray) -> list:
+    """The CSV cells of an int or float array: an int by str, a float by
+    repr, NaN empty."""
+    return ["" if v != v else repr(v) for v in values.tolist()]
+
+
 def write_csv(path: str, columns: dict) -> None:
-    """Write ``columns`` (name -> an int or float array, one entry per row) to
-    ``path`` with the bytes of ``csv.writer`` in its excel dialect, fed
-    ints, ``repr`` of the floats and empty cells for NaN: a row is its cells
-    joined by "," and ended by "\\r\\n".  No cell of these tables needs
-    quoting, and none is a row alone.  The rows are formatted column by
-    column and written in blocks of about ``CSV_BLOCK_CELLS`` cells."""
+    """Write ``columns`` (name -> an int or float array, one entry per row,
+    or its ``Cells``) to ``path`` with the bytes of ``csv.writer`` in its
+    excel dialect, fed ints, ``repr`` of the floats and empty cells for NaN:
+    a row is its cells joined by "," and ended by "\\r\\n".  No cell of
+    these tables needs quoting, and none is a row alone.  The rows are
+    formatted column by column and written in blocks of about
+    ``CSV_BLOCK_CELLS`` cells; the values of ``Cells`` once, up front."""
     keys = list(columns)
-    rows, width = len(columns[keys[0]]), 2 * len(keys)   # a cell and what follows it
+    coded = {key: np.array(_cells(col.values), dtype=object)
+             for key, col in columns.items() if isinstance(col, Cells)}
+    first = columns[keys[0]]
+    rows = len(first.codes if keys[0] in coded else first)
+    width = 2 * len(keys)   # a cell and what follows it
     block = max(1, CSV_BLOCK_CELLS // len(keys))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(keys) + "\r\n")
@@ -177,6 +198,7 @@ def write_csv(path: str, columns: dict) -> None:
             hi = min(lo + block, rows)
             text = [","] * ((hi - lo) * width)
             text[width - 1 :: width] = ["\r\n"] * (hi - lo)
-            for j, key in enumerate(keys):   # an int by str, a float by repr, NaN empty
-                text[2 * j :: width] = ["" if v != v else repr(v) for v in columns[key][lo:hi].tolist()]
+            for j, key in enumerate(keys):
+                text[2 * j :: width] = (coded[key][columns[key].codes[lo:hi]].tolist() if key in coded
+                                        else _cells(columns[key][lo:hi]))
             fh.write("".join(text))

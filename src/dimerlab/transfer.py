@@ -243,19 +243,19 @@ class MonomerPolynomial:
 
 @lru_cache(maxsize=64)
 def _vertex_plan(H: HGraph) -> tuple:
-    """Index tuples of ``_vertex_sweep`` into the states of its message,
-    read as one axis per fiber vertex, axis h-1-c holding bit c of the
-    state (``_merged`` reads them as few axes): per layer parity p and fiber vertex b
-    (0-based), the half of bit b that the step keeps (index p), the half it
-    rewrites (1 - p), and per fiber edge e from an earlier vertex a to b
-    the source (b and a at p) and the target (b and a at 1 - p)."""
+    """The views of ``_vertex_sweep`` into the states of its message,
+    each as the (shape, index) of ``_merged``: per layer parity p and fiber
+    vertex b (0-based), the half of bit b that the step keeps (index p),
+    the half it rewrites (1 - p), and per fiber edge e from an earlier
+    vertex a to b the source (b and a at p) and the target (b and a at
+    1 - p).  The plan is built once per fiber, so no sweep merges axes."""
     h = H.h
 
-    def at(*bits):
+    def at(*bits):   # read as one axis per fiber vertex, axis h-1-c holding bit c of the state
         idx = [slice(None)] * h
         for c, x in bits:
             idx[h - 1 - c] = x
-        return tuple(idx)
+        return _merged(tuple(idx))
 
     return tuple(tuple((at((b, p)), at((b, 1 - p)),
                         tuple((e, at((b, p), (a - 1, p)), at((b, 1 - p), (a - 1, 1 - p)))
@@ -281,8 +281,8 @@ class LOG:
     """(logaddexp, +): per state the log of a sum of weights.
 
     The arithmetic of a ``_vertex_sweep``: an instance holds one sweep's
-    message ``flat[S, ...]``, started from ``v``; ``view(idx)`` gives the
-    states at a plan index as ``times`` and ``fold`` take them,
+    message ``flat[S, ...]``, started from ``v``; ``view(merged)`` gives the
+    states at a plan view as ``times`` and ``fold`` take them,
     ``times(a, w)`` weighs the states ``a`` by w in place, and ``fold(a,
     src, w, count)`` adds into ``a`` the states of ``src`` weighted by w
     with ``count`` more monomers.  Weights broadcast against the last axis
@@ -293,8 +293,8 @@ class LOG:
     def __init__(self, v: np.ndarray, h: int, L: int):
         self.flat = v.copy()
 
-    def view(self, idx):
-        shape, sub = _merged(idx)
+    def view(self, merged):
+        shape, sub = merged
         return self.flat.reshape(shape + self.flat.shape[1:])[sub]
 
     def times(self, a, w):
@@ -328,10 +328,10 @@ class MOMENT(LOG):
         self.arr = np.moveaxis(v, 1, 0).copy()   # channel-major: [c, S, r]
         self.flat = self.arr.transpose(1, 0, 2)
 
-    def view(self, idx):
-        """The log Z of the states at a plan index and their mean and
+    def view(self, merged):
+        """The log Z of the states at a plan view and their mean and
         variance, one array of two channels."""
-        shape, sub = _merged(idx)
+        shape, sub = merged
         a = self.arr.reshape((3,) + shape + self.arr.shape[2:])[(slice(None),) + sub]
         return a[0], a[1:]
 

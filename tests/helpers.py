@@ -152,6 +152,17 @@ def table_builds(call) -> int:
     return calls["batch_tables"]
 
 
+def root_finds(monkeypatch) -> list:
+    """Record each root-finder call of the zero extraction, ``np.roots`` in
+    ``leeyang``, as the size of its coefficient array.  Returns the live
+    list, one entry per call."""
+    from dimerlab import leeyang
+
+    sizes, roots = [], np.roots
+    monkeypatch.setattr(leeyang.np, "roots", lambda c: sizes.append(c.size) or roots(c))
+    return sizes
+
+
 def sweep_steps(monkeypatch) -> list:
     """Record each vertex recursion, ``transfer._vertex_sweep``, through
     every dimerlab module binding of it, as (the name of its arithmetic,

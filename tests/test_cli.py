@@ -205,6 +205,30 @@ def test_experiment_counts_and_prints_refused_spectra(tmp_path, capsys):
     assert "at n=8" not in printed
 
 
+def test_experiment_with_a_minus_inf_vertex_weight_refuses_only_its_spectra(tmp_path, capsys):
+    # a replica with a -inf vertex weight has no monic polynomial: the
+    # campaign records its row with empty spectral cells, counts it as
+    # refused, and the named functionals check fails; the spectrum command
+    # still refuses such an instance
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[graph]\nfiber = path(2)\n[disorder]\nvertex = bernoulli_shift(0.05,0,-inf)\n"
+                   "[ladder]\nn = 8, 16\nreplicas = 16\nseed = 3\nwith_spectrum = true\n")
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--checks", "functionals"]) == 1
+    printed = capsys.readouterr().out
+    assert "check failed: functionals" in printed
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "replicas.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    blank = {n: sum(r["n"] == n and r["max_lambda"] == r["u_n"] == r["varQ_n"] == "" for r in rows)
+             for n in ("8", "16")}
+    assert report["refused_spectra"] == blank and all(blank.values())
+    assert f"refused spectra: {blank['8']} of 16 at n=8, {blank['16']} of 16 at n=16\n" in printed
+    assert report["functionals"]["failures"] > 0 and not report["functionals"]["ok"]
+    assert main(["spectrum", "--n", "4", "--fiber", "path(2)", "--vertex", "constant(-inf)"]) == 2
+    assert "no monic form" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("law,reason", [
     ("uniform(0,inf)", "uniform(0.0,inf): parameter 2 must be finite"),
     ("uniform(-inf,0)", "uniform(-inf,0.0): parameter 1 must be finite"),

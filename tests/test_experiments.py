@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dimerlab import experiments, leeyang, output, transfer
+from dimerlab import experiments, output, transfer
 from dimerlab.graphs import (
     DOMAIN_GIBBS,
     DisorderSpec,
@@ -45,7 +45,7 @@ from dimerlab.experiments import (
     run_replicas,
     write_config,
 )
-from dimerlab.output import IntRows, jsonify, write_csv, write_json
+from dimerlab.output import Cells, IntRows, jsonify, write_csv, write_json
 from dimerlab.groundstate import max_weight
 from dimerlab.leeyang import SpectrumError, spectrum
 from dimerlab.sampler import GibbsSampler, heights
@@ -53,7 +53,9 @@ from dimerlab.transfer import (
     CountingMask, cut_moments, instance_tables, partition_polynomial, section_covariance,
 )
 
-from helpers import STD_NORMAL, batch_budget, count_calls, gauged, restrict, sweep_steps, table_builds
+from helpers import (
+    STD_NORMAL, batch_budget, count_calls, gauged, restrict, root_finds, sweep_steps, table_builds,
+)
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
 
@@ -294,19 +296,18 @@ def test_campaign_spectra_match_gauged_polynomials():
 def test_spectra_past_the_extraction_limit_compute_no_zeros(monkeypatch):
     # the polynomial workload's shape: path(4) at n = 8 (N = 32) and n = 48
     # (N = 192), 8 replicas, with the functional check.  Only N = 32 reaches
-    # the root finder: 8 campaign rows and 8 environments of the check, 16
-    # np.roots calls and 2 degree recursions, where extracting at n = 48
-    # too took 24 and 3
-    roots, calls = np.roots, []
-    monkeypatch.setattr(leeyang.np, "roots", lambda c: calls.append(c.size) or roots(c))
+    # the root finder: the 8 campaign rows, whose zeros the check reads, so
+    # 8 np.roots calls and 1 degree recursion, where extracting at n = 48
+    # too took 24 and 3, and the check extracting its own took 16 and 2
+    calls = root_finds(monkeypatch)
     steps = sweep_steps(monkeypatch)
     cfg = _small_cfg(fiber="path(4)", n_ladder=(8, 48), replicas=8, disorder=STD_NORMAL,
                      seed=7, with_spectrum=True)
     table = run_replicas(cfg)
     report, failed = experiments.run_checks(cfg, table, ["functionals"])
     assert failed == [] and report["functionals"].n == 8
-    assert calls == [17] * 16   # the even part of a degree-32 polynomial
-    assert [layers for name, layers, _ in steps if name == "degree"] == [8, 8]
+    assert calls == [17] * 8   # the even part of a degree-32 polynomial
+    assert [layers for name, layers, _ in steps if name == "degree"] == [8]
     assert report["refused_spectra"] == {8: 0, 48: 8}
     assert np.isnan([table.at(48, key) for key in ("max_lambda", "u_n", "varQ_n")]).all()
 
@@ -314,6 +315,90 @@ def test_spectra_past_the_extraction_limit_compute_no_zeros(monkeypatch):
 def test_functional_check_builds_one_table():
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=4, disorder=STD_NORMAL)
     assert table_builds(lambda: functional_consistency_check(cfg, environments=6)) == 1
+
+
+def _functionals_text(cfg, table=None) -> str:
+    return json.dumps(jsonify(functional_consistency_check(cfg, table=table)), sort_keys=True)
+
+
+def _spectral_cfg(replicas: int):
+    # path(2) at n = 8, 16 (N = 32, the check's rung) and 32 (past the limit)
+    return _small_cfg(fiber="path(2)", n_ladder=(8, 16, 32), replicas=replicas, disorder=STD_NORMAL,
+                      seed=4, with_spectrum=True, x_grid=(-1.0, 0.0, 1.5))
+
+
+def test_functional_check_reads_the_zeros_of_a_campaign_that_covers_it(monkeypatch):
+    # a campaign of at least FUNCTIONAL_ENVIRONMENTS replicas keeps the
+    # zeros of streams 0..7 at the check's rung, bit for bit those that the
+    # check extracts from its own draws: given the table, the check builds
+    # no table, runs no degree recursion and no root finder, and reports
+    # what it reports without it
+    cfg = _spectral_cfg(10)
+    table = run_replicas(cfg)
+    assert len(table.zeros) == experiments.FUNCTIONAL_ENVIRONMENTS == 8
+    g = build_cylinder(16, cfg.fiber_graph())
+    fresh = experiments._spectra(g, transfer.batch_tables(g, *_draw_weight_batch(g, cfg, range(8))))
+    for (p, sp), (q, sq) in zip(table.zeros, fresh, strict=True):
+        assert np.array_equal(p.log_coeffs, q.log_coeffs) and sp == sq
+    ref = _functionals_text(cfg)
+    steps, roots, got = sweep_steps(monkeypatch), root_finds(monkeypatch), []
+    assert table_builds(lambda: got.append(_functionals_text(cfg, table))) == 0
+    assert steps == [] and roots == []
+    assert got == [ref]
+
+
+def test_functional_check_extracts_only_the_environments_the_campaign_missed(monkeypatch):
+    # 3 replicas cover streams 0..2: the check draws streams 3..7 in one
+    # table, one degree recursion over their 5 columns and 5 root finds
+    cfg = _spectral_cfg(3)
+    table = run_replicas(cfg)
+    assert len(table.zeros) == 3
+    ref = _functionals_text(cfg)
+    steps, roots, got = sweep_steps(monkeypatch), root_finds(monkeypatch), []
+    assert table_builds(lambda: got.append(_functionals_text(cfg, table))) == 1
+    assert [(name, layers, columns) for name, layers, columns in steps] == [("degree", 16, 5)]
+    assert len(roots) == 5
+    assert got == [ref]
+
+
+def test_functional_check_reads_zeros_from_batches_smaller_than_its_environments(monkeypatch):
+    # a budget of 3 replicas splits the rung into batches of 3, 3, 3 and 1:
+    # the first 8 streams' zeros come from three batches, and the report is
+    # that of the default budget, with no table built
+    cfg = _spectral_cfg(10)
+    ref = _functionals_text(cfg)
+    H = cfg.fiber_graph()
+    batch_budget(monkeypatch, 3, H, 16, 16)
+    sizes, chunk = [], experiments._replica_chunk
+    monkeypatch.setattr(experiments, "_replica_chunk",
+                        lambda g, *a: sizes.append((g.n, len(a[1]))) or chunk(g, *a))
+    table = run_replicas(cfg)
+    assert [b for n, b in sizes if n == 16] == [3, 3, 3, 1]
+    assert len(table.zeros) == 8
+    got = []
+    assert table_builds(lambda: got.append(_functionals_text(cfg, table))) == 0
+    assert got == [ref]
+
+
+def test_a_minus_inf_vertex_weight_refuses_the_extraction(monkeypatch):
+    # a -inf vertex weight leaves no all-monomer coefficient, so no monic
+    # form: the campaign keeps that row with empty spectral cells, counted
+    # as refused, and the functionals check fails that environment, whether
+    # it reads the zeros from the campaign or extracts them itself
+    disorder = DisorderSpec(Law.parse("bernoulli_shift(0.05,0,-inf)"), Law.normal(0, 1))
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 16), replicas=16, disorder=disorder, seed=3,
+                     with_spectrum=True)
+    table = run_replicas(cfg)
+    report, failed = experiments.run_checks(cfg, table, ["functionals"])
+    for n in (8, 16):
+        g = build_cylinder(n, HGraph.path(2))
+        dead = [bool(np.isneginf(sample_weights(g, disorder, RngSeed(3, s)).nu).any()) for s in range(16)]
+        assert np.isnan(table.at(n, "max_lambda")).tolist() == dead, n
+        assert report["refused_spectra"][n] == sum(dead), n
+    rep = report["functionals"]
+    assert failed == ["functionals"] and not rep.ok
+    assert rep.n == 16 and rep.failures == sum(dead[:8]) > 0
+    assert _functionals_text(cfg) == _functionals_text(cfg, table)
 
 
 def _traced_peak(call) -> int:
@@ -722,8 +807,21 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, monkeypatch):
         columns = {"k": k[:rows], "x": x[:rows], "y": x[::-1][:rows]}
         path = tmp_path / f"{rows}.csv"
         write_csv(str(path), columns)
-        assert path.read_bytes() == _csv_writer_bytes(columns, lambda key, v: int(v) if key == "k"
-                                                      else "" if np.isnan(v) else repr(float(v)))
+        expect = _csv_writer_bytes(columns, lambda key, v: int(v) if key == "k"
+                                   else "" if np.isnan(v) else repr(float(v)))
+        assert path.read_bytes() == expect
+        # the first and last columns as Cells, each of its distinct cells
+        # (NaN and both zeros among them) from one value, in a new order
+        coded = dict(columns)
+        for key in ("k", "y"):
+            first = {}
+            for i, v in enumerate(columns[key].tolist()):
+                first.setdefault(repr(v), i)
+            cells = list(first)[::-1]
+            coded[key] = Cells(columns[key][list(first.values())[::-1]],
+                               np.array([cells.index(repr(v)) for v in columns[key].tolist()], dtype=int))
+        write_csv(str(path), coded)
+        assert path.read_bytes() == expect
 
 
 @dataclass
