@@ -24,6 +24,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -32,6 +33,7 @@ import numpy as np
 
 from .graphs import (
     DOMAIN_GIBBS,
+    DOMAIN_WEIGHTS,
     CylinderGraph,
     DisorderSpec,
     HGraph,
@@ -40,7 +42,7 @@ from .graphs import (
     _check_weight_array,
     build_cylinder,
     rng_generator,
-    weight_arrays,
+    stream_keys,
 )
 from .groundstate import max_values
 from .leeyang import EXTRACTION_MAX_N, SpectrumError, density_functionals, spectrum
@@ -65,8 +67,6 @@ def make_fiber(text: str) -> HGraph:
     text = text.strip().lower()
     if text in ("single", "point", "path(1)"):
         return HGraph.single()
-    import re
-
     m = re.fullmatch(r"(path|cycle|complete)\((\d+)\)", text)
     if m is None:
         raise ValueError(f"cannot parse fiber spec {text!r}")
@@ -290,15 +290,27 @@ class ReplicaTable:
 
 
 def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tuple:
-    """(nu, omega_h, omega_v) of the streams, ``[R, ...]``, drawn as
-    ``sample_weights`` draws them, each stream's draws written into its
-    row; NaN and +inf are refused once per batch."""
+    """(nu, omega_h, omega_v) of the streams, ``[R, ...]``, bit for bit as
+    ``sample_weights`` draws them, from one Philox re-keyed per stream to
+    its ``stream_keys`` key.  Consecutive draws of one generator are one
+    draw of their summed size, so a stream takes one ``Law.sample`` call
+    per law, one in all if the vertex and edge laws are equal; NaN and +inf
+    are refused once per batch."""
     shapes = ((g.n, g.h), (max(g.n - 1, 0), g.h), (g.n, len(g.H.edges)))
-    out = tuple(np.empty((len(streams),) + shape) for shape in shapes)
-    for r, s in enumerate(streams):
-        for row, draw in zip(out, weight_arrays(g, cfg.disorder, RngSeed(cfg.seed, stream=int(s)))):
-            row[r] = draw
-    return tuple(_check_weight_array(name, a) for name, a in zip(("nu", "omega_h", "omega_v"), out))
+    rows = [np.empty((len(streams), math.prod(shape))) for shape in shapes]
+    vertex, edge = cfg.disorder.vertex_law, cfg.disorder.edge_law
+    laws = [(vertex, rows)] if vertex == edge else [(vertex, rows[:1]), (edge, rows[1:])]
+    bits = np.random.Philox(0)
+    gen, state = np.random.Generator(bits), bits.state   # a fresh state: counter 0, empty buffer
+    for r, key in enumerate(stream_keys(cfg.seed, streams, DOMAIN_WEIGHTS)):
+        state["state"]["key"] = key
+        bits.state = state
+        for law, parts in laws:
+            draw, lo = law.sample(gen, sum(a.shape[1] for a in parts)), 0
+            for a in parts:
+                a[r], lo = draw[lo:lo + a.shape[1]], lo + a.shape[1]
+    return tuple(_check_weight_array(name, a).reshape(len(streams), *shape)
+                 for name, a, shape in zip(("nu", "omega_h", "omega_v"), rows, shapes))
 
 
 def _batches(g: CylinderGraph, stop: int, degree_layers: int, draws: int = 0,
@@ -444,18 +456,9 @@ def estimate_limits(table: ReplicaTable) -> LimitEstimates:
     if m < 2:
         raise ValueError("need at least 2 replicas at the top length")
     est = LimitEstimates(
-        n_top=top,
-        replicas=m,
-        f_hat=at_top["f"],
-        sigma2_F=at_top["var_f"],
-        u_hat=at_top["u"],
-        sigma2_Q=float(np.mean(table.at(top, "var_U"))) / top,
-        sigma2_A=_sample_var(mu) / top,
-        m_hat=at_top["m"],
-        sigma2_M=at_top["var_m"],
-        per_n=per_n,
-        drift={},
-        se={},
+        n_top=top, replicas=m, f_hat=at_top["f"], sigma2_F=at_top["var_f"], u_hat=at_top["u"],
+        sigma2_Q=float(np.mean(table.at(top, "var_U"))) / top, sigma2_A=_sample_var(mu) / top,
+        m_hat=at_top["m"], sigma2_M=at_top["var_m"], per_n=per_n, drift={}, se={},
     )
     # variance-of-variance standard errors under an approximate Gaussian null
     factor = math.sqrt(2.0 / (m - 1))
@@ -527,11 +530,8 @@ def _normality_stats(sample: np.ndarray):
     return (mean, var, *_skew_kurtosis(z), _ks_normal(z))
 
 
-def clt_checks(
-    table: ReplicaTable,
-    metrics=("log_z", "mean_U", "M"),
-    thresholds: Thresholds | None = None,
-) -> StatsSummary:
+def clt_checks(table: ReplicaTable, metrics=("log_z", "mean_U", "M"),
+               thresholds: Thresholds | None = None) -> StatsSummary:
     """Normality diagnostics of the replica samples at the top length (the
     skewness, excess kurtosis and KS distance of ``_normality_stats``); a
     metric the campaign did not record (an all-NaN column) is skipped."""

@@ -13,9 +13,19 @@ Weights attach a monomer weight ``nu`` to every vertex and a dimer weight
 ``omega`` to every edge.  The gauge-transformed edge weights
 ``omega - nu_u - nu_v`` (all vertex weights moved to zero) are computed
 when asked, by ``gauge``.
+
+Every (seed, stream, domain) triple keys its own Philox generator, whose
+stream is fixed by its key alone.  ``rng_generator`` takes the key from
+numpy's ``SeedSequence(entropy=seed, spawn_key=(stream, domain))``;
+``stream_keys`` computes the keys of a whole batch of streams at once by
+the same key schedule, which numpy keeps fixed (NEP 19): the seed's part
+of the mixing once per seed, the stream's and domain's words as array
+arithmetic over the batch.  The keys are equal bit for bit, so a
+generator re-keyed to them draws exactly what ``rng_generator``'s does.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -46,10 +56,112 @@ def rng_generator(seed: RngSeed, domain: int) -> np.random.Generator:
     """Counter-based generator for one (seed, stream, domain) triple.
 
     Streams are independent regardless of the order they are consumed in,
-    so replicas may be evaluated in any order or in parallel.
+    so replicas may be evaluated in any order or in parallel.  Its Philox
+    key is ``SeedSequence(entropy=seed, spawn_key=(stream, domain))``'s,
+    and a fresh Philox starts at counter 0 with an empty buffer: a Philox
+    set to that state and the key of ``stream_keys`` draws the same bits,
+    which is how a campaign draws its batches.  This route stays numpy's
+    own, the oracle that the batch route is tested against.
     """
     ss = np.random.SeedSequence(entropy=seed.seed, spawn_key=(seed.stream, domain))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# the constants of numpy's SeedSequence, whose key schedule numpy keeps
+# fixed under its stream-compatibility policy (NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _POOL = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, 4
+
+
+def _constant(j: int, init: int = _INIT_A, mult: int = _MULT_A) -> int:
+    """The hash constant that SeedSequence's j-th hash starts from."""
+    return init * pow(mult, j, 1 << 32) & _M32
+
+
+@functools.lru_cache(maxsize=64)
+def _block(k: int, init: int = _INIT_A, mult: int = _MULT_A) -> np.ndarray:
+    """The constants (c_j, c_j+1) of hashes j = k..k+3, one per pool word,
+    ``[2, 4, 1]``: no data changes them."""
+    c = [_constant(j, init, mult) for j in range(k, k + _POOL + 1)]
+    return _frozen(np.array([c[:-1], c[1:]], dtype=np.uint64)[:, :, None])
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+def _hash(word, c, c_next):
+    """SeedSequence's hash of 32-bit words, ints or uint64 arrays."""
+    word = (word ^ c) * c_next & _M32
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    x = (_MIX_L * x - _MIX_R * y) & _M32
+    return x ^ x >> 16
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of a nonnegative int, least significant first."""
+    return [n >> b & _M32 for b in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool, ``[4, 1]``, once the words of ``seed`` are
+    mixed in, and the hashes run so far.  A spawn key pads the seed's
+    words to the pool of four, so the pool fill and its all-pairs mix read
+    the seed alone: Python ints, once per seed, however many batches it
+    keys."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    pool = [_hash(word, _constant(j), _constant(j + 1)) for j, word in enumerate(entropy[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _constant(k), _constant(k + 1)))
+                k += 1
+    pool, k = _absorb(np.array(pool, dtype=np.uint64)[:, None], k, entropy[_POOL:])
+    return _frozen(pool), k
+
+
+def _absorb(pool: np.ndarray, k: int, words) -> tuple:
+    """Mix each entropy word into every pool word, from hash k on; the
+    pool and the hashes run.  A word is hashed once per pool word under
+    consecutive constants, so the four pool words take it at once."""
+    for word in words:
+        pool, k = _mix(pool, _hash(word, *_block(k))), k + _POOL
+    return pool, k
+
+
+def _keys(seed: int, stream_words: list, domain: int) -> np.ndarray:
+    """The keys ``[R, 2]`` of streams whose spawn keys have the same number
+    of words, ``stream_words`` (uint64 arrays over the streams)."""
+    pool, _ = _absorb(*_seed_pool(seed), stream_words + _words(domain))
+    # generate_state: each pool word hashed once more, paired low word first
+    out = _hash(pool, *_block(0, _INIT_B, _MULT_B))
+    return (out[0::2] | out[1::2] << 32).T.copy()
+
+
+def stream_keys(seed: int, streams, domain: int) -> np.ndarray:
+    """The Philox keys ``[R, 2]`` (uint64) of ``rng_generator`` for each of
+    ``streams``: ``SeedSequence(entropy=seed, spawn_key=(s, domain))
+    .generate_state(2, np.uint64)``, bit for bit.  The seed's part of the
+    mixing runs once (``_seed_pool``); only the stream's words and the
+    domain's are mixed in per stream, over the whole batch at once, as
+    uint64 arrays masked to 32 bits: they wrap silently where numpy's
+    uint32 scalars would warn (and the test suite turns that into an error).
+    """
+    s = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    keys = _keys(seed, [s & _M32], domain)
+    wide = s > _M32  # the spawn key of a stream from 2^32 on holds two words
+    if wide.any():
+        keys[wide] = _keys(seed, [s[wide] & _M32, s[wide] >> 32], domain)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +357,9 @@ class DisorderSpec:
 def _check_weight_array(name: str, arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     # -inf is a legitimate sentinel for a disabled vertex or edge; NaN and
-    # +inf are never meaningful and would silently poison the DP.
-    if np.isnan(arr).any() or (arr == np.inf).any():
+    # +inf are never meaningful and would silently poison the DP.  Neither
+    # compares below +inf, so one pass finds both.
+    if not (arr < np.inf).all():
         raise ValueError(f"{name} contains NaN or +inf entries")
     return arr
 
@@ -296,15 +409,6 @@ class WeightAssignment:
         )
 
 
-def weight_arrays(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> tuple:
-    """The unchecked (nu, omega_h, omega_v) draws of ``sample_weights``."""
-    gen = rng_generator(seed, DOMAIN_WEIGHTS)
-    nu = spec.vertex_law.sample(gen, (g.n, g.h))
-    omega_h = spec.edge_law.sample(gen, (max(g.n - 1, 0), g.h))
-    omega_v = spec.edge_law.sample(gen, (g.n, len(g.H.edges)))
-    return nu, omega_h, omega_v
-
-
 def sample_weights(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> WeightAssignment:
     """Draw an i.i.d. disorder environment for ``g``.
 
@@ -312,7 +416,11 @@ def sample_weights(g: CylinderGraph, spec: DisorderSpec, seed: RngSeed) -> Weigh
     in canonical order), so a given (seed, stream) pair always yields the
     same environment for the same graph shape and laws.
     """
-    return WeightAssignment(g, *weight_arrays(g, spec, seed))
+    gen = rng_generator(seed, DOMAIN_WEIGHTS)
+    nu = spec.vertex_law.sample(gen, (g.n, g.h))
+    omega_h = spec.edge_law.sample(gen, (max(g.n - 1, 0), g.h))
+    omega_v = spec.edge_law.sample(gen, (g.n, len(g.H.edges)))
+    return WeightAssignment(g, nu, omega_h, omega_v)
 
 
 def gauge(g: CylinderGraph, w: WeightAssignment) -> np.ndarray:

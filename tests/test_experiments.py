@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 import tracemalloc
@@ -560,18 +561,52 @@ def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
     assert run(brownian) == (7, ref[brownian][1])
 
 
+WEIGHT_LAWS = ("constant(-0.5)", "uniform(-1,2)", "normal(0.3,1.5)", "bernoulli_shift(0.3,-inf,0.5)",
+               "exponential_shift(2,-1)")
+
+
 def test_weight_batch_matches_single_draws():
-    # the stacked draws are bit-identical to one sample_weights per stream
-    g = build_cylinder(7, HGraph.cycle(3))
-    cfg = _small_cfg(fiber="cycle(3)", n_ladder=(7,), disorder=STD_NORMAL, seed=12)
-    streams = [0, 3, 4, 9]
-    ws = [sample_weights(g, STD_NORMAL, RngSeed(12, stream=s)) for s in streams]
-    for got, name in zip(_draw_weight_batch(g, cfg, streams), ("nu", "omega_h", "omega_v")):
-        assert np.array_equal(got, np.stack([getattr(w, name) for w in ws])), name
+    # the stacked draws are bit-identical to one sample_weights per stream,
+    # for every law kind, equal and unequal vertex and edge laws (one
+    # Law.sample call per stream or two), -inf weights, one layer (no
+    # horizontal edges), one fiber vertex (no fiber edges) and streams out
+    # of order, past 2^32 among them
+    streams = [9, 0, 2**32 + 5, 3, 4, 2**40 + 7]
+    for H, n in itertools.product([HGraph.single(), HGraph.cycle(3), HGraph.complete(4)], (1, 2, 7)):
+        g = build_cylinder(n, H)
+        for vertex in WEIGHT_LAWS:
+            for edge in WEIGHT_LAWS:
+                disorder = DisorderSpec(Law.parse(vertex), Law.parse(edge))
+                got = _draw_weight_batch(g, _small_cfg(disorder=disorder, seed=12), streams)
+                ws = [sample_weights(g, disorder, RngSeed(12, stream=s)) for s in streams]
+                for a, name in zip(got, ("nu", "omega_h", "omega_v")):
+                    assert np.array_equal(a, np.stack([getattr(w, name) for w in ws])), (n, vertex, edge, name)
     # and refused once for the batch if a law's draws overflow to +inf
+    g = build_cylinder(7, HGraph.cycle(3))
     bad = _small_cfg(disorder=DisorderSpec(Law.normal(0.0, 1.0), Law.parse("exponential_shift(1e-308,0)")))
     with pytest.raises(ValueError, match="omega_h contains NaN"):
         _draw_weight_batch(g, bad, streams)
+
+
+def test_a_campaign_draws_from_one_generator_per_batch(monkeypatch):
+    # the batch draw derives its keys itself: no SeedSequence and no
+    # rng_generator per stream, and one Philox per batch, re-keyed
+    from dimerlab import graphs
+
+    made = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: pytest.fail("built a SeedSequence"))
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(1) or philox(*a, **k))
+    calls = count_calls(monkeypatch, graphs, ["rng_generator", "sample_weights"])
+    builds = count_calls(monkeypatch, transfer, ["batch_tables"])
+    batch_budget(monkeypatch, 3, HGraph.path(2), 16)
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 16), replicas=8, disorder=STD_NORMAL, seed=4)
+    table = run_replicas(cfg)
+    assert calls == {"rng_generator": 0, "sample_weights": 0}
+    assert 0 < len(made) <= builds["batch_tables"] and builds["batch_tables"] >= 4
+    monkeypatch.undo()
+    for key, column in run_replicas(cfg).columns.items():
+        assert np.array_equal(table.columns[key], column, equal_nan=True), key
 
 
 def test_fibonacci_limit_estimates():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dimerlab.graphs import (
+    DOMAIN_GIBBS,
+    DOMAIN_WEIGHTS,
     DisorderSpec,
     HGraph,
     Law,
@@ -19,6 +21,7 @@ from dimerlab.graphs import (
     graph_payload,
     load_weights,
     sample_weights,
+    stream_keys,
 )
 from dimerlab.leeyang import localization_bound
 
@@ -144,6 +147,25 @@ def test_sample_weights_deterministic_per_seed():
     w3 = sample_weights(g, STD_NORMAL, RngSeed(42, 4))
     assert w1 == w2
     assert w1 != w3
+
+
+@pytest.mark.parametrize("domain", [DOMAIN_WEIGHTS, DOMAIN_GIBBS])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**199 + 12345],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+3", "200-bit"])
+def test_stream_keys_are_the_keys_of_seed_sequence(seed, domain):
+    # numpy's own key schedule is the oracle, for seeds of one to seven
+    # words (past the pool of four) and streams of one and two words, in
+    # one batch and alone
+    streams = [0, 3, 2**31 + 5, 2**32 - 1, 2**32, 2**40 + 7]
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(s, domain)).generate_state(2, np.uint64)
+            for s in streams]
+    keys = stream_keys(seed, streams, domain)
+    assert keys.dtype == np.uint64 and keys.shape == (len(streams), 2)
+    assert np.array_equal(keys, want)
+    assert np.array_equal(stream_keys(seed, np.array(streams[::-1], dtype=np.uint64), domain), want[::-1])
+    for s, key in zip(streams, want):
+        assert np.array_equal(stream_keys(seed, [s], domain), [key])
+    assert stream_keys(seed, [], domain).shape == (0, 2)
 
 
 def test_gauge_transform_moves_vertex_weights_onto_edges():

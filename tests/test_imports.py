@@ -3,6 +3,7 @@ function and class of the package is referenced."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -45,6 +46,41 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os, sys as system\n"
                      "from a.b import c, d\n__all__ = ['d']\nprint(system)\n")
     assert unused_imports(tree) == [(2, "os"), (3, "c")]
+
+
+def dimerlab_imports(tree: ast.Module) -> list:
+    """(line, module, name) of every ``from dimerlab... import name`` in
+    ``tree``, those inside functions included."""
+    return [(node.lineno, node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.partition(".")[0] == "dimerlab" for alias in node.names]
+
+
+def unresolved(module: str, name: str) -> bool:
+    """Whether ``from module import name`` fails: no attribute and no submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return False
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("perfbench/*.py")), ids=lambda p: p.name)
+def test_every_name_the_benchmark_imports_exists(path):
+    # the benchmark imports from the package inside its functions, so a
+    # renamed or removed name would fail a benchmark run, not an import
+    found = dimerlab_imports(ast.parse(path.read_text(), str(path)))
+    assert [(line, module, name) for line, module, name in found if unresolved(module, name)] == []
+
+
+def test_the_import_scan_sees_a_missing_name():
+    tree = ast.parse("def f():\n    from dimerlab.graphs import RngSeed, gone\n"
+                     "    from dimerlab import cli\n    from spans import Tracer\n")
+    found = dimerlab_imports(tree)
+    assert found == [(2, "dimerlab.graphs", "RngSeed"), (2, "dimerlab.graphs", "gone"), (3, "dimerlab", "cli")]
+    assert [name for _, module, name in found if unresolved(module, name)] == ["gone"]
 
 
 MODULES = {p.stem for p in PACKAGE} - {"__init__"}
