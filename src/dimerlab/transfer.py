@@ -28,7 +28,10 @@ depends on the batch.  The recursion takes its arithmetic as a class:
 * ``MAX`` = (max, +), the ground-state values (see ``groundstate``);
 * ``MOMENT``, next to log Z the Gibbs mean and variance of the monomer
   count, merged in the parallel-variance form, so that ``cut_moments``
-  gives exact cumulants, with no finite differences;
+  gives exact cumulants, with no finite differences; ``SCALED``, the same
+  with Z in linear form, rescaled per column after every layer, which
+  ``cut_moments`` runs where a certificate shows no term left float64's
+  range, and MOMENT for the other replicas;
 * ``DEGREE``, the log coefficients over the monomer count, of which a
   monomer is a shift by one: the exact count laws and the Lee-Yang spectra
   (capped by ``check_polynomial_caps``).
@@ -104,6 +107,7 @@ POLY_MAX_N = 1024
 SCALAR_MAX_H = 12
 
 NEG_INF = -np.inf
+LN2 = math.log(2.0)
 
 
 class CapacityError(ValueError):
@@ -286,7 +290,8 @@ class LOG:
     ``times(a, w)`` weighs the states ``a`` by w in place, and ``fold(a,
     src, w, count)`` adds into ``a`` the states of ``src`` weighted by w
     with ``count`` more monomers.  Weights broadcast against the last axis
-    (the replicas, or the blocks)."""
+    (the replicas, or the blocks).  ``layer()`` ends every layer, and the
+    sweep returns ``result(msg)`` of its message in state order."""
 
     name, plus = "log", np.logaddexp
 
@@ -302,6 +307,12 @@ class LOG:
 
     def fold(self, a, src, w, count):
         self.plus(a, src + w, out=a)
+
+    def layer(self):
+        pass
+
+    def result(self, msg):
+        return msg
 
 
 class MAX(LOG):
@@ -322,7 +333,9 @@ class MOMENT(LOG):
     (l = -inf) has share 1, and an empty term share 0, as ``np.fmax`` turns
     the NaN of -inf - -inf into 0: empty states keep finite moments."""
 
-    name = "moment"
+    # the product of two weights, and the share of a term t in z, added in place
+    name, mul = "moment", np.add
+    share = staticmethod(lambda z, t: np.exp(np.subtract(t, np.logaddexp(z, t, out=z), out=t), out=t))
 
     def __init__(self, v: np.ndarray, h: int, L: int):
         self.arr = np.moveaxis(v, 1, 0).copy()   # channel-major: [c, S, r]
@@ -336,13 +349,11 @@ class MOMENT(LOG):
         return a[0], a[1:]
 
     def times(self, a, w):
-        np.add(a[0], w, out=a[0])
+        self.mul(a[0], w, out=a[0])
 
     def fold(self, a, src, w, count):
-        log, mv = a
-        q = src[0] + w
-        np.logaddexp(log, q, out=log)
-        np.exp(np.subtract(q, log, out=q), out=q)
+        z, mv = a
+        q = self.share(z, self.mul(src[0], w))
         np.fmax(q, 0.0, out=q)
         d = src[1] - mv   # m' - m and v' - v
         dm, var = d[0], mv[1]
@@ -353,6 +364,41 @@ class MOMENT(LOG):
         dm -= step[0]
         dm *= step[0]
         var += dm   # v += q (1 - q) (m' - m)^2
+
+
+_RANGE_BITS, _FACTOR_BITS = 600, 288   # the certificate of SCALED, see there
+
+
+class SCALED(MOMENT):
+    """MOMENT with Z in channel 0 (Rabiner, Proc. IEEE 1989): the weights
+    are factors exp(w), and a term t = z_src exp(w) has share t / (z + t),
+    0 / 0 for two empty ones.  After every layer each column is scaled
+    exactly, by the power of two that brings its largest Z into [1/2, 1),
+    and the exponents e summed: log Z = log(Z) + e log 2.  ``ok`` holds
+    while no nonzero Z is below 2^-_RANGE_BITS; if also h |w| <=
+    _FACTOR_BITS log 2 for every finite weight w, no term left float64's
+    normal range, else one may have overflowed.  Message and result are
+    (msg, e, ok), or at the start MOMENT's message alone."""
+
+    name, mul = "scaled", np.multiply
+    share = staticmethod(lambda z, t: np.divide(t, np.add(z, t, out=z), out=t))
+
+    def __init__(self, v, h: int, L: int):
+        v, self.e, self.ok = v if isinstance(v, tuple) else (v, np.int64(0), True)
+        super().__init__(v, h, L)
+
+    def layer(self):
+        z = self.arr[0]
+        _, e = np.frexp(z.max(axis=0))
+        z *= np.ldexp(1.0, -e)
+        self.e = self.e + e
+        low = z.min(axis=0)
+        if not low.all():   # the least nonzero Z, by a slower reduction past the empty states
+            low = np.min(z, axis=0, initial=1.0, where=z > 0)
+        self.ok = self.ok & (low >= 2.0 ** -_RANGE_BITS)
+
+    def result(self, msg):
+        return msg, self.e, self.ok
 
 
 class DEGREE(LOG):
@@ -409,7 +455,7 @@ def _vertex_sweep(v: np.ndarray, nu, oh, ov, plan, arith=LOG, each=None) -> np.n
     skip = L - oh.shape[0]
     flat = ar.flat
     out = np.empty(({"layer": L, "vertex": L * h}[each],) + flat.shape) if each else None
-    with np.errstate(invalid="ignore"):   # MOMENT's share of two empty terms, see there
+    with np.errstate(invalid="ignore", over="ignore"):   # see MOMENT and SCALED
         for i in range(L):
             for b, (P, Q, edges) in enumerate(steps[i % 2]):
                 if i >= skip:   # the horizontal dimer reserved at the cut before
@@ -419,6 +465,7 @@ def _vertex_sweep(v: np.ndarray, nu, oh, ov, plan, arith=LOG, each=None) -> np.n
                     fold(dst, src, ov[i, e], 0)
                 if each == "vertex":
                     out[i * h + b] = flat
+            ar.layer()
             if each == "layer":
                 out[i] = flat[::-1] if i % 2 == 0 else flat
     if each == "vertex":   # from storage to state order
@@ -427,7 +474,7 @@ def _vertex_sweep(v: np.ndarray, nu, oh, ov, plan, arith=LOG, each=None) -> np.n
         return out[np.arange(L * h)[:, None], stored]
     if each:
         return out
-    return flat[::-1] if L % 2 else flat
+    return ar.result(flat[::-1] if L % 2 else flat)
 
 
 def _empty(S: int, *shape) -> np.ndarray:
@@ -461,22 +508,31 @@ def _both_ways(v: np.ndarray, tables: dict, fore: int, back: int, arith, x: floa
     ``v[S, ..., 1]`` at the empty set, the same for every column.  Over
     the min(fore, back) layers they share they run as one ``_vertex_sweep``:
     the halves' weights stack on the replica axis, columns ``:R`` forward
-    and ``R:`` flipped, in one copy that takes the tilt in place.  The
-    longer half then goes on alone from its columns of that message.
-    Returns the forward and the flipped message, or with ``each`` (and
-    fore == back) their stacks, views of the columns of one array."""
+    and ``R:`` flipped, in one copy that takes the tilt (and under SCALED
+    exp) in place.  The longer half then goes on alone from its columns of
+    that message, under SCALED from a contiguous copy of its weights (numpy
+    exponentiates a strided view by another loop, whose last bit can
+    differ, so that a row would depend on its batch).  Returns the
+    forward and the flipped message, or with ``each`` (and fore == back)
+    their stacks, views of the columns of one array."""
     ways, m = (_weights(tables), _weights(tables, flipped=True)), min(fore, back)
     rows = (m, m - 1, m)   # oh one row short: both halves start at an end
     nu, oh, ov = (np.concatenate([w[j][:, :r] for w in ways]) for j, r in enumerate(rows))
     nu += x
-    R = nu.shape[0] // 2
-    both = _vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (2 * R,)), nu, oh, ov, tables["plan"],
-                         arith, each)
-    del nu, oh, ov   # the stacked copy, before a longer half goes on
-    return tuple(half if layers == m else
-                 _vertex_sweep(half, nu[:, m:layers] + x, oh[:, m - 1 : layers - 1], ov[:, m:layers],
-                               tables["plan"], arith)
-                 for half, layers, (nu, oh, ov) in zip((both[..., :R], both[..., R:]), (fore, back), ways))
+    R, lin = nu.shape[0] // 2, arith is SCALED
+    with np.errstate(over="ignore"):   # a weight past SCALED's certificate, see there
+        for a in (nu, oh, ov) if lin else ():
+            np.exp(a, out=a)
+        both = _vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (2 * R,)), nu, oh, ov, tables["plan"],
+                             arith, each)
+        del nu, oh, ov   # the stacked copy, before a longer half goes on
+        halves = [tuple(a[..., c] for a in both) if lin else both[..., c]
+                  for c in (slice(None, R), slice(R, None))]
+        return tuple(half if layers == m else
+                     _vertex_sweep(half, *(np.exp(np.array(a)) if lin else a for a in (
+                         nu[:, m:layers] + x, oh[:, m - 1 : layers - 1], ov[:, m:layers])),
+                                   tables["plan"], arith)
+                     for half, layers, (nu, oh, ov) in zip(halves, (fore, back), ways))
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +561,24 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
 
     * per replica, the larger of two routes.  The forward and flipped
       sweeps of ``cut_moments`` as one (``_both_ways``): the halves'
-      weights stacked and tilted, W, and 15 x 2^h, the 2R-wide moment
-      message (6 x 2^h), a step's terms (5 x 2^h) and numpy's buffers for
-      them (up to 4 x 2^h), which also bounds the mix at the cut.  And
-      ``increment_laws``: the degree recursion's message, a step's terms
-      and their temporaries, 3 D x 2^h numbers for D degrees, and unless
-      the increment is the whole cylinder (``degree_layers == n``) the
-      forward and flipped LOG messages of every cut, 2 n x 2^h, beside
-      first the weights of both passes stacked, 2 W, then the degree
-      recursion.  The draw writes the weights into their rows, so it holds
-      no second copy;
+      weights stacked, tilted and exponentiated, W, and 15 x 2^h, the
+      2R-wide moment message (6 x 2^h), a step's terms (5 x 2^h) and
+      numpy's buffers for them (up to 4 x 2^h), which also bounds the mix
+      at the cut and the per-layer rescale.  And ``increment_laws``: over
+      the whole cylinder (``degree_layers == n``) 5/2 D x 2^h numbers for
+      D degrees, as fitted to traced peaks over R: the degree recursion's
+      message and a step's terms, 1.5 D x 2^h, and numpy's buffers for
+      them; else 3 D x 2^h with its close at a cut, beside the forward and
+      flipped LOG messages of every cut, 2 n x 2^h, and before it the
+      weights of both passes stacked, 2 W.  The draw writes the weights
+      into their rows, so it holds no second copy;
     * one ``GibbsSampler``: its per-vertex messages and the terms and laws
       of its moves, with a block of ``draws`` draws.
 
-    On top of all, ``_BATCH_FIXED`` bytes that do not grow with the batch:
-    numpy's iterator buffers, at most 8192 numbers per operand, and the
+    On top of all, 12 x 2^h numbers that the MOMENT sweeps of replicas
+    past the certificate of ``cut_moments`` may add to a batch's peak, and
+    ``_BATCH_FIXED`` bytes that do not grow with the batch: numpy's
+    iterator buffers, at most 8192 numbers per operand, and the
     interpreter's objects of a batch's routes.
     """
     h, S, mH = H.h, 1 << H.h, len(H.edges)
@@ -529,12 +588,12 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
     if degree_layers:
         held += 2 * (h * n + 1)
         D = h * degree_layers + 1
-        stage = max(stage, 3 * D * S if degree_layers == n else 2 * S * n + max(2 * W, 3 * D * S))
+        stage = max(stage, 5 * D * S // 2 if degree_layers == n else 2 * S * n + max(2 * W, 3 * D * S))
     sampler = 0
     if draws:
         moves = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
         sampler = n * h * S * (2 * moves + 3) + 3 * draws * n * h
-    return 8 * (R * held + max(R * stage, sampler)) + _BATCH_FIXED
+    return 8 * (R * held + max(R * stage, sampler) + 12 * S) + _BATCH_FIXED
 
 
 def _most(fits: Callable, top: int) -> int:
@@ -607,10 +666,11 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     and U - L (layers k+1..n) under the measure tilted by x; six arrays
     with one entry per replica.
 
-    A MOMENT sweep forward over layers 1..k and one over the flipped
+    A SCALED sweep forward over layers 1..k and one over the flipped
     layers n..k+1 meet at the reserved set S of cut k.  They run as one
     sweep (``_both_ways``) over the min(k, n - k) layers they share, and
-    the longer then goes on alone from its columns of that message.
+    the longer then goes on alone from its columns of that message; a
+    replica past SCALED's certificate runs again by MOMENT sweeps.
     Given S the two sections are independent, so with pi[S] proportional
     to fw[S] exp(h_k[S]) bw[S], h_k[S] the horizontal weight of S at cut
     k, and d = m - mean, the section laws mix over S: var_L = sum pi (v_L
@@ -619,17 +679,34 @@ def cut_moments(tables: dict, k: int, x: float = 0.0):
     A replica with no matching of finite weight is refused
     (``check_nonempty``).
     """
-    n = tables["n"]
+    n, h = tables["n"], tables["h"]
     check_cut(k, n)
-    start = np.zeros((1 << tables["h"], 3, 1))
-    start[1:, 0] = NEG_INF
-    fw, bw = _both_ways(start, tables, k, n - k, MOMENT, x)
+    top = NEG_INF   # per replica the largest |w| of a finite weight, at tilt x
+    for a, s in ((tables["nu"], x), (tables["oh"], 0.0), (tables["ov"], 0.0)):
+        hi, lo = a.max(axis=(1, 2), initial=NEG_INF), a.min(axis=(1, 2), initial=np.inf)
+        if (lo == NEG_INF).any():   # a slower reduction, past the -inf weights
+            lo = np.min(a, axis=(1, 2), initial=np.inf, where=a > NEG_INF)
+        top = np.fmax(top, np.fmax(hi + s, -(lo + s)))
+    start = np.zeros((1 << h, 3, 1))
+    start[0, 0] = 1.0
+    (fw, e_fw, ok_fw), (bw, e_bw, ok_bw) = _both_ways(start, tables, k, n - k, SCALED, x)
     # mix replica-major: each sum over S then runs along one contiguous row,
     # whose order of additions does not depend on the batch size; one half
     # at a time, so that off centre the joint message or the longer half's
     # own is freed before the second copy (12 x 2^h numbers per replica)
     fw = np.ascontiguousarray(fw.transpose(1, 2, 0))
     bw = np.ascontiguousarray(bw.transpose(1, 2, 0))
+    with np.errstate(divide="ignore"):   # log Z = -inf at an empty state
+        fw[0], bw[0] = (np.log(half[0]) + e[:, None] * LN2 for half, e in ((fw, e_fw), (bw, e_bw)))
+    # replicas past the certificate again by MOMENT sweeps, before an empty measure
+    # is refused, in parts of at most R / 2 that keep the batch within its model
+    redo = np.flatnonzero(~(ok_fw & ok_bw & (h * top <= _FACTOR_BITS * LN2)))
+    start[1:, 0], start[0, 0] = NEG_INF, 0.0
+    part = max(fw.shape[1] // 2, 1)
+    for rows in (redo[i : i + part] for i in range(0, redo.size, part)):
+        sub = {**tables, **{key: tables[key][rows] for key in ("nu", "oh", "ov")}}
+        for half, v in zip((fw, bw), _both_ways(start, sub, k, n - k, MOMENT, x)):
+            half[:, rows] = v.transpose(1, 2, 0)
     logp = fw[0] + _set_sums(tables["oh"][:, k - 1]).T + bw[0]
     top = check_nonempty(logp.max(axis=1))
     pi = np.exp(logp - top[:, None])

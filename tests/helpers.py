@@ -166,7 +166,7 @@ def root_finds(monkeypatch) -> list:
 def sweep_steps(monkeypatch) -> list:
     """Record each vertex recursion, ``transfer._vertex_sweep``, through
     every dimerlab module binding of it, as (the name of its arithmetic,
-    "log", "max", "moment" or "degree", its layers and its columns: the
+    "log", "max", "moment", "scaled" or "degree", its layers and its columns: the
     replicas, both halves' of a forward and flipped pair, or the blocks).
     Returns the live list, one entry per recursion."""
     from dimerlab import transfer

@@ -258,16 +258,17 @@ def test_each_batch_builds_one_table_and_no_tilted_sweeps(monkeypatch):
         table = run_replicas(cfg)
         assert len(table) == replicas
         assert calls == {"batch_tables": sum(map(len, sizes.values())), "partition_polynomial": 0}, with_spectrum
-        # per batch of R: the two MOMENT sweeps that meet at the cut (k = 3
-        # of 6 and k = 4 of 9) run as one over 2R columns for the min(k,
-        # n - k) layers they share, and the longer half goes on over its
-        # other layers on R; then the MAX one over n layers, and with
-        # spectra one DEGREE recursion over n layers and no LOG one
+        # per batch of R: the two SCALED moment sweeps that meet at the cut
+        # (k = 3 of 6 and k = 4 of 9) run as one over 2R columns for the
+        # min(k, n - k) layers they share, and the longer half goes on over
+        # its other layers on R, with no MOMENT sweep of a replica past the
+        # certificate; then the MAX one over n layers, and with spectra one
+        # DEGREE recursion over n layers and no LOG one
         expect = []
         for n, k in ((6, 3), (9, 4)):
             for R in sizes[n]:
-                expect += ([("moment", min(k, n - k), 2 * R)]
-                           + [("moment", abs(n - 2 * k), R)] * (n != 2 * k)
+                expect += ([("scaled", min(k, n - k), 2 * R)]
+                           + [("scaled", abs(n - 2 * k), R)] * (n != 2 * k)
                            + [("max", n, R)] + [("degree", n, R)] * with_spectrum)
         assert sorted(steps) == sorted(expect), with_spectrum
 
@@ -437,6 +438,23 @@ def test_batch_model_bounds_the_traced_peak(h, n, R, spectra, k):
     _replica_chunk(g, cfg, range(2), k)
     peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), k))
     model = transfer.batch_bytes(g.H, n, R, n if spectra else 0)
+    assert peak <= model <= 2 * peak, (model, peak)
+
+
+@pytest.mark.parametrize("h, n, R, k", [(2, 512, 256, 256), (4, 128, 64, 64), (12, 16, 4, 8), (12, 5, 2, 2)])
+def test_batch_model_bounds_the_traced_peak_past_the_certificate(monkeypatch, h, n, R, k):
+    # normal(0,100) weights put every replica past the certificate of the
+    # scaled moment sweep: the MOMENT sweeps that run them again, in parts
+    # of at most R / 2 beside the batch's messages, stay within its model
+    steps = sweep_steps(monkeypatch)
+    cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=R, with_ground=True,
+                     disorder=DisorderSpec(Law.normal(0.0, 100.0), Law.normal(0.0, 100.0)))
+    g = build_cylinder(n, cfg.fiber_graph())
+    _replica_chunk(g, cfg, range(2), k)
+    steps.clear()
+    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), k))
+    assert ("moment", min(k, n - k), 2 * max(R // 2, 1)) in steps
+    model = transfer.batch_bytes(g.H, n, R)
     assert peak <= model <= 2 * peak, (model, peak)
 
 

@@ -197,6 +197,48 @@ def test_a_transposed_grid_has_the_same_values():
             assert np.max(np.abs(lc[both] - lc_t[both])) <= 1e-12, (h, n)
 
 
+def _relabelled(tables, perm):
+    """The batch of ``tables`` over its fiber relabelled, vertex b as
+    ``perm[b]`` (0-based): the same cylinder, whose vertex plan and move
+    codes visit the vertices in another order."""
+    H = tables["H"]
+    moved = {tuple(sorted((perm[a - 1] + 1, perm[c - 1] + 1))): e for e, (a, c) in enumerate(H.edges)}
+    H_p = HGraph(H.h, tuple(moved))
+    old = np.argsort(perm)   # new vertex j is old vertex old[j]
+    return batch_tables(build_cylinder(tables["n"], H_p), tables["nu"][..., old], tables["oh"][..., old],
+                        tables["ov"][..., [moved[edge] for edge in H_p.edges]])
+
+
+def test_a_relabelled_fiber_has_the_same_values():
+    # relabelling the fiber's vertices gives the same cylinder through
+    # another vertex plan and other move codes: at fiber sizes 1 to 12 (the
+    # layer oracle stops at 7), with -inf vertex and edge weights, every
+    # column of cut_moments (cov relative to var_U), the LOG and MAX
+    # remainders of every cut relative to the value they split, the
+    # coefficients where h <= 6, and the value of the backward step
+    rng = np.random.default_rng(14)
+    for h in range(1, 13):
+        H = HGraph.cycle(h) if h % 2 and h > 1 else HGraph.path(h)
+        n = 7 if h <= 4 else 5 if h <= 8 else 3
+        arrays = [rng.normal(size=(2, rows, cols)) for rows, cols in ((n, h), (n - 1, h), (n, len(H.edges)))]
+        for a in arrays:
+            a[rng.random(a.shape) < 1 / 12] = NEG_INF
+        tables = batch_tables(build_cylinder(n, H), *arrays)
+        sides = tables, _relabelled(tables, rng.permutation(h))
+        for k in range(1, n):
+            got, ref = (np.array(cut_moments(t, k, 0.3)) for t in sides)
+            for c in range(6):
+                _assert_rel(got[c], ref[c], np.abs(ref[2]) if c == 5 else np.maximum(np.abs(ref[c]), 1.0))
+        for arith, x in ((LOG, 0.3), (MAX, 0.0)):
+            (got, value), (ref, ref_value) = ((cut_remainders(t, arith, x), [transfer.move_terms(t, r, arith, x)[0]
+                                                                            for r in range(2)]) for t in sides)
+            scale = np.maximum(np.abs(ref_value), 1.0)
+            _assert_rel(got, ref, scale)
+            _assert_rel(np.array(value), np.array(ref_value), scale)
+        if h <= transfer.POLY_MAX_H:
+            _assert_laws_close(*(increment_laws(t, [0, n])[0] for t in sides))
+
+
 def _section_oracle(g, w, k, x):
     """var_left, var_right and cov at cut k under tilt x, from the masked
     enumerated polynomials and section_covariance; the tilt shifts every
@@ -643,10 +685,13 @@ def test_polynomials_run_one_degree_sweep_over_the_counted_layers(monkeypatch):
 def _separate_sweeps(v, tables, fore, back, arith, x=0.0, each=None):
     """The reference of ``transfer._both_ways``: the forward sweep over
     ``fore`` layers and the flipped one over ``back``, each its own
-    ``_vertex_sweep`` over the R replicas from the first layer on."""
+    ``_vertex_sweep`` over the R replicas from the first layer on, under
+    SCALED from contiguous copies of the weights, exponentiated."""
     R = tables["nu"].shape[0]
-    return [_vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (R,)), nu[:, :layers] + x,
-                          oh[:, : layers - 1], ov[:, :layers], tables["plan"], arith, each)
+    factors = (lambda a: np.exp(np.array(a))) if arith is transfer.SCALED else np.asarray
+    return [_vertex_sweep(np.broadcast_to(v, v.shape[:-1] + (R,)),
+                          *map(factors, (nu[:, :layers] + x, oh[:, : layers - 1], ov[:, :layers])),
+                          tables["plan"], arith, each)
             for layers, (nu, oh, ov) in zip((fore, back), (transfer._weights(tables, flipped)
                                                            for flipped in (False, True)))]
 
@@ -685,6 +730,55 @@ def test_forward_and_flipped_halves_in_one_sweep_keep_every_bit(monkeypatch):
     for tables, name, call, joint in cases:
         apart = call()
         assert len(joint) == len(apart) and all(map(np.array_equal, joint, apart)), (tables["H"], name)
+
+
+def _past_the_certificate():
+    """Batches whose replica 0 is past the certificate of the scaled moment
+    sweep (``transfer.SCALED``), beside two normal(0,1) replicas: at
+    path(2), of normal(0,100) weights; at path(12), n = 4, of weights about
+    -50, whose terms underflow inside a layer; and at path(2), n = 24, of
+    weights in [-99, 99], within the weight bound, whose states spread past
+    the range bound, with -inf vertex and edge weights as the batch's other
+    replicas have."""
+    def draw(g, R, rng, law, dead):
+        arrays = [law(rng, (R, rows, cols)) for rows, cols in ((g.n, g.h), (g.n - 1, g.h), (g.n, len(g.H.edges)))]
+        for a, p in zip(arrays, (dead, 0.4 * dead, 0.6 * dead)):
+            a[rng.random(a.shape) < p] = NEG_INF
+        return arrays
+
+    rng = np.random.default_rng(92)
+    for n, h, law, dead in ((9, 2, lambda r, size: r.normal(0.0, 100.0, size), 0.0),
+                            (4, 12, lambda r, size: r.normal(-50.0, 0.1, size), 0.0),
+                            (24, 2, lambda r, size: r.uniform(-99.0, 99.0, size), 0.5)):
+        g = build_cylinder(n, HGraph.path(h))
+        past = draw(g, 1, np.random.default_rng(25) if dead else rng, law, dead)
+        yield batch_tables(g, *map(np.concatenate, zip(past, draw(g, 2, rng, lambda r, size: r.normal(size=size),
+                                                                  dead / 10))))
+
+
+def test_replicas_past_the_certificate_run_the_moment_sweep(monkeypatch):
+    # cut_moments sweeps in scaled linear arithmetic; a replica past its
+    # certificate runs again by the MOMENT sweeps, alone of its batch and
+    # before an empty measure is refused: its row is that of the MOMENT
+    # route, the other rows are not, and every row is the replica's alone
+    steps = sweep_steps(monkeypatch)
+    for tables in _past_the_certificate():
+        n, R = tables["n"], tables["nu"].shape[0]
+        for k, x in ((n // 2, 0.0), (1, 0.4)):
+            steps.clear()
+            got = np.array(cut_moments(tables, k, x))
+            assert [s for s in steps if s[0] == "moment"][0] == ("moment", min(k, n - k), 2)
+            with monkeypatch.context() as m:   # every replica past the certificate
+                m.setattr(transfer, "_FACTOR_BITS", -np.inf)
+                log = np.array(cut_moments(tables, k, x))
+            assert np.array_equal(got[:, 0], log[:, 0]), (tables["H"], k)
+            assert not np.array_equal(got[:, 1:], log[:, 1:]), (tables["H"], k)
+            for r in range(R):
+                alone = {**tables, **{key: tables[key][r : r + 1] for key in ("nu", "oh", "ov")}}
+                assert np.array_equal(got[:, r], np.array(cut_moments(alone, k, x))[:, 0]), (tables["H"], k, r)
+            if tables["h"] <= 7:
+                for c, ref in enumerate(layer_cut_moments(tables, k, x)):
+                    _assert_rel(got[c], ref, np.abs(got[2]) if c == 5 else np.maximum(np.abs(ref), 1.0))
 
 
 def test_increment_laws_refuse_bad_cuts():
