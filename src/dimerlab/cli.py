@@ -237,7 +237,7 @@ def _cmd_sample(args) -> int:
     block = draws_per_block(g.H, g.n, 0, args.count)
     sampler = GibbsSampler(instance_tables(g, w), x=args.x)
     gen = rng_generator(RngSeed(args.seed, stream=args.stream), DOMAIN_GIBBS)
-    moves = np.concatenate([sampler.draw_states(gen, min(block, args.count - lo))
+    moves = np.concatenate([sampler.draw_states([gen], min(block, args.count - lo))[0]
                             for lo in range(0, args.count, block)])
     t_grid = np.linspace(0.0, 1.0, args.t_points)
     profiles = sampler.monomer_profiles(moves)

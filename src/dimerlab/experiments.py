@@ -357,12 +357,9 @@ def _spectra(g: CylinderGraph, tables: dict):
 
 
 def _empty_stream(err: EmptyMeasureError, streams, n: int) -> ValueError:
-    """The refusal of a batch's empty replicas, naming the first one's
-    stream, and how many there are where the whole batch was checked."""
-    empty = np.asarray(streams)[err.replicas]
-    count = "" if err.alone else f" ({empty.size} of the {len(streams)} replicas of its batch)"
-    return ValueError(f"stream {empty[0]} at n={n} has no matching of finite weight{count}:"
-                      " empty Gibbs measure")
+    """The refusal of a batch's empty replicas, naming the first one's stream."""
+    return ValueError(f"stream {streams[err.replicas[0]]} at n={n} has no matching of finite weight"
+                      f" ({err.replicas.size} of the {len(streams)} replicas of its batch): empty Gibbs measure")
 
 
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> tuple:
@@ -698,10 +695,11 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     variance ratios against sigma^2 * dt, pairwise correlations, and
     per-increment normality (``_ks_normal`` of the standardized draws,
     ``_lattice_normal_distance`` of the exact laws).  The environments come
-    in batches, one table each: each sampler reads its replica and draws
-    in blocks of ``transfer.draws_per_block``, which give the draws of one
-    block of all, and ``increment_laws`` gives every exact increment law,
-    whose mean over the environments is the law of the pooled draws.
+    in batches, one table and one sampler each, which draws every
+    environment from its own stream in blocks of ``transfer.draws_per_block``
+    (the draws of one block of all), and ``increment_laws`` gives every
+    exact increment law, whose mean over the environments is the law of
+    the pooled draws.
     """
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
@@ -713,19 +711,18 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     block = draws_per_block(g.H, n, degree_layers, cfg.gibbs_samples)
     for envs in _batches(g, cfg.height_envs, degree_layers, block):
         tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
-        for r, env in enumerate(envs):
-            try:
-                sampler = GibbsSampler(tables, r)
-            except EmptyMeasureError as err:
-                raise _empty_stream(err, envs, n) from err
-            gen = rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS)
-            for lo in range(0, cfg.gibbs_samples, block):
-                moves = sampler.draw_states(gen, min(block, cfg.gibbs_samples - lo))
-                theta, scaled = heights(sampler.monomer_profiles(moves), t, u_hat)
-                raw.append(np.diff(theta, axis=1))
-                paths.append(scaled)
-                del moves   # one block at a time, as the batch model counts
-            del sampler   # one at a time, as the batch model counts
+        try:
+            sampler = GibbsSampler(tables)
+        except EmptyMeasureError as err:
+            raise _empty_stream(err, envs, n) from err
+        gens = [rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS) for env in envs]
+        # a block of draws at a time; the heights [r, d, t] join along d: env-major rows
+        blocks = [heights(sampler.monomer_profiles(sampler.draw_states(gens, min(block, cfg.gibbs_samples - lo))),
+                          t, u_hat) for lo in range(0, cfg.gibbs_samples, block)]
+        theta, scaled = (np.concatenate(a, axis=1).reshape(-1, t.size) for a in zip(*blocks))
+        raw.append(np.diff(theta, axis=1))
+        paths.append(scaled)
+        del sampler, blocks   # before the laws, as the batch model counts
         laws.append(increment_laws(tables, cuts))
         del tables   # before the next batch's
     raw_inc = np.concatenate(raw, axis=0)

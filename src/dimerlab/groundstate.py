@@ -54,14 +54,14 @@ def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
     The matching's weight, summed over the flat weights at ``edge_ends``,
     must give the value: every ground state checks the edge numbering of
     ``decode_moves`` against ``edge_ends``."""
-    value, terms, code, prev = move_terms(instance_tables(g, w), 0, MAX)
+    (value,), (terms,), code, prev = move_terms(instance_tables(g, w), MAX)
     best = terms.argmax(axis=-1)
     moves, s = np.empty((1, g.n, g.h), dtype=np.intp), 0
     for i in range(g.n - 1, -1, -1):
         for b in range(g.h - 1, -1, -1):
             j = best[i, b, s]
             moves[0, i, b], s = code[b, s, j], prev[b, s, j]
-    gs = GroundState(value=value, matching=decode_moves(g.n, g.H, moves)[0])
+    gs = GroundState(value=float(value), matching=decode_moves(g.n, g.H, moves)[0])
     achieved = matching_weight(g, w, gs.matching)
     if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
         raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")

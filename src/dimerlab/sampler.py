@@ -10,10 +10,10 @@ times the move's weight, are the exact conditional law of the move given
 the state after it, so drawing the moves backward from the empty set after
 the last vertex draws from the Gibbs measure itself - no Markov chain, no
 mixing time.  A ``GibbsSampler`` keeps the cumulative law of the moves into
-every state after every vertex.  Draw d takes one uniform per vertex, the
-row d of ``gen.random((count, n * h))``, and inverts each vertex's law at
-it: the uniforms are consumed draw-major, so draws taken in blocks are the
-draws taken at once.
+every state after every vertex of every replica of its batch.  Draw d of
+replica r inverts each vertex's law at one uniform, row d of
+``gens[r].random((count, n * h))``: consumed draw-major, so draws taken in
+blocks, or alone, are the draws taken at once.
 
 One decoder, ``decode_edges``, turns the moves of every draw into its
 matching by one fancy index and one sort: row d of a ``[count, n * h]`` int
@@ -54,14 +54,15 @@ def matching_weight(g: CylinderGraph, w: WeightAssignment, m: Matching) -> float
 
 def heights(profiles: np.ndarray, t, centering: float | None = None):
     """Heights theta(t) = U_[1:floor(nt)] of each draw from its unpaired
-    count per layer (``profiles``, shape (draws, n)), and with a centering u
+    count per layer (``profiles``, ``[..., n]``), and with a centering u
     the scaled height (theta(t) - n t u) / sqrt(n), else None."""
     t = np.asarray(t, dtype=float)
     if (t < 0).any() or (t > 1).any():
         raise ValueError("t grid must lie in [0, 1]")
-    n = profiles.shape[1]
-    prefix = np.cumsum(np.pad(profiles, ((0, 0), (1, 0))), axis=1)
-    theta = prefix[:, np.floor(n * t).astype(int)].astype(float)
+    n = profiles.shape[-1]
+    prefix = np.pad(profiles, ((0, 0),) * (profiles.ndim - 1) + ((1, 0),))
+    np.cumsum(prefix, axis=-1, out=prefix)
+    theta = prefix[..., np.floor(n * t).astype(int)].astype(float)
     if centering is None:
         return theta, None
     return theta, (theta - n * t * centering) / np.sqrt(n)
@@ -72,47 +73,49 @@ ZERO_MASS = -2
 
 
 def _cumulative_law(t: np.ndarray) -> np.ndarray:
-    """The cumulative law along the last axis of log weights ``t``, in
-    place, normalised by its own last entry so that it ends at exactly 1.0;
-    a row of -inf weights (zero mass) becomes zeros."""
-    top = t.max(axis=-1, keepdims=True)
+    """The cumulative law of the moves of log weights ``t[..., j]``, moves
+    first, ``[j, ...]``: normalised by its own last entry so that it ends at
+    exactly 1.0, and a row of -inf weights (zero mass) all zeros."""
+    top = t.max(axis=-1)
     top[top == NEG_INF] = 0.0
-    np.exp(t - top, out=t)
-    np.cumsum(t, axis=-1, out=t)
-    total = t[..., -1:]
-    t /= np.where(total > 0.0, total, 1.0)
-    return t
+    law = np.subtract(np.moveaxis(t, -1, 0), top, out=np.empty((t.shape[-1], *top.shape)))
+    np.cumsum(np.exp(law, out=law), axis=0, out=law)
+    law /= np.where(law[-1] > 0.0, law[-1], 1.0)
+    return law
 
 
 class GibbsSampler:
-    """Backward exact sampler of replica r of ``tables`` at tilt x: the
-    cumulative law ``law[i, b, s, j]`` of the moves into each state s after
-    every vertex (i, b) (``transfer.move_terms``), from one forward sweep."""
+    """Backward exact sampler of every replica of ``tables`` at tilt x: the
+    cumulative law ``law[j, r, i, b, s]`` of the moves into each state s after
+    every vertex (i, b) (``transfer.move_terms``), from one sweep over the batch."""
 
-    def __init__(self, tables: dict, r: int = 0, x: float = 0.0):
-        self.n, self.H, self.x = tables["n"], tables["H"], x
-        self.log_z, terms, code, prev = move_terms(tables, r, LOG, x)
+    def __init__(self, tables: dict, x: float = 0.0):
+        self.n, self.H = tables["n"], tables["H"]
+        self.log_z, terms, code, prev = move_terms(tables, LOG, x)
         self.law = _cumulative_law(terms)
         # one column past the moves, which only a law of zero mass (all 0) reaches
         self.code, self.prev = (np.pad(a, ((0, 0), (0, 0), (0, 1)), constant_values=v)
                                 for a, v in ((code, ZERO_MASS), (prev, 0)))
 
-    def draw_states(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """The moves of ``count`` draws, ``[d, i, b]`` (the codes of
-        ``transfer.MONOMER`` and the others), drawn backward from the empty
-        set after the last layer; draw d inverts the law of vertex (i, b)
-        at ``gen.random((count, n * h))[d, i * h + b]``."""
-        n, h = self.n, self.H.h
-        u = gen.random((count, n * h)).T.copy()
-        moves = np.empty((n * h, count), dtype=np.intp)
-        cur = np.zeros(count, dtype=np.intp)
-        law = self.law.reshape(n * h, *self.law.shape[2:])
+    def draw_states(self, gens, count: int) -> np.ndarray:
+        """The moves ``[r, d, i, b]`` of ``count`` draws of every replica (the
+        codes of ``transfer.MONOMER`` and the others), drawn backward from the
+        empty set after the last layer: draw d of replica r inverts the law of
+        vertex (i, b) at ``gens[r].random((count, n * h))[d, i * h + b]``."""
+        J, R, n, h, S = self.law.shape
+        if len(gens) != R:
+            raise ValueError(f"need one generator per replica, {R}, got {len(gens)}")
+        u = np.stack([gen.random((count, n * h)).T for gen in gens], axis=1)
+        moves, cur = np.empty((n * h, R, count), dtype=np.intp), np.zeros((R, count), dtype=np.intp)
+        # one flat take per vertex: column (r n h + k) S + s of law is the law at [r, k, s]
+        law, code, prev = self.law.reshape(J, -1), self.code.reshape(h, -1), self.prev.reshape(h, -1)
+        first = S * (np.arange(R)[:, None] * (n * h) + np.arange(n * h)[:, None, None])
         for k in range(n * h - 1, -1, -1):
-            j = (law[k, cur] <= u[k, :, None]).sum(axis=1)
-            moves[k], cur = self.code[k % h, cur, j], self.prev[k % h, cur, j]
+            j = (law.take(first[k] + cur, axis=1) <= u[k]).sum(axis=0) + cur * (J + 1)
+            moves[k], cur = code[k % h].take(j), prev[k % h].take(j)
         if (moves == ZERO_MASS).any():
             raise ValueError("sampling reached a state of zero mass")
-        return moves.T.reshape(count, n, h)
+        return moves.transpose(1, 2, 0).reshape(R, count, n, h)
 
     def matchings_from_states(self, moves: np.ndarray) -> np.ndarray:
         """The matchings of the draws, row d the sorted edge indices of draw
@@ -120,8 +123,8 @@ class GibbsSampler:
         return decode_edges(self.n, self.H, moves)
 
     def monomer_profiles(self, moves: np.ndarray) -> np.ndarray:
-        """Unpaired-vertex count per layer for each draw, shape (count, n)."""
-        return (moves == MONOMER).sum(axis=2)
+        """Unpaired-vertex count per layer of each draw, ``[..., n]``."""
+        return (moves == MONOMER).sum(axis=-1)
 
 
 def decode_edges(n: int, H, moves: np.ndarray) -> np.ndarray:

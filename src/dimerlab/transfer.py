@@ -71,14 +71,14 @@ It is the only route to coefficients: a whole cylinder is the increment
 Lee-Yang spectra need is the coefficient shift ``MonomerPolynomial.monic``.
 
 The backward step (``move_terms``) reads the recursion in reverse, one
-vertex at a time, from the message kept after every vertex.  Given the
-state after vertex (i, b), the move into it is the unique opening, or one
-of a monomer, the close of the horizontal dimer reserved at cut i-1 and
-the fiber dimers to open earlier vertices.  Under LOG their weights are
-the move's exact conditional law (forward filtering, backward sampling:
-Carter & Kohn, Biometrika 1994; see ``sampler``); under MAX their first
-largest continues an optimal configuration (Viterbi backtracking,
-``groundstate``).
+vertex at a time, from the message kept after every vertex of one sweep
+over the batch.  Given the state after vertex (i, b), the move into it is
+the unique opening, or one of a monomer, the close of the horizontal
+dimer reserved at cut i-1 and the fiber dimers to open earlier vertices.
+Under LOG their weights are the move's exact conditional law (forward
+filtering, backward sampling: Carter & Kohn, Biometrika 1994; see
+``sampler``); under MAX their first largest continues an optimal
+configuration (Viterbi backtracking, ``groundstate``).
 
 The log Z of a single instance, ``scalar_log_z``, is a blocked LOG
 recursion (the scan of Blelloch, 1990, in the temporal form of Sarkka &
@@ -116,14 +116,13 @@ class CapacityError(ValueError):
 
 class EmptyMeasureError(ValueError):
     """Replicas of a batch of R (indices ``replicas``) have no matching of
-    finite weight: an empty Gibbs measure, with no moment, maximum or
-    remainder.  ``alone``: replicas[0] was checked, not the whole batch."""
+    finite weight: an empty Gibbs measure, with no moment, maximum, draw or
+    remainder."""
 
-    def __init__(self, replicas: np.ndarray, R: int, alone: bool = False):
-        which, count = ((f"replica {replicas[0]} of a batch of {R}", "") if alone
-                        else (f"replica {replicas[0]}", f" ({replicas.size} of {R})"))
-        super().__init__(f"{which} has no matching of finite weight{count}: empty Gibbs measure")
-        self.replicas, self.alone = replicas, alone
+    def __init__(self, replicas: np.ndarray, R: int):
+        super().__init__(f"replica {replicas[0]} has no matching of finite weight"
+                         f" ({replicas.size} of {R}): empty Gibbs measure")
+        self.replicas = replicas
 
 
 def check_nonempty(values: np.ndarray) -> np.ndarray:
@@ -557,23 +556,23 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
 
     Per replica: its weights, W numbers, and with coefficients over
     increments of ``degree_layers`` layers its coefficients twice.  On top,
-    the larger of two stages:
+    per replica, the largest of the stages, which run one after another:
 
-    * per replica, the larger of two routes.  The forward and flipped
-      sweeps of ``cut_moments`` as one (``_both_ways``): the halves'
-      weights stacked, tilted and exponentiated, W, and 15 x 2^h, the
-      2R-wide moment message (6 x 2^h), a step's terms (5 x 2^h) and
-      numpy's buffers for them (up to 4 x 2^h), which also bounds the mix
-      at the cut and the per-layer rescale.  And ``increment_laws``: over
-      the whole cylinder (``degree_layers == n``) 5/2 D x 2^h numbers for
-      D degrees, as fitted to traced peaks over R: the degree recursion's
-      message and a step's terms, 1.5 D x 2^h, and numpy's buffers for
-      them; else 3 D x 2^h with its close at a cut, beside the forward and
-      flipped LOG messages of every cut, 2 n x 2^h, and before it the
-      weights of both passes stacked, 2 W.  The draw writes the weights
-      into their rows, so it holds no second copy;
-    * one ``GibbsSampler``: its per-vertex messages and the terms and laws
-      of its moves, with a block of ``draws`` draws.
+    * the forward and flipped sweeps of ``cut_moments`` as one
+      (``_both_ways``): the halves' weights stacked, tilted and
+      exponentiated, W, and 15 x 2^h, the 2R-wide moment message (6 x
+      2^h), a step's terms (5 x 2^h) and numpy's buffers for them (up to
+      4 x 2^h), which also bounds the mix at the cut and the rescale;
+    * ``increment_laws``: over the whole cylinder (``degree_layers == n``)
+      5/2 D x 2^h numbers for D degrees, as fitted to traced peaks over R:
+      the degree recursion's message and a step's terms, 1.5 D x 2^h, and
+      numpy's buffers for them; else 3 D x 2^h with its close at a cut,
+      beside the forward and flipped LOG messages of every cut, 2 n x 2^h,
+      and before it the weights of both passes stacked, 2 W;
+    * with ``draws``, the batch's ``GibbsSampler``, fitted to traced peaks:
+      building it, per vertex (2J + 3) x 2^h numbers for J moves (message,
+      terms, law, normalisation) and mH + 5 weights, or drawing, per
+      vertex the law and 3 numbers per draw of a block of ``draws``.
 
     On top of all, 12 x 2^h numbers that the MOMENT sweeps of replicas
     past the certificate of ``cut_moments`` may add to a batch's peak, and
@@ -589,11 +588,10 @@ def batch_bytes(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 
         held += 2 * (h * n + 1)
         D = h * degree_layers + 1
         stage = max(stage, 5 * D * S // 2 if degree_layers == n else 2 * S * n + max(2 * W, 3 * D * S))
-    sampler = 0
     if draws:
-        moves = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
-        sampler = n * h * S * (2 * moves + 3) + 3 * draws * n * h
-    return 8 * (R * held + max(R * stage, sampler) + 12 * S) + _BATCH_FIXED
+        J = 2 + max(sum(c == b for _, c in H.edges) for b in range(1, h + 1))
+        stage = max(stage, n * h * (S * (2 * J + 3) + mH + 5), n * h * (S * J + 3 * draws))
+    return 8 * (R * (held + stage) + 12 * S) + _BATCH_FIXED
 
 
 def _most(fits: Callable, top: int) -> int:
@@ -620,8 +618,8 @@ def replicas_per_batch(H: HGraph, n: int, degree_layers: int = 0, draws: int = 0
 
 def draws_per_block(H: HGraph, n: int, degree_layers: int, draws: int) -> int:
     """The most of ``draws`` Gibbs draws that one replica's ``batch_bytes``
-    hold within ``BATCH_BYTES``, so that its draws run in blocks of that
-    many; a replica that cannot hold one draw is refused."""
+    hold within ``BATCH_BYTES``, so that the draws of a batch run in blocks
+    of that many; a replica that cannot hold one draw is refused."""
     replicas_per_batch(H, n, degree_layers, 1)
     return _most(lambda d: batch_bytes(H, n, 1, degree_layers, d) <= BATCH_BYTES, draws)
 
@@ -893,30 +891,32 @@ def _moves(H: HGraph) -> tuple:
     return code, prev
 
 
-def move_terms(tables: dict, r: int, arith, x: float = 0.0) -> tuple:
-    """Replica r's value in ``arith`` (LOG at tilt x, or MAX) and the terms
-    of its backward step, ``terms[i, b, s, j]``: the message before vertex
-    (i, b) at state ``prev[b, s, j]`` times the weight of the move ``code[b,
-    s, j]`` into state s after it (``_moves``; -inf for no move), from one
-    forward sweep that keeps the message after every vertex.  Under LOG the
-    terms of (i, b, s) are the conditional law of the move into s, up to
-    their sum; under MAX their largest continues an optimal configuration.
-    A replica with no matching of finite weight is refused, named as
-    replica r of its batch (``EmptyMeasureError``).  Returns (value, terms, code, prev)."""
-    nu, oh, ov = (a[r : r + 1] for a in _weights(tables))
-    _, n, h = nu.shape
-    nu = nu + x
-    msgs = _vertex_sweep(_empty(1 << h, 1), nu, oh, ov, tables["plan"], arith, "vertex")[..., 0]
-    value = float(msgs[-1, 0])
-    if value == NEG_INF:
-        raise EmptyMeasureError(np.array([r]), tables["nu"].shape[0], alone=True)
-    before = np.concatenate([_empty(1 << h)[None], msgs[:-1]]).reshape(n, h, -1)
+def move_terms(tables: dict, arith, x: float = 0.0) -> tuple:
+    """(values, terms, code, prev): the value ``[R]`` of every replica in
+    ``arith`` (LOG at tilt x, or MAX) and the terms of its backward step,
+    ``terms[r, i, b, s, j]``, the message before vertex (i, b) at state
+    ``prev[b, s, j]`` times the weight of the move ``code[b, s, j]`` into
+    state s after it (``_moves``; -inf for no move), from one sweep over the
+    batch that keeps the message after every vertex.  Under LOG the terms
+    of (r, i, b, s) are the conditional law of the move into s, up to their
+    sum; under MAX their largest continues an optimal configuration.  A
+    replica with no matching of finite weight is refused (``check_nonempty``)."""
+    nu, oh, ov = _weights(tables)
+    (R, n, h), S, nu = nu.shape, 1 << tables["h"], nu + x
+    msgs = _vertex_sweep(_empty(S, R), nu, oh, ov, tables["plan"], arith, "vertex")
+    values = check_nonempty(msgs[-1, 0].copy())
+    # the message before each vertex, replica-major: [r, i, b, s]
+    before = np.moveaxis(np.concatenate([_empty(S, R)[None], msgs[:-1]]), -1, 0).reshape(R, n, h, S)
+    del msgs
     code, prev = _moves(tables["H"])
     # per vertex, the weight of each move code; code -1 reads the last, -inf
-    w = np.full((n, h, FIBER + ov.shape[2] + 1), NEG_INF)
-    w[..., MONOMER] = nu[0]
-    w[1:, :, HORIZONTAL] = oh[0]
+    w = np.full((R, n, h, FIBER + ov.shape[2] + 1), NEG_INF)
+    w[..., MONOMER] = nu
+    w[:, 1:, :, HORIZONTAL] = oh
     w[..., OPEN] = 0.0
-    w[..., FIBER:-1] = ov[0][:, None]
-    terms = np.stack([before[:, b][:, prev[b]] + w[:, b][:, code[b]] for b in range(h)], axis=1)
-    return value, terms, code, prev
+    w[..., FIBER:-1] = ov[:, :, None]
+    terms = np.empty((R, n, h, S, code.shape[2]))
+    for b in range(h):   # one temporary at a time
+        terms[:, :, b] = before[:, :, b][:, :, prev[b]]
+        terms[:, :, b] += w[:, :, b][:, :, code[b]]
+    return values, terms, code, prev

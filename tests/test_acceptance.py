@@ -560,7 +560,7 @@ def test_criterion_15_sampler_chi_square():
 
         sampler = GibbsSampler(instance_tables(g, w), x=x)
         gen = rng_generator(RngSeed(seed, 1), DOMAIN_GIBBS)
-        draws = decode_moves(g.n, g.H, sampler.draw_states(gen, 100_000))
+        draws = decode_moves(g.n, g.H, sampler.draw_states([gen], 100_000)[0])
         counts = np.zeros(len(support))
         for m in draws:
             counts[index[tuple(sorted(m.edge_indices))]] += 1

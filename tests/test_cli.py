@@ -409,15 +409,16 @@ def test_single_instance_routes_past_the_batch_budget_are_refused(tmp_path, caps
 
 
 def test_sample_draws_in_budgeted_blocks_are_the_draws_of_one_block(tmp_path, monkeypatch):
-    # blocks of 1 and of 7 draws write the bytes of one block of all 20: the
-    # uniforms are consumed draw-major
+    # blocks of 10 and of 17 draws write the bytes of one block of all 40:
+    # the uniforms are consumed draw-major (below 10 draws the sampler's
+    # laws, not its draws, set its bytes, so no budget asks for less)
     argv = ["sample", "--n", "8", "--h", "2", "--vertex", "normal(0,1)", "--edge", "normal(0,1)",
-            "--count", "20", "--centering", "0.5"]
+            "--count", "40", "--centering", "0.5"]
     assert main([*argv, "--out", str(tmp_path / "one")]) == 0
     blocks, draw_states = [], GibbsSampler.draw_states
     monkeypatch.setattr(GibbsSampler, "draw_states",
-                        lambda self, gen, count: blocks.append(count) or draw_states(self, gen, count))
-    for draws, sizes in ((1, [1] * 20), (7, [7, 7, 6])):
+                        lambda self, gens, count: blocks.append(count) or draw_states(self, gens, count))
+    for draws, sizes in ((10, [10] * 4), (17, [17, 17, 6])):
         batch_budget(monkeypatch, 1, HGraph.path(2), 8, 0, draws)
         blocks.clear()
         assert main([*argv, "--out", str(tmp_path / str(draws))]) == 0
@@ -699,8 +700,8 @@ def _cli_draws(n, fiber, seed, count, x=0.0, edge="normal(0,1)"):
     with normal(0,1) vertex weights at ``seed``, ``count`` draws in one block."""
     g = build_cylinder(n, make_fiber(fiber))
     w = sample_weights(g, DisorderSpec(Law.parse("normal(0,1)"), Law.parse(edge)), RngSeed(seed))
-    moves = GibbsSampler(transfer.instance_tables(g, w), x=x).draw_states(
-        rng_generator(RngSeed(seed), DOMAIN_GIBBS), count)
+    (moves,) = GibbsSampler(transfer.instance_tables(g, w), x=x).draw_states(
+        [rng_generator(RngSeed(seed), DOMAIN_GIBBS)], count)
     return g, decode_moves(g.n, g.H, moves)
 
 

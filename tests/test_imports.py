@@ -83,6 +83,49 @@ def test_the_import_scan_sees_a_missing_name():
     assert [name for _, module, name in found if unresolved(module, name)] == ["gone"]
 
 
+# the traced names that the benchmark may miss: both are listed as stale in
+# ROADMAP item 7 (one moved to tests/oracle.py, the other is gone)
+STALE_TARGETS = {"transfer:batch_scalar_log_z", "sampler:observables"}
+
+
+def trace_targets(tree: ast.Module) -> list:
+    """The keys of the ``TARGETS`` dict that ``tree`` assigns."""
+    return [ast.literal_eval(key) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+            for key in node.value.keys]
+
+
+def untraceable(target: str) -> bool:
+    """Whether the benchmark's tracer would find no ``module:qualname``
+    target in the package: no function of the module by that name, or no
+    method defined on the class of ``Class.method``."""
+    module, _, qual = target.partition(":")
+    owner, _, name = qual.rpartition(".")
+    mod = importlib.import_module(f"dimerlab.{module}")
+    if owner:
+        cls = getattr(mod, owner, None)
+        return not (isinstance(cls, type) and name in vars(cls))
+    return not callable(getattr(mod, name, None))
+
+
+def test_every_traced_name_exists():
+    # the tracer records a target it cannot find and times nothing for it,
+    # so a renamed function or method would read 0 in its per-layer metric
+    # instead of failing a run
+    targets = trace_targets(ast.parse((ROOT / "perfbench" / "layers.py").read_text()))
+    assert "sampler:GibbsSampler.draw_states" in targets
+    assert {target for target in targets if untraceable(target)} <= STALE_TARGETS
+
+
+def test_the_trace_scan_sees_a_missing_target():
+    tree = ast.parse("TARGETS = {'sampler:GibbsSampler.draw_states': None, 'sampler:GibbsSampler.gone': None,"
+                     " 'transfer:move_terms': f, 'transfer:gone': None}\nOTHER = {'cli:gone': None}\n")
+    targets = trace_targets(tree)
+    assert targets == ["sampler:GibbsSampler.draw_states", "sampler:GibbsSampler.gone", "transfer:move_terms",
+                       "transfer:gone"]
+    assert [target for target in targets if untraceable(target)] == ["sampler:GibbsSampler.gone", "transfer:gone"]
+
+
 MODULES = {p.stem for p in PACKAGE} - {"__init__"}
 
 

@@ -26,7 +26,7 @@ from oracle import brute_force_polynomial, edge_weight, edges, unpaired
 
 def _draw(sampler, gen, count):
     """``count`` matchings from ``sampler``, decoded from its moves."""
-    return decode_moves(sampler.n, sampler.H, sampler.draw_states(gen, count))
+    return decode_moves(sampler.n, sampler.H, sampler.draw_states([gen], count)[0])
 
 
 def _exact_sample(g, w, seed, count):
@@ -125,7 +125,7 @@ def test_monomer_profiles_match_matchings():
     g, w = random_instance(rng, n_lo=6, n_hi=6, fibers=["path2"])
     sampler = GibbsSampler(instance_tables(g, w))
     gen = np.random.default_rng(11)
-    moves = sampler.draw_states(gen, 25)
+    (moves,) = sampler.draw_states([gen], 25)
     profiles = sampler.monomer_profiles(moves)
     matchings = decode_moves(g.n, g.H, moves)
     assert profiles.shape == (25, g.n)
@@ -141,7 +141,7 @@ def test_array_decode_matches_path_matching():
                  (HGraph.path(3), 1)):
         g = build_cylinder(n, H)
         sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(41, n))), x=0.7)
-        moves = sampler.draw_states(np.random.default_rng(n), 30)
+        (moves,) = sampler.draw_states([np.random.default_rng(n)], 30)
         expect = [moves_matching(g, m) for m in moves]
         assert decode_moves(g.n, g.H, moves) == expect
         rows = sampler.matchings_from_states(moves)
@@ -167,19 +167,26 @@ def test_sampler_weight_distribution_is_gibbs():
     assert values.mean() == pytest.approx(expect_H, abs=5 * values.std() / np.sqrt(30000))
 
 
-def test_sampler_reads_a_replica_of_a_batch_table():
-    # a sampler on replica r of a batch table builds no table and draws, bit
-    # for bit, what a sampler on that environment's own table draws
+def test_a_batch_sampler_draws_each_replica_as_its_own_sampler():
+    # a sampler of a batch table builds no table and draws for every replica,
+    # from that replica's generator, bit for bit what a sampler on that
+    # environment's own table draws, in one block and in several; it takes
+    # exactly one generator per replica
     cases = [(g, [sample_weights(g, STD_NORMAL, RngSeed(37, r)) for r in range(4)])
              for g in (build_cylinder(7, HGraph.path(3)), build_cylinder(5, HGraph.cycle(3)))]
     for g, ws in cases + list(disabled_edge_batches(37)):
         tables = batch_tables(g, *(np.stack([getattr(w, a) for w in ws]) for a in ("nu", "omega_h", "omega_v")))
+        samplers = []
+        assert table_builds(lambda: samplers.append(GibbsSampler(tables, x=0.4))) == 0
+        got = samplers[0].draw_states([np.random.default_rng(r) for r in range(len(ws))], 200)
+        gens = [np.random.default_rng(r) for r in range(len(ws))]
+        blocks = [samplers[0].draw_states(gens, k) for k in (1, 60, 139)]
+        assert np.array_equal(np.concatenate(blocks, axis=1), got)
         for r, w in enumerate(ws):
-            samplers = []
-            assert table_builds(lambda: samplers.append(GibbsSampler(tables, r, x=0.4))) == 0
-            got = samplers[0].draw_states(np.random.default_rng(r), 200)
-            ref = GibbsSampler(instance_tables(g, w), x=0.4).draw_states(np.random.default_rng(r), 200)
-            assert np.array_equal(got, ref)
+            (ref,) = GibbsSampler(instance_tables(g, w), x=0.4).draw_states([np.random.default_rng(r)], 200)
+            assert np.array_equal(got[r], ref)
+        with pytest.raises(ValueError, match=f"^need one generator per replica, {len(ws)}, got 1$"):
+            samplers[0].draw_states(gens[:1], 1)
 
 
 def _move_paths(g, i=0, b=0, state=0):
@@ -207,7 +214,7 @@ def _move_paths(g, i=0, b=0, state=0):
 def _mass(sampler, i, b, after, code):
     """The probability that the law of vertex (i, b) gives the move ``code``
     into state ``after``, read off the stored cumulative law."""
-    cum = sampler.law[i, b, after]
+    cum = sampler.law[:, 0, i, b, after]
     j = list(sampler.code[b, after]).index(code)
     return cum[j] - (cum[j - 1] if j else 0.0)
 
@@ -229,7 +236,7 @@ def test_backward_step_gives_the_exact_law_of_every_path(x):
         sampler = GibbsSampler(instance_tables(g, w), x=x)
         log_z = brute_force_polynomial(g, w).log_z(x)
         # a law ends at exactly 1.0; a state of zero mass is all zeros
-        assert np.isin(sampler.law[..., -1], (0.0, 1.0)).all()
+        assert np.isin(sampler.law[-1], (0.0, 1.0)).all()
         total = 0.0
         for path in _move_paths(g):
             prob = 1.0
@@ -255,9 +262,9 @@ def test_draws_invert_the_law_of_each_vertex_at_its_own_uniform():
     for g, w in _law_instances():
         sampler = GibbsSampler(instance_tables(g, w), x=0.3)
         count = 200
-        moves = sampler.draw_states(np.random.default_rng(53), count)
+        (moves,) = sampler.draw_states([np.random.default_rng(53)], count)
         gen = np.random.default_rng(53)
-        assert np.array_equal(np.concatenate([sampler.draw_states(gen, k) for k in (1, 60, 139)]), moves)
+        assert np.array_equal(np.concatenate([sampler.draw_states([gen], k)[0] for k in (1, 60, 139)]), moves)
         us = np.random.default_rng(53).random((count, g.n * g.h))
         for d in range(count):
             after = 0
@@ -283,6 +290,6 @@ def test_sampler_refuses_a_pick_in_a_zero_mass_segment():
     # the backward step still reaches layer 2, whose laws then have no mass
     g = build_cylinder(4, HGraph.path(2))
     sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(47, 0))))
-    sampler.law[1] = 0.0
+    sampler.law[:, 0, 1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
-        sampler.draw_states(np.random.default_rng(0), 10)
+        sampler.draw_states([np.random.default_rng(0)], 10)

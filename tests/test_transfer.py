@@ -230,13 +230,43 @@ def test_a_relabelled_fiber_has_the_same_values():
             for c in range(6):
                 _assert_rel(got[c], ref[c], np.abs(ref[2]) if c == 5 else np.maximum(np.abs(ref[c]), 1.0))
         for arith, x in ((LOG, 0.3), (MAX, 0.0)):
-            (got, value), (ref, ref_value) = ((cut_remainders(t, arith, x), [transfer.move_terms(t, r, arith, x)[0]
-                                                                            for r in range(2)]) for t in sides)
+            (got, value), (ref, ref_value) = ((cut_remainders(t, arith, x), transfer.move_terms(t, arith, x)[0])
+                                              for t in sides)
             scale = np.maximum(np.abs(ref_value), 1.0)
             _assert_rel(got, ref, scale)
             _assert_rel(np.array(value), np.array(ref_value), scale)
         if h <= transfer.POLY_MAX_H:
             _assert_laws_close(*(increment_laws(t, [0, n])[0] for t in sides))
+
+
+def test_the_backward_terms_give_the_forward_message_after_every_vertex():
+    # the terms of the moves into state s after vertex (i, b) are the very
+    # sums that the forward step took: under MAX their largest is the
+    # forward message after (i, b) at s, bit for bit, and under LOG their
+    # log-sum is it to rounding.  At fiber sizes 1 to 12 with -inf vertex
+    # and edge weights, over a batch whose every row is its replica's alone
+    rng = np.random.default_rng(34)
+    for h in range(1, 13):
+        H = HGraph.cycle(h) if h % 2 and h > 1 else HGraph.path(h)
+        n = 7 if h <= 4 else 5 if h <= 8 else 3
+        arrays = [rng.normal(size=(3, rows, cols)) for rows, cols in ((n, h), (n - 1, h), (n, len(H.edges)))]
+        for a in arrays:
+            a[rng.random(a.shape) < 1 / 12] = NEG_INF
+        tables = batch_tables(build_cylinder(n, H), *arrays)
+        for arith, x in ((MAX, 0.0), (LOG, 0.3)):
+            values, terms, _, _ = transfer.move_terms(tables, arith, x)
+            fw = _vertex_sweep(_empty(1 << h, 3), tables["nu"] + x, tables["oh"], tables["ov"], tables["plan"],
+                               arith, "vertex")
+            fw = np.moveaxis(fw, -1, 0).reshape(terms.shape[:-1])   # [r, i, b, s]
+            if arith is MAX:
+                assert np.array_equal(terms.max(axis=-1), fw), h
+            else:
+                np.testing.assert_allclose(np.logaddexp.reduce(terms, axis=-1), fw, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(values, fw[:, -1, -1, 0]), (h, arith)
+            for r in range(3):
+                alone = {**tables, **{key: tables[key][r : r + 1] for key in ("nu", "oh", "ov")}}
+                (value,), (row,), _, _ = transfer.move_terms(alone, arith, x)
+                assert value == values[r] and np.array_equal(row, terms[r]), (h, arith, r)
 
 
 def _section_oracle(g, w, k, x):
@@ -843,20 +873,20 @@ def test_every_batched_route_refuses_an_empty_replica(H, n, dead):
 
 
 def test_the_backward_step_names_an_empty_replica_in_its_batch():
-    # the sampler and the argmax sweep replica r alone: an empty replica 2
-    # of 4 (3 vertices of weight -inf, no perfect matching) is refused as
-    # that replica of its batch, and replica 3 runs
+    # the sampler and the argmax sweep read their whole batch: an empty
+    # replica 2 of 4 (3 vertices of weight -inf, no perfect matching) is
+    # refused in the words of every batched route, and the batch without
+    # it runs
     g = build_cylinder(3, HGraph.single())
     ws = [sample_weights(g, STD_NORMAL, RngSeed(8, r)) for r in range(4)]
     ws[2] = WeightAssignment(g, np.full(3, NEG_INF), ws[2].omega_h, ws[2].omega_v)
-    tables = _batch(g, ws)
-    for route in (lambda r: GibbsSampler(tables, r).log_z,
-                  lambda r: transfer.move_terms(tables, r, MAX)[0]):
-        with pytest.raises(EmptyMeasureError, match=r"^replica 2 of a batch of 4 has no matching"
-                                                    r" of finite weight: empty Gibbs measure$") as err:
-            route(2)
-        assert err.value.replicas.tolist() == [2] and err.value.alone
-        assert np.isfinite(route(3))
+    tables, kept = _batch(g, ws), _batch(g, ws[:2] + ws[3:])
+    for route in (lambda t: GibbsSampler(t).log_z, lambda t: transfer.move_terms(t, MAX)[0]):
+        with pytest.raises(EmptyMeasureError, match=r"^replica 2 has no matching of finite weight"
+                                                    r" \(1 of 4\): empty Gibbs measure$") as err:
+            route(tables)
+        assert err.value.replicas.tolist() == [2]
+        assert np.isfinite(route(kept)).all()
 
 
 def test_remainder_vanishes_on_disconnected_cut():
