@@ -134,7 +134,7 @@ def _resolved_args_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _write_manifest(out_dir: str, args, outputs: list) -> None:
+def _write_manifest(out_dir: str, args, outputs: list, **extra) -> None:
     arguments = jsonify(_resolved_args_dict(args))
     blob = json.dumps(arguments, sort_keys=True).encode()
     manifest = {
@@ -148,6 +148,7 @@ def _write_manifest(out_dir: str, args, outputs: list) -> None:
             "python": sys.version.split()[0],
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **extra,
     }
     write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
@@ -391,8 +392,10 @@ def _cmd_experiment(args) -> int:
         write_json(report, os.path.join(out_dir, "report.json"))
         with open(os.path.join(out_dir, "resolved.cfg"), "w") as fh:
             fh.write(write_config(cfg))
-        _write_manifest(out_dir, args,
-                        ["replicas.csv", "summary.json", "report.json", "resolved.cfg"])
+        # the processes of the campaign, and why it ran in one: not an output
+        workers = {k: v for k, v in table.workers._asdict().items() if v is not None}
+        _write_manifest(out_dir, args, ["replicas.csv", "summary.json", "report.json", "resolved.cfg"],
+                        workers=workers)
     return 1 if failed else 0
 
 

@@ -11,7 +11,9 @@ their definitions, in numpy and ``math.erfc``.
 
 Replica streams are domain-separated Philox generators, so every table is
 reproducible bit-for-bit from (seed, stream), whatever the batches of
-``transfer.replicas_per_batch`` that the campaign and the checks run in.
+``transfer.replicas_per_batch`` that the campaign and the checks run in,
+and whatever the processes that a large campaign splits its batches
+across (``campaign_workers``).
 
 The front end is two tables: ``CONFIG_KEYS`` (every config key, the
 attribute it sets, how it is parsed and written), which ``parse_config``
@@ -24,7 +26,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
+import pickle
 import re
+import signal
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -268,6 +273,7 @@ class ReplicaTable:
     # 0..FUNCTIONAL_ENVIRONMENTS-1 at the zero-extraction rung, which the
     # functionals check reads; not written to the CSV
     zeros: list = field(default_factory=list)
+    workers: Workers | None = None   # the processes of the campaign, for the manifest
 
     def __len__(self):
         return self.columns["n"].size
@@ -320,22 +326,148 @@ def _batches(g: CylinderGraph, stop: int, degree_layers: int, draws: int = 0,
     return [range(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
+# The least work, in replica-vertex steps (replicas * n * h summed over the
+# rungs), that a campaign splits across processes.  A bare fork, pipe,
+# pickle and wait cost about 2 ms on a 2-CPU host, but the child's first
+# writes copy the pages it shares, so there a split path(2) campaign of
+# 49,152 steps ran at 0.42x the speed of one process and one of 81,920
+# steps at 1.05x (medians of 15).
+SPLIT_WORK = 1 << 16
+
+
+class Workers(NamedTuple):
+    """The processes a campaign runs in, of the usable CPUs, for its work
+    in replica-vertex steps; ``reason`` says why it runs in one."""
+
+    processes: int
+    cpus: int
+    work: int
+    reason: str | None = None
+
+
+def campaign_workers(cfg: ExperimentConfig) -> Workers:
+    """One process per usable CPU (``os.sched_getaffinity``), at most one
+    per replica, for a campaign of at least ``SPLIT_WORK`` steps where
+    ``os.fork`` exists; else one process, and the reason."""
+    work = cfg.replicas * sum(cfg.n_ladder) * cfg.fiber_graph().h
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not hasattr(os, "fork"):
+        reason = "no os.fork"
+    elif not hasattr(os, "sched_getaffinity"):
+        reason = "no os.sched_getaffinity"
+    elif cpus < 2:
+        reason = "one usable CPU"
+    elif work < SPLIT_WORK:
+        reason = f"work {work:,} below the split threshold {SPLIT_WORK:,}"
+    else:
+        return Workers(min(cpus, cfg.replicas), cpus, work)
+    return Workers(1, cpus, work, reason)
+
+
+def _in_processes(run: Callable, parts: int) -> list:
+    """``[run(0), ..., run(parts - 1)]``: run(0) in this process and every
+    other part in a forked child, which pickles its result back through a
+    pipe and leaves by ``os._exit``.  A child that ends without a result is
+    an error naming its status; if this process's part or the join raises,
+    every child left is killed.  Every child is reaped on every path."""
+    children = {}   # pid -> the read end of its pipe, None once closed
+    try:
+        for p in range(1, parts):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:   # the child: never returns into the caller
+                code = 1
+                try:
+                    os.close(r)
+                    for fd in children.values():
+                        os.close(fd)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(run(p), fh, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = r
+        results = [run(0)]
+        for pid in list(children):
+            with os.fdopen(children[pid], "rb") as fh:
+                children[pid] = None   # the file closes it
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status or not data:
+                end = (f"died by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                       else f"exited with status {os.waitstatus_to_exitcode(status)}")
+                raise RuntimeError(f"replica worker {pid} (part {len(results)} of {parts}) {end}"
+                                   " without a result")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            if r is not None:
+                os.close(r)
+            os.waitpid(pid, 0)
+
+
 def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     """Sweep the ladder, recording one row per (length, replica stream);
     with spectra, keep the zeros of the functionals check's environments
-    (``ReplicaTable.zeros``) from the rows of its rung."""
-    H, chunks, zeros = cfg.fiber_graph(), [], []
+    (``ReplicaTable.zeros``) from the rows of its rung.
+
+    Every batch splits into contiguous parts of its streams, one per
+    process of ``campaign_workers``, each run by ``_replica_chunk``; as no
+    row depends on its batch, the table does not depend on the processes.
+    A process stops at its first refusal, and the campaign raises the
+    refusal of the first batch refused, as one process would: the empty
+    streams of all its parts, counted against the whole batch."""
+    H, batches = cfg.fiber_graph(), []
     # with spectra, the largest rung that extracts zeros: the check's (_zero_extraction_rung)
     rung = max(filter(cfg.degree_layers, cfg.n_ladder), default=None)
     for n in cfg.n_ladder:
         g = build_cylinder(n, H)
         k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
-        for streams in _batches(g, cfg.replicas, cfg.degree_layers(n)):
-            rows, pairs = _replica_chunk(g, cfg, streams, k_cut)
-            chunks.append(rows)
-            if n == rung:
-                zeros += pairs[: max(0, FUNCTIONAL_ENVIRONMENTS - streams.start)]
-    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, zeros)
+        batches += [(g, k_cut, streams) for streams in _batches(g, cfg.replicas, cfg.degree_layers(n))]
+    workers = campaign_workers(cfg)
+    P = workers.processes
+
+    def part(p: int) -> tuple:
+        """The rows and zeros of part p of every batch, up to the first refusal, and it."""
+        done = []
+        for g, k_cut, streams in batches:
+            streams = streams[len(streams) * p // P: len(streams) * (p + 1) // P]
+            if not streams:
+                done.append(None)
+                continue
+            try:
+                rows, pairs = _replica_chunk(g, cfg, streams, k_cut)
+            except Exception as exc:
+                return done, exc
+            done.append((rows, pairs[: max(0, FUNCTIONAL_ENVIRONMENTS - streams.start)] if g.n == rung else []))
+        return done, None
+
+    parts = _in_processes(part, P)
+    refused = [(len(done), exc) for done, exc in parts if exc is not None]
+    if refused:
+        k = min(k for k, _ in refused)
+        first = [exc for at, exc in refused if at == k]
+        if all(isinstance(exc, EmptyStreamError) for exc in first):
+            raise EmptyStreamError(np.concatenate([exc.streams for exc in first]),
+                                   batches[k][0].n, len(batches[k][2]))
+        raise first[0]
+    chunks, zeros = [], []
+    for k in range(len(batches)):
+        for done, _ in parts:
+            if done[k] is not None:
+                chunks.append(done[k][0])
+                zeros += done[k][1]
+    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, zeros,
+                        workers)
 
 
 def _spectra(g: CylinderGraph, tables: dict):
@@ -356,10 +488,17 @@ def _spectra(g: CylinderGraph, tables: dict):
             yield p, None
 
 
-def _empty_stream(err: EmptyMeasureError, streams, n: int) -> ValueError:
-    """The refusal of a batch's empty replicas, naming the first one's stream."""
-    return ValueError(f"stream {streams[err.replicas[0]]} at n={n} has no matching of finite weight"
-                      f" ({err.replicas.size} of the {len(streams)} replicas of its batch): empty Gibbs measure")
+class EmptyStreamError(ValueError):
+    """The refusal of the empty replicas of a batch of ``size`` at n, by
+    their ``streams``, naming the first one's stream."""
+
+    def __init__(self, streams: np.ndarray, n: int, size: int):
+        super().__init__(f"stream {streams[0]} at n={n} has no matching of finite weight"
+                         f" ({streams.size} of the {size} replicas of its batch): empty Gibbs measure")
+        self.streams, self.n, self.size = streams, n, size
+
+    def __reduce__(self):
+        return EmptyStreamError, (self.streams, self.n, self.size)
 
 
 def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> tuple:
@@ -378,7 +517,7 @@ def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int)
     try:
         lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
     except EmptyMeasureError as err:
-        raise _empty_stream(err, streams, g.n) from err
+        raise EmptyStreamError(streams[err.replicas], g.n, R) from err
     rows = {
         "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
@@ -606,7 +745,7 @@ def _check_height_campaign(cfg: ExperimentConfig) -> None:
         raise ValueError(f"height increments need a t grid in [0, 1] whose cuts floor(n*t)"
                          f" strictly increase at n={n}; t_grid {','.join(f'{v:g}' for v in t)}"
                          f" gives {','.join(map(str, cuts))}")
-    draws_per_block(cfg.fiber_graph(), n, int(np.diff(cuts).max()), cfg.gibbs_samples)
+    draws_per_block(cfg.fiber_graph(), n, int(np.diff(cuts).max()), cfg.gibbs_samples, cfg.height_envs)
 
 
 def functional_consistency_check(
@@ -699,35 +838,38 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     environment from its own stream in blocks of ``transfer.draws_per_block``
     (the draws of one block of all), and ``increment_laws`` gives every
     exact increment law, whose mean over the environments is the law of
-    the pooled draws.
+    the pooled draws.  The pooled increments are written in place, block by
+    block.
     """
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)
     cuts = np.floor(n * t).astype(int)
-    raw, paths, laws = [], [], []
+    D, laws = cfg.gibbs_samples, []
+    # the pooled increments of every draw, [increment, env, draw], each
+    # increment's draws contiguous, env-major, as the statistics read them:
+    # the raw ones counts of at most n h <= 6144 monomers (check_polynomial_caps)
+    pooled = [np.empty((t.size - 1, cfg.height_envs, D), dtype) for dtype in (np.int16, float)]
     degree_layers = int(np.diff(cuts).max())
-    block = draws_per_block(g.H, n, degree_layers, cfg.gibbs_samples)
+    block = draws_per_block(g.H, n, degree_layers, D, cfg.height_envs)
     for envs in _batches(g, cfg.height_envs, degree_layers, block):
         tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
         try:
             sampler = GibbsSampler(tables)
         except EmptyMeasureError as err:
-            raise _empty_stream(err, envs, n) from err
+            raise EmptyStreamError(np.asarray(envs)[err.replicas], n, len(envs)) from err
         gens = [rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS) for env in envs]
-        # a block of draws at a time; the heights [r, d, t] join along d: env-major rows
-        blocks = [heights(sampler.monomer_profiles(sampler.draw_states(gens, min(block, cfg.gibbs_samples - lo))),
-                          t, u_hat) for lo in range(0, cfg.gibbs_samples, block)]
-        theta, scaled = (np.concatenate(a, axis=1).reshape(-1, t.size) for a in zip(*blocks))
-        raw.append(np.diff(theta, axis=1))
-        paths.append(scaled)
-        del sampler, blocks   # before the laws, as the batch model counts
+        for lo in range(0, D, block):   # a block of draws at a time, heights [r, d, t]
+            theta, scaled = heights(sampler.monomer_profiles(sampler.draw_states(gens, min(block, D - lo))),
+                                    t, u_hat)
+            for a, out in zip((theta, scaled), pooled):
+                np.subtract(a[..., 1:], a[..., :-1], casting="unsafe",   # exact integers into int16
+                            out=out[:, envs.start:envs.stop, lo:lo + block].transpose(1, 2, 0))
+        del sampler, theta, scaled   # before the laws, as the batch model counts
         laws.append(increment_laws(tables, cuts))
         del tables   # before the next batch's
-    raw_inc = np.concatenate(raw, axis=0)
-    theta_hat = np.concatenate(paths, axis=0)
-    inc = np.diff(theta_hat, axis=1)
+    raw_inc, inc = (a.reshape(t.size - 1, -1).T for a in pooled)
     dt = np.diff(t)
     inc_var = inc.var(axis=0, ddof=1)
     expected = sigma2 * dt
@@ -747,14 +889,14 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
     th = cfg.thresholds
     rep = BrownianReport(
         n=n,
-        samples=theta_hat.shape[0],
+        samples=inc.shape[0],
         t_grid=t,
         increment_vars=inc_var,
         expected_vars=expected,
         var_ratios=inc_var / expected,
         max_abs_corr=float(np.max(np.abs(off))) if off.size else 0.0,
         ks_stats=ks,
-        ks_envelope=th.ks_const / math.sqrt(theta_hat.shape[0]),
+        ks_envelope=th.ks_const / math.sqrt(inc.shape[0]),
         lattice_floors=floors,
         ks_exact=exact,
     )

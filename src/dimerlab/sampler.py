@@ -60,12 +60,15 @@ def heights(profiles: np.ndarray, t, centering: float | None = None):
     if (t < 0).any() or (t > 1).any():
         raise ValueError("t grid must lie in [0, 1]")
     n = profiles.shape[-1]
-    prefix = np.pad(profiles, ((0, 0),) * (profiles.ndim - 1) + ((1, 0),))
-    np.cumsum(prefix, axis=-1, out=prefix)
+    # the count before each layer, at most n h: in int32, as profiles are small ints
+    prefix = np.zeros((*profiles.shape[:-1], n + 1), dtype=np.int32)
+    np.cumsum(profiles, axis=-1, dtype=np.int32, out=prefix[..., 1:])
     theta = prefix[..., np.floor(n * t).astype(int)].astype(float)
     if centering is None:
         return theta, None
-    return theta, (theta - n * t * centering) / np.sqrt(n)
+    scaled = theta - n * t * centering
+    scaled /= np.sqrt(n)
+    return theta, scaled
 
 
 # the move drawn from a state of zero mass, which no consistent law reaches
@@ -123,8 +126,9 @@ class GibbsSampler:
         return decode_edges(self.n, self.H, moves)
 
     def monomer_profiles(self, moves: np.ndarray) -> np.ndarray:
-        """Unpaired-vertex count per layer of each draw, ``[..., n]``."""
-        return (moves == MONOMER).sum(axis=-1)
+        """Unpaired-vertex count per layer of each draw, ``[..., n]``, as int8
+        (at most h <= ``SCALAR_MAX_H``)."""
+        return (moves == MONOMER).sum(axis=-1, dtype=np.int8)
 
 
 def decode_edges(n: int, H, moves: np.ndarray) -> np.ndarray:

@@ -616,12 +616,14 @@ def replicas_per_batch(H: HGraph, n: int, degree_layers: int = 0, draws: int = 0
     return R
 
 
-def draws_per_block(H: HGraph, n: int, degree_layers: int, draws: int) -> int:
-    """The most of ``draws`` Gibbs draws that one replica's ``batch_bytes``
-    hold within ``BATCH_BYTES``, so that the draws of a batch run in blocks
-    of that many; a replica that cannot hold one draw is refused."""
-    replicas_per_batch(H, n, degree_layers, 1)
-    return _most(lambda d: batch_bytes(H, n, 1, degree_layers, d) <= BATCH_BYTES, draws)
+def draws_per_block(H: HGraph, n: int, degree_layers: int, draws: int, replicas: int = 1) -> int:
+    """The most of ``draws`` Gibbs draws per replica that a batch of
+    ``replicas``, or of as many as the sampler's build allows (the
+    ``replicas_per_batch`` of one draw), holds within ``BATCH_BYTES``, so
+    that the draws of a batch run in blocks of that many and blocking never
+    narrows the batch; a replica that cannot hold one draw is refused."""
+    R = min(replicas, replicas_per_batch(H, n, degree_layers, 1))
+    return _most(lambda d: batch_bytes(H, n, R, degree_layers, d) <= BATCH_BYTES, draws)
 
 
 def batch_tables(g: CylinderGraph, nu_b, oh_b, ov_b) -> dict:

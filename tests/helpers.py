@@ -199,3 +199,12 @@ def layer_counts(g, m: Matching) -> np.ndarray:
     """The unpaired-vertex count of each layer of ``m``, read off its
     unpaired vertices: the reference for the sampler's monomer profiles."""
     return np.bincount([i for i, _ in unpaired(g, m)], minlength=g.n + 1)[1:]
+
+
+def split_parts(monkeypatch, parts: int) -> None:
+    """Run every campaign in ``parts`` processes, whatever its work and the
+    usable CPUs: a split threshold of 0 and ``parts`` CPUs."""
+    from dimerlab import experiments
+
+    monkeypatch.setattr(experiments, "SPLIT_WORK", 0)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(parts)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from dimerlab.graphs import (
 )
 from dimerlab.sampler import GibbsSampler, Matching, decode_moves, heights
 
-from helpers import batch_budget, count_calls, layer_counts
+from helpers import batch_budget, count_calls, layer_counts, split_parts
 
 
 def test_exact_prints_log_z_of_path4(capsys, tmp_path):
@@ -71,6 +72,41 @@ def test_experiment_run_and_rerun_identical(tmp_path, capsys):
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_sha256"] == m2["config_sha256"]
+
+
+def test_experiment_manifest_records_its_processes(tmp_path, capsys, monkeypatch):
+    # a campaign of 8 * (8 + 16) * 1 = 192 replica-vertex steps runs in one
+    # process, and says why; split in two it writes the same outputs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[graph]\nfiber = single\n[disorder]\nvertex = normal(0,1)\nedge = normal(0,1)\n"
+                   "[ladder]\nn = 8, 16\nreplicas = 8\nseed = 5\n")
+    one, two = tmp_path / "one", tmp_path / "two"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["experiment", "--config", str(cfg), "--out", str(one)]) == 0
+    workers = json.loads((one / "manifest.json").read_text())["workers"]
+    assert workers == {"processes": 1, "cpus": 2, "work": 192, "reason": "work 192 below the split threshold 65,536"}
+    split_parts(monkeypatch, 2)
+    assert main(["experiment", "--config", str(cfg), "--out", str(two)]) == 0
+    assert json.loads((two / "manifest.json").read_text())["workers"] == {"processes": 2, "cpus": 2, "work": 192}
+    for name in ("replicas.csv", "summary.json", "report.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_a_split_campaign_refuses_an_empty_measure_with_the_exit_code_of_one_process(
+        tmp_path, capsys, monkeypatch):
+    # an empty stream in the second part of a batch: the message and the
+    # exit code of one process, and no file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[graph]\nfiber = path(1)\n[disorder]\nvertex = bernoulli_shift(0.5,-inf,0)\n"
+                   "edge = constant(-inf)\n[ladder]\nn = 8, 16\nreplicas = 40\nseed = 3\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    serial = capsys.readouterr().err
+    assert "of the 40 replicas of its batch" in serial
+    split_parts(monkeypatch, 2)
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == serial
+    assert not out.exists()
 
 
 def test_experiment_failing_check_exits_one(tmp_path, capsys):

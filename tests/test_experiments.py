@@ -4,7 +4,11 @@ import csv
 import io
 import itertools
 import json
+import os
+import pickle
 import re
+import signal
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,7 +59,8 @@ from dimerlab.transfer import (
 )
 
 from helpers import (
-    STD_NORMAL, batch_budget, count_calls, gauged, restrict, root_finds, sweep_steps, table_builds,
+    STD_NORMAL, batch_budget, count_calls, gauged, restrict, root_finds, split_parts, sweep_steps,
+    table_builds,
 )
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
@@ -482,8 +487,10 @@ def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
     # the sampler of the batch is the largest stage of every environment,
     # ahead of the LOG passes and the degree recursion of increment_laws:
     # at path(4) its block of draws, at path(6) its laws, and at path(2),
-    # n = 256 both alike
-    for h, n, envs, draws, points in ((4, 64, 16, 100, 5), (6, 64, 48, 50, 5), (2, 256, 16, 10, 17)):
+    # n = 256 both alike; at path(1) with 33 t points the pooled increments
+    # of every draw, held beside the batch, and the heights of its block
+    for h, n, envs, draws, points in ((4, 64, 16, 100, 5), (6, 64, 48, 50, 5), (2, 256, 16, 10, 17),
+                                      (1, 64, 16, 100, 33)):
         cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=2, disorder=STD_NORMAL,
                          gibbs_samples=draws, height_envs=envs, t_grid=tuple(np.linspace(0, 1, points)))
         brownian_fdd_check(replace(cfg, n_ladder=(32,), height_envs=2), 0.5, 1.0)
@@ -529,6 +536,35 @@ def test_brownian_check_names_the_stream_of_an_empty_environment():
         brownian_fdd_check(cfg, 0.5, 1.0)
 
 
+def test_blocks_of_draws_never_narrow_a_brownian_batch(monkeypatch):
+    # at path(2), n = 64 (increments of 4 layers), 40 draws: a budget that
+    # the build of 3 samplers fills holds 3 of the 7 environments per batch,
+    # in blocks of fewer draws, where blocks sized for one replica would
+    # hold all 40 draws and one environment; the report is the default's
+    H = HGraph.path(2)
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(64,), replicas=2, disorder=STD_NORMAL,
+                     gibbs_samples=40, height_envs=7)
+
+    def report():
+        out = []
+        builds = table_builds(lambda: out.append(json.dumps(jsonify(brownian_fdd_check(cfg, 0.5, 1.0)),
+                                                            sort_keys=True)))
+        return builds, out[0]
+
+    ref = report()
+    batch_budget(monkeypatch, 3, H, 64, 4, 1)
+    block = transfer.draws_per_block(H, 64, 4, 40, 7)
+    assert 1 < block < 40 == transfer.draws_per_block(H, 64, 4, 40)
+    assert transfer.replicas_per_batch(H, 64, 4, block) == 3 > transfer.replicas_per_batch(H, 64, 4, 40)
+    assert report() == (3, ref[1])
+    # at 120,000 bytes the build of two samplers alone exceeds the budget:
+    # batches of one, in blocks of 12
+    monkeypatch.setattr(transfer, "BATCH_BYTES", 120_000)
+    assert transfer.batch_bytes(H, 64, 2, 4, 1) > 120_000
+    assert transfer.draws_per_block(H, 64, 4, 40, 7) == 12
+    assert report() == (7, ref[1])
+
+
 def test_brownian_draws_past_the_budget_are_planned_in_blocks(monkeypatch):
     # 3,000,000 draws of one environment at path(2), n = 40 exceed the
     # budget at once: the check plans them in blocks when the config is
@@ -568,9 +604,10 @@ def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
     ref = {check: run(check) for check in (brownian, functional)}
     assert all(builds == 1 for builds, _ in ref.values())
     for k in (1, 2, 3):
-        # the Brownian check's top rung of 32 layers has increments of 8; the
-        # functional check runs on the rung of 8 layers
-        batch_budget(monkeypatch, k, H, 32, 8, 40)
+        # the Brownian check's top rung of 32 layers has increments of 8, and
+        # the build of k samplers (at one draw) sets its batch of k, as blocks
+        # never narrow it; the functional check runs on the rung of 8 layers
+        batch_budget(monkeypatch, k, H, 32, 8, 1)
         assert run(brownian) == (-(-7 // k), ref[brownian][1]), k
         batch_budget(monkeypatch, k, H, 8, 8)
         assert run(functional) == (-(-7 // k), ref[functional][1]), k
@@ -626,6 +663,194 @@ def test_a_campaign_draws_from_one_generator_per_batch(monkeypatch):
     monkeypatch.undo()
     for key, column in run_replicas(cfg).columns.items():
         assert np.array_equal(table.columns[key], column, equal_nan=True), key
+
+
+def _assert_same_table(ref, table) -> None:
+    assert ref.columns.keys() == table.columns.keys()
+    for key, column in ref.columns.items():
+        assert column.dtype == table.columns[key].dtype, key
+        assert np.array_equal(column, table.columns[key], equal_nan=True), key
+    assert [pickle.dumps(pair) for pair in ref.zeros] == [pickle.dumps(pair) for pair in table.zeros]
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kw, budget", [
+    # the campaign's shape at fewer replicas
+    (dict(fiber="path(2)", n_ladder=(128, 512), replicas=24, disorder=STD_NORMAL), None),
+    # spectra with -inf edges, the functionals check's 8 environments of 12
+    # across the parts of one batch
+    (dict(fiber="path(2)", n_ladder=(4, 8), replicas=12, with_spectrum=True, disorder=DisorderSpec(
+        Law.normal(0, 1), Law.parse("bernoulli_shift(0.3,-inf,0.5)"))), None),
+    # the 8 environments across batches of 5, each split
+    (dict(fiber="path(3)", n_ladder=(5, 8), replicas=23, with_spectrum=True, disorder=STD_NORMAL), 5),
+], ids=["campaign", "spectra-inf-edges", "zeros-across-batches"])
+def test_a_split_campaign_gives_the_table_of_one_process(monkeypatch, kw, budget):
+    # every part of every batch runs in its own process: the columns, their
+    # dtypes and the zeros of the functionals check are those of one
+    # process, for 2 and 3 parts, and no process is left
+    cfg = _small_cfg(**kw)
+    if budget:
+        top = max(cfg.n_ladder)
+        batch_budget(monkeypatch, budget, cfg.fiber_graph(), top, cfg.degree_layers(top))
+    ref = run_replicas(cfg)
+    assert ref.workers.processes == 1 and len(ref.zeros) == (8 if cfg.with_spectrum else 0)
+    for parts in (2, 3):
+        split_parts(monkeypatch, parts)
+        table = run_replicas(cfg)
+        assert table.workers[:2] == (parts, parts) and table.workers.reason is None
+        _assert_same_table(ref, table)
+        _no_child_left()
+
+
+def _empty_streams_cfg(seed: int):
+    # every edge -inf: a replica has a finite matching only if no vertex
+    # weight is -inf; the streams of such replicas of 12
+    disorder = DisorderSpec(Law.parse("bernoulli_shift(0.05,0,-inf)"), Law.constant(float("-inf")))
+    cfg = _small_cfg(n_ladder=(8,), replicas=12, disorder=disorder, seed=seed)
+    g = build_cylinder(8, HGraph.single())
+    return cfg, [s for s in range(12) if np.isneginf(sample_weights(g, disorder, RngSeed(seed, s)).nu).any()]
+
+
+def test_a_split_campaign_refuses_empty_streams_as_one_process(monkeypatch):
+    # the refusal names the first empty stream of the batch and counts the
+    # empty ones of all its parts against the whole batch: at seed 8 both
+    # in the child's half, at seed 0 in both halves
+    for seed, halves in ((8, {1}), (0, {0, 1})):
+        cfg, empty = _empty_streams_cfg(seed)
+        assert {s // 6 for s in empty} == halves and len(empty) > 1
+        message = (f"^stream {empty[0]} at n=8 has no matching of finite weight"
+                   rf" \({len(empty)} of the 12 replicas of its batch\): empty Gibbs measure$")
+        with pytest.raises(experiments.EmptyStreamError, match=message):
+            run_replicas(cfg)
+        split_parts(monkeypatch, 2)
+        with pytest.raises(experiments.EmptyStreamError, match=message):
+            run_replicas(cfg)
+        _no_child_left()
+        monkeypatch.undo()
+
+
+def _refuse_streams(monkeypatch, bad) -> None:
+    """Make the weight draw of a batch refuse its first stream in ``bad``."""
+    draw = experiments._draw_weight_batch
+
+    def refusing(g, cfg, streams):
+        if hit := [s for s in streams if s in bad]:
+            raise transfer.CapacityError(f"stream {hit[0]} refused")
+        return draw(g, cfg, streams)
+
+    monkeypatch.setattr(experiments, "_draw_weight_batch", refusing)
+
+
+@pytest.mark.parametrize("bad, named", [({19}, 19), ({3, 17}, 3), ({2}, 2)],
+                         ids=["child", "both", "parent"])
+def test_a_refusal_in_any_part_is_raised_as_one_process_raises_it(monkeypatch, bad, named):
+    # a refusal in the child's part comes back with its type and message;
+    # with one in each part the parent's, of the earlier streams, is raised,
+    # as one process raises it, and no process is left
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 16), replicas=24, disorder=STD_NORMAL)
+    _refuse_streams(monkeypatch, bad)
+    with pytest.raises(transfer.CapacityError, match=f"^stream {named} refused$"):
+        run_replicas(cfg)
+    split_parts(monkeypatch, 2)
+    with pytest.raises(transfer.CapacityError, match=f"^stream {named} refused$"):
+        run_replicas(cfg)
+    _no_child_left()
+
+
+def test_a_refusal_at_an_earlier_rung_wins_over_a_later_one(monkeypatch):
+    # the child refuses at the first rung, the parent only at the second:
+    # the first rung's refusal is raised, as one process raises it
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 16), replicas=24, disorder=STD_NORMAL)
+    draw = experiments._draw_weight_batch
+
+    def refusing(g, cfg, streams):
+        if (g.n == 8 and 20 in streams) or (g.n == 16 and 1 in streams):
+            raise transfer.CapacityError(f"n={g.n} refused")
+        return draw(g, cfg, streams)
+
+    monkeypatch.setattr(experiments, "_draw_weight_batch", refusing)
+    split_parts(monkeypatch, 2)
+    with pytest.raises(transfer.CapacityError, match="^n=8 refused$"):
+        run_replicas(cfg)
+    _no_child_left()
+
+
+def test_a_child_that_dies_or_a_parent_interrupted_leaves_no_process(monkeypatch):
+    # a child killed by a signal is an error naming the signal, never a
+    # partial table; an interrupt of the parent's own part kills the child
+    # (which would otherwise sleep for a minute) before it propagates
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 16), replicas=24, disorder=STD_NORMAL)
+    chunk, parent = experiments._replica_chunk, os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk(*args)
+
+    split_parts(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_replica_chunk", dying)
+    with pytest.raises(RuntimeError, match=rf"^replica worker \d+ \(part 1 of 2\) died by signal"
+                                           rf" {int(signal.SIGKILL)} without a result$"):
+        run_replicas(cfg)
+    _no_child_left()
+
+    def interrupted(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "_replica_chunk", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_replicas(cfg)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_a_campaign_below_the_split_threshold_never_forks(monkeypatch):
+    # on two CPUs the polynomial campaign's shape, 8 * (8 + 48) * 4 = 1,792
+    # steps, runs in one process, as does any campaign on one CPU, without
+    # os.fork or without os.sched_getaffinity; the campaign's shape splits
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = _small_cfg(fiber="path(4)", n_ladder=(8, 48), replicas=8, disorder=STD_NORMAL)
+    assert run_replicas(cfg).workers == (1, 2, 1792, "work 1,792 below the split threshold 65,536")
+    monkeypatch.setattr(experiments, "SPLIT_WORK", 0)
+    assert experiments.campaign_workers(cfg) == (2, 2, 1792, None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert experiments.campaign_workers(cfg) == (1, 1, 1792, "one usable CPU")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiments.campaign_workers(cfg) == (1, 1, 1792, "no os.sched_getaffinity")
+    monkeypatch.delattr(os, "fork")
+    assert experiments.campaign_workers(cfg).reason == "no os.fork"
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = replace(cfg, n_ladder=(128, 512), replicas=256, fiber="path(2)")
+    assert experiments.campaign_workers(cfg) == (2, 2, 327_680, None)
+
+
+def test_a_split_campaign_under_an_interval_timer_gives_the_same_rows(monkeypatch):
+    # a SIGALRM handler on an ITIMER_REAL of 1 ms, as the benchmark's host
+    # speed probe installs, interrupts the parent's part and its wait for
+    # the child (which does not inherit the timer): the rows are the same
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(64, 256), replicas=16, disorder=STD_NORMAL)
+    ref = run_replicas(cfg)
+    split_parts(monkeypatch, 2)
+    alarms = []
+    old = signal.signal(signal.SIGALRM, lambda signum, frame: alarms.append(np.ones(64).sum()))
+    signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)
+    try:
+        table = run_replicas(cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert alarms and table.workers.processes == 2
+    _assert_same_table(ref, table)
+    _no_child_left()
 
 
 def test_fibonacci_limit_estimates():
