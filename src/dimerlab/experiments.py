@@ -52,7 +52,7 @@ from .graphs import (
 from .groundstate import max_values
 from .leeyang import EXTRACTION_MAX_N, SpectrumError, density_functionals, spectrum
 from .output import write_csv
-from .sampler import GibbsSampler, heights
+from .sampler import GibbsSampler
 from .transfer import (
     NEG_INF,
     EmptyMeasureError,
@@ -700,15 +700,18 @@ def clt_checks(table: ReplicaTable, metrics=("log_z", "mean_U", "M"),
 # functional / Brownian / linear-growth diagnostics
 # ---------------------------------------------------------------------------
 
-def _lattice_normal_distance(pmf: np.ndarray) -> float:
-    """Sup-distance between a standardized integer-lattice CDF and normal."""
-    support = np.arange(pmf.size)
-    mean = float(support @ pmf)
-    sd = math.sqrt(float(((support - mean) ** 2) @ pmf))
-    cdf = np.cumsum(pmf)
-    phi = _norm_cdf((support - mean) / sd)
+def _lattice_normal_distance(cdf: np.ndarray, mean: float, sd: float) -> float:
+    """sup_x |F(x) - Phi((x - mean) / sd)| for a CDF F that steps only at the
+    integers 0..cdf.size-1 (``cdf[v] = F(v)``, 1 at the last): the largest
+    of |F(v) - Phi| and |F(v-) - Phi| there, as Phi is monotone between."""
+    phi = _norm_cdf((np.arange(cdf.size) - mean) / sd)
     left = np.concatenate([[0.0], cdf[:-1]])
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den of exact ints, correctly rounded; NaN where den is 0, as numpy gives."""
+    return num / den if den else math.nan
 
 
 @dataclass
@@ -826,32 +829,30 @@ class BrownianReport:
         )
 
 
-def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> BrownianReport:
-    """Finite-dimensional Brownian diagnostics of the centered height paths.
+def brownian_fdd_check(cfg: ExperimentConfig, sigma2: float) -> BrownianReport:
+    """Finite-dimensional Brownian diagnostics of the height increments.
 
-    Draws Gibbs samples across independent environments at the top ladder
-    length, forms scaled height increments on the t-grid, and reports
-    variance ratios against sigma^2 * dt, pairwise correlations, and
-    per-increment normality (``_ks_normal`` of the standardized draws,
-    ``_lattice_normal_distance`` of the exact laws).  The environments come
-    in batches, one table and one sampler each, which draws every
-    environment from its own stream in blocks of ``transfer.draws_per_block``
-    (the draws of one block of all), and ``increment_laws`` gives every
-    exact increment law, whose mean over the environments is the law of
-    the pooled draws.  The pooled increments are written in place, block by
-    block.
+    Reports, for the height increments on the t-grid of Gibbs draws in
+    independent environments at the top ladder length, scaled by 1/sqrt(n),
+    variance ratios against sigma^2 * dt, pairwise correlations and
+    normality (``_lattice_normal_distance`` of the sampled and exact laws),
+    all from int64 tallies of the raw increments that no order of the draws
+    changes: per increment the draws at each value, and the Gram matrix of
+    [1, increments].  Each batch of environments has one table and one
+    sampler, which draws every environment from its own stream in blocks of
+    ``transfer.draws_per_block``; ``increment_laws`` gives the exact laws,
+    whose mean over the environments is the law of the pooled draws.
     """
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)
     cuts = np.floor(n * t).astype(int)
-    D, laws = cfg.gibbs_samples, []
-    # the pooled increments of every draw, [increment, env, draw], each
-    # increment's draws contiguous, env-major, as the statistics read them:
-    # the raw ones counts of at most n h <= 6144 monomers (check_polynomial_caps)
-    pooled = [np.empty((t.size - 1, cfg.height_envs, D), dtype) for dtype in (np.int16, float)]
+    D, T, laws = cfg.gibbs_samples, t.size, []
     degree_layers = int(np.diff(cuts).max())
+    # 0..h degree_layers <= n h <= 6144 monomers (check_polynomial_caps): int64 holds 2e11 draws
+    width = g.h * degree_layers + 1
+    counts, gram = np.zeros((T - 1, width), np.int64), np.zeros((T, T), np.int64)
     block = draws_per_block(g.H, n, degree_layers, D, cfg.height_envs)
     for envs in _batches(g, cfg.height_envs, degree_layers, block):
         tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
@@ -860,43 +861,42 @@ def brownian_fdd_check(cfg: ExperimentConfig, u_hat: float, sigma2: float) -> Br
         except EmptyMeasureError as err:
             raise EmptyStreamError(np.asarray(envs)[err.replicas], n, len(envs)) from err
         gens = [rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS) for env in envs]
-        for lo in range(0, D, block):   # a block of draws at a time, heights [r, d, t]
-            theta, scaled = heights(sampler.monomer_profiles(sampler.draw_states(gens, min(block, D - lo))),
-                                    t, u_hat)
-            for a, out in zip((theta, scaled), pooled):
-                np.subtract(a[..., 1:], a[..., :-1], casting="unsafe",   # exact integers into int16
-                            out=out[:, envs.start:envs.stop, lo:lo + block].transpose(1, 2, 0))
-        del sampler, theta, scaled   # before the laws, as the batch model counts
+        for lo in range(0, D, block):   # a block of draws at a time, rows [1, increments]
+            profiles = sampler.monomer_profiles(sampler.draw_states(gens, min(block, D - lo))).reshape(-1, n)
+            x = np.ones((len(profiles), T), np.int64)
+            np.add.reduceat(profiles[:, :cuts[-1]], cuts[:-1], axis=1, out=x[:, 1:])
+            gram += x.T @ x
+            np.add.at(counts, (np.arange(T - 1), x[:, 1:]), 1)
+        del sampler, profiles, x   # before the laws, as the batch model counts
         laws.append(increment_laws(tables, cuts))
         del tables   # before the next batch's
-    raw_inc, inc = (a.reshape(t.size - 1, -1).T for a in pooled)
-    dt = np.diff(t)
-    inc_var = inc.var(axis=0, ddof=1)
-    expected = sigma2 * dt
-    corr = np.corrcoef(inc, rowvar=False)
-    off = corr[~np.eye(corr.shape[0], dtype=bool)]
-    ks = np.empty(inc.shape[1])
-    for j in range(inc.shape[1]):
-        z = (inc[:, j] - inc[:, j].mean()) / inc[:, j].std(ddof=1)
-        ks[j] = _ks_normal(z)
-    floors, exact = np.empty((2, inc.shape[1]))
+    N, sums, prods = int(gram[0, 0]), gram[0, 1:].tolist(), gram[1:, 1:].tolist()
+    # N (N - 1) times the covariances of the raw increments, in Python ints
+    cov = [[N * p - a * b for p, b in zip(row, sums)] for row, a in zip(prods, sums)]
+    inc_var = np.array([_ratio(cov[j][j], N * (N - 1) * n) for j in range(T - 1)])
+    expected = sigma2 * np.diff(t)
+    corr = [math.sqrt(_ratio(cov[j][k] ** 2, cov[j][j] * cov[k][k])) for j in range(T - 1) for k in range(j)]
+    ks, floors, exact = np.empty((3, T - 1))
     for j, lc in enumerate(np.concatenate(batch, axis=-1) for batch in zip(*laws)):
         p = np.exp(lc - lc.max(axis=0))
         pmf = (p / p.sum(axis=0)).mean(axis=1)
-        floors[j] = _lattice_normal_distance(pmf)
-        emp = np.searchsorted(np.sort(raw_inc[:, j]), np.arange(pmf.size), side="right")
-        exact[j] = float(np.max(np.abs(emp / raw_inc.shape[0] - np.cumsum(pmf))))
+        law, cdf = np.cumsum(pmf), np.cumsum(counts[j, :pmf.size]) / N
+        v = np.arange(pmf.size)
+        mean = float(v @ pmf)
+        floors[j] = _lattice_normal_distance(law, mean, math.sqrt(float((v - mean) ** 2 @ pmf)))
+        ks[j] = _lattice_normal_distance(cdf, sums[j] / N, math.sqrt(_ratio(cov[j][j], N * (N - 1))))
+        exact[j] = float(np.max(np.abs(cdf - law)))
     th = cfg.thresholds
     rep = BrownianReport(
         n=n,
-        samples=inc.shape[0],
+        samples=N,
         t_grid=t,
         increment_vars=inc_var,
         expected_vars=expected,
         var_ratios=inc_var / expected,
-        max_abs_corr=float(np.max(np.abs(off))) if off.size else 0.0,
+        max_abs_corr=float(np.max(corr, initial=0.0)),
         ks_stats=ks,
-        ks_envelope=th.ks_const / math.sqrt(inc.shape[0]),
+        ks_envelope=th.ks_const / math.sqrt(N),
         lattice_floors=floors,
         ks_exact=exact,
     )
@@ -974,7 +974,7 @@ CHECKS = {
                  _block("clt", clt_checks(table, thresholds=cfg.thresholds))),
     "drift": Check(_require_drift, lambda cfg: len(cfg.n_ladder) >= 2, _run_drift),
     "brownian": Check(_check_height_campaign, lambda cfg: False, lambda cfg, table, est:
-                      _block("brownian", brownian_fdd_check(cfg, est.u_hat, est.total_sigma2()))),
+                      _block("brownian", brownian_fdd_check(cfg, est.total_sigma2()))),
     "functionals": Check(_require_functionals, lambda cfg: cfg.with_spectrum, lambda cfg, table, est:
                          _block("functionals", functional_consistency_check(cfg, table=table))),
 }

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dimerlab.experiments import _lattice_normal_distance
 from dimerlab.graphs import (
     CylinderGraph,
     DisorderSpec,
@@ -129,6 +130,15 @@ def count_calls(monkeypatch, module, names) -> dict:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def lattice_floor(pmf: np.ndarray) -> float:
+    """The distance to normal of the law ``pmf`` on 0..pmf.size-1,
+    standardized by its own mean and sd: the floor that no number of
+    draws from it removes."""
+    v = np.arange(pmf.size)
+    mean = float(v @ pmf)
+    return _lattice_normal_distance(np.cumsum(pmf), mean, float(np.sqrt(((v - mean) ** 2) @ pmf)))
 
 
 def batch_budget(monkeypatch, replicas: int, H, n: int, *model) -> None:

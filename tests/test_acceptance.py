@@ -17,7 +17,6 @@ from scipy import stats
 
 from dimerlab.experiments import (
     ExperimentConfig,
-    _lattice_normal_distance,
     brownian_fdd_check,
     clt_checks,
     estimate_limits,
@@ -55,7 +54,7 @@ from dimerlab.transfer import (
     scalar_log_z,
 )
 
-from helpers import NONNEG_GAUGE, STD_NORMAL, gauged, random_instance
+from helpers import NONNEG_GAUGE, STD_NORMAL, gauged, lattice_floor, random_instance
 from oracle import (
     batch_scalar_log_z, brute_force_max, brute_force_polynomial, edge_weight, edges, flat_index,
     kill_vertex_edges, neighbors, prefix_laws, remainder_R, remainder_upper_bound,
@@ -318,7 +317,7 @@ def test_criterion_09_quenched_normality_improves_with_length():
         # the exact count law of the prefix cylinder of layers 1..k is the
         # message after layer k of the oracle's layer degree sweep, at the
         # empty reserved set
-        ds = [_lattice_normal_distance(MonomerPolynomial(lc[: k * g.h + 1, 0], k * g.h).pmf())
+        ds = [lattice_floor(MonomerPolynomial(lc[: k * g.h + 1, 0], k * g.h).pmf())
               for k, lc in enumerate(prefix_laws(tables), start=1) if k in ks]
         worst_top = max(worst_top, ds[-1])
         decreasing += all(b < a for a, b in zip(ds, ds[1:]))
@@ -389,11 +388,11 @@ def test_criterion_12_height_increments_are_brownian():
         seed=1618, gibbs_samples=1000, height_envs=1,
         t_grid=tuple(np.linspace(0.0, 1.0, 9)),
     )
-    # exact quenched centering and variance rate of this one environment
+    # exact quenched variance rate of this one environment
     g = build_cylinder(512, HGraph.path(2))
     w = sample_weights(g, STD_NORMAL, RngSeed(1618, 0))
-    mean, var = partition_polynomial(g, w).cumulants(0.0, 2)
-    rep = brownian_fdd_check(cfg, u_hat=mean / g.n, sigma2=var / g.n)
+    _, var = partition_polynomial(g, w).cumulants(0.0, 2)
+    rep = brownian_fdd_check(cfg, sigma2=var / g.n)
     assert rep.samples == 1000
     assert np.all(np.abs(rep.var_ratios - 1.0) <= 0.15)
     assert rep.max_abs_corr <= 0.10

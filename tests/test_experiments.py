@@ -35,7 +35,6 @@ from dimerlab.experiments import (
     ExperimentConfig,
     _draw_weight_batch,
     _ks_normal,
-    _lattice_normal_distance,
     _norm_cdf,
     _replica_chunk,
     _skew_kurtosis,
@@ -59,8 +58,8 @@ from dimerlab.transfer import (
 )
 
 from helpers import (
-    STD_NORMAL, batch_budget, count_calls, gauged, restrict, root_finds, split_parts, sweep_steps,
-    table_builds,
+    STD_NORMAL, batch_budget, count_calls, gauged, lattice_floor, restrict, root_finds, split_parts,
+    sweep_steps, table_builds,
 )
 
 CONST0 = DisorderSpec(Law.constant(0.0), Law.constant(0.0))
@@ -487,14 +486,15 @@ def test_batch_model_bounds_the_traced_peak_of_the_brownian_check():
     # the sampler of the batch is the largest stage of every environment,
     # ahead of the LOG passes and the degree recursion of increment_laws:
     # at path(4) its block of draws, at path(6) its laws, and at path(2),
-    # n = 256 both alike; at path(1) with 33 t points the pooled increments
-    # of every draw, held beside the batch, and the heights of its block
+    # n = 256 both alike; at path(1) with 33 t points its block of draws
+    # too, beside which the check holds only its rows of [1, increments]
+    # and integer tallies, no increment of an earlier block
     for h, n, envs, draws, points in ((4, 64, 16, 100, 5), (6, 64, 48, 50, 5), (2, 256, 16, 10, 17),
                                       (1, 64, 16, 100, 33)):
         cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=2, disorder=STD_NORMAL,
                          gibbs_samples=draws, height_envs=envs, t_grid=tuple(np.linspace(0, 1, points)))
-        brownian_fdd_check(replace(cfg, n_ladder=(32,), height_envs=2), 0.5, 1.0)
-        peak = _traced_peak(lambda: brownian_fdd_check(cfg, 0.5, 1.0))
+        brownian_fdd_check(replace(cfg, n_ladder=(32,), height_envs=2), 1.0)
+        peak = _traced_peak(lambda: brownian_fdd_check(cfg, 1.0))
         degree_layers = n // (points - 1)
         model = transfer.batch_bytes(cfg.fiber_graph(), n, envs, degree_layers, draws)
         assert transfer.replicas_per_batch(cfg.fiber_graph(), n, degree_layers, draws) >= envs   # one batch
@@ -533,7 +533,7 @@ def test_brownian_check_names_the_stream_of_an_empty_environment():
     assert empty[0] > 0 and len(empty) > 1
     with pytest.raises(ValueError, match=f"^stream {empty[0]} at n=8 has no matching of finite weight"
                                          rf" \({len(empty)} of the 8 replicas of its batch\): empty Gibbs measure$"):
-        brownian_fdd_check(cfg, 0.5, 1.0)
+        brownian_fdd_check(cfg, 1.0)
 
 
 def test_blocks_of_draws_never_narrow_a_brownian_batch(monkeypatch):
@@ -547,7 +547,7 @@ def test_blocks_of_draws_never_narrow_a_brownian_batch(monkeypatch):
 
     def report():
         out = []
-        builds = table_builds(lambda: out.append(json.dumps(jsonify(brownian_fdd_check(cfg, 0.5, 1.0)),
+        builds = table_builds(lambda: out.append(json.dumps(jsonify(brownian_fdd_check(cfg, 1.0)),
                                                             sort_keys=True)))
         return builds, out[0]
 
@@ -596,7 +596,7 @@ def test_check_reports_do_not_depend_on_their_batch(monkeypatch):
         return builds, out[0]
 
     def brownian():
-        return brownian_fdd_check(cfg, 0.5, 1.0)
+        return brownian_fdd_check(cfg, 1.0)
 
     def functional():
         return functional_consistency_check(cfg, environments=7)
@@ -888,7 +888,7 @@ def test_quenched_two_point_lattice_distance():
     from scipy.stats import norm
 
     g = build_cylinder(2, HGraph.single())
-    distance = _lattice_normal_distance(partition_polynomial(g, WeightAssignment.constant(g)).pmf())
+    distance = lattice_floor(partition_polynomial(g, WeightAssignment.constant(g)).pmf())
     assert distance == pytest.approx(norm.cdf(1.0) - 0.5, abs=1e-12)
 
 
@@ -927,7 +927,7 @@ def test_quenched_ladder_distance_decreases():
     # the exact count law of each prefix cylinder, layers 1..k
     g = build_cylinder(128, HGraph.single())
     w = sample_weights(g, STD_NORMAL, RngSeed(21, 0))
-    d = [_lattice_normal_distance(partition_polynomial(*restrict(g, w, 1, k)).pmf())
+    d = [lattice_floor(partition_polynomial(*restrict(g, w, 1, k)).pmf())
          for k in (32, 64, 128)]
     assert d[2] < d[1] < d[0]
 
@@ -958,7 +958,7 @@ def test_brownian_report_shapes():
                      disorder=STD_NORMAL, gibbs_samples=200, height_envs=2,
                      t_grid=tuple(np.linspace(0, 1, 5)))
     est = estimate_limits(run_replicas(cfg))
-    rep = brownian_fdd_check(cfg, est.u_hat, est.total_sigma2())
+    rep = brownian_fdd_check(cfg, est.total_sigma2())
     assert rep.samples == 400
     assert rep.increment_vars.shape == (4,)
     assert np.all(rep.var_ratios > 0)
@@ -968,14 +968,17 @@ def test_brownian_report_shapes():
 def test_brownian_exact_laws_are_views_of_one_table():
     # one table for every environment, which the default budget holds in
     # one batch: each sampler reads its replica, and the exact law of the
-    # pooled increments is the mean of the environments' masked polynomials
-    for envs in (1, 3):
-        cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
+    # pooled increments is the mean of the environments' masked polynomials;
+    # the statistics from the check's tallies are those of the draws
+    # redrawn here one sampler at a time, with -inf edges too
+    minus_inf = DisorderSpec(Law.normal(0.0, 1.0), Law.parse("bernoulli_shift(0.2,0,-inf)"))
+    for h, disorder, envs in ((2, STD_NORMAL, 1), (2, STD_NORMAL, 3), (6, minus_inf, 3)):
+        cfg = _small_cfg(fiber=f"path({h})", n_ladder=(32,), replicas=2, disorder=disorder,
                          gibbs_samples=200, height_envs=envs)
         reps = []
-        assert table_builds(lambda: reps.append(brownian_fdd_check(cfg, 0.5, 1.0))) == 1
+        assert table_builds(lambda: reps.append(brownian_fdd_check(cfg, 1.0))) == 1
         rep, = reps
-        g = build_cylinder(32, HGraph.path(2))
+        g = build_cylinder(32, HGraph.path(h))
         cuts = np.floor(32 * rep.t_grid).astype(int)
         incs, pmfs = [], []
         for env in range(envs):
@@ -988,11 +991,33 @@ def test_brownian_exact_laws_are_views_of_one_table():
                          for a, b in zip(cuts, cuts[1:])])
         inc = np.concatenate(incs)
         assert rep.samples == inc.shape[0] == envs * cfg.gibbs_samples
+        assert rep.increment_vars == pytest.approx(np.var(inc, axis=0, ddof=1) / 32, rel=1e-12, abs=0.0)
+        corr = np.corrcoef(inc, rowvar=False)
+        assert rep.max_abs_corr == pytest.approx(np.abs(corr[~np.eye(len(corr), dtype=bool)]).max(),
+                                                 rel=1e-12, abs=0.0)
         for j in range(inc.shape[1]):
+            z = (inc[:, j] - inc[:, j].mean()) / inc[:, j].std(ddof=1)
+            assert rep.ks_stats[j] == pytest.approx(_ks_normal(z), rel=1e-12, abs=0.0)
             pmf = np.mean([p[j] for p in pmfs], axis=0)
             emp = np.searchsorted(np.sort(inc[:, j]), np.arange(pmf.size), side="right") / inc.shape[0]
-            assert rep.lattice_floors[j] == pytest.approx(_lattice_normal_distance(pmf), rel=0.0, abs=1e-12)
+            assert rep.lattice_floors[j] == pytest.approx(lattice_floor(pmf), rel=0.0, abs=1e-12)
             assert rep.ks_exact[j] == pytest.approx(np.max(np.abs(emp - np.cumsum(pmf))), rel=0.0, abs=1e-12)
+
+
+def test_the_brownian_check_holds_no_memory_per_draw(monkeypatch):
+    # the check keeps integer tallies of its draws, not the draws: in
+    # blocks of 500 fixed by the budget, ten times the draws of two
+    # environments leave its traced peak where it was
+    H = HGraph.path(2)
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(40,), replicas=2, disorder=STD_NORMAL, height_envs=2)
+    layers = int(np.diff(np.floor(40 * np.asarray(cfg.t_grid))).max())
+    batch_budget(monkeypatch, 2, H, 40, layers, 500)
+    brownian_fdd_check(replace(cfg, gibbs_samples=10), 1.0)
+    peaks = []
+    for draws in (2_000, 20_000):
+        assert transfer.draws_per_block(H, 40, layers, draws, 2) == 500
+        peaks.append(_traced_peak(lambda: brownian_fdd_check(replace(cfg, gibbs_samples=draws), 1.0)))
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 def test_brownian_normality_of_several_environments_allows_the_lattice_floor():
@@ -1001,7 +1026,7 @@ def test_brownian_normality_of_several_environments_allows_the_lattice_floor():
     # sampling envelope, but not the exact pooled law's floor plus it
     cfg = _small_cfg(fiber="path(2)", n_ladder=(32,), replicas=2, disorder=STD_NORMAL,
                      gibbs_samples=500, height_envs=2, t_grid=tuple(np.linspace(0, 1, 5)))
-    rep = brownian_fdd_check(cfg, 0.5, 1.0)
+    rep = brownian_fdd_check(cfg, 1.0)
     assert not np.all(rep.ks_stats <= rep.ks_envelope)
     assert rep.normality_ok()
 
@@ -1012,13 +1037,13 @@ def test_brownian_refuses_a_grid_finer_than_the_layers(envs):
     cfg = _small_cfg(fiber="path(2)", n_ladder=(8,), replicas=2, disorder=STD_NORMAL,
                      gibbs_samples=20, height_envs=envs)
     with pytest.raises(ValueError, match=r"strictly increase at n=8; t_grid 0,0\.0625,"):
-        brownian_fdd_check(cfg, 0.5, 1.0)
+        brownian_fdd_check(cfg, 1.0)
     for grid in ((0.0, 1.25), (0.5,)):
         cfg.t_grid = grid
         with pytest.raises(ValueError, match="strictly increase at n=8"):
-            brownian_fdd_check(cfg, 0.5, 1.0)
+            brownian_fdd_check(cfg, 1.0)
     cfg.t_grid = (0.0, 0.25, 0.5, 1.0)
-    assert brownian_fdd_check(cfg, 0.5, 1.0).increment_vars.shape == (3,)
+    assert brownian_fdd_check(cfg, 1.0).increment_vars.shape == (3,)
 
 
 def test_linear_growth_bounded():
