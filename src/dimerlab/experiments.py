@@ -9,11 +9,11 @@ normality statistics (biased skewness, Fisher excess kurtosis, the
 two-sided Kolmogorov-Smirnov distance to N(0, 1) and Phi itself) come from
 their definitions, in numpy and ``math.erfc``.
 
-Replica streams are domain-separated Philox generators, so every table is
-reproducible bit-for-bit from (seed, stream), whatever the batches of
-``transfer.replicas_per_batch`` that the campaign and the checks run in,
-and whatever the processes that a large campaign splits its batches
-across (``campaign_workers``).
+Replica streams are domain-separated Philox generators, so every table and
+report is reproducible bit-for-bit from (seed, stream), whatever its
+batches and processes.  Every disorder loop (the campaign, the functionals
+and the Brownian check) runs under one map, ``_map_batches``, which splits
+its batches across processes by one rule (``campaign_workers``).
 
 The front end is two tables: ``CONFIG_KEYS`` (every config key, the
 attribute it sets, how it is parsed and written), which ``parse_config``
@@ -142,8 +142,8 @@ class ExperimentConfig:
 
     def degree_layers(self, n: int) -> int:
         """The layers of the degree recursion of rung n: all n with spectra
-        whose zeros are extracted (n*h <= ``EXTRACTION_MAX_N``), else none."""
-        return n if self.with_spectrum and n * self.fiber_graph().h <= EXTRACTION_MAX_N else 0
+        up to the ``_zero_extraction_rung``, whose zeros are extracted; else none."""
+        return n if self.with_spectrum and n <= (_zero_extraction_rung(self) or 0) else 0
 
 
 class ConfigKey(NamedTuple):
@@ -319,15 +319,8 @@ def _draw_weight_batch(g: CylinderGraph, cfg: ExperimentConfig, streams) -> tupl
                  for name, a, shape in zip(("nu", "omega_h", "omega_v"), rows, shapes))
 
 
-def _batches(g: CylinderGraph, stop: int, degree_layers: int, draws: int = 0,
-             start: int = 0) -> list[range]:
-    """Streams start..stop-1 in batches of ``replicas_per_batch``."""
-    size = replicas_per_batch(g.H, g.n, degree_layers, draws)
-    return [range(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-
-
 # The least work, in replica-vertex steps (replicas * n * h summed over the
-# rungs), that a campaign splits across processes.  A bare fork, pipe,
+# batches), that a map splits across processes.  A bare fork, pipe,
 # pickle and wait cost about 2 ms on a 2-CPU host, but the child's first
 # writes copy the pages it shares, so there a split path(2) campaign of
 # 49,152 steps ran at 0.42x the speed of one process and one of 81,920
@@ -336,8 +329,8 @@ SPLIT_WORK = 1 << 16
 
 
 class Workers(NamedTuple):
-    """The processes a campaign runs in, of the usable CPUs, for its work
-    in replica-vertex steps; ``reason`` says why it runs in one."""
+    """The processes a map runs in, of the usable CPUs, for its work in
+    replica-vertex steps; ``reason`` says why it runs in one."""
 
     processes: int
     cpus: int
@@ -345,11 +338,10 @@ class Workers(NamedTuple):
     reason: str | None = None
 
 
-def campaign_workers(cfg: ExperimentConfig) -> Workers:
+def campaign_workers(work: int, widest: int) -> Workers:
     """One process per usable CPU (``os.sched_getaffinity``), at most one
-    per replica, for a campaign of at least ``SPLIT_WORK`` steps where
-    ``os.fork`` exists; else one process, and the reason."""
-    work = cfg.replicas * sum(cfg.n_ladder) * cfg.fiber_graph().h
+    per stream of the widest batch, for ``work`` of at least ``SPLIT_WORK``
+    steps where ``os.fork`` exists; else one process, and the reason."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if not hasattr(os, "fork"):
         reason = "no os.fork"
@@ -359,8 +351,10 @@ def campaign_workers(cfg: ExperimentConfig) -> Workers:
         reason = "one usable CPU"
     elif work < SPLIT_WORK:
         reason = f"work {work:,} below the split threshold {SPLIT_WORK:,}"
+    elif widest < 2:
+        reason = "one stream per batch"
     else:
-        return Workers(min(cpus, cfg.replicas), cpus, work)
+        return Workers(min(cpus, widest), cpus, work)
     return Workers(1, cpus, work, reason)
 
 
@@ -415,40 +409,48 @@ def _in_processes(run: Callable, parts: int) -> list:
             os.waitpid(pid, 0)
 
 
-def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
-    """Sweep the ladder, recording one row per (length, replica stream);
-    with spectra, keep the zeros of the functionals check's environments
-    (``ReplicaTable.zeros``) from the rows of its rung.
+class EmptyStreamError(ValueError):
+    """The refusal of the empty replicas of a batch of ``size`` at n, by
+    their ``streams``, naming the first one's stream."""
 
-    Every batch splits into contiguous parts of its streams, one per
-    process of ``campaign_workers``, each run by ``_replica_chunk``; as no
-    row depends on its batch, the table does not depend on the processes.
-    A process stops at its first refusal, and the campaign raises the
-    refusal of the first batch refused, as one process would: the empty
-    streams of all its parts, counted against the whole batch."""
-    H, batches = cfg.fiber_graph(), []
-    # with spectra, the largest rung that extracts zeros: the check's (_zero_extraction_rung)
-    rung = max(filter(cfg.degree_layers, cfg.n_ladder), default=None)
-    for n in cfg.n_ladder:
-        g = build_cylinder(n, H)
-        k_cut = max(1, min(n - 1, int(n * cfg.cut_fraction)))
-        batches += [(g, k_cut, streams) for streams in _batches(g, cfg.replicas, cfg.degree_layers(n))]
-    workers = campaign_workers(cfg)
+    def __init__(self, streams: np.ndarray, n: int, size: int):
+        super().__init__(f"stream {streams[0]} at n={n} has no matching of finite weight"
+                         f" ({streams.size} of the {size} replicas of its batch): empty Gibbs measure")
+        self.streams, self.n, self.size = streams, n, size
+
+
+def _map_batches(cfg: ExperimentConfig, units, consume: Callable) -> tuple[list, Workers]:
+    """``consume(g, streams, tables)`` of every batch, in stream order, and
+    the processes that ran them.  A unit (g, streams, *model) runs its range
+    of streams in batches of ``replicas_per_batch(g.H, g.n, *model)``, each
+    drawn and built once.  Every batch splits into contiguous parts of its
+    streams, one per process of ``campaign_workers`` for the work of all
+    batches; as no result depends on its batch, none depends on the
+    processes.  A process stops at its first refusal, and the map raises
+    that of the first batch refused, as one process would: an empty Gibbs
+    measure as the ``EmptyStreamError`` of the empty streams of all its
+    parts, counted against the whole batch."""
+    batches = [(g, streams[lo:lo + size]) for g, streams, *model in units
+               for size in [replicas_per_batch(g.H, g.n, *model)] for lo in range(0, len(streams), size)]
+    workers = campaign_workers(sum(len(streams) * g.n * g.h for g, streams in batches),
+                               max((len(streams) for _, streams in batches), default=0))
     P = workers.processes
 
     def part(p: int) -> tuple:
-        """The rows and zeros of part p of every batch, up to the first refusal, and it."""
+        """The results of part p of every batch (None without a stream) up
+        to the first refusal, and it: of an empty measure, its streams."""
         done = []
-        for g, k_cut, streams in batches:
+        for g, streams in batches:
             streams = streams[len(streams) * p // P: len(streams) * (p + 1) // P]
             if not streams:
                 done.append(None)
                 continue
             try:
-                rows, pairs = _replica_chunk(g, cfg, streams, k_cut)
+                done.append(consume(g, streams, batch_tables(g, *_draw_weight_batch(g, cfg, streams))))
+            except EmptyMeasureError as err:
+                return done, np.asarray(streams)[err.replicas]
             except Exception as exc:
                 return done, exc
-            done.append((rows, pairs[: max(0, FUNCTIONAL_ENVIRONMENTS - streams.start)] if g.n == rung else []))
         return done, None
 
     parts = _in_processes(part, P)
@@ -456,18 +458,27 @@ def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
     if refused:
         k = min(k for k, _ in refused)
         first = [exc for at, exc in refused if at == k]
-        if all(isinstance(exc, EmptyStreamError) for exc in first):
-            raise EmptyStreamError(np.concatenate([exc.streams for exc in first]),
-                                   batches[k][0].n, len(batches[k][2]))
-        raise first[0]
-    chunks, zeros = [], []
-    for k in range(len(batches)):
-        for done, _ in parts:
-            if done[k] is not None:
-                chunks.append(done[k][0])
-                zeros += done[k][1]
-    return ReplicaTable({key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, zeros,
-                        workers)
+        if all(isinstance(exc, np.ndarray) for exc in first):
+            raise EmptyStreamError(np.concatenate(first), batches[k][0].n, len(batches[k][1]))
+        raise next(exc for exc in first if isinstance(exc, Exception))
+    return [done[k] for k in range(len(batches)) for done, _ in parts if done[k] is not None], workers
+
+
+def run_replicas(cfg: ExperimentConfig) -> ReplicaTable:
+    """Sweep the ladder under ``_map_batches``, recording one row per
+    (length, replica stream) by ``_replica_chunk``; with spectra, keep the
+    zeros of the functionals check's environments (``ReplicaTable.zeros``)
+    from the rows of its rung, the ``_zero_extraction_rung``."""
+    H, rung = cfg.fiber_graph(), _zero_extraction_rung(cfg)
+
+    def chunk(g: CylinderGraph, streams: range, tables: dict) -> tuple:
+        rows, pairs = _replica_chunk(g, cfg, streams, tables, max(1, min(g.n - 1, int(g.n * cfg.cut_fraction))))
+        return rows, pairs[: max(0, FUNCTIONAL_ENVIRONMENTS - streams.start)] if g.n == rung else []
+
+    done, workers = _map_batches(cfg, [(build_cylinder(n, H), range(cfg.replicas), cfg.degree_layers(n))
+                                       for n in cfg.n_ladder], chunk)
+    return ReplicaTable({key: np.concatenate([rows[key] for rows, _ in done]) for key in done[0][0]},
+                        [pair for _, pairs in done for pair in pairs], workers)
 
 
 def _spectra(g: CylinderGraph, tables: dict):
@@ -488,36 +499,19 @@ def _spectra(g: CylinderGraph, tables: dict):
             yield p, None
 
 
-class EmptyStreamError(ValueError):
-    """The refusal of the empty replicas of a batch of ``size`` at n, by
-    their ``streams``, naming the first one's stream."""
-
-    def __init__(self, streams: np.ndarray, n: int, size: int):
-        super().__init__(f"stream {streams[0]} at n={n} has no matching of finite weight"
-                         f" ({streams.size} of the {size} replicas of its batch): empty Gibbs measure")
-        self.streams, self.n, self.size = streams, n, size
-
-    def __reduce__(self):
-        return EmptyStreamError, (self.streams, self.n, self.size)
-
-
-def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, k_cut: int) -> tuple:
-    """Rows of one batch from one table, and the (polynomial, spectrum)
+def _replica_chunk(g: CylinderGraph, cfg: ExperimentConfig, streams, tables: dict, k_cut: int) -> tuple:
+    """Rows of one batch from its table, and the (polynomial, spectrum)
     pair of each replica whose zeros were extracted (``_spectra``): log Z,
     the cumulants and the sections from the two sweeps of ``cut_moments``
     that meet at the cut; M from the (max, +) sweep over the same table;
     with spectra the zeros of every replica's polynomial from one vertex
     recursion over its weights.  A rung past the extraction limit runs
     neither the recursion nor a root finder: its rows keep NaN spectra,
-    refused, and it gives no pairs.  An empty Gibbs measure (log Z = -inf)
-    is refused, naming its stream."""
+    refused, and it gives no pairs.  ``cut_moments`` refuses an empty
+    Gibbs measure (log Z = -inf)."""
     streams = np.array(streams, dtype=np.int64)
     R = streams.size
-    tables = batch_tables(g, *_draw_weight_batch(g, cfg, streams))
-    try:
-        lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
-    except EmptyMeasureError as err:
-        raise EmptyStreamError(streams[err.replicas], g.n, R) from err
+    lz, mean, var, var_l, var_r, cov = cut_moments(tables, k_cut)
     rows = {
         "n": np.full(R, g.n, dtype=np.int64),
         "stream": streams,
@@ -709,11 +703,6 @@ def _lattice_normal_distance(cdf: np.ndarray, mean: float, sd: float) -> float:
     return float(np.max(np.maximum(np.abs(cdf - phi), np.abs(left - phi))))
 
 
-def _ratio(num: int, den: int) -> float:
-    """num / den of exact ints, correctly rounded; NaN where den is 0, as numpy gives."""
-    return num / den if den else math.nan
-
-
 @dataclass
 class FunctionalReport:
     """Spectral-route vs coefficient-route cumulant densities on a tilt grid."""
@@ -727,20 +716,23 @@ class FunctionalReport:
     ok: bool
 
 
-def _zero_extraction_rung(cfg: ExperimentConfig) -> int:
+def _zero_extraction_rung(cfg: ExperimentConfig, refuse: bool = False) -> int | None:
     """The largest ladder length whose zeros double precision resolves
-    (n*h <= ``EXTRACTION_MAX_N``)."""
+    (n*h <= ``EXTRACTION_MAX_N``): the functionals check's rung, and with
+    spectra the top rung of the degree recursion.  None if no rung is, or
+    with ``refuse`` the ValueError that says so."""
     h = cfg.fiber_graph().h
-    candidates = [n for n in cfg.n_ladder if n * h <= EXTRACTION_MAX_N]
-    if not candidates:
+    rung = max((n for n in cfg.n_ladder if n * h <= EXTRACTION_MAX_N), default=None)
+    if rung is None and refuse:
         raise ValueError("no ladder rung is small enough for zero extraction"
                          f" (need n*h <= extraction limit {EXTRACTION_MAX_N})")
-    return max(candidates)
+    return rung
 
 
 def _check_height_campaign(cfg: ExperimentConfig) -> None:
-    if cfg.height_envs < 1 or cfg.gibbs_samples < 1:
-        raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1")
+    if cfg.height_envs < 1 or cfg.gibbs_samples < 1 or cfg.height_envs * cfg.gibbs_samples < 2:
+        raise ValueError("height campaign needs height_envs >= 1 and gibbs_samples >= 1, and 2 draws in all"
+                         f" for a variance; got {cfg.height_envs} x {cfg.gibbs_samples}")
     n, t = max(cfg.n_ladder), np.asarray(cfg.t_grid, dtype=float)
     check_polynomial_caps(n, cfg.fiber_graph().h)   # the exact increment laws
     cuts = np.floor(n * t).astype(int)
@@ -763,14 +755,15 @@ def functional_consistency_check(
     small zeros.  The environments are streams 0..environments-1 at that
     rung.  The first ones come from ``table.zeros``, the zeros that the
     campaign of ``cfg`` (``run_replicas``) extracted from the same weights;
-    only the rest are drawn and extracted here.  A refused extraction fails
-    the check, read or extracted alike.
+    only the rest are drawn and extracted here, under ``_map_batches``.  A
+    refused extraction fails the check, read or extracted alike.
     """
-    g = build_cylinder(_zero_extraction_rung(cfg), cfg.fiber_graph())
+    g = build_cylinder(_zero_extraction_rung(cfg, refuse=True), cfg.fiber_graph())
     xs = np.asarray(cfg.x_grid, dtype=float)
     pairs = table.zeros[:environments] if table is not None else []   # a copy
-    for envs in _batches(g, environments, g.n, start=len(pairs)):
-        pairs += _spectra(g, batch_tables(g, *_draw_weight_batch(g, cfg, envs)))
+    done, _ = _map_batches(cfg, [(g, range(len(pairs), environments), g.n)],
+                           lambda g, envs, tables: list(_spectra(g, tables)))
+    pairs += [pair for batch in done for pair in batch]
     gaps = []
     failures = 0
     for p, sp in pairs:
@@ -838,28 +831,27 @@ def brownian_fdd_check(cfg: ExperimentConfig, sigma2: float) -> BrownianReport:
     normality (``_lattice_normal_distance`` of the sampled and exact laws),
     all from int64 tallies of the raw increments that no order of the draws
     changes: per increment the draws at each value, and the Gram matrix of
-    [1, increments].  Each batch of environments has one table and one
-    sampler, which draws every environment from its own stream in blocks of
-    ``transfer.draws_per_block``; ``increment_laws`` gives the exact laws,
-    whose mean over the environments is the law of the pooled draws.
+    [1, increments], which join by addition.  Under ``_map_batches`` each
+    batch has one table and one sampler, which draws every environment from
+    its own stream in blocks of ``transfer.draws_per_block``;
+    ``increment_laws`` gives the exact laws, whose mean over the
+    environments is the law of the pooled draws.  An increment with one
+    value in every draw has no statistic, and is refused.
     """
     _check_height_campaign(cfg)
     n = max(cfg.n_ladder)
     g = build_cylinder(n, cfg.fiber_graph())
     t = np.asarray(cfg.t_grid, dtype=float)
     cuts = np.floor(n * t).astype(int)
-    D, T, laws = cfg.gibbs_samples, t.size, []
+    D, T = cfg.gibbs_samples, t.size
     degree_layers = int(np.diff(cuts).max())
-    # 0..h degree_layers <= n h <= 6144 monomers (check_polynomial_caps): int64 holds 2e11 draws
-    width = g.h * degree_layers + 1
-    counts, gram = np.zeros((T - 1, width), np.int64), np.zeros((T, T), np.int64)
     block = draws_per_block(g.H, n, degree_layers, D, cfg.height_envs)
-    for envs in _batches(g, cfg.height_envs, degree_layers, block):
-        tables = batch_tables(g, *_draw_weight_batch(g, cfg, envs))
-        try:
-            sampler = GibbsSampler(tables)
-        except EmptyMeasureError as err:
-            raise EmptyStreamError(np.asarray(envs)[err.replicas], n, len(envs)) from err
+
+    def tally(g: CylinderGraph, envs: range, tables: dict) -> tuple:
+        """The int64 tallies of the draws of a batch, and its exact laws."""
+        # 0..h degree_layers <= n h <= 6144 monomers (check_polynomial_caps): int64 holds 2e11 draws
+        counts, gram = np.zeros((T - 1, g.h * degree_layers + 1), np.int64), np.zeros((T, T), np.int64)
+        sampler = GibbsSampler(tables)
         gens = [rng_generator(RngSeed(cfg.seed, stream=env), DOMAIN_GIBBS) for env in envs]
         for lo in range(0, D, block):   # a block of draws at a time, rows [1, increments]
             profiles = sampler.monomer_profiles(sampler.draw_states(gens, min(block, D - lo))).reshape(-1, n)
@@ -868,14 +860,20 @@ def brownian_fdd_check(cfg: ExperimentConfig, sigma2: float) -> BrownianReport:
             gram += x.T @ x
             np.add.at(counts, (np.arange(T - 1), x[:, 1:]), 1)
         del sampler, profiles, x   # before the laws, as the batch model counts
-        laws.append(increment_laws(tables, cuts))
-        del tables   # before the next batch's
+        return counts, gram, increment_laws(tables, cuts)
+
+    done, _ = _map_batches(cfg, [(g, range(cfg.height_envs), degree_layers, block)], tally)
+    *tallies, laws = zip(*done)
+    counts, gram = map(sum, tallies)
     N, sums, prods = int(gram[0, 0]), gram[0, 1:].tolist(), gram[1:, 1:].tolist()
     # N (N - 1) times the covariances of the raw increments, in Python ints
     cov = [[N * p - a * b for p, b in zip(row, sums)] for row, a in zip(prods, sums)]
-    inc_var = np.array([_ratio(cov[j][j], N * (N - 1) * n) for j in range(T - 1)])
+    if flat := [j for j in range(T - 1) if not cov[j][j]]:
+        raise ValueError(f"height increment {flat[0] + 1} (t {t[flat[0]]:g} to {t[flat[0] + 1]:g}) takes"
+                         f" one value in all {N} draws: no variance, so no Brownian statistic")
+    inc_var = np.array([cov[j][j] / (N * (N - 1) * n) for j in range(T - 1)])
     expected = sigma2 * np.diff(t)
-    corr = [math.sqrt(_ratio(cov[j][k] ** 2, cov[j][j] * cov[k][k])) for j in range(T - 1) for k in range(j)]
+    corr = [math.sqrt(cov[j][k] ** 2 / (cov[j][j] * cov[k][k])) for j in range(T - 1) for k in range(j)]
     ks, floors, exact = np.empty((3, T - 1))
     for j, lc in enumerate(np.concatenate(batch, axis=-1) for batch in zip(*laws)):
         p = np.exp(lc - lc.max(axis=0))
@@ -884,7 +882,7 @@ def brownian_fdd_check(cfg: ExperimentConfig, sigma2: float) -> BrownianReport:
         v = np.arange(pmf.size)
         mean = float(v @ pmf)
         floors[j] = _lattice_normal_distance(law, mean, math.sqrt(float((v - mean) ** 2 @ pmf)))
-        ks[j] = _lattice_normal_distance(cdf, sums[j] / N, math.sqrt(_ratio(cov[j][j], N * (N - 1))))
+        ks[j] = _lattice_normal_distance(cdf, sums[j] / N, math.sqrt(cov[j][j] / (N * (N - 1))))
         exact[j] = float(np.max(np.abs(cdf - law)))
     th = cfg.thresholds
     rep = BrownianReport(
@@ -956,7 +954,7 @@ def _require_functionals(cfg: ExperimentConfig) -> None:
     if not cfg.with_spectrum:
         raise ValueError("the functionals check compares zeros with cumulants:"
                          " it needs with_spectrum = true")
-    _zero_extraction_rung(cfg)
+    _zero_extraction_rung(cfg, refuse=True)
 
 
 def _run_drift(cfg, table, est):

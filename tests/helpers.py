@@ -212,7 +212,9 @@ def layer_counts(g, m: Matching) -> np.ndarray:
 
 
 def split_parts(monkeypatch, parts: int) -> None:
-    """Run every campaign in ``parts`` processes, whatever its work and the
+    """Run every disorder loop (the campaign and both checks that draw
+    environments, all under the one batch map) in ``parts`` processes, at
+    most one per stream of its widest batch, whatever its work and the
     usable CPUs: a split threshold of 0 and ``parts`` CPUs."""
     from dimerlab import experiments
 

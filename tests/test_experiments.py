@@ -416,6 +416,11 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def _chunk(g, cfg, R: int, k: int) -> tuple:
+    """The rows of streams 0..R-1 at cut k, drawn and built as the batch map does."""
+    return _replica_chunk(g, cfg, range(R), transfer.batch_tables(g, *_draw_weight_batch(g, cfg, range(R))), k)
+
+
 _PEAK_CASES = [
     (2, 512, 256, False, 256), (4, 128, 64, False, 64), (6, 64, 16, False, 32),
     (8, 32, 8, False, 16),
@@ -439,8 +444,8 @@ def test_batch_model_bounds_the_traced_peak(h, n, R, spectra, k):
     cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=R, disorder=STD_NORMAL,
                      with_ground=True, with_spectrum=spectra)
     g = build_cylinder(n, cfg.fiber_graph())
-    _replica_chunk(g, cfg, range(2), k)
-    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), k))
+    _chunk(g, cfg, 2, k)
+    peak = _traced_peak(lambda: _chunk(g, cfg, R, k))
     model = transfer.batch_bytes(g.H, n, R, n if spectra else 0)
     assert peak <= model <= 2 * peak, (model, peak)
 
@@ -454,9 +459,9 @@ def test_batch_model_bounds_the_traced_peak_past_the_certificate(monkeypatch, h,
     cfg = _small_cfg(fiber=f"path({h})", n_ladder=(n,), replicas=R, with_ground=True,
                      disorder=DisorderSpec(Law.normal(0.0, 100.0), Law.normal(0.0, 100.0)))
     g = build_cylinder(n, cfg.fiber_graph())
-    _replica_chunk(g, cfg, range(2), k)
+    _chunk(g, cfg, 2, k)
     steps.clear()
-    peak = _traced_peak(lambda: _replica_chunk(g, cfg, range(R), k))
+    peak = _traced_peak(lambda: _chunk(g, cfg, R, k))
     assert ("moment", min(k, n - k), 2 * max(R // 2, 1)) in steps
     model = transfer.batch_bytes(g.H, n, R)
     assert peak <= model <= 2 * peak, (model, peak)
@@ -521,18 +526,45 @@ def test_large_fibers_run_in_batches_or_are_refused_when_read():
         parse_config("[graph]\nfiber = path(12)\n[ladder]\nn = 64, 2000000\n", is_text=True)
 
 
-def test_brownian_check_names_the_stream_of_an_empty_environment():
+def test_brownian_check_names_the_stream_of_an_empty_environment(monkeypatch):
     # with every edge -inf an environment has a matching of finite weight
     # only if no vertex weight is -inf; the sampler of the batch refuses its
-    # empty ones, and the check names the first one's stream and counts them
+    # empty ones, and the check names the first one's stream and counts them,
+    # also split in two, where the empty ones are in the child's part
     disorder = DisorderSpec(Law.parse("bernoulli_shift(0.05,0,-inf)"), Law.constant(float("-inf")))
     cfg = _small_cfg(n_ladder=(8,), disorder=disorder, seed=3, height_envs=8, gibbs_samples=4,
                      t_grid=(0.0, 0.5, 1.0))
     g = build_cylinder(8, HGraph.single())
     empty = [s for s in range(8) if np.isneginf(sample_weights(g, disorder, RngSeed(3, s)).nu).any()]
-    assert empty[0] > 0 and len(empty) > 1
-    with pytest.raises(ValueError, match=f"^stream {empty[0]} at n=8 has no matching of finite weight"
-                                         rf" \({len(empty)} of the 8 replicas of its batch\): empty Gibbs measure$"):
+    assert empty[0] >= 4 and len(empty) > 1
+    message = (f"^stream {empty[0]} at n=8 has no matching of finite weight"
+               rf" \({len(empty)} of the 8 replicas of its batch\): empty Gibbs measure$")
+    with pytest.raises(experiments.EmptyStreamError, match=message):
+        brownian_fdd_check(cfg, 1.0)
+    split_parts(monkeypatch, 2)
+    with pytest.raises(experiments.EmptyStreamError, match=message):
+        brownian_fdd_check(cfg, 1.0)
+    _no_child_left()
+
+
+def test_brownian_check_refuses_a_single_draw():
+    # one draw in all has no sample variance: refused before the campaign
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(16,), disorder=STD_NORMAL, height_envs=1, gibbs_samples=1,
+                     t_grid=(0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="2 draws in all for a variance; got 1 x 1$"):
+        check_runnable(cfg, ["brownian"])
+    with pytest.raises(ValueError, match="2 draws in all"):
+        brownian_fdd_check(cfg, 1.0)
+    assert brownian_fdd_check(replace(cfg, gibbs_samples=2), 1.0).samples == 2
+
+
+def test_brownian_check_refuses_an_increment_without_variance():
+    # with every edge -inf every draw leaves every vertex unpaired, so each
+    # increment is the number of its vertices in all draws: refused by
+    # name, with no NaN field and no numpy warning
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(16,), height_envs=2, gibbs_samples=3, t_grid=(0.0, 0.5, 1.0),
+                     disorder=DisorderSpec(Law.normal(0, 1), Law.constant(float("-inf"))))
+    with pytest.raises(ValueError, match=r"^height increment 1 \(t 0 to 0.5\) takes one value in all 6 draws"):
         brownian_fdd_check(cfg, 1.0)
 
 
@@ -813,24 +845,59 @@ def test_a_child_that_dies_or_a_parent_interrupted_leaves_no_process(monkeypatch
 
 def test_a_campaign_below_the_split_threshold_never_forks(monkeypatch):
     # on two CPUs the polynomial campaign's shape, 8 * (8 + 48) * 4 = 1,792
-    # steps, runs in one process, as does any campaign on one CPU, without
-    # os.fork or without os.sched_getaffinity; the campaign's shape splits
+    # steps, runs in one process, as does the functionals check's loop (8
+    # environments at N = 32, 256 steps), and any map on one CPU, without
+    # os.fork or without os.sched_getaffinity; with no threshold, a map
+    # whose widest batch has one stream (one Brownian environment) still
+    # runs in one; the campaign's shape splits
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = _small_cfg(fiber="path(4)", n_ladder=(8, 48), replicas=8, disorder=STD_NORMAL)
     assert run_replicas(cfg).workers == (1, 2, 1792, "work 1,792 below the split threshold 65,536")
+    assert functional_consistency_check(cfg).n == 8
     monkeypatch.setattr(experiments, "SPLIT_WORK", 0)
-    assert experiments.campaign_workers(cfg) == (2, 2, 1792, None)
+    assert experiments.campaign_workers(1792, 8) == (2, 2, 1792, None)
+    assert experiments.campaign_workers(1792, 1) == (1, 2, 1792, "one stream per batch")
+    brownian_fdd_check(replace(cfg, height_envs=1, gibbs_samples=20, t_grid=(0.0, 0.5, 1.0)), 1.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert experiments.campaign_workers(cfg) == (1, 1, 1792, "one usable CPU")
+    assert experiments.campaign_workers(1792, 8) == (1, 1, 1792, "one usable CPU")
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert experiments.campaign_workers(cfg) == (1, 1, 1792, "no os.sched_getaffinity")
+    assert experiments.campaign_workers(1792, 8) == (1, 1, 1792, "no os.sched_getaffinity")
     monkeypatch.delattr(os, "fork")
-    assert experiments.campaign_workers(cfg).reason == "no os.fork"
+    assert experiments.campaign_workers(1792, 8).reason == "no os.fork"
     monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = replace(cfg, n_ladder=(128, 512), replicas=256, fiber="path(2)")
-    assert experiments.campaign_workers(cfg) == (2, 2, 327_680, None)
+    assert experiments.campaign_workers(256 * (128 + 512) * 2, 256) == (2, 2, 327_680, None)
+
+
+def _counted_forks(monkeypatch) -> list:
+    """Record each ``os.fork`` of this process; returns the live list."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("budget", [None, 3], ids=["one-batch", "batches-of-3"])
+def test_split_checks_give_the_reports_of_one_process(monkeypatch, budget):
+    # the Brownian check at n = 32 and the functionals check at n = 8, with
+    # -inf edges, split their 7 environments, in one batch or in batches of
+    # 3, 3 and 1, into 2 and 3 parts: one fork per part past the first, the
+    # JSON report of one process, and no process left
+    cfg = _small_cfg(fiber="path(2)", n_ladder=(8, 32), replicas=2, gibbs_samples=40, height_envs=7,
+                     t_grid=tuple(np.linspace(0, 1, 5)),
+                     disorder=DisorderSpec(Law.normal(0, 1), Law.parse("bernoulli_shift(0.2,0,-inf)")))
+    for check, model in ((lambda: brownian_fdd_check(cfg, 1.0), (32, 8, 1)),
+                         (lambda: functional_consistency_check(cfg, environments=7), (8, 8))):
+        if budget:
+            batch_budget(monkeypatch, budget, cfg.fiber_graph(), *model)
+        ref = json.dumps(jsonify(check()), sort_keys=True)
+        for parts in (2, 3):
+            split_parts(monkeypatch, parts)
+            forks = _counted_forks(monkeypatch)
+            assert json.dumps(jsonify(check()), sort_keys=True) == ref
+            assert len(forks) == parts - 1
+            _no_child_left()
+        monkeypatch.undo()
 
 
 def test_a_split_campaign_under_an_interval_timer_gives_the_same_rows(monkeypatch):

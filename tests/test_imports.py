@@ -126,6 +126,44 @@ def test_the_trace_scan_sees_a_missing_target():
     assert [target for target in targets if untraceable(target)] == ["sampler:GibbsSampler.gone", "transfer:gone"]
 
 
+def callers(tree: ast.Module, names) -> dict:
+    """Each of ``names`` -> the sorted top-level definitions of ``tree``
+    ("<module>" for any other statement) that call it, by its name or as
+    an attribute; nested functions count as their top-level definition."""
+    found = {name: set() for name in names}
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in found:
+                    found[name].add(owner)
+    return {name: sorted(owners) for name, owners in found.items()}
+
+
+# what only the batch map of experiments.py does: draw a batch of weights,
+# build its tables, fork
+MAP_ONLY = ("_draw_weight_batch", "batch_tables", "_in_processes")
+
+
+def test_only_the_batch_map_draws_builds_and_forks():
+    # a disorder loop that drew, built or forked on its own would bring
+    # back its own batches, its own split and its own refusals
+    tree = ast.parse((ROOT / "src" / "dimerlab" / "experiments.py").read_text())
+    assert callers(tree, MAP_ONLY) == {name: ["_map_batches"] for name in MAP_ONLY}
+
+
+def test_the_caller_scan_sees_a_second_caller():
+    tree = ast.parse("def _map_batches(cfg):\n    def part(p):\n"
+                     "        return batch_tables(g, *_draw_weight_batch(g, cfg, s))\n"
+                     "    return _in_processes(part, 2)\n"
+                     "def loop(cfg):\n    return [transfer.batch_tables(g, *w) for w in ws]\n"
+                     "CHECK = lambda cfg: _in_processes(cfg, 1)\n")
+    assert callers(tree, MAP_ONLY) == {"_draw_weight_batch": ["_map_batches"],
+                                       "batch_tables": ["_map_batches", "loop"],
+                                       "_in_processes": ["<module>", "_map_batches"]}
+
+
 MODULES = {p.stem for p in PACKAGE} - {"__init__"}
 
 
