@@ -22,7 +22,7 @@ from .transfer import (
     scalar_log_z,
 )
 from .leeyang import LeeYangSpectrum, density_functionals, spectrum
-from .sampler import GibbsSampler, Matching
+from .sampler import GibbsSampler
 from .groundstate import GroundState, gse_remainder, max_weight
 from .jacobi import JacobiMatrix, det_abs, omega_spectrum, resolvent_U
 from .experiments import ExperimentConfig, ReplicaTable, estimate_limits, run_replicas
@@ -39,7 +39,6 @@ __all__ = [
     "JacobiMatrix",
     "Law",
     "LeeYangSpectrum",
-    "Matching",
     "MonomerPolynomial",
     "ReplicaTable",
     "RngSeed",

@@ -61,7 +61,6 @@ from .transfer import (
     draws_per_block,
     instance_tables,
     partition_polynomial,
-    replicas_per_batch,
     scalar_log_z,
 )
 
@@ -282,10 +281,9 @@ def _betas(text: str | None) -> list[float]:
 def _cmd_ground(args) -> int:
     betas = _betas(args.betas)
     g, w = _resolve_weights(args)
-    replicas_per_batch(g.H, g.n, 0, 1)   # the backward step's messages fit the budget
     gs = max_weight(g, w)
-    print(f"M = {gs.value:.12f} with {len(gs.matching.edge_indices)} dimers, "
-          f"{gs.matching.num_unpaired(g)} monomers")
+    monomers = g.num_vertices - 2 * len(gs.edges)
+    print(f"M = {gs.value:.12f} with {len(gs.edges)} dimers, {monomers} monomers")
     remainders = {"k": np.arange(1, g.n), "remainder": gse_remainder(g, w),
                   "bound": gse_remainder_bound(g, w)}
     worst = float(remainders["remainder"].max()) if g.n > 1 else None
@@ -308,8 +306,8 @@ def _cmd_ground(args) -> int:
         write_json(
             {
                 "value": gs.value,
-                "edges": sorted(gs.matching.edge_indices),
-                "monomer_count": gs.matching.num_unpaired(g),
+                "edges": gs.edges,
+                "monomer_count": monomers,
                 "max_remainder": worst,
                 "zero_temperature": ladder,
             },

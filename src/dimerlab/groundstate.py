@@ -1,15 +1,10 @@
 """Zero-temperature engine: maximal Hamiltonian over matchings.
 
 The transfer module's vertex recursion turns into a ground-state solver in
-the (max, +) arithmetic ``MAX``.  The optimal matching is then read off
-backward one vertex at a time, from the stored message after every vertex
-(``transfer.move_terms``): from the empty set after the last layer, each
-vertex takes the first largest of the moves into the state after it, in
-the fixed order monomer (or the forced opening), the close of the
-horizontal dimer reserved at the cut before, then the fiber dimers to the
-earlier vertices by H-edge.  The monomer comes first, so all-zero weights
-give the empty matching.  The backward terms are the very sums the forward
-maximum took, so the first largest is a move of an optimal configuration.
+the (max, +) arithmetic ``MAX``.  The optimal matching is the sampler's
+backward walk in it (``sampler.GibbsSampler.walk``): each vertex takes the
+first largest move into the state after it, the very sums the forward
+maximum took, so the walk follows an optimal configuration.
 
 The (max, +) message at the empty reserved set after layer k is the
 maximum over the sub-cylinder of layers 1..k; with one sweep forward and
@@ -23,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment, gauge
-from .sampler import Matching, decode_moves, matching_weight
+from .sampler import GibbsSampler, decode_edges, matching_weight
 from .transfer import (
-    MAX, _empty, _vertex_sweep, batch_tables, check_nonempty, cut_remainders,
-    instance_tables, move_terms, scalar_log_z,
+    MAX, NEG_INF, _empty, _vertex_sweep, batch_tables, check_nonempty, cut_remainders,
+    instance_tables, scalar_log_z,
 )
 
 
 @dataclass(frozen=True)
 class GroundState:
     value: float
-    matching: Matching
+    edges: np.ndarray   # the canonical edge indices of the matching, ascending
 
 
 def max_values(tables: dict) -> np.ndarray:
@@ -50,21 +45,22 @@ def batch_max_values(g: CylinderGraph, nu_b, oh_b, ov_b) -> np.ndarray:
 
 
 def max_weight(g: CylinderGraph, w: WeightAssignment) -> GroundState:
-    """Maximize H over matchings: a (max, +) sweep, then a backward argmax.
-    The matching's weight, summed over the flat weights at ``edge_ends``,
-    must give the value: every ground state checks the edge numbering of
-    ``decode_moves`` against ``edge_ends``."""
-    (value,), (terms,), code, prev = move_terms(instance_tables(g, w), MAX)
-    best = terms.argmax(axis=-1)
-    moves, s = np.empty((1, g.n, g.h), dtype=np.intp), 0
-    for i in range(g.n - 1, -1, -1):
-        for b in range(g.h - 1, -1, -1):
-            j = best[i, b, s]
-            moves[0, i, b], s = code[b, s, j], prev[b, s, j]
-    gs = GroundState(value=float(value), matching=decode_moves(g.n, g.H, moves)[0])
-    achieved = matching_weight(g, w, gs.matching)
-    if not np.isclose(achieved, value, rtol=0.0, atol=1e-9):
-        raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {value}")
+    """Maximize H over matchings: the backward walk in (max, +) at uniforms
+    0.  The matching's weight, summed over the flat weights at
+    ``edge_ends``, must give the value up to the rounding of the two sums:
+    every ground state checks the edge numbering of ``decode_edges``
+    against ``edge_ends``."""
+    walker = GibbsSampler(instance_tables(g, w), arith=MAX)
+    (row,) = decode_edges(g.n, g.H, walker.walk(np.zeros((g.n * g.h, 1, 1)))[0])
+    gs = GroundState(value=float(walker.values[0]), edges=row[row >= 0])
+    achieved = matching_weight(g, w, gs.edges)
+    # each side adds a weight per vertex at most, so it rounds by under N eps/2
+    # times the sum of the terms' magnitudes (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2002, sec. 4.2): the gap is bounded at twice both
+    size = WeightAssignment(g, *(np.where(a > NEG_INF, np.abs(a), 0.0) for a in (w.nu, w.omega_h, w.omega_v)))
+    bound = 2 * g.num_vertices * np.finfo(float).eps * matching_weight(g, size, gs.edges)
+    if not abs(achieved - gs.value) <= bound:
+        raise AssertionError(f"argmax reconstruction mismatch: {achieved} vs {gs.value}")
     return gs
 
 

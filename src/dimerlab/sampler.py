@@ -1,51 +1,39 @@
-"""Exact Gibbs sampling of matchings by the backward step of the transfer recursion.
+"""Exact Gibbs draws and ground states by the backward step of the transfer recursion.
 
 The transfer module builds the cylinder one vertex at a time.  Given the
 state after vertex (i, b), the move into it is either the unique OPEN move
 (b is open), or one of: a monomer, the close of the horizontal dimer
 reserved at cut i-1, or a fiber dimer to an open earlier vertex of the
-layer.  Under the forward messages of the (logaddexp, +) sweep, the weights
-of these moves, each the message before the vertex at the state it leaves
-times the move's weight, are the exact conditional law of the move given
-the state after it, so drawing the moves backward from the empty set after
-the last vertex draws from the Gibbs measure itself - no Markov chain, no
-mixing time.  A ``GibbsSampler`` keeps the cumulative law of the moves into
-every state after every vertex of every replica of its batch.  Draw d of
-replica r inverts each vertex's law at one uniform, row d of
+layer.  Each move's term, the forward message before the vertex at the
+state it leaves times the move's weight, is under (logaddexp, +) the exact
+conditional law of the move given the state after it, so walking backward
+from the empty set after the last vertex draws from the Gibbs measure
+itself (forward filtering, backward sampling): no Markov chain, no mixing
+time.  Under (max, +) the walk at uniforms 0 takes the first largest move,
+in the order monomer (or opening), horizontal close, fiber dimers by
+H-edge, and so a ground state (Viterbi backtracking); all-zero weights give
+the empty matching.  Draw d of replica r reads row d of
 ``gens[r].random((count, n * h))``: consumed draw-major, so draws taken in
 blocks, or alone, are the draws taken at once.
 
-One decoder, ``decode_edges``, turns the moves of every draw into its
-matching by one fancy index and one sort: row d of a ``[count, n * h]`` int
-array holds the canonical edge indices of draw d in ascending order, after
--1 padding for the vertices that close no dimer.  ``sample`` writes its
-draws from that array, and ``decode_moves`` builds ``Matching`` objects from
-it for the ground state and the tests.
+``decode_edges`` turns the moves of every draw into its matching by one
+fancy index and one sort: row d of a ``[count, n * h]`` int array holds the
+canonical edge indices of draw d in ascending order, after -1 padding for
+the vertices that close no dimer.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import CylinderGraph, WeightAssignment, edge_ends
-from .transfer import FIBER, HORIZONTAL, LOG, MONOMER, NEG_INF, move_terms
+from .transfer import FIBER, HORIZONTAL, LOG, MAX, MONOMER, NEG_INF, check_batch, move_terms
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A matching as a frozenset of canonical edge indices."""
-
-    edge_indices: frozenset
-
-    def num_unpaired(self, g: CylinderGraph) -> int:
-        return g.num_vertices - 2 * len(self.edge_indices)
-
-
-def matching_weight(g: CylinderGraph, w: WeightAssignment, m: Matching) -> float:
-    """Hamiltonian H(m): monomer weights of unpaired vertices + dimer weights.
-    Edges that share a vertex are refused: ``m`` is not a matching."""
-    idx = np.array(sorted(m.edge_indices), dtype=np.intp)
+def matching_weight(g: CylinderGraph, w: WeightAssignment, edges: np.ndarray) -> float:
+    """Hamiltonian H(m) of the matching of canonical edge indices ``edges``:
+    monomer weights of unpaired vertices + dimer weights.  Edges that share
+    a vertex are refused: ``edges`` is not a matching."""
+    idx = np.asarray(edges, dtype=np.intp)
     covered = np.bincount(edge_ends(g)[:, idx].reshape(-1), minlength=g.num_vertices)
     if (covered > 1).any():
         raise ValueError("edges share a vertex; not a matching")
@@ -87,28 +75,43 @@ def _cumulative_law(t: np.ndarray) -> np.ndarray:
     return law
 
 
-class GibbsSampler:
-    """Backward exact sampler of every replica of ``tables`` at tilt x: the
-    cumulative law ``law[j, r, i, b, s]`` of the moves into each state s after
-    every vertex (i, b) (``transfer.move_terms``), from one sweep over the batch."""
+def _step_law(t: np.ndarray) -> np.ndarray:
+    """The law of ``_cumulative_law``'s layout with all its mass on the
+    first largest of the weights ``t[..., j]``, a row of -inf all zeros."""
+    best = np.where(t.max(axis=-1) > NEG_INF, t.argmax(axis=-1), t.shape[-1])
+    return (np.arange(t.shape[-1]).reshape(-1, *[1] * best.ndim) >= best).astype(float)
 
-    def __init__(self, tables: dict, x: float = 0.0):
+
+class GibbsSampler:
+    """Backward walk over every replica of ``tables`` at tilt x in ``arith``
+    (LOG or MAX): the cumulative law ``law[j, r, i, b, s]`` of the moves into
+    each state s after every vertex (i, b) (``transfer.move_terms``), and
+    ``values``, the log Z or the largest H of every replica, from one sweep.
+    A batch past ``batch_bytes`` of one draw is refused before the sweep."""
+
+    def __init__(self, tables: dict, x: float = 0.0, arith=LOG):
         self.n, self.H = tables["n"], tables["H"]
-        self.log_z, terms, code, prev = move_terms(tables, LOG, x)
-        self.law = _cumulative_law(terms)
+        check_batch(self.H, self.n, len(tables["nu"]), 0, 1)
+        self.values, terms, code, prev = move_terms(tables, arith, x)
+        self.law = (_step_law if arith is MAX else _cumulative_law)(terms)
         # one column past the moves, which only a law of zero mass (all 0) reaches
         self.code, self.prev = (np.pad(a, ((0, 0), (0, 0), (0, 1)), constant_values=v)
                                 for a, v in ((code, ZERO_MASS), (prev, 0)))
 
     def draw_states(self, gens, count: int) -> np.ndarray:
         """The moves ``[r, d, i, b]`` of ``count`` draws of every replica (the
-        codes of ``transfer.MONOMER`` and the others), drawn backward from the
-        empty set after the last layer: draw d of replica r inverts the law of
-        vertex (i, b) at ``gens[r].random((count, n * h))[d, i * h + b]``."""
+        codes of ``transfer.MONOMER`` and the others): the ``walk`` at the
+        uniforms ``gens[r].random((count, n * h))[d, i * h + b]``."""
         J, R, n, h, S = self.law.shape
         if len(gens) != R:
             raise ValueError(f"need one generator per replica, {R}, got {len(gens)}")
-        u = np.stack([gen.random((count, n * h)).T for gen in gens], axis=1)
+        return self.walk(np.stack([gen.random((count, n * h)).T for gen in gens], axis=1))
+
+    def walk(self, u: np.ndarray) -> np.ndarray:
+        """The moves ``[r, d, i, b]`` of the walk backward from the empty set
+        after the last layer that takes at vertex (i, b) of draw d of replica
+        r the first move whose cumulative law exceeds ``u[i * h + b, r, d]``."""
+        (J, R, n, h, S), count = self.law.shape, u.shape[-1]
         moves, cur = np.empty((n * h, R, count), dtype=np.intp), np.zeros((R, count), dtype=np.intp)
         # one flat take per vertex: column (r n h + k) S + s of law is the law at [r, k, s]
         law, code, prev = self.law.reshape(J, -1), self.code.reshape(h, -1), self.prev.reshape(h, -1)
@@ -148,12 +151,3 @@ def decode_edges(n: int, H, moves: np.ndarray) -> np.ndarray:
     e = np.take(edge, moves + rows).reshape(len(moves), -1)
     e.sort(axis=1)
     return e
-
-
-def decode_moves(n: int, H, moves: np.ndarray) -> list[Matching]:
-    """The ``Matching`` of each draw of moves ``[d, i, b]``, from ``decode_edges``."""
-    e = decode_edges(n, H, moves)
-    live = e >= 0
-    ends = np.cumsum(live.sum(axis=1)).tolist()
-    flat = e[live].tolist()
-    return [Matching(frozenset(flat[a:b])) for a, b in zip([0, *ends], ends)]

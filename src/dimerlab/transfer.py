@@ -76,9 +76,10 @@ over the batch.  Given the state after vertex (i, b), the move into it is
 the unique opening, or one of a monomer, the close of the horizontal
 dimer reserved at cut i-1 and the fiber dimers to open earlier vertices.
 Under LOG their weights are the move's exact conditional law (forward
-filtering, backward sampling: Carter & Kohn, Biometrika 1994; see
-``sampler``); under MAX their first largest continues an optimal
-configuration (Viterbi backtracking, ``groundstate``).
+filtering, backward sampling: Carter & Kohn, Biometrika 1994); under MAX
+their first largest continues an optimal configuration (Viterbi
+backtracking).  Both are one backward walk, ``sampler.GibbsSampler.walk``,
+which draws under LOG and gives the ground state under MAX.
 
 The log Z of a single instance, ``scalar_log_z``, is a blocked LOG
 recursion (the scan of Blelloch, 1990, in the temporal form of Sarkka &
@@ -603,17 +604,23 @@ def _most(fits: Callable, top: int) -> int:
     return lo
 
 
+def check_batch(H: HGraph, n: int, R: int, degree_layers: int = 0, draws: int = 0) -> None:
+    """Refuse a batch of R replicas of an n-layer cylinder over H whose
+    ``batch_bytes`` exceed ``BATCH_BYTES``, naming h, n and the bytes."""
+    need = batch_bytes(H, n, R, degree_layers, draws)
+    if need > BATCH_BYTES:
+        who = "one replica" if R == 1 else f"{R:,} replicas"
+        raise CapacityError(f"{who} of fiber size h={H.h} at n={n} layers need{'s' * (R == 1)}"
+                            f" {need:,} bytes, over the batch budget of {BATCH_BYTES:,}")
+
+
 def replicas_per_batch(H: HGraph, n: int, degree_layers: int = 0, draws: int = 0) -> int:
     """The most replicas of an n-layer cylinder over H whose ``batch_bytes``
-    stay within ``BATCH_BYTES``; a single replica past it is refused,
-    naming h, n and the bytes."""
-    R = _most(lambda R: batch_bytes(H, n, R, degree_layers, draws) <= BATCH_BYTES,
-              BATCH_BYTES // 8)   # a replica holds more than 8 bytes
-    if R == 0:
-        raise CapacityError(f"one replica of fiber size h={H.h} at n={n} layers needs"
-                            f" {batch_bytes(H, n, 1, degree_layers, draws):,} bytes, over the"
-                            f" batch budget of {BATCH_BYTES:,}")
-    return R
+    stay within ``BATCH_BYTES``; a single replica past it is refused
+    (``check_batch``)."""
+    check_batch(H, n, 1, degree_layers, draws)
+    return _most(lambda R: batch_bytes(H, n, R, degree_layers, draws) <= BATCH_BYTES,
+                 BATCH_BYTES // 8)   # a replica holds more than 8 bytes
 
 
 def draws_per_block(H: HGraph, n: int, degree_layers: int, draws: int, replicas: int = 1) -> int:

@@ -18,8 +18,6 @@ from dimerlab.graphs import (
     gauge,
     sample_weights,
 )
-from dimerlab.sampler import Matching
-
 from oracle import horizontal_index, kill_vertex_edges, unpaired, vertical_index, vertices
 
 STD_NORMAL = DisorderSpec(Law.normal(0.0, 1.0), Law.normal(0.0, 1.0))
@@ -194,21 +192,22 @@ def sweep_steps(monkeypatch) -> list:
     return steps
 
 
-def moves_matching(g, moves) -> Matching:
-    """The matching of one draw's moves ``[i, b]``, built edge by edge: the
-    horizontal dimer that a vertex closes and the fiber dimer it closes;
-    the reference for the array decode."""
+def moves_matching(g, moves) -> np.ndarray:
+    """The sorted edge indices of the matching of one draw's moves ``[i,
+    b]``, built edge by edge: the horizontal dimer that a vertex closes and
+    the fiber dimer it closes; the reference for the array decode."""
     from dimerlab.transfer import FIBER, HORIZONTAL
 
     idxs = [horizontal_index(g, i, b + 1) for i, b in zip(*np.nonzero(moves == HORIZONTAL))]
     idxs += [vertical_index(g, i + 1, int(moves[i, b]) - FIBER) for i, b in zip(*np.nonzero(moves >= FIBER))]
-    return Matching(frozenset(int(e) for e in idxs))
+    return np.array(sorted(idxs), dtype=np.intp)
 
 
-def layer_counts(g, m: Matching) -> np.ndarray:
-    """The unpaired-vertex count of each layer of ``m``, read off its
-    unpaired vertices: the reference for the sampler's monomer profiles."""
-    return np.bincount([i for i, _ in unpaired(g, m)], minlength=g.n + 1)[1:]
+def layer_counts(g, edges) -> np.ndarray:
+    """The unpaired-vertex count of each layer of the matching of edge
+    indices ``edges``, read off its unpaired vertices: the reference for the
+    sampler's monomer profiles."""
+    return np.bincount([i for i, _ in unpaired(g, edges)], minlength=g.n + 1)[1:]
 
 
 def split_parts(monkeypatch, parts: int) -> None:

@@ -515,9 +515,9 @@ def localization_reference(w: WeightAssignment) -> float:
 
 
 def unpaired(g: CylinderGraph, m) -> list:
-    """The vertices that no edge of the matching ``m`` covers."""
+    """The vertices that no edge of the matching of edge indices ``m`` covers."""
     all_edges = edges(g)
-    covered = {x for e in m.edge_indices for x in all_edges[e]}
+    covered = {x for e in m for x in all_edges[int(e)]}
     return [v for v in vertices(g) if v not in covered]
 
 

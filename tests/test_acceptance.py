@@ -44,7 +44,7 @@ from dimerlab.leeyang import (
     localization_check,
     spectrum,
 )
-from dimerlab.sampler import GibbsSampler, Matching, decode_moves, matching_weight
+from dimerlab.sampler import GibbsSampler, matching_weight
 from dimerlab.transfer import (
     MonomerPolynomial,
     batch_tables,
@@ -549,7 +549,7 @@ def test_criterion_15_sampler_chi_square():
         w = sample_weights(g, STD_NORMAL, RngSeed(seed, 0))
         support = _enumerate_matchings(g)
         logits = np.array([
-            matching_weight(g, w, Matching(frozenset(m)))
+            matching_weight(g, w, m)
             + x * (g.num_vertices - 2 * len(m))
             for m in support
         ])
@@ -559,10 +559,10 @@ def test_criterion_15_sampler_chi_square():
 
         sampler = GibbsSampler(instance_tables(g, w), x=x)
         gen = rng_generator(RngSeed(seed, 1), DOMAIN_GIBBS)
-        draws = decode_moves(g.n, g.H, sampler.draw_states([gen], 100_000)[0])
+        rows = sampler.matchings_from_states(sampler.draw_states([gen], 100_000)[0])
         counts = np.zeros(len(support))
-        for m in draws:
-            counts[index[tuple(sorted(m.edge_indices))]] += 1
+        for row in rows:
+            counts[index[tuple(row[row >= 0].tolist())]] += 1
 
         # merge rare cells so every expected count is >= 5
         order = np.argsort(probs)[::-1]

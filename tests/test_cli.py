@@ -16,9 +16,9 @@ from dimerlab.graphs import (
     DOMAIN_GIBBS, DisorderSpec, HGraph, Law, RngSeed, build_cylinder, load_weights, rng_generator,
     sample_weights,
 )
-from dimerlab.sampler import GibbsSampler, Matching, decode_moves, heights
+from dimerlab.sampler import GibbsSampler, heights
 
-from helpers import batch_budget, count_calls, layer_counts, split_parts
+from helpers import batch_budget, count_calls, layer_counts, moves_matching, split_parts
 
 
 def test_exact_prints_log_z_of_path4(capsys, tmp_path):
@@ -350,7 +350,7 @@ def test_sample_command_writes_heights(tmp_path, capsys):
     t = np.linspace(0.0, 1.0, 17)
     expect = []
     for d, draw in enumerate(matchings["draws"]):
-        theta, theta_hat = heights(layer_counts(g, Matching(frozenset(draw)))[None], t, 0.5)
+        theta, theta_hat = heights(layer_counts(g, draw)[None], t, 0.5)
         expect += [f"{d},{tk!r},{int(th)},{float(th_hat)!r}"
                    for tk, th, th_hat in zip(t.tolist(), theta[0], theta_hat[0])]
     assert lines[1:] == expect
@@ -675,7 +675,7 @@ def test_heights_csv_has_the_bytes_of_a_per_cell_writer(tmp_path, capsys, center
     assert main(argv + ([] if centering is None else ["--centering", centering])) == 0
     g = build_cylinder(6, HGraph.path(2))
     draws = json.loads((out / "matchings.json").read_text())["draws"]
-    profiles = np.array([layer_counts(g, Matching(frozenset(d))) for d in draws])
+    profiles = np.array([layer_counts(g, d) for d in draws])
     t_grid = np.linspace(0.0, 1.0, 17)
     theta, theta_hat = heights(profiles, t_grid, None if centering is None else float(centering))
     expect = io.StringIO()
@@ -724,21 +724,22 @@ def test_sample_and_exact_files_are_the_bytes_of_json_dumps(tmp_path, monkeypatc
         with open(path) as fh:
             assert fh.read() == json.dumps(output.jsonify(obj), indent=2, sort_keys=True) + "\n"
     # the draws reach write_json as one array (IntRows); the file still holds
-    # json.dumps of each draw's sorted edges, decoded Matching by Matching
+    # json.dumps of each draw's sorted edges, decoded draw by draw
     g, matchings = _cli_draws(6, "path(2)", 0, 7)
-    payload = {"n": 6, "h": 2, "x": 0.0, "count": 7, "draws": [sorted(m.edge_indices) for m in matchings]}
+    payload = {"n": 6, "h": 2, "x": 0.0, "count": 7, "draws": matchings}
     assert ((tmp_path / "s" / "matchings.json").read_text()
             == json.dumps(output.jsonify(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _cli_draws(n, fiber, seed, count, x=0.0, edge="normal(0,1)"):
-    """The cylinder and the ``Matching`` of each draw that ``sample`` takes
-    with normal(0,1) vertex weights at ``seed``, ``count`` draws in one block."""
+    """The cylinder and the sorted edge indices of each draw that ``sample``
+    takes with normal(0,1) vertex weights at ``seed``, ``count`` draws in one
+    block, each decoded move by move (``moves_matching``)."""
     g = build_cylinder(n, make_fiber(fiber))
     w = sample_weights(g, DisorderSpec(Law.parse("normal(0,1)"), Law.parse(edge)), RngSeed(seed))
     (moves,) = GibbsSampler(transfer.instance_tables(g, w), x=x).draw_states(
         [rng_generator(RngSeed(seed), DOMAIN_GIBBS)], count)
-    return g, decode_moves(g.n, g.H, moves)
+    return g, [moves_matching(g, m).tolist() for m in moves]
 
 
 @pytest.mark.parametrize("n, fiber, x, centering", [
@@ -747,7 +748,7 @@ def _cli_draws(n, fiber, seed, count, x=0.0, edge="normal(0,1)"):
 ])
 def test_sample_files_have_the_bytes_of_stdlib_writers(tmp_path, n, fiber, x, centering):
     # matchings.json against json.dumps of each draw's sorted edges, decoded
-    # Matching by Matching, and heights.csv against csv.writer fed per cell:
+    # move by move, and heights.csv against csv.writer fed per cell:
     # a fiber whose vertex order is not its edge order, one with a cycle,
     # one layer (no horizontal edge), draws with no edge at all (written
     # []), and no centering (an empty theta_hat column)
@@ -756,7 +757,7 @@ def test_sample_files_have_the_bytes_of_stdlib_writers(tmp_path, n, fiber, x, ce
             "--edge", "normal(0,1)", "--seed", "9", "--count", "40", "--t-points", "5", "--out", str(out)]
     assert main(argv + ([] if centering is None else ["--centering", centering])) == 0
     g, matchings = _cli_draws(n, fiber, 9, 40, x)
-    draws = [sorted(m.edge_indices) for m in matchings]
+    draws = matchings
     assert fiber != "single" or [] in draws
     payload = {"n": n, "h": g.h, "x": x, "count": 40, "draws": draws}
     assert (out / "matchings.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

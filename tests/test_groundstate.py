@@ -3,8 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dimerlab import groundstate
 from dimerlab.graphs import (
+    DisorderSpec,
     HGraph,
+    Law,
     RngSeed,
     WeightAssignment,
     build_cylinder,
@@ -17,8 +20,8 @@ from dimerlab.groundstate import (
     gse_remainder_bound,
     max_weight,
 )
-from dimerlab.sampler import matching_weight
-from dimerlab.transfer import partition_polynomial
+from dimerlab.sampler import GibbsSampler, decode_edges, matching_weight
+from dimerlab.transfer import MAX, batch_tables, partition_polynomial
 
 from helpers import (
     STD_NORMAL, cut_instances, disabled_edge_batches, layout_instances, random_instance, restrict,
@@ -33,7 +36,7 @@ def test_max_weight_matches_enumeration():
         gs = max_weight(g, w)
         assert gs.value == pytest.approx(brute_force_max(g, w), abs=1e-10)
         # the reported matching must achieve the reported value
-        assert matching_weight(g, w, gs.matching) == pytest.approx(gs.value, abs=1e-9)
+        assert matching_weight(g, w, gs.edges) == pytest.approx(gs.value, abs=1e-9)
 
 
 def test_zero_weights_prefer_empty_matching():
@@ -43,7 +46,7 @@ def test_zero_weights_prefer_empty_matching():
         g = build_cylinder(5, H)
         gs = max_weight(g, WeightAssignment.constant(g))
         assert gs.value == pytest.approx(0.0)
-        assert gs.matching.edge_indices == frozenset()
+        assert gs.edges.tolist() == []
 
 
 def test_large_edge_weight_forces_that_dimer():
@@ -52,8 +55,46 @@ def test_large_edge_weight_forces_that_dimer():
     oh[1, 0] = 5.0
     w = WeightAssignment(g, np.zeros((4, 1)), oh, np.zeros((4, 0)))
     gs = max_weight(g, w)
-    assert horizontal_index(g, 2, 1) in gs.matching.edge_indices
+    assert horizontal_index(g, 2, 1) in gs.edges
     assert gs.value == pytest.approx(5.0 + 0.0 + 0.0)
+
+
+def test_the_max_walk_of_a_batch_gives_each_replica_its_ground_state():
+    # the walk at uniforms 0 of a MAX sampler over a batch gives every
+    # replica the edges and value of max_weight on that replica alone, and
+    # the enumerated maximum: with -inf edges, and with constant weights,
+    # where two monomers are never worse than a dimer, so every replica gets
+    # the empty matching
+    constant = [(g, [WeightAssignment.constant(g, c, c) for c in (0.0, 0.5, 2.0)], True)
+                for g in (build_cylinder(3, HGraph.complete(4)), build_cylinder(5, HGraph.path(2)))]
+    for g, ws, empty in [*((g, ws, False) for g, ws in disabled_edge_batches(61)), *constant]:
+        walker = GibbsSampler(batch_tables(g, *(np.stack([getattr(w, a) for w in ws])
+                                                for a in ("nu", "omega_h", "omega_v"))), arith=MAX)
+        moves = walker.walk(np.zeros((g.n * g.h, len(ws), 1)))
+        for r, w in enumerate(ws):
+            (row,) = decode_edges(g.n, g.H, moves[r])
+            alone = max_weight(g, w)
+            assert row[row >= 0].tolist() == alone.edges.tolist()
+            assert walker.values[r] == alone.value
+            assert alone.value == pytest.approx(brute_force_max(g, w), abs=1e-10)
+            assert not empty or alone.edges.tolist() == []
+
+
+def test_max_weight_checks_a_large_value_to_its_rounding():
+    # normal(0, 1e5) weights at n = 2000: the matching's sum and the sweep's
+    # differ by rounding alone, which an absolute tolerance would refuse;
+    # a matching one dimer short is still refused
+    g = build_cylinder(2000, HGraph.path(2))
+    law = Law.parse("normal(0,100000)")
+    w = sample_weights(g, DisorderSpec(law, law), RngSeed(3))
+    gs = max_weight(g, w)
+    assert gs.value == pytest.approx(matching_weight(g, w, gs.edges), rel=1e-14)
+    short = groundstate.decode_edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groundstate, "decode_edges", lambda *a: np.sort(np.where(
+            np.arange(g.num_vertices) == g.num_vertices - 1, -1, short(*a)), axis=1))
+        with pytest.raises(AssertionError, match="argmax reconstruction mismatch"):
+            max_weight(g, w)
 
 
 def test_batch_values_match_single_instances():
@@ -80,7 +121,7 @@ def test_disabled_edges_max_paths_match_enumeration():
         for w, e in zip(ws, expect):
             gs = max_weight(g, w)
             assert gs.value == pytest.approx(e, abs=1e-10)
-            assert matching_weight(g, w, gs.matching) == pytest.approx(e, abs=1e-9)
+            assert matching_weight(g, w, gs.edges) == pytest.approx(e, abs=1e-9)
 
 
 def test_ground_remainder_sandwich():

@@ -164,6 +164,28 @@ def test_the_caller_scan_sees_a_second_caller():
                                        "_in_processes": ["<module>", "_map_batches"]}
 
 
+def readers(paths, name: str) -> list:
+    """"module:definition" of each top-level definition of the files
+    ``paths`` that calls ``name`` (``callers``), sorted."""
+    return sorted(f"{p.stem}:{owner}" for p in paths
+                  for owner in callers(ast.parse(p.read_text(), str(p)), [name])[name])
+
+
+def test_only_the_sampler_reads_the_backward_terms():
+    # one reader of move_terms: the draws and the ground state are one
+    # backward walk in two arithmetics, not a walk per consumer
+    assert readers(PACKAGE, "move_terms") == ["sampler:GibbsSampler"]
+
+
+def test_the_reader_scan_sees_a_second_caller(tmp_path):
+    (tmp_path / "sampler.py").write_text("class GibbsSampler:\n    def __init__(self, t):\n"
+                                         "        self.v = move_terms(t, LOG)\n")
+    (tmp_path / "groundstate.py").write_text("from . import transfer\ndef max_weight(t):\n"
+                                             "    return transfer.move_terms(t, MAX)\n")
+    assert readers(sorted(tmp_path.glob("*.py")), "move_terms") == ["groundstate:max_weight",
+                                                                     "sampler:GibbsSampler"]
+
+
 MODULES = {p.stem for p in PACKAGE} - {"__init__"}
 
 

@@ -12,21 +12,28 @@ from dimerlab.graphs import (
     rng_generator,
     sample_weights,
 )
-from dimerlab.sampler import GibbsSampler, Matching, decode_moves, heights, matching_weight
+from dimerlab.sampler import GibbsSampler, heights, matching_weight
+from dimerlab import groundstate, transfer
 from dimerlab.transfer import (
-    FIBER, HORIZONTAL, MONOMER, NEG_INF, OPEN, batch_tables, instance_tables, partition_polynomial,
-    scalar_log_z,
+    FIBER, HORIZONTAL, MONOMER, NEG_INF, OPEN, CapacityError, batch_tables, instance_tables,
+    partition_polynomial, scalar_log_z,
 )
 
 from helpers import (
-    STD_NORMAL, disabled_edge_batches, layer_counts, moves_matching, random_instance, table_builds,
+    STD_NORMAL, batch_budget, count_calls, disabled_edge_batches, layer_counts, moves_matching,
+    random_instance, table_builds,
 )
 from oracle import brute_force_polynomial, edge_weight, edges, unpaired
 
 
 def _draw(sampler, gen, count):
-    """``count`` matchings from ``sampler``, decoded from its moves."""
-    return decode_moves(sampler.n, sampler.H, sampler.draw_states([gen], count)[0])
+    """``count`` matchings from ``sampler``, each its sorted edge indices."""
+    rows = sampler.matchings_from_states(sampler.draw_states([gen], count)[0])
+    return [row[row >= 0] for row in rows]
+
+
+def _unpaired_count(g, edges) -> int:
+    return g.num_vertices - 2 * len(edges)
 
 
 def _exact_sample(g, w, seed, count):
@@ -37,7 +44,7 @@ def _exact_sample(g, w, seed, count):
 def test_matching_rejects_shared_vertices():
     g = build_cylinder(3, HGraph.single())
     # edges 0 and 1 both touch vertex (2,1)
-    bad = Matching(frozenset({0, 1}))
+    bad = np.array([0, 1])
     with pytest.raises(ValueError, match="share a vertex"):
         matching_weight(g, WeightAssignment.constant(g), bad)
 
@@ -46,9 +53,9 @@ def test_matching_weight_by_hand():
     g = build_cylinder(3, HGraph.single())
     w = WeightAssignment(g, np.array([[0.1], [0.2], [0.4]]),
                          np.array([[1.0], [2.0]]), np.zeros((3, 0)))
-    m = Matching(frozenset({0}))  # dimer on layers 1-2, monomer at layer 3
+    m = np.array([0])  # dimer on layers 1-2, monomer at layer 3
     assert matching_weight(g, w, m) == pytest.approx(1.0 + 0.4)
-    assert m.num_unpaired(g) == 1
+    assert _unpaired_count(g, m) == 1
     assert unpaired(g, m) == [(3, 1)]
 
 
@@ -59,14 +66,14 @@ def test_matching_weight_matches_the_tuple_sum():
         all_edges = edges(g)
         for w in ws:
             for m in _draw(GibbsSampler(instance_tables(g, w)), np.random.default_rng(59), 20):
-                ref = sum(edge_weight(w, *all_edges[e]) for e in sorted(m.edge_indices))
+                ref = sum(edge_weight(w, *all_edges[e]) for e in m)
                 ref += sum(w.nu[i - 1, j - 1] for i, j in unpaired(g, m))
                 assert matching_weight(g, w, m) == pytest.approx(ref, rel=1e-15, abs=1e-15)
 
 
 def test_empty_matching_observables():
     g = build_cylinder(8, HGraph.path(2))
-    per_layer = layer_counts(g, Matching(frozenset()))
+    per_layer = layer_counts(g, [])
     theta, theta_hat = heights(per_layer[None], [0.0, 0.5, 1.0], 2.0)
     assert per_layer.sum() == 16
     assert list(theta[0]) == [0.0, 8.0, 16.0]
@@ -80,9 +87,7 @@ def test_draws_are_valid_matchings_and_deterministic():
     g, w = random_instance(rng, n_lo=5, n_hi=5, fibers=["path2"])
     draws1 = _exact_sample(g, w, RngSeed(99, 0), count=40)
     draws2 = _exact_sample(g, w, RngSeed(99, 0), count=40)
-    assert [sorted(m.edge_indices) for m in draws1] == [
-        sorted(m.edge_indices) for m in draws2
-    ]
+    assert [m.tolist() for m in draws1] == [m.tolist() for m in draws2]
     for m in draws1:
         assert np.isfinite(matching_weight(g, w, m))   # raises if edges overlap
 
@@ -99,7 +104,7 @@ def test_empirical_monomer_pmf_matches_polynomial():
     g, w = random_instance(rng, n_lo=4, n_hi=4, fibers=["path2"])
     pmf = partition_polynomial(g, w).pmf()
     draws = _exact_sample(g, w, RngSeed(7, 1), count=20000)
-    counts = np.bincount([m.num_unpaired(g) for m in draws],
+    counts = np.bincount([_unpaired_count(g, m) for m in draws],
                          minlength=pmf.size)
     freq = counts / counts.sum()
     sigma = np.sqrt(pmf * (1 - pmf) / 20000)
@@ -114,7 +119,7 @@ def test_tilted_sampler_shifts_the_monomer_count():
     gen = np.random.default_rng(5)
     sampler = GibbsSampler(instance_tables(g, w), x=x)
     draws = _draw(sampler, gen, 20000)
-    mean = np.mean([m.num_unpaired(g) for m in draws])
+    mean = np.mean([_unpaired_count(g, m) for m in draws])
     expect = pmf @ np.arange(pmf.size)
     var = pmf @ (np.arange(pmf.size) - expect) ** 2
     assert mean == pytest.approx(expect, abs=5 * np.sqrt(var / 20000))
@@ -127,10 +132,10 @@ def test_monomer_profiles_match_matchings():
     gen = np.random.default_rng(11)
     (moves,) = sampler.draw_states([gen], 25)
     profiles = sampler.monomer_profiles(moves)
-    matchings = decode_moves(g.n, g.H, moves)
+    rows = sampler.matchings_from_states(moves)
     assert profiles.shape == (25, g.n)
-    for row, m in zip(profiles, matchings):
-        assert list(row) == list(layer_counts(g, m))
+    for row, m in zip(profiles, rows):
+        assert list(row) == list(layer_counts(g, m[m >= 0]))
 
 
 def test_array_decode_matches_path_matching():
@@ -143,11 +148,10 @@ def test_array_decode_matches_path_matching():
         sampler = GibbsSampler(instance_tables(g, sample_weights(g, STD_NORMAL, RngSeed(41, n))), x=0.7)
         (moves,) = sampler.draw_states([np.random.default_rng(n)], 30)
         expect = [moves_matching(g, m) for m in moves]
-        assert decode_moves(g.n, g.H, moves) == expect
         rows = sampler.matchings_from_states(moves)
         assert rows.shape == (30, g.num_vertices)
-        assert [sorted(m.edge_indices) for m in expect] == [r[r >= 0].tolist() for r in rows]
-        assert all(not (r[:-1] > r[1:]).any() and (r[: g.num_vertices - len(m.edge_indices)] == -1).all()
+        assert [m.tolist() for m in expect] == [r[r >= 0].tolist() for r in rows]
+        assert all(not (r[:-1] > r[1:]).any() and (r[: g.num_vertices - len(m)] == -1).all()
                    for r, m in zip(rows, expect))
 
 
@@ -250,7 +254,7 @@ def test_backward_step_gives_the_exact_law_of_every_path(x):
             if H == NEG_INF:
                 assert prob == 0.0
             else:
-                assert prob == pytest.approx(np.exp(H + x * m.num_unpaired(g) - log_z), rel=1e-12, abs=0.0)
+                assert prob == pytest.approx(np.exp(H + x * _unpaired_count(g, m) - log_z), rel=1e-12, abs=0.0)
             total += prob
         assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -293,3 +297,29 @@ def test_sampler_refuses_a_pick_in_a_zero_mass_segment():
     sampler.law[:, 0, 1] = 0.0
     with pytest.raises(ValueError, match="zero mass"):
         sampler.draw_states([np.random.default_rng(0)], 10)
+
+
+def test_a_batch_past_the_samplers_byte_model_is_refused(monkeypatch):
+    # a budget that holds two replicas of path(4) at n = 64 and one draw:
+    # a batch of two is built, one of three is refused before any message
+    # is made, and under a budget below one replica so are max_weight and
+    # a sampler of one, in the words of replicas_per_batch
+    g = build_cylinder(64, HGraph.path(4))
+    ws = [sample_weights(g, STD_NORMAL, RngSeed(83, r)) for r in range(3)]
+    tables = [batch_tables(g, *(np.stack([getattr(w, a) for w in ws[:R]]) for a in ("nu", "omega_h", "omega_v")))
+              for R in (1, 2, 3)]
+    batch_budget(monkeypatch, 2, g.H, g.n, 0, 1)
+    assert GibbsSampler(tables[1]).values.shape == (2,)
+    terms = count_calls(monkeypatch, transfer, ["move_terms"])
+    need = transfer.batch_bytes(g.H, g.n, 3, 0, 1)
+    with pytest.raises(CapacityError, match=f"^3 replicas of fiber size h=4 at n=64 layers need {need:,} bytes,"
+                                            f" over the batch budget of {transfer.BATCH_BYTES:,}$"):
+        GibbsSampler(tables[2])
+    batch_budget(monkeypatch, 0, g.H, g.n, 0, 1)
+    need = transfer.batch_bytes(g.H, g.n, 1, 0, 1)
+    for route in (lambda: GibbsSampler(tables[0]), lambda: groundstate.max_weight(g, ws[0]),
+                  lambda: transfer.replicas_per_batch(g.H, g.n, 0, 1)):
+        with pytest.raises(CapacityError, match=f"^one replica of fiber size h=4 at n=64 layers needs {need:,}"
+                                                f" bytes, over the batch budget of {transfer.BATCH_BYTES:,}$"):
+            route()
+    assert terms["move_terms"] == 0

@@ -881,7 +881,7 @@ def test_the_backward_step_names_an_empty_replica_in_its_batch():
     ws = [sample_weights(g, STD_NORMAL, RngSeed(8, r)) for r in range(4)]
     ws[2] = WeightAssignment(g, np.full(3, NEG_INF), ws[2].omega_h, ws[2].omega_v)
     tables, kept = _batch(g, ws), _batch(g, ws[:2] + ws[3:])
-    for route in (lambda t: GibbsSampler(t).log_z, lambda t: transfer.move_terms(t, MAX)[0]):
+    for route in (lambda t: GibbsSampler(t).values, lambda t: GibbsSampler(t, arith=MAX).values):
         with pytest.raises(EmptyMeasureError, match=r"^replica 2 has no matching of finite weight"
                                                     r" \(1 of 4\): empty Gibbs measure$") as err:
             route(tables)
